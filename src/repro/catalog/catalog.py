@@ -231,11 +231,8 @@ class Catalog:
         tupled_rows = [tuple(row) for row in rows]
         for tupled in tupled_rows:
             entry.schema.validate_row(tupled)
-        count = 0
-        for tupled in tupled_rows:
-            entry.heap.append(tupled)
-            count += 1
-        entry.heap.close_writes()
+        entry.heap.extend(tupled_rows)
+        count = len(tupled_rows)
         if count:
             # Indexes are static (ISAM): rebuild after a batch insert.
             for (table, _column), index in self.indexes.items():

@@ -554,7 +554,7 @@ class Engine:
             )
             relation = final.execute(final_query)
             steps.append("final: " + "; ".join(final.steps))
-            rows = relation.to_list()
+            rows = relation.drain()
             if strip:
                 rows = [row[strip:] for row in rows]
             result = QueryResult(

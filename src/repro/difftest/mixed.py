@@ -32,6 +32,7 @@ import sqlite3
 from dataclasses import dataclass, field
 
 from repro.api import Database
+from repro.difftest.leaks import leaked_pages
 from repro.difftest.normalize import normalize_rows
 
 #: Figure-1 read shapes over the live PARTS/SUPPLY schema.  All three
@@ -200,6 +201,14 @@ def run_mixed(steps: int = 200, seed: int = 0) -> MixedReport:
                 f"txn counters (commits={db.txn.commits}, "
                 f"aborts={db.txn.aborts}) below observed "
                 f"({report.commits}, {report.aborts})"
+            )
+        # Commits, aborts and cached reads must leave no page without
+        # an owner: with the plan cache emptied, only tables remain.
+        db.plan_cache.clear()
+        leaked = leaked_pages(db.catalog)
+        if leaked:
+            report.failures.append(
+                f"leaked {leaked} page(s) after {report.steps} steps"
             )
     finally:
         shadow.close()

@@ -31,6 +31,7 @@ import sqlite3
 from dataclasses import dataclass, field
 
 from repro.api import Database
+from repro.difftest.leaks import leaked_pages
 from repro.difftest.normalize import normalize_rows
 
 #: Inner-chain cutoffs: two distinct values so the replay exercises
@@ -233,6 +234,13 @@ def run_replay(
                 entry.active != 0 for entry in registry._entries.values()
             ):
                 report.failures.append(f"{leg}: leaked registry lease")
+            for label, db in (("sharing-on", shared_db), ("sharing-off", plain_db)):
+                db.plan_cache.clear()
+                leaked = leaked_pages(db.catalog)
+                if leaked:
+                    report.failures.append(
+                        f"{leg}: {label} leaked {leaked} page(s)"
+                    )
     if report.clean and report.shared_fraction < MIN_SHARED_FRACTION:
         report.failures.append(
             f"replay shared only {100.0 * report.shared_fraction:.1f}% of "

@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 
 from repro.core.pipeline import Engine
 from repro.difftest.grammar import Case, CaseGenerator
+from repro.difftest.leaks import leaked_pages
 from repro.difftest.normalize import normalize_rows
 from repro.difftest.oracle import SQLiteOracle
 from repro.engine.compile import interpreted_only
@@ -134,6 +135,9 @@ def run_case(
         return CaseOutcome(
             case, "error", detail=f"nested_iteration: {exc}", results=results
         )
+    leaked = leaked_pages(catalog)
+    if leaked:
+        return _leak_outcome(case, "nested_iteration", leaked, results)
 
     transform_skipped = False
     detail_skip = ""
@@ -178,11 +182,15 @@ def run_case(
                 # independent: one skip means they all skip.
                 transform_skipped = True
                 detail_skip = str(exc)
-                break
             except Exception as exc:
                 return CaseOutcome(
                     case, "error", detail=f"{leg}: {exc}", results=results
                 )
+            leaked = leaked_pages(catalog)
+            if leaked:
+                return _leak_outcome(case, leg, leaked, results)
+            if transform_skipped:
+                break
         if transform_skipped:
             break
         # Every engine and parallelism leg of one join method must
@@ -211,6 +219,19 @@ def run_case(
         "ok",
         transform_skipped=transform_skipped,
         detail="transform skipped: " + detail_skip if transform_skipped else "",
+        results=results,
+    )
+
+
+def _leak_outcome(
+    case: Case, leg: str, leaked: int, results: dict[str, Counter]
+) -> CaseOutcome:
+    """A leg that leaves pages nobody owns fails like a wrong row does."""
+    return CaseOutcome(
+        case,
+        "divergence",
+        detail=f"{leg} leaked {leaked} page(s): every page a "
+        "run allocates must be freed or registered before it returns",
         results=results,
     )
 

@@ -50,11 +50,16 @@ JoinMode = str  # "inner" | "left"
 
 
 def scan_table(entry: TableEntry, binding: str | None = None) -> Relation:
-    """A relation view over a stored table (reads go through the buffer)."""
+    """A relation view over a stored table (reads go through the buffer).
+
+    The catalog owns the heap: dropping the view frees nothing.
+    """
     schema = RowSchema.for_table(
         binding or entry.schema.name, entry.schema.column_names
     )
-    return Relation(schema, heap=entry.heap, name=entry.schema.name)
+    return Relation(
+        schema, heap=entry.heap, name=entry.schema.name, owns_heap=False
+    )
 
 
 def restrict_project(

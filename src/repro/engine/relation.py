@@ -21,7 +21,7 @@ into fixed-size batches (they cost no I/O either way).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.engine.schema import RowSchema
 from repro.storage.buffer import BufferPool
@@ -69,12 +69,16 @@ class Relation:
         heap: HeapFile | None = None,
         rows: list[tuple] | None = None,
         name: str | None = None,
+        owns_heap: bool = True,
     ) -> None:
         if (heap is None) == (rows is None):
             raise ValueError("exactly one of heap/rows must be given")
         self.schema = schema
         self.heap = heap
         self._rows = rows
+        #: False for a view over a heap some catalog, session or
+        #: registry owns (``scan_table``): dropping it frees nothing.
+        self.owns_heap = owns_heap
         self.name = name or (heap.name if heap is not None else None)
 
     # -- construction ------------------------------------------------------
@@ -85,6 +89,30 @@ class Relation:
     ) -> "Relation":
         """An in-memory relation (no page I/O when scanned)."""
         return cls(schema, rows=list(rows), name=name)
+
+    @classmethod
+    def _build(
+        cls,
+        schema: RowSchema,
+        fill: Callable[[HeapFile], None],
+        buffer: BufferPool,
+        rows_per_page: int | None,
+        name: str | None,
+    ) -> "Relation":
+        """Fill and flush a fresh heap file; free it if that fails.
+
+        Nobody else has seen the heap until this returns, so a
+        half-built temp has no owner to free it but us.
+        """
+        capacity = rows_per_page or temp_rows_per_page(len(schema))
+        heap = HeapFile(buffer, rows_per_page=capacity, name=name)
+        try:
+            fill(heap)
+            heap.flush()
+        except BaseException:
+            heap.truncate()
+            raise
+        return cls(schema, heap=heap, name=name)
 
     @classmethod
     def materialize(
@@ -100,11 +128,9 @@ class Relation:
         This is the paper's "create a temporary relation" step: building
         a P-page temp table costs P page writes once flushed.
         """
-        capacity = rows_per_page or temp_rows_per_page(len(schema))
-        heap = HeapFile(buffer, rows_per_page=capacity, name=name)
-        heap.extend(rows)
-        heap.flush()
-        return cls(schema, heap=heap, name=name)
+        return cls._build(
+            schema, lambda heap: heap.extend(rows), buffer, rows_per_page, name
+        )
 
     @classmethod
     def materialize_batches(
@@ -119,15 +145,14 @@ class Relation:
 
         Produces exactly the pages :meth:`materialize` would for the
         same row stream — same capacity, same page count, same flush
-        writes — just with one buffer interaction per filled page
-        instead of one per row.
+        writes.
         """
-        capacity = rows_per_page or temp_rows_per_page(len(schema))
-        heap = HeapFile(buffer, rows_per_page=capacity, name=name)
-        for batch in batches:
-            heap.append_rows(batch)
-        heap.flush()
-        return cls(schema, heap=heap, name=name)
+
+        def fill(heap: HeapFile) -> None:
+            for batch in batches:
+                heap.append_rows(batch)
+
+        return cls._build(schema, fill, buffer, rows_per_page, name)
 
     # -- access --------------------------------------------------------------
 
@@ -218,9 +243,22 @@ class Relation:
         return 0
 
     def drop(self) -> None:
-        """Free the backing pages, if any."""
-        if self.heap is not None:
+        """Free the backing pages, if this relation owns any.
+
+        A no-op for in-memory relations and for views over a heap that
+        belongs to a catalog (a stored table, a registered temp): only
+        the owner of a heap may free it.
+        """
+        if self.heap is not None and self.owns_heap:
             self.heap.truncate()
+
+    def drain(self) -> list[tuple]:
+        """Read every row, then free the pages: the last use of a
+        result whose caller keeps only the rows."""
+        try:
+            return self.to_list()
+        finally:
+            self.drop()
 
     def __repr__(self) -> str:
         backing = "heap" if self.is_heap_backed else "memory"

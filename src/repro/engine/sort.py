@@ -15,7 +15,7 @@ compared against the model's ``2·P·log`` term.  An optional
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.relation import Relation, temp_rows_per_page
 from repro.storage.buffer import BufferPool
@@ -68,8 +68,28 @@ def external_sort(
     run_rows = max(1, buffer.capacity * rows_per_page)
     key = list(key_columns)
 
-    runs = _form_runs(source, key, run_rows, rows_per_page, buffer, unique)
-    result_heap = _merge_runs(runs, key, rows_per_page, buffer, unique, name)
+    # Every run ever written, so that a failure part-way (a source page
+    # freed under the scan, a full pool) frees them all; on success only
+    # the result is still allocated, its inputs dropped as they merged.
+    written: list[HeapFile] = []
+
+    def write_run(rows: Iterable[tuple]) -> HeapFile:
+        run = HeapFile(buffer, rows_per_page=rows_per_page, name="sort-run")
+        written.append(run)
+        run.extend(rows)
+        run.flush()
+        return run
+
+    try:
+        runs = _form_runs(source, key, run_rows, unique, write_run)
+        result_heap = _merge_runs(runs, key, buffer, unique, write_run)
+    except BaseException:
+        for run in written:
+            run.truncate()
+        raise
+    if result_heap is None:
+        result_heap = HeapFile(buffer, rows_per_page=rows_per_page)
+    result_heap.name = name
     return Relation(source.schema, heap=result_heap, name=name)
 
 
@@ -77,9 +97,8 @@ def _form_runs(
     source: Relation,
     key: list[int],
     run_rows: int,
-    rows_per_page: int,
-    buffer: BufferPool,
     unique: bool,
+    write_run: Callable[[Iterable[tuple]], HeapFile],
 ) -> list[HeapFile]:
     """Scan the input, producing sorted runs of at most ``run_rows`` rows."""
     runs: list[HeapFile] = []
@@ -89,13 +108,7 @@ def _form_runs(
         if not chunk:
             return
         chunk.sort(key=lambda row: sort_key(row, key))
-        rows: Iterator[tuple] | list[tuple] = chunk
-        if unique:
-            rows = _dedup_sorted(iter(chunk))
-        run = HeapFile(buffer, rows_per_page=rows_per_page, name="sort-run")
-        run.extend(rows)
-        run.flush()
-        runs.append(run)
+        runs.append(write_run(_dedup_sorted(iter(chunk)) if unique else chunk))
         chunk.clear()
 
     for row in source:
@@ -109,16 +122,12 @@ def _form_runs(
 def _merge_runs(
     runs: list[HeapFile],
     key: list[int],
-    rows_per_page: int,
     buffer: BufferPool,
     unique: bool,
-    name: str | None,
-) -> HeapFile:
-    """(B-1)-way merge passes until a single run remains."""
+    write_run: Callable[[Iterable[tuple]], HeapFile],
+) -> HeapFile | None:
+    """(B-1)-way merge passes until a single run remains (None: no rows)."""
     fan_in = max(2, buffer.capacity - 1)
-
-    if not runs:
-        return HeapFile(buffer, rows_per_page=rows_per_page, name=name)
 
     while len(runs) > 1:
         next_runs: list[HeapFile] = []
@@ -127,24 +136,18 @@ def _merge_runs(
             if len(group) == 1:
                 next_runs.append(group[0])
                 continue
-            merged_iter = heapq.merge(
+            rows: Iterator[tuple] = heapq.merge(
                 *(run.scan() for run in group),
                 key=lambda row: sort_key(row, key),
             )
-            rows: Iterator[tuple] = merged_iter
             if unique:
                 rows = _dedup_sorted(rows)
-            merged = HeapFile(buffer, rows_per_page=rows_per_page, name="sort-run")
-            merged.extend(rows)
-            merged.flush()
+            next_runs.append(write_run(rows))
             for run in group:
                 run.truncate()
-            next_runs.append(merged)
         runs = next_runs
 
-    result = runs[0]
-    result.name = name
-    return result
+    return runs[0] if runs else None
 
 
 def _dedup_sorted(rows: Iterator[tuple]) -> Iterator[tuple]:

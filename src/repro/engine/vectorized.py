@@ -11,7 +11,7 @@ output relations, evaluated a batch at a time:
   dispatch over the whole batch instead of paying it per row;
 * outputs are materialized through
   :meth:`Relation.materialize_batches`, which fills the same pages the
-  row path would, one buffer interaction per page instead of per row.
+  row path would.
 
 When an expression has no batch kernel (correlated reference, subquery,
 compilation globally disabled), that one expression falls back to the

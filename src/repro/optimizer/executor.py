@@ -226,8 +226,41 @@ class SingleLevelExecutor:
     # -- public API --------------------------------------------------------
 
     def execute(self, select: Select) -> Relation:
-        """Run a single-level query, returning a materialized relation."""
+        """Run a single-level query, returning a materialized relation.
+
+        The returned relation belongs to the caller, who registers its
+        heap somewhere that will free it (``register_temp``, a shared
+        registry) or drops it once read (:meth:`Relation.drain`).
+        Every other relation built on the way is this call's scratch
+        and is freed before it returns — on the error path too.
+        """
         self.steps = []
+        self._scratch: list[Relation] = []
+        result: Relation | None = None
+        try:
+            result = self._execute_block(select)
+            return result
+        finally:
+            # Compare heaps, not relations: a relabelled result shares
+            # its heap with the operator output it relabels.
+            kept = None if result is None else result.heap
+            for relation in self._scratch:
+                if relation.heap is not kept:
+                    relation.drop()
+
+    def _run(self, operator, *args, **kwargs) -> Relation:
+        """Run one physical operator: the ownership choke point.
+
+        Operators are invoked only through here, so every relation a
+        block materializes is on the scratch list :meth:`execute`
+        sweeps.  (An operator that raises has no output to record; a
+        half-built heap is freed by ``Relation.materialize`` itself.)
+        """
+        relation = operator(*args, **kwargs)
+        self._scratch.append(relation)
+        return relation
+
+    def _execute_block(self, select: Select) -> Relation:
         self._reject_subqueries(select)
         if self.verify:
             self._verify(select)
@@ -245,11 +278,15 @@ class SingleLevelExecutor:
 
         if select.distinct:
             if self.join_method == "hash":
-                result = self._hash_distinct(result, self.buffer, name="distinct")
+                result = self._run(
+                    self._hash_distinct, result, self.buffer, name="distinct"
+                )
                 self._log("hash dedup for DISTINCT (no sort)")
             else:
-                result = external_sort(result, list(range(len(result.schema))),
-                                       self.buffer, unique=True, name="distinct")
+                result = self._run(
+                    external_sort, result, list(range(len(result.schema))),
+                    self.buffer, unique=True, name="distinct",
+                )
                 self._log("sort-unique for DISTINCT")
         if select.order_by:
             result = self._order_output(select, result)
@@ -310,9 +347,9 @@ class SingleLevelExecutor:
                 all_conjuncts, relation.schema, ref.binding
             )
             if local is not None:
-                relation = self._restrict_project(
-                    relation, self.buffer, predicate=local,
-                    name=f"restrict({ref.binding})",
+                relation = self._run(
+                    self._restrict_project, relation, self.buffer,
+                    predicate=local, name=f"restrict({ref.binding})",
                 )
                 self._log(f"restrict {ref.binding}: {to_sql(local)}")
             states.append(_State(relation))
@@ -408,8 +445,8 @@ class SingleLevelExecutor:
                 + other
             )
             mode = "left" if self._any_outer(equi, theta) else "inner"
-            joined = nested_loop_join(
-                left.relation, right.relation, self.buffer,
+            joined = self._run(
+                nested_loop_join, left.relation, right.relation, self.buffer,
                 predicate=predicate, mode=mode, name="nl-join",
             )
             self._log(
@@ -427,8 +464,8 @@ class SingleLevelExecutor:
             return self._merge_theta(left, right, theta, other)
 
         # No join predicate: cross product by nested loops.
-        joined = nested_loop_join(
-            left.relation, right.relation, self.buffer,
+        joined = self._run(
+            nested_loop_join, left.relation, right.relation, self.buffer,
             predicate=make_and(other), name="cross",
         )
         self._log("cross product (no join predicate)")
@@ -455,8 +492,8 @@ class SingleLevelExecutor:
         )
         left_rel = self._ensure_sorted(left, tuple(left_keys))
         right_rel = self._ensure_sorted(right, tuple(right_keys))
-        joined = merge_join(
-            left_rel, right_rel, self.buffer,
+        joined = self._run(
+            merge_join, left_rel, right_rel, self.buffer,
             left_keys, right_keys, op="=", mode=mode, name="merge-join",
             null_safe=null_safe,
             residual=self._residual_callable(
@@ -495,8 +532,8 @@ class SingleLevelExecutor:
         )
         # Hash joins need no sorted inputs; the residual is always
         # applied in-join (required for the outer mode, free otherwise).
-        joined = self._hash_join(
-            left.relation, right.relation, self.buffer,
+        joined = self._run(
+            self._hash_join, left.relation, right.relation, self.buffer,
             left_keys, right_keys, mode=mode, name="hash-join",
             null_safe=null_safe,
             residual=self._residual_callable(
@@ -530,8 +567,8 @@ class SingleLevelExecutor:
         # merge_join's theta semantics are "right.key op left.key":
         # our normalized predicate is "left.col mirror-op right.col",
         # i.e. right.col op left.col, which is exactly that direction.
-        joined = merge_join(
-            left_rel, right_rel, self.buffer,
+        joined = self._run(
+            merge_join, left_rel, right_rel, self.buffer,
             [left_key], [right_key], op=op, mode=mode, name="theta-join",
             residual=self._residual_callable(
                 make_and(residual_preds) if mode == "left" else None,
@@ -662,8 +699,9 @@ class SingleLevelExecutor:
     def _filter_state(self, state: _State, predicate: Expr | None) -> _State:
         if predicate is None:
             return state
-        filtered = self._restrict_project(
-            state.relation, self.buffer, predicate=predicate, name="filter"
+        filtered = self._run(
+            self._restrict_project, state.relation, self.buffer,
+            predicate=predicate, name="filter",
         )
         self._log(f"filter: {to_sql(predicate)}")
         return _State(filtered, state.sorted_on)
@@ -723,8 +761,9 @@ class SingleLevelExecutor:
                 aggregate_op = self._hash_aggregate
                 self._log("hash GROUP BY (no sort)")
             else:
-                relation = external_sort(
-                    relation, group_positions, self.buffer, name="group-sort"
+                relation = self._run(
+                    external_sort, relation, group_positions, self.buffer,
+                    name="group-sort",
                 )
                 self._log("sort for GROUP BY")
         elif group_positions:
@@ -735,14 +774,16 @@ class SingleLevelExecutor:
         ]
         agg_fields = [(None, f"A{i}") for i in range(len(specs))]
         having_fields = [(None, f"H{i}") for i in range(len(having_specs))]
-        grouped = aggregate_op(
-            relation, self.buffer, group_positions, specs + having_specs,
+        grouped = self._run(
+            aggregate_op, relation, self.buffer, group_positions,
+            specs + having_specs,
             group_fields + agg_fields + having_fields,
             name="group", always_emit=not group_positions,
         )
         if having_pred is not None:
-            grouped = self._restrict_project(
-                grouped, self.buffer, predicate=having_pred, name="having"
+            grouped = self._run(
+                self._restrict_project, grouped, self.buffer,
+                predicate=having_pred, name="having",
             )
             self._log(f"HAVING filter: {to_sql(having_pred)}")
 
@@ -761,8 +802,9 @@ class SingleLevelExecutor:
             )
         from repro.engine.operators import project_columns
 
-        return project_columns(
-            grouped, self.buffer, out_positions, out_fields, name="result"
+        return self._run(
+            project_columns, grouped, self.buffer, out_positions, out_fields,
+            name="result",
         )
 
     def _rewrite_having(
@@ -840,8 +882,9 @@ class SingleLevelExecutor:
             if isinstance(item.expr, Star):
                 raise PlanError("SELECT * is not supported in canonical queries")
             projections.append((item.expr, None, name))
-        result = self._restrict_project(
-            state.relation, self.buffer, projections=projections, name="result"
+        result = self._run(
+            self._restrict_project, state.relation, self.buffer,
+            projections=projections, name="result",
         )
         self._log(
             "project " + ", ".join(to_sql(item.expr) for item in select.items)
@@ -858,11 +901,14 @@ class SingleLevelExecutor:
             positions.append(self._output_position(select, result, item.expr))
         if len(descending_flags) > 1:
             raise PlanError("mixed ASC/DESC ORDER BY is not supported")
-        ordered = external_sort(result, positions, self.buffer, name="ordered")
+        ordered = self._run(
+            external_sort, result, positions, self.buffer, name="ordered"
+        )
         if descending_flags == {True}:
             reversed_rows = list(ordered)[::-1]
-            ordered = Relation.materialize(
-                ordered.schema, reversed_rows, self.buffer, name="ordered-desc"
+            ordered = self._run(
+                Relation.materialize, ordered.schema, reversed_rows,
+                self.buffer, name="ordered-desc",
             )
             self._log("reverse for ORDER BY DESC")
         return ordered
@@ -897,7 +943,9 @@ class SingleLevelExecutor:
             self._log("input already sorted on join key (no sort)")
             return state.relation
         self._log(f"sort on columns {list(keys)}")
-        return external_sort(state.relation, list(keys), self.buffer, name="sorted")
+        return self._run(
+            external_sort, state.relation, list(keys), self.buffer, name="sorted"
+        )
 
     def _reject_subqueries(self, select: Select) -> None:
         for node in walk(select):

@@ -426,7 +426,7 @@ def execute_batch_plan(
             )
             relation = final.execute(batch_plan.final_query)
             steps.append("final (batched)")
-            rows = relation.to_list()
+            rows = relation.drain()
         finally:
             session.drop_temp_tables()
     columns = final.output_names(plan.transform.query)

@@ -243,7 +243,7 @@ class CachedPlan:
                     )
                     relation = final.execute(self.final_query)
                     steps.append("final")
-                    rows = relation.to_list()
+                    rows = relation.drain()
                     if self.strip:
                         rows = [row[self.strip:] for row in rows]
                     result = QueryResult(

@@ -101,6 +101,20 @@ class PreparedStatement:
         except NonCacheablePlan:
             return "fallback"
 
+    def close(self) -> None:
+        """Release the statement's plans and the temps they memoized or
+        hold in the shared registry (SQL's DEALLOCATE).  A later
+        ``execute`` simply plans again."""
+        with self._lock:
+            plans = [*self._custom.values()]
+            if self._plan is not None:
+                plans.append(self._plan)
+            self._plan = None
+            self._custom.clear()
+            self._batch = None
+        for plan in plans:
+            plan.release()
+
     def describe(self) -> str:
         lines = [f"mode: {self.mode}", f"parameters: {self.param_count}"]
         for spec in self.param_specs:

@@ -9,10 +9,11 @@ scanned sequentially", section 7).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from repro.storage import visibility
 from repro.storage.buffer import BufferPool
-from repro.storage.page import PAGE_CAPACITY_DEFAULT
+from repro.storage.page import PAGE_CAPACITY_DEFAULT, Page
 
 
 class HeapFile:
@@ -40,25 +41,24 @@ class HeapFile:
         self.name = name
         self.page_ids: list[int] = []
         self._num_rows = 0
-        self._tail_pinned: int | None = None
-        self._tail_page = None
+        #: The write cursor: the pinned tail page, or None when closed.
+        self._tail_page: Page | None = None
         #: Set by the catalog for non-temp tables: scans consult the
         #: active MVCC snapshot (if any) for a row-visibility horizon.
         self.versioned = False
 
     # -- writing ---------------------------------------------------------
 
-    def _write_cursor(self):
+    def _write_cursor(self) -> Page | None:
         """The pinned tail page, re-pinning it if the cursor was closed.
 
         While ``_tail_page`` is set the page is pinned and cannot be
-        evicted, so the cached object is authoritative — the batch
-        write path uses it to consult the buffer pool once per touched
-        page rather than once per call.  The row-at-a-time
-        :meth:`append` deliberately does *not* use the cache: it
-        re-finds the tail through the pool on every tuple, which is the
-        row engine's documented per-row cost.  Returns None when the
-        file has no pages yet.
+        evicted, so the cached object is authoritative: a pinned page
+        is outside the LRU, which means looking it up again would move
+        nothing and fault nothing — the writers below consult the
+        buffer pool once per touched page, not once per row, with an
+        identical page-fault schedule.  Returns None when the file has
+        no pages yet.
         """
         if self._tail_page is not None:
             return self._tail_page
@@ -67,66 +67,69 @@ class HeapFile:
         # pin=True makes lookup-and-pin atomic: a separate pin()
         # after get_page() could race with another thread's evict.
         tail = self.buffer.get_page(self.page_ids[-1], pin=True)
-        self._tail_pinned = tail.page_id
         self._tail_page = tail
         return tail
 
-    def _new_tail(self):
+    def _new_tail(self) -> Page:
         """Unpin the full tail and open a fresh pinned page."""
         self._unpin_tail()
         page = self.buffer.new_page(self.rows_per_page, pin=True)
-        self._tail_pinned = page.page_id
         self._tail_page = page
         self.page_ids.append(page.page_id)
         return page
 
-    def append(self, row: tuple) -> None:
-        """Append one tuple, allocating a new page when the tail is full.
+    def _tail_with_room(self) -> Page:
+        """The pinned tail page, replaced by a fresh one when it is full.
 
-        The tail page stays pinned in the buffer pool between appends
-        (as a real write cursor would be), so filling a page costs
-        exactly one eventual write, never an evict/re-read churn.  Each
-        tuple still pays a buffer-pool lookup — the row engine's
-        per-row cost, which :meth:`append_rows` amortizes per page.
+        Called only once a row that needs the room has arrived: a full
+        tail stays the tail until then, so an exactly-filled file never
+        owns an empty page.
         """
-        if self.page_ids:
-            # pin=True makes lookup-and-pin atomic: a separate pin()
-            # after get_page() could race with another thread's evict.
-            tail = self.buffer.get_page(self.page_ids[-1], pin=True)
-            if self._tail_pinned != tail.page_id:
-                self._unpin_tail()
-                self._tail_pinned = tail.page_id
-            self._tail_page = tail
-            if not tail.is_full:
-                tail.append(row)
-                self._num_rows += 1
-                return
-        tail = self._new_tail()
-        tail.append(row)
-        self._num_rows += 1
+        tail = self._write_cursor()
+        if tail is None or tail.is_full:
+            tail = self._new_tail()
+        return tail
 
     def extend(self, rows: Iterable[tuple]) -> None:
-        """Append many tuples and release the write cursor."""
-        for row in rows:
-            self.append(row)
-        self.close_writes()
+        """Stream tuples onto the tail and release the write cursor.
+
+        The single row-stream writer.  The tail page stays pinned while
+        it fills (as a real write cursor would be), so filling a page
+        costs exactly one eventual write, never an evict/re-read churn,
+        and the next page is allocated only when the first row that
+        needs it has been pulled from ``rows`` — a source that reads
+        through the same pool sees its own faults and this file's
+        allocations interleave exactly as they would row by row.  The
+        cursor is released on the way out even when the source raises;
+        the rows that arrived before the failure stay appended.
+        """
+        source = iter(rows)
+        try:
+            for row in source:
+                tail = self._tail_with_room()
+                filled = len(tail.rows)
+                try:
+                    tail.rows.append(row)
+                    tail.rows.extend(islice(source, tail.capacity - filled - 1))
+                finally:
+                    tail.dirty = True
+                    self._num_rows += len(tail.rows) - filled
+        finally:
+            self.close_writes()
 
     def append_rows(self, rows: list[tuple]) -> None:
         """Append a batch of tuples, filling pages chunk-wise.
 
-        Page geometry is identical to repeated :meth:`append` — same
-        pages, same eventual writes — but the buffer pool is consulted
-        once per touched page instead of once per row, which is what
-        makes batch materialization cheap for the vectorized engine.
-        The write cursor stays pinned between calls; finish with
-        :meth:`close_writes` or :meth:`flush` like any other writer.
+        Page geometry is identical to :meth:`extend` over the same rows
+        — same pages, same eventual writes.  Unlike ``extend`` the write
+        cursor stays pinned between calls (a batch producer calls this
+        once per batch); finish with :meth:`close_writes` or
+        :meth:`flush` like any other writer.
         """
         index = 0
         total = len(rows)
         while index < total:
-            tail = self._write_cursor()
-            if tail is None or tail.is_full:
-                tail = self._new_tail()
+            tail = self._tail_with_room()
             take = min(tail.capacity - len(tail.rows), total - index)
             tail.rows.extend(rows[index : index + take])
             tail.dirty = True
@@ -208,10 +211,9 @@ class HeapFile:
             excess -= take
 
     def _unpin_tail(self) -> None:
-        if self._tail_pinned is not None:
-            self.buffer.unpin(self._tail_pinned)
-            self._tail_pinned = None
-        self._tail_page = None
+        if self._tail_page is not None:
+            self.buffer.unpin(self._tail_page.page_id)
+            self._tail_page = None
 
     # -- partitioning ----------------------------------------------------
 

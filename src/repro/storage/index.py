@@ -72,8 +72,9 @@ class IsamIndex:
             if row[self.key_column] is not None
         ]
         entries.sort(key=lambda e: e[0])
-        for key, (page_id, slot) in entries:
-            self._leaves.append((key, page_id, slot))
+        self._leaves.extend(
+            (key, page_id, slot) for key, (page_id, slot) in entries
+        )
         self._leaves.flush()
 
         self._directory = [

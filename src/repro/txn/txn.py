@@ -125,9 +125,7 @@ class Transaction:
         except WalError:
             self.rollback()
             raise
-        for row in tupled:
-            entry.heap.append(row)
-        entry.heap.close_writes()
+        entry.heap.extend(tupled)
         return len(tupled)
 
     # -- lifecycle -------------------------------------------------------

@@ -28,9 +28,7 @@ def make_heap(rows_per_page=4, capacity=8):
 
 
 def fill(heap, n, start=0):
-    for i in range(start, start + n):
-        heap.append((i, i * 10))
-    heap.close_writes()
+    heap.extend((i, i * 10) for i in range(start, start + n))
 
 
 class TestRollbackTo:
@@ -86,9 +84,9 @@ class TestAbortDurabilityOrdering:
         """The audit scenario: appends in flight, then rollback."""
         heap, buffer, _ = make_heap(rows_per_page=4)
         fill(heap, 4)
-        # Open append without close_writes: the tail page stays pinned.
-        heap.append((100, 0))
-        heap.append((101, 0))
+        # append_rows without close_writes: the tail page stays pinned.
+        heap.append_rows([(100, 0)])
+        heap.append_rows([(101, 0)])
         assert len(buffer._pinned) == 1
         heap.rollback_to(4)
         assert len(buffer._pinned) == 0
@@ -100,7 +98,7 @@ class TestAbortDurabilityOrdering:
     def test_freed_tail_pages_leave_no_dirty_accounting(self):
         heap, buffer, disk = make_heap(rows_per_page=4)
         fill(heap, 4)
-        heap.append((100, 0))  # allocates + dirties a new tail page
+        heap.append_rows([(100, 0)])  # allocates + dirties a new tail page
         heap.rollback_to(4)
         # The freed page must not be written back by a later flush.
         heap.flush()
@@ -110,7 +108,7 @@ class TestAbortDurabilityOrdering:
 
     def test_truncate_mid_append_releases_cursor_first(self):
         heap, buffer, _ = make_heap(rows_per_page=4)
-        heap.append((1, 1))
+        heap.append_rows([(1, 1)])
         assert len(buffer._pinned) == 1
         heap.truncate()
         assert len(buffer._pinned) == 0
@@ -119,7 +117,7 @@ class TestAbortDurabilityOrdering:
 
     def test_flush_mid_append_releases_cursor_first(self):
         heap, buffer, _ = make_heap(rows_per_page=4)
-        heap.append((1, 1))
+        heap.append_rows([(1, 1)])
         assert len(buffer._pinned) == 1
         heap.flush()
         assert len(buffer._pinned) == 0
@@ -230,8 +228,7 @@ class TestSnapshotVisibility:
             iterator = heap.scan()
             first = [next(iterator) for _ in range(2)]
             # A "writer" appends to the tail page mid-scan.
-            heap.append((100, 0))
-            heap.close_writes()
+            heap.extend([(100, 0)])
             rest = list(iterator)
             assert first + rest == [(i, i * 10) for i in range(5)]
         finally:

@@ -103,7 +103,7 @@ class TestIsamIndex:
 
     def test_rebuild_after_updates(self):
         disk, buffer, heap, index = self.make_indexed([(1, "a")])
-        heap.append((2, "b"))
+        heap.extend([(2, "b")])
         heap.flush()
         assert list(index.lookup(2)) == []  # static: stale until rebuilt
         index.build()
