@@ -1,7 +1,7 @@
 """Scaling curve for partitioned parallel execution: BENCH_PR7.json.
 
-``bench_vectorized.py`` (PR 6) scaled the Figure-1 workloads to show
-what batch execution buys on the CPU side.  This harness measures the
+``BENCH_PR6.json`` (PR 6) scaled the Figure-1 workloads to show what
+batch execution buys on the CPU side.  This harness measures the
 other axis: intra-query parallelism on an I/O-bound instance.  The
 generated PARTS/SUPPLY database simulates per-page read latency
 (``io_delay``, slept *outside* all locks), so sharded scans, the
@@ -30,8 +30,7 @@ threads, partitions, rows, seconds, pages, speedup}`` records:
 ``--smoke`` runs only the gated point — the type-JA workload at 100k
 SUPPLY rows, threads 1 and 4 — and exits non-zero unless 4 threads
 beat serial by at least 1.5x (plus the unconditional row/page-identity
-asserts).  All legs use the vectorized engine: it has the lowest CPU
-floor, so it exposes the largest I/O-overlap fraction (Amdahl).
+asserts).
 """
 
 from __future__ import annotations
@@ -138,7 +137,6 @@ def measure_point(
                 join_method="hash",
                 dedupe_inner=workload["dedupe_inner"],
                 dedupe_outer=workload["dedupe_outer"],
-                engine="vectorized",
                 parallelism=degree,
             ),
         )

@@ -2,14 +2,12 @@
 
 Unlike the rest of the benchmark suite, which reports the simulator's
 page-I/O counters, this harness times real executions of the Figure-1
-workloads (Type-N, Type-J, Type-JA) under every engine configuration:
+workloads (Type-N, Type-J, Type-JA) under every configuration:
 
 * nested iteration with the expression compiler disabled (the
   interpreted baseline),
 * nested iteration with compiled predicates/projections (the default),
-* the transformed plan under each join method (merge, nested, hash),
-  once on the compiled row engine (``transform[merge]``) and once on
-  the vectorized columnar engine (``transform[merge|vectorized]``).
+* the transformed plan under each join method (merge, nested, hash).
 
 Every leg runs cold (buffer flushed, counters zeroed) ``--repeats``
 times and keeps the fastest run.  Results land in ``BENCH_PR2.json``
@@ -19,16 +17,13 @@ beats merge on unsorted inputs — are regenerable from one command:
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py
 
-Row/vectorized legs of one join method must also charge **identical
-page I/O** — batch execution is a CPU-side change and may not move the
-paper-facing cost model (the scaling curve lives in
-``benchmarks/bench_vectorized.py`` / ``BENCH_PR6.json``).
+(``BENCH_PR2.json`` as committed also holds ``transform[...|vectorized]``
+records from when a second, row-at-a-time operator set existed; the
+row-vs-batch scaling curve is ``BENCH_PR6.json``.  Both are history.)
 
 ``--smoke`` runs a reduced matrix (the two nested-iteration legs) and
 exits non-zero if compilation fails to pay for itself on any workload;
-CI runs it as a perf regression gate.  ``--smoke --engine vectorized``
-additionally runs the hash-join transform leg on both engines and
-fails on any row/vectorized disagreement in rows or page I/O.
+CI runs it as a perf regression gate.
 """
 
 from __future__ import annotations
@@ -103,23 +98,11 @@ def best_of(repeats: int, run) -> MeasuredRun:
     return min(runs, key=lambda r: r.seconds)
 
 
-def measure_workload(
-    workload: dict, repeats: int, smoke: bool, engine: str = "row"
-) -> list[dict]:
+def measure_workload(workload: dict, repeats: int, smoke: bool) -> list[dict]:
     catalog = build_parts_supply(workload["spec"])
     query = workload["query"]
     dedupe = workload["dedupe_inner"]
     dedupe_outer = workload.get("dedupe_outer", False)
-
-    def transform_leg(join_method: str, engine: str) -> MeasuredRun:
-        return best_of(
-            repeats,
-            lambda: measure(
-                catalog, query, "transform",
-                join_method=join_method, dedupe_inner=dedupe,
-                dedupe_outer=dedupe_outer, engine=engine,
-            ),
-        )
 
     legs: dict[str, MeasuredRun] = {}
     with interpreted_only():
@@ -137,20 +120,16 @@ def measure_workload(
     )
     if not smoke:
         for join_method in JOIN_METHODS:
-            legs[f"transform[{join_method}]"] = transform_leg(
-                join_method, "row"
+            legs[f"transform[{join_method}]"] = best_of(
+                repeats,
+                lambda: measure(
+                    catalog, query, "transform",
+                    join_method=join_method, dedupe_inner=dedupe,
+                    dedupe_outer=dedupe_outer,
+                ),
             )
-            legs[f"transform[{join_method}|vectorized]"] = transform_leg(
-                join_method, "vectorized"
-            )
-    elif engine == "vectorized":
-        legs["transform[hash]"] = transform_leg("hash", "row")
-        legs["transform[hash|vectorized]"] = transform_leg(
-            "hash", "vectorized"
-        )
 
     check_agreement(workload, legs)
-    check_page_identity(workload, legs)
 
     return [
         {
@@ -178,19 +157,6 @@ def check_agreement(workload: dict, legs: dict[str, MeasuredRun]) -> None:
             )
 
 
-def check_page_identity(workload: dict, legs: dict[str, MeasuredRun]) -> None:
-    """Row/vectorized legs of one join method must charge the same I/O."""
-    for op, run in legs.items():
-        if not op.endswith("|vectorized]"):
-            continue
-        row_op = op.replace("|vectorized]", "]")
-        if run.page_ios != legs[row_op].page_ios:
-            raise AssertionError(
-                f"{workload['name']}: {op} charges {run.page_ios} page "
-                f"I/Os but {row_op} charges {legs[row_op].page_ios}"
-            )
-
-
 def speedup(records: list[dict], workload: str, slow_op: str, fast_op: str):
     by_op = {r["op"]: r for r in records if r["workload"] == workload}
     return by_op[slow_op]["seconds"] / max(by_op[fast_op]["seconds"], 1e-9)
@@ -200,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_wallclock.py",
         description="Time nested iteration and transformed plans "
-        "under every engine configuration.",
+        "under every configuration.",
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
@@ -215,18 +181,11 @@ def main(argv: list[str] | None = None) -> int:
         help="nested-iteration legs only; fail if compiled is slower "
         "than interpreted on any workload; skip writing the result file",
     )
-    parser.add_argument(
-        "--engine", choices=("row", "vectorized"), default="row",
-        help="with --smoke, 'vectorized' adds the hash-join transform "
-        "leg on both engines and checks rows + page I/O agree",
-    )
     args = parser.parse_args(argv)
 
     records: list[dict] = []
     for workload in WORKLOADS:
-        records.extend(
-            measure_workload(workload, args.repeats, args.smoke, args.engine)
-        )
+        records.extend(measure_workload(workload, args.repeats, args.smoke))
         compiled_gain = speedup(
             records, workload["name"],
             "nested_iteration[interpreted]", "nested_iteration[compiled]",

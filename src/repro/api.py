@@ -47,10 +47,13 @@ class Database:
     Args:
         buffer_pages: the buffer pool size ``B`` (the paper's
             main-memory buffer space; default 32).
-        join_method: ``"merge"`` (sort-merge, the paper's choice) or
-            ``"nested"`` for transformed plans.
-        ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2) or
-            ``"kim"`` to reproduce the original buggy NEST-JA.
+        join_method: ``"merge"`` (sort-merge, the paper's choice),
+            ``"nested"`` (nested loops) or ``"hash"`` (build/probe
+            joins, hash GROUP BY and DISTINCT — no sorted inputs) for
+            transformed plans.
+        ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2), or
+            ``"kim"`` / ``"kim-outer"`` to reproduce the original buggy
+            NEST-JA and its naive outer-join repair.
         dedupe_inner: apply the inner-side duplicate-elimination fix-up
             to uncorrelated IN subqueries (see DESIGN.md).
         dedupe_outer: apply the rowid-based semijoin fix-up that
@@ -61,9 +64,6 @@ class Database:
         io_delay: simulated per-page-read latency in seconds (sleeps
             outside all locks, so concurrent reads overlap — used by
             the throughput benchmark to model I/O-bound workloads).
-        engine: ``"row"`` (tuple-at-a-time operators) or
-            ``"vectorized"`` (columnar batch execution; same plans,
-            same page I/O, far less interpreter overhead).
         parallelism: number of worker shards for partitioned scans,
             hash joins, and partial aggregation (default 1 = serial).
             Parallel plans read and write exactly the same pages as
@@ -75,6 +75,10 @@ class Database:
             keeps the log in memory (same format, no files); pass a
             path to make commits durable and recoverable via
             :func:`repro.txn.recover`.
+
+    A misspelt ``join_method`` / ``ja_algorithm`` or a ``parallelism``
+    below 1 raises :class:`~repro.errors.ReproError` here, not at the
+    first query.
     """
 
     def __init__(
@@ -86,7 +90,6 @@ class Database:
         dedupe_outer: bool = False,
         plan_cache_size: int = 128,
         io_delay: float = 0.0,
-        engine: str = "row",
         parallelism: int = 1,
         parallel_threshold: int | None = None,
         wal_path: str | None = None,
@@ -108,7 +111,6 @@ class Database:
             dedupe_inner=dedupe_inner,
             dedupe_outer=dedupe_outer,
             plan_cache=self.plan_cache,
-            engine=engine,
             parallelism=parallelism,
             parallel_threshold=parallel_threshold,
         )

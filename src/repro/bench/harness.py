@@ -39,7 +39,6 @@ def measure(
     ja_algorithm: str = "ja2",
     dedupe_inner: bool = False,
     dedupe_outer: bool = False,
-    engine: str = "row",
     parallelism: int = 1,
     parallel_threshold: int | None = None,
 ) -> MeasuredRun:
@@ -50,7 +49,6 @@ def measure(
         ja_algorithm=ja_algorithm,
         dedupe_inner=dedupe_inner,
         dedupe_outer=dedupe_outer,
-        engine=engine,
         parallelism=parallelism,
         parallel_threshold=parallel_threshold,
     )

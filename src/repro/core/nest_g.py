@@ -78,7 +78,6 @@ def nest_g(
     ja_algorithm: str = "ja2",
     dedupe_inner: bool = False,
     join_method: str = "merge",
-    engine: str = "row",
     parallelism: int = 1,
     parallel_threshold: int | None = None,
 ) -> GeneralTransform:
@@ -96,8 +95,6 @@ def nest_g(
             fix-up; off by default for paper fidelity).
         join_method: join method used when temp tables must be built
             during transformation (for type-A evaluation).
-        engine: execution engine ("row" or "vectorized") for those
-            eager temp builds.
         parallelism: intra-query fan-out for the eager temp builds and
             type-A evaluations (1 = serial), with ``parallel_threshold``
             the serial-below row-count cutoff (None = engine default).
@@ -107,7 +104,6 @@ def nest_g(
         ja_algorithm,
         dedupe_inner,
         join_method,
-        engine,
         parallelism,
         parallel_threshold,
     )
@@ -130,7 +126,6 @@ class _NestG:
         ja_algorithm: str,
         dedupe_inner: bool,
         join_method: str,
-        engine: str = "row",
         parallelism: int = 1,
         parallel_threshold: int | None = None,
     ) -> None:
@@ -140,7 +135,6 @@ class _NestG:
         self.ja_algorithm = ja_algorithm
         self.dedupe_inner = dedupe_inner
         self.join_method = join_method
-        self.engine = engine
         self.parallelism = parallelism
         self.parallel_threshold = parallel_threshold
         self.setup: list[TempTableDef] = []
@@ -340,7 +334,6 @@ class _NestG:
             executor = SingleLevelExecutor(
                 self.catalog,
                 self.join_method,
-                engine=self.engine,
                 parallelism=self.parallelism,
                 parallel_threshold=self.parallel_threshold,
             )

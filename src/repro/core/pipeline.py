@@ -102,8 +102,34 @@ def prepare_query(
     return rewrite_extended_predicates(qualified, exists_count_mode, quantifier_mode)
 
 
+#: Accepted values of the enumerated settings, checked once at
+#: construction (a typo must not reach NEST-G, where ``method="auto"``
+#: would read the resulting TransformError as "cannot be unnested").
+_CHOICES = {
+    "join_method": ("merge", "nested", "hash"),
+    "ja_algorithm": ("ja2", "kim", "kim-outer"),
+    "exists_count_mode": ("star", "paper"),
+    "quantifier_mode": ("exact", "paper"),
+}
+
+
 class Engine:
     """Runs queries against a catalog by either evaluation strategy."""
+
+    #: The settings that shape a plan, in cache-key order: what
+    #: :meth:`on_session` copies and what
+    #: :func:`repro.serve.plan.engine_config` keys on, so the cache key
+    #: cannot drift from what a clone inherits.
+    SETTINGS = (
+        "join_method",
+        "parallelism",
+        "parallel_threshold",
+        "ja_algorithm",
+        "dedupe_inner",
+        "dedupe_outer",
+        "exists_count_mode",
+        "quantifier_mode",
+    )
 
     def __init__(
         self,
@@ -116,23 +142,14 @@ class Engine:
         quantifier_mode: str = "exact",
         verify: bool = True,
         plan_cache=None,
-        engine: str = "row",
         parallelism: int = 1,
         parallel_threshold: int | None = None,
     ) -> None:
-        if engine not in ("row", "vectorized"):
-            raise ReproError(f"unknown execution engine {engine!r}")
-        if parallelism < 1:
-            raise ReproError(f"parallelism must be >= 1, got {parallelism}")
         self.catalog = catalog
         self.join_method = join_method
-        #: Evaluation style for single-level execution: "row" runs the
-        #: tuple-at-a-time operators, "vectorized" the batch operators
-        #: (same plans, same page I/O; see SingleLevelExecutor).
-        self.engine = engine
         #: Intra-query fan-out: partition-parallel scans, probes, and
         #: aggregations over the shared exchange pool.  1 = serial.
-        #: Orthogonal to ``engine`` (same plans, same page I/O totals).
+        #: Same plans, same page I/O totals at every degree.
         self.parallelism = parallelism
         #: Inputs below this row count stay serial even when
         #: ``parallelism > 1`` (None = the engine default).
@@ -142,6 +159,16 @@ class Engine:
         self.dedupe_outer = dedupe_outer
         self.exists_count_mode = exists_count_mode
         self.quantifier_mode = quantifier_mode
+        for setting, allowed in _CHOICES.items():
+            if getattr(self, setting) not in allowed:
+                raise ReproError(
+                    f"unknown {setting} {getattr(self, setting)!r} "
+                    f"(choose from {', '.join(allowed)})"
+                )
+        if not isinstance(parallelism, int) or parallelism < 1:
+            raise ReproError(
+                f"parallelism must be an integer >= 1, got {parallelism!r}"
+            )
         #: Optional repro.serve.PlanCache consulted by run_cached().
         self.plan_cache = plan_cache
         #: Run the static plan verifier + Kim-bug lint after NEST-G.
@@ -151,6 +178,18 @@ class Engine:
         #: warnings in ``last_findings`` so the bug gallery still runs.
         self.verify = verify
         self.last_findings = None
+
+    def on_session(self) -> "Engine":
+        """This engine's settings over a private session overlay of its
+        catalog: temps built there never touch the shared catalog.  The
+        clone serves no plan cache of its own."""
+        from repro.serve.session import SessionCatalog
+
+        return Engine(
+            SessionCatalog(self.catalog),
+            verify=self.verify,
+            **{name: getattr(self, name) for name in self.SETTINGS},
+        )
 
     # -- public API ----------------------------------------------------------
 
@@ -203,7 +242,6 @@ class Engine:
             user_param_count,
         )
         from repro.serve.plan import NonCacheablePlan, build_plan, engine_config
-        from repro.serve.session import SessionCatalog
 
         cache: PlanCache | None = self.plan_cache
         if cache is None:
@@ -237,19 +275,7 @@ class Engine:
                     cache.store(custom_key, plan)
                 return plan.replay(self.catalog, ())
             except NonCacheablePlan:
-                session_engine = Engine(
-                    SessionCatalog(self.catalog),
-                    join_method=self.join_method,
-                    ja_algorithm=self.ja_algorithm,
-                    dedupe_inner=self.dedupe_inner,
-                    dedupe_outer=self.dedupe_outer,
-                    exists_count_mode=self.exists_count_mode,
-                    quantifier_mode=self.quantifier_mode,
-                    verify=self.verify,
-                    engine=self.engine,
-                    parallelism=self.parallelism,
-                    parallel_threshold=self.parallel_threshold,
-                )
+                session_engine = self.on_session()
                 with self.catalog.read_lock(), bound_params(vector):
                     return session_engine.run(select, method=method)
         return plan.replay(self.catalog, values)
@@ -262,17 +288,7 @@ class Engine:
         drop them with ``catalog.drop_temp_tables()``.
         """
         select = parse(query) if isinstance(query, str) else query
-        rewritten = self._prepare(select)
-        return nest_g(
-            rewritten,
-            self.catalog,
-            ja_algorithm=self.ja_algorithm,
-            dedupe_inner=self.dedupe_inner,
-            join_method=self.join_method,
-            engine=self.engine,
-            parallelism=self.parallelism,
-            parallel_threshold=self.parallel_threshold,
-        )
+        return self._nest_g(self._prepare(select), self.join_method)
 
     def explain(self, query: str | Select) -> str:
         """Human-readable transformation plan for a query."""
@@ -294,7 +310,7 @@ class Engine:
     # -- strategies ------------------------------------------------------------
 
     def _maybe_dedupe_outer(
-        self, transform: GeneralTransform
+        self, transform: GeneralTransform, join_method: str | None = None
     ) -> tuple[Select, int]:
         """Apply the rowid multiplicity fix-up to the canonical query.
 
@@ -323,7 +339,7 @@ class Engine:
             # (the fan-out would corrupt COUNT/SUM/AVG).  Materialize
             # the deduplicated outer rows into a temp, then aggregate
             # over it.
-            return self._dedupe_outer_aggregated(transform), 0
+            return self._dedupe_outer_aggregated(transform, join_method), 0
         rid_items = tuple(
             SelectItem(ColumnRef(ref.binding, ROWID_COLUMN), alias=f"RID{i}")
             for i, ref in enumerate(transform.root_tables)
@@ -333,7 +349,9 @@ class Engine:
         )
         return rewritten, len(rid_items)
 
-    def _dedupe_outer_aggregated(self, transform: GeneralTransform) -> Select:
+    def _dedupe_outer_aggregated(
+        self, transform: GeneralTransform, join_method: str | None = None
+    ) -> Select:
         """Pre-aggregation dedup: stage distinct outer rows in a temp.
 
         ``SELECT agg(...) FROM O, ... WHERE W [GROUP BY g]`` becomes::
@@ -374,13 +392,7 @@ class Engine:
             distinct=True,
         )
 
-        executor = SingleLevelExecutor(
-            self.catalog,
-            self.join_method,
-            engine=self.engine,
-            parallelism=self.parallelism,
-            parallel_threshold=self.parallel_threshold,
-        )
+        executor = self._executor(join_method)
         relation = executor.execute(staging)
         self.catalog.register_temp(
             temp_name, relation.heap, executor.output_names(staging)
@@ -424,6 +436,25 @@ class Engine:
             select, self.catalog, self.exists_count_mode, self.quantifier_mode
         )
 
+    def _nest_g(self, rewritten: Select, join_method: str) -> GeneralTransform:
+        return nest_g(
+            rewritten,
+            self.catalog,
+            ja_algorithm=self.ja_algorithm,
+            dedupe_inner=self.dedupe_inner,
+            join_method=join_method,
+            parallelism=self.parallelism,
+            parallel_threshold=self.parallel_threshold,
+        )
+
+    def _executor(self, join_method: str | None = None) -> SingleLevelExecutor:
+        return SingleLevelExecutor(
+            self.catalog,
+            join_method or self.join_method,
+            parallelism=self.parallelism,
+            parallel_threshold=self.parallel_threshold,
+        )
+
     def _run_nested_iteration(self, select: Select) -> RunReport:
         before = self.catalog.buffer.stats()
         # Pin an MVCC snapshot (or reuse the enclosing transaction's)
@@ -449,18 +480,19 @@ class Engine:
         if choice.method == "nested_iteration":
             report = self._run_nested_iteration(select)
         else:
-            saved = self.join_method
-            self.join_method = choice.join_method or saved
+            # The chosen join method travels as an argument: this
+            # engine is shared, and a concurrent run_cached must never
+            # read a swapped ``join_method`` into its cache key.
             try:
-                report = self._run_transform(select)
+                report = self._run_transform(select, choice.join_method)
             except TransformError:
                 report = self._run_nested_iteration(select)
-            finally:
-                self.join_method = saved
         report.trace = [*choice.describe().splitlines(), *report.trace]
         return report
 
-    def _verify_transform(self, rewritten: Select, transform) -> list[str]:
+    def _verify_transform(
+        self, rewritten: Select, transform, join_method: str | None = None
+    ) -> list[str]:
         """Mandatory post-transform static checks (see ``verify``).
 
         Returns trace lines describing the verification outcome.  The
@@ -473,7 +505,7 @@ class Engine:
 
         findings = verify_nested(rewritten, self.catalog, require_qualified=True)
         plan_findings, temps = verify_transform(
-            transform, self.catalog, join_method=self.join_method
+            transform, self.catalog, join_method=join_method or self.join_method
         )
         findings.extend(plan_findings)
         findings.extend(lint_transform(transform, self.catalog, temps))
@@ -494,29 +526,27 @@ class Engine:
             for d in findings
         ] or ["verifier: plan ok"]
 
-    def _run_transform(self, select: Select) -> RunReport:
+    def _run_transform(
+        self, select: Select, join_method: str | None = None
+    ) -> RunReport:
+        """Transform and execute, with ``join_method`` overriding the
+        engine's own for this run only (the cost-based choice)."""
+        join_method = join_method or self.join_method
         before = self.catalog.buffer.stats()
         # Pin an MVCC snapshot (or reuse the enclosing transaction's):
         # the temp builds and the final query then all read the same
         # committed state, even while writers commit concurrently.
         with self.catalog.snapshots.pinned():
-            return self._run_transform_pinned(select, before)
+            return self._run_transform_pinned(select, before, join_method)
 
-    def _run_transform_pinned(self, select: Select, before) -> RunReport:
+    def _run_transform_pinned(
+        self, select: Select, before, join_method: str
+    ) -> RunReport:
         try:
             rewritten = self._prepare(select)
-            transform = nest_g(
-                rewritten,
-                self.catalog,
-                ja_algorithm=self.ja_algorithm,
-                dedupe_inner=self.dedupe_inner,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-                join_method=self.join_method,
-                engine=self.engine,
-            )
+            transform = self._nest_g(rewritten, join_method)
             verify_trace = (
-                self._verify_transform(rewritten, transform)
+                self._verify_transform(rewritten, transform, join_method)
                 if self.verify
                 else []
             )
@@ -528,13 +558,7 @@ class Engine:
                     definition.name
                 ).num_pages
             for definition in transform.setup[transform.built :]:
-                executor = SingleLevelExecutor(
-                    self.catalog,
-                    self.join_method,
-                    engine=self.engine,
-                    parallelism=self.parallelism,
-                    parallel_threshold=self.parallel_threshold,
-                )
+                executor = self._executor(join_method)
                 relation = executor.execute(definition.query)
                 self.catalog.register_temp(
                     definition.name,
@@ -544,14 +568,8 @@ class Engine:
                 steps.append(f"built {definition.name}: " + "; ".join(executor.steps))
                 temp_pages[definition.name] = relation.num_pages
 
-            final_query, strip = self._maybe_dedupe_outer(transform)
-            final = SingleLevelExecutor(
-                self.catalog,
-                self.join_method,
-                engine=self.engine,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
+            final_query, strip = self._maybe_dedupe_outer(transform, join_method)
+            final = self._executor(join_method)
             relation = final.execute(final_query)
             steps.append("final: " + "; ".join(final.steps))
             rows = relation.drain()
@@ -566,7 +584,7 @@ class Engine:
                 result=result,
                 io=io,
                 method="transform",
-                join_method=self.join_method,
+                join_method=join_method,
                 canonical_sql=to_sql(transform.query),
                 setup_sql=[d.describe() for d in transform.setup],
                 trace=transform.trace + verify_trace,

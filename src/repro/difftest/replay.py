@@ -19,9 +19,8 @@ The leg fails if less than :data:`MIN_SHARED_FRACTION` of the temp
 installations were served from the registry — a replay that does not
 actually share is not testing the machinery it claims to.
 
-Legs run per (engine, parallelism) configuration; the CLI entry point
-(``python -m repro difftest --replay N``) crosses the row and
-vectorized engines with worker degrees 1 and 4.
+One leg runs per parallelism degree; the CLI entry point
+(``python -m repro difftest --replay N``) runs worker degrees 1 and 4.
 """
 
 from __future__ import annotations
@@ -132,13 +131,12 @@ def _write_batch(rng: random.Random) -> tuple[str, list[tuple]]:
     ]
 
 
-def _make_database(engine: str, parallelism: int, sharing: bool) -> Database:
+def _make_database(parallelism: int, sharing: bool) -> Database:
     # dedupe_inner/outer on, like the classic difftest legs: the
     # paper-faithful defaults reproduce Kim's Lemma-1 multiplicity
     # caveat by design, and this leg checks the fixed-up pipeline.
     db = Database(
         buffer_pages=128,
-        engine=engine,
         parallelism=parallelism,
         parallel_threshold=0 if parallelism > 1 else None,
         dedupe_inner=True,
@@ -165,82 +163,80 @@ def _make_shadow() -> sqlite3.Connection:
 def run_replay(
     queries: int,
     seed: int = 0,
-    engines: tuple[str, ...] = ("row", "vectorized"),
     parallelisms: tuple[int, ...] = (1, 4),
     write_every: int = 25,
 ) -> ReplayReport:
-    """Replay ``queries`` events per (engine, parallelism) leg."""
+    """Replay ``queries`` events per parallelism leg."""
     report = ReplayReport()
     pool = query_pool()
-    for engine in engines:
-        for parallelism in parallelisms:
-            leg = f"replay[{engine}|p{parallelism}]"
-            report.legs += 1
-            rng = random.Random(seed)
-            shared_db = _make_database(engine, parallelism, sharing=True)
-            plain_db = _make_database(engine, parallelism, sharing=False)
-            shadow = _make_shadow()
-            parts, supply = _seed_rows(rng)
-            for table, rows in (("PARTS", parts), ("SUPPLY", supply)):
+    for parallelism in parallelisms:
+        leg = f"replay[p{parallelism}]"
+        report.legs += 1
+        rng = random.Random(seed)
+        shared_db = _make_database(parallelism, sharing=True)
+        plain_db = _make_database(parallelism, sharing=False)
+        shadow = _make_shadow()
+        parts, supply = _seed_rows(rng)
+        for table, rows in (("PARTS", parts), ("SUPPLY", supply)):
+            shared_db.insert(table, rows)
+            plain_db.insert(table, rows)
+            marks = ", ".join("?" for _ in rows[0])
+            shadow.executemany(
+                f'INSERT INTO "{table}" VALUES ({marks})', rows
+            )
+        shadow.commit()
+        for step in range(queries):
+            if write_every and step % write_every == write_every - 1:
+                table, rows = _write_batch(rng)
                 shared_db.insert(table, rows)
                 plain_db.insert(table, rows)
                 marks = ", ".join("?" for _ in rows[0])
                 shadow.executemany(
                     f'INSERT INTO "{table}" VALUES ({marks})', rows
                 )
-            shadow.commit()
-            for step in range(queries):
-                if write_every and step % write_every == write_every - 1:
-                    table, rows = _write_batch(rng)
-                    shared_db.insert(table, rows)
-                    plain_db.insert(table, rows)
-                    marks = ", ".join("?" for _ in rows[0])
-                    shadow.executemany(
-                        f'INSERT INTO "{table}" VALUES ({marks})', rows
-                    )
-                    shadow.commit()
-                    report.writes += 1
-                    continue
-                sql = rng.choice(pool)
-                shared_run = shared_db.execute_cached(sql)
-                plain_run = plain_db.execute_cached(sql)
-                oracle_rows = [
-                    tuple(row) for row in shadow.execute(sql).fetchall()
-                ]
-                report.queries += 1
-                for step_label in shared_run.steps:
-                    if step_label.startswith("shared "):
-                        report.shared_installs += 1
-                    elif step_label.startswith(
-                        ("built ", "reused ")
-                    ):
-                        report.built_installs += 1
-                ours = normalize_rows(shared_run.result.rows)
-                unshared = normalize_rows(plain_run.result.rows)
-                oracle = normalize_rows(oracle_rows)
-                if ours != oracle:
-                    report.failures.append(
-                        f"{leg} step {step}: sharing-on diverged from "
-                        f"SQLite\n  {sql}\n  ours:   {sorted(ours.items())[:5]}"
-                        f"\n  oracle: {sorted(oracle.items())[:5]}"
-                    )
-                if ours != unshared:
-                    report.failures.append(
-                        f"{leg} step {step}: sharing-on diverged from "
-                        f"sharing-off\n  {sql}"
-                    )
-            registry = shared_db.plan_cache.sharing
-            if registry is not None and any(
-                entry.active != 0 for entry in registry._entries.values()
-            ):
-                report.failures.append(f"{leg}: leaked registry lease")
-            for label, db in (("sharing-on", shared_db), ("sharing-off", plain_db)):
-                db.plan_cache.clear()
-                leaked = leaked_pages(db.catalog)
-                if leaked:
-                    report.failures.append(
-                        f"{leg}: {label} leaked {leaked} page(s)"
-                    )
+                shadow.commit()
+                report.writes += 1
+                continue
+            sql = rng.choice(pool)
+            shared_run = shared_db.execute_cached(sql)
+            plain_run = plain_db.execute_cached(sql)
+            oracle_rows = [
+                tuple(row) for row in shadow.execute(sql).fetchall()
+            ]
+            report.queries += 1
+            for step_label in shared_run.steps:
+                if step_label.startswith("shared "):
+                    report.shared_installs += 1
+                elif step_label.startswith(
+                    ("built ", "reused ")
+                ):
+                    report.built_installs += 1
+            ours = normalize_rows(shared_run.result.rows)
+            unshared = normalize_rows(plain_run.result.rows)
+            oracle = normalize_rows(oracle_rows)
+            if ours != oracle:
+                report.failures.append(
+                    f"{leg} step {step}: sharing-on diverged from "
+                    f"SQLite\n  {sql}\n  ours:   {sorted(ours.items())[:5]}"
+                    f"\n  oracle: {sorted(oracle.items())[:5]}"
+                )
+            if ours != unshared:
+                report.failures.append(
+                    f"{leg} step {step}: sharing-on diverged from "
+                    f"sharing-off\n  {sql}"
+                )
+        registry = shared_db.plan_cache.sharing
+        if registry is not None and any(
+            entry.active != 0 for entry in registry._entries.values()
+        ):
+            report.failures.append(f"{leg}: leaked registry lease")
+        for label, db in (("sharing-on", shared_db), ("sharing-off", plain_db)):
+            db.plan_cache.clear()
+            leaked = leaked_pages(db.catalog)
+            if leaked:
+                report.failures.append(
+                    f"{leg}: {label} leaked {leaked} page(s)"
+                )
     if report.clean and report.shared_fraction < MIN_SHARED_FRACTION:
         report.failures.append(
             f"replay shared only {100.0 * report.shared_fraction:.1f}% of "

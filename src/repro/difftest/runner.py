@@ -4,12 +4,10 @@ For every generated case the runner executes the query several ways —
 
 1. ``nested_iteration`` (System R semantics, the repo's baseline),
 2. ``transform``        (NEST-G with the paper's algorithms), once per
-   join method (merge, nested, hash by default) **per execution
-   engine** — the compiled row engine (``transform[merge]``), the
-   vectorized columnar engine (``transform[merge|vectorized]``), and
-   on request the interpreted row engine
-   (``transform[merge|interpreted]``, the expression compiler
-   disabled) — and
+   join method (merge, nested, hash by default) — with the expression
+   compiler on (``transform[merge]``: batch kernels and compiled
+   closures) and, on request, off (``transform[merge|interpreted]``:
+   every expression through the tree-walking interpreter) — and
 3. SQLite               (the external reference oracle)
 
 — normalizes each result to a multiset, and demands agreement.  The
@@ -17,13 +15,13 @@ transform legs are skipped (not failed) when the query is outside the
 algorithms' documented reach (``TransformError``, e.g. correlated
 NOT IN); the other legs must still agree.
 
-Engine legs double as the vectorized engine's oracle check: the row
-interpreter defines the semantics, the batch kernels must reproduce
-them, and SQLite keeps both honest.  On top of bag-equal rows, every
-engine leg of one join method must report **identical page I/O** — the
-vectorized engine's contract is batch-at-a-time evaluation with the
-row engine's exact cost accounting, so a difference in page counts is
-a divergence even when the rows agree.
+The interpreted leg is the batch kernels' oracle check: the row
+interpreter defines the semantics, the kernels must reproduce them,
+and SQLite keeps both honest.  On top of bag-equal rows, every leg of
+one join method — compiler on or off, serial or parallel — must report
+**identical page I/O**: how an operator evaluates its tuples, and over
+how many shards, is not part of the plan, so a difference in page
+counts is a divergence even when the rows agree.
 
 The engine runs with ``dedupe_inner=True, dedupe_outer=True``: the
 paper-faithful defaults reproduce Kim's Lemma-1 multiplicity caveat by
@@ -57,7 +55,9 @@ batches (:mod:`repro.difftest.mixed`).
 from __future__ import annotations
 
 import argparse
+import itertools
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import Engine
@@ -73,17 +73,13 @@ from repro.sql.parser import parse
 #: The transform leg runs once per join method by default.
 JOIN_METHODS = ("merge", "nested", "hash")
 
-#: Execution-engine legs: name -> (Engine(engine=...), compiler on?).
-#: "compiled" keeps the historical bare leg name (``transform[merge]``).
-ENGINE_LEGS = {
-    "compiled": ("row", True),
-    "interpreted": ("row", False),
-    "vectorized": ("vectorized", True),
-}
+#: Evaluator legs: name -> expression compiler on?  "compiled" keeps
+#: the bare leg name (``transform[merge]``).
+ENGINE_LEGS = {"compiled": True, "interpreted": False}
 
-#: Default engine matrix: the compiled row engine and the vectorized
-#: engine (the interpreted leg triples runtime; opt in via --engines).
-ENGINES = ("compiled", "vectorized")
+#: Default evaluator matrix (the interpreted leg roughly doubles the
+#: runtime; opt in via --engines).
+ENGINES = ("compiled",)
 
 #: Default parallelism matrix: serial only (cross in degrees with
 #: --parallelism; parallel legs run with ``parallel_threshold=0`` so
@@ -142,44 +138,39 @@ def run_case(
     transform_skipped = False
     detail_skip = ""
     executors = {
-        (name, degree): Engine(
+        degree: Engine(
             catalog,
             dedupe_inner=True,
             dedupe_outer=True,
-            engine=ENGINE_LEGS[name][0],
             parallelism=degree,
             # The grammar's cases are tiny; without a zero threshold a
             # parallel leg would silently run the serial operators.
             parallel_threshold=0 if degree > 1 else None,
         )
-        for name in engines
         for degree in parallelisms
     }
     for join_method in join_methods:
         page_ios: dict[str, int] = {}
-        for engine_name, degree in executors:
-            executor = executors[(engine_name, degree)]
+        for engine_name, degree in itertools.product(engines, parallelisms):
+            executor = executors[degree]
             executor.join_method = join_method
             suffix = "" if engine_name == "compiled" else f"|{engine_name}"
             if degree > 1:
                 suffix += f"|p{degree}"
             leg = f"transform[{join_method}{suffix}]"
-            compiler_on = ENGINE_LEGS[engine_name][1]
+            evaluator = nullcontext if ENGINE_LEGS[engine_name] else interpreted_only
             # Cold cache per leg (the bench protocol): page I/O must
             # reflect the plan, not the buffer state a previous leg
             # happened to leave behind.
             catalog.buffer.evict_all()
             try:
-                if compiler_on:
+                with evaluator():
                     tr = executor.run(select, method="transform")
-                else:
-                    with interpreted_only():
-                        tr = executor.run(select, method="transform")
                 results[leg] = normalize_rows(tr.result.rows)
                 page_ios[leg] = tr.io.page_ios
             except TransformError as exc:
-                # The rewrite itself is join-method and engine
-                # independent: one skip means they all skip.
+                # The rewrite itself is independent of join method,
+                # evaluator and width: one skip means they all skip.
                 transform_skipped = True
                 detail_skip = str(exc)
             except Exception as exc:
@@ -193,9 +184,9 @@ def run_case(
                 break
         if transform_skipped:
             break
-        # Every engine and parallelism leg of one join method must
-        # charge the same page I/O — neither batch execution nor the
-        # exchange operators may change the cost model.
+        # Every evaluator and parallelism leg of one join method must
+        # charge the same page I/O — neither the expression compiler
+        # nor the exchange operators may change the cost model.
         if len(set(page_ios.values())) > 1:
             return CaseOutcome(
                 case,
@@ -345,14 +336,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--engines",
         default=",".join(ENGINES),
-        help="comma-separated engine legs for the transform runs, from "
+        help="comma-separated evaluator legs for the transform runs "
+        "(expression compiler on / off), from "
         f"{{{','.join(ENGINE_LEGS)}}} (default: {','.join(ENGINES)})",
     )
     parser.add_argument(
         "--parallelism",
         default=",".join(str(p) for p in PARALLELISMS),
         help="comma-separated worker-shard degrees crossed with the "
-        "engine legs; degrees > 1 run with parallel_threshold=0 "
+        "evaluator legs; degrees > 1 run with parallel_threshold=0 "
         "(default: 1)",
     )
     parser.add_argument(
@@ -368,8 +360,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         metavar="N",
-        help="also replay N mixed multi-query events per (engine, "
-        "parallelism) leg through the shared-subplan cache, checked "
+        help="also replay N mixed multi-query events per parallelism "
+        "leg (1 and 4) through the shared-subplan cache, checked "
         "against SQLite and the sharing-disabled path "
         "(see repro.difftest.replay; default 0)",
     )

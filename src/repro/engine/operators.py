@@ -28,22 +28,60 @@ Join methods provided (section 7 considers both at each join step):
 Hash-based grouping (:func:`hash_group_aggregate`) and duplicate
 elimination (:func:`hash_distinct`) likewise avoid the sort their
 merge-based counterparts require.
+
+**Batch at a time.**  The single-pass operators (:func:`restrict_project`,
+:func:`hash_join`, :func:`hash_distinct` and both aggregates) consume
+their input through :meth:`Relation.iter_batches` — one batch per heap
+page, so page I/O is exactly a row scan's — transpose each batch to
+columns, run expressions as the batch kernels of
+:mod:`repro.engine.vector_compile`, and write through
+:meth:`Relation.materialize_batches`.  An expression with no kernel
+(compilation disabled by :func:`~repro.engine.compile.interpreted_only`,
+an unsupported node) falls back, alone, to its scalar closure or the
+interpreter over the selected rows.
+
+Restrict/project and the hash-join probe are each one pure
+``batch -> output rows`` body (:func:`restrict_project_body`,
+:func:`hash_probe_body`): the serial operators here drive it over
+``iter_batches()``, the exchange operators of
+:mod:`repro.engine.parallel` drive the same body over page shards.
+
+**Error surfacing** (the contract, DESIGN §4b).  Kernels evaluate a
+batch column at a time, so when several cells of one batch would each
+raise, *which* error surfaces first is unspecified; whether one surfaces
+is not — AND/OR gate their later operands through selection vectors, so
+exactly the cells a row-at-a-time evaluation would touch are evaluated.
+The hash join is the one exception: a residual conjunct pushed to the
+build or probe side is evaluated on rows that never become candidate
+matches (so it can raise where a candidate-only check would not), and a
+column equality folded into the hash key can no longer raise the
+mixed-type comparison error at all.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections.abc import Callable, Iterator, Sequence
+from operator import itemgetter
 
 from repro.catalog.catalog import TableEntry
 from repro.engine.aggregate import AggSpec, apply_specs
-from repro.engine.compile import try_compile_predicate, try_compile_scalar
+from repro.engine.compile import (
+    compile_enabled,
+    try_compile_predicate,
+    try_compile_scalar,
+)
 from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import _orderable
+from repro.engine.vector_compile import (
+    referenced_indexes,
+    try_compile_batch_predicate,
+    try_compile_batch_scalar,
+)
 from repro.errors import ExecutionError
-from repro.sql.ast import Expr
+from repro.sql.ast import And, ColumnRef, Comparison, Expr
 from repro.storage.buffer import BufferPool
 
 JoinMode = str  # "inner" | "left"
@@ -60,6 +98,107 @@ def scan_table(entry: TableEntry, binding: str | None = None) -> Relation:
     return Relation(
         schema, heap=entry.heap, name=entry.schema.name, owns_heap=False
     )
+
+
+def _columns(batch: list[tuple], width: int) -> list[tuple]:
+    """Transpose a row batch to columns (width needed for empty batches)."""
+    if not batch:
+        return [()] * width
+    return list(zip(*batch))
+
+
+def _rows(columns: list[list], count: int) -> list[tuple]:
+    """Transpose columns back to rows; zero columns → empty tuples."""
+    if not columns:
+        return [()] * count
+    return list(zip(*columns))
+
+
+def _batch_scalar(
+    expr: Expr, schema: RowSchema
+) -> Callable[[list, list[tuple], "list[int] | None"], list]:
+    """A column evaluator ``fn(cols, batch, sel)`` for one scalar.
+
+    Uses the batch kernel when one compiles; otherwise evaluates the
+    scalar closure (or, failing that, the interpreter) row by row over
+    the selection — the per-expression fallback.
+    """
+    kernel = try_compile_batch_scalar(expr, schema)
+    if kernel is not None:
+        return lambda cols, batch, sel: kernel(cols, len(batch), sel)
+    compiled = try_compile_scalar(expr, schema)
+    if compiled is not None:
+        row_fn = lambda row: compiled(row, None)  # noqa: E731
+    else:
+        row_fn = lambda row: eval_scalar(expr, EvalContext(row, schema))  # noqa: E731
+
+    def fallback(cols, batch, sel):
+        if sel is None:
+            return [row_fn(row) for row in batch]
+        return [row_fn(batch[i]) for i in sel]
+
+    return fallback
+
+
+def _batch_mask(
+    predicate: Expr, schema: RowSchema
+) -> Callable[[list, list[tuple]], list]:
+    """A full-batch predicate mask evaluator ``fn(cols, batch)``."""
+    kernel = try_compile_batch_predicate(predicate, schema)
+    if kernel is not None:
+        return lambda cols, batch: kernel(cols, len(batch), None)
+    row_fn = _row_predicate(predicate, schema)
+    return lambda cols, batch: [row_fn(row) for row in batch]
+
+
+def restrict_project_body(
+    schema: RowSchema,
+    predicate: Expr | None,
+    projections: Sequence[tuple[Expr, str | None, str]] | None,
+) -> tuple[RowSchema, Callable[[list[tuple]], list[tuple]]]:
+    """Selection + projection as ``(output schema, batch -> output rows)``.
+
+    The returned function is pure and stateless, so the serial operator
+    and every exchange worker share one instance.
+    """
+    if projections is None:
+        out_schema = schema
+        evaluators = None
+    else:
+        out_schema = RowSchema((qual, col) for _, qual, col in projections)
+        evaluators = [_batch_scalar(expr, schema) for expr, _, _ in projections]
+    mask_fn = None if predicate is None else _batch_mask(predicate, schema)
+    width = len(schema)
+
+    def process(batch: list[tuple]) -> list[tuple]:
+        if not batch:
+            return []
+        cols = _columns(batch, width)
+        if mask_fn is None:
+            sel: list[int] | None = None
+            count = len(batch)
+        else:
+            mask = mask_fn(cols, batch)
+            sel = [i for i, value in enumerate(mask) if value is True]
+            if not sel:
+                return []
+            count = len(sel)
+        if evaluators is None:
+            return batch if sel is None else [batch[i] for i in sel]
+        return _rows([fn(cols, batch, sel) for fn in evaluators], count)
+
+    return out_schema, process
+
+
+def _nonempty(
+    process: Callable[[list[tuple]], list[tuple]],
+    batches: Iterator[list[tuple]],
+) -> Iterator[list[tuple]]:
+    """Drive a per-batch body over a batch stream, skipping empty output."""
+    for batch in batches:
+        rows = process(batch)
+        if rows:
+            yield rows
 
 
 def restrict_project(
@@ -80,45 +219,15 @@ def restrict_project(
         projections: output columns as ``(expr, qualifier, name)``
             triples; None keeps the source schema unchanged.
     """
-    source_schema = source.schema
-    if projections is None:
-        out_schema = source_schema
-        compute: Callable[[tuple], tuple] | None = None
-    else:
-        out_schema = RowSchema((qual, col) for _, qual, col in projections)
-        compiled_items = [
-            try_compile_scalar(expr, source_schema) for expr, _, _ in projections
-        ]
-        if all(fn is not None for fn in compiled_items):
-
-            def compute(row: tuple) -> tuple:
-                return tuple(fn(row, None) for fn in compiled_items)
-
-        else:
-
-            def compute(row: tuple) -> tuple:
-                context = EvalContext(row, source_schema)
-                return tuple(
-                    eval_scalar(expr, context) for expr, _, _ in projections
-                )
-
-    if predicate is None:
-        keep: Callable[[tuple], object] | None = None
-    else:
-        keep = try_compile_predicate(predicate, source_schema)
-        if keep is None:
-
-            def keep(row: tuple, _outer=None) -> object:
-                return eval_predicate(predicate, EvalContext(row, source_schema))
-
-    def generate() -> Iterator[tuple]:
-        for row in source:
-            if keep is not None and keep(row, None) is not True:
-                continue
-            yield row if compute is None else compute(row)
-
-    return Relation.materialize(
-        out_schema, generate(), buffer, rows_per_page=rows_per_page, name=name
+    out_schema, process = restrict_project_body(
+        source.schema, predicate, projections
+    )
+    return Relation.materialize_batches(
+        out_schema,
+        _nonempty(process, source.iter_batches()),
+        buffer,
+        rows_per_page=rows_per_page,
+        name=name,
     )
 
 
@@ -350,6 +459,249 @@ def _theta_range(
     raise ExecutionError(f"unsupported theta-join operator {op!r}")
 
 
+def _and_kernels(kernels: list) -> "Callable | None":
+    """AND a list of mask kernels down to True/False (callers gating on
+    ``is True`` never see the difference between False and unknown)."""
+    if not kernels:
+        return None
+    if len(kernels) == 1:
+        return kernels[0]
+
+    def combined(cols, n, sel):
+        result = kernels[0](cols, n, sel)
+        for kernel in kernels[1:]:
+            nxt = kernel(cols, n, sel)
+            result = [a is True and b is True for a, b in zip(result, nxt)]
+        return result
+
+    return combined
+
+
+def hash_probe_body(
+    left_schema: RowSchema,
+    right: Relation,
+    left_key: Sequence[int],
+    right_key: Sequence[int],
+    mode: JoinMode = "inner",
+    null_safe: bool = False,
+    residual: Callable[[tuple], object] | None = None,
+) -> Callable[[list[tuple]], list[tuple]]:
+    """Build the hash table on ``right``; return ``probe batch -> rows``.
+
+    The build reads ``right`` once, here, on the calling thread; the
+    table is read-only afterwards, so the returned function is pure and
+    one instance serves the serial probe and every exchange worker.
+    Output rows follow probe order (each left row's matches in build
+    insertion order), so any ordering of the probe input survives.
+
+    A residual that carries its source expression (``residual.expr`` /
+    ``residual.schema``, as the executor's does) is evaluated a batch
+    of candidate matches at a time, and its top-level conjuncts are
+    decomposed first:
+
+    * an equality between one left and one right column folds into the
+      composite hash key — plain ``=`` components skip NULL keys at
+      build (NULL never matches), ``<=>`` components admit them (dict
+      equality on None is exactly null-safe matching);
+    * a conjunct reading only right columns filters rows out of the
+      hash table at build; only left columns, it masks probe rows —
+      equivalent for inner and left-outer joins alike (a left row all
+      of whose matches fail the residual pads with NULLs either way),
+      and far cheaper than materializing candidates;
+    * anything left over keeps the candidate-time check (kernel when it
+      compiles, per-row scalar fallback otherwise).
+
+    A pushed conjunct is therefore evaluated on non-candidate rows, and
+    a folded equality cannot raise the mixed-type error (the module
+    docstring's error-surfacing contract).  Decomposition is off under
+    :func:`~repro.engine.compile.interpreted_only`, where the residual
+    is checked per candidate row exactly as written.
+    """
+    right_nulls = (None,) * len(right.schema)
+    build_key = list(right_key)
+    probe_key = list(left_key)
+    left_width = len(left_schema)
+    residual_kernel = build_residual = probe_residual = None
+    # Leading ``nchecked`` key components never admit NULL (build rows
+    # with NULL there are skipped); trailing components match NULL to
+    # NULL via dict equality (null-safe join keys and ``<=>`` folds).
+    nchecked = 0 if null_safe else len(build_key)
+    expr = getattr(residual, "expr", None)
+    if expr is not None and compile_enabled():
+        schema = residual.schema
+        eq_folds: list[tuple[int, int]] = []  # plain '=' components
+        ns_folds: list[tuple[int, int]] = []  # '<=>' components
+        left_parts: list = []
+        right_parts: list = []
+        leftover = False
+        for conjunct in expr.operands if isinstance(expr, And) else [expr]:
+            pair = _cross_side_equality(conjunct, schema, left_width)
+            if pair is not None:
+                (ns_folds if conjunct.null_safe else eq_folds).append(pair)
+                continue
+            refs = referenced_indexes(conjunct, schema)
+            kernel = (
+                None
+                if refs is None
+                else try_compile_batch_predicate(conjunct, schema)
+            )
+            if kernel is not None and refs and all(i >= left_width for i in refs):
+                right_parts.append(kernel)
+            elif kernel is not None and all(i < left_width for i in refs):
+                left_parts.append(kernel)
+            else:
+                leftover = True
+        if eq_folds or ns_folds or left_parts or right_parts:
+            primary = list(zip(probe_key, build_key))
+            checked = ([] if null_safe else primary) + eq_folds
+            pairs = checked + (primary if null_safe else []) + ns_folds
+            probe_key = [p for p, _ in pairs]
+            build_key = [b for _, b in pairs]
+            nchecked = len(checked)
+            probe_residual = _and_kernels(left_parts)
+            build_residual = _and_kernels(right_parts)
+            if not leftover:
+                residual = None
+        if residual is not None:
+            # Candidates were pre-filtered by any pushed conjuncts (all
+            # True there), so re-checking the whole expression on them
+            # is redundant but correct.
+            residual_kernel = try_compile_batch_predicate(expr, schema)
+
+    # Per-batch key extraction at C speed: a multi-index itemgetter
+    # yields ready-made key tuples (a single-index one bare values) in
+    # one ``map`` pass.
+    single = len(build_key) == 1
+    build_getter = itemgetter(*build_key)
+    probe_getter = itemgetter(*probe_key)
+    full_check = nchecked == len(build_key)
+
+    table: dict = {}
+    get = table.get
+    # Kernel column positions follow the combined schema, so a pushed
+    # build-side residual sees right columns behind a left-width pad.
+    build_pad = [()] * left_width
+    for batch in right.iter_batches():
+        if not batch:
+            continue
+        if build_residual is not None:
+            mask = build_residual(build_pad + list(zip(*batch)), len(batch), None)
+            batch = [row for row, keep in zip(batch, mask) if keep is True]
+        for key, row in zip(map(build_getter, batch), batch):
+            if nchecked and (
+                (key is None)
+                if single
+                else (None in key if full_check else None in key[:nchecked])
+            ):
+                continue
+            bucket = get(key)
+            if bucket is None:
+                table[key] = [row]
+            else:
+                bucket.append(row)
+
+    left_outer = mode == "left"
+
+    def probe(batch: list[tuple]) -> list[tuple]:
+        if not batch:
+            return []
+        # Probe keys containing NULL simply miss the table (build
+        # skipped NULL keys unless null_safe, and a tuple holding None
+        # never equals one that doesn't), so no per-row NULL test is
+        # needed on the probe side.
+        keys = map(probe_getter, batch)
+        out: list[tuple] = []
+        append = out.append
+        if probe_residual is not None:
+            # Left-only residual: mask the probe batch up front.  A
+            # failing probe row has no surviving match by definition
+            # (outer: pad; inner: skip).
+            mask = probe_residual(list(zip(*batch)), len(batch), None)
+            buckets = [
+                get(key) if keep is True else None
+                for key, keep in zip(keys, mask)
+            ]
+        else:
+            buckets = list(map(get, keys))
+        if residual is None:
+            if left_outer:
+                extend = out.extend
+                for left_row, bucket in zip(batch, buckets):
+                    if bucket is None:
+                        append(left_row + right_nulls)
+                    else:
+                        extend([left_row + r for r in bucket])
+                return out
+            return [
+                left_row + right_row
+                for left_row, bucket in zip(batch, buckets)
+                if bucket is not None
+                for right_row in bucket
+            ]
+        if residual_kernel is None:
+            # Residual with no batch kernel: per-candidate scalar
+            # check (compiled closure or interpreter).
+            for left_row, bucket in zip(batch, buckets):
+                matched = False
+                for right_row in bucket or ():
+                    combined = left_row + right_row
+                    if residual(combined) is True:
+                        matched = True
+                        append(combined)
+                if left_outer and not matched:
+                    append(left_row + right_nulls)
+            return out
+        # Candidate combined rows for the whole probe batch, filtered by
+        # one kernel call; spans track which slice belongs to which left
+        # row for the outer padding.
+        cand: list[tuple] = []
+        spans: list[int] = []
+        for left_row, bucket in zip(batch, buckets):
+            if bucket is not None:
+                cand.extend([left_row + r for r in bucket])
+            spans.append(len(cand))
+        mask = residual_kernel(list(zip(*cand)), len(cand), None) if cand else []
+        if not left_outer:
+            return [row for row, value in zip(cand, mask) if value is True]
+        start = 0
+        for left_row, end in zip(batch, spans):
+            matched = False
+            for i in range(start, end):
+                if mask[i] is True:
+                    matched = True
+                    append(cand[i])
+            if not matched:
+                append(left_row + right_nulls)
+            start = end
+        return out
+
+    return probe
+
+
+def _cross_side_equality(
+    conjunct: Expr, schema: RowSchema, left_width: int
+) -> tuple[int, int] | None:
+    """``(left column, right column)`` positions when ``conjunct``
+    equates one column of each join side, else None."""
+    if not (
+        isinstance(conjunct, Comparison)
+        and conjunct.op == "="
+        and isinstance(conjunct.left, ColumnRef)
+        and isinstance(conjunct.right, ColumnRef)
+    ):
+        return None
+    li = referenced_indexes(conjunct.left, schema)
+    ri = referenced_indexes(conjunct.right, schema)
+    if not (li and ri):
+        return None
+    (li,), (ri,) = li, ri
+    if li < left_width <= ri:
+        return li, ri - left_width
+    if ri < left_width <= li:
+        return ri, li - left_width
+    return None
+
+
 def hash_join(
     left: Relation,
     right: Relation,
@@ -378,32 +730,39 @@ def hash_join(
     ``mode="left"`` a left row whose only key matches flunk the
     residual is NULL-padded rather than dropped.
     """
-    out_schema = left.schema + right.schema
-    right_nulls = (None,) * len(right.schema)
-    build_key = list(right_key)
-    probe_key = list(left_key)
+    probe = hash_probe_body(
+        left.schema, right, left_key, right_key, mode, null_safe, residual
+    )
+    return Relation.materialize_batches(
+        left.schema + right.schema,
+        _nonempty(probe, left.iter_batches()),
+        buffer,
+        name=name,
+    )
 
-    def generate() -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
-        for row in right:
-            if not null_safe and any(row[i] is None for i in build_key):
-                continue
-            table.setdefault(tuple(row[i] for i in build_key), []).append(row)
 
-        for left_row in left:
-            matched = False
-            if null_safe or not any(left_row[i] is None for i in probe_key):
-                key = tuple(left_row[i] for i in probe_key)
-                for right_row in table.get(key, ()):
-                    combined = left_row + right_row
-                    if residual is not None and residual(combined) is not True:
-                        continue
-                    matched = True
-                    yield combined
-            if mode == "left" and not matched:
-                yield left_row + right_nulls
+def _aggregate_plan(
+    group_columns: Sequence[int],
+    specs: Sequence[AggSpec],
+    out_names: Sequence[tuple[str | None, str]],
+) -> tuple[RowSchema, list[int], list[AggSpec]]:
+    """Validate an aggregate's output naming; normalize its arguments."""
+    expected = len(group_columns) + len(specs)
+    if len(out_names) != expected:
+        raise ExecutionError(
+            f"group_aggregate needs {expected} output names, got {len(out_names)}"
+        )
+    return RowSchema(out_names), list(group_columns), list(specs)
 
-    return Relation.materialize(out_schema, generate(), buffer, name=name)
+
+def _scalar_aggregate(
+    rows: list[tuple], agg_specs: list[AggSpec], always_emit: bool
+) -> list[list[tuple]]:
+    """The ungrouped case: the whole input is one group; an empty input
+    yields the SQL scalar-aggregate row only under ``always_emit``."""
+    if rows or always_emit:
+        return [[tuple(apply_specs(rows, agg_specs))]]
+    return []
 
 
 def hash_group_aggregate(
@@ -419,30 +778,35 @@ def hash_group_aggregate(
 
     Same contract as :func:`group_aggregate` except groups are
     accumulated in a hash table and emitted in first-appearance order
-    (NULL group keys form one group, as in SQL's GROUP BY).
+    (NULL group keys form one group, as in SQL's GROUP BY).  Over a
+    key-sorted input first appearance *is* sorted order, so the two
+    aggregates then agree row for row.
     """
-    expected = len(group_columns) + len(specs)
-    if len(out_names) != expected:
-        raise ExecutionError(
-            f"group_aggregate needs {expected} output names, got {len(out_names)}"
-        )
-    out_schema = RowSchema(out_names)
-    group_cols = list(group_columns)
-    agg_specs = list(specs)
+    out_schema, group_cols, agg_specs = _aggregate_plan(
+        group_columns, specs, out_names
+    )
 
-    def generate() -> Iterator[tuple]:
+    def batches() -> Iterator[list[tuple]]:
         if not group_cols:
-            rows = source.to_list()
-            if rows or always_emit:
-                yield tuple(apply_specs(rows, agg_specs))
+            yield from _scalar_aggregate(source.to_list(), agg_specs, always_emit)
             return
-        groups: dict[tuple, list[tuple]] = {}
-        for row in source:
-            groups.setdefault(tuple(row[i] for i in group_cols), []).append(row)
-        for key, rows in groups.items():
-            yield key + tuple(apply_specs(rows, agg_specs))
+        groups: dict = {}
+        setdefault = groups.setdefault
+        # A single group column keys on the bare value (no per-row
+        # tuple construction); the key is re-wrapped on output.
+        single = len(group_cols) == 1
+        key_of = itemgetter(*group_cols)
+        for batch in source.iter_batches():
+            for row in batch:
+                setdefault(key_of(row), []).append(row)
+        out = [
+            ((key,) if single else key) + tuple(apply_specs(rows, agg_specs))
+            for key, rows in groups.items()
+        ]
+        if out:
+            yield out
 
-    return Relation.materialize(out_schema, generate(), buffer, name=name)
+    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
 
 
 def hash_distinct(
@@ -451,14 +815,20 @@ def hash_distinct(
     """Duplicate elimination by hashing (first occurrence kept, input
     order preserved) — the hash counterpart of sort-unique."""
 
-    def generate() -> Iterator[tuple]:
+    def batches() -> Iterator[list[tuple]]:
         seen: set[tuple] = set()
-        for row in source:
-            if row not in seen:
-                seen.add(row)
-                yield row
+        for batch in source.iter_batches():
+            # dict.fromkeys dedupes within the batch preserving first
+            # occurrence at C speed; the comprehension then drops rows
+            # already seen in earlier batches.
+            out = [row for row in dict.fromkeys(batch) if row not in seen]
+            seen.update(out)
+            if out:
+                yield out
 
-    return Relation.materialize(source.schema, generate(), buffer, name=name)
+    return Relation.materialize_batches(
+        source.schema, batches(), buffer, name=name
+    )
 
 
 def group_aggregate(
@@ -476,44 +846,41 @@ def group_aggregate(
     given output schema.  With no group columns the whole input is one
     group; ``always_emit`` controls whether an empty ungrouped input
     yields the SQL scalar-aggregate row (COUNT = 0, others NULL).
-    """
-    expected = len(group_columns) + len(specs)
-    if len(out_names) != expected:
-        raise ExecutionError(
-            f"group_aggregate needs {expected} output names, got {len(out_names)}"
-        )
-    out_schema = RowSchema(out_names)
-    group_cols = list(group_columns)
-    agg_specs = list(specs)
 
-    def generate() -> Iterator[tuple]:
+    Streaming: groups completed within a batch are written with that
+    batch, and the group straddling a batch boundary is carried to the
+    batch that closes it — so output pages interleave with source reads
+    and the buffer footprint is a streaming scan's, not an accumulate-
+    then-emit one's.
+    """
+    out_schema, group_cols, agg_specs = _aggregate_plan(
+        group_columns, specs, out_names
+    )
+
+    def batches() -> Iterator[list[tuple]]:
+        if not group_cols:
+            yield from _scalar_aggregate(source.to_list(), agg_specs, always_emit)
+            return
         current_key: tuple | None = None
         group: list[tuple] = []
-        saw_rows = False
+        for batch in source.iter_batches():
+            out: list[tuple] = []
+            for row in batch:
+                key = tuple(row[i] for i in group_cols)
+                if key != current_key:
+                    if current_key is not None:
+                        out.append(
+                            current_key + tuple(apply_specs(group, agg_specs))
+                        )
+                    current_key = key
+                    group = []
+                group.append(row)
+            if out:
+                yield out
+        if current_key is not None:
+            yield [current_key + tuple(apply_specs(group, agg_specs))]
 
-        def emit(key: tuple | None, rows: list[tuple]) -> tuple:
-            prefix = () if key is None else key
-            return tuple(prefix) + tuple(apply_specs(rows, agg_specs))
-
-        if not group_cols:
-            rows = source.to_list()
-            if rows or always_emit:
-                yield emit(None, rows)
-            return
-
-        for row in source:
-            saw_rows = True
-            key = tuple(row[i] for i in group_cols)
-            if current_key is None or key != current_key:
-                if current_key is not None:
-                    yield emit(current_key, group)
-                current_key = key
-                group = []
-            group.append(row)
-        if saw_rows:
-            yield emit(current_key, group)
-
-    return Relation.materialize(out_schema, generate(), buffer, name=name)
+    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
 
 
 def index_nested_loop_join(

@@ -1,12 +1,18 @@
 """Partition-parallel physical operators (the ``parallelism=N`` path).
 
-Drop-in counterparts of the single-pass operators in
-:mod:`repro.engine.operators` / :mod:`repro.engine.vectorized` that
-scatter disjoint page shards of their input across the shared exchange
-pool (:mod:`repro.engine.exchange`) and gather results in shard order.
+Exchange counterparts of the single-pass operators in
+:mod:`repro.engine.operators`: they scatter disjoint page shards of
+their input across the shared exchange pool
+(:mod:`repro.engine.exchange`) and gather results in shard order.
+Restrict/project and the hash-join probe run the *same* per-batch body
+as the serial operators (``restrict_project_body`` /
+``hash_probe_body``) — serial execution is this path with one shard,
+streamed instead of gathered; grouped aggregation (partial → merge →
+finalize) and DISTINCT (shard-local dedupe → global recheck) are
+separate functions because their algorithm genuinely differs.
 
 **The page-I/O identity invariant.**  Every operator here preserves the
-serial engines' page-I/O *totals* exactly, by construction:
+serial operators' page-I/O *totals* exactly, by construction:
 
 * inputs are sharded at page granularity
   (:meth:`Relation.iter_partition_batches`) — the shards are disjoint
@@ -40,14 +46,16 @@ from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 
 from repro.engine.aggregate import AggSpec, apply_specs
-from repro.engine.compile import try_compile_scalar
 from repro.engine.exchange import run_tasks
-from repro.engine.expression import EvalContext, eval_scalar
-from repro.engine.operators import JoinMode, _row_predicate
+from repro.engine.operators import (
+    JoinMode,
+    _aggregate_plan,
+    _nonempty,
+    _scalar_aggregate,
+    hash_probe_body,
+    restrict_project_body,
+)
 from repro.engine.relation import Relation
-from repro.engine.schema import RowSchema
-from repro.engine.vectorized import _batch_mask, _batch_scalar, _columns, _rows
-from repro.errors import ExecutionError
 from repro.sql.ast import Expr
 from repro.storage.buffer import BufferPool
 
@@ -66,76 +74,24 @@ __all__ = [
 DEFAULT_PARALLEL_THRESHOLD = 2048
 
 
-def _batch_processor(
-    schema: RowSchema,
-    predicate: Expr | None,
-    projections: Sequence[tuple[Expr, str | None, str]] | None,
-    engine: str,
-) -> Callable[[list[tuple]], list[tuple]]:
-    """A pure ``batch -> output rows`` function for restrict/project.
+def _scatter(
+    source: Relation,
+    process: Callable[[list[tuple]], list[tuple]],
+    parallelism: int,
+) -> Iterator[list[tuple]]:
+    """Run a per-batch body over ``source``'s page shards in exchange
+    workers; the non-empty output batches, in serial scan order."""
+    nparts = source.partition_count(parallelism)
 
-    Mirrors the serial operators exactly: the ``"vectorized"`` engine
-    evaluates mask/scalar batch kernels (with the same per-expression
-    scalar fallbacks), anything else evaluates the row engine's
-    compiled-or-interpreted closures.  The returned function is
-    stateless, so one instance is safely shared by every worker.
-    """
-    if engine == "vectorized":
-        mask_fn = None if predicate is None else _batch_mask(predicate, schema)
-        evaluators = (
-            None
-            if projections is None
-            else [_batch_scalar(expr, schema) for expr, _, _ in projections]
+    def work(index: int) -> list[list[tuple]]:
+        return list(
+            _nonempty(process, source.iter_partition_batches(index, nparts))
         )
 
-        def process(batch: list[tuple]) -> list[tuple]:
-            if not batch:
-                return []
-            cols = _columns(batch, len(schema))
-            if mask_fn is None:
-                sel: list[int] | None = None
-                count = len(batch)
-            else:
-                mask = mask_fn(cols, batch)
-                sel = [i for i, value in enumerate(mask) if value is True]
-                if not sel:
-                    return []
-                count = len(sel)
-            if evaluators is None:
-                return batch if sel is None else [batch[i] for i in sel]
-            out_cols = [fn(cols, batch, sel) for fn in evaluators]
-            return _rows(out_cols, count)
-
-        return process
-
-    keep = _row_predicate(predicate, schema)
-    if projections is None:
-        compute: Callable[[tuple], tuple] | None = None
-    else:
-        compiled_items = [
-            try_compile_scalar(expr, schema) for expr, _, _ in projections
-        ]
-        if all(fn is not None for fn in compiled_items):
-
-            def compute(row: tuple) -> tuple:
-                return tuple(fn(row, None) for fn in compiled_items)
-
-        else:
-
-            def compute(row: tuple) -> tuple:
-                context = EvalContext(row, schema)
-                return tuple(
-                    eval_scalar(expr, context) for expr, _, _ in projections
-                )
-
-    def process(batch: list[tuple]) -> list[tuple]:
-        if keep is not None:
-            batch = [row for row in batch if keep(row) is True]
-        if compute is None:
-            return batch
-        return [compute(row) for row in batch]
-
-    return process
+    shards = run_tasks(
+        [partial(work, index) for index in range(nparts)], width=parallelism
+    )
+    return (batch for shard in shards for batch in shard)
 
 
 def parallel_restrict_project(
@@ -147,38 +103,21 @@ def parallel_restrict_project(
     rows_per_page: int | None = None,
     *,
     parallelism: int = 2,
-    engine: str = "row",
 ) -> Relation:
     """Partition-parallel selection + projection.
 
-    Same contract as :func:`repro.engine.operators.restrict_project`
-    (and its vectorized counterpart, chosen by ``engine``): workers
-    filter and project disjoint page shards, the gather concatenates
-    their outputs in shard order, and the result heap is materialized
-    serially — identical rows, row order, pages, and I/O totals.
+    Same contract as :func:`repro.engine.operators.restrict_project`:
+    workers filter and project disjoint page shards, the gather
+    concatenates their outputs in shard order, and the result heap is
+    materialized serially — identical rows, row order, pages, and I/O
+    totals.
     """
-    source_schema = source.schema
-    if projections is None:
-        out_schema = source_schema
-    else:
-        out_schema = RowSchema((qual, col) for _, qual, col in projections)
-    process = _batch_processor(source_schema, predicate, projections, engine)
-    nparts = source.partition_count(parallelism)
-
-    def work(index: int) -> list[list[tuple]]:
-        out: list[list[tuple]] = []
-        for batch in source.iter_partition_batches(index, nparts):
-            rows = process(batch)
-            if rows:
-                out.append(rows)
-        return out
-
-    shards = run_tasks(
-        [partial(work, index) for index in range(nparts)], width=parallelism
+    out_schema, process = restrict_project_body(
+        source.schema, predicate, projections
     )
     return Relation.materialize_batches(
         out_schema,
-        (batch for shard in shards for batch in shard),
+        _scatter(source, process, parallelism),
         buffer,
         rows_per_page=rows_per_page,
         name=name,
@@ -200,15 +139,13 @@ def parallel_hash_join(
 ) -> Relation:
     """Shared-build, partitioned-probe hash equi join.
 
-    Build follows :func:`repro.engine.operators.hash_join` to the
-    letter (read once, duplicate chains in insertion order, NULL keys
-    skipped unless ``null_safe``) and runs serially on the calling
-    thread — one build, read-only afterwards, so workers probe it
-    without any synchronization.  The probe side is sharded; each
-    worker emits matches in its shard's scan order and the ordered
-    gather restores the serial probe order, so output rows, NULL
-    padding under ``mode="left"``, and in-join ``residual`` semantics
-    are all exactly the serial operator's.
+    The build is :func:`~repro.engine.operators.hash_probe_body`'s —
+    one serial read of ``right`` on the calling thread, read-only
+    afterwards, so workers probe it without any synchronization.  The
+    probe side is sharded; each worker emits matches in its shard's
+    scan order and the ordered gather restores the serial probe order,
+    so output rows, NULL padding under ``mode="left"``, and in-join
+    ``residual`` semantics are all exactly the serial operator's.
 
     (A partitioned build with per-worker tables merged was the
     alternative; the shared build wins here because the probe side is
@@ -216,57 +153,12 @@ def parallel_hash_join(
     duplicate chains across worker tables would have to re-sort them
     into insertion order to keep output order deterministic.)
     """
-    out_schema = left.schema + right.schema
-    right_nulls = (None,) * len(right.schema)
-    build_key = list(right_key)
-    probe_key = list(left_key)
-
-    table: dict[tuple, list[tuple]] = {}
-    for build_batch in right.iter_batches():
-        for row in build_batch:
-            if not null_safe and any(row[i] is None for i in build_key):
-                continue
-            table.setdefault(tuple(row[i] for i in build_key), []).append(row)
-
-    nparts = left.partition_count(parallelism)
-    left_outer = mode == "left"
-
-    def probe(index: int) -> list[list[tuple]]:
-        get = table.get
-        out: list[list[tuple]] = []
-        for batch in left.iter_partition_batches(index, nparts):
-            chunk: list[tuple] = []
-            append = chunk.append
-            for left_row in batch:
-                matched = False
-                if null_safe or not any(
-                    left_row[i] is None for i in probe_key
-                ):
-                    key = tuple(left_row[i] for i in probe_key)
-                    bucket = get(key)
-                    if bucket is not None:
-                        for right_row in bucket:
-                            combined = left_row + right_row
-                            if (
-                                residual is not None
-                                and residual(combined) is not True
-                            ):
-                                continue
-                            matched = True
-                            append(combined)
-                if left_outer and not matched:
-                    append(left_row + right_nulls)
-            if chunk:
-                out.append(chunk)
-        return out
-
-    shards = run_tasks(
-        [partial(probe, index) for index in range(nparts)],
-        width=parallelism,
+    probe = hash_probe_body(
+        left.schema, right, left_key, right_key, mode, null_safe, residual
     )
     return Relation.materialize_batches(
-        out_schema,
-        (batch for shard in shards for batch in shard),
+        left.schema + right.schema,
+        _scatter(left, probe, parallelism),
         buffer,
         name=name,
     )
@@ -303,14 +195,9 @@ def parallel_group_aggregate(
       row sequence, and over key-sorted input first-appearance order
       *is* sorted order, matching the streaming sorted aggregate too.
     """
-    expected = len(group_columns) + len(specs)
-    if len(out_names) != expected:
-        raise ExecutionError(
-            f"group_aggregate needs {expected} output names, got {len(out_names)}"
-        )
-    out_schema = RowSchema(out_names)
-    group_cols = list(group_columns)
-    agg_specs = list(specs)
+    out_schema, group_cols, agg_specs = _aggregate_plan(
+        group_columns, specs, out_names
+    )
     nparts = source.partition_count(parallelism)
 
     if not group_cols:
@@ -326,11 +213,11 @@ def parallel_group_aggregate(
             width=parallelism,
         )
         all_rows = [row for part in parts for row in part]
-        output: list[tuple] = []
-        if all_rows or always_emit:
-            output = [tuple(apply_specs(all_rows, agg_specs))]
         return Relation.materialize_batches(
-            out_schema, [output] if output else [], buffer, name=name
+            out_schema,
+            _scalar_aggregate(all_rows, agg_specs, always_emit),
+            buffer,
+            name=name,
         )
 
     def build(index: int) -> dict[tuple, list[tuple]]:

@@ -6,7 +6,7 @@ build) or *in-memory* (small derived lists, e.g. a cached type-N inner
 result before System R materializes it).  Physical operators consume
 and produce Relations.
 
-Batch access.  The vectorized engine consumes relations through
+Batch access.  The single-pass operators consume relations through
 :meth:`Relation.iter_batches`, which yields **page-sized** row batches
 for heap-backed relations: each batch is exactly one page's tuples and
 costs exactly one page read through the buffer pool, so batch execution
@@ -14,7 +14,7 @@ charges the same page I/O as a row-at-a-time scan — the paper's cost
 unit is preserved exactly, not approximated.  (Coalescing several
 pages per batch would amortize kernel dispatch, but reading ahead
 perturbs the LRU state under eviction pressure and the re-read counts
-drift from the row engine's — tried and rejected; page-sized batches
+drift from a row scan's — tried and rejected; page-sized batches
 keep the I/O schedule bit-identical.)  In-memory relations are chunked
 into fixed-size batches (they cost no I/O either way).
 """
@@ -141,7 +141,7 @@ class Relation:
         rows_per_page: int | None = None,
         name: str | None = None,
     ) -> "Relation":
-        """Materialize from row batches (the vectorized engine's path).
+        """Materialize from row batches (the batch operators' path).
 
         Produces exactly the pages :meth:`materialize` would for the
         same row stream — same capacity, same page count, same flush

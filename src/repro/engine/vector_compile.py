@@ -1,4 +1,4 @@
-"""Compile expressions to columnar batch kernels (the vectorized path).
+"""Compile expressions to columnar batch kernels (what the operators run).
 
 :mod:`repro.engine.compile` turns an expression into a per-row closure;
 this module turns the same expression into a **batch kernel**::
@@ -16,18 +16,18 @@ a value column, unknown is ``None`` in a predicate mask — the validity
 information rides with the data, and :func:`null_mask` recovers an
 explicit validity vector when a kernel needs one (``IS NULL``).
 
-Semantics match the row engine cell for cell:
+Semantics match the row evaluators (:mod:`repro.engine.compile`, the
+interpreter) cell for cell:
 
 * AND/OR gate their later operands through **selection vectors** — the
   second conjunct is evaluated only at rows where the first is not
-  already False (not True for OR), exactly the set of cells the row
-  engine's short-circuit evaluates, so data-dependent errors are
-  raised iff the row engine would raise them.  (Within one kernel,
-  cells are visited in row order; *across* operands a batch evaluates
-  column-at-a-time, so which of several erroneous cells reports first
-  can differ from the row engine.  The difftest grammar generates no
-  error-raising cases, and both engines agree on whether an error
-  occurs.)
+  already False (not True for OR), exactly the set of cells a
+  row-at-a-time short-circuit evaluates, so data-dependent errors are
+  raised iff row-at-a-time evaluation would raise them.  (Within one
+  kernel, cells are visited in row order; *across* operands a batch
+  evaluates column-at-a-time, so which of several erroneous cells
+  reports first is unspecified — the operators' error-surfacing
+  contract, :mod:`repro.engine.operators`.)
 * comparisons reproduce :func:`repro.engine.expression.compare_values`
   exactly, including the mixed-type :class:`ExecutionError`;
 * NULL propagation, ``<=>``, BETWEEN's eager bounds, and IN's
@@ -36,13 +36,12 @@ Semantics match the row engine cell for cell:
 
 Anything outside the batch repertoire — subqueries, references into an
 enclosing (correlated) scope, aggregates as scalars — raises
-:class:`~repro.engine.compile.CannotCompile`; the vectorized operators
-fall back **per expression** to the scalar closure path (or the
-interpreter), so one stubborn expression never forces a whole plan off
-the batch engine.  The ``try_compile_batch_*`` helpers honour the same
+:class:`~repro.engine.compile.CannotCompile`; the operators fall back
+**per expression** to the scalar closure path (or the interpreter), so
+one stubborn expression never forces a whole plan off the kernels.  The ``try_compile_batch_*`` helpers honour the same
 global toggle as the row compiler: under
 :func:`~repro.engine.compile.interpreted_only` they return None and the
-vectorized operators run every expression through the interpreter.
+operators run every expression through the interpreter.
 """
 
 from __future__ import annotations
@@ -106,10 +105,10 @@ def null_mask(column: Sequence) -> list[bool]:
 # when both operand columns are homogeneous (all numbers, or all
 # strings, optionally with NULLs) the kernel can dispatch to a
 # ``map``/comprehension with no per-element type checking, because the
-# row engine's mixed-type :class:`ExecutionError` is impossible within
+# row evaluators' mixed-type :class:`ExecutionError` is impossible within
 # the domain.  Note ``bool`` is deliberately NOT numeric (it falls to
-# the general path, which raises on bool-vs-number like the row
-# engine's ``compare_values``).
+# the general path, which raises on bool-vs-number like
+# ``compare_values``).
 _NONE = type(None)
 _NUM = frozenset((int, float))
 _NUM_N = frozenset((int, float, _NONE))
@@ -389,7 +388,7 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
         negated = expr.negated
 
         def between(cols, n, sel):
-            # Both bounds compared eagerly, like the row engine.
+            # Both bounds compared eagerly, like the row evaluators.
             above = ge(cols, n, sel)
             below = le(cols, n, sel)
             out = []
@@ -451,7 +450,7 @@ def _gated_connective(parts: list[BatchFn], short_circuit: bool) -> BatchFn:
     """AND (``short_circuit=False``) / OR (``True``) over mask kernels.
 
     Later operands are evaluated only at rows the earlier ones left
-    undecided — the batch equivalent of the row engine's short-circuit,
+    undecided — the batch equivalent of a row-at-a-time short-circuit,
     preserving exactly which cells get evaluated (and hence which
     data-dependent errors can occur).
     """
@@ -489,8 +488,8 @@ def referenced_indexes(
     Returns None when the expression contains anything outside the
     batch repertoire (subquery, unresolvable reference, unsupported
     node) — callers must then draw no sidedness conclusions.  Used by
-    the vectorized hash join to push a one-sided residual to the side
-    it reads (see :func:`repro.engine.vectorized.vectorized_hash_join`).
+    the hash join to push a one-sided residual to the side it reads
+    (see :func:`repro.engine.operators.hash_probe_body`).
     """
     found: set[int] = set()
 

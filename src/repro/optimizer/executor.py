@@ -25,16 +25,15 @@ Design points lifted straight from the paper:
   join column, and a temp table created in GROUP BY order needs no sort
   before the final merge join.
 
-Orthogonally to the join method, ``engine`` selects the evaluation
-style: ``"row"`` runs the operators of :mod:`repro.engine.operators`
-tuple at a time; ``"vectorized"`` swaps in the batch operators of
-:mod:`repro.engine.vectorized` for restrict/project, hash join, hash
-DISTINCT, and grouped aggregation.  The *plan* is identical either way
-— same sorts, same temps, same operator order — so page-I/O accounting
-does not change; only the per-tuple evaluation strategy does.  (Merge
-and nested-loop joins and external sorts stay row-wise: they are
-sort-dominated, and sharing them keeps the two engines' I/O trivially
-identical.)
+How a step evaluates its tuples is not part of the plan: the
+single-pass operators (restrict/project, hash join, hash DISTINCT,
+both aggregates) run a batch at a time, and under ``parallelism > 1``
+an input of at least ``parallel_threshold`` rows runs the same
+operator over page shards in the exchange pool — same rows, same page
+I/O totals.  Merge and nested-loop joins and external sorts re-read
+pages, where thread interleaving under eviction pressure could
+perturb the re-read counts, so they always run serially (see
+:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
@@ -52,6 +51,13 @@ from repro.engine.operators import (
     nested_loop_join,
     restrict_project,
     scan_table,
+)
+from repro.engine.parallel import (
+    DEFAULT_PARALLEL_THRESHOLD,
+    parallel_distinct,
+    parallel_group_aggregate,
+    parallel_hash_join,
+    parallel_restrict_project,
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
@@ -81,6 +87,17 @@ class _State:
     sorted_on: tuple[int, ...] = ()
 
 
+#: The single-pass operators and their exchange counterparts; the
+#: input that is sharded is the first argument of each.
+_PARALLEL = {
+    restrict_project: parallel_restrict_project,
+    hash_join: parallel_hash_join,
+    hash_distinct: parallel_distinct,
+    group_aggregate: parallel_group_aggregate,
+    hash_group_aggregate: parallel_group_aggregate,
+}
+
+
 class SingleLevelExecutor:
     """Executes canonical queries over the storage engine."""
 
@@ -89,139 +106,22 @@ class SingleLevelExecutor:
         catalog: Catalog,
         join_method: str = "merge",
         verify: bool = True,
-        engine: str = "row",
         parallelism: int = 1,
         parallel_threshold: int | None = None,
     ) -> None:
         if join_method not in ("merge", "nested", "hash"):
             raise PlanError(f"unknown join method {join_method!r}")
-        if engine not in ("row", "vectorized"):
-            raise PlanError(f"unknown execution engine {engine!r}")
         if parallelism < 1:
             raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.catalog = catalog
         self.buffer = catalog.buffer
         self.join_method = join_method
-        self.engine = engine
         self.parallelism = parallelism
         if parallel_threshold is None:
-            from repro.engine.parallel import DEFAULT_PARALLEL_THRESHOLD
-
             parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
         self.parallel_threshold = parallel_threshold
         self.verify = verify
         self.steps: list[str] = []
-        if engine == "vectorized":
-            from repro.engine.vectorized import (
-                vectorized_distinct,
-                vectorized_group_aggregate,
-                vectorized_hash_join,
-                vectorized_restrict_project,
-                vectorized_sorted_group_aggregate,
-            )
-
-            self._restrict_project = vectorized_restrict_project
-            self._hash_join = vectorized_hash_join
-            self._hash_distinct = vectorized_distinct
-            # The sorted path streams groups batch-by-batch (same page
-            # interleaving as the row operator); the hash path
-            # accumulates and emits at the end, like its row
-            # counterpart — so buffer behaviour matches, not just
-            # totals.
-            self._sorted_aggregate = vectorized_sorted_group_aggregate
-            self._hash_aggregate = vectorized_group_aggregate
-        else:
-            self._restrict_project = restrict_project
-            self._hash_join = hash_join
-            self._hash_distinct = hash_distinct
-            self._sorted_aggregate = group_aggregate
-            self._hash_aggregate = hash_group_aggregate
-        if parallelism > 1:
-            self._bind_parallel_operators()
-
-    def _bind_parallel_operators(self) -> None:
-        """Wrap the bound single-pass operators with partition-parallel
-        counterparts, gated per input on the row-count threshold.
-
-        Inputs below ``parallel_threshold`` run the serial operator —
-        fan-out overhead would swamp any I/O overlap there — so one
-        plan freely mixes parallel big-input steps with serial small
-        ones.  Only the single-pass operators fan out; merge/nested
-        joins and external sorts re-read pages, where thread
-        interleaving under eviction pressure could perturb the re-read
-        counts, so they stay serial and the page-I/O identity invariant
-        holds unconditionally (see :mod:`repro.engine.parallel`).
-        """
-        from repro.engine.parallel import (
-            parallel_distinct,
-            parallel_group_aggregate,
-            parallel_hash_join,
-            parallel_restrict_project,
-        )
-
-        width = self.parallelism
-        threshold = self.parallel_threshold
-        engine = self.engine
-        serial_rp = self._restrict_project
-        serial_hj = self._hash_join
-        serial_distinct = self._hash_distinct
-
-        def rp(source, buffer, predicate=None, projections=None,
-               name=None, rows_per_page=None):
-            if source.num_rows >= threshold:
-                return parallel_restrict_project(
-                    source, buffer, predicate=predicate,
-                    projections=projections, name=name,
-                    rows_per_page=rows_per_page,
-                    parallelism=width, engine=engine,
-                )
-            return serial_rp(
-                source, buffer, predicate=predicate,
-                projections=projections, name=name,
-                rows_per_page=rows_per_page,
-            )
-
-        def hj(left, right, buffer, left_key, right_key, mode="inner",
-               name=None, null_safe=False, residual=None):
-            if left.num_rows >= threshold:
-                return parallel_hash_join(
-                    left, right, buffer, left_key, right_key, mode=mode,
-                    name=name, null_safe=null_safe, residual=residual,
-                    parallelism=width,
-                )
-            return serial_hj(
-                left, right, buffer, left_key, right_key, mode=mode,
-                name=name, null_safe=null_safe, residual=residual,
-            )
-
-        def aggregate_wrapper(serial):
-            def aggregate(source, buffer, group_columns, specs, out_names,
-                          name=None, always_emit=False):
-                if source.num_rows >= threshold:
-                    return parallel_group_aggregate(
-                        source, buffer, group_columns, specs, out_names,
-                        name=name, always_emit=always_emit,
-                        parallelism=width,
-                    )
-                return serial(
-                    source, buffer, group_columns, specs, out_names,
-                    name=name, always_emit=always_emit,
-                )
-
-            return aggregate
-
-        def distinct(source, buffer, name=None):
-            if source.num_rows >= threshold:
-                return parallel_distinct(
-                    source, buffer, name=name, parallelism=width
-                )
-            return serial_distinct(source, buffer, name=name)
-
-        self._restrict_project = rp
-        self._hash_join = hj
-        self._sorted_aggregate = aggregate_wrapper(self._sorted_aggregate)
-        self._hash_aggregate = aggregate_wrapper(self._hash_aggregate)
-        self._hash_distinct = distinct
 
     # -- public API --------------------------------------------------------
 
@@ -255,7 +155,22 @@ class SingleLevelExecutor:
         block materializes is on the scratch list :meth:`execute`
         sweeps.  (An operator that raises has no output to record; a
         half-built heap is freed by ``Relation.materialize`` itself.)
+
+        It is also where width is decided, per input: a single-pass
+        operator whose input has at least ``parallel_threshold`` rows
+        runs over ``parallelism`` page shards; anything smaller runs
+        serially — fan-out overhead would swamp any I/O overlap there —
+        so one plan freely mixes wide big-input steps with serial
+        small ones.
         """
+        wide = _PARALLEL.get(operator)
+        if (
+            wide is not None
+            and self.parallelism > 1
+            and args[0].num_rows >= self.parallel_threshold
+        ):
+            operator = wide
+            kwargs["parallelism"] = self.parallelism
         relation = operator(*args, **kwargs)
         self._scratch.append(relation)
         return relation
@@ -279,7 +194,7 @@ class SingleLevelExecutor:
         if select.distinct:
             if self.join_method == "hash":
                 result = self._run(
-                    self._hash_distinct, result, self.buffer, name="distinct"
+                    hash_distinct, result, self.buffer, name="distinct"
                 )
                 self._log("hash dedup for DISTINCT (no sort)")
             else:
@@ -348,7 +263,7 @@ class SingleLevelExecutor:
             )
             if local is not None:
                 relation = self._run(
-                    self._restrict_project, relation, self.buffer,
+                    restrict_project, relation, self.buffer,
                     predicate=local, name=f"restrict({ref.binding})",
                 )
                 self._log(f"restrict {ref.binding}: {to_sql(local)}")
@@ -533,7 +448,7 @@ class SingleLevelExecutor:
         # Hash joins need no sorted inputs; the residual is always
         # applied in-join (required for the outer mode, free otherwise).
         joined = self._run(
-            self._hash_join, left.relation, right.relation, self.buffer,
+            hash_join, left.relation, right.relation, self.buffer,
             left_keys, right_keys, mode=mode, name="hash-join",
             null_safe=null_safe,
             residual=self._residual_callable(
@@ -588,9 +503,9 @@ class SingleLevelExecutor:
         """Wrap a predicate as a combined-row callable for the joins.
 
         The returned callable carries ``expr``/``schema`` attributes so
-        the vectorized hash join can recover the predicate and evaluate
-        it as a batch kernel over candidate matches instead of one
-        combined row at a time.
+        the hash join can recover the predicate, decompose it, and
+        evaluate it as a batch kernel over candidate matches instead of
+        one combined row at a time.
         """
         if predicate is None:
             return None
@@ -700,7 +615,7 @@ class SingleLevelExecutor:
         if predicate is None:
             return state
         filtered = self._run(
-            self._restrict_project, state.relation, self.buffer,
+            restrict_project, state.relation, self.buffer,
             predicate=predicate, name="filter",
         )
         self._log(f"filter: {to_sql(predicate)}")
@@ -753,12 +668,12 @@ class SingleLevelExecutor:
             )
 
         relation = state.relation
-        aggregate_op = self._sorted_aggregate
+        aggregate_op = group_aggregate
         if group_positions and not self._grouping_satisfied(
             state.sorted_on, group_positions
         ):
             if self.join_method == "hash":
-                aggregate_op = self._hash_aggregate
+                aggregate_op = hash_group_aggregate
                 self._log("hash GROUP BY (no sort)")
             else:
                 relation = self._run(
@@ -782,7 +697,7 @@ class SingleLevelExecutor:
         )
         if having_pred is not None:
             grouped = self._run(
-                self._restrict_project, grouped, self.buffer,
+                restrict_project, grouped, self.buffer,
                 predicate=having_pred, name="having",
             )
             self._log(f"HAVING filter: {to_sql(having_pred)}")
@@ -883,7 +798,7 @@ class SingleLevelExecutor:
                 raise PlanError("SELECT * is not supported in canonical queries")
             projections.append((item.expr, None, name))
         result = self._run(
-            self._restrict_project, state.relation, self.buffer,
+            restrict_project, state.relation, self.buffer,
             projections=projections, name="result",
         )
         self._log(

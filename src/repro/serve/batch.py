@@ -397,33 +397,27 @@ def execute_batch_plan(
         # relation, so intermediates are up to N times larger than their
         # per-vector counterparts; sort-based physical operators (merge
         # joins, sorted DISTINCT/GROUP BY) would spend the batching win
-        # sorting them, and tuple-at-a-time evaluation pays per-row
-        # interpretation over the inflated inputs.  The derived plan
-        # therefore always runs with hash physical operators over the
-        # vectorized engine — build/probe joins, hash dedup, hash
-        # aggregation, columnar batches — regardless of how the
-        # statement itself is configured.  Results are engine-invariant
-        # (the difftest legs cross engines), so this is a pure physical
-        # choice.
-        try:
-            for name, query in batch_plan.setup:
-                executor = SingleLevelExecutor(
-                    session, "hash", verify=False,
-                    engine="vectorized",
-                    parallelism=plan.parallelism,
-                    parallel_threshold=plan.parallel_threshold,
-                )
-                relation = executor.execute(query)
-                session.register_temp(
-                    name, relation.heap, executor.output_names(query)
-                )
-                steps.append(f"built {name}")
-            final = SingleLevelExecutor(
+        # sorting them.  The derived plan therefore always runs with
+        # hash physical operators — build/probe joins, hash dedup, hash
+        # aggregation — regardless of the statement's own join method.
+        # Results are join-method-invariant (the difftest legs cross
+        # them), so this is a pure physical choice.
+        def executor() -> SingleLevelExecutor:
+            return SingleLevelExecutor(
                 session, "hash", verify=False,
-                engine="vectorized",
                 parallelism=plan.parallelism,
                 parallel_threshold=plan.parallel_threshold,
             )
+
+        try:
+            for name, query in batch_plan.setup:
+                build = executor()
+                relation = build.execute(query)
+                session.register_temp(
+                    name, relation.heap, build.output_names(query)
+                )
+                steps.append(f"built {name}")
+            final = executor()
             relation = final.execute(batch_plan.final_query)
             steps.append("final (batched)")
             rows = relation.drain()

@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.core.nest_g import GeneralTransform, nest_g
+from repro.core.nest_g import GeneralTransform
 from repro.core.pipeline import Engine, RunReport
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
 from repro.errors import ParameterizedPlanError, ReproError, TransformError
@@ -50,21 +50,10 @@ class NonCacheablePlan(ReproError):
     """
 
 
-#: Engine-configuration component of every cache key.  Two engines with
-#: different settings must never share a plan.
 def engine_config(engine: Engine, method: str) -> tuple:
-    return (
-        method,
-        engine.join_method,
-        engine.engine,
-        engine.parallelism,
-        engine.parallel_threshold,
-        engine.ja_algorithm,
-        engine.dedupe_inner,
-        engine.dedupe_outer,
-        engine.exists_count_mode,
-        engine.quantifier_mode,
-    )
+    """Engine-configuration component of every cache key: two engines
+    with different settings must never share a plan."""
+    return (method, *(getattr(engine, name) for name in Engine.SETTINGS))
 
 
 @dataclass
@@ -82,11 +71,8 @@ class CachedPlan:
     rewritten: Select
     param_specs: list[ParamSpec]
     join_method: str
-    #: Evaluation style ("row" | "vectorized") baked in at plan time;
-    #: part of the cache key via :func:`engine_config`.
-    engine: str = "row"
     #: Worker-shard count (and its activation threshold) baked in at
-    #: plan time; also part of the cache key.
+    #: plan time; part of the cache key via :func:`engine_config`.
     parallelism: int = 1
     parallel_threshold: int | None = None
     #: catalog.data_version at build time.  Purely diagnostic — the
@@ -194,6 +180,16 @@ class CachedPlan:
 
     # -- execution ---------------------------------------------------------
 
+    def _executor(self, session: SessionCatalog) -> SingleLevelExecutor:
+        # verify=False: verification happened at plan time.
+        return SingleLevelExecutor(
+            session,
+            self.join_method,
+            verify=False,
+            parallelism=self.parallelism,
+            parallel_threshold=self.parallel_threshold,
+        )
+
     def replay(
         self, catalog: Catalog, values: tuple[object, ...] = ()
     ) -> RunReport:
@@ -235,12 +231,7 @@ class CachedPlan:
                     steps = self._install_temps(
                         session, values, snapshot, leases
                     )
-                    final = SingleLevelExecutor(
-                        session, self.join_method, verify=False,
-                        engine=self.engine,
-                        parallelism=self.parallelism,
-                        parallel_threshold=self.parallel_threshold,
-                    )
+                    final = self._executor(session)
                     relation = final.execute(self.final_query)
                     steps.append("final")
                     rows = relation.drain()
@@ -319,11 +310,7 @@ class CachedPlan:
         steps = []
         built: list[tuple] = []
         for definition in self.transform.setup:
-            executor = SingleLevelExecutor(
-                session, self.join_method, verify=False, engine=self.engine,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
+            executor = self._executor(session)
             relation = executor.execute(definition.query)
             columns = executor.output_names(definition.query)
             session.register_temp(definition.name, relation.heap, columns)
@@ -379,11 +366,7 @@ class CachedPlan:
                 )
                 steps.append(f"shared {definition.name}")
                 continue
-            executor = SingleLevelExecutor(
-                session, self.join_method, verify=False, engine=self.engine,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
+            executor = self._executor(session)
             relation = executor.execute(definition.query)
             columns = executor.output_names(definition.query)
             session.register_temp(definition.name, relation.heap, columns)
@@ -414,55 +397,37 @@ def build_plan(
     catalog = engine.catalog
     version = catalog.schema_version
     data_version = catalog.data_version
-    session = SessionCatalog(catalog)
-    # A throwaway engine bound to the session overlay: temps that
-    # NEST-G builds to evaluate type-A blocks stay private to this
-    # plan construction.
-    planner = Engine(
-        session,
-        join_method=engine.join_method,
-        ja_algorithm=engine.ja_algorithm,
-        dedupe_inner=engine.dedupe_inner,
-        dedupe_outer=engine.dedupe_outer,
-        exists_count_mode=engine.exists_count_mode,
-        quantifier_mode=engine.quantifier_mode,
-        verify=engine.verify,
-        engine=engine.engine,
-        parallelism=engine.parallelism,
-        parallel_threshold=engine.parallel_threshold,
-    )
+    # A throwaway engine bound to a session overlay: temps that NEST-G
+    # builds to evaluate type-A blocks stay private to this plan
+    # construction.
+    planner = engine.on_session()
+    session = planner.catalog
     config = engine_config(engine, method)
+
+    def plan_of(kind: str, rewritten: Select, **fields) -> CachedPlan:
+        return CachedPlan(
+            fingerprint=fingerprint,
+            config=config,
+            catalog_version=version,
+            data_version=data_version,
+            kind=kind,
+            rewritten=rewritten,
+            param_specs=derive_param_specs(
+                rewritten, session, _slot_count(rewritten)
+            ),
+            join_method=engine.join_method,
+            parallelism=engine.parallelism,
+            parallel_threshold=engine.parallel_threshold,
+            **fields,
+        )
+
     with catalog.read_lock():
         try:
             rewritten = planner._prepare(select)
             if method == "nested_iteration":
-                specs = derive_param_specs(
-                    rewritten, session, _slot_count(rewritten)
-                )
-                return CachedPlan(
-                    fingerprint=fingerprint,
-                    config=config,
-                    catalog_version=version,
-                    data_version=data_version,
-                    kind="nested_iteration",
-                    rewritten=rewritten,
-                    param_specs=specs,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
-                )
+                return plan_of("nested_iteration", rewritten)
             try:
-                transform = nest_g(
-                    rewritten,
-                    session,
-                    ja_algorithm=engine.ja_algorithm,
-                    dedupe_inner=engine.dedupe_inner,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
-                )
+                transform = planner._nest_g(rewritten, engine.join_method)
                 verify_trace = (
                     planner._verify_transform(rewritten, transform)
                     if engine.verify
@@ -485,9 +450,6 @@ def build_plan(
                         "plan time"
                     )
                 final_query, strip = planner._maybe_dedupe_outer(transform)
-                specs = derive_param_specs(
-                    rewritten, session, _slot_count(rewritten)
-                )
                 setup_params = tuple(
                     sorted(
                         {
@@ -500,18 +462,9 @@ def build_plan(
                 )
                 from repro.serve.sharing import compute_share_specs
 
-                plan = CachedPlan(
-                    fingerprint=fingerprint,
-                    config=config,
-                    catalog_version=version,
-                    data_version=data_version,
-                    kind="transform",
-                    rewritten=rewritten,
-                    param_specs=specs,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
+                plan = plan_of(
+                    "transform",
+                    rewritten,
                     transform=transform,
                     final_query=final_query,
                     strip=strip,
@@ -535,22 +488,7 @@ def build_plan(
                 # cache a nested-iteration plan instead.
                 if method != "auto":
                     raise
-                specs = derive_param_specs(
-                    rewritten, session, _slot_count(rewritten)
-                )
-                return CachedPlan(
-                    fingerprint=fingerprint,
-                    config=config,
-                    catalog_version=version,
-                    data_version=data_version,
-                    kind="nested_iteration",
-                    rewritten=rewritten,
-                    param_specs=specs,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
-                )
+                return plan_of("nested_iteration", rewritten)
         finally:
             session.drop_temp_tables()
 

@@ -44,7 +44,6 @@ from repro.serve.batch import (
 from repro.serve.binding import check_binding, derive_param_specs
 from repro.serve.normalize import fingerprint, substitute_params, user_param_count
 from repro.serve.plan import CachedPlan, NonCacheablePlan, build_plan
-from repro.serve.session import SessionCatalog
 from repro.sql.ast import Parameter, Select, walk
 from repro.sql.parser import parse
 from repro.storage.locks import make_lock
@@ -295,19 +294,7 @@ class PreparedStatement:
         from repro.engine.params import bound_params
 
         catalog = self.engine.catalog
-        session_engine = Engine(
-            SessionCatalog(catalog),
-            join_method=self.engine.join_method,
-            ja_algorithm=self.engine.ja_algorithm,
-            dedupe_inner=self.engine.dedupe_inner,
-            dedupe_outer=self.engine.dedupe_outer,
-            exists_count_mode=self.engine.exists_count_mode,
-            quantifier_mode=self.engine.quantifier_mode,
-            verify=self.engine.verify,
-            engine=self.engine.engine,
-            parallelism=self.engine.parallelism,
-            parallel_threshold=self.engine.parallel_threshold,
-        )
+        session_engine = self.engine.on_session()
         with catalog.read_lock(), bound_params(vector):
             return session_engine.run(self.select, method=self.method)
 

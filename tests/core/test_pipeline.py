@@ -86,6 +86,132 @@ class TestEngineMethods:
             )
 
 
+class TestSettingsValidation:
+    """A mistyped setting fails at construction, not at the first query
+    — and never by silently falling back to nested iteration."""
+
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("join_method", "bogus"),
+            ("ja_algorithm", "nope"),
+            ("exists_count_mode", "count"),
+            ("quantifier_mode", "fuzzy"),
+            ("parallelism", 0),
+            ("parallelism", 2.5),
+        ],
+    )
+    def test_engine_rejects_unknown_value(self, setting, value):
+        with pytest.raises(ReproError, match=setting):
+            Engine(load_kiessling_instance(), **{setting: value})
+
+    @pytest.mark.parametrize(
+        "setting,value",
+        [("join_method", "bogus"), ("ja_algorithm", "nope"), ("parallelism", 0)],
+    )
+    def test_database_rejects_unknown_value(self, setting, value):
+        with pytest.raises(ReproError, match=setting):
+            Database(**{setting: value})
+
+    def test_every_documented_value_is_accepted(self):
+        catalog = load_kiessling_instance()
+        for join_method in ("merge", "nested", "hash"):
+            Engine(catalog, join_method=join_method)
+        for ja_algorithm in ("ja2", "kim", "kim-outer"):
+            Engine(catalog, ja_algorithm=ja_algorithm)
+        Engine(catalog, exists_count_mode="paper", quantifier_mode="paper")
+
+    def test_typo_cannot_turn_auto_into_nested_iteration(self):
+        # The bug: ja_algorithm="nope" constructed fine, NEST-G raised
+        # TransformError, and method="auto" read that as "outside the
+        # algorithms' reach" — every query quietly ran nested iteration.
+        with pytest.raises(ReproError):
+            Database(ja_algorithm="nope").query(KIESSLING_Q2, method="auto")
+
+
+class TestSessionClone:
+    def test_clone_copies_every_plan_setting(self):
+        from repro.serve.plan import engine_config
+        from repro.serve.session import SessionCatalog
+
+        engine = Engine(
+            load_kiessling_instance(),
+            join_method="hash",
+            ja_algorithm="kim-outer",
+            dedupe_inner=True,
+            dedupe_outer=True,
+            exists_count_mode="paper",
+            quantifier_mode="paper",
+            verify=False,
+            parallelism=3,
+            parallel_threshold=7,
+        )
+        clone = engine.on_session()
+        assert isinstance(clone.catalog, SessionCatalog)
+        assert clone.verify is False and clone.plan_cache is None
+        # Same field list feeds the cache key, so it cannot drift from
+        # what the clone inherits.
+        assert engine_config(clone, "auto") == engine_config(engine, "auto")
+        assert len(engine_config(engine, "auto")) == 1 + len(Engine.SETTINGS)
+
+
+class TestCostBasedRunLeavesEngineAlone:
+    def test_join_method_and_cache_key_stable_while_cost_run_in_flight(
+        self, monkeypatch
+    ):
+        """method="cost" used to assign the planner's join method to the
+        shared Engine for the duration of the run; a concurrent
+        run_cached read the swapped value into its cache key."""
+        import threading
+
+        from repro.optimizer.executor import SingleLevelExecutor
+        from repro.optimizer.planner import PlanChoice, Planner
+        from repro.serve.plan import engine_config
+
+        db = Database(join_method="merge")
+        db.create_table("PARTS", ["PNUM", "QOH"])
+        db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
+        db.insert("PARTS", [(3, 6), (10, 1), (8, 0)])
+        db.insert("SUPPLY", [(3, 4, "1979-07-03"), (10, 1, "1978-06-08")])
+        monkeypatch.setattr(
+            Planner,
+            "choose",
+            lambda self, select: PlanChoice(
+                method="transform", join_method="nested", estimated_cost=0.0
+            ),
+        )
+
+        entered, release = threading.Event(), threading.Event()
+        used: list[str] = []
+        real_execute = SingleLevelExecutor.execute
+
+        def gated(self, select):
+            used.append(self.join_method)
+            entered.set()
+            assert release.wait(timeout=30)
+            return real_execute(self, select)
+
+        monkeypatch.setattr(SingleLevelExecutor, "execute", gated)
+        reports = []
+        runner = threading.Thread(
+            target=lambda: reports.append(db.run(KIESSLING_Q2, method="cost"))
+        )
+        runner.start()
+        try:
+            assert entered.wait(timeout=30)
+            # Mid-run, from another thread: nothing was swapped.
+            observed = db.engine.join_method
+            key = engine_config(db.engine, "auto")
+        finally:
+            release.set()
+            runner.join(timeout=30)
+        assert observed == "merge"
+        assert key == engine_config(db.engine, "auto") and "nested" not in key
+        # ...and the run itself did use the planner's choice.
+        assert set(used) == {"nested"}
+        assert reports[0].join_method == "nested"
+
+
 class TestDatabaseFacade:
     def make_db(self):
         db = Database(buffer_pages=8)

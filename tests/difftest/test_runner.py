@@ -39,11 +39,8 @@ class TestRunCase:
             "sqlite",
             "nested_iteration",
             "transform[merge]",
-            "transform[merge|vectorized]",
             "transform[nested]",
-            "transform[nested|vectorized]",
             "transform[hash]",
-            "transform[hash|vectorized]",
         }
 
     def test_join_methods_are_selectable(self):
@@ -56,21 +53,20 @@ class TestRunCase:
             "sqlite",
             "nested_iteration",
             "transform[hash]",
-            "transform[hash|vectorized]",
         }
 
     def test_engine_legs_are_selectable(self):
         outcome = run_case(
             make_case([(1, 2)], [], "SELECT T.A, T.B FROM T"),
             join_methods=("hash",),
-            engines=("interpreted", "vectorized"),
+            engines=("compiled", "interpreted"),
         )
         assert outcome.status == "ok"
         assert set(outcome.results) == {
             "sqlite",
             "nested_iteration",
+            "transform[hash]",
             "transform[hash|interpreted]",
-            "transform[hash|vectorized]",
         }
 
 

@@ -5,9 +5,14 @@ rows, same row order (or bag where the serial operator only promises a
 bag), same output page geometry, and — the paper-facing invariant —
 the same total page I/O.  The tests run each operator side by side
 with its serial twin on a cold pool and compare both the results and
-the ``IOStats`` deltas.  3VL corners (SUM over an empty group is NULL,
-COUNT is 0) are checked explicitly because the parallel aggregate's
-merge step is exactly where a naive implementation would lose them.
+the ``IOStats`` deltas.  Restrict/project and the hash-join probe share
+their per-batch body with the serial operator, so for those the
+side-by-side run checks the *driver* (sharding, gather order, I/O
+identity) and the rows are additionally checked against something that
+shares no code with either: literal expected rows, the nested-loop
+join.  3VL corners (SUM over an empty group is NULL, COUNT is 0) are
+checked explicitly because the parallel aggregate's merge step is
+exactly where a naive implementation would lose them.
 """
 
 from collections import Counter
@@ -20,6 +25,7 @@ from repro.engine.operators import (
     hash_distinct,
     hash_group_aggregate,
     hash_join,
+    nested_loop_join,
     restrict_project,
 )
 from repro.engine.parallel import (
@@ -30,9 +36,11 @@ from repro.engine.parallel import (
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
+from repro.sql.ast import ColumnRef, Comparison
 from repro.sql.parser import parse_expression
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
+from tests.evaluation import MODES, evaluation
 
 
 def make_buffer(capacity=256):
@@ -110,9 +118,9 @@ class TestExchange:
 
 
 class TestParallelRestrictProject:
-    @pytest.mark.parametrize("engine", ["row", "vectorized"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("parallelism", [2, 3, 8])
-    def test_matches_serial_rows_and_io(self, engine, parallelism):
+    def test_matches_serial_rows_and_io(self, mode, parallelism):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A", "B", "C"], ROWS)
         predicate = parse_expression("A < 5")
@@ -121,25 +129,26 @@ class TestParallelRestrictProject:
             (parse_expression("C"), "T", "C"),
         ]
 
-        cold(buffer)
-        serial = restrict_project(
-            source, buffer, predicate=predicate, projections=projections
-        )
-        serial_rows = serial.to_list()
-        serial_io = buffer.stats()
+        with evaluation(mode):
+            cold(buffer)
+            serial = restrict_project(
+                source, buffer, predicate=predicate, projections=projections
+            )
+            serial_rows = serial.to_list()
+            serial_io = buffer.stats()
 
-        cold(buffer)
-        parallel = parallel_restrict_project(
-            source,
-            buffer,
-            predicate=predicate,
-            projections=projections,
-            parallelism=parallelism,
-            engine=engine,
-        )
-        parallel_rows = parallel.to_list()
-        parallel_io = buffer.stats()
+            cold(buffer)
+            parallel = parallel_restrict_project(
+                source,
+                buffer,
+                predicate=predicate,
+                projections=projections,
+                parallelism=parallelism,
+            )
+            parallel_rows = parallel.to_list()
+            parallel_io = buffer.stats()
 
+        assert parallel_rows == [(b, c) for a, b, c in ROWS if a < 5]
         assert parallel_rows == serial_rows  # order preserved, not just bag
         assert parallel.num_pages == serial.num_pages
         assert parallel_io.page_ios == serial_io.page_ios
@@ -191,6 +200,11 @@ class TestParallelHashJoin:
 
         assert parallel_rows == serial_rows
         assert parallel_io.page_ios == serial_io.page_ios
+        key = Comparison(
+            ColumnRef("L", "K"), "=", ColumnRef("R", "K"), null_safe=null_safe
+        )
+        loop = nested_loop_join(left, right, buffer, predicate=key, mode=mode)
+        assert parallel_rows == loop.to_list()
 
     def test_residual_is_part_of_join_condition(self):
         buffer = make_buffer()
@@ -331,8 +345,8 @@ class TestEngineLevelEquivalence:
     """End-to-end: a parallel engine with threshold 0 must agree with
     the serial engine on rows *and* page I/O for the transformed plans."""
 
-    @pytest.mark.parametrize("engine", ["row", "vectorized"])
-    def test_figure1_queries(self, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_figure1_queries(self, mode):
         from repro.bench.harness import measure
         from repro.workloads.generators import (
             GENERATED_J_QUERY,
@@ -355,17 +369,17 @@ class TestEngineLevelEquivalence:
             (GENERATED_JA_QUERY, False, False),
         ]
         for query, dedupe_inner, dedupe_outer in jobs:
-            catalog = build_parts_supply(spec)
-            serial = measure(
-                catalog, query, "transform", join_method="hash",
-                dedupe_inner=dedupe_inner, dedupe_outer=dedupe_outer,
-                engine=engine,
-            )
-            catalog = build_parts_supply(spec)
-            parallel = measure(
-                catalog, query, "transform", join_method="hash",
-                dedupe_inner=dedupe_inner, dedupe_outer=dedupe_outer,
-                engine=engine, parallelism=4, parallel_threshold=0,
-            )
+            with evaluation(mode):
+                catalog = build_parts_supply(spec)
+                serial = measure(
+                    catalog, query, "transform", join_method="hash",
+                    dedupe_inner=dedupe_inner, dedupe_outer=dedupe_outer,
+                )
+                catalog = build_parts_supply(spec)
+                parallel = measure(
+                    catalog, query, "transform", join_method="hash",
+                    dedupe_inner=dedupe_inner, dedupe_outer=dedupe_outer,
+                    parallelism=4, parallel_threshold=0,
+                )
             assert Counter(parallel.rows) == Counter(serial.rows)
             assert parallel.page_ios == serial.page_ios

@@ -1,11 +1,14 @@
-"""The columnar batch engine: operator equivalence, residual
-decomposition, 3VL edge cases, and the engine toggle.
+"""The batch operators: equivalence with independent oracles, residual
+decomposition, 3VL edge cases, and the evaluator seam.
 
-The row interpreter is the semantics oracle: every batch operator must
-produce the row operator's exact output relation (bag *and* page
-count), and whole queries must agree across
-interpreted / vectorized / SQLite — the difftest's engine-leg contract,
-pinned here on hand-picked NULL-heavy edges.
+Nothing here compares an operator with a copy of itself.  The oracles
+stay in the product and share no code with the operator under test:
+``nested_loop_join`` with key equality AND the full residual (same rows
+in the same order), ``merge_join`` over sorted inputs, the sorted
+aggregate against the hash aggregate, the operator itself under
+``interpreted_only()`` (every expression through the interpreter, no
+residual decomposition), literal expected rows, and SQLite for whole
+queries.
 """
 
 from collections import Counter
@@ -20,24 +23,23 @@ from repro.engine.aggregate import AggSpec
 from repro.engine.compile import interpreted_only
 from repro.engine.operators import (
     _row_predicate,
+    group_aggregate,
     hash_distinct,
     hash_group_aggregate,
     hash_join,
+    merge_join,
+    nested_loop_join,
     restrict_project,
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
-from repro.engine.vectorized import (
-    vectorized_distinct,
-    vectorized_group_aggregate,
-    vectorized_hash_join,
-    vectorized_restrict_project,
-)
-from repro.sql.ast import And, ColumnRef, Comparison, Literal
+from repro.engine.sort import external_sort
+from repro.sql.ast import And, ColumnRef, Comparison, Literal, make_and
 from repro.sql.parser import parse
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.workloads.paper_data import fresh_catalog
+from tests.evaluation import MODES, evaluation
 
 
 def make_buffer(capacity=16):
@@ -53,46 +55,71 @@ LEFT_ROWS = [(1, 10), (2, None), (None, 30), (2, 21), (5, None), (None, None)]
 RIGHT_ROWS = [(2, 20), (None, 99), (2, 21), (7, None), (1, 10), (None, None)]
 
 
-def same_relation(vec: Relation, row: Relation) -> None:
+def same_relation(got: Relation, oracle: Relation) -> None:
     """Bag-equal rows and identical page geometry."""
-    assert Counter(vec.to_list()) == Counter(row.to_list())
-    assert vec.num_pages == row.num_pages
+    assert Counter(got.to_list()) == Counter(oracle.to_list())
+    assert got.num_pages == oracle.num_pages
+
+
+def column(schema: RowSchema, index: int) -> ColumnRef:
+    qualifier, name = schema.fields[index]
+    return ColumnRef(qualifier, name)
+
+
+def loop_join_oracle(left, right, buffer, mode, null_safe, residual_expr=None):
+    """The nested-loop join evaluating ``key equality AND residual`` on
+    every pair: no hash table, no decomposition, no batch kernels."""
+    combined = left.schema + right.schema
+    key = Comparison(
+        column(combined, 0), "=", column(combined, len(left.schema)),
+        null_safe=null_safe,
+    )
+    return nested_loop_join(
+        left, right, buffer,
+        predicate=make_and([key] + ([residual_expr] if residual_expr else [])),
+        mode=mode,
+    )
 
 
 class TestOperatorEquivalence:
-    """Each batch operator against its row counterpart, NULLs included."""
+    """Each batch operator against an independent oracle, NULLs included."""
 
     def test_restrict_project(self):
         buffer = make_buffer()
-        source = rel(buffer, "T", ["A", "B"], LEFT_ROWS)
         predicate = parse("SELECT T.A FROM T WHERE T.A < 5").where
         projections = [
             (ColumnRef("T", "B"), "T", "B"),
             (ColumnRef("T", "A"), "T", "A"),
         ]
-        vec = vectorized_restrict_project(
+        got = restrict_project(
             rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
             predicate=predicate, projections=projections,
         )
-        row = restrict_project(
-            source, buffer, predicate=predicate, projections=projections
-        )
-        same_relation(vec, row)
+        # NULL < 5 is unknown: the NULL-keyed rows are filtered out.
+        assert got.to_list() == [(10, 1), (None, 2), (21, 2)]
+        assert list(got.schema.fields) == [("T", "B"), ("T", "A")]
+        with interpreted_only():
+            interpreted = restrict_project(
+                rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
+                predicate=predicate, projections=projections,
+            )
+        same_relation(got, interpreted)
 
     def test_restrict_project_interpreted_fallback(self):
         """Under interpreted_only every expression takes the scalar path."""
         buffer = make_buffer()
         predicate = parse("SELECT T.A FROM T WHERE T.B >= 10").where
         with interpreted_only():
-            vec = vectorized_restrict_project(
+            interpreted = restrict_project(
                 rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
                 predicate=predicate,
             )
-        row = restrict_project(
+        assert interpreted.to_list() == [(1, 10), (None, 30), (2, 21)]
+        kernels = restrict_project(
             rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
             predicate=predicate,
         )
-        same_relation(vec, row)
+        same_relation(kernels, interpreted)
 
     @pytest.mark.parametrize("mode", ["inner", "left"])
     @pytest.mark.parametrize("null_safe", [False, True])
@@ -100,34 +127,38 @@ class TestOperatorEquivalence:
         buffer = make_buffer()
         left = rel(buffer, "L", ["K", "V"], LEFT_ROWS)
         right = rel(buffer, "R", ["K", "W"], RIGHT_ROWS)
-        vec = vectorized_hash_join(
+        got = hash_join(
             left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
         )
-        row = hash_join(
-            left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
+        loop = loop_join_oracle(left, right, buffer, mode, null_safe)
+        assert got.to_list() == loop.to_list()  # same rows, same order
+        assert got.num_pages == loop.num_pages
+        merged = merge_join(
+            external_sort(left, [0], buffer), external_sort(right, [0], buffer),
+            buffer, [0], [0], mode=mode, null_safe=null_safe,
         )
-        same_relation(vec, row)
+        same_relation(got, merged)
 
     def test_hash_join_null_key_matches_only_null_safe(self):
         """NULL keys: invisible under ``=``, one group under ``<=>``."""
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(None,), (1,)])
         right = rel(buffer, "R", ["K"], [(None,), (1,)])
-        plain = vectorized_hash_join(left, right, buffer, [0], [0])
+        plain = hash_join(left, right, buffer, [0], [0])
         assert plain.to_list() == [(1, 1)]
-        safe = vectorized_hash_join(
-            left, right, buffer, [0], [0], null_safe=True
-        )
+        safe = hash_join(left, right, buffer, [0], [0], null_safe=True)
         assert Counter(safe.to_list()) == Counter([(None, None), (1, 1)])
 
     def test_distinct(self):
         buffer = make_buffer()
         rows = [(1, 1), (2, 2), (1, 1), (None, None), (2, 2), (None, None)]
-        vec = vectorized_distinct(rel(buffer, "T", ["A", "B"], rows), buffer)
-        row = hash_distinct(rel(buffer, "T", ["A", "B"], rows), buffer)
-        same_relation(vec, row)
+        got = hash_distinct(rel(buffer, "T", ["A", "B"], rows), buffer)
         # First occurrence kept, input order preserved.
-        assert vec.to_list() == [(1, 1), (2, 2), (None, None)]
+        assert got.to_list() == [(1, 1), (2, 2), (None, None)]
+        sort_unique = external_sort(
+            rel(buffer, "T", ["A", "B"], rows), [0, 1], buffer, unique=True
+        )
+        same_relation(got, sort_unique)
 
     @pytest.mark.parametrize("distinct", [False, True])
     def test_group_aggregate(self, distinct):
@@ -141,31 +172,33 @@ class TestOperatorEquivalence:
             AggSpec("AVG", 1),
         ]
         names = [(None, c) for c in ["K", "C", "CD", "S", "M", "A"]]
-        vec = vectorized_group_aggregate(
+        hashed = hash_group_aggregate(
             rel(buffer, "T", ["K", "V"], rows), buffer, [0], specs, names
         )
-        row = hash_group_aggregate(
-            rel(buffer, "T", ["K", "V"], rows), buffer, [0], specs, names
+        # Emission order is first appearance; NULL keys form one group.
+        assert [r[0] for r in hashed.to_list()] == [1, 2, None]
+        assert hashed.to_list()[0] == (
+            (1, 2, 1, 5, 5, 5.0) if distinct else (1, 2, 2, 10, 5, 5.0)
         )
-        same_relation(vec, row)
-        # Emission order is first appearance, like the row operator.
-        assert [r[0] for r in vec.to_list()] == [r[0] for r in row.to_list()]
+        # The streaming aggregate over sorted input is the oracle: a
+        # different algorithm (no hash table) sharing only apply_specs.
+        streamed = group_aggregate(
+            external_sort(rel(buffer, "T", ["K", "V"], rows), [0], buffer),
+            buffer, [0], specs, names,
+        )
+        same_relation(hashed, streamed)
 
     def test_ungrouped_aggregate_of_empty_input(self):
         """SQL scalar-aggregate row: COUNT is 0, SUM/MIN/AVG are NULL."""
         buffer = make_buffer()
         specs = [AggSpec("COUNT", 0), AggSpec("SUM", 0), AggSpec("MIN", 0)]
         names = [(None, c) for c in ["C", "S", "M"]]
-        vec = vectorized_group_aggregate(
-            rel(buffer, "T", ["V"], []), buffer, [], specs, names,
-            always_emit=True,
-        )
-        assert vec.to_list() == [(0, None, None)]
-
-
-def column(schema: RowSchema, index: int) -> ColumnRef:
-    qualifier, name = schema.fields[index]
-    return ColumnRef(qualifier, name)
+        for aggregate in (hash_group_aggregate, group_aggregate):
+            got = aggregate(
+                rel(buffer, "T", ["V"], []), buffer, [], specs, names,
+                always_emit=True,
+            )
+            assert got.to_list() == [(0, None, None)]
 
 
 class _Residual:
@@ -182,9 +215,10 @@ class _Residual:
 
 
 class TestResidualDecomposition:
-    """The vectorized join's conjunct classification: every decomposed
-    form must match the row join evaluating the full residual per
-    candidate row."""
+    """The hash join's conjunct classification: every decomposed form
+    must match the nested-loop join evaluating key equality AND the
+    full residual on every pair — same rows, same order — and the hash
+    join itself with decomposition off (``interpreted_only``)."""
 
     def setup_method(self):
         self.buffer = make_buffer()
@@ -192,18 +226,24 @@ class TestResidualDecomposition:
         self.right = rel(self.buffer, "R", ["K", "W"], RIGHT_ROWS)
         self.schema = self.left.schema + self.right.schema
 
-    def _check(self, expr, mode="inner", null_safe=False):
+    def _check(self, expr, mode="inner", null_safe=False, left=None, right=None):
+        left = left or self.left
+        right = right or self.right
         residual = _Residual(expr, self.schema)
-        vec = vectorized_hash_join(
-            self.left, self.right, self.buffer, [0], [0],
+        got = hash_join(
+            left, right, self.buffer, [0], [0],
             mode=mode, null_safe=null_safe, residual=residual,
         )
-        row = hash_join(
-            self.left, self.right, self.buffer, [0], [0],
-            mode=mode, null_safe=null_safe, residual=residual,
-        )
-        same_relation(vec, row)
-        return vec
+        loop = loop_join_oracle(left, right, self.buffer, mode, null_safe, expr)
+        assert got.to_list() == loop.to_list()
+        assert got.num_pages == loop.num_pages
+        with interpreted_only():
+            undecomposed = hash_join(
+                left, right, self.buffer, [0], [0],
+                mode=mode, null_safe=null_safe, residual=residual,
+            )
+        assert got.to_list() == undecomposed.to_list()
+        return got
 
     def test_cross_side_equality_folds_into_key(self):
         # L.V = R.W: rows with NULL on either side never match.
@@ -221,15 +261,8 @@ class TestResidualDecomposition:
         # <=> fold must admit it into the composite hash key.
         left = rel(self.buffer, "L", ["K", "V"], [(2, None), (2, 7)])
         right = rel(self.buffer, "R", ["K", "W"], [(2, None), (2, 8)])
-        residual = _Residual(expr, self.schema)
-        vec = vectorized_hash_join(
-            left, right, self.buffer, [0], [0], residual=residual
-        )
-        row = hash_join(
-            left, right, self.buffer, [0], [0], residual=residual
-        )
-        same_relation(vec, row)
-        assert (2, None, 2, None) in vec.to_list()
+        got = self._check(expr, left=left, right=right)
+        assert got.to_list() == [(2, None, 2, None)]
 
     def test_one_sided_conjuncts_push_to_build_and_probe(self):
         expr = And((
@@ -247,12 +280,26 @@ class TestResidualDecomposition:
         ))
         self._check(expr)
 
+    @pytest.mark.parametrize("mode", ["inner", "left"])
+    def test_pushed_probe_conjunct_keeps_the_leftover_check(self, mode):
+        # Regression: with a left-only conjunct pushed to the probe
+        # side, the remaining cross-side conjunct was silently dropped.
+        left = rel(self.buffer, "L", ["K", "V"], [(1, 1), (1, 9), (2, 5)])
+        right = rel(self.buffer, "R", ["K", "W"], [(1, 5), (2, 1)])
+        expr = And((
+            Comparison(column(self.schema, 1), ">=", Literal(0)),
+            Comparison(column(self.schema, 1), "<=", column(self.schema, 3)),
+        ))
+        got = self._check(expr, mode=mode, left=left, right=right)
+        matched = [row for row in got.to_list() if row[2] is not None]
+        assert matched == [(1, 1, 1, 5)]
+
     @pytest.mark.parametrize("null_safe", [False, True])
     def test_left_outer_pads_when_residual_fails(self, null_safe):
         # A left row whose matches all flunk the residual is padded.
         expr = Comparison(column(self.schema, 3), ">", Literal(98))
-        vec = self._check(expr, mode="left", null_safe=null_safe)
-        padded = [r for r in vec.to_list() if r[2] is None and r[3] is None]
+        got = self._check(expr, mode="left", null_safe=null_safe)
+        padded = [r for r in got.to_list() if r[2] is None and r[3] is None]
         assert padded  # unmatched lefts survive with NULL right side
 
     def test_interpreted_mode_skips_decomposition(self):
@@ -299,8 +346,8 @@ THREE_VL_QUERIES = [
 
 
 class TestThreeValuedLogic:
-    """Interpreted row engine, vectorized engine, and SQLite must agree
-    on every 3VL edge (the difftest engine-leg contract, pinned)."""
+    """The interpreter, the batch kernels, and SQLite must agree on
+    every 3VL edge (the difftest evaluator-leg contract, pinned)."""
 
     @pytest.mark.parametrize("sql", THREE_VL_QUERIES)
     def test_engines_agree_with_sqlite(self, sql):
@@ -309,34 +356,24 @@ class TestThreeValuedLogic:
         with SQLiteOracle(catalog) as oracle:
             expected = normalize_rows(oracle.run(select))
 
-        legs = {}
-        for leg, engine, compiled in (
-            ("interpreted", "row", False),
-            ("compiled", "row", True),
-            ("vectorized", "vectorized", True),
-        ):
-            runner = Engine(
-                catalog, join_method="hash", dedupe_inner=True,
-                dedupe_outer=True, engine=engine,
-            )
-            if compiled:
+        runner = Engine(
+            catalog, join_method="hash", dedupe_inner=True, dedupe_outer=True
+        )
+        pages = set()
+        for mode in MODES:
+            catalog.buffer.evict_all()  # cold cache per leg
+            with evaluation(mode):
                 report = runner.run(select, method="transform")
-            else:
-                with interpreted_only():
-                    report = runner.run(select, method="transform")
-            legs[leg] = (
-                normalize_rows(report.result.rows), report.io.page_ios
+            assert normalize_rows(report.result.rows) == expected, (
+                f"{mode} evaluation disagrees with sqlite: {sql}"
             )
-
-        for leg, (bag, _) in legs.items():
-            assert bag == expected, f"{leg} disagrees with sqlite: {sql}"
-        # Page I/O identity across engine legs (cold-cache equivalent:
-        # all three legs start from the same warmed state in turn).
-        assert len({pages for _, pages in legs.values()}) <= 2
+            pages.add(report.io.page_ios)
+        # How expressions are evaluated is not part of the plan.
+        assert len(pages) == 1
 
     def test_sum_empty_group_is_null_count_is_zero(self):
         catalog = _catalog_with_nulls()
-        engine = Engine(catalog, join_method="hash", engine="vectorized")
+        engine = Engine(catalog, join_method="hash")
         report = engine.run(
             "SELECT T.A FROM T WHERE "
             "(SELECT COUNT(U.C) FROM U WHERE U.A = T.A) = 0",
@@ -352,42 +389,28 @@ class TestThreeValuedLogic:
 
 
 class TestEngineToggle:
-    """engine="vectorized" flows through Engine, the plan cache, and
-    prepared statements, and is part of the plan-cache key."""
+    """The evaluator seam (``interpreted_only``) reaches every surface —
+    Engine, the plan cache, prepared statements — and changes neither
+    rows nor page I/O."""
 
-    def test_engine_validates(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            Engine(_catalog_with_nulls(), engine="columnar")
-
-    def test_engine_config_separates_cache_keys(self):
-        from repro.serve.plan import engine_config
-
-        catalog = _catalog_with_nulls()
-        row = Engine(catalog, engine="row")
-        vec = Engine(catalog, engine="vectorized")
-        assert engine_config(row, "transform") != engine_config(
-            vec, "transform"
-        )
-
-    @pytest.mark.parametrize("engine", ["row", "vectorized"])
-    def test_database_facade_and_prepared_statements(self, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_database_facade_and_prepared_statements(self, mode):
         from repro.api import Database
 
-        db = Database(engine=engine)
+        db = Database()
         db.create_table("T", ["A", "B"])
         db.insert("T", [(1, 10), (2, None), (None, 3), (2, 20)])
         expected = Counter([(1,), (2,), (2,)])
 
-        result = db.query("SELECT T.A FROM T WHERE T.A >= 1")
-        assert Counter(result.rows) == expected
+        with evaluation(mode):
+            result = db.query("SELECT T.A FROM T WHERE T.A >= 1")
+            assert Counter(result.rows) == expected
 
-        stmt = db.prepare("SELECT T.A FROM T WHERE T.A >= ?")
-        assert Counter(stmt.execute((1,)).result.rows) == expected
+            stmt = db.prepare("SELECT T.A FROM T WHERE T.A >= ?")
+            assert Counter(stmt.execute((1,)).result.rows) == expected
 
-        cached = db.execute_cached("SELECT T.A FROM T WHERE T.A >= 1")
-        assert Counter(cached.result.rows) == expected
+            cached = db.execute_cached("SELECT T.A FROM T WHERE T.A >= 1")
+            assert Counter(cached.result.rows) == expected
 
     def test_row_and_vectorized_same_rows_and_page_ios(self):
         from repro.bench.harness import measure
@@ -403,12 +426,78 @@ class TestEngineToggle:
                 buffer_pages=6, seed=3,
             )
         )
-        runs = {
-            engine: measure(
-                catalog, GENERATED_JA_QUERY, "transform",
-                join_method="hash", engine=engine,
-            )
-            for engine in ("row", "vectorized")
-        }
+        runs = {}
+        for mode in MODES:
+            with evaluation(mode):
+                runs[mode] = measure(
+                    catalog, GENERATED_JA_QUERY, "transform", join_method="hash"
+                )
         assert Counter(runs["row"].rows) == Counter(runs["vectorized"].rows)
         assert runs["row"].page_ios == runs["vectorized"].page_ios
+
+
+class TestErrorSurfacingContract:
+    """DESIGN §4b, pinned: data-dependent errors surface iff a cell that
+    raises is evaluated, and the hash join's residual decomposition is
+    the one place where the evaluated cells differ from a
+    candidate-by-candidate check."""
+
+    def test_division_by_zero_in_a_restrict_predicate_raises(self):
+        from repro.errors import ExecutionError
+
+        buffer = make_buffer()
+        predicate = parse("SELECT T.A FROM T WHERE 10 / T.A > 1").where
+        for mode in MODES:
+            with evaluation(mode), pytest.raises(ExecutionError):
+                restrict_project(
+                    rel(buffer, "T", ["A"], [(5,), (0,), (2,)]), buffer,
+                    predicate=predicate,
+                )
+
+    def test_and_gates_the_cells_its_first_operand_rejects(self):
+        buffer = make_buffer()
+        predicate = parse(
+            "SELECT T.A FROM T WHERE T.A <> 0 AND 10 / T.A > 1"
+        ).where
+        for mode in MODES:
+            with evaluation(mode):
+                got = restrict_project(
+                    rel(buffer, "T", ["A"], [(5,), (0,), (20,), (None,)]),
+                    buffer, predicate=predicate,
+                )
+            assert got.to_list() == [(5,)]
+
+    def test_pushed_residual_conjunct_sees_non_candidate_rows(self):
+        from repro.errors import ExecutionError
+
+        buffer = make_buffer()
+        left = rel(buffer, "L", ["K", "V"], [(1, 1)])
+        # (9, 0) joins nothing, but 10 / R.W reads only the build side.
+        right = rel(buffer, "R", ["K", "W"], [(1, 2), (9, 0)])
+        combined = left.schema + right.schema
+        expr = parse("SELECT L.K FROM L, R WHERE 10 / R.W > 1").where
+        residual = _Residual(expr, combined)
+        # Chosen behaviour: the conjunct is pushed to the build, where it
+        # is evaluated on every build row — the non-candidate raises.
+        with pytest.raises(ExecutionError):
+            hash_join(left, right, buffer, [0], [0], residual=residual)
+        # Without decomposition only candidates are checked: no error.
+        with interpreted_only():
+            got = hash_join(left, right, buffer, [0], [0], residual=residual)
+        assert got.to_list() == [(1, 1, 1, 2)]
+
+    def test_folded_equality_cannot_raise_the_mixed_type_error(self):
+        from repro.errors import ExecutionError
+
+        buffer = make_buffer()
+        left = rel(buffer, "L", ["K", "V"], [(1, 7)])
+        right = rel(buffer, "R", ["K", "W"], [(1, "seven")])
+        combined = left.schema + right.schema
+        expr = Comparison(column(combined, 1), "=", column(combined, 3))
+        residual = _Residual(expr, combined)
+        # Folded into the hash key: 7 and "seven" simply do not collide.
+        got = hash_join(left, right, buffer, [0], [0], residual=residual)
+        assert got.to_list() == []
+        # Evaluated as a comparison, int = text is an error.
+        with interpreted_only(), pytest.raises(ExecutionError):
+            hash_join(left, right, buffer, [0], [0], residual=residual)

@@ -2,9 +2,10 @@
 
 The executor frees its own scratch, callers drop the results they read,
 temps belong to the catalog/session that registered them, memoized and
-shared temps to the plan cache.  So, whatever the API and configuration,
-repeating a statement must not grow the simulated disk, and emptying
-the plan cache must leave tables and index leaves only.
+shared temps to the plan cache.  So, whatever the API and configuration
+(join method x evaluator mode x width), repeating a statement must not
+grow the simulated disk, and emptying the plan cache must leave tables
+and index leaves only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.optimizer.executor import SingleLevelExecutor
 from repro.serve.normalize import parameterize
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
+from tests.evaluation import MODES, evaluation
 
 QUERY_DIR = Path(__file__).resolve().parents[2] / "examples" / "queries"
 
@@ -38,7 +40,7 @@ BY_INSTANCE = {
 
 METHODS = ("transform", "nested_iteration", "auto", "cost")
 CONFIGS = list(
-    itertools.product(("merge", "nested", "hash"), ("row", "vectorized"), (1, 4))
+    itertools.product(("merge", "nested", "hash"), MODES, (1, 4))
 )
 
 
@@ -58,12 +60,11 @@ def assert_no_page_growth(db: Database, call, reps: int = 5) -> None:
         assert not db.buffer._pinned
 
 
-def load(instance: str, join_method: str, engine: str, parallelism: int) -> Database:
+def load(instance: str, join_method: str, parallelism: int) -> Database:
     """A Database holding one of the paper's instances, indexed."""
     db = Database(
         buffer_pages=16,
         join_method=join_method,
-        engine=engine,
         parallelism=parallelism,
         # The instances are tiny: without a zero threshold the parallel
         # configurations would run the serial operators.
@@ -83,10 +84,17 @@ def load(instance: str, join_method: str, engine: str, parallelism: int) -> Data
 
 
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
-@pytest.mark.parametrize("join_method,engine,parallelism", CONFIGS)
-def test_no_api_leaks_pages(instance, join_method, engine, parallelism):
-    db = load(instance, join_method, engine, parallelism)
+@pytest.mark.parametrize("join_method,mode,parallelism", CONFIGS)
+def test_no_api_leaks_pages(instance, join_method, mode, parallelism):
+    db = load(instance, join_method, parallelism)
     assert leaked_pages(db.catalog) == 0
+    with evaluation(mode):
+        _exercise_every_api(db, instance)
+    db.plan_cache.clear()
+    assert leaked_pages(db.catalog) == 0
+
+
+def _exercise_every_api(db: Database, instance: str) -> None:
     for sql, method in itertools.product(BY_INSTANCE[instance], METHODS):
         normalized, values = parameterize(parse(sql))
         statement = db.prepare(to_sql(normalized), method=method)
@@ -104,16 +112,14 @@ def test_no_api_leaks_pages(instance, join_method, engine, parallelism):
             except AssertionError as error:
                 raise AssertionError(f"{api} [{method}] leaks: {sql}") from error
         statement.close()
-    db.plan_cache.clear()
-    assert leaked_pages(db.catalog) == 0
 
 
-@pytest.mark.parametrize("join_method,engine,parallelism", CONFIGS)
+@pytest.mark.parametrize("join_method,mode,parallelism", CONFIGS)
 def test_query_inside_open_transaction_leaks_nothing(
-    join_method, engine, parallelism
+    join_method, mode, parallelism
 ):
-    db = load("kiessling", join_method, engine, parallelism)
-    with db.begin() as txn:
+    db = load("kiessling", join_method, parallelism)
+    with evaluation(mode), db.begin() as txn:
         txn.insert("SUPPLY", [(8, 1, "1979-01-01"), (3, 9, "1975-05-05")])
         for sql, method in itertools.product(BY_INSTANCE["kiessling"], METHODS):
             assert_no_page_growth(db, lambda: txn.query(sql, method=method))
@@ -129,7 +135,7 @@ class TestViewsOwnNothing:
         from repro.engine.operators import scan_table
         from repro.engine.relation import RowidRelation
 
-        db = load("kiessling", "merge", "row", 1)
+        db = load("kiessling", "merge", 1)
         entry = db.catalog.get("PARTS")
         rows = list(entry.heap.scan())
         scan_table(entry).drop()
@@ -140,7 +146,7 @@ class TestViewsOwnNothing:
     def test_drain_of_a_scan_keeps_the_table(self):
         from repro.engine.operators import scan_table
 
-        db = load("kiessling", "merge", "row", 1)
+        db = load("kiessling", "merge", 1)
         entry = db.catalog.get("SUPPLY")
         assert scan_table(entry).drain() == list(entry.heap.scan())
         assert entry.heap.num_rows == 5
@@ -172,14 +178,12 @@ class TestErrorPathsFreeTheirScratch:
         assert not self.db.buffer._pinned
 
     @pytest.mark.parametrize("join_method", ["merge", "nested", "hash"])
-    @pytest.mark.parametrize("engine", ["row", "vectorized"])
-    def test_residual_that_raises_mid_join(self, join_method, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_residual_that_raises_mid_join(self, join_method, mode):
         # A.X / B.Y divides by zero on the last B row: the restricts (and
         # for merge the sorts) are built, the join output is half written.
-        executor = SingleLevelExecutor(
-            self.db.catalog, join_method, engine=engine
-        )
-        with pytest.raises(ExecutionError):
+        executor = SingleLevelExecutor(self.db.catalog, join_method)
+        with evaluation(mode), pytest.raises(ExecutionError):
             executor.execute(
                 parse(
                     "SELECT A.K FROM A, B WHERE A.K = B.K AND A.X > 0 "

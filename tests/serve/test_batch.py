@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Database
 from repro.serve.batch import BatchIneligible, build_batch_plan
+from tests.evaluation import MODES, evaluation
 
 JA_PARAM = (
     "SELECT PNUM FROM PARTS WHERE QOH = "
@@ -34,26 +35,25 @@ def vectors(n):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("engine", ["row", "vectorized"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_batched_matches_looped_and_nested(self, engine, parallelism):
-        db = make_db(
-            engine=engine, parallelism=parallelism, parallel_threshold=1
-        )
+    def test_batched_matches_looped_and_nested(self, mode, parallelism):
+        db = make_db(parallelism=parallelism, parallel_threshold=1)
         stmt = db.prepare(JA_PARAM)
         vecs = vectors(10)
-        batch = stmt.execute_batch(vecs)
+        with evaluation(mode):
+            batch = stmt.execute_batch(vecs)
+            looped = [stmt.execute(vector) for vector in vecs]
         assert batch.strategy == "batched"
-        for vector, report in zip(vecs, batch.reports):
-            looped = stmt.execute(vector)
+        for vector, report, loop in zip(vecs, batch.reports, looped):
             nested = db.run(
                 JA_PARAM.replace("?", repr(vector[0])),
                 method="nested_iteration",
             )
             assert Counter(report.result.rows) == Counter(
-                looped.result.rows
+                loop.result.rows
             ) == Counter(nested.result.rows), vector
-            assert report.result.columns == looped.result.columns
+            assert report.result.columns == loop.result.columns
 
     def test_flat_parameterized_statement_batches(self):
         db = make_db()

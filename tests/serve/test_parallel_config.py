@@ -1,10 +1,10 @@
 """The ``parallelism`` knob through the serving layer.
 
-Mirrors PR 6's ``engine=`` threading: the knob must reach every
-executor the serving layer constructs (cached plans, prepared
-statements, the fallback session engine), be part of the plan-cache
-key (two engines with different degrees must never share a plan), and
-leave results and page I/O exactly where the serial engine puts them.
+The knob must reach every executor the serving layer constructs
+(cached plans, prepared statements, the fallback session engine), be
+part of the plan-cache key (two engines with different degrees must
+never share a plan), and leave results and page I/O exactly where the
+serial engine puts them.
 """
 
 from collections import Counter
