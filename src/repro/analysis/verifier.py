@@ -214,6 +214,23 @@ def _resolve_ref(
 # ---------------------------------------------------------------------------
 
 
+def _order_by_output_refs(select: Select) -> set[int]:
+    """Identities of the ORDER BY references that name output columns.
+
+    Both executors resolve an unqualified ORDER BY name against the
+    *output* names first (aliases included, ahead of a base column of
+    the same name), so such a reference is not a table column to
+    resolve — ``qualify`` leaves it unqualified for the same reason.
+    """
+    out_names = set(output_names(select))
+    return {
+        id(ref)
+        for item in select.order_by
+        for ref in column_refs(item.expr)
+        if ref.table is None and ref.column in out_names
+    }
+
+
 def verify_nested(
     select: Select,
     catalog: Catalog,
@@ -254,22 +271,11 @@ def _verify_block_scopes(
     scopes = [local] + enclosing
     subject = to_sql(select)
 
-    # The nested-iteration executor resolves ORDER BY against *output*
-    # names (aliases included), not table columns — mirror that.
-    order_refs = {
-        id(ref)
-        for item in select.order_by
-        for ref in column_refs(item.expr)
-    }
-    out_names = set(output_names(select))
+    output_refs = _order_by_output_refs(select)
 
     for node in walk(select, into_subqueries=False):
         if isinstance(node, ColumnRef):
-            if (
-                id(node) in order_refs
-                and node.table is None
-                and node.column in out_names
-            ):
+            if id(node) in output_refs:
                 continue
             _resolve_ref(
                 node,
@@ -320,8 +326,9 @@ def verify_single_level(
     local = _block_bindings(select, columns, findings)
     scopes = [local]
     subject = to_sql(select)
+    output_refs = _order_by_output_refs(select)
     for node in walk(select, into_subqueries=False):
-        if isinstance(node, ColumnRef):
+        if isinstance(node, ColumnRef) and id(node) not in output_refs:
             _resolve_ref(node, scopes, findings, subject=subject)
 
     _verify_join_shape(select, local, findings, join_method, subject)

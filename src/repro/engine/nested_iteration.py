@@ -38,7 +38,7 @@ from repro.engine.expression import (
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
-from repro.engine.sort import _orderable
+from repro.engine.sort import column_profile, order_key, orderable
 from repro.errors import BindError, CardinalityError, ExecutionError
 from repro.sql.analysis import is_correlated, outer_references
 from repro.sql.ast import (
@@ -68,7 +68,7 @@ class QueryResult:
         return [row[index] for row in self.rows]
 
     def sorted_rows(self) -> list[tuple]:
-        return sorted(self.rows, key=lambda r: tuple(_orderable(v) for v in r))
+        return sorted(self.rows, key=order_key(column_profile(self.rows), ()))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -644,7 +644,7 @@ class NestedIterationExecutor(SubqueryHandler):
             for row in qualifying:
                 context = EvalContext(row, schema, outer, subquery_handler=self)
                 key = tuple(
-                    _orderable(
+                    orderable(
                         compiled(row, outer)
                         if compiled is not None
                         else eval_scalar(expr, context)
@@ -763,17 +763,16 @@ class NestedIterationExecutor(SubqueryHandler):
         columns by name or position in the SELECT list.
         """
         out_names = self._output_names(select)
-
-        def key(row: tuple) -> tuple:
-            values = []
-            for item in select.order_by:
-                expr = item.expr
-                if not (isinstance(expr, ColumnRef) and expr.column in out_names):
-                    raise ExecutionError(
-                        "ORDER BY supports output-column references only"
-                    )
-                values.append(_orderable(row[out_names.index(expr.column)]))
-            return tuple(values)
+        positions = []
+        for item in select.order_by:
+            expr = item.expr
+            if not (isinstance(expr, ColumnRef) and expr.column in out_names):
+                raise ExecutionError(
+                    "ORDER BY supports output-column references only"
+                )
+            positions.append(out_names.index(expr.column))
+        # Key columns only: the sort is stable, ties keep their order.
+        key = order_key(column_profile(rows), positions, tiebreak=False)
 
         descending_flags = {item.descending for item in select.order_by}
         if len(descending_flags) > 1:

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Callable, Iterator, Sequence
+from itertools import chain, groupby
 from operator import itemgetter
 
 from repro.catalog.catalog import TableEntry
@@ -74,7 +75,7 @@ from repro.engine.compile import (
 from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
-from repro.engine.sort import _orderable
+from repro.engine.sort import compares_raw, orderable, value_types
 from repro.engine.vector_compile import (
     referenced_indexes,
     try_compile_batch_predicate,
@@ -311,7 +312,7 @@ def merge_join(
     NULL-pad left rows whose only key matches flunk the residual).
     """
     if op == "=":
-        generate = _merge_equi_join(
+        matches = _merge_equi_join(
             left, right, list(left_key), list(right_key), mode, null_safe, residual
         )
     else:
@@ -321,12 +322,33 @@ def merge_join(
             )
         if null_safe:
             raise ExecutionError("null-safe merge join requires the = operator")
-        generate = _merge_theta_join(
+        matches = _merge_theta_join(
             left, right, left_key[0], right_key[0], op, mode, residual
         )
 
+    # One list per left row, flattened at C speed; the writer still
+    # pulls row by row, so output pages are allocated between the same
+    # input reads as ever.
     out_schema = left.schema + right.schema
-    return Relation.materialize(out_schema, generate, buffer, name=name)
+    return Relation.materialize(
+        out_schema, chain.from_iterable(matches), buffer, name=name
+    )
+
+
+def _joined(
+    left_row: tuple,
+    matches: Sequence[tuple],
+    residual: Callable[[tuple], object] | None,
+    outer_pad: tuple | None,
+) -> list[tuple]:
+    """One left row's output: its surviving matches, or — outer join,
+    none survived — the row NULL-padded."""
+    out = [left_row + right_row for right_row in matches]
+    if residual is not None:
+        out = [combined for combined in out if residual(combined) is True]
+    if not out and outer_pad is not None:
+        out.append(left_row + outer_pad)
+    return out
 
 
 def _merge_equi_join(
@@ -337,64 +359,54 @@ def _merge_equi_join(
     mode: JoinMode,
     null_safe: bool = False,
     residual: Callable[[tuple], object] | None = None,
-) -> Iterator[tuple]:
-    right_nulls = (None,) * len(right.schema)
-    right_groups = _group_iterator(iter(right), right_key, keep_nulls=null_safe)
-    current_key: tuple | None = None
-    current_group: list[tuple] = []
+) -> Iterator[list[tuple]]:
+    """Each left row's output rows, one list per left row that has any.
+
+    Keys are compared raw.  Both inputs arrive in the total order of
+    :func:`repro.engine.sort.orderable`, which raw comparison agrees
+    with wherever it is defined; where it is not (a NULL key under
+    ``<=>``, or a NULL or mixed-type key being stepped over) Python
+    raises ``TypeError`` and that one comparison is redone wrapped.
+    Right rows with a NULL key need no filter under plain ``=``: no left
+    key that reaches the comparison holds a NULL, so their groups are
+    stepped over like any other non-match.
+    """
+    outer_pad = (None,) * len(right.schema) if mode == "left" else None
+    # Raw keys: the bare value for one column, a tuple otherwise.
+    left_of = itemgetter(*left_key)
+    single = len(left_key) == 1
+    wrap = orderable if single else lambda key: tuple(map(orderable, key))
+    groups = groupby(
+        chain.from_iterable(right.iter_batches()), itemgetter(*right_key)
+    )
+    current: object = None
+    group: list[tuple] | None = None  # None until the right side is read
     exhausted = False
 
-    def advance_right_to(key: tuple) -> None:
-        nonlocal current_key, current_group, exhausted
-        while not exhausted and (current_key is None or current_key < key):
-            try:
-                current_key, current_group = next(right_groups)
-            except StopIteration:
-                exhausted = True
-                current_group = []
-
-    for left_row in left:
-        if not null_safe and any(left_row[i] is None for i in left_key):
-            if mode == "left":
-                yield left_row + right_nulls
-            continue
-        key = tuple(_orderable(left_row[i]) for i in left_key)
-        advance_right_to(key)
-        matched = False
-        if not exhausted and current_key == key:
-            for right_row in current_group:
-                combined = left_row + right_row
-                if residual is not None and residual(combined) is not True:
-                    continue
-                matched = True
-                yield combined
-        if mode == "left" and not matched:
-            yield left_row + right_nulls
-
-
-def _group_iterator(
-    rows: Iterator[tuple], key_columns: list[int], keep_nulls: bool = False
-) -> Iterator[tuple[tuple, list[tuple]]]:
-    """Yield ``(key, rows)`` groups from a key-sorted stream.
-
-    Rows whose key contains NULL are dropped unless ``keep_nulls``: a
-    NULL never equi-joins, but it does null-safe-join (NULLs sort first,
-    so a NULL group streams out ahead of every value group).
-    """
-    current_key: tuple | None = None
-    group: list[tuple] = []
-    for row in rows:
-        if not keep_nulls and any(row[i] is None for i in key_columns):
-            continue
-        key = tuple(_orderable(row[i]) for i in key_columns)
-        if key != current_key:
-            if current_key is not None:
-                yield current_key, group
-            current_key = key
-            group = []
-        group.append(row)
-    if current_key is not None:
-        yield current_key, group
+    for batch in left.iter_batches():
+        for left_row, key in zip(batch, map(left_of, batch)):
+            if not null_safe and (key is None if single else None in key):
+                if outer_pad is not None:
+                    yield [left_row + outer_pad]
+                continue
+            # Advance the right side to the first group not before key.
+            while not exhausted:
+                if group is not None:
+                    try:
+                        before = current < key
+                    except TypeError:
+                        before = wrap(current) < wrap(key)
+                    if not before:
+                        break
+                step = next(groups, None)
+                if step is None:
+                    exhausted = True
+                else:
+                    current, group = step[0], list(step[1])
+            matches = group if not exhausted and current == key else ()
+            out = _joined(left_row, matches, residual, outer_pad)
+            if out:
+                yield out
 
 
 def _merge_theta_join(
@@ -405,34 +417,50 @@ def _merge_theta_join(
     op: str,
     mode: JoinMode,
     residual: Callable[[tuple], object] | None = None,
-) -> Iterator[tuple]:
-    right_nulls = (None,) * len(right.schema)
-    # One sequential read of the right input; kept sorted in memory.
-    right_rows = [row for row in right if row[right_key] is not None]
-    right_keys = [_orderable(row[right_key]) for row in right_rows]
+) -> Iterator[list[tuple]]:
+    """Each left row's output rows (see :func:`_merge_equi_join`).
 
-    for left_row in left:
-        value = left_row[left_key]
-        if value is None:
-            if mode == "left":
-                yield left_row + right_nulls
-            continue
-        key = _orderable(value)
-        matches = _theta_range(right_rows, right_keys, key, op)
-        matched = False
-        for right_row in matches:
-            combined = left_row + right_row
-            if residual is not None and residual(combined) is not True:
+    One sequential read of the right input, kept sorted in memory and
+    bisected: on its raw keys when the column compares raw, wrapped
+    otherwise — or from the first left value that raises ``TypeError``
+    against them.
+    """
+    outer_pad = (None,) * len(right.schema) if mode == "left" else None
+    right_rows = [
+        row
+        for row in chain.from_iterable(right.iter_batches())
+        if row[right_key] is not None
+    ]
+    right_keys = [row[right_key] for row in right_rows]
+    raw = compares_raw(value_types(right_keys))
+    if not raw:
+        right_keys = list(map(orderable, right_keys))
+
+    for batch in left.iter_batches():
+        for left_row in batch:
+            value = left_row[left_key]
+            if value is None:
+                if outer_pad is not None:
+                    yield [left_row + outer_pad]
                 continue
-            matched = True
-            yield combined
-        if mode == "left" and not matched:
-            yield left_row + right_nulls
+            if raw:
+                try:
+                    matches = _theta_range(right_rows, right_keys, value, op)
+                except TypeError:
+                    raw = False
+                    right_keys = list(map(orderable, right_keys))
+            if not raw:
+                matches = _theta_range(
+                    right_rows, right_keys, orderable(value), op
+                )
+            out = _joined(left_row, matches, residual, outer_pad)
+            if out:
+                yield out
 
 
 def _theta_range(
     rows: list[tuple], keys: list, key, op: str
-) -> Iterator[tuple]:
+) -> list[tuple]:
     """Rows whose key satisfies ``row.key op left.key`` — note direction.
 
     The predicate form in the paper is ``inner.column op outer.column``
@@ -441,21 +469,17 @@ def _theta_range(
     whose key is *less than* the probe key.
     """
     if op == "<":
-        end = bisect.bisect_left(keys, key)
-        return iter(rows[:end])
+        return rows[: bisect.bisect_left(keys, key)]
     if op == "<=":
-        end = bisect.bisect_right(keys, key)
-        return iter(rows[:end])
+        return rows[: bisect.bisect_right(keys, key)]
     if op == ">":
-        start = bisect.bisect_right(keys, key)
-        return iter(rows[start:])
+        return rows[bisect.bisect_right(keys, key) :]
     if op == ">=":
-        start = bisect.bisect_left(keys, key)
-        return iter(rows[start:])
+        return rows[bisect.bisect_left(keys, key) :]
     if op == "<>":
         start = bisect.bisect_left(keys, key)
         end = bisect.bisect_right(keys, key)
-        return iter(rows[:start] + rows[end:])
+        return rows[:start] + rows[end:]
     raise ExecutionError(f"unsupported theta-join operator {op!r}")
 
 
@@ -861,24 +885,31 @@ def group_aggregate(
         if not group_cols:
             yield from _scalar_aggregate(source.to_list(), agg_specs, always_emit)
             return
-        current_key: tuple | None = None
-        group: list[tuple] = []
+        # A single group column keys on the bare value, as in
+        # hash_group_aggregate; groupby finds the boundaries within a
+        # batch and only the group open at a batch's end is carried.
+        single = len(group_cols) == 1
+        key_of = itemgetter(*group_cols)
+
+        def finish(key, rows: list[tuple]) -> tuple:
+            return ((key,) if single else key) + tuple(apply_specs(rows, agg_specs))
+
+        current_key = None
+        group: list[tuple] = []  # never empty once the first row is in
         for batch in source.iter_batches():
             out: list[tuple] = []
-            for row in batch:
-                key = tuple(row[i] for i in group_cols)
-                if key != current_key:
-                    if current_key is not None:
-                        out.append(
-                            current_key + tuple(apply_specs(group, agg_specs))
-                        )
-                    current_key = key
-                    group = []
-                group.append(row)
+            for key, members in groupby(batch, key_of):
+                if group and key == current_key:
+                    group.extend(members)
+                    continue
+                if group:
+                    out.append(finish(current_key, group))
+                current_key = key
+                group = list(members)
             if out:
                 yield out
-        if current_key is not None:
-            yield [current_key + tuple(apply_specs(group, agg_specs))]
+        if group:
+            yield [finish(current_key, group)]
 
     return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
 

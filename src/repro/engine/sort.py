@@ -10,30 +10,46 @@ touched flows through the buffer pool so the measured I/O can be
 compared against the model's ``2·P·log`` term.  An optional
 ``unique=True`` removes duplicate rows while sorting — the paper's
 "sorting it and removing duplicates" step in building ``Rt2``/``Rt3``.
+
+The module also owns the engine's one total order (:func:`orderable`)
+and the choice of the cheapest key that induces it for a given run
+(:func:`order_key`): the paper's model has no CPU term, so a comparison
+is made as cheap as the values allow while the page schedule stays
+exactly as it was (DESIGN.md §4b-1, "Order contract").
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, groupby
+from operator import itemgetter, ne
+from typing import Any
 
 from repro.engine.relation import Relation, temp_rows_per_page
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 
+#: One column's profile: the set of its values' exact types.
+ColumnTypes = set[type]
+#: A key callable for ``list.sort`` / ``heapq.merge``; None means the
+#: rows' own tuple comparison already is the order.
+OrderKey = Callable[[tuple], Any] | None
 
-def sort_key(row: tuple, key_columns: Sequence[int]) -> tuple:
-    """Total-order sort key: chosen columns first, whole row as tiebreak.
+
+class _NaN:
+    """Profile marker for a float column that holds a NaN (which has no
+    place in any order, so the column is never compared raw)."""
+
+
+def orderable(value: object) -> tuple:
+    """Wrap one value so that any two values compare: the total order.
 
     NULL sorts before every value (an arbitrary but consistent choice),
-    and the wrapper keeps Python from comparing None with ints.
+    then numbers (a bool as its int), then everything else by its text.
+    This is the only definition of the order; :func:`order_key` merely
+    skips the wrapper where the raw values already compare this way.
     """
-    return tuple(_orderable(row[i]) for i in key_columns) + tuple(
-        _orderable(v) for v in row
-    )
-
-
-def _orderable(value: object) -> tuple:
     if value is None:
         return (0, 0, "")
     if isinstance(value, bool):
@@ -41,6 +57,80 @@ def _orderable(value: object) -> tuple:
     if isinstance(value, (int, float)):
         return (1, value, "")
     return (2, 0, str(value))
+
+
+def value_types(values: Iterable[object]) -> ColumnTypes:
+    """Profile one column with a C-speed scan of its values' types."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if float in types and any(map(ne, values, values)):
+        types.add(_NaN)
+    return types
+
+
+def column_profile(rows: Sequence[tuple]) -> list[ColumnTypes]:
+    """Per-column profiles of a row list (empty for no rows)."""
+    return [value_types(column) for column in zip(*rows)]
+
+
+def compares_raw(types: ColumnTypes) -> bool:
+    """True when a column of these types orders itself exactly as
+    :func:`orderable` would: all ``int``/``float`` or all ``str``.
+    NULL, ``bool``, NaN, subclasses and mixed columns do not."""
+    return types <= {int, float} or types == {str}
+
+
+def _column_order(
+    width: int, key_columns: Sequence[int], tiebreak: bool = True
+) -> list[int]:
+    """Key columns first, then (as tiebreak) the rest of the row.
+
+    A column already in the key is not repeated: comparing it a second
+    time can never decide anything.
+    """
+    order = list(key_columns)
+    if tiebreak:
+        order += [c for c in range(width) if c not in key_columns]
+    return order
+
+
+def order_key(
+    profile: Sequence[ColumnTypes],
+    key_columns: Sequence[int],
+    tiebreak: bool = True,
+) -> OrderKey:
+    """The cheapest key that sorts rows of ``profile`` in the total order.
+
+    The order is always the same — :func:`orderable` per value, key
+    columns first, whole row as tiebreak (the executor's sorts; nested
+    iteration's stable ORDER BY passes ``tiebreak=False``) — so runs
+    sorted under different profiles are still mutually ordered and a
+    merge may key on the union of their profiles.  What varies is the
+    cost: a column that :func:`compares_raw` contributes its bare value,
+    any other column alone is wrapped, and when nothing is wrapped and
+    the columns are already in row order there is no key at all.
+    """
+    if not profile:  # no rows (or no columns): nothing to order
+        return None
+    order = _column_order(len(profile), key_columns, tiebreak)
+    wrapped = [not compares_raw(profile[c]) for c in order]
+    if not any(wrapped):
+        if order == list(range(len(profile))):
+            return None
+        return itemgetter(*order)
+    plan = list(zip(order, wrapped))
+    return lambda row: tuple(
+        [orderable(row[c]) if wrap else row[c] for c, wrap in plan]
+    )
+
+
+def sort_key(row: tuple, key_columns: Sequence[int]) -> tuple:
+    """The every-column-wrapped key: what :func:`order_key` returns for
+    a profile in which nothing compares raw, and the reference the
+    tests hold every cheaper key to."""
+    return tuple(
+        [orderable(row[c]) for c in _column_order(len(row), key_columns)]
+    )
 
 
 def external_sort(
@@ -81,8 +171,8 @@ def external_sort(
         return run
 
     try:
-        runs = _form_runs(source, key, run_rows, unique, write_run)
-        result_heap = _merge_runs(runs, key, buffer, unique, write_run)
+        runs, profile = _form_runs(source, key, run_rows, unique, write_run)
+        result_heap = _merge_runs(runs, profile, key, buffer, unique, write_run)
     except BaseException:
         for run in written:
             run.truncate()
@@ -99,28 +189,36 @@ def _form_runs(
     run_rows: int,
     unique: bool,
     write_run: Callable[[Iterable[tuple]], HeapFile],
-) -> list[HeapFile]:
-    """Scan the input, producing sorted runs of at most ``run_rows`` rows."""
+) -> tuple[list[HeapFile], list[ColumnTypes]]:
+    """Read the input a page at a time, producing sorted runs of at most
+    ``run_rows`` rows; also returns the union of the runs' profiles."""
     runs: list[HeapFile] = []
+    profile: list[ColumnTypes] = []
+
+    def emit(rows: list[tuple]) -> None:
+        types = column_profile(rows)
+        rows.sort(key=order_key(types, key))
+        runs.append(write_run(_dedup_sorted(rows) if unique else rows))
+        if profile:
+            for seen, new in zip(profile, types):
+                seen |= new
+        else:
+            profile.extend(types)
+
     chunk: list[tuple] = []
-
-    def emit() -> None:
-        if not chunk:
-            return
-        chunk.sort(key=lambda row: sort_key(row, key))
-        runs.append(write_run(_dedup_sorted(iter(chunk)) if unique else chunk))
-        chunk.clear()
-
-    for row in source:
-        chunk.append(row)
-        if len(chunk) >= run_rows:
-            emit()
-    emit()
-    return runs
+    for batch in source.iter_batches():
+        chunk.extend(batch)
+        while len(chunk) >= run_rows:
+            emit(chunk[:run_rows])
+            del chunk[:run_rows]
+    if chunk:
+        emit(chunk)
+    return runs, profile
 
 
 def _merge_runs(
     runs: list[HeapFile],
+    profile: list[ColumnTypes],
     key: list[int],
     buffer: BufferPool,
     unique: bool,
@@ -128,6 +226,7 @@ def _merge_runs(
 ) -> HeapFile | None:
     """(B-1)-way merge passes until a single run remains (None: no rows)."""
     fan_in = max(2, buffer.capacity - 1)
+    merge_key = order_key(profile, key)
 
     while len(runs) > 1:
         next_runs: list[HeapFile] = []
@@ -136,9 +235,9 @@ def _merge_runs(
             if len(group) == 1:
                 next_runs.append(group[0])
                 continue
-            rows: Iterator[tuple] = heapq.merge(
-                *(run.scan() for run in group),
-                key=lambda row: sort_key(row, key),
+            rows: Iterable[tuple] = heapq.merge(
+                *(chain.from_iterable(run.scan_pages()) for run in group),
+                key=merge_key,
             )
             if unique:
                 rows = _dedup_sorted(rows)
@@ -150,13 +249,9 @@ def _merge_runs(
     return runs[0] if runs else None
 
 
-def _dedup_sorted(rows: Iterator[tuple]) -> Iterator[tuple]:
+def _dedup_sorted(rows: Iterable[tuple]) -> Iterator[tuple]:
     """Drop consecutive duplicate rows from a sorted stream."""
-    previous: tuple | None = None
-    for row in rows:
-        if row != previous:
-            yield row
-        previous = row
+    return map(itemgetter(0), groupby(rows))
 
 
 def sort_cost_model(pages: int, buffer_pages: int) -> float:

@@ -76,6 +76,20 @@ def qualify(
         else:
             items.append(SelectItem(fix(item.expr), item.alias))
 
+    # An unqualified ORDER BY name that is a SELECT-list alias refers to
+    # that output column — ahead of any base column of the same name, as
+    # in SQLite — so it is not a table column to qualify.
+    aliases = {item.alias for item in select.items if item.alias}
+
+    def fix_order(expr: Expr) -> Expr:
+        if (
+            isinstance(expr, ColumnRef)
+            and expr.table is None
+            and expr.column in aliases
+        ):
+            return expr
+        return fix(expr)
+
     return replace(
         select,
         items=tuple(items),
@@ -83,7 +97,8 @@ def qualify(
         group_by=tuple(fix(expr) for expr in select.group_by),
         having=fix(select.having) if select.having is not None else None,
         order_by=tuple(
-            OrderItem(fix(item.expr), item.descending) for item in select.order_by
+            OrderItem(fix_order(item.expr), item.descending)
+            for item in select.order_by
         ),
     )
 

@@ -32,6 +32,7 @@ could race with another thread's eviction).
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Collection
 
 from repro.errors import StorageError
 from repro.storage.disk import DiskManager
@@ -218,7 +219,11 @@ class BufferPool:
             self._pinned.discard(page_id)
 
     def free_page(self, page_id: int) -> None:
-        """Atomically discard a frame and deallocate its disk page.
+        """Free one page (see :meth:`free_pages`)."""
+        self.free_pages((page_id,))
+
+    def free_pages(self, page_ids: Collection[int]) -> None:
+        """Atomically discard the pages' frames and deallocate them on disk.
 
         Holding the pool lock across both steps closes the race a
         separate discard-then-deallocate sequence leaves open: eviction
@@ -226,15 +231,19 @@ class BufferPool:
         pick a page mid-free, and a faulting reader's admit — also
         under this lock, with an existence re-check — can never install
         a stale frame for a page that no longer exists.  A concurrent
-        reader's pin on the page is dropped with the frame: the reader
+        reader's pin on a page is dropped with the frame: the reader
         keeps its (snapshot) frame reference, and its later ``unpin``
         is a no-op.
+
+        A whole heap goes in one call: the pool lock and the disk lock
+        are each taken once, not once per page.
         """
         with self._lock:
-            self._frames.pop(page_id, None)
-            self._lru.pop(page_id, None)
-            self._pinned.discard(page_id)
-            self.disk.deallocate(page_id)
+            for page_id in page_ids:
+                self._frames.pop(page_id, None)
+                self._lru.pop(page_id, None)
+                self._pinned.discard(page_id)
+            self.disk.deallocate_pages(page_ids)
 
     # -- statistics ----------------------------------------------------------
 

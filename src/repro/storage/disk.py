@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Collection
 
 from repro.errors import StorageError
 from repro.storage.locks import make_lock
@@ -56,10 +57,24 @@ class DiskManager:
 
     def deallocate(self, page_id: int) -> None:
         """Release a page (no I/O is counted)."""
+        self.deallocate_pages((page_id,))
+
+    def deallocate_pages(self, page_ids: Collection[int]) -> None:
+        """Release pages under one acquisition of the lock.
+
+        Every page that exists is released even when another does not
+        (a double free); the first of those is then reported.
+        """
         with self._lock:
-            self._check_exists(page_id)
-            del self._pages[page_id]
-            del self._capacities[page_id]
+            missing: int | None = None
+            for page_id in page_ids:
+                if page_id in self._pages:
+                    del self._pages[page_id]
+                    del self._capacities[page_id]
+                elif missing is None:
+                    missing = page_id
+            if missing is not None:
+                raise StorageError(f"no such page: {missing}")
 
     @property
     def num_pages(self) -> int:

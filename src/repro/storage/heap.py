@@ -155,24 +155,24 @@ class HeapFile:
         """Drop all pages (frees them on the simulated disk, no I/O).
 
         Frame discard and disk deallocation happen atomically under the
-        pool lock (:meth:`~repro.storage.buffer.BufferPool.free_page`),
-        so a concurrent reader can never re-admit a stale frame for a
-        freed page and eviction can never write one back.  A reader
-        that races the drop may see ``StorageError: no such page`` —
+        pool lock, taken once for the whole file
+        (:meth:`~repro.storage.buffer.BufferPool.free_pages`), so a
+        concurrent reader can never re-admit a stale frame for a freed
+        page and eviction can never write one back.  A reader that
+        races the drop may see ``StorageError: no such page`` —
         the documented outcome of scanning a relation while it is
         dropped — never silent corruption.
 
         Durability-ordering audit (transaction aborts): the pinned
         write cursor is released *first*, so a truncate racing an
-        abort mid-``append_rows`` cannot leave ``free_page`` to discard
+        abort mid-``append_rows`` cannot leave ``free_pages`` to discard
         a pin this file still believes it holds (a later
         ``close_writes`` would then unpin a page id that may have been
-        recycled).  ``free_page`` itself drops the frame without
-        writing it back, so no dirty-page accounting outlives the page.
+        recycled).  ``free_pages`` itself drops the frames without
+        writing them back, so no dirty-page accounting outlives a page.
         """
         self.close_writes()
-        for page_id in self.page_ids:
-            self.buffer.free_page(page_id)
+        self.buffer.free_pages(self.page_ids)
         self.page_ids.clear()
         self._num_rows = 0
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterator
 
-from repro.engine.sort import _orderable
+from repro.engine.sort import orderable
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
@@ -67,7 +67,7 @@ class IsamIndex:
         """
         self._leaves.truncate()
         entries = [
-            (_orderable(row[self.key_column]), position)
+            (orderable(row[self.key_column]), position)
             for position, row in self.heap.scan_with_positions()
             if row[self.key_column] is not None
         ]
@@ -101,15 +101,15 @@ class IsamIndex:
         """
         if key is None:
             return
-        yield from self._probe(_orderable(key), _orderable(key))
+        yield from self._probe(orderable(key), orderable(key))
 
     def range(
         self, low: object = None, high: object = None,
         inclusive: tuple[bool, bool] = (True, True),
     ) -> Iterator[tuple]:
         """Yield heap rows with key in the given (optional) bounds."""
-        low_key = _orderable(low) if low is not None else None
-        high_key = _orderable(high) if high is not None else None
+        low_key = orderable(low) if low is not None else None
+        high_key = orderable(high) if high is not None else None
         yield from self._probe(low_key, high_key, inclusive)
 
     def _probe(

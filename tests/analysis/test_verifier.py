@@ -172,6 +172,23 @@ class TestVerifySingleLevel:
         )
         assert not verify_single_level(parse(sql), catalog)
 
+    def test_order_by_select_alias_is_clean(self):
+        # qualify leaves ORDER BY <alias> unqualified; it names the
+        # output column, not a table column (PV001) and it is in the
+        # SELECT list (PV011) — also when it shadows a base column.
+        catalog = load_kiessling_instance()
+        for sql in (
+            "SELECT PARTS.PNUM AS X, PARTS.QOH FROM PARTS ORDER BY X",
+            "SELECT PARTS.PNUM AS QOH FROM PARTS ORDER BY QOH DESC",
+        ):
+            assert not verify_single_level(parse(sql), catalog)
+
+    def test_order_by_unknown_name_is_still_pv001(self):
+        catalog = load_kiessling_instance()
+        sql = "SELECT PARTS.PNUM AS X FROM PARTS ORDER BY Y"
+        findings = verify_single_level(parse(sql), catalog)
+        assert {"PV001", "PV011"} <= set(findings.rules())
+
     def test_hash_join_non_equality_outer_is_a_warning(self):
         # The executor falls back to merge-theta when there is no equi
         # key, so this must not be an error.

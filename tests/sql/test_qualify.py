@@ -43,6 +43,22 @@ class TestQualify:
         assert "COUNT(SUPPLY.QUAN)" in out
         assert "ORDER BY SUPPLY.PNUM" in out
 
+    def test_order_by_select_alias_is_left_alone(self):
+        out = q("SELECT PNUM AS X, QOH FROM PARTS ORDER BY X DESC")
+        assert out == "SELECT PARTS.PNUM AS X, PARTS.QOH FROM PARTS ORDER BY X DESC"
+
+    def test_order_by_alias_wins_over_a_same_named_column(self):
+        out = q("SELECT PNUM AS QOH, QOH AS PNUM FROM PARTS ORDER BY QOH")
+        assert out.endswith("ORDER BY QOH")
+
+    def test_qualified_order_by_is_never_an_alias(self):
+        out = q("SELECT PNUM AS QOH FROM PARTS ORDER BY PARTS.QOH")
+        assert out.endswith("ORDER BY PARTS.QOH")
+
+    def test_alias_is_not_visible_outside_order_by(self):
+        with pytest.raises(BindError):
+            q("SELECT PNUM AS X FROM PARTS WHERE X > 1")
+
     def test_count_star_untouched(self):
         out = q("SELECT COUNT(*) FROM SUPPLY")
         assert out == "SELECT COUNT(*) FROM SUPPLY"

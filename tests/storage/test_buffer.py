@@ -194,3 +194,55 @@ class TestRescanBehaviour:
         # never hit: 15 reads.
         assert disk.page_reads == 15
         assert pool.hits == 0
+
+
+class _CountingLock:
+    """Counts acquisitions of the lock it wraps."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestFreePages:
+    def test_frees_frames_pins_and_disk_pages(self):
+        disk, pool = make_pool(capacity=4)
+        kept = pool.new_page()
+        doomed = [pool.new_page(pin=(i == 0)) for i in range(3)]
+        pool.free_pages([page.page_id for page in doomed])
+        assert pool.resident_pages == 1 and disk.num_pages == 1
+        assert disk.page_writes == 0  # dirty frames dropped, not written
+        for page in doomed:
+            pool.unpin(page.page_id)  # a reader's late unpin is a no-op
+            assert not disk.exists(page.page_id)
+        assert pool.get_page(kept.page_id) is kept
+
+    def test_a_missing_page_is_reported_after_the_rest_are_freed(self):
+        disk, pool = make_pool()
+        pages = [pool.new_page().page_id for _ in range(3)]
+        pool.free_page(pages[1])
+        with pytest.raises(StorageError, match=f"no such page: {pages[1]}"):
+            pool.free_pages(pages)
+        assert disk.num_pages == 0 and pool.resident_pages == 0
+
+    def test_truncate_takes_each_lock_once_per_heap(self):
+        from repro.storage.heap import HeapFile
+
+        disk, pool = make_pool(capacity=4)
+        heap = HeapFile(pool, rows_per_page=2)
+        heap.extend((i,) for i in range(40))
+        heap.flush()
+        assert heap.num_pages == 20
+        pool._lock = _CountingLock(pool._lock)
+        disk._lock = _CountingLock(disk._lock)
+        heap.truncate()
+        assert (pool._lock.acquisitions, disk._lock.acquisitions) == (1, 1)
+        assert heap.num_pages == 0 and heap.num_rows == 0
+        assert disk.num_pages == 0 and pool.resident_pages == 0
