@@ -27,8 +27,9 @@ SCHEMA_EVENTS = frozenset(
 )
 
 #: Change events that alter only which *rows* exist.  Cached plans
-#: survive these — they re-read the base tables on every replay — only
-#: their memoized temp materializations go stale.
+#: survive these — they re-read the base tables on every replay —
+#: unless planning itself folded data in; shared temp materializations
+#: go stale.
 DATA_EVENTS = frozenset({"insert"})
 
 
@@ -72,8 +73,8 @@ class Catalog:
         #: plan can never match after a schema change.
         self.schema_version = 0
         #: Monotone counter bumped by row-only changes (inserts into
-        #: non-temp tables).  Cached plans stay valid across data
-        #: bumps; only their memoized temp tables are flushed.
+        #: non-temp tables).  Cached plans that folded no data in stay
+        #: valid across data bumps; only shared temp tables are purged.
         self.data_version = 0
         self._change_hooks: list[Callable[[str, str], None]] = []
         #: MVCC commit timestamps + per-table row horizons; readers pin
@@ -242,7 +243,7 @@ class Catalog:
                 # Direct catalog inserts are autocommit writes: publish
                 # the new horizon so pinned readers admitted from now
                 # on see the rows, then bump the data version (cached
-                # plans survive; their temp memos are flushed).
+                # plans survive; shared temps are purged).
                 self.snapshots.publish({name: entry.heap.num_rows})
                 self.bump_version("insert", name)
         return count

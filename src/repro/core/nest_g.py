@@ -62,6 +62,10 @@ class GeneralTransform:
         root_fanout_merge: True when a NEST-N-J merge at the root level
             may have changed output multiplicities (a type-J merge, or
             a type-N merge without inner dedup) — the Lemma-1 caveat.
+        folded: True when NEST-A evaluated a block (building the
+            ``built`` prefix first) and folded its value into ``query``
+            or ``setup``: the result then describes the data it was
+            transformed over, not only the schema.
     """
 
     setup: list[TempTableDef]
@@ -70,6 +74,7 @@ class GeneralTransform:
     built: int = 0
     root_tables: tuple = ()
     root_fanout_merge: bool = False
+    folded: bool = False
 
 
 def nest_g(
@@ -116,6 +121,7 @@ def nest_g(
         built=driver.built,
         root_tables=select.from_tables,
         root_fanout_merge=driver.root_fanout_merge,
+        folded=driver.folded,
     )
 
 
@@ -141,6 +147,7 @@ class _NestG:
         self.trace: list[str] = []
         self.built = 0
         self.root_fanout_merge = False
+        self.folded = False
         self._has_column = catalog_resolver(catalog)
 
     # -- recursion ---------------------------------------------------------
@@ -304,6 +311,7 @@ class _NestG:
                 "the plan must be built per parameter vector: "
                 + to_sql(inner)
             )
+        self.folded = True
         self._build_pending_setup()
         from repro.engine.nested_iteration import NestedIterationExecutor
 
@@ -331,18 +339,12 @@ class _NestG:
                     "temp table built during transformation contains a "
                     "bind parameter: " + to_sql(definition.query)
                 )
-            executor = SingleLevelExecutor(
+            SingleLevelExecutor(
                 self.catalog,
                 self.join_method,
                 parallelism=self.parallelism,
                 parallel_threshold=self.parallel_threshold,
-            )
-            relation = executor.execute(definition.query)
-            self.catalog.register_temp(
-                definition.name,
-                relation.heap,
-                executor.output_names(definition.query),
-            )
+            ).materialize(definition.name, definition.query)
             self.trace.append(f"built {definition.name} (needed for NEST-A)")
             self.built += 1
 

@@ -8,10 +8,17 @@ It offers the two evaluation strategies the paper compares:
   extensions, run NEST-G (NEST-A / NEST-N-J / NEST-JA2), build the temp
   tables, and evaluate the canonical query with the chosen join method;
 * ``method="auto"`` — try the transformation, fall back to nested
-  iteration for queries outside the algorithms' reach.
+  iteration for queries outside the algorithms' reach;
+* ``method="cost"`` — let the section-7 cost model pick one of the
+  above (and the join method) from catalog statistics.
 
-Every run returns a :class:`RunReport` with the result rows, the page
-I/O consumed (the paper's cost measure), and the transformation trace.
+Every statement takes one path: :func:`repro.serve.plan.build_plan`
+plans it and :meth:`repro.serve.plan.CachedPlan.replay` executes the
+plan.  :meth:`Engine.run` does both once in a private session and
+throws the plan away; :meth:`Engine.run_cached` and prepared statements
+keep the plan.  Every run returns a :class:`RunReport` with the result
+rows, the page I/O consumed (the paper's cost measure), and the
+transformation trace.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from repro.catalog.catalog import Catalog
 from repro.core.classify import catalog_resolver
 from repro.core.nest_g import GeneralTransform, nest_g
 from repro.core.predicates import rewrite_extended_predicates
-from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
+from repro.core.transform import TempTableDef
+from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError, TransformError
-from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.ast import Select
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -182,11 +189,16 @@ class Engine:
     def on_session(self) -> "Engine":
         """This engine's settings over a private session overlay of its
         catalog: temps built there never touch the shared catalog.  The
-        clone serves no plan cache of its own."""
+        clone serves no plan cache of its own, so its plans lease
+        nothing.  An engine that already runs on a session is its own
+        session engine."""
         from repro.serve.session import SessionCatalog
 
+        session = SessionCatalog.over(self.catalog)
+        if session is self.catalog:
+            return self
         return Engine(
-            SessionCatalog(self.catalog),
+            session,
             verify=self.verify,
             **{name: getattr(self, name) for name in self.SETTINGS},
         )
@@ -194,20 +206,32 @@ class Engine:
     # -- public API ----------------------------------------------------------
 
     def run(self, query: str | Select, method: str = "transform") -> RunReport:
-        """Execute a query and report rows plus page I/O."""
+        """Execute a query and report rows plus page I/O.
+
+        The cached path with no cache: the statement is planned
+        (:func:`repro.serve.plan.build_plan`) and replayed once in one
+        private session, under one catalog read lock and one MVCC
+        snapshot, and the session's temps are dropped on the way out.
+        Temps NEST-A built while planning are read by the replay, not
+        rebuilt.  Safe to call from many threads.
+        """
+        from repro.serve.plan import build_plan
+
         select = parse(query) if isinstance(query, str) else query
-        if method == "nested_iteration":
-            return self._run_nested_iteration(select)
-        if method == "transform":
-            return self._run_transform(select)
-        if method == "auto":
-            try:
-                return self._run_transform(select)
-            except TransformError:
-                return self._run_nested_iteration(select)
-        if method == "cost":
-            return self._run_cost_based(select)
-        raise ReproError(f"unknown method {method!r}")
+        planner = self.on_session()
+        session = planner.catalog
+        before = session.buffer.stats()
+        try:
+            with session.read_lock(), session.snapshots.pinned():
+                plan = build_plan(planner, select, method, "")
+                report = plan.replay(session)
+        finally:
+            session.drop_temp_tables()
+            self.last_findings = planner.last_findings
+        # Plan-time reads (type-A blocks, their temps) are part of the
+        # statement's cost.
+        report.io = session.buffer.stats() - before
+        return report
 
     def prepare(self, sql: str, method: str = "auto"):
         """Plan a parameterized statement once; bind + execute many times.
@@ -228,11 +252,8 @@ class Engine:
         canonicalized) and looked up by fingerprint + engine config;
         on a hit the stored plan replays without re-planning or
         re-verification.  Queries whose plan shape depends on the
-        literal values get per-vector ("custom") cache entries, and
-        non-cacheable shapes fall back to the full pipeline in a
-        private session.
+        literal values get per-vector ("custom") cache entries.
         """
-        from repro.engine.params import bound_params
         from repro.errors import BindError, ParameterizedPlanError
         from repro.serve.cache import PlanCache
         from repro.serve.normalize import (
@@ -241,7 +262,7 @@ class Engine:
             substitute_params,
             user_param_count,
         )
-        from repro.serve.plan import NonCacheablePlan, build_plan, engine_config
+        from repro.serve.plan import build_plan, engine_config
 
         cache: PlanCache | None = self.plan_cache
         if cache is None:
@@ -274,10 +295,6 @@ class Engine:
                     plan = build_plan(self, literal, method, key[0])
                     cache.store(custom_key, plan)
                 return plan.replay(self.catalog, ())
-            except NonCacheablePlan:
-                session_engine = self.on_session()
-                with self.catalog.read_lock(), bound_params(vector):
-                    return session_engine.run(select, method=method)
         return plan.replay(self.catalog, values)
 
     def transform(self, query: str | Select) -> GeneralTransform:
@@ -291,12 +308,23 @@ class Engine:
         return self._nest_g(self._prepare(select), self.join_method)
 
     def explain(self, query: str | Select) -> str:
-        """Human-readable transformation plan for a query."""
+        """Human-readable transformation plan for a query.
+
+        Planned on a session overlay: the temps a type-A block needs
+        come and go there, never in the shared catalog.
+        """
         from repro.sql.printer import to_sql_pretty
 
         select = parse(query) if isinstance(query, str) else query
-        transform = self.transform(select)
-        lines = ["-- original query", to_sql_pretty(self._prepare(select)), ""]
+        planner = self.on_session()
+        session = planner.catalog
+        try:
+            with session.read_lock(), session.snapshots.pinned():
+                rewritten = planner._prepare(select)
+                transform = planner._nest_g(rewritten, self.join_method)
+        finally:
+            session.drop_temp_tables()
+        lines = ["-- original query", to_sql_pretty(rewritten), ""]
         lines.append("-- transformation trace")
         lines.extend(f"--   {line}" for line in transform.trace)
         lines.append("-- temp tables")
@@ -304,14 +332,13 @@ class Engine:
             lines.append(definition.describe())
         lines.append("-- canonical query")
         lines.append(to_sql(transform.query))
-        self.catalog.drop_temp_tables()
         return "\n".join(lines)
 
-    # -- strategies ------------------------------------------------------------
+    # -- planning steps (driven by repro.serve.plan.build_plan) ---------------
 
-    def _maybe_dedupe_outer(
-        self, transform: GeneralTransform, join_method: str | None = None
-    ) -> tuple[Select, int]:
+    def _dedupe_outer(
+        self, transform: GeneralTransform
+    ) -> tuple[list[TempTableDef], Select, int]:
         """Apply the rowid multiplicity fix-up to the canonical query.
 
         When a NEST-N-J merge at the root may have fanned out outer
@@ -323,8 +350,9 @@ class Engine:
         tuple — restoring nested-iteration multiplicities even when
         outer rows are value-identical.  See DESIGN.md.
 
-        Returns the (possibly rewritten) query and the number of
-        leading columns to strip.
+        Returns the temp definitions the fix-up appends to the chain,
+        the (possibly rewritten) query, and the number of leading
+        columns to strip.  Purely structural: no data is read.
         """
         from dataclasses import replace as dc_replace
 
@@ -333,13 +361,14 @@ class Engine:
 
         query = transform.query
         if not (self.dedupe_outer and transform.root_fanout_merge):
-            return query, 0
+            return [], query, 0
         if query.group_by or query.has_aggregate_select() or query.distinct:
             # Aggregated root: dedup must happen *before* aggregation
-            # (the fan-out would corrupt COUNT/SUM/AVG).  Materialize
-            # the deduplicated outer rows into a temp, then aggregate
+            # (the fan-out would corrupt COUNT/SUM/AVG).  Stage the
+            # deduplicated outer rows in one more temp, then aggregate
             # over it.
-            return self._dedupe_outer_aggregated(transform, join_method), 0
+            staging, aggregated = self._dedupe_outer_aggregated(transform)
+            return [staging], aggregated, 0
         rid_items = tuple(
             SelectItem(ColumnRef(ref.binding, ROWID_COLUMN), alias=f"RID{i}")
             for i, ref in enumerate(transform.root_tables)
@@ -347,27 +376,27 @@ class Engine:
         rewritten = dc_replace(
             query, items=rid_items + query.items, distinct=True
         )
-        return rewritten, len(rid_items)
+        return [], rewritten, len(rid_items)
 
     def _dedupe_outer_aggregated(
-        self, transform: GeneralTransform, join_method: str | None = None
-    ) -> Select:
+        self, transform: GeneralTransform
+    ) -> tuple[TempTableDef, Select]:
         """Pre-aggregation dedup: stage distinct outer rows in a temp.
 
         ``SELECT agg(...) FROM O, ... WHERE W [GROUP BY g]`` becomes::
 
-            TEMP_D = SELECT DISTINCT rid(O), O.c1, ..., O.ck
-                     FROM O, ... WHERE W
-            SELECT agg(...') FROM TEMP_D [GROUP BY g']
+            DTEMP = SELECT DISTINCT rid(O), O.c1, ..., O.ck
+                    FROM O, ... WHERE W
+            SELECT agg(...') FROM DTEMP [GROUP BY g']
 
-        where the primes rewrite O's column references to TEMP_D's.
+        where the primes rewrite O's column references to DTEMP's.
+        ``DTEMP`` is an ordinary trailing definition of the temp chain.
         Supported for a single original outer table (the common shape);
         multiple outer tables would need disambiguated staging columns.
         """
-        from dataclasses import replace as dc_replace
-
         from repro.engine.relation import ROWID_COLUMN
-        from repro.sql.ast import ColumnRef, SelectItem, TableRef, walk
+        from repro.serve.normalize import rewrite_leaves
+        from repro.sql.ast import ColumnRef, SelectItem, TableRef
 
         query = transform.query
         if len(transform.root_tables) != 1:
@@ -392,35 +421,15 @@ class Engine:
             distinct=True,
         )
 
-        executor = self._executor(join_method)
-        relation = executor.execute(staging)
-        self.catalog.register_temp(
-            temp_name, relation.heap, executor.output_names(staging)
-        )
+        def to_staging(leaf):
+            if isinstance(leaf, ColumnRef) and leaf.table == outer_binding:
+                return ColumnRef(temp_name, leaf.column)
+            return leaf
 
         def rewrite(expr):
-            from repro.sql import ast as A
+            return rewrite_leaves(expr, to_staging)
 
-            if isinstance(expr, ColumnRef):
-                if expr.table == outer_binding:
-                    return ColumnRef(temp_name, expr.column)
-                return expr
-            rebuilt = expr
-            if isinstance(expr, A.FuncCall) and not isinstance(expr.arg, A.Star):
-                rebuilt = A.FuncCall(expr.name, rewrite(expr.arg), expr.distinct)
-            elif isinstance(expr, A.Comparison):
-                rebuilt = A.Comparison(
-                    rewrite(expr.left), expr.op, rewrite(expr.right), expr.outer
-                )
-            elif isinstance(expr, A.And):
-                rebuilt = A.And(tuple(rewrite(op) for op in expr.operands))
-            elif isinstance(expr, A.Or):
-                rebuilt = A.Or(tuple(rewrite(op) for op in expr.operands))
-            elif isinstance(expr, A.Not):
-                rebuilt = A.Not(rewrite(expr.operand))
-            return rebuilt
-
-        return Select(
+        aggregated = Select(
             items=tuple(
                 SelectItem(rewrite(item.expr), item.alias) for item in query.items
             ),
@@ -429,6 +438,7 @@ class Engine:
             having=rewrite(query.having) if query.having is not None else None,
             distinct=query.distinct,
         )
+        return TempTableDef(temp_name, staging), aggregated
 
     def _prepare(self, select: Select) -> Select:
         """Qualify all column references, then rewrite extended predicates."""
@@ -447,51 +457,13 @@ class Engine:
             parallel_threshold=self.parallel_threshold,
         )
 
-    def _executor(self, join_method: str | None = None) -> SingleLevelExecutor:
-        return SingleLevelExecutor(
-            self.catalog,
-            join_method or self.join_method,
-            parallelism=self.parallelism,
-            parallel_threshold=self.parallel_threshold,
-        )
-
-    def _run_nested_iteration(self, select: Select) -> RunReport:
-        before = self.catalog.buffer.stats()
-        # Pin an MVCC snapshot (or reuse the enclosing transaction's)
-        # so every scan in the run sees one committed state.
-        with self.catalog.snapshots.pinned():
-            result = NestedIterationExecutor(
-                self.catalog,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            ).execute(select)
-        io = self.catalog.buffer.stats() - before
-        return RunReport(result=result, io=io, method="nested_iteration")
-
-    def _run_cost_based(self, select: Select) -> RunReport:
-        """Let the section-7 cost model pick the strategy (SEL 79 style)."""
-        from repro.optimizer.planner import Planner
-
-        with self.catalog.snapshots.pinned():
-            return self._run_cost_based_pinned(select, Planner)
-
-    def _run_cost_based_pinned(self, select: Select, Planner) -> RunReport:
-        choice = Planner(self.catalog).choose(select)
-        if choice.method == "nested_iteration":
-            report = self._run_nested_iteration(select)
-        else:
-            # The chosen join method travels as an argument: this
-            # engine is shared, and a concurrent run_cached must never
-            # read a swapped ``join_method`` into its cache key.
-            try:
-                report = self._run_transform(select, choice.join_method)
-            except TransformError:
-                report = self._run_nested_iteration(select)
-        report.trace = [*choice.describe().splitlines(), *report.trace]
-        return report
-
     def _verify_transform(
-        self, rewritten: Select, transform, join_method: str | None = None
+        self,
+        rewritten: Select,
+        transform: GeneralTransform,
+        join_method: str,
+        fixup: list[TempTableDef],
+        final_query: Select,
     ) -> list[str]:
         """Mandatory post-transform static checks (see ``verify``).
 
@@ -500,12 +472,19 @@ class Engine:
         enforces that qualification really qualified everything), then
         the plan verifier walks the temp chain and canonical query, and
         the Kim-bug lint looks for the paper's section 5 shapes.
+
+        ``fixup`` and ``final_query`` are what :meth:`_dedupe_outer`
+        made of the canonical query; the plan verifier never sees
+        those, so they are checked here by the executor's own rule
+        (any error raises, whatever the JA algorithm) — once per plan,
+        which is why a replay runs its blocks with ``verify=False``.
         """
         from repro.analysis import lint_transform, verify_nested, verify_transform
+        from repro.analysis.verifier import collect_temp_infos, verify_single_level
 
         findings = verify_nested(rewritten, self.catalog, require_qualified=True)
         plan_findings, temps = verify_transform(
-            transform, self.catalog, join_method=join_method or self.join_method
+            transform, self.catalog, join_method=join_method
         )
         findings.extend(plan_findings)
         findings.extend(lint_transform(transform, self.catalog, temps))
@@ -513,83 +492,31 @@ class Engine:
 
         if self.ja_algorithm == "ja2":
             findings.raise_errors("static verification of transformed plan")
-            return [
+            trace = [
                 f"verifier: {len(findings)} finding(s), no errors"
                 if findings
                 else "verifier: plan ok"
             ]
-        # Deliberately buggy algorithm: keep the findings as warnings so
-        # the section 5 bug gallery can still execute the plan.
-        return [
-            f"verifier (not enforced for ja={self.ja_algorithm}): "
-            f"[{d.rule}] {d.message}"
-            for d in findings
-        ] or ["verifier: plan ok"]
+        else:
+            # Deliberately buggy algorithm: keep the findings as warnings
+            # so the section 5 bug gallery can still execute the plan.
+            trace = [
+                f"verifier (not enforced for ja={self.ja_algorithm}): "
+                f"[{d.rule}] {d.message}"
+                for d in findings
+            ] or ["verifier: plan ok"]
 
-    def _run_transform(
-        self, select: Select, join_method: str | None = None
-    ) -> RunReport:
-        """Transform and execute, with ``join_method`` overriding the
-        engine's own for this run only (the cost-based choice)."""
-        join_method = join_method or self.join_method
-        before = self.catalog.buffer.stats()
-        # Pin an MVCC snapshot (or reuse the enclosing transaction's):
-        # the temp builds and the final query then all read the same
-        # committed state, even while writers commit concurrently.
-        with self.catalog.snapshots.pinned():
-            return self._run_transform_pinned(select, before, join_method)
-
-    def _run_transform_pinned(
-        self, select: Select, before, join_method: str
-    ) -> RunReport:
-        try:
-            rewritten = self._prepare(select)
-            transform = self._nest_g(rewritten, join_method)
-            verify_trace = (
-                self._verify_transform(rewritten, transform, join_method)
-                if self.verify
-                else []
-            )
-
-            steps: list[str] = []
-            temp_pages: dict[str, int] = {}
-            for definition in transform.setup[: transform.built]:
-                temp_pages[definition.name] = self.catalog.heap_of(
-                    definition.name
-                ).num_pages
-            for definition in transform.setup[transform.built :]:
-                executor = self._executor(join_method)
-                relation = executor.execute(definition.query)
-                self.catalog.register_temp(
-                    definition.name,
-                    relation.heap,
-                    executor.output_names(definition.query),
+        if final_query is not transform.query:
+            if fixup:
+                temps = collect_temp_infos(
+                    [*transform.setup, *fixup], self.catalog
                 )
-                steps.append(f"built {definition.name}: " + "; ".join(executor.steps))
-                temp_pages[definition.name] = relation.num_pages
-
-            final_query, strip = self._maybe_dedupe_outer(transform, join_method)
-            final = self._executor(join_method)
-            relation = final.execute(final_query)
-            steps.append("final: " + "; ".join(final.steps))
-            rows = relation.drain()
-            if strip:
-                rows = [row[strip:] for row in rows]
-            result = QueryResult(
-                columns=final.output_names(transform.query),
-                rows=rows,
-            )
-            io = self.catalog.buffer.stats() - before
-            return RunReport(
-                result=result,
-                io=io,
-                method="transform",
-                join_method=join_method,
-                canonical_sql=to_sql(transform.query),
-                setup_sql=[d.describe() for d in transform.setup],
-                trace=transform.trace + verify_trace,
-                steps=steps,
-                temp_pages=temp_pages,
-            )
-        finally:
-            self.catalog.drop_temp_tables()
+            for block in (*(d.query for d in fixup), final_query):
+                rewrite_findings = verify_single_level(
+                    block, self.catalog, temps=temps, join_method=join_method
+                )
+                if not rewrite_findings.by_rule("PV004"):
+                    rewrite_findings.raise_errors(
+                        "static verification of canonical query"
+                    )
+        return trace

@@ -1,4 +1,4 @@
-"""Multi-query replay leg: shared subplans vs SQLite vs sharing-off.
+"""Multi-query replay leg: shared subplans vs uncached runs vs SQLite.
 
 The classic difftest checks one query at a time; the sharing registry
 (:mod:`repro.serve.sharing`) only does interesting work *across*
@@ -6,14 +6,16 @@ queries.  This leg replays a seeded mixed workload — a pool of query
 shapes deliberately built so distinct outer blocks need the same inner
 temp chains, interleaved with committed inserts — through
 
-1. a :class:`~repro.api.Database` with cross-query sharing ON,
-2. an identically-configured database with sharing OFF (the private
-   per-plan memo path), and
+1. ``execute_cached`` on a :class:`~repro.api.Database` (cached plans
+   leasing and publishing shared temps),
+2. ``Database.run`` on the same instance (the same statement path with
+   no cache: planned afresh, every temp built and dropped), and
 3. a SQLite shadow fed the same rows,
 
 and demands every result agree across all three after every event.
 The inserts exercise eager invalidation mid-replay: a purged shared
-temp must never leak a stale row into a later answer.
+temp must never leak a stale row into a later answer, and a plan that
+folded a type-A block's value in must be re-planned.
 
 The leg fails if less than :data:`MIN_SHARED_FRACTION` of the temp
 installations were served from the registry — a replay that does not
@@ -48,7 +50,9 @@ def query_pool() -> list[str]:
     The first three shapes per cutoff share the whole NEST-JA2 chain
     (same correlated COUNT), so a healthy replay leases far more temps
     than it builds; the trailing type-N/type-J shapes keep the mix
-    honest (different chains, no sharing).
+    honest (different chains, no sharing), and the uncorrelated
+    aggregate is the shape NEST-A folds into the plan — half the write
+    batches move its value, which a cached plan must not carry across.
     """
     pool: list[str] = []
     for cutoff in CUTOFFS:
@@ -70,6 +74,10 @@ def query_pool() -> list[str]:
     pool.append(
         "SELECT PARTS.PNUM FROM PARTS, SUPPLY "
         "WHERE PARTS.PNUM = SUPPLY.PNUM AND SUPPLY.QUAN > 2"
+    )
+    pool.append(
+        "SELECT PNUM, QOH FROM PARTS WHERE PNUM = "
+        "(SELECT MAX(P2.PNUM) FROM PARTS P2)"
     )
     return pool
 
@@ -131,7 +139,7 @@ def _write_batch(rng: random.Random) -> tuple[str, list[tuple]]:
     ]
 
 
-def _make_database(parallelism: int, sharing: bool) -> Database:
+def _make_database(parallelism: int) -> Database:
     # dedupe_inner/outer on, like the classic difftest legs: the
     # paper-faithful defaults reproduce Kim's Lemma-1 multiplicity
     # caveat by design, and this leg checks the fixed-up pipeline.
@@ -142,12 +150,6 @@ def _make_database(parallelism: int, sharing: bool) -> Database:
         dedupe_inner=True,
         dedupe_outer=True,
     )
-    if not sharing:
-        from repro.serve.cache import PlanCache
-
-        db.plan_cache = PlanCache(sharing=False)
-        db.plan_cache.attach(db.catalog)
-        db.engine.plan_cache = db.plan_cache
     db.create_table("PARTS", ["PNUM", "QOH"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "text")])
     return db
@@ -173,13 +175,11 @@ def run_replay(
         leg = f"replay[p{parallelism}]"
         report.legs += 1
         rng = random.Random(seed)
-        shared_db = _make_database(parallelism, sharing=True)
-        plain_db = _make_database(parallelism, sharing=False)
+        db = _make_database(parallelism)
         shadow = _make_shadow()
         parts, supply = _seed_rows(rng)
         for table, rows in (("PARTS", parts), ("SUPPLY", supply)):
-            shared_db.insert(table, rows)
-            plain_db.insert(table, rows)
+            db.insert(table, rows)
             marks = ", ".join("?" for _ in rows[0])
             shadow.executemany(
                 f'INSERT INTO "{table}" VALUES ({marks})', rows
@@ -188,8 +188,7 @@ def run_replay(
         for step in range(queries):
             if write_every and step % write_every == write_every - 1:
                 table, rows = _write_batch(rng)
-                shared_db.insert(table, rows)
-                plain_db.insert(table, rows)
+                db.insert(table, rows)
                 marks = ", ".join("?" for _ in rows[0])
                 shadow.executemany(
                     f'INSERT INTO "{table}" VALUES ({marks})', rows
@@ -198,8 +197,8 @@ def run_replay(
                 report.writes += 1
                 continue
             sql = rng.choice(pool)
-            shared_run = shared_db.execute_cached(sql)
-            plain_run = plain_db.execute_cached(sql)
+            shared_run = db.execute_cached(sql)
+            plain_run = db.run(sql, method="auto")
             oracle_rows = [
                 tuple(row) for row in shadow.execute(sql).fetchall()
             ]
@@ -207,36 +206,29 @@ def run_replay(
             for step_label in shared_run.steps:
                 if step_label.startswith("shared "):
                     report.shared_installs += 1
-                elif step_label.startswith(
-                    ("built ", "reused ")
-                ):
+                elif step_label.startswith("built "):
                     report.built_installs += 1
             ours = normalize_rows(shared_run.result.rows)
             unshared = normalize_rows(plain_run.result.rows)
             oracle = normalize_rows(oracle_rows)
             if ours != oracle:
                 report.failures.append(
-                    f"{leg} step {step}: sharing-on diverged from "
+                    f"{leg} step {step}: execute_cached diverged from "
                     f"SQLite\n  {sql}\n  ours:   {sorted(ours.items())[:5]}"
                     f"\n  oracle: {sorted(oracle.items())[:5]}"
                 )
             if ours != unshared:
                 report.failures.append(
-                    f"{leg} step {step}: sharing-on diverged from "
-                    f"sharing-off\n  {sql}"
+                    f"{leg} step {step}: execute_cached diverged from "
+                    f"Database.run\n  {sql}"
                 )
-        registry = shared_db.plan_cache.sharing
-        if registry is not None and any(
-            entry.active != 0 for entry in registry._entries.values()
-        ):
+        registry = db.plan_cache.sharing
+        if any(entry.active != 0 for entry in registry._entries.values()):
             report.failures.append(f"{leg}: leaked registry lease")
-        for label, db in (("sharing-on", shared_db), ("sharing-off", plain_db)):
-            db.plan_cache.clear()
-            leaked = leaked_pages(db.catalog)
-            if leaked:
-                report.failures.append(
-                    f"{leg}: {label} leaked {leaked} page(s)"
-                )
+        db.plan_cache.clear()
+        leaked = leaked_pages(db.catalog)
+        if leaked:
+            report.failures.append(f"{leg}: leaked {leaked} page(s)")
     if report.clean and report.shared_fraction < MIN_SHARED_FRACTION:
         report.failures.append(
             f"replay shared only {100.0 * report.shared_fraction:.1f}% of "

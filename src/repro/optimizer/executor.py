@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
 from repro.engine.aggregate import AggSpec
 from repro.engine.operators import (
@@ -148,6 +149,21 @@ class SingleLevelExecutor:
                 if relation.heap is not kept:
                     relation.drop()
 
+    def materialize(self, name: str, select: Select) -> tuple[str, int]:
+        """Build one temp-table definition and register it as ``name``.
+
+        The one place a transform temp (``Rt``, ``TEMP1..3``, a staging
+        temp) comes into being: NEST-G's plan-time prefix, the replay
+        loop and the batched chain all call it.  The catalog this
+        executor reads from owns the heap from here on.  Returns the
+        step text and the temp's page count.
+        """
+        relation = self.execute(select)
+        self.catalog.register_temp(
+            name, relation.heap, self.output_names(select)
+        )
+        return f"built {name}: " + "; ".join(self.steps), relation.num_pages
+
     def _run(self, operator, *args, **kwargs) -> Relation:
         """Run one physical operator: the ownership choke point.
 
@@ -230,15 +246,7 @@ class SingleLevelExecutor:
 
     def output_names(self, select: Select) -> list[str]:
         """Output column names for registering the result as a table."""
-        names: list[str] = []
-        for item in select.items:
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                names.append(item.expr.column)
-            else:
-                names.append(f"C{len(names) + 1}")
-        return names
+        return output_names(select)
 
     # -- FROM clause ---------------------------------------------------------
 

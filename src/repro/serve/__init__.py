@@ -15,7 +15,8 @@ Layers:
   concurrently;
 * :mod:`repro.serve.normalize` — literal parameterization and the
   normalized-SQL fingerprint that keys the cache;
-* :mod:`repro.serve.plan` — building and replaying cached plans;
+* :mod:`repro.serve.plan` — building and replaying plans (the one
+  statement path; ``Engine.run`` is this with no cache);
 * :mod:`repro.serve.binding` — verifier-derived type/nullability
   checks applied to parameter vectors at bind time;
 * :mod:`repro.serve.cache` — the LRU plan cache with hit/miss/
@@ -25,14 +26,13 @@ Layers:
 """
 
 from repro.serve.cache import CacheStats, PlanCache
-from repro.serve.plan import CachedPlan, NonCacheablePlan, build_plan
+from repro.serve.plan import CachedPlan, build_plan
 from repro.serve.prepared import PreparedStatement
 from repro.serve.session import SessionCatalog
 
 __all__ = [
     "CacheStats",
     "CachedPlan",
-    "NonCacheablePlan",
     "PlanCache",
     "PreparedStatement",
     "SessionCatalog",

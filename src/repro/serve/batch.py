@@ -24,7 +24,7 @@ executes the whole batch set-at-a-time:
 The rewrite is purely structural — no data access — so it is derived
 once per (plan, schema version) and cached on the statement.  Shapes
 the rewrite cannot prove correct (grouped/aggregated final queries,
-ORDER BY, full outer joins, dedupe-outer row-id plans, custom/fallback
+ORDER BY, full outer joins, dedupe-outer row-id plans, custom
 statements) raise :class:`BatchIneligible` and the statement falls back
 to the per-vector loop — under one pinned MVCC snapshot either way, so
 a batch can never straddle a concurrent commit.
@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.core.pipeline import RunReport
+from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError
 from repro.optimizer.executor import SingleLevelExecutor
@@ -70,8 +71,8 @@ class BatchPlan:
     Attributes:
         binding_name: catalog-unique name of the binding relation.
         binding_columns: ``("SEQ", "P0", ..)`` — vector layout.
-        setup: ``(temp name, query)`` per definition, in build order;
-            batched definitions carry the rewritten query.
+        setup: the temp chain in build order; batched definitions
+            carry the rewritten query.
         final_query: the set-oriented final query; its first output
             column is the batch sequence used to demultiplex.
         schema_version: catalog schema version the rewrite was derived
@@ -80,7 +81,7 @@ class BatchPlan:
 
     binding_name: str
     binding_columns: tuple[str, ...]
-    setup: tuple[tuple[str, Select], ...]
+    setup: tuple[TempTableDef, ...]
     final_query: Select
     schema_version: int
 
@@ -265,7 +266,7 @@ def _rewrite_final(
     )
 
 
-def classify_definitions(transform) -> set[str]:
+def classify_definitions(definitions) -> set[str]:
     """Names of temp definitions that must be batched, to a fixpoint.
 
     A definition is batched when it reads a parameter or a batched
@@ -273,7 +274,6 @@ def classify_definitions(transform) -> set[str]:
     side is batched is force-batched too (every preserved row needs a
     per-vector copy for the padding to be per-vector).
     """
-    definitions = list(transform.setup)
     temp_names = {definition.name for definition in definitions}
     batched = {
         definition.name
@@ -328,27 +328,23 @@ def build_batch_plan(plan, catalog) -> BatchPlan:
     Purely structural — reads no data.  Raises :class:`BatchIneligible`
     for shapes the rewrite cannot prove equivalent to the loop.
     """
-    if plan.kind != "transform" or plan.transform is None:
+    if plan.kind != "transform":
         raise BatchIneligible("only transform plans batch")
-    if plan.strip or plan.final_query is None:
+    if plan.strip:
         raise BatchIneligible("dedupe-outer row-id plans do not batch")
     if plan.param_count < 1:
         raise BatchIneligible("statement has no parameters")
-    batched = classify_definitions(plan.transform)
+    batched = classify_definitions(plan.setup)
     binding_name = catalog.create_temp_name("BIND")
-    setup: list[tuple[str, Select]] = []
-    for definition in plan.transform.setup:
-        if definition.name in batched:
-            setup.append(
-                (
-                    definition.name,
-                    _rewrite_definition(
-                        definition.query, batched, binding_name
-                    ),
-                )
-            )
-        else:
-            setup.append((definition.name, definition.query))
+    setup = [
+        TempTableDef(
+            definition.name,
+            _rewrite_definition(definition.query, batched, binding_name),
+        )
+        if definition.name in batched
+        else definition
+        for definition in plan.setup
+    ]
     final_query = _rewrite_final(plan.final_query, batched, binding_name)
     columns = ("SEQ",) + tuple(f"P{i}" for i in range(plan.param_count))
     return BatchPlan(
@@ -366,16 +362,17 @@ def execute_batch_plan(
     """Run the whole batch as one plan; per-vector reports, input order.
 
     The catalog read lock and one MVCC snapshot cover the entire batch:
-    every vector's result reflects the same committed state.  Temps
-    (including the binding relation) live in a private session overlay
-    and are dropped on the way out; unbatched definitions are built
-    once and serve every vector.
+    every vector's result reflects the same committed state.  The
+    chain runs through the plan's own driver
+    (:meth:`~repro.serve.plan.CachedPlan.run_chain`) in a private
+    session overlay that also holds the binding relation, leasing and
+    publishing nothing; unbatched definitions are built once and serve
+    every vector.
     """
     from repro.engine.params import bound_params
 
     session = SessionCatalog(catalog)
     before = session.buffer.stats()
-    steps = [f"bind {len(vectors)} vector(s)"]
     with (
         catalog.read_lock(),
         catalog.snapshots.pinned(),
@@ -402,44 +399,30 @@ def execute_batch_plan(
         # aggregation — regardless of the statement's own join method.
         # Results are join-method-invariant (the difftest legs cross
         # them), so this is a pure physical choice.
-        def executor() -> SingleLevelExecutor:
-            return SingleLevelExecutor(
-                session, "hash", verify=False,
-                parallelism=plan.parallelism,
-                parallel_threshold=plan.parallel_threshold,
-            )
-
-        try:
-            for name, query in batch_plan.setup:
-                build = executor()
-                relation = build.execute(query)
-                session.register_temp(
-                    name, relation.heap, build.output_names(query)
-                )
-                steps.append(f"built {name}")
-            final = executor()
-            relation = final.execute(batch_plan.final_query)
-            steps.append("final (batched)")
-            rows = relation.drain()
-        finally:
-            session.drop_temp_tables()
-    columns = final.output_names(plan.transform.query)
+        executor = SingleLevelExecutor(
+            session, "hash", verify=False,
+            parallelism=plan.parallelism,
+            parallel_threshold=plan.parallel_threshold,
+        )
+        rows, steps, _pages = plan.run_chain(
+            session, executor, batch_plan.setup, batch_plan.final_query
+        )
+    steps.insert(0, f"bind {len(vectors)} vector(s)")
     io = session.buffer.stats() - before
     by_seq: dict[int, list[tuple]] = {}
     for row in rows:
         by_seq.setdefault(row[0], []).append(tuple(row[1:]))
-    canonical = to_sql(plan.transform.query)
     reports = []
     for seq in range(len(vectors)):
         reports.append(
             RunReport(
                 result=QueryResult(
-                    columns=columns, rows=by_seq.get(seq, [])
+                    columns=plan.columns, rows=by_seq.get(seq, [])
                 ),
                 io=io if seq == 0 else IOStats(),
                 method="batched-transform",
                 join_method="hash",
-                canonical_sql=canonical,
+                canonical_sql=plan.canonical_sql,
                 steps=steps if seq == 0 else [],
             )
         )

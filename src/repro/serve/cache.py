@@ -3,22 +3,24 @@
 Keys are ``(fingerprint, engine_config)`` — the normalized SQL text of
 the literal-parameterized tree plus every engine knob that affects plan
 shape.  Versions are *not* part of the key; each entry records the
-schema version it was built under and a lookup under any other schema
-version is treated as an invalidation (the entry is dropped and
-rebuilt).
+versions it was built under and a lookup it is no longer valid at
+(:meth:`~repro.serve.plan.CachedPlan.valid_at`: another schema version,
+or another data version for a plan that folded data in) is treated as
+an invalidation (the entry is dropped and rebuilt).
 
 Invalidation is event-class aware (see
 :func:`repro.catalog.catalog.event_class`):
 
 * **schema** events (DDL, ANALYZE) change what plans are *valid* —
-  the cache purges eagerly, freeing memoized temps immediately rather
+  the cache purges eagerly, freeing shared temps immediately rather
   than leaving stale entries to age out of the LRU;
 * **data** events (inserts) change only which rows exist — cached
-  plans re-read base tables on every replay, so the entries survive;
-  only their memoized temp materializations are flushed (they were
-  built from the pre-insert data).  A hit on a plan that outlived a
-  data change is counted as a *snapshot-pin hit*: the replay pins the
-  current MVCC snapshot instead of re-planning.
+  plans re-read base tables on every replay, so the entries survive
+  (all but the folded ones, dropped at their next lookup); only the
+  shared temp materializations are purged (they were built from the
+  pre-insert data).  A hit on a plan that outlived a data change is
+  counted as a *snapshot-pin hit*: the replay pins the current MVCC
+  snapshot instead of re-planning.
 
 All operations are lock-protected; worker threads share one cache.
 """
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from repro.catalog.catalog import Catalog, event_class
 from repro.storage.locks import make_lock
 from repro.serve.plan import CachedPlan
+from repro.serve.sharing import SharedSubplanRegistry
 
 #: Default maximum number of cached plans.
 DEFAULT_CAPACITY = 128
@@ -49,8 +52,9 @@ class CacheStats:
     #: Hits on entries built before the latest data change — served by
     #: pinning the current snapshot rather than re-planning.
     snapshot_pin_hits: int = 0
-    #: Memoized temp materializations flushed by data events (private
-    #: memo flushes plus shared entries purged by data events).
+    #: Temp materializations flushed by data events: the registry's
+    #: data purges (there is no other memo any more; the name is what
+    #: ``benchmarks/suite`` reads).
     memo_flushes: int = 0
     #: Temp materializations published to the cross-plan sharing
     #: registry (each built exactly once for all consuming plans).
@@ -83,42 +87,32 @@ class CacheStats:
 class PlanCache:
     """Bounded LRU of :class:`~repro.serve.plan.CachedPlan` objects."""
 
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, sharing: bool = True
-    ) -> None:
-        from repro.serve.sharing import SharedSubplanRegistry
-
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._lock = make_lock("serve.plan_cache")
-        #: Cross-plan shared materializations (see repro.serve.sharing);
-        #: None disables sharing (plans fall back to private memos).
-        self.sharing = SharedSubplanRegistry() if sharing else None
+        #: The shared temp materializations of the plans served here
+        #: (see repro.serve.sharing).
+        self.sharing = SharedSubplanRegistry()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
         self.snapshot_pin_hits = 0
-        self.memo_flushes = 0
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, catalog: Catalog) -> None:
-        """Invalidate on schema changes; flush temp memos on data changes."""
+        """Invalidate on schema changes; purge shared temps on any."""
         catalog.add_change_hook(self._on_catalog_change)
 
     def _on_catalog_change(self, event: str, table: str) -> None:
         if event_class(event) == "data":
-            with self._lock:
-                for plan in self._entries.values():
-                    if plan.data_changed():
-                        self.memo_flushes += 1
-            if self.sharing is not None:
-                # Every registry key embeds the data version, so the
-                # entries can never be hit again; reclaim their pages.
-                self.sharing.purge_all("data")
+            # Every registry key embeds the data version, so the
+            # entries can never be hit again; reclaim their pages.
+            self.sharing.purge_all("data")
             return
         with self._lock:
             if self._entries:
@@ -126,29 +120,29 @@ class PlanCache:
                 for plan in self._entries.values():
                     plan.release()
                 self._entries.clear()
-        if self.sharing is not None:
-            # Plans built outside this cache (prepared statements) may
-            # hold registry entries too; purge those as well.
-            self.sharing.purge_all("schema")
+        # Plans built outside this cache (prepared statements) may
+        # hold registry entries too; purge those as well.
+        self.sharing.purge_all("schema")
 
     # -- access ------------------------------------------------------------
 
     def lookup(
-        self, key: tuple, schema_version: int, data_version: int = -1
+        self, key: tuple, schema_version: int, data_version: int
     ) -> CachedPlan | None:
-        """The cached plan for ``key`` valid at ``schema_version``, or None.
+        """The cached plan for ``key`` valid at these versions, or None.
 
-        A schema-version mismatch counts as an invalidation *and* a
-        miss: the stale entry is dropped and the caller rebuilds.  A
-        *data*-version difference is a hit — the plan survives inserts
-        by construction — recorded in ``snapshot_pin_hits``.
+        An entry that is no longer valid counts as an invalidation
+        *and* a miss: it is dropped and the caller rebuilds.  For a
+        plan that folded no data in, a *data*-version difference is a
+        hit — the plan survives inserts by construction — recorded in
+        ``snapshot_pin_hits``.
         """
         with self._lock:
             plan = self._entries.get(key)
             if plan is None:
                 self.misses += 1
                 return None
-            if plan.catalog_version != schema_version:
+            if not plan.valid_at(schema_version, data_version):
                 del self._entries[key]
                 plan.release()
                 self.invalidations += 1
@@ -156,7 +150,7 @@ class PlanCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            if data_version >= 0 and plan.data_version != data_version:
+            if plan.data_version != data_version:
                 self.snapshot_pin_hits += 1
             return plan
 
@@ -192,13 +186,10 @@ class PlanCache:
                 size=len(self._entries),
                 capacity=self.capacity,
                 snapshot_pin_hits=self.snapshot_pin_hits,
-                memo_flushes=self.memo_flushes
-                + (registry.data_purges if registry is not None else 0),
-                shared_materializations=(
-                    registry.materializations if registry is not None else 0
-                ),
-                shared_hits=registry.cross_hits if registry is not None else 0,
-                shared_purges=registry.purges if registry is not None else 0,
+                memo_flushes=registry.data_purges,
+                shared_materializations=registry.materializations,
+                shared_hits=registry.cross_hits,
+                shared_purges=registry.purges,
             )
 
     def reset_stats(self) -> None:
@@ -208,6 +199,4 @@ class PlanCache:
             self.invalidations = 0
             self.evictions = 0
             self.snapshot_pin_hits = 0
-            self.memo_flushes = 0
-        if self.sharing is not None:
-            self.sharing.reset_stats()
+        self.sharing.reset_stats()

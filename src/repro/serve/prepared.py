@@ -5,23 +5,23 @@
 straight into the already-compiled plan (closures read parameters
 through a context variable, so nothing is recompiled) and replays it.
 
-Three modes, chosen automatically at prepare time:
+Two modes, chosen automatically at prepare time:
 
 * **generic** — one parameterized plan serves every vector (the common
   case; what real systems call a generic plan);
 * **custom** — the plan's shape depends on parameter values (a bind
   parameter inside a type-A block whose result is folded into the plan
   as a constant); a small per-vector plan cache is kept instead,
-  mirroring the generic-vs-custom plan split in production databases;
-* **fallback** — the query cannot be served from a cached plan at all
-  (see :class:`~repro.serve.plan.NonCacheablePlan`); each execute runs
-  the full pipeline in a private session.
+  mirroring the generic-vs-custom plan split in production databases.
 
-Every mode re-checks the catalog's *schema* version per execute and
-re-plans (re-running verification and lint) when it moved — DDL between
-executions can never leave a stale plan running.  Plain inserts bump
-only the data version: the plan survives and its replay pins the
-current MVCC snapshot, so fresh rows appear without re-planning.
+Both re-check the plan per execute
+(:meth:`~repro.serve.plan.CachedPlan.valid_at`) and re-plan
+(re-running verification and lint) when the catalog's *schema* version
+moved — DDL between executions can never leave a stale plan running.
+Plain inserts bump only the data version: a plan that folded no data
+in survives and its replay pins the current MVCC snapshot, so fresh
+rows appear without re-planning; one that did (every custom plan, and
+a generic one over a parameterless type-A block) is re-planned.
 
 Statements are safe to execute from multiple threads concurrently.
 """
@@ -43,7 +43,7 @@ from repro.serve.batch import (
 )
 from repro.serve.binding import check_binding, derive_param_specs
 from repro.serve.normalize import fingerprint, substitute_params, user_param_count
-from repro.serve.plan import CachedPlan, NonCacheablePlan, build_plan
+from repro.serve.plan import CachedPlan, build_plan
 from repro.sql.ast import Parameter, Select, walk
 from repro.sql.parser import parse
 from repro.storage.locks import make_lock
@@ -97,13 +97,11 @@ class PreparedStatement:
             return "generic"
         except ParameterizedPlanError:
             return "custom"
-        except NonCacheablePlan:
-            return "fallback"
 
     def close(self) -> None:
-        """Release the statement's plans and the temps they memoized or
-        hold in the shared registry (SQL's DEALLOCATE).  A later
-        ``execute`` simply plans again."""
+        """Release the statement's plans and the temps they hold in the
+        shared registry (SQL's DEALLOCATE).  A later ``execute`` simply
+        plans again."""
         with self._lock:
             plans = [*self._custom.values()]
             if self._plan is not None:
@@ -164,11 +162,9 @@ class PreparedStatement:
             self.param_specs = self._derive_specs()
         check_binding(self.param_specs, vector)
 
-        if self.mode == "fallback":
-            return self._run_fallback(vector)
         if self.mode == "custom":
             return self._run_custom(vector, version)
-        return self._run_generic(vector, version)
+        return self._generic_plan(version).replay(catalog, vector)
 
     def executemany(
         self, vectors: Sequence[Sequence[object] | Mapping[str, object]]
@@ -199,14 +195,8 @@ class PreparedStatement:
             self.param_specs = self._derive_specs()
         for vector in bound:
             check_binding(self.param_specs, vector)
+        plan = self._generic_plan(version)
         with self._lock:
-            plan = self._plan
-            if plan is None or plan.catalog_version != version:
-                if plan is not None:
-                    plan.release()
-                self._plan = plan = build_plan(
-                    self.engine, self.select, self.method, self.fingerprint
-                )
             batch_plan = self._batch_plan_for(plan)
         if batch_plan is None:
             return self._loop_batch(bound)
@@ -251,12 +241,12 @@ class PreparedStatement:
             io=total_io(reports),
         )
 
-    def _run_generic(
-        self, vector: tuple[object, ...], version: int
-    ) -> RunReport:
+    def _generic_plan(self, version: int) -> CachedPlan:
+        """The generic plan, re-planned when it is no longer valid."""
+        data_version = self.engine.catalog.data_version
         with self._lock:
             plan = self._plan
-            if plan is None or plan.catalog_version != version:
+            if plan is None or not plan.valid_at(version, data_version):
                 if plan is not None:
                     plan.release()
                 # Re-plan *and* re-verify: build_plan runs the static
@@ -264,14 +254,15 @@ class PreparedStatement:
                 self._plan = plan = build_plan(
                     self.engine, self.select, self.method, self.fingerprint
                 )
-        return plan.replay(self.engine.catalog, vector)
+        return plan
 
     def _run_custom(
         self, vector: tuple[object, ...], version: int
     ) -> RunReport:
+        data_version = self.engine.catalog.data_version
         with self._lock:
             plan = self._custom.get(vector)
-            if plan is not None and plan.catalog_version != version:
+            if plan is not None and not plan.valid_at(version, data_version):
                 del self._custom[vector]
                 plan.release()
                 plan = None
@@ -289,14 +280,6 @@ class PreparedStatement:
         # The vector's values are baked into the custom plan as
         # literals; nothing is left to bind.
         return plan.replay(self.engine.catalog, ())
-
-    def _run_fallback(self, vector: tuple[object, ...]) -> RunReport:
-        from repro.engine.params import bound_params
-
-        catalog = self.engine.catalog
-        session_engine = self.engine.on_session()
-        with catalog.read_lock(), bound_params(vector):
-            return session_engine.run(self.select, method=self.method)
 
 
 class _Missing:

@@ -29,10 +29,18 @@ class SessionCatalog(Catalog):
         self.base = base
         self.buffer = base.buffer
         self._tables: dict[str, TableEntry] = {}
-        #: Temp names whose heaps this session does NOT own (they are
-        #: memoized inside a CachedPlan and shared across executions);
-        #: dropping them unregisters the name but never truncates.
+        #: Temp names whose heaps this session does NOT own (they live
+        #: in the plan cache's sharing registry, leased for this
+        #: execution); dropping them unregisters the name but never
+        #: truncates.
         self._shared: set[str] = set()
+
+    @classmethod
+    def over(cls, catalog: Catalog) -> "SessionCatalog":
+        """The session a statement on ``catalog`` runs in: ``catalog``
+        itself when it already is an overlay (``Engine.run`` plans and
+        replays in one), a fresh overlay of it otherwise."""
+        return catalog if isinstance(catalog, cls) else cls(catalog)
 
     # -- delegated shared state ------------------------------------------
 
@@ -98,12 +106,12 @@ class SessionCatalog(Catalog):
         return super().register_temp(name, heap, column_names)
 
     def register_shared_temp(self, name, heap, column_names) -> None:
-        """Register a temp whose heap outlives this session (memoized)."""
+        """Register a temp whose heap outlives this session (leased)."""
         self.register_temp(name, heap, column_names)
         self._shared.add(name)
 
     def mark_shared(self, name: str) -> None:
-        """Transfer heap ownership out of this session (to a memo)."""
+        """Transfer heap ownership out of this session (to the registry)."""
         if name not in self._tables:
             raise CatalogError(f"no session temp named {name}")
         self._shared.add(name)
@@ -147,8 +155,8 @@ class SessionCatalog(Catalog):
     def drop_temp_tables(self) -> None:
         """Drop this session's temps only; the base is untouched.
 
-        Goes through :meth:`drop_table` so heaps shared with a plan's
-        temp memo are unregistered without being truncated.
+        Goes through :meth:`drop_table` so heaps leased from the
+        sharing registry are unregistered without being truncated.
         """
         for name in list(self._tables):
             self.drop_table(name)

@@ -4,11 +4,11 @@ The decorrelation transforms produce highly shareable temp tables by
 construction: two different cached queries over the same base tables
 routinely need the *same* distinct-key temp, the same restricted inner
 projection, or the same grouped-aggregate temp (the NEST-JA2 chain).
-Until now each :class:`~repro.serve.plan.CachedPlan` materialized its
-own copies and memoized them privately.  This module generalizes that
-memo across plans, the multi-query-optimization step the plan cache's
-design has been building toward (Roy et al., "Efficient and Extensible
-Algorithms for Multi Query Optimization"; see PAPERS.md).
+This module is the one temp-reuse mechanism: a materialization is
+shared across replays *and* across plans (one plan replayed twice is
+just the one-holder case) — Roy et al.'s sharing-aware materialization
+("Efficient and Extensible Algorithms for Multi Query Optimization";
+see PAPERS.md).  A plan without a registry rebuilds its temps per call.
 
 Two pieces:
 
@@ -27,10 +27,9 @@ Two pieces:
   ``(fingerprint, engine share-config, schema_version, data_version,
   bound parameter values)``; a registered entry is a materialized heap
   plus its column names.  Consuming plans hold refcounted handles
-  (``holders``), in-flight replays pin entries (``active``), and the
-  same deferred-truncation discipline as the private temp memo applies:
-  eager invalidation marks an entry purged, the last replay out frees
-  the pages.  Data and schema events purge everything — every key
+  (``holders``), in-flight replays pin entries (``active``), and
+  truncation is deferred: eager invalidation marks an entry purged,
+  the last replay out frees the pages.  Data and schema events purge everything — every key
   embeds the version pair, so a stale entry could never be *hit*;
   purging reclaims its pages eagerly.
 
@@ -106,12 +105,12 @@ def _own_slots(query) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def compute_share_specs(transform) -> tuple[ShareSpec, ...]:
-    """Fingerprint every setup definition of a transform, in build order."""
+def compute_share_specs(setup) -> tuple[ShareSpec, ...]:
+    """Fingerprint every definition of a temp chain, in build order."""
     specs: list[ShareSpec] = []
     token_by_name: dict[str, str] = {}
     slots_by_name: dict[str, tuple[int, ...]] = {}
-    for definition in transform.setup:
+    for definition in setup:
         raw = to_sql(definition.query)
         slots: list[int] = []
         for name in token_by_name:  # insertion order == chain order
@@ -260,8 +259,7 @@ class SharedSubplanRegistry:
 
         Keys embed the schema/data version pair, so post-change lookups
         could never hit these entries anyway — purging reclaims pages.
-        Truncation defers to the last in-flight lease, exactly like the
-        private temp memo.
+        Truncation defers to the last in-flight lease.
         """
         with self._lock:
             purged = len(self._entries)

@@ -19,7 +19,7 @@ Commit ordering (the recovery contract)::
     1. WAL commit record + flush        <- durability point
     2. rebuild ISAM indexes             (only if a written table has any)
     3. snapshots.publish(...)           <- visibility point, one atomic swap
-    4. bump data versions               (plan-cache memo flush)
+    4. bump data versions               (shared temps purged)
 
 A crash between 1 and 3 loses nothing: replay finds the commit record
 and reapplies the inserts.  A crash before 1 loses the transaction

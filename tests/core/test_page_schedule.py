@@ -1,0 +1,202 @@
+"""The uncached page schedule, pinned.
+
+``Engine.run`` is plan-then-replay since PR 16.  The table below was
+captured at the commit *before* that move (367f607, where ``Engine.run``
+still walked its own temp chain) and must never change because of how a
+statement is driven: page reads, page writes, the pages of every temp,
+the method label, and how many steps and set-up definitions a report
+carries.
+
+Regenerate (only when the physical operators themselves change)::
+
+    PYTHONPATH=src python tests/core/test_page_schedule.py
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import Database
+
+#: The 12 statement shapes of ``benchmarks/suite`` (copied, so tier-1
+#: does not import the benchmark), with one fixed SHIPDATE cutoff.
+SHAPES = {
+    "n": "SELECT PNUM FROM PARTS WHERE PNUM IN "
+    "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < {c})",
+    "j": "SELECT PNUM FROM PARTS WHERE QOH IN "
+    "(SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+    "ja_count": "SELECT PNUM FROM PARTS WHERE QOH = "
+    "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
+    "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+    "ja_max": "SELECT PNUM FROM PARTS WHERE QOH = "
+    "(SELECT MAX(QUAN) FROM SUPPLY "
+    "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+    "a": "SELECT PNUM FROM PARTS WHERE QOH < "
+    "(SELECT MAX(QUAN) FROM SUPPLY WHERE SHIPDATE < {c})",
+    "exists": "SELECT PNUM FROM PARTS WHERE EXISTS "
+    "(SELECT * FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+    "not_exists": "SELECT PNUM FROM PARTS WHERE NOT EXISTS "
+    "(SELECT * FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+    "ja_neq": "SELECT PNUM FROM PARTS WHERE QOH = "
+    "(SELECT MAX(QUAN) FROM SUPPLY "
+    "WHERE SUPPLY.PNUM < PARTS.PNUM AND SHIPDATE < {c})",
+    "not_in": "SELECT PNUM FROM PARTS WHERE PNUM NOT IN "
+    "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < {c})",
+    "two_preds": "SELECT PNUM FROM PARTS WHERE PNUM IN "
+    "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < {c}) AND QOH = "
+    "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
+    "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+    "depth2": "SELECT PNUM FROM PARTS WHERE PNUM IN "
+    "(SELECT PNUM FROM SUPPLY S1 WHERE QUAN = "
+    "(SELECT MAX(QUAN) FROM SUPPLY S2 "
+    "WHERE S2.PNUM = S1.PNUM AND S2.SHIPDATE < {c}))",
+    "or_fallback": "SELECT PNUM FROM PARTS WHERE QOH = 0 OR QOH = "
+    "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
+    "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {c})",
+}
+CUTOFF = "'1980-07-15'"
+JOINS = ("merge", "nested", "hash")
+WIDTHS = (1, 4)
+
+#: 200 parts on 20 pages, 800 shipments on 80 pages, against B=8:
+#: nothing fits, so re-reads and write-backs are part of the schedule,
+#: and the NEST-JA2 temps span several pages.  Only odd part numbers
+#: ship; a tenth of the shipments name parts that do not exist, so both
+#: sides of every outer join are hit.
+PARTS = [(p, p % 4) for p in range(1, 201)]
+SUPPLY = [
+    (
+        (s * 7) % 110 * 2 + 1,
+        (s * 3) % 7,
+        f"{1978 + s % 5}-{1 + (s * 7) % 12:02d}-{1 + (s * 11) % 28:02d}",
+    )
+    for s in range(800)
+]
+
+
+def measure(shape: str, join_method: str, parallelism: int) -> tuple:
+    db = Database(
+        buffer_pages=8,
+        join_method=join_method,
+        parallelism=parallelism,
+        parallel_threshold=64,
+        dedupe_inner=True,
+        dedupe_outer=True,
+    )
+    db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"], rows_per_page=10)
+    db.create_table(
+        "SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")], rows_per_page=10
+    )
+    db.insert("PARTS", PARTS)
+    db.insert("SUPPLY", SUPPLY)
+    db.create_index("SUPPLY", "PNUM")
+    db.cold_cache()
+    report = db.engine.run(SHAPES[shape].format(c=CUTOFF), method="auto")
+    assert not [t for t in db.tables() if t not in ("PARTS", "SUPPLY")]
+    return (
+        report.io.page_reads,
+        report.io.page_writes,
+        tuple(report.temp_pages.values()),
+        report.method,
+        len(report.steps),
+        len(report.setup_sql),
+        len(report.result.rows),
+    )
+
+
+# (reads, writes, temp pages, method, steps, set-up definitions, rows).
+# Reads are None where the parent itself does not repeat them: parallel
+# nested iteration probes the ISAM index from four threads against B=8.
+EXPECTED: dict[tuple[str, str, int], tuple] = {
+    ('n', 'merge', 1): (151, 59, (1,), 'transform', 2, 1, 60),
+    ('n', 'merge', 4): (150, 59, (1,), 'transform', 2, 1, 60),
+    ('n', 'nested', 1): (111, 18, (1,), 'transform', 2, 1, 60),
+    ('n', 'nested', 4): (110, 18, (1,), 'transform', 2, 1, 60),
+    ('n', 'hash', 1): (111, 18, (1,), 'transform', 2, 1, 60),
+    ('n', 'hash', 4): (110, 18, (1,), 'transform', 2, 1, 60),
+    ('j', 'merge', 1): (165, 75, (), 'transform', 1, 0, 52),
+    ('j', 'merge', 4): (165, 75, (), 'transform', 1, 0, 52),
+    ('j', 'nested', 1): (2102, 15, (), 'transform', 1, 0, 52),
+    ('j', 'nested', 4): (2102, 15, (), 'transform', 1, 0, 52),
+    ('j', 'hash', 1): (111, 15, (), 'transform', 1, 0, 52),
+    ('j', 'hash', 4): (110, 15, (), 'transform', 1, 0, 52),
+    ('ja_count', 'merge', 1): (434, 324, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'merge', 4): (432, 324, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'nested', 1): (271, 67, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'nested', 4): (268, 67, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'hash', 1): (150, 41, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'hash', 4): (145, 41, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_max', 'merge', 1): (196, 83, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'merge', 4): (195, 83, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'nested', 1): (229, 51, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'nested', 4): (227, 51, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'hash', 1): (145, 33, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'hash', 4): (141, 33, (2, 7, 1), 'transform', 4, 3, 1),
+    ('a', 'merge', 1): (102, 6, (), 'transform', 1, 0, 200),
+    ('a', 'merge', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('a', 'nested', 1): (102, 6, (), 'transform', 1, 0, 200),
+    ('a', 'nested', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('a', 'hash', 1): (102, 6, (), 'transform', 1, 0, 200),
+    ('a', 'hash', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('exists', 'merge', 1): (187, 81, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'merge', 4): (181, 81, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'nested', 1): (150, 42, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'nested', 4): (140, 42, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'hash', 1): (140, 34, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'hash', 4): (132, 34, (2, 4, 4), 'transform', 4, 3, 60),
+    ('not_exists', 'merge', 1): (193, 89, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'merge', 4): (187, 89, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'nested', 1): (153, 48, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'nested', 4): (143, 48, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'hash', 1): (142, 40, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'hash', 4): (132, 40, (2, 4, 4), 'transform', 4, 3, 140),
+    ('ja_neq', 'merge', 1): (1078, 971, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'merge', 4): (1077, 971, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'nested', 1): (5925, 4490, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'nested', 4): (5918, 4490, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'hash', 1): (1038, 927, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'hash', 4): (1034, 927, (2, 7, 4), 'transform', 4, 3, 0),
+    ('not_in', 'merge', 1): (101, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'merge', 4): (100, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'nested', 1): (101, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'nested', 4): (100, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'hash', 1): (101, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'hash', 4): (100, 5, (), 'transform', 1, 0, 140),
+    ('two_preds', 'merge', 1): (306, 122, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'merge', 4): (304, 122, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'nested', 1): (365, 83, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'nested', 4): (362, 83, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'hash', 1): (246, 57, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'hash', 4): (240, 57, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('depth2', 'merge', 1): (585, 336, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'merge', 4): (579, 336, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'nested', 1): (378, 65, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'nested', 4): (371, 65, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'hash', 1): (292, 45, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'hash', 4): (281, 45, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('or_fallback', 'merge', 1): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'merge', 4): (None, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'nested', 1): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'nested', 4): (None, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'hash', 1): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'hash', 4): (None, 0, (), 'nested_iteration', 0, 0, 55),
+}
+
+
+@pytest.mark.parametrize("parallelism", WIDTHS)
+@pytest.mark.parametrize("join_method", JOINS)
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_uncached_page_schedule(shape, join_method, parallelism):
+    expected = EXPECTED[shape, join_method, parallelism]
+    measured = measure(shape, join_method, parallelism)
+    if expected[0] is None:
+        measured = (None, *measured[1:])
+    assert measured == expected
+
+
+if __name__ == "__main__":
+    for shape in SHAPES:
+        for join_method in JOINS:
+            for parallelism in WIDTHS:
+                key = (shape, join_method, parallelism)
+                print(f"    {key!r}: {measure(*key)!r},")

@@ -206,3 +206,62 @@ class TestConcurrentReplay:
         run_workers(THREADS, worker)
         stats = db.cache_stats()
         assert stats.hits >= THREADS * 5
+
+
+class TestConcurrentUncachedReads:
+    """``db.query`` / ``db.run`` from threads: every statement plans and
+    replays in its own session, so concurrent runs can neither see nor
+    drop each other's temps (they used to share — and sweep — the one
+    catalog: 80 of 120 type-JA bags came back wrong)."""
+
+    SHAPES = {
+        "n": "SELECT PNUM FROM PARTS WHERE PNUM IN "
+        "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < '1980-06-01')",
+        "j": "SELECT PNUM FROM PARTS WHERE QOH IN "
+        "(SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
+        "ja_count": TestConcurrentReplay.JA_QUERY.replace("?", "'1980-06-01'"),
+        "a": "SELECT PNUM FROM PARTS WHERE QOH < "
+        "(SELECT MAX(QUAN) FROM SUPPLY WHERE SHIPDATE < '1980-06-01')",
+    }
+
+    def make_db(self) -> Database:
+        db = Database(buffer_pages=32)
+        db.create_table("PARTS", ["PNUM", "QOH"])
+        db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "text")])
+        db.insert("PARTS", [(n, n % 5) for n in range(1, 301)])
+        db.insert(
+            "SUPPLY",
+            [
+                (n % 330 + 1, n % 7, "1979-01-01" if n % 3 else "1981-01-01")
+                for n in range(1500)
+            ],
+        )
+        return db
+
+    def test_four_threads_match_single_thread(self):
+        from repro.difftest.leaks import leaked_pages
+
+        db = self.make_db()
+        expected = {
+            name: Counter(db.query(sql).rows) for name, sql in self.SHAPES.items()
+        }
+        wrong: list[str] = []
+
+        def worker(index):
+            for turn in range(30):
+                name = list(self.SHAPES)[(index + turn) % len(self.SHAPES)]
+                sql = self.SHAPES[name]
+                if index == 0:
+                    # explain plans too, and evaluates the type-A block.
+                    assert "-- canonical query" in db.explain(sql)
+                if turn % 2:
+                    rows = db.query(sql).rows
+                else:
+                    rows = db.run(sql, method="transform").result.rows
+                if Counter(rows) != expected[name]:
+                    wrong.append(f"thread {index} turn {turn}: {name}")
+
+        run_workers(4, worker)
+        assert not wrong, wrong
+        assert db.tables() == ["PARTS", "SUPPLY"]
+        assert leaked_pages(db.catalog) == 0

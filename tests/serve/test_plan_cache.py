@@ -201,22 +201,23 @@ class TestReplayIsolation:
         assert all(heap.num_rows == 0 for heap in heaps)
 
     def test_memoized_temps_are_freed_on_invalidation(self):
-        """With sharing off, the private per-plan memo still applies."""
-        from repro.serve.cache import PlanCache
+        """An engine with no plan cache keeps nothing between calls:
+        every replay rebuilds its temps and frees them all at the end,
+        so there is nothing for an insert to invalidate."""
+        from repro.core.pipeline import Engine
+        from repro.difftest.leaks import leaked_pages
 
         db = make_db()
-        db.plan_cache = PlanCache(sharing=False)
-        db.plan_cache.attach(db.catalog)
-        db.engine.plan_cache = db.plan_cache
-        db.execute_cached(JA_QUERY)
-        db.execute_cached(JA_QUERY)  # replay hits the temp memo
-        plan = next(iter(db.plan_cache._entries.values()))
-        assert plan._temp_memo
-        heaps = [
-            heap
-            for temps in plan._temp_memo.values()
-            for _name, heap, _columns in temps
-        ]
+        statement = Engine(db.catalog).prepare(
+            JA_QUERY.replace("'1980-06-01'", "?")
+        )
+        for _ in range(2):
+            report = statement.execute(("1980-06-01",))
+            setup_steps = report.steps[:-1]
+            assert len(setup_steps) == 3
+            assert all(s.startswith("built") for s in setup_steps)
+            assert Counter(report.result.rows) == Counter([(10,), (8,)])
+            assert leaked_pages(db.catalog) == 0
+            assert db.tables() == ["PARTS", "SUPPLY"]
         db.insert("PARTS", [(99, 5)])
-        assert not plan._temp_memo
-        assert all(heap.num_rows == 0 for heap in heaps)
+        assert leaked_pages(db.catalog) == 0

@@ -49,7 +49,7 @@ class TestShareSpecs:
         session = SessionCatalog(db.catalog)
         rewritten = prepare_query(parse(sql), session)
         try:
-            return compute_share_specs(nest_g(rewritten, session))
+            return compute_share_specs(nest_g(rewritten, session).setup)
         finally:
             session.drop_temp_tables()
 
@@ -117,17 +117,23 @@ class TestCrossQuerySharing:
         assert Counter(after.result.rows) == Counter([(10,)])
 
     def test_sharing_disabled_keeps_registry_off(self):
-        from repro.serve.cache import PlanCache
+        """An engine with no registry (no plan cache) shares nothing:
+        every replay builds its own temps, the database's registry
+        never hears of them."""
+        from repro.core.pipeline import Engine
 
         db = make_db()
-        db.plan_cache = PlanCache(sharing=False)
-        db.plan_cache.attach(db.catalog)
-        db.engine.plan_cache = db.plan_cache
-        db.execute_cached(JA_QUERY)
-        report = db.execute_cached(JA_SIBLING)
+        engine = Engine(db.catalog)
+        first = engine.prepare(JA_QUERY).execute()
+        report = engine.prepare(JA_SIBLING).execute()
+        assert any(s.startswith("built") for s in first.steps)
         assert not any(s.startswith("shared") for s in report.steps)
+        assert Counter(report.result.rows) == Counter(
+            [(3, 6), (10, 1), (8, 0)]
+        )
         stats = db.cache_stats()
         assert stats.shared_materializations == 0
+        assert len(db.plan_cache.sharing) == 0
 
 
 class TestRefcountedLifecycle:

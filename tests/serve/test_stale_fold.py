@@ -1,0 +1,85 @@
+"""Plans that read data while being planned go stale with the data.
+
+NEST-A evaluates a type-A block at plan time and folds its value into
+the plan as a constant (or an IN-list).  Such a plan describes the data
+version it was planned under; an insert into the inner table must
+re-plan it, exactly as DDL re-plans every plan.  (At the parent commit a
+cached plan survived the insert and kept answering with the old MAX.)
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.api import Database
+
+FOLDS = {
+    "scalar": "QOH > (SELECT MAX(QUAN) FROM SUPPLY{inner})",
+    "list": "QOH IN (SELECT MAX(QUAN) FROM SUPPLY{inner})",
+}
+
+
+def make_db() -> Database:
+    db = Database(buffer_pages=16)
+    db.create_table("PARTS", ["PNUM", "QOH"])
+    db.create_table("SUPPLY", ["PNUM", "QUAN"])
+    db.insert("PARTS", [(1, 1), (2, 5), (3, 7), (4, 7)])
+    db.insert("SUPPLY", [(1, 2), (2, 4)])
+    return db
+
+
+def runner(db: Database, kind: str, fold: str):
+    """(execute, equivalent literal SQL) for one serving path."""
+    if kind == "custom":
+        # The marker sits inside the type-A block: per-vector plans.
+        predicate = FOLDS[fold].format(inner=" WHERE QUAN < ?")
+        sql = f"SELECT PNUM FROM PARTS WHERE {predicate}"
+        statement = db.prepare(sql)
+        assert statement.mode == "custom"
+        return lambda: statement.execute((100,)), sql.replace("?", "100")
+    predicate = FOLDS[fold].format(inner="")
+    if kind == "generic":
+        sql = f"SELECT PNUM FROM PARTS WHERE PNUM > ? AND {predicate}"
+        statement = db.prepare(sql)
+        assert statement.mode == "generic"
+        return lambda: statement.execute((0,)), sql.replace("?", "0")
+    sql = f"SELECT PNUM FROM PARTS WHERE {predicate}"
+    return lambda: db.execute_cached(sql), sql
+
+
+@pytest.mark.parametrize("fold", list(FOLDS))
+@pytest.mark.parametrize("kind", ["execute_cached", "generic", "custom"])
+def test_insert_into_folded_inner_table_replans(kind, fold):
+    db = make_db()
+    execute, literal_sql = runner(db, kind, fold)
+
+    def oracle() -> Counter:
+        return Counter(db.query(literal_sql, method="nested_iteration").rows)
+
+    assert Counter(execute().result.rows) == oracle()
+    # Twice, so the second insert meets a plan that was itself re-planned.
+    for quan in (5, 7):
+        db.insert("SUPPLY", [(9, quan)])
+        assert Counter(execute().result.rows) == oracle(), (
+            f"stale fold after MAX(QUAN) moved to {quan}"
+        )
+
+
+def test_folded_cached_plan_is_invalidated_unfolded_one_survives():
+    db = make_db()
+    folded = "SELECT PNUM FROM PARTS WHERE QOH > (SELECT MAX(QUAN) FROM SUPPLY)"
+    plain = (
+        "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM)"
+    )
+    db.execute_cached(folded)
+    db.execute_cached(plain)
+    db.insert("SUPPLY", [(9, 6)])
+    db.plan_cache.reset_stats()
+    db.execute_cached(plain)
+    stats = db.cache_stats()
+    assert (stats.hits, stats.snapshot_pin_hits, stats.invalidations) == (1, 1, 0)
+    db.execute_cached(folded)
+    stats = db.cache_stats()
+    assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 1)
+    assert "folded" in db.prepare(folded).describe()

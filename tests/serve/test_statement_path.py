@@ -1,0 +1,127 @@
+"""One statement path: ``Engine.run`` is plan-then-replay with no cache,
+and no statement is second-class on the kept-plan routes."""
+
+from collections import Counter
+
+from repro.api import Database
+from repro.optimizer.executor import SingleLevelExecutor
+
+JA_THEN_A = (
+    "SELECT PNUM FROM PARTS WHERE QOH = "
+    "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
+    "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '1980-06-01') "
+    "AND QOH < (SELECT MAX(QUAN) FROM SUPPLY)"
+)
+AGGREGATED_ROOT = (
+    "SELECT COUNT(PNUM), QOH FROM PARTS WHERE QOH IN "
+    "(SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM) GROUP BY QOH"
+)
+
+
+def make_db(**kwargs) -> Database:
+    db = Database(buffer_pages=16, **kwargs)
+    db.create_table("PARTS", ["PNUM", "QOH"])
+    db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "text")])
+    db.insert("PARTS", [(3, 6), (10, 1), (8, 0), (8, 0)])
+    db.insert(
+        "SUPPLY",
+        [
+            (3, 6, "1980-01-01"),
+            (3, 6, "1980-08-01"),
+            (10, 1, "1980-02-01"),
+            (8, 0, "1981-01-01"),
+        ],
+    )
+    return db
+
+
+def bag(db: Database, sql: str) -> Counter:
+    return Counter(db.query(sql, method="nested_iteration").rows)
+
+
+class TestSingleShot:
+    def test_plan_time_temps_are_read_not_rebuilt(self, monkeypatch):
+        """NEST-A builds the pending chain to evaluate the type-A block;
+        the replay finds those temps present in its session."""
+        db = make_db()
+        blocks: list[str] = []
+        real = SingleLevelExecutor.execute
+
+        def counting(self, select):
+            blocks.append(select.from_tables[0].name)
+            return real(self, select)
+
+        monkeypatch.setattr(SingleLevelExecutor, "execute", counting)
+        report = db.run(JA_THEN_A, method="transform")
+        assert len(blocks) == 4  # TEMP1..3 once each, and the final block
+        assert len(report.setup_sql) == 3 and len(report.temp_pages) == 3
+        assert [s.split(":")[0] for s in report.steps] == ["final"]
+        built = [t for t in report.trace if "needed for NEST-A" in t]
+        assert len(built) == 3
+        assert Counter(report.result.rows) == bag(db, JA_THEN_A)
+        assert db.tables() == ["PARTS", "SUPPLY"]
+
+    def test_uncached_run_leaves_the_plan_cache_and_registry_alone(self):
+        db = make_db()
+        report = db.run(JA_THEN_A.split(" AND QOH <")[0])
+        assert all(s.startswith(("built", "final")) for s in report.steps)
+        stats = db.cache_stats()
+        assert (stats.size, stats.misses, stats.shared_materializations) == (0, 0, 0)
+
+    def test_unknown_method_is_rejected_on_every_route(self):
+        import pytest
+
+        from repro.errors import ReproError
+
+        db = make_db()
+        for call in (db.run, db.execute_cached, db.prepare):
+            with pytest.raises(ReproError, match="unknown method"):
+                call("SELECT PNUM FROM PARTS", method="bogus")
+
+
+class TestNoSecondClassStatements:
+    def test_aggregated_dedupe_outer_staging_temp_is_an_ordinary_temp(self):
+        db = make_db(dedupe_outer=True)
+        expected = bag(db, AGGREGATED_ROOT)
+        single = db.run(AGGREGATED_ROOT)
+        assert Counter(single.result.rows) == expected
+        assert [s.split()[0] for s in single.steps] == ["built", "final:"]
+        (name,) = single.temp_pages
+        assert name.startswith("DTEMP") and name in single.setup_sql[0]
+        first = db.execute_cached(AGGREGATED_ROOT)
+        second = db.execute_cached(AGGREGATED_ROOT)
+        assert first.steps[0].startswith("built DTEMP")
+        assert second.steps[0].startswith("shared DTEMP")
+        assert Counter(second.result.rows) == expected
+        assert db.cache_stats().hits == 1
+        statement = db.prepare(AGGREGATED_ROOT.replace("QOH IN", "QOH >= ? AND QOH IN"))
+        assert statement.mode == "generic"
+        assert Counter(statement.execute((0,)).result.rows) == expected
+
+    def test_cost_based_choice_is_stored_with_the_plan(self, monkeypatch):
+        from repro.optimizer.planner import PlanChoice, Planner
+
+        asked: list[int] = []
+
+        def choose(self, select):
+            asked.append(1)
+            return PlanChoice(
+                method="transform", join_method="hash", estimated_cost=1.0
+            )
+
+        monkeypatch.setattr(Planner, "choose", choose)
+        db = make_db()
+        sql = JA_THEN_A.split(" AND QOH <")[0]
+        first = db.execute_cached(sql, method="cost")
+        second = db.execute_cached(sql, method="cost")
+        assert len(asked) == 1 and db.cache_stats().hits == 1
+        assert first.join_method == second.join_method == "hash"
+        assert any("chosen:" in line for line in second.trace)
+        assert Counter(second.result.rows) == bag(db, sql)
+        # ANALYZE moves the stats version: the choice is made again.
+        db.analyze("SUPPLY")
+        db.execute_cached(sql, method="cost")
+        assert len(asked) == 2
+        statement = db.prepare(sql.replace("'1980-06-01'", "?"), method="cost")
+        assert statement.mode == "generic"
+        assert Counter(statement.execute(("1980-06-01",)).result.rows) == bag(db, sql)
