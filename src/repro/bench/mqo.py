@@ -16,7 +16,10 @@ SQLite before any number is reported:
   over N distinct parameter vectors, per-vector loop vs the batched
   binding-relation plan (:mod:`repro.serve.batch`).  Distinct values
   defeat the registry, so the loop rebuilds the temp chain N times
-  while the batched plan builds once; the gate demands >= 2x at N = 256.
+  while the batched plan builds once.  The gate is on that count (it
+  repeats exactly): at N = 256 the loop builds >= 64x the batch's temps.
+  The wall-clock ratio is only reported — any speed-up of one replay,
+  the loop's unit, shrinks it though the batch saves what it always did.
 
 Results land in ``BENCH_PR10.json``:
 
@@ -45,9 +48,9 @@ from repro.workloads.generators import PartsSupplySpec, build_parts_supply
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR10.json"
 
-#: Gates (CI `mqo-smoke`): batched speedup, minimum fraction of temp
-#: installs served from the registry.
-MIN_BATCH_SPEEDUP = 2.0
+#: Gates (CI `mqo-smoke`): the loop's temp builds per batched one,
+#: minimum fraction of temp installs served from the registry.
+MIN_BUILDS_SAVED = 64
 MIN_SHARED_FRACTION = 0.30
 
 #: Inner-chain cutoffs: 3 chains x 3 outer shapes = 9 plans over 3
@@ -177,6 +180,10 @@ def measure_batched(batch: int, seed: int = 0) -> tuple[dict, list[str]]:
     if batch_report.strategy != "batched":
         failures.append("batched leg fell back to the loop strategy")
     looped = [statement.execute(vector) for vector in vectors]
+
+    def builds(reports) -> int:
+        return sum(s.startswith("built ") for r in reports for s in r.steps)
+
     for vector, one, many in zip(vectors, looped, batch_report.reports):
         if normalize_rows(one.result.rows) != normalize_rows(many.result.rows):
             failures.append(f"batched != looped for vector {vector}")
@@ -202,6 +209,8 @@ def measure_batched(batch: int, seed: int = 0) -> tuple[dict, list[str]]:
         "workload": "mqo-batched-executemany",
         "op": "executemany",
         "batch": batch,
+        "batched_temp_builds": builds(batch_report.reports),
+        "loop_temp_builds": builds(looped),
         "batched_qps": round(batch / batched_s, 1),
         "loop_qps": round(batch / loop_s, 1),
         "speedup": round(loop_s / batched_s, 2),
@@ -234,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke", action="store_true",
         help="reduced replay, .smoke.json sidecar; fail unless the "
         f"shared replay leases >= {100 * MIN_SHARED_FRACTION:.0f}% of "
-        "its temp installs and "
-        f"batched executemany is >= {MIN_BATCH_SPEEDUP}x the loop",
+        "its temp installs and the per-vector loop builds >= "
+        f"{MIN_BUILDS_SAVED}x the temps batched executemany does",
     )
     args = parser.parse_args(argv)
 
@@ -250,10 +259,11 @@ def main(argv: list[str] | None = None) -> int:
             f"shared fraction {replay_record['shared_fraction']} "
             f"< {MIN_SHARED_FRACTION}"
         )
-    if batch_record["speedup"] < MIN_BATCH_SPEEDUP:
+    loop, batched = (batch_record[f"{k}_temp_builds"] for k in ("loop", "batched"))
+    if loop < MIN_BUILDS_SAVED * batched:
         failures.append(
-            f"batched executemany speedup {batch_record['speedup']}x "
-            f"< {MIN_BATCH_SPEEDUP}x"
+            f"the loop built {loop} temps, the batch {batched}: "
+            f"< {MIN_BUILDS_SAVED}x"
         )
 
     output = (

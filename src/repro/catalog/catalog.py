@@ -49,6 +49,10 @@ class TableEntry:
     schema: TableSchema
     heap: HeapFile
     is_temp: bool = False
+    #: ``(column positions, unique)``: the order the heap's rows are in.
+    #: Only temps claim one — a base table is an append-ordered heap and
+    #: its primary key is not enforced unique.
+    order: tuple[tuple[int, ...], bool] = ((), False)
 
     @property
     def name(self) -> str:
@@ -191,13 +195,16 @@ class Catalog:
         for name in [n for n, e in self._tables.items() if e.is_temp]:
             self.drop_table(name)
 
-    def register_temp(self, name: str, heap: HeapFile, column_names: list[str]) -> TableEntry:
+    def register_temp(
+        self, name: str, heap: HeapFile, column_names: list[str], order=((), False)
+    ) -> TableEntry:
         """Register an already-materialized heap as a temporary table.
 
         Used by the transformation pipeline: a temp relation built by
         the physical executor becomes queryable by name (the paper's
         ``Rt``/``TEMP3`` step).  Columns are typed permissively — the
-        values were produced by the engine, not user input.
+        values were produced by the engine, not user input.  Scans of
+        it start from ``order``, the order the builder left the rows in.
         """
         from repro.catalog.schema import Column, ColumnType, TableSchema
 
@@ -207,7 +214,7 @@ class Catalog:
             name, tuple(Column(c, ColumnType.ANY) for c in column_names)
         )
         heap.name = name
-        entry = TableEntry(schema=table_schema, heap=heap, is_temp=True)
+        entry = TableEntry(table_schema, heap, is_temp=True, order=order)
         self._tables[name] = entry
         return entry
 

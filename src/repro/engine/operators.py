@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Callable, Iterator, Sequence
-from itertools import chain, groupby
+from itertools import chain, groupby, takewhile
 from operator import itemgetter
 
 from repro.catalog.catalog import TableEntry
@@ -73,7 +73,7 @@ from repro.engine.compile import (
     try_compile_scalar,
 )
 from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
-from repro.engine.relation import Relation
+from repro.engine.relation import NO_ORDER, Order, Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import compares_raw, orderable, value_types
 from repro.engine.vector_compile import (
@@ -97,7 +97,8 @@ def scan_table(entry: TableEntry, binding: str | None = None) -> Relation:
         binding or entry.schema.name, entry.schema.column_names
     )
     return Relation(
-        schema, heap=entry.heap, name=entry.schema.name, owns_heap=False
+        schema, heap=entry.heap, name=entry.schema.name, owns_heap=False,
+        order=entry.order,
     )
 
 
@@ -229,6 +230,7 @@ def restrict_project(
         buffer,
         rows_per_page=rows_per_page,
         name=name,
+        order=source.order if projections is None else NO_ORDER,
     )
 
 
@@ -261,7 +263,18 @@ def nested_loop_join(
             if mode == "left" and not matched:
                 yield left_row + right_nulls
 
-    return Relation.materialize(out_schema, generate(), buffer, name=name)
+    # The left input's order survives; a left row may repeat, so no key.
+    return Relation.materialize(
+        out_schema, generate(), buffer, name=name, order=(left.order[0], False)
+    )
+
+
+def _regimes(null_safe: "bool | Sequence[bool]", width: int) -> list[bool]:
+    """Per-key-column NULL regime — True: NULL joins NULL (``<=>``),
+    False: NULL matches nothing (``=``); one bool covers every column."""
+    if isinstance(null_safe, bool):
+        return [null_safe] * width
+    return list(null_safe)
 
 
 def _row_predicate(
@@ -286,7 +299,7 @@ def merge_join(
     op: str = "=",
     mode: JoinMode = "inner",
     name: str | None = None,
-    null_safe: bool = False,
+    null_safe: bool | Sequence[bool] = False,
     residual: Callable[[tuple], object] | None = None,
 ) -> Relation:
     """Sort-merge join; inputs must already be sorted on their keys.
@@ -301,9 +314,10 @@ def merge_join(
     no match appear once, NULL-padded on the right — the fix that lets
     COUNT see its empty groups.
 
-    ``null_safe=True`` (equi joins only) makes NULL keys join NULL keys
-    (``<=>`` semantics); both inputs sort NULLs first, so the merge
-    stays aligned.
+    ``null_safe`` (equi joins only) is the NULL regime per key column —
+    one bool for all of them — where True makes NULL join NULL (``<=>``
+    semantics); both inputs sort NULLs first, so the merge stays aligned
+    whatever the mix.
 
     ``residual`` is an extra predicate over the combined row, evaluated
     *as part of the join condition*: a right row only counts as a match
@@ -311,16 +325,17 @@ def merge_join(
     after an outer join would drop the NULL-padded rows (and fail to
     NULL-pad left rows whose only key matches flunk the residual).
     """
+    regimes = _regimes(null_safe, len(left_key))
     if op == "=":
         matches = _merge_equi_join(
-            left, right, list(left_key), list(right_key), mode, null_safe, residual
+            left, right, list(left_key), list(right_key), mode, regimes, residual
         )
     else:
         if len(left_key) != 1 or len(right_key) != 1:
             raise ExecutionError(
                 f"theta merge join ({op}) supports single-column keys only"
             )
-        if null_safe:
+        if any(regimes):
             raise ExecutionError("null-safe merge join requires the = operator")
         matches = _merge_theta_join(
             left, right, left_key[0], right_key[0], op, mode, residual
@@ -331,7 +346,8 @@ def merge_join(
     # input reads as ever.
     out_schema = left.schema + right.schema
     return Relation.materialize(
-        out_schema, chain.from_iterable(matches), buffer, name=name
+        out_schema, chain.from_iterable(matches), buffer, name=name,
+        order=(tuple(left_key), False),
     )
 
 
@@ -357,7 +373,7 @@ def _merge_equi_join(
     left_key: list[int],
     right_key: list[int],
     mode: JoinMode,
-    null_safe: bool = False,
+    null_safe: Sequence[bool],
     residual: Callable[[tuple], object] | None = None,
 ) -> Iterator[list[tuple]]:
     """Each left row's output rows, one list per left row that has any.
@@ -367,15 +383,22 @@ def _merge_equi_join(
     with wherever it is defined; where it is not (a NULL key under
     ``<=>``, or a NULL or mixed-type key being stepped over) Python
     raises ``TypeError`` and that one comparison is redone wrapped.
-    Right rows with a NULL key need no filter under plain ``=``: no left
-    key that reaches the comparison holds a NULL, so their groups are
-    stepped over like any other non-match.
+    A left row is skipped when a *strict* (``=``) component of its key
+    is NULL.  Right rows with a NULL there need no filter: they can
+    only equal a left key that was skipped, so their groups are stepped
+    over like any other non-match.
     """
     outer_pad = (None,) * len(right.schema) if mode == "left" else None
     # Raw keys: the bare value for one column, a tuple otherwise.
     left_of = itemgetter(*left_key)
     single = len(left_key) == 1
     wrap = orderable if single else lambda key: tuple(map(orderable, key))
+    # Asked only of a raw key that holds a NULL: is it in a strict component?
+    strict = [i for i, safe in enumerate(null_safe) if not safe]
+    if single or len(strict) in (0, len(left_key)):
+        strict_null = lambda key: bool(strict)  # noqa: E731
+    else:
+        strict_null = lambda key: any(key[i] is None for i in strict)  # noqa: E731
     groups = groupby(
         chain.from_iterable(right.iter_batches()), itemgetter(*right_key)
     )
@@ -385,7 +408,7 @@ def _merge_equi_join(
 
     for batch in left.iter_batches():
         for left_row, key in zip(batch, map(left_of, batch)):
-            if not null_safe and (key is None if single else None in key):
+            if (key is None if single else None in key) and strict_null(key):
                 if outer_pad is not None:
                     yield [left_row + outer_pad]
                 continue
@@ -507,7 +530,7 @@ def hash_probe_body(
     left_key: Sequence[int],
     right_key: Sequence[int],
     mode: JoinMode = "inner",
-    null_safe: bool = False,
+    null_safe: bool | Sequence[bool] = False,
     residual: Callable[[tuple], object] | None = None,
 ) -> Callable[[list[tuple]], list[tuple]]:
     """Build the hash table on ``right``; return ``probe batch -> rows``.
@@ -524,9 +547,10 @@ def hash_probe_body(
     decomposed first:
 
     * an equality between one left and one right column folds into the
-      composite hash key — plain ``=`` components skip NULL keys at
-      build (NULL never matches), ``<=>`` components admit them (dict
-      equality on None is exactly null-safe matching);
+      composite hash key, under the same per-column regime as the keys
+      the caller passed (``null_safe``) — plain ``=`` components skip
+      NULL keys at build (NULL never matches), ``<=>`` components admit
+      them (dict equality on None is exactly null-safe matching);
     * a conjunct reading only right columns filters rows out of the
       hash table at build; only left columns, it masks probe rows —
       equivalent for inner and left-outer joins alike (a left row all
@@ -542,19 +566,14 @@ def hash_probe_body(
     is checked per candidate row exactly as written.
     """
     right_nulls = (None,) * len(right.schema)
-    build_key = list(right_key)
-    probe_key = list(left_key)
     left_width = len(left_schema)
     residual_kernel = build_residual = probe_residual = None
-    # Leading ``nchecked`` key components never admit NULL (build rows
-    # with NULL there are skipped); trailing components match NULL to
-    # NULL via dict equality (null-safe join keys and ``<=>`` folds).
-    nchecked = 0 if null_safe else len(build_key)
+    keyed = list(zip(left_key, right_key, _regimes(null_safe, len(left_key))))
+    eq_folds = [(l, r) for l, r, safe in keyed if not safe]  # '=' components
+    ns_folds = [(l, r) for l, r, safe in keyed if safe]  # '<=>' components
     expr = getattr(residual, "expr", None)
     if expr is not None and compile_enabled():
         schema = residual.schema
-        eq_folds: list[tuple[int, int]] = []  # plain '=' components
-        ns_folds: list[tuple[int, int]] = []  # '<=>' components
         left_parts: list = []
         right_parts: list = []
         leftover = False
@@ -575,22 +594,22 @@ def hash_probe_body(
                 left_parts.append(kernel)
             else:
                 leftover = True
-        if eq_folds or ns_folds or left_parts or right_parts:
-            primary = list(zip(probe_key, build_key))
-            checked = ([] if null_safe else primary) + eq_folds
-            pairs = checked + (primary if null_safe else []) + ns_folds
-            probe_key = [p for p, _ in pairs]
-            build_key = [b for _, b in pairs]
-            nchecked = len(checked)
-            probe_residual = _and_kernels(left_parts)
-            build_residual = _and_kernels(right_parts)
-            if not leftover:
-                residual = None
-        if residual is not None:
+        probe_residual = _and_kernels(left_parts)
+        build_residual = _and_kernels(right_parts)
+        if not leftover:
+            residual = None
+        else:
             # Candidates were pre-filtered by any pushed conjuncts (all
             # True there), so re-checking the whole expression on them
             # is redundant but correct.
             residual_kernel = try_compile_batch_predicate(expr, schema)
+
+    # Leading ``nchecked`` key components never admit NULL (build rows
+    # with NULL there are skipped); trailing components match NULL to
+    # NULL via dict equality (null-safe join keys and ``<=>`` folds).
+    probe_key = [p for p, _ in eq_folds + ns_folds]
+    build_key = [b for _, b in eq_folds + ns_folds]
+    nchecked = len(eq_folds)
 
     # Per-batch key extraction at C speed: a multi-index itemgetter
     # yields ready-made key tuples (a single-index one bare values) in
@@ -734,7 +753,7 @@ def hash_join(
     right_key: Sequence[int],
     mode: JoinMode = "inner",
     name: str | None = None,
-    null_safe: bool = False,
+    null_safe: bool | Sequence[bool] = False,
     residual: Callable[[tuple], object] | None = None,
 ) -> Relation:
     """Hash equi join: build on ``right``, probe with ``left``.
@@ -746,8 +765,9 @@ def hash_join(
     NULL keys are not even inserted, and probe rows with NULL keys
     produce no matches (but are NULL-padded under ``mode="left"``).
 
-    ``null_safe=True`` switches both sides to ``<=>`` semantics: NULL
-    keys hash and join like any other value (NULL <=> NULL is true).
+    ``null_safe`` switches key columns — all of them, or each by its
+    own bool — to ``<=>`` semantics: a NULL there hashes and joins like
+    any other value (NULL <=> NULL is true).
 
     ``residual`` is evaluated over the combined row *as part of the
     join condition*, exactly as in :func:`merge_join`: under
@@ -762,21 +782,35 @@ def hash_join(
         _nonempty(probe, left.iter_batches()),
         buffer,
         name=name,
+        order=(left.order[0], False),
     )
 
 
+def group_order(order: Order, group_cols: Sequence[int]) -> Order:
+    """A grouped output's order (positions within the group columns):
+    groups come out in first-appearance order, which over a source
+    ordered on any permutation of the group columns is that order, with
+    the group columns a key.  Over any other source: no order."""
+    prefix = order[0][: len(group_cols)]
+    if not group_cols or sorted(prefix) != sorted(group_cols):
+        return NO_ORDER
+    return (tuple(list(group_cols).index(c) for c in prefix), True)
+
+
 def _aggregate_plan(
+    source: Relation,
     group_columns: Sequence[int],
     specs: Sequence[AggSpec],
     out_names: Sequence[tuple[str | None, str]],
-) -> tuple[RowSchema, list[int], list[AggSpec]]:
+) -> tuple[RowSchema, list[int], list[AggSpec], Order]:
     """Validate an aggregate's output naming; normalize its arguments."""
     expected = len(group_columns) + len(specs)
     if len(out_names) != expected:
         raise ExecutionError(
             f"group_aggregate needs {expected} output names, got {len(out_names)}"
         )
-    return RowSchema(out_names), list(group_columns), list(specs)
+    order = group_order(source.order, group_columns)
+    return RowSchema(out_names), list(group_columns), list(specs), order
 
 
 def _scalar_aggregate(
@@ -806,8 +840,8 @@ def hash_group_aggregate(
     key-sorted input first appearance *is* sorted order, so the two
     aggregates then agree row for row.
     """
-    out_schema, group_cols, agg_specs = _aggregate_plan(
-        group_columns, specs, out_names
+    out_schema, group_cols, agg_specs, order = _aggregate_plan(
+        source, group_columns, specs, out_names
     )
 
     def batches() -> Iterator[list[tuple]]:
@@ -830,7 +864,9 @@ def hash_group_aggregate(
         if out:
             yield out
 
-    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
+    return Relation.materialize_batches(
+        out_schema, batches(), buffer, name=name, order=order
+    )
 
 
 def hash_distinct(
@@ -877,8 +913,8 @@ def group_aggregate(
     and the buffer footprint is a streaming scan's, not an accumulate-
     then-emit one's.
     """
-    out_schema, group_cols, agg_specs = _aggregate_plan(
-        group_columns, specs, out_names
+    out_schema, group_cols, agg_specs, order = _aggregate_plan(
+        source, group_columns, specs, out_names
     )
 
     def batches() -> Iterator[list[tuple]]:
@@ -911,7 +947,9 @@ def group_aggregate(
         if group:
             yield [finish(current_key, group)]
 
-    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
+    return Relation.materialize_batches(
+        out_schema, batches(), buffer, name=name, order=order
+    )
 
 
 def index_nested_loop_join(
@@ -963,12 +1001,19 @@ def project_columns(
     out_names: Sequence[tuple[str | None, str]],
     name: str | None = None,
 ) -> Relation:
-    """Positional projection, materialized (a cheap restrict_project)."""
+    """Positional projection, materialized (a cheap restrict_project).
+    The source's order survives as far as its leading columns are
+    projected, and stays a key only when all of them are."""
     out_schema = RowSchema(out_names)
     cols = list(columns)
+    ordered, unique = source.order
+    kept = list(takewhile(cols.__contains__, ordered))
+    order = (tuple(map(cols.index, kept)), unique and len(kept) == len(ordered))
 
     def generate() -> Iterator[tuple]:
         for row in source:
             yield tuple(row[i] for i in cols)
 
-    return Relation.materialize(out_schema, generate(), buffer, name=name)
+    return Relation.materialize(
+        out_schema, generate(), buffer, name=name, order=order
+    )

@@ -55,7 +55,7 @@ from repro.engine.operators import (
     hash_probe_body,
     restrict_project_body,
 )
-from repro.engine.relation import Relation
+from repro.engine.relation import NO_ORDER, Relation
 from repro.sql.ast import Expr
 from repro.storage.buffer import BufferPool
 
@@ -121,6 +121,7 @@ def parallel_restrict_project(
         buffer,
         rows_per_page=rows_per_page,
         name=name,
+        order=source.order if projections is None else NO_ORDER,
     )
 
 
@@ -132,7 +133,7 @@ def parallel_hash_join(
     right_key: Sequence[int],
     mode: JoinMode = "inner",
     name: str | None = None,
-    null_safe: bool = False,
+    null_safe: bool | Sequence[bool] = False,
     residual: Callable[[tuple], object] | None = None,
     *,
     parallelism: int = 2,
@@ -161,6 +162,7 @@ def parallel_hash_join(
         _scatter(left, probe, parallelism),
         buffer,
         name=name,
+        order=(left.order[0], False),
     )
 
 
@@ -195,8 +197,8 @@ def parallel_group_aggregate(
       row sequence, and over key-sorted input first-appearance order
       *is* sorted order, matching the streaming sorted aggregate too.
     """
-    out_schema, group_cols, agg_specs = _aggregate_plan(
-        group_columns, specs, out_names
+    out_schema, group_cols, agg_specs, order = _aggregate_plan(
+        source, group_columns, specs, out_names
     )
     nparts = source.partition_count(parallelism)
 
@@ -244,7 +246,7 @@ def parallel_group_aggregate(
         for key, rows in merged.items()
     ]
     return Relation.materialize_batches(
-        out_schema, [output] if output else [], buffer, name=name
+        out_schema, [output] if output else [], buffer, name=name, order=order
     )
 
 

@@ -21,16 +21,19 @@ into fixed-size batches (they cost no I/O either way).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.engine.schema import RowSchema
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 
 __all__ = [
+    "NO_ORDER",
     "ROWID_COLUMN",
+    "Order",
     "Relation",
     "RowidRelation",
+    "describe_order",
     "temp_rows_per_page",
 ]
 
@@ -40,6 +43,20 @@ _TEMP_COLUMN_BYTES = 8
 
 #: Batch size for in-memory relations (no page geometry to follow).
 _MEMORY_BATCH_ROWS = 256
+
+#: The order a relation's rows are known to be in: ``(column positions,
+#: unique)`` — non-decreasing under :func:`repro.engine.sort.order_key`
+#: on those columns; when ``unique`` they are a key of the relation, so
+#: the order also covers every longer column list that starts with them.
+Order = tuple[tuple[int, ...], bool]
+NO_ORDER: Order = ((), False)
+
+
+def describe_order(order: Order, names: Sequence[str]) -> str:
+    """An order spelled with column names: ``(A, B) (unique)``."""
+    columns, unique = order
+    text = "(" + ", ".join(names[c] for c in columns) + ")"
+    return text + " (unique)" if unique else text
 
 
 def temp_rows_per_page(num_columns: int) -> int:
@@ -63,6 +80,9 @@ def temp_rows_per_page(num_columns: int) -> int:
 class Relation:
     """A named, schema-tagged collection of tuples."""
 
+    #: Claimed by the producing operator or the catalog entry scanned.
+    order: Order = NO_ORDER
+
     def __init__(
         self,
         schema: RowSchema,
@@ -70,6 +90,7 @@ class Relation:
         rows: list[tuple] | None = None,
         name: str | None = None,
         owns_heap: bool = True,
+        order: Order = NO_ORDER,
     ) -> None:
         if (heap is None) == (rows is None):
             raise ValueError("exactly one of heap/rows must be given")
@@ -79,6 +100,7 @@ class Relation:
         #: False for a view over a heap some catalog, session or
         #: registry owns (``scan_table``): dropping it frees nothing.
         self.owns_heap = owns_heap
+        self.order = order
         self.name = name or (heap.name if heap is not None else None)
 
     # -- construction ------------------------------------------------------
@@ -98,6 +120,7 @@ class Relation:
         buffer: BufferPool,
         rows_per_page: int | None,
         name: str | None,
+        order: Order,
     ) -> "Relation":
         """Fill and flush a fresh heap file; free it if that fails.
 
@@ -112,7 +135,7 @@ class Relation:
         except BaseException:
             heap.truncate()
             raise
-        return cls(schema, heap=heap, name=name)
+        return cls(schema, heap=heap, name=name, order=order)
 
     @classmethod
     def materialize(
@@ -122,6 +145,7 @@ class Relation:
         buffer: BufferPool,
         rows_per_page: int | None = None,
         name: str | None = None,
+        order: Order = NO_ORDER,
     ) -> "Relation":
         """Write rows into a fresh heap file (charges page writes).
 
@@ -129,7 +153,8 @@ class Relation:
         a P-page temp table costs P page writes once flushed.
         """
         return cls._build(
-            schema, lambda heap: heap.extend(rows), buffer, rows_per_page, name
+            schema, lambda heap: heap.extend(rows), buffer, rows_per_page,
+            name, order,
         )
 
     @classmethod
@@ -140,6 +165,7 @@ class Relation:
         buffer: BufferPool,
         rows_per_page: int | None = None,
         name: str | None = None,
+        order: Order = NO_ORDER,
     ) -> "Relation":
         """Materialize from row batches (the batch operators' path).
 
@@ -152,7 +178,7 @@ class Relation:
             for batch in batches:
                 heap.append_rows(batch)
 
-        return cls._build(schema, fill, buffer, rows_per_page, name)
+        return cls._build(schema, fill, buffer, rows_per_page, name, order)
 
     # -- access --------------------------------------------------------------
 

@@ -80,7 +80,7 @@ def compares_raw(types: ColumnTypes) -> bool:
     return types <= {int, float} or types == {str}
 
 
-def _column_order(
+def column_order(
     width: int, key_columns: Sequence[int], tiebreak: bool = True
 ) -> list[int]:
     """Key columns first, then (as tiebreak) the rest of the row.
@@ -112,7 +112,7 @@ def order_key(
     """
     if not profile:  # no rows (or no columns): nothing to order
         return None
-    order = _column_order(len(profile), key_columns, tiebreak)
+    order = column_order(len(profile), key_columns, tiebreak)
     wrapped = [not compares_raw(profile[c]) for c in order]
     if not any(wrapped):
         if order == list(range(len(profile))):
@@ -129,7 +129,7 @@ def sort_key(row: tuple, key_columns: Sequence[int]) -> tuple:
     a profile in which nothing compares raw, and the reference the
     tests hold every cheaper key to."""
     return tuple(
-        [orderable(row[c]) for c in _column_order(len(row), key_columns)]
+        [orderable(row[c]) for c in column_order(len(row), key_columns)]
     )
 
 
@@ -149,6 +149,9 @@ def external_sort(
         unique: drop duplicate *rows* while sorting (sort-based
             duplicate elimination, as the paper's temp-table builds use).
         name: optional name for the output relation.
+
+    The result claims the order it is in: the key columns, then (the
+    tiebreak) every other column — under ``unique`` a key of it.
     """
     rows_per_page = (
         source.heap.rows_per_page
@@ -180,7 +183,8 @@ def external_sort(
     if result_heap is None:
         result_heap = HeapFile(buffer, rows_per_page=rows_per_page)
     result_heap.name = name
-    return Relation(source.schema, heap=result_heap, name=name)
+    order = (tuple(column_order(len(source.schema), key)), unique)
+    return Relation(source.schema, heap=result_heap, name=name, order=order)
 
 
 def _form_runs(

@@ -20,10 +20,11 @@ Design points lifted straight from the paper:
   5.2 shows the outer join produces wrong COUNTs otherwise ("the
   condition which applies to only one relation must be applied before
   the join is performed").
-* **Sort order is tracked through operators** so that, as in section
-  7.4, a merge join's output needs no re-sort for a GROUP BY on the
-  join column, and a temp table created in GROUP BY order needs no sort
-  before the final merge join.
+* **Sort order is a property of every relation**, claimed by the
+  operator that produced it and kept across ``register_temp`` — so, as
+  in section 7.4, a merge join's output needs no re-sort for a GROUP BY
+  on the join column, and a temp table created in GROUP BY order needs
+  no sort before the final merge join.
 
 How a step evaluates its tuples is not part of the plan: the
 single-pass operators (restrict/project, hash join, hash DISTINCT,
@@ -38,13 +39,14 @@ perturb the re-read counts, so they always run serially (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
 from repro.engine.aggregate import AggSpec
 from repro.engine.operators import (
     group_aggregate,
+    group_order,
     hash_distinct,
     hash_group_aggregate,
     hash_join,
@@ -60,7 +62,12 @@ from repro.engine.parallel import (
     parallel_hash_join,
     parallel_restrict_project,
 )
-from repro.engine.relation import Relation
+from repro.engine.relation import (
+    ROWID_COLUMN,
+    Relation,
+    RowidRelation,
+    describe_order,
+)
 from repro.engine.schema import RowSchema
 from repro.engine.sort import external_sort
 from repro.errors import PlanError
@@ -78,14 +85,6 @@ from repro.sql.ast import (
     walk,
 )
 from repro.sql.printer import to_sql
-
-
-@dataclass
-class _State:
-    """A partially built plan: the data plus what order it is in."""
-
-    relation: Relation
-    sorted_on: tuple[int, ...] = ()
 
 
 #: The single-pass operators and their exchange counterparts; the
@@ -123,6 +122,10 @@ class SingleLevelExecutor:
         self.parallel_threshold = parallel_threshold
         self.verify = verify
         self.steps: list[str] = []
+        #: ``sorted_runs(scan, keys, sort) -> (run, leased)``: set by a
+        #: replay with a sharing registry, which leases the sorted run of
+        #: a base table or publishes what ``sort()`` builds.
+        self.sorted_runs = None
 
     # -- public API --------------------------------------------------------
 
@@ -149,20 +152,20 @@ class SingleLevelExecutor:
                 if relation.heap is not kept:
                     relation.drop()
 
-    def materialize(self, name: str, select: Select) -> tuple[str, int]:
+    def materialize(self, name: str, select: Select) -> str:
         """Build one temp-table definition and register it as ``name``.
 
         The one place a transform temp (``Rt``, ``TEMP1..3``, a staging
         temp) comes into being: NEST-G's plan-time prefix, the replay
         loop and the batched chain all call it.  The catalog this
         executor reads from owns the heap from here on.  Returns the
-        step text and the temp's page count.
+        step text.
         """
         relation = self.execute(select)
         self.catalog.register_temp(
-            name, relation.heap, self.output_names(select)
+            name, relation.heap, self.output_names(select), relation.order
         )
-        return f"built {name}: " + "; ".join(self.steps), relation.num_pages
+        return f"built {name}: " + "; ".join(self.steps)
 
     def _run(self, operator, *args, **kwargs) -> Relation:
         """Run one physical operator: the ownership choke point.
@@ -199,13 +202,12 @@ class SingleLevelExecutor:
             ref.binding: set(self.catalog.schema_of(ref.name).column_names)
             for ref in select.from_tables
         }
-        state = self._join_from_tables(select)
-        state = self._apply_residual(select, state)
+        joined = self._apply_residual(select, self._join_from_tables(select))
 
         if select.group_by or select.has_aggregate_select():
-            result = self._grouped_output(select, state)
+            result = self._grouped_output(select, joined)
         else:
-            result = self._plain_output(select, state)
+            result = self._plain_output(select, joined)
 
         if select.distinct:
             if self.join_method == "hash":
@@ -250,7 +252,7 @@ class SingleLevelExecutor:
 
     # -- FROM clause ---------------------------------------------------------
 
-    def _join_from_tables(self, select: Select) -> _State:
+    def _join_from_tables(self, select: Select) -> Relation:
         all_conjuncts = conjuncts(select.where)
         self._consumed: set[int] = set()
 
@@ -259,12 +261,10 @@ class SingleLevelExecutor:
             raise PlanError("query has no FROM clause")
 
         rowid_bindings = self._rowid_bindings(select)
-        states: list[_State] = []
+        relations: list[Relation] = []
         for ref in tables:
             relation = scan_table(self.catalog.get(ref.name), binding=ref.binding)
             if ref.binding in rowid_bindings:
-                from repro.engine.relation import RowidRelation
-
                 relation = RowidRelation(relation, ref.binding)
             local = self._table_local_predicate(
                 all_conjuncts, relation.schema, ref.binding
@@ -275,12 +275,12 @@ class SingleLevelExecutor:
                     predicate=local, name=f"restrict({ref.binding})",
                 )
                 self._log(f"restrict {ref.binding}: {to_sql(local)}")
-            states.append(_State(relation))
+            relations.append(relation)
 
-        state = states[0]
-        for next_state in states[1:]:
-            state = self._join_pair(all_conjuncts, state, next_state)
-        return state
+        joined = relations[0]
+        for relation in relations[1:]:
+            joined = self._join_pair(all_conjuncts, joined, relation)
+        return joined
 
     def _table_local_predicate(
         self, all_conjuncts: list[Expr], schema: RowSchema, binding: str
@@ -297,8 +297,6 @@ class SingleLevelExecutor:
 
     def _rowid_bindings(self, select: Select) -> set[str]:
         """Bindings whose implicit rowid column the query references."""
-        from repro.engine.relation import ROWID_COLUMN
-
         return {
             node.table
             for node in walk(select)
@@ -332,10 +330,10 @@ class SingleLevelExecutor:
     # -- pairwise joins --------------------------------------------------------
 
     def _join_pair(
-        self, all_conjuncts: list[Expr], left: _State, right: _State
-    ) -> _State:
-        left_quals = left.relation.schema.qualifiers
-        right_quals = right.relation.schema.qualifiers
+        self, all_conjuncts: list[Expr], left: Relation, right: Relation
+    ) -> Relation:
+        left_quals = left.schema.qualifiers
+        right_quals = right.schema.qualifiers
 
         # (l, r, outer, null_safe)
         equi: list[tuple[ColumnRef, ColumnRef, str | None, bool]] = []
@@ -363,19 +361,18 @@ class SingleLevelExecutor:
 
         if self.join_method == "nested":
             predicate = make_and(
-                [self._join_pred_expr(e) for e in equi]
+                [Comparison(l, "=", r, null_safe=ns) for l, r, _, ns in equi]
                 + [self._theta_pred_expr(t) for t in theta]
                 + other
             )
             mode = "left" if self._any_outer(equi, theta) else "inner"
-            joined = self._run(
-                nested_loop_join, left.relation, right.relation, self.buffer,
-                predicate=predicate, mode=mode, name="nl-join",
-            )
             self._log(
                 f"nested-loop join ({to_sql(predicate) if predicate else 'cross'})"
             )
-            return _State(joined, left.sorted_on)
+            return self._run(
+                nested_loop_join, left, right, self.buffer,
+                predicate=predicate, mode=mode, name="nl-join",
+            )
 
         if equi:
             if self.join_method == "hash":
@@ -387,125 +384,115 @@ class SingleLevelExecutor:
             return self._merge_theta(left, right, theta, other)
 
         # No join predicate: cross product by nested loops.
-        joined = self._run(
-            nested_loop_join, left.relation, right.relation, self.buffer,
+        self._log("cross product (no join predicate)")
+        return self._run(
+            nested_loop_join, left, right, self.buffer,
             predicate=make_and(other), name="cross",
         )
-        self._log("cross product (no join predicate)")
-        return _State(joined, left.sorted_on)
 
-    def _merge_equi(self, left, right, equi, theta, other) -> _State:
-        # Null-safe equalities can only serve as merge keys when *all*
-        # equi predicates are null-safe (keys share one NULL-handling
-        # regime); a mixed set keeps the regular keys and demotes the
-        # null-safe ones to the residual join condition.
-        null_safe = all(e[3] for e in equi)
-        key_equi = equi if null_safe else [e for e in equi if not e[3]]
-        residual_equi = [] if null_safe else [e for e in equi if e[3]]
-        if not key_equi:  # all null-safe was handled; can't happen otherwise
-            key_equi, residual_equi = equi, []
-        left_keys = [left.relation.schema.index_of(l) for l, _, _, _ in key_equi]
-        right_keys = [right.relation.schema.index_of(r) for _, r, _, _ in key_equi]
-        mode = "left" if self._any_outer(equi, theta) else "inner"
-
-        residual_preds = (
-            [self._join_pred_expr(e) for e in residual_equi]
-            + [self._theta_pred_expr(t) for t in theta]
-            + other
+    def _equi_keys(self, equi, left: Relation, right: Relation) -> tuple:
+        """Every equi predicate as one column of a composite join key:
+        positions on each side, per-column NULL regime, and the text."""
+        return (
+            [left.schema.index_of(l) for l, _, _, _ in equi],
+            [right.schema.index_of(r) for _, r, _, _ in equi],
+            [null_safe for _, _, _, null_safe in equi],
+            ", ".join(
+                f"{l.qualified()} {'<=>' if ns else '='} {r.qualified()}"
+                for l, r, _, ns in equi
+            ),
         )
-        left_rel = self._ensure_sorted(left, tuple(left_keys))
-        right_rel = self._ensure_sorted(right, tuple(right_keys))
+
+    def _aligned(self, equi, left: Relation, right: Relation) -> list:
+        """Order the key columns to extend an order an input already
+        has (any column order is a correct merge key): the longest run
+        of an input's order the predicates cover, ties to the right
+        input — section 7.3's "Rt is already in join-column order"."""
+
+        def covered(relation: Relation, side: int) -> list:
+            by_column = {relation.schema.index_of(e[side]): e for e in equi}
+            run = []
+            for column in relation.order[0]:
+                if column not in by_column:
+                    break
+                run.append(by_column.pop(column))
+            return run
+
+        first = max(covered(right, 1), covered(left, 0), key=len)
+        return first + [e for e in equi if e not in first]
+
+    def _merge_equi(self, left, right, equi, theta, other) -> Relation:
+        left_keys, right_keys, regimes, text = self._equi_keys(
+            self._aligned(equi, left, right), left, right
+        )
+        mode = "left" if self._any_outer(equi, theta) else "inner"
+        residual_preds = [self._theta_pred_expr(t) for t in theta] + other
+        left = self._ensure_sorted(left, tuple(left_keys))
+        right = self._ensure_sorted(right, tuple(right_keys))
         joined = self._run(
-            merge_join, left_rel, right_rel, self.buffer,
+            merge_join, left, right, self.buffer,
             left_keys, right_keys, op="=", mode=mode, name="merge-join",
-            null_safe=null_safe,
+            null_safe=regimes,
             residual=self._residual_callable(
                 make_and(residual_preds) if mode == "left" else None,
-                left_rel.schema + right_rel.schema,
+                left.schema + right.schema,
             ),
         )
         self._log(
-            "merge join on "
-            + ", ".join(
-                f"{l.qualified()} {'<=>' if ns else '='} {r.qualified()}"
-                for l, r, _, ns in key_equi
-            )
-            + (" (left outer)" if mode == "left" else "")
+            f"merge join on {text}" + (" (left outer)" if mode == "left" else "")
         )
-        state = _State(joined, tuple(left_keys))
         if mode == "left":
-            return state  # residual already applied inside the join
-        return self._filter_state(state, make_and(residual_preds))
+            return joined  # residual already applied inside the join
+        return self._filter(joined, make_and(residual_preds))
 
-    def _hash_equi(self, left, right, equi, theta, other) -> _State:
-        # Same key-regime rule as the merge path: keys share one
-        # NULL-handling regime, so a mixed set keeps the regular keys
-        # and demotes the null-safe equalities to the residual.
-        null_safe = all(e[3] for e in equi)
-        key_equi = equi if null_safe else [e for e in equi if not e[3]]
-        residual_equi = [] if null_safe else [e for e in equi if e[3]]
-        left_keys = [left.relation.schema.index_of(l) for l, _, _, _ in key_equi]
-        right_keys = [right.relation.schema.index_of(r) for _, r, _, _ in key_equi]
+    def _hash_equi(self, left, right, equi, theta, other) -> Relation:
+        left_keys, right_keys, regimes, text = self._equi_keys(equi, left, right)
         mode = "left" if self._any_outer(equi, theta) else "inner"
-
-        residual_preds = (
-            [self._join_pred_expr(e) for e in residual_equi]
-            + [self._theta_pred_expr(t) for t in theta]
-            + other
-        )
+        residual_preds = [self._theta_pred_expr(t) for t in theta] + other
         # Hash joins need no sorted inputs; the residual is always
         # applied in-join (required for the outer mode, free otherwise).
         joined = self._run(
-            hash_join, left.relation, right.relation, self.buffer,
+            hash_join, left, right, self.buffer,
             left_keys, right_keys, mode=mode, name="hash-join",
-            null_safe=null_safe,
+            null_safe=regimes,
             residual=self._residual_callable(
-                make_and(residual_preds),
-                left.relation.schema + right.relation.schema,
+                make_and(residual_preds), left.schema + right.schema
             ),
         )
         self._log(
-            "hash join on "
-            + ", ".join(
-                f"{l.qualified()} {'<=>' if ns else '='} {r.qualified()}"
-                for l, r, _, ns in key_equi
-            )
+            f"hash join on {text}"
             + (" (left outer)" if mode == "left" else "")
             + " (build right, no sort)"
         )
-        # Probe-side order is preserved: each left row's matches stream
-        # out in left order, so any prefix ordering of the left input
-        # survives the join.
-        return _State(joined, left.sorted_on)
+        return joined
 
-    def _merge_theta(self, left, right, theta, other) -> _State:
+    def _merge_theta(self, left, right, theta, other) -> Relation:
         left_col, op, right_col, outer = theta[0]
-        left_key = left.relation.schema.index_of(left_col)
-        right_key = right.relation.schema.index_of(right_col)
+        left_key = left.schema.index_of(left_col)
+        right_key = right.schema.index_of(right_col)
         mode = "left" if self._any_outer([], theta) else "inner"
 
         residual_preds = [self._theta_pred_expr(t) for t in theta[1:]] + other
-        left_rel = self._ensure_sorted(left, (left_key,))
-        right_rel = self._ensure_sorted(right, (right_key,))
+        left = self._ensure_sorted(left, (left_key,))
+        right = self._ensure_sorted(right, (right_key,))
         # merge_join's theta semantics are "right.key op left.key":
         # our normalized predicate is "left.col mirror-op right.col",
         # i.e. right.col op left.col, which is exactly that direction.
         joined = self._run(
-            merge_join, left_rel, right_rel, self.buffer,
+            merge_join, left, right, self.buffer,
             [left_key], [right_key], op=op, mode=mode, name="theta-join",
             residual=self._residual_callable(
                 make_and(residual_preds) if mode == "left" else None,
-                left_rel.schema + right_rel.schema,
+                left.schema + right.schema,
             ),
         )
         self._log(
             f"theta merge join on {right_col.qualified()} {op} "
             f"{left_col.qualified()}" + (" (left outer)" if mode == "left" else "")
         )
-        state = _State(joined, (left_key,))
         if mode == "left":
-            return state
-        return self._filter_state(state, make_and(residual_preds))
+            return joined
+        return self._filter(joined, make_and(residual_preds))
 
     def _residual_callable(self, predicate: Expr | None, schema: RowSchema):
         """Wrap a predicate as a combined-row callable for the joins.
@@ -600,10 +587,6 @@ class SingleLevelExecutor:
             t[3] is not None for t in theta
         )
 
-    def _join_pred_expr(self, e) -> Expr:
-        left_col, right_col, _, null_safe = e
-        return Comparison(left_col, "=", right_col, null_safe=null_safe)
-
     def _theta_pred_expr(self, t) -> Expr:
         left_col, op, right_col, _ = t
         # Normalized as right op left; rebuild as an ordinary predicate.
@@ -611,26 +594,25 @@ class SingleLevelExecutor:
 
     # -- residual, grouping, output -------------------------------------------
 
-    def _apply_residual(self, select: Select, state: _State) -> _State:
+    def _apply_residual(self, select: Select, relation: Relation) -> Relation:
         residual: list[Expr] = []
         for index, conjunct in enumerate(conjuncts(select.where)):
             if index not in self._consumed:
                 residual.append(conjunct)
                 self._consumed.add(index)
-        return self._filter_state(state, make_and(residual))
+        return self._filter(relation, make_and(residual))
 
-    def _filter_state(self, state: _State, predicate: Expr | None) -> _State:
+    def _filter(self, relation: Relation, predicate: Expr | None) -> Relation:
         if predicate is None:
-            return state
-        filtered = self._run(
-            restrict_project, state.relation, self.buffer,
+            return relation
+        self._log(f"filter: {to_sql(predicate)}")
+        return self._run(
+            restrict_project, relation, self.buffer,
             predicate=predicate, name="filter",
         )
-        self._log(f"filter: {to_sql(predicate)}")
-        return _State(filtered, state.sorted_on)
 
-    def _grouped_output(self, select: Select, state: _State) -> Relation:
-        schema = state.relation.schema
+    def _grouped_output(self, select: Select, relation: Relation) -> Relation:
+        schema = relation.schema
         group_positions = []
         for expr in select.group_by:
             if not isinstance(expr, ColumnRef):
@@ -638,11 +620,10 @@ class SingleLevelExecutor:
             group_positions.append(schema.index_of(expr))
 
         specs: list[AggSpec] = []
-        out_fields: list[tuple[str | None, str]] = []
-        names = self.output_names(select)
+        out_names = self.output_names(select)
         item_kinds: list[tuple[str, int]] = []  # ("group", pos) | ("agg", idx)
 
-        for item, name in zip(select.items, names):
+        for item in select.items:
             expr = item.expr
             if isinstance(expr, FuncCall) and expr.is_aggregate:
                 if isinstance(expr.arg, Star):
@@ -675,22 +656,27 @@ class SingleLevelExecutor:
                 select.having, schema, group_positions, having_specs
             )
 
-        relation = state.relation
         aggregate_op = group_aggregate
-        if group_positions and not self._grouping_satisfied(
-            state.sorted_on, group_positions
-        ):
+        names = schema.qualified_names()
+        if group_positions and not group_order(relation.order, group_positions)[0]:
             if self.join_method == "hash":
                 aggregate_op = hash_group_aggregate
                 self._log("hash GROUP BY (no sort)")
             else:
+                self._log(
+                    "sort for GROUP BY on "
+                    + describe_order((tuple(group_positions), False), names)
+                )
                 relation = self._run(
                     external_sort, relation, group_positions, self.buffer,
                     name="group-sort",
                 )
-                self._log("sort for GROUP BY")
         elif group_positions:
-            self._log("GROUP BY input already in group order (no sort)")
+            self._log(
+                "GROUP BY input already ordered on "
+                + describe_order(relation.order, names)
+                + " (no sort)"
+            )
 
         group_fields = [
             (None, f"G{i}") for i in range(len(group_positions))
@@ -717,11 +703,12 @@ class SingleLevelExecutor:
                 out_positions.append(index)
             else:
                 out_positions.append(len(group_positions) + index)
-        out_fields = [(None, name) for name in names]
+        out_fields = [(None, name) for name in out_names]
         if out_positions == list(range(len(grouped.schema))):
             # Just relabel.
             return Relation(
-                RowSchema(out_fields), heap=grouped.heap, name="result"
+                RowSchema(out_fields), heap=grouped.heap, name="result",
+                order=grouped.order,
             )
         from repro.engine.operators import project_columns
 
@@ -790,15 +777,7 @@ class SingleLevelExecutor:
 
         return rewrite(predicate)
 
-    def _grouping_satisfied(
-        self, sorted_on: tuple[int, ...], group_positions: list[int]
-    ) -> bool:
-        prefix = sorted_on[: len(group_positions)]
-        return set(prefix) == set(group_positions) and len(prefix) == len(
-            group_positions
-        )
-
-    def _plain_output(self, select: Select, state: _State) -> Relation:
+    def _plain_output(self, select: Select, relation: Relation) -> Relation:
         names = self.output_names(select)
         projections = []
         for item, name in zip(select.items, names):
@@ -806,7 +785,7 @@ class SingleLevelExecutor:
                 raise PlanError("SELECT * is not supported in canonical queries")
             projections.append((item.expr, None, name))
         result = self._run(
-            restrict_project, state.relation, self.buffer,
+            restrict_project, relation, self.buffer,
             projections=projections, name="result",
         )
         self._log(
@@ -861,14 +840,44 @@ class SingleLevelExecutor:
 
     # -- misc ------------------------------------------------------------------
 
-    def _ensure_sorted(self, state: _State, keys: tuple[int, ...]) -> Relation:
-        if state.sorted_on[: len(keys)] == keys:
-            self._log("input already sorted on join key (no sort)")
-            return state.relation
-        self._log(f"sort on columns {list(keys)}")
-        return self._run(
-            external_sort, state.relation, list(keys), self.buffer, name="sorted"
+    def _ensure_sorted(self, relation: Relation, keys: tuple[int, ...]) -> Relation:
+        """``relation`` in ``keys`` order, sorted only when it must be.
+
+        An order covers the keys when it starts with them, or is a key
+        of the relation and the keys start with it (no two rows tie on
+        it).  The one sort section 7.3 does charge — Ri, an unrestricted
+        base table — is shared when there is a registry to hold it.
+        """
+        names = relation.schema.qualified_names()
+        columns, unique = relation.order
+        if columns[: len(keys)] == keys or (
+            unique and keys[: len(columns)] == columns
+        ):
+            self._log(
+                f"{relation.name} already ordered on "
+                f"{describe_order(relation.order, names)} (no sort)"
+            )
+            return relation
+        sort = partial(
+            self._run, external_sort, relation, list(keys), self.buffer,
+            name="sorted",
         )
+        # Base-table heaps are the versioned ones; a rowid view numbers
+        # rows in heap order, which a sorted copy would not reproduce.
+        if (
+            self.sorted_runs is not None
+            and relation.heap is not None
+            and relation.heap.versioned
+            and not isinstance(relation, RowidRelation)
+        ):
+            run, leased = self.sorted_runs(relation, keys, sort)
+        else:
+            run, leased = sort(), False
+        self._log(
+            ("shared sorted " if leased else "sort ")
+            + f"{relation.name} on {describe_order((keys, False), names)}"
+        )
+        return run
 
     def _reject_subqueries(self, select: Select) -> None:
         for node in walk(select):

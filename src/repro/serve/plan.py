@@ -24,7 +24,7 @@ the registry's leases, or the parameter context variable.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.analysis.verifier import output_names
@@ -32,6 +32,8 @@ from repro.catalog.catalog import Catalog
 from repro.core.pipeline import Engine, RunReport
 from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
+from repro.engine.relation import Relation, describe_order
+from repro.engine.sort import column_order
 from repro.errors import ParameterizedPlanError, ReproError, TransformError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.serve.binding import ParamSpec, check_binding, derive_param_specs
@@ -105,6 +107,9 @@ class CachedPlan:
     #: temp's contents; computed only when there is a registry.
     share_specs: tuple[ShareSpec, ...] = ()
     share_config: tuple = ()
+    #: Temp name -> the order its definition delivered, as the replays
+    #: so far saw it: the operators that ran claim it, nobody plans it.
+    delivered: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def param_count(self) -> int:
@@ -131,7 +136,12 @@ class CachedPlan:
             f"data version: {self.data_version}"
             + (" (binding: the plan folded data in)" if self.folded else ""),
         ]
-        lines.extend(f"setup: {sql}" for sql in self.setup_sql)
+        for definition, sql in zip(self.setup, self.setup_sql):
+            lines.append(f"setup: {sql}")
+            order = self.delivered.get(definition.name)
+            if order is not None:
+                names = output_names(definition.query)
+                lines.append("  rows ordered on " + describe_order(order, names))
         if self.canonical_sql is not None:
             lines.append(f"canonical: {self.canonical_sql}")
         lines.extend(self.trace)
@@ -189,21 +199,19 @@ class CachedPlan:
                 # publishes nothing: its temps may hold uncommitted
                 # rows no other reader must ever see.
                 registry = None
-            keys: list[tuple] = []
-            if registry is not None:
-                data_version = getattr(snapshot, "data_version", -1)
-                keys = [
-                    (
-                        spec.fingerprint,
-                        self.share_config,
-                        self.catalog_version,
-                        data_version,
-                        tuple(values[i] for i in spec.param_slots),
-                    )
-                    for spec in self.share_specs
-                ]
+            data_version = getattr(snapshot, "data_version", -1)
+
+            def key_of(identity, slots: tuple[int, ...] = ()) -> tuple:
+                return (
+                    identity,
+                    self.share_config,
+                    self.catalog_version,
+                    data_version,
+                    tuple(values[i] for i in slots),
+                )
+
             rows, steps, temp_pages = self.run_chain(
-                session, executor, self.setup, self.final_query, registry, keys
+                session, executor, self.setup, self.final_query, registry, key_of
             )
             if self.strip:
                 rows = [row[self.strip:] for row in rows]
@@ -226,7 +234,7 @@ class CachedPlan:
         setup: Sequence[TempTableDef],
         final_query: Select,
         registry: SharedSubplanRegistry | None = None,
-        keys: Sequence[tuple] = (),
+        key_of: Callable[..., tuple] | None = None,
     ) -> tuple[list[tuple], list[str], dict[str, int]]:
         """The temp-chain driver: install ``setup`` in ``session``, run
         ``final_query`` over it, drain the rows, sweep the session.
@@ -238,7 +246,7 @@ class CachedPlan:
         * **present** — the session already holds it (``Engine.run``
           replays in the session NEST-A built its prefix in): read it;
         * **leased** — a ``registry`` is given and some plan has
-          materialized that very temp (``keys[i]``: fingerprint, engine
+          materialized that very temp (``key_of``: fingerprint, engine
           config, snapshot, bound values): lease the heap;
         * **built** — execute the definition, reading upstream temps
           already in the session, and publish the heap to the registry
@@ -249,50 +257,80 @@ class CachedPlan:
         so two plans sharing only a prefix of their chains still share
         that prefix.  Leases pin shared heaps for the whole execution
         (the final query reads them) and are returned after the sweep.
+
+        With a registry, the sorted run of a base table a merge join
+        needs (section 7.3's sort of ``Ri``) is one more such entry, keyed
+        ``("sorted", table, column order)``.  The sort breaks ties on the
+        other columns, so a run answers every request it starts with.
         """
         leases: list[SharedEntry] = []
         steps: list[str] = []
         temp_pages: dict[str, int] = {}
+
+        def lease(key: tuple | None) -> SharedEntry | None:
+            entry = None if registry is None else registry.acquire(key, self)
+            if entry is not None:
+                leases.append(entry)
+            return entry
+
+        def publish(key: tuple | None, heap, columns, order) -> bool:
+            """Hand a fresh heap to the registry; False: it stays ours."""
+            entry = None if registry is None else registry.publish(
+                key, heap, columns, self, session.data_version, order
+            )
+            if entry is not None:
+                leases.append(entry)
+            return entry is not None
+
+        def sorted_run(scan: Relation, keys: tuple[int, ...], sort):
+            order = tuple(column_order(len(scan.schema), keys))
+            key = key_of(("sorted", scan.name, order))
+            entry = lease(key)
+            if entry is not None:
+                return Relation(
+                    scan.schema, heap=entry.heap, name=scan.name,
+                    owns_heap=False, order=entry.order,
+                ), True
+            run = sort()
+            if publish(key, run.heap, scan.schema.column_names(), run.order):
+                run.owns_heap = False  # no longer the block's scratch
+            return run, False
+
+        if registry is not None:
+            executor.sorted_runs = sorted_run
         try:
             for index, definition in enumerate(setup):
                 name = definition.name
-                if session.has_table(name):
-                    temp_pages[name] = session.heap_of(name).num_pages
-                    continue
-                if registry is not None:
-                    entry = registry.acquire(keys[index], self)
+                if not session.has_table(name):
+                    key = None
+                    if registry is not None:
+                        spec = self.share_specs[index]
+                        key = key_of(spec.fingerprint, spec.param_slots)
+                    entry = lease(key)
                     if entry is not None:
-                        leases.append(entry)
-                        session.register_shared_temp(
-                            name, entry.heap, entry.columns
-                        )
+                        session.register_shared_temp(name, entry)
                         steps.append(f"shared {name}")
-                        temp_pages[name] = entry.heap.num_pages
-                        continue
-                step, temp_pages[name] = executor.materialize(
-                    name, definition.query
-                )
-                steps.append(step)
-                if registry is not None:
-                    built = session.get(name)
-                    entry = registry.publish(
-                        keys[index],
-                        built.heap,
-                        built.schema.column_names,
-                        self,
-                        session.data_version,
-                    )
-                    if entry is not None:
-                        session.mark_shared(name)
-                        leases.append(entry)
+                    else:
+                        steps.append(
+                            executor.materialize(name, definition.query)
+                        )
+                        built = session.get(name)
+                        if publish(
+                            key, built.heap, built.schema.column_names,
+                            built.order,
+                        ):
+                            session.mark_shared(name)
+                temp = session.get(name)
+                temp_pages[name] = temp.heap.num_pages
+                self.delivered[name] = temp.order
             relation = executor.execute(final_query)
             steps.append("final: " + "; ".join(executor.steps))
             return relation.drain(), steps, temp_pages
         finally:
             session.drop_temp_tables()
             if registry is not None:
-                for lease in leases:
-                    registry.release_lease(lease)
+                for entry in leases:
+                    registry.release_lease(entry)
 
 
 def build_plan(

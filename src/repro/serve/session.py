@@ -100,14 +100,16 @@ class SessionCatalog(Catalog):
             table_schema, rows_per_page=rows_per_page, is_temp=True
         )
 
-    def register_temp(self, name, heap, column_names):
+    def register_temp(self, name, heap, column_names, order=((), False)):
         if self.base.has_table(name):
             raise CatalogError(f"table {name} already exists")
-        return super().register_temp(name, heap, column_names)
+        return super().register_temp(name, heap, column_names, order)
 
-    def register_shared_temp(self, name, heap, column_names) -> None:
-        """Register a temp whose heap outlives this session (leased)."""
-        self.register_temp(name, heap, column_names)
+    def register_shared_temp(self, name, entry) -> None:
+        """Register a leased registry entry (a
+        :class:`~repro.serve.sharing.SharedEntry`) as a temp whose heap
+        outlives this session."""
+        self.register_temp(name, entry.heap, entry.columns, entry.order)
         self._shared.add(name)
 
     def mark_shared(self, name: str) -> None:

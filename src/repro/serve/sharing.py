@@ -131,16 +131,19 @@ def compute_share_specs(setup) -> tuple[ShareSpec, ...]:
 
 
 class SharedEntry:
-    """One shared materialization: a heap, its columns, and its pins."""
+    """One shared materialization: a heap, its columns, the order its
+    rows are in (as the builder claimed it), and its pins."""
 
     __slots__ = (
-        "key", "heap", "columns", "publisher", "holders", "active", "purged"
+        "key", "heap", "columns", "order", "publisher", "holders", "active",
+        "purged",
     )
 
-    def __init__(self, key, heap, columns, publisher_fp, holder_id) -> None:
+    def __init__(self, key, heap, columns, order, publisher_fp, holder_id) -> None:
         self.key = key
         self.heap = heap
         self.columns = columns
+        self.order = order
         #: Query fingerprint of the publishing plan — a hit from a plan
         #: with a different fingerprint is a *cross-query* hit.
         self.publisher = publisher_fp
@@ -197,7 +200,8 @@ class SharedSubplanRegistry:
             return entry
 
     def publish(
-        self, key: tuple, heap, columns, plan, current_data_version: int
+        self, key: tuple, heap, columns, plan, current_data_version: int,
+        order=((), False),
     ) -> SharedEntry | None:
         """Register a freshly built materialization; returns its lease.
 
@@ -213,7 +217,9 @@ class SharedSubplanRegistry:
             if key in self._entries or data_version != current_data_version:
                 return None
             holder = id(plan)
-            entry = SharedEntry(key, heap, columns, plan.fingerprint, holder)
+            entry = SharedEntry(
+                key, heap, columns, order, plan.fingerprint, holder
+            )
             self._entries[key] = entry
             self._held.setdefault(holder, set()).add(key)
             self.materializations += 1

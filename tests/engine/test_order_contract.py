@@ -13,7 +13,9 @@ every-value-wrapped reference:
    row-at-a-time sort (kept below as the reference) and inside the
    paper's ``2·P·(passes + 1)`` envelope;
 3. ``merge_join`` returns exactly ``nested_loop_join``'s rows, in the
-   same order, for the equi, null-safe, residual and theta forms.
+   same order, for the equi, null-safe, residual and theta forms — and,
+   over two-column keys with a NULL regime per column, ``hash_join``
+   returns them too.
 
 Rows are compared through ``repr`` so that ``1``, ``1.0`` and ``True``
 (equal to Python, and tied in the order) cannot stand in for each other.
@@ -28,7 +30,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.expression import EvalContext, eval_predicate
-from repro.engine.operators import merge_join, nested_loop_join
+from repro.engine.operators import hash_join, merge_join, nested_loop_join
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import (
@@ -373,22 +375,40 @@ class TestMergeJoinEqualsNestedLoop:
         lrows=st.lists(st.tuples(NUMBER_KEYS, TEXT_KEYS, PAYLOAD), max_size=20),
         rrows=st.lists(st.tuples(NUMBER_KEYS, TEXT_KEYS, PAYLOAD), max_size=20),
         mode=st.sampled_from(["inner", "left"]),
-        null_safe=st.booleans(),
+        null_safe=st.tuples(st.booleans(), st.booleans()),
+        with_residual=st.booleans(),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_equi_two_column_key(self, lrows, rrows, mode, null_safe):
+    @settings(max_examples=300, deadline=None)
+    def test_equi_two_column_key(self, lrows, rrows, mode, null_safe, with_residual):
+        """Each key column under its own NULL regime — ``=,=`` / ``=,<=>``
+        / ``<=>,=`` / ``<=>,<=>`` — with NULLs in both columns on both
+        sides: merge ≡ nested loops ≡ hash, row for row."""
         _, buffer = make_env(8)
         left = sorted_input(buffer, "L", ["K", "T", "V"], lrows, [0, 1])
         right = sorted_input(buffer, "R", ["K", "T", "W"], rrows, [0, 1])
-        merged = merge_join(
-            left, right, buffer, [0, 1], [0, 1], mode=mode, null_safe=null_safe
+        residual_text = "L.V <= R.W" if with_residual else None
+        residual = (
+            residual_callable(residual_text, left.schema + right.schema)
+            if with_residual
+            else None
         )
-        eq = "<=>" if null_safe else "="
+        merged = merge_join(
+            left, right, buffer, [0, 1], [0, 1], mode=mode,
+            null_safe=null_safe, residual=residual,
+        )
+        k_eq, t_eq = ("<=>" if safe else "=" for safe in null_safe)
+        predicate = f"L.K {k_eq} R.K AND L.T {t_eq} R.T"
+        if with_residual:
+            predicate += f" AND {residual_text}"
         loop = nested_loop_join(
-            left, right, buffer, mode=mode,
-            predicate=parse_expression(f"L.K {eq} R.K AND L.T {eq} R.T"),
+            left, right, buffer, mode=mode, predicate=parse_expression(predicate)
         )
         assert exact(merged.to_list()) == exact(loop.to_list())
+        hashed = hash_join(
+            left, right, buffer, [0, 1], [0, 1], mode=mode,
+            null_safe=null_safe, residual=residual,
+        )
+        assert exact(hashed.to_list()) == exact(merged.to_list())
 
     @given(
         keys=st.sampled_from([NUMBER_KEYS, TEXT_KEYS]).flatmap(
@@ -456,6 +476,11 @@ class TestMergeJoinFallbacks:
         assert safe.to_list() == [
             (None, 2, None, 2), (1, None, 1, None), (1, 2, 1, 2)
         ]
+        # One regime per column: a NULL joins only where its column says so.
+        a_safe = merge_join(left, right, buffer, [0, 1], [0, 1], null_safe=[True, False])
+        assert a_safe.to_list() == [(None, 2, None, 2), (1, 2, 1, 2)]
+        b_safe = merge_join(left, right, buffer, [0, 1], [0, 1], null_safe=[False, True])
+        assert b_safe.to_list() == [(1, None, 1, None), (1, 2, 1, 2)]
 
     @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "<>"])
     def test_theta_probe_of_another_type_falls_back(self, op):

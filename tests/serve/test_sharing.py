@@ -95,15 +95,17 @@ class TestCrossQuerySharing:
             [(3, 6), (10, 1), (8, 0)]
         )
         stats = db.cache_stats()
-        assert stats.shared_materializations == 3
-        assert stats.shared_hits == 3
+        # Three temps and the sorted PARTS run of the final merge join;
+        # the sibling leases all four.
+        assert stats.shared_materializations == 4
+        assert stats.shared_hits == 4
 
     def test_replay_of_same_plan_is_not_a_cross_hit(self):
         db = make_db()
         db.execute_cached(JA_QUERY)
         db.execute_cached(JA_QUERY)
         stats = db.cache_stats()
-        assert stats.shared_materializations == 3
+        assert stats.shared_materializations == 4
         assert stats.shared_hits == 0
 
     def test_insert_purges_and_results_stay_fresh(self):
@@ -112,7 +114,7 @@ class TestCrossQuerySharing:
         db.execute_cached(JA_SIBLING)
         db.insert("SUPPLY", [(8, 1, "1979-01-01")])
         stats = db.cache_stats()
-        assert stats.shared_purges == 3
+        assert stats.shared_purges == 4
         after = db.execute_cached(JA_QUERY)
         assert Counter(after.result.rows) == Counter([(10,)])
 
@@ -141,7 +143,7 @@ class TestRefcountedLifecycle:
         db = make_db()
         db.execute_cached(JA_QUERY)
         registry = db.plan_cache.sharing
-        assert len(registry) == 3
+        assert len(registry) == 4  # three temps + the sorted PARTS run
         heaps = [entry.heap for entry in registry._entries.values()]
         db.plan_cache.clear()  # releases every plan -> drops holders
         assert len(registry) == 0
@@ -154,7 +156,7 @@ class TestRefcountedLifecycle:
         registry = db.plan_cache.sharing
         plans = list(db.plan_cache._entries.values())
         plans[0].release()
-        assert len(registry) == 3  # the sibling still holds them
+        assert len(registry) == 4  # the sibling still holds them
         plans[1].release()
         assert len(registry) == 0
 
