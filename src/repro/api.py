@@ -54,11 +54,16 @@ class Database:
         ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2), or
             ``"kim"`` / ``"kim-outer"`` to reproduce the original buggy
             NEST-JA and its naive outer-join repair.
-        dedupe_inner: apply the inner-side duplicate-elimination fix-up
-            to uncorrelated IN subqueries (see DESIGN.md).
+        dedupe_inner: restrict, project and deduplicate the inner
+            relation of an ``IN`` subquery into a temp before it is
+            merged — uncorrelated (type-N) and correlated (type-J)
+            alike (see DESIGN.md).
         dedupe_outer: apply the rowid-based semijoin fix-up that
-            restores nested-iteration multiplicities after a type-J
-            merge (the modern answer to Kim's Lemma-1 caveat).
+            restores nested-iteration multiplicities after a merge
+            that may fan out (the modern answer to Kim's Lemma-1
+            caveat); NEST-G derives that no fix-up is needed when every
+            column of the deduplicated inner temp is matched by a
+            strict equality.
         plan_cache_size: capacity of the serving-layer plan cache used
             by :meth:`execute_cached` / :meth:`prepare` (default 128).
         io_delay: simulated per-page-read latency in seconds (sleeps

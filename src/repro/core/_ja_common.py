@@ -65,7 +65,7 @@ def decompose_inner_block(
     simple_preds: list[Expr] = []
     for conjunct in conjuncts(inner.where):
         sides = {
-            _side(ref, local, has_column) for ref in column_refs(conjunct)
+            side_of(ref, local, has_column) for ref in column_refs(conjunct)
         }
         if sides <= {"inner"}:
             simple_preds.append(conjunct)
@@ -98,7 +98,9 @@ def _single_aggregate(inner: Select) -> FuncCall:
     return expr
 
 
-def _side(ref: ColumnRef, local: set[str], has_column: ColumnResolver) -> str:
+def side_of(ref: ColumnRef, local: set[str], has_column: ColumnResolver) -> str:
+    """``"inner"`` when ``ref`` binds to one of the block's own (``local``)
+    relations, ``"outer"`` when it reaches an enclosing block."""
     if ref.table is not None:
         return "inner" if ref.table in local else "outer"
     if any(has_column(binding, ref.column) for binding in local):
@@ -117,8 +119,8 @@ def _as_join_predicate(
         raise TransformError(
             f"correlated predicate is not a simple column comparison: {conjunct!r}"
         )
-    left_side = _side(conjunct.left, local, has_column)
-    right_side = _side(conjunct.right, local, has_column)
+    left_side = side_of(conjunct.left, local, has_column)
+    right_side = side_of(conjunct.right, local, has_column)
     if {left_side, right_side} != {"inner", "outer"}:
         raise TransformError(
             "join predicate must compare an inner column with an outer column"

@@ -60,8 +60,9 @@ class GeneralTransform:
         root_tables: the root block's original FROM clause, before any
             merges (used by the ``dedupe_outer`` multiplicity fix-up).
         root_fanout_merge: True when a NEST-N-J merge at the root level
-            may have changed output multiplicities (a type-J merge, or
-            a type-N merge without inner dedup) — the Lemma-1 caveat.
+            may have changed output multiplicities — the Lemma-1 caveat:
+            any merge without inner dedup, and a deduplicated one whose
+            temp is not matched on all its columns by strict equalities.
         folded: True when NEST-A evaluated a block (building the
             ``built`` prefix first) and folded its value into ``query``
             or ``setup``: the result then describes the data it was
@@ -95,9 +96,10 @@ def nest_g(
             it (System R behaviour), as are any temp tables they need.
         ja_algorithm: ``"ja2"`` (the paper's corrected algorithm) or
             ``"kim"`` (the original, bug-reproducing NEST-JA).
-        dedupe_inner: project uncorrelated IN-subquery results
-            duplicate-free before merging (the DESIGN.md multiset
-            fix-up; off by default for paper fidelity).
+        dedupe_inner: restrict, project and deduplicate the inner
+            relation of an IN subquery (type-N and type-J) into a temp
+            before merging (the DESIGN.md multiset fix-up; off by
+            default for paper fidelity).
         join_method: join method used when temp tables must be built
             during transformation (for type-A evaluation).
         parallelism: intra-query fan-out for the eager temp builds and
@@ -207,20 +209,29 @@ class _NestG:
                     "(no canonical join captures anti-join semantics)"
                 )
             return self._apply_a(block, node, inner)
-        if not correlated and self.dedupe_inner and isinstance(node, InSubquery):
-            temp_name = self.catalog.create_temp_name("NTEMP")
-            temp, new_node = dedupe_inner_setup(node, temp_name)
-            self.setup.append(temp)
-            self.trace.append(f"NEST-N dedup: {temp.describe()}")
-            block = _replace_conjunct(block, node, new_node)
-            merged = apply_nest_nj(block, new_node)
-            self.trace.append("NEST-N-J: merged deduplicated inner block")
-            return merged
-        label = "type-J" if correlated else "type-N"
-        if is_root:
-            # A plain NEST-N-J merge at the root can fan out outer rows
-            # (the Lemma-1 multiset caveat); remember so the pipeline's
-            # dedupe_outer fix-up can restore multiplicities.
+        kind = "J" if correlated else "N"
+        label = f"type-{kind}"
+        # A plain NEST-N-J merge can fan out outer rows (the Lemma-1
+        # multiset caveat); one into a deduplicated inner temp says
+        # whether it can.
+        fans_out = True
+        if self.dedupe_inner and isinstance(node, InSubquery):
+            fix = dedupe_inner_setup(
+                node, self.catalog.create_temp_name, has_column
+            )
+            if fix is not None:
+                temp, new_node, fans_out = fix
+                self.setup.append(temp)
+                self.trace.append(f"NEST-{kind} dedup: {temp.describe()}")
+                block = _replace_conjunct(block, node, new_node)
+                node = new_node
+                label += ", deduplicated, " + (
+                    "may fan out"
+                    if fans_out
+                    else "cannot fan out: no rowid fix-up"
+                )
+        if fans_out and is_root:
+            # The pipeline's dedupe_outer fix-up restores multiplicities.
             self.root_fanout_merge = True
         merged = apply_nest_nj(block, node)
         self.trace.append(f"NEST-N-J ({label}): merged inner block")

@@ -13,16 +13,20 @@ time; the recursive driver (NEST-G) walks multi-level queries.
 Faithfulness note (see DESIGN.md, "NEST-N-J and duplicates"): replacing
 ``IN`` by ``=`` preserves *set* semantics (Kim's Lemma 1) but can
 change multiplicities when the inner relation holds duplicate values in
-the projected column.  The pipeline offers an optional inner-side
-deduplication for the uncorrelated (type-N) case.
+the projected column.  Under ``dedupe_inner`` the pipeline restricts,
+projects and deduplicates the inner relation first
+(:func:`dedupe_inner_setup`), for type-N and type-J alike.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
 
+from repro.core._ja_common import side_of
 from repro.core.transform import TempTableDef
 from repro.errors import TransformError
+from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -33,6 +37,7 @@ from repro.sql.ast import (
     Select,
     SelectItem,
     TableRef,
+    column_refs,
     conjuncts,
     make_and,
 )
@@ -82,29 +87,80 @@ def apply_nest_nj(outer: Select, node: Expr) -> Select:
 
 
 def dedupe_inner_setup(
-    node: InSubquery, temp_name: str
-) -> tuple[TempTableDef, InSubquery]:
-    """Optional type-N fix-up: project the inner result duplicate-free.
+    node: InSubquery,
+    fresh_name: Callable[[str], str],
+    has_column: ColumnResolver,
+) -> tuple[TempTableDef, InSubquery, bool] | None:
+    """The inner-side fix-up: restrict, project and deduplicate the
+    inner relation *before* the join (NEST-JA2's step 2, for type-N/J).
 
-    Returns a temp-table definition ``temp_name = SELECT DISTINCT item
-    FROM inner...`` and a rewritten predicate ``x IN (SELECT C1 FROM
-    temp_name)``, so that the subsequent NEST-N-J join cannot inflate
-    multiplicities.  Only valid for *uncorrelated* inner blocks.
+    The inner WHERE splits, as ``decompose_inner_block`` splits it, into
+    local and correlated conjuncts.  Returns the definition ``temp =
+    SELECT DISTINCT <every inner column a correlated conjunct reads> AS
+    J1.., item AS C1 FROM inner WHERE <local conjuncts>``, the predicate
+    ``x IN (SELECT C1 FROM temp WHERE <correlated conjuncts over temp>)``
+    for NEST-N-J to merge, and whether that merge can fan an outer row
+    out.  It cannot when a strict ``=`` pins every temp column to an
+    expression of outer columns only: a duplicate-free relation matched
+    on all its columns has at most one partner (``=`` is never true on
+    NULL).  Type-N is the case of no correlated conjunct: ``C1`` alone,
+    pinned by the ``IN`` itself.
+
+    Returns None — the caller merges the block as it stands — when the
+    split cannot express it: the item reads an outer column, or a
+    correlated block groups or is DISTINCT.
     """
+    from repro.serve.normalize import rewrite_leaves
+
     inner = node.query
     item = _single_item(inner)
+    bindings = set(inner.table_bindings)
+
+    def sides(expr: Expr) -> set[str]:
+        return {side_of(ref, bindings, has_column) for ref in column_refs(expr)}
+
+    local = [c for c in conjuncts(inner.where) if sides(c) <= {"inner"}]
+    correlated = [c for c in conjuncts(inner.where) if sides(c) - {"inner"}]
+    if "outer" in sides(item) or (
+        correlated and (inner.group_by or inner.having or inner.distinct)
+    ):
+        return None
+    temp_name = fresh_name("JTEMP" if correlated else "NTEMP")
+    # Correlation columns first, as NEST-JA2's TEMP3 has them: the
+    # sort-unique then delivers the order the final merge join wants.
+    column_of: dict[Expr, ColumnRef] = {}
+    for ref in (r for c in correlated for r in column_refs(c)):
+        if ref not in column_of and sides(ref) == {"inner"}:
+            column_of[ref] = ColumnRef(temp_name, f"J{len(column_of) + 1}")
+    pinned = {
+        column
+        for c in correlated
+        if isinstance(c, Comparison) and c.op == "=" and not c.null_safe
+        for column, other in ((c.left, c.right), (c.right, c.left))
+        if column in column_of and sides(other) <= {"outer"}
+    }
+    result = ColumnRef(temp_name, "C1")  # pinned by the IN: operand = C1
     temp_query = replace(
         inner,
-        items=(SelectItem(item, alias="C1"),),
+        items=tuple(
+            SelectItem(expr, alias=column.column)
+            for expr, column in [*column_of.items(), (item, result)]
+        ),
+        where=make_and(local),
         distinct=True,
     )
     new_inner = Select(
-        items=(SelectItem(ColumnRef(temp_name, "C1"), alias="C1"),),
+        items=(SelectItem(result, alias="C1"),),
         from_tables=(TableRef(temp_name),),
+        where=make_and(
+            rewrite_leaves(c, lambda leaf: column_of.get(leaf, leaf))
+            for c in correlated
+        ),
     )
     return (
         TempTableDef(temp_name, temp_query),
         InSubquery(node.operand, new_inner, node.negated),
+        pinned != set(column_of),
     )
 
 

@@ -342,7 +342,9 @@ class Engine:
         """Apply the rowid multiplicity fix-up to the canonical query.
 
         When a NEST-N-J merge at the root may have fanned out outer
-        rows and ``dedupe_outer`` is on, rewrite the canonical query to
+        rows (``root_fanout_merge``: NEST-G derives it per merge — one
+        into a duplicate-free inner temp matched on all its columns
+        cannot) and ``dedupe_outer`` is on, rewrite the canonical query to
         ``SELECT DISTINCT rid(T1), ..., rid(Tk), <items> ...`` using
         the implicit rowid of each original outer table; the caller
         strips the leading rowid columns.  DISTINCT over unique rowids

@@ -53,6 +53,9 @@ def query_pool() -> list[str]:
     honest (different chains, no sharing), and the uncorrelated
     aggregate is the shape NEST-A folds into the plan — half the write
     batches move its value, which a cached plan must not carry across.
+    The type-J block reaching past its type-JA parent to the root was a
+    tracked wrong answer until its inner relation became a
+    duplicate-free temp: a fan-out before the COUNT would show here.
     """
     pool: list[str] = []
     for cutoff in CUTOFFS:
@@ -71,6 +74,12 @@ def query_pool() -> list[str]:
             "SELECT PNUM FROM PARTS WHERE PNUM IN "
             f"(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < '{cutoff}')"
         )
+    pool.append(
+        "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) "
+        "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN IN "
+        "(SELECT QUAN FROM SUPPLY S2 WHERE S2.PNUM = PARTS.PNUM "
+        f"AND S2.SHIPDATE < '{CUTOFFS[0]}'))"
+    )
     pool.append(
         "SELECT PARTS.PNUM FROM PARTS, SUPPLY "
         "WHERE PARTS.PNUM = SUPPLY.PNUM AND SUPPLY.QUAN > 2"

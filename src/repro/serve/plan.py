@@ -110,6 +110,9 @@ class CachedPlan:
     #: Temp name -> the order its definition delivered, as the replays
     #: so far saw it: the operators that ran claim it, nobody plans it.
     delivered: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
+    #: Temp name -> what the last replay did with that link: "present",
+    #: "shared", "built" or "not read".
+    last_links: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def param_count(self) -> int:
@@ -138,6 +141,8 @@ class CachedPlan:
         ]
         for definition, sql in zip(self.setup, self.setup_sql):
             lines.append(f"setup: {sql}")
+            if definition.name in self.last_links:
+                lines.append(f"  last replay: {self.last_links[definition.name]}")
             order = self.delivered.get(definition.name)
             if order is not None:
                 names = output_names(definition.query)
@@ -241,22 +246,29 @@ class CachedPlan:
 
         Temp contents depend only on the committed base data (pinned by
         the active snapshot) and the parameter slots their definitions
-        read.  Per definition, exactly one of three things happens:
+        read.  The chain is resolved on demand: starting from the tables
+        ``final_query`` reads and walking ``setup`` from last to first,
+        exactly one of four things happens to a definition:
 
         * **present** — the session already holds it (``Engine.run``
           replays in the session NEST-A built its prefix in): read it;
-        * **leased** — a ``registry`` is given and some plan has
-          materialized that very temp (``key_of``: fingerprint, engine
-          config, snapshot, bound values): lease the heap;
-        * **built** — execute the definition, reading upstream temps
-          already in the session, and publish the heap to the registry
-          when there is one; publication transfers ownership, so the
-          sweep unregisters the name without truncating the pages.
+        * **leased** — it is needed, a ``registry`` is given and some
+          plan has materialized that very temp (``key_of``: fingerprint,
+          engine config, snapshot, bound values): lease the heap;
+        * **built** — it is needed and nobody has it: execute the
+          definition, which makes the temps *it* reads needed, and
+          publish the heap to the registry when there is one
+          (ownership moves: the sweep unregisters the name only);
+        * **not read** — nothing installed reads it: it is not looked
+          up, leased, refreshed in the registry's LRU order or rebuilt,
+          and ``steps`` / ``temp_pages`` / ``delivered`` leave it out.
 
-        Definitions are keyed individually by cumulative fingerprints,
-        so two plans sharing only a prefix of their chains still share
-        that prefix.  Leases pin shared heaps for the whole execution
-        (the final query reads them) and are returned after the sweep.
+        Builds then run in chain order.  Definitions are keyed
+        individually by cumulative fingerprints, so plans sharing only
+        part of their chains still share that part.  Leases pin shared
+        heaps for the whole execution and are returned after the sweep.
+        A plan holds only the entries it leased or published: an
+        upstream entry no surviving plan ever read goes with its builder.
 
         With a registry, the sorted run of a base table a merge join
         needs (section 7.3's sort of ``Ri``) is one more such entry, keyed
@@ -296,33 +308,53 @@ class CachedPlan:
                 run.owns_heap = False  # no longer the block's scratch
             return run, False
 
+        def link_key(index: int) -> tuple | None:
+            if registry is None:
+                return None
+            spec = self.share_specs[index]
+            return key_of(spec.fingerprint, spec.param_slots)
+
         if registry is not None:
             executor.sorted_runs = sorted_run
         try:
-            for index, definition in enumerate(setup):
+            needed = {ref.name for ref in final_query.from_tables}
+            fate = {definition.name: "not read" for definition in setup}
+            for index in reversed(range(len(setup))):
+                definition = setup[index]
                 name = definition.name
-                if not session.has_table(name):
-                    key = None
-                    if registry is not None:
-                        spec = self.share_specs[index]
-                        key = key_of(spec.fingerprint, spec.param_slots)
-                    entry = lease(key)
+                if session.has_table(name):
+                    fate[name] = "present"
+                elif name in needed:
+                    entry = lease(link_key(index))
                     if entry is not None:
                         session.register_shared_temp(name, entry)
-                        steps.append(f"shared {name}")
+                        fate[name] = "shared"
                     else:
-                        steps.append(
-                            executor.materialize(name, definition.query)
+                        fate[name] = "built"
+                        needed.update(
+                            ref.name for ref in definition.query.from_tables
                         )
-                        built = session.get(name)
-                        if publish(
-                            key, built.heap, built.schema.column_names,
-                            built.order,
-                        ):
-                            session.mark_shared(name)
+            for index, definition in enumerate(setup):
+                name = definition.name
+                if fate[name] == "not read":
+                    continue
+                if fate[name] == "built":
+                    steps.append(executor.materialize(name, definition.query))
+                    built = session.get(name)
+                    if publish(
+                        link_key(index), built.heap,
+                        built.schema.column_names, built.order,
+                    ):
+                        session.mark_shared(name)
+                elif fate[name] == "shared":
+                    steps.append(f"shared {name}")
                 temp = session.get(name)
                 temp_pages[name] = temp.heap.num_pages
                 self.delivered[name] = temp.order
+            idle = [name for name in fate if fate[name] == "not read"]
+            if idle:
+                steps.append(", ".join(idle) + " not read")
+            self.last_links = fate
             relation = executor.execute(final_query)
             steps.append("final: " + "; ".join(executor.steps))
             return relation.drain(), steps, temp_pages

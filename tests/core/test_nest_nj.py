@@ -7,6 +7,7 @@ import pytest
 from repro.core.nest_nj import apply_nest_nj, dedupe_inner_setup
 from repro.core.pipeline import Engine
 from repro.errors import TransformError
+from repro.sql.analysis import resolver_from_columns
 from repro.sql.ast import Comparison, TableRef
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -139,11 +140,65 @@ class TestSemantics:
 
     def test_dedupe_inner_setup_shape(self):
         block = parse("SELECT A FROM T WHERE A IN (SELECT B FROM U WHERE B > 0)")
-        temp, new_pred = dedupe_inner_setup(block.where, "NTEMP_1")
+        temp, new_pred, fans_out = dedupe_inner_setup(
+            block.where,
+            lambda prefix: f"{prefix}_1",
+            resolver_from_columns({"T": {"A"}, "U": {"B"}}),
+        )
+        assert not fans_out  # C1 is bound by the IN itself
         assert to_sql(temp.query) == (
             "SELECT DISTINCT B AS C1 FROM U WHERE B > 0"
         )
         assert to_sql(new_pred) == "A IN (SELECT NTEMP_1.C1 AS C1 FROM NTEMP_1)"
+
+    @staticmethod
+    def _setup_of(inner_sql):
+        block = parse(f"SELECT A FROM T WHERE T.B IN ({inner_sql})")
+        return dedupe_inner_setup(
+            block.where,
+            lambda prefix: f"{prefix}_1",
+            resolver_from_columns({"T": {"A", "B"}, "U": {"A", "C"}}),
+        )
+
+    def test_dedupe_inner_setup_type_j_shape(self):
+        """Correlation columns first, item last; the correlated conjunct
+        moves out of the definition and is rewritten over the temp."""
+        temp, new_pred, fans_out = self._setup_of(
+            "SELECT U.C + 1 FROM U WHERE U.A = T.A AND U.C > 0"
+        )
+        assert to_sql(temp.query) == (
+            "SELECT DISTINCT U.A AS J1, U.C + 1 AS C1 FROM U WHERE U.C > 0"
+        )
+        assert to_sql(new_pred) == (
+            "T.B IN (SELECT JTEMP_1.C1 AS C1 FROM JTEMP_1 WHERE JTEMP_1.J1 = T.A)"
+        )
+        assert not fans_out  # J1 and C1 both pinned by a strict =
+
+    @pytest.mark.parametrize(
+        "correlation",
+        [
+            "U.A < T.A",  # theta: many J1 values can match
+            "U.A <=> T.A",  # not the strict =
+            "U.A = T.A AND U.C <> T.A",  # second column not pinned
+            "U.A + U.C = T.A",  # pins a sum, not the columns
+            "U.A = T.A OR U.C = T.A",
+        ],
+    )
+    def test_dedupe_inner_setup_reports_possible_fan_out(self, correlation):
+        _temp, _pred, fans_out = self._setup_of(
+            f"SELECT U.C FROM U WHERE {correlation}"
+        )
+        assert fans_out
+
+    @pytest.mark.parametrize(
+        "inner_sql",
+        [
+            "SELECT U.C + T.A FROM U WHERE U.A = T.A",  # correlated item
+            "SELECT DISTINCT U.C FROM U WHERE U.A = T.A",
+        ],
+    )
+    def test_dedupe_inner_setup_not_applicable(self, inner_sql):
+        assert self._setup_of(inner_sql) is None
 
     def test_multi_level_type_n_with_dedupe(self):
         """SP holds duplicate SNO values, so multiset equivalence needs

@@ -15,6 +15,13 @@ PR 17 did change them (order is a property of every relation; composite
 NULL-regime merge keys) and regenerated 30 ``merge`` / ``nested`` cells;
 ``test_order_tracking_only_saved_pages`` holds the new table to the old:
 no cell reads or writes more, no ``hash`` cell moved at all.
+
+PR 18 changed the *plan* of one shape: under ``dedupe_inner`` a type-J
+``IN`` block is a restricted, projected, duplicate-free temp
+(``JTEMP``) instead of a flat merge with a rowid fix-up on top.  The six
+``j`` cells were regenerated; ``test_type_j_temp_costs_its_pages`` holds
+them to the old ones.  The other 66 cells did not move: without a
+registry the chain driver builds every link, in the order it always did.
 """
 
 from __future__ import annotations
@@ -119,12 +126,12 @@ EXPECTED: dict[tuple[str, str, int], tuple] = {
     ('n', 'nested', 4): (110, 18, (1,), 'transform', 2, 1, 60),
     ('n', 'hash', 1): (111, 18, (1,), 'transform', 2, 1, 60),
     ('n', 'hash', 4): (110, 18, (1,), 'transform', 2, 1, 60),
-    ('j', 'merge', 1): (165, 75, (), 'transform', 1, 0, 52),
-    ('j', 'merge', 4): (165, 75, (), 'transform', 1, 0, 52),
-    ('j', 'nested', 1): (2102, 15, (), 'transform', 1, 0, 52),
-    ('j', 'nested', 4): (2102, 15, (), 'transform', 1, 0, 52),
-    ('j', 'hash', 1): (111, 15, (), 'transform', 1, 0, 52),
-    ('j', 'hash', 4): (110, 15, (), 'transform', 1, 0, 52),
+    ('j', 'merge', 1): (161, 67, (7,), 'transform', 2, 1, 52),
+    ('j', 'merge', 4): (156, 67, (7,), 'transform', 2, 1, 52),
+    ('j', 'nested', 1): (262, 27, (7,), 'transform', 2, 1, 52),
+    ('j', 'nested', 4): (257, 27, (7,), 'transform', 2, 1, 52),
+    ('j', 'hash', 1): (120, 27, (7,), 'transform', 2, 1, 52),
+    ('j', 'hash', 4): (110, 27, (7,), 'transform', 2, 1, 52),
     ('ja_count', 'merge', 1): (198, 88, (2, 7, 4), 'transform', 4, 3, 55),
     ('ja_count', 'merge', 4): (194, 88, (2, 7, 4), 'transform', 4, 3, 55),
     ('ja_count', 'nested', 1): (246, 41, (2, 7, 4), 'transform', 4, 3, 55),
@@ -225,6 +232,18 @@ BEFORE_ORDERS: dict[tuple[str, str, int], tuple[int, int]] = {
 }
 
 
+#: The ``j`` cells as pinned before type-J got its inner temp: one
+#: block, no definition, the fan-out collapsed by ``#RID`` + DISTINCT.
+BEFORE_JTEMP: dict[tuple[str, str, int], tuple] = {
+    ('j', 'merge', 1): (165, 75, (), 'transform', 1, 0, 52),
+    ('j', 'merge', 4): (165, 75, (), 'transform', 1, 0, 52),
+    ('j', 'nested', 1): (2102, 15, (), 'transform', 1, 0, 52),
+    ('j', 'nested', 4): (2102, 15, (), 'transform', 1, 0, 52),
+    ('j', 'hash', 1): (111, 15, (), 'transform', 1, 0, 52),
+    ('j', 'hash', 4): (110, 15, (), 'transform', 1, 0, 52),
+}
+
+
 @pytest.mark.parametrize("parallelism", WIDTHS)
 @pytest.mark.parametrize("join_method", JOINS)
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -242,6 +261,26 @@ def test_order_tracking_only_saved_pages():
         now = EXPECTED[key]
         assert now[0] <= reads and now[1] <= writes, key
         assert (now[0], now[1]) != (reads, writes), key
+
+
+def test_type_j_temp_costs_its_pages():
+    """One more block and one definition, the same rows.  Merge and
+    nested loops read less (the inner relation is joined restricted,
+    projected and duplicate-free; no rowid sort, no sort-unique on
+    top) — nested loops eight times less.  The hash join never sorted,
+    so it only pays for the temp: written once, read back once."""
+    assert {key for key in EXPECTED if key[0] == "j"} == set(BEFORE_JTEMP)
+    for key, before in BEFORE_JTEMP.items():
+        now = EXPECTED[key]
+        (jtemp,) = now[2]
+        assert now[3:] == ("transform", before[4] + 1, before[5] + 1, before[6])
+        if key[1] == "hash":
+            assert before[0] <= now[0] <= before[0] + 2 * jtemp, key
+            assert before[1] < now[1] <= before[1] + 2 * jtemp, key
+        else:
+            assert now[0] < before[0], key
+    assert EXPECTED['j', 'merge', 1][1] < BEFORE_JTEMP['j', 'merge', 1][1]
+    assert EXPECTED['j', 'nested', 1][0] * 8 < BEFORE_JTEMP['j', 'nested', 1][0]
 
 
 if __name__ == "__main__":

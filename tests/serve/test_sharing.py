@@ -89,16 +89,24 @@ class TestCrossQuerySharing:
         first = db.execute_cached(JA_QUERY)
         assert any(s.startswith("built") for s in first.steps)
         second = db.execute_cached(JA_SIBLING)
-        assert all(s.startswith("shared") for s in second.steps[:-1])
+        # The chain resolves on demand: the sibling's final block reads
+        # only the last link, which it leases; the two upstream temps
+        # are not looked up at all.
+        assert second.steps[:-1] == [
+            f"shared {second.setup_sql[2].split()[0]}",
+            ", ".join(sql.split()[0] for sql in second.setup_sql[:2])
+            + " not read",
+        ]
         assert Counter(first.result.rows) == Counter([(10,), (8,)])
         assert Counter(second.result.rows) == Counter(
             [(3, 6), (10, 1), (8, 0)]
         )
         stats = db.cache_stats()
         # Three temps and the sorted PARTS run of the final merge join;
-        # the sibling leases all four.
+        # the sibling leases the two it reads (the last temp, the run),
+        # not all four.
         assert stats.shared_materializations == 4
-        assert stats.shared_hits == 4
+        assert stats.shared_hits == 2
 
     def test_replay_of_same_plan_is_not_a_cross_hit(self):
         db = make_db()
@@ -156,7 +164,10 @@ class TestRefcountedLifecycle:
         registry = db.plan_cache.sharing
         plans = list(db.plan_cache._entries.values())
         plans[0].release()
-        assert len(registry) == 4  # the sibling still holds them
+        # The sibling holds what it read — the last temp and the sorted
+        # run — so those survive; the two upstream temps only their
+        # builder ever touched go with it.
+        assert len(registry) == 2
         plans[1].release()
         assert len(registry) == 0
 
