@@ -57,7 +57,7 @@ def dump_table(catalog, name: str) -> str:
 def show_temp_tables(catalog, engine: Engine, sql: str) -> None:
     transform = engine.transform(sql)
     for definition in transform.setup[transform.built:]:
-        executor = SingleLevelExecutor(catalog, "merge")
+        executor = SingleLevelExecutor(catalog)
         relation = executor.execute(definition.query)
         catalog.register_temp(
             definition.name, relation.heap, executor.output_names(definition.query)

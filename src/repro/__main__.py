@@ -17,7 +17,7 @@ the session::
     \\load kiessling        load a paper instance (kiessling | operator |
                             duplicates | suppliers)
     \\method M              nested_iteration | transform | auto | cost
-    \\join M                merge | nested (for transformed plans)
+    \\join M                merge | nested | hash (for transformed plans)
     \\explain SELECT ...;   show the NEST-G transformation plan
     \\plan SELECT ...;      show the cost-based planner's estimates
     \\analyze [TABLE]       collect optimizer statistics
@@ -51,9 +51,11 @@ Example session::
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 from repro.api import Database
 from repro.bench.reporting import format_table
+from repro.config import CHOICES
 from repro.errors import ReproError
 from repro.workloads import paper_data
 
@@ -175,10 +177,13 @@ class Shell:
         self.say(f"evaluation method: {argument}")
 
     def _cmd_join(self, argument: str) -> None:
-        if argument not in ("merge", "nested"):
-            self.say("join method must be merge | nested")
+        engine = self.db.engine
+        try:
+            engine.config = replace(engine.config, join_method=argument)
+        except ReproError:
+            methods = " | ".join(CHOICES["join_method"])
+            self.say(f"join method must be {methods}")
             return
-        self.db.engine.join_method = argument
         self.say(f"transformed-plan join method: {argument}")
 
     def _cmd_tables(self, _argument: str) -> None:
@@ -239,7 +244,8 @@ class Shell:
         from repro.optimizer.planner import Planner
 
         try:
-            choice = Planner(self.db.catalog).choose(argument.rstrip(";"))
+            planner = Planner(self.db.catalog, self.db.engine.config)
+            choice = planner.choose(argument.rstrip(";"))
         except ReproError as error:
             self.say(f"error: {error}")
             return

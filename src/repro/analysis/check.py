@@ -30,6 +30,7 @@ from repro.analysis.lint import lint_transform
 from repro.analysis.nullability import infer_query_nullability
 from repro.analysis.spans import SourceMap
 from repro.analysis.verifier import verify_nested, verify_transform
+from repro.config import CHOICES
 from repro.core.pipeline import Engine, prepare_query
 from repro.errors import ReproError
 from repro.sql.parser import parse
@@ -141,13 +142,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--ja",
         default="ja2",
-        choices=("ja2", "kim", "kim-outer"),
+        choices=CHOICES["ja_algorithm"],
         help="JA algorithm for the transformed plan (default: ja2)",
     )
     parser.add_argument(
         "--join",
         default="merge",
-        choices=("merge", "nested", "hash"),
+        choices=CHOICES["join_method"],
         help="join method assumed by the plan checks (default: merge)",
     )
     parser.add_argument(

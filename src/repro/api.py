@@ -81,9 +81,12 @@ class Database:
             path to make commits durable and recoverable via
             :func:`repro.txn.recover`.
 
-    A misspelt ``join_method`` / ``ja_algorithm`` or a ``parallelism``
-    below 1 raises :class:`~repro.errors.ReproError` here, not at the
-    first query.
+    The plan-shaping arguments become one frozen, validated
+    :class:`~repro.config.ExecConfig` (``db.engine.config``): a misspelt
+    ``join_method`` / ``ja_algorithm`` or a ``parallelism`` below 1
+    raises :class:`~repro.errors.ReproError` here, not at the first
+    query.  Reconfigure a live database by assigning
+    ``db.engine.config = dataclasses.replace(db.engine.config, ...)``.
     """
 
     def __init__(
@@ -220,15 +223,12 @@ class Database:
         """
         from repro.catalog.statistics import analyze_all, analyze_table
 
+        degree = self.engine.config.parallelism
         with self.catalog.write_lock(), self.catalog.snapshots.pinned():
             if table is None:
-                analyze_all(self.catalog, parallelism=self.engine.parallelism)
+                analyze_all(self.catalog, parallelism=degree)
             else:
-                analyze_table(
-                    self.catalog,
-                    table.upper(),
-                    parallelism=self.engine.parallelism,
-                )
+                analyze_table(self.catalog, table.upper(), parallelism=degree)
 
     # -- statements ----------------------------------------------------------
 

@@ -31,27 +31,10 @@ class MeasuredRun:
         return self.io.page_ios
 
 
-def measure(
-    catalog: Catalog,
-    sql: str,
-    method: str,
-    join_method: str = "merge",
-    ja_algorithm: str = "ja2",
-    dedupe_inner: bool = False,
-    dedupe_outer: bool = False,
-    parallelism: int = 1,
-    parallel_threshold: int | None = None,
-) -> MeasuredRun:
-    """Run one query cold and return rows + page I/O + wall time."""
-    engine = Engine(
-        catalog,
-        join_method=join_method,
-        ja_algorithm=ja_algorithm,
-        dedupe_inner=dedupe_inner,
-        dedupe_outer=dedupe_outer,
-        parallelism=parallelism,
-        parallel_threshold=parallel_threshold,
-    )
+def measure(catalog: Catalog, sql: str, method: str, **settings) -> MeasuredRun:
+    """Run one query cold and return rows + page I/O + wall time;
+    ``settings`` are the engine's (:class:`~repro.config.ExecConfig`)."""
+    engine = Engine(catalog, **settings)
     catalog.buffer.evict_all()
     catalog.buffer.reset_stats()
     start = time.perf_counter()
@@ -63,14 +46,10 @@ def measure(
 
 
 def compare_methods(
-    catalog: Catalog,
-    sql: str,
-    join_method: str = "merge",
-    ja_algorithm: str = "ja2",
-    dedupe_inner: bool = False,
-    check: str | None = "bag",
+    catalog: Catalog, sql: str, check: str | None = "bag", **settings
 ) -> tuple[MeasuredRun, MeasuredRun]:
-    """Measure nested iteration and transformation on the same query.
+    """Measure nested iteration and transformation (under the engine
+    ``settings`` given) on the same query.
 
     ``check`` verifies the transformed result against the baseline:
     ``"bag"`` (multiset equality, the default), ``"set"`` (for
@@ -80,15 +59,8 @@ def compare_methods(
     time a wrong answer.
     """
     baseline = measure(catalog, sql, "nested_iteration")
-    transformed = measure(
-        catalog,
-        sql,
-        "transform",
-        join_method=join_method,
-        ja_algorithm=ja_algorithm,
-        dedupe_inner=dedupe_inner,
-    )
-    if ja_algorithm == "kim":
+    transformed = measure(catalog, sql, "transform", **settings)
+    if settings.get("ja_algorithm") == "kim":
         check = None
     if check == "bag" and Counter(baseline.rows) != Counter(transformed.rows):
         raise AssertionError(

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.catalog.catalog import Catalog
+from repro.config import ExecConfig
 from repro.core.classify import catalog_resolver, ensure_transformable
 from repro.core.nest_ja import apply_nest_ja, apply_nest_ja_outer_naive
 from repro.core.nest_ja2 import apply_nest_ja2
@@ -79,13 +80,7 @@ class GeneralTransform:
 
 
 def nest_g(
-    select: Select,
-    catalog: Catalog,
-    ja_algorithm: str = "ja2",
-    dedupe_inner: bool = False,
-    join_method: str = "merge",
-    parallelism: int = 1,
-    parallel_threshold: int | None = None,
+    select: Select, catalog: Catalog, config: ExecConfig = ExecConfig()
 ) -> GeneralTransform:
     """Transform an arbitrarily nested query to canonical form.
 
@@ -94,26 +89,13 @@ def nest_g(
             (EXISTS/ANY/ALL) must already be rewritten.
         catalog: resolves schemas; type-A blocks are evaluated against
             it (System R behaviour), as are any temp tables they need.
-        ja_algorithm: ``"ja2"`` (the paper's corrected algorithm) or
-            ``"kim"`` (the original, bug-reproducing NEST-JA).
-        dedupe_inner: restrict, project and deduplicate the inner
-            relation of an IN subquery (type-N and type-J) into a temp
-            before merging (the DESIGN.md multiset fix-up; off by
-            default for paper fidelity).
-        join_method: join method used when temp tables must be built
-            during transformation (for type-A evaluation).
-        parallelism: intra-query fan-out for the eager temp builds and
-            type-A evaluations (1 = serial), with ``parallel_threshold``
-            the serial-below row-count cutoff (None = engine default).
+        config: ``ja_algorithm`` picks NEST-JA2 or a bug-reproducing
+            original and ``dedupe_inner`` the DESIGN.md multiset fix-up
+            (off by default for paper fidelity); ``join_method`` and the
+            parallel settings run the temp builds and type-A
+            evaluations transformation itself needs.
     """
-    driver = _NestG(
-        catalog,
-        ja_algorithm,
-        dedupe_inner,
-        join_method,
-        parallelism,
-        parallel_threshold,
-    )
+    driver = _NestG(catalog, config)
     canonical = driver.transform(select, env={}, is_root=True)
     _check_canonical(canonical)
     return GeneralTransform(
@@ -128,23 +110,9 @@ def nest_g(
 
 
 class _NestG:
-    def __init__(
-        self,
-        catalog: Catalog,
-        ja_algorithm: str,
-        dedupe_inner: bool,
-        join_method: str,
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
-    ) -> None:
-        if ja_algorithm not in ("ja2", "kim", "kim-outer"):
-            raise TransformError(f"unknown JA algorithm {ja_algorithm!r}")
+    def __init__(self, catalog: Catalog, config: ExecConfig) -> None:
         self.catalog = catalog
-        self.ja_algorithm = ja_algorithm
-        self.dedupe_inner = dedupe_inner
-        self.join_method = join_method
-        self.parallelism = parallelism
-        self.parallel_threshold = parallel_threshold
+        self.config = config
         self.setup: list[TempTableDef] = []
         self.trace: list[str] = []
         self.built = 0
@@ -215,7 +183,7 @@ class _NestG:
         # multiset caveat); one into a deduplicated inner temp says
         # whether it can.
         fans_out = True
-        if self.dedupe_inner and isinstance(node, InSubquery):
+        if self.config.dedupe_inner and isinstance(node, InSubquery):
             fix = dedupe_inner_setup(
                 node, self.catalog.create_temp_name, has_column
             )
@@ -255,7 +223,7 @@ class _NestG:
                 "type-JA nesting requires a scalar comparison predicate"
             )
         fresh = lambda: self.catalog.create_temp_name("TEMP")
-        if self.ja_algorithm == "ja2":
+        if self.config.ja_algorithm == "ja2":
             result = apply_nest_ja2(
                 inner,
                 has_column,
@@ -263,7 +231,7 @@ class _NestG:
                 outer_tables=inner_env,
                 outer_block=block,
             )
-        elif self.ja_algorithm == "kim-outer":
+        elif self.config.ja_algorithm == "kim-outer":
             result = apply_nest_ja_outer_naive(
                 inner,
                 has_column,
@@ -326,15 +294,7 @@ class _NestG:
         self._build_pending_setup()
         from repro.engine.nested_iteration import NestedIterationExecutor
 
-        return (
-            NestedIterationExecutor(
-                self.catalog,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
-            .execute(inner)
-            .rows
-        )
+        return NestedIterationExecutor(self.catalog, self.config).execute(inner).rows
 
     def _build_pending_setup(self) -> None:
         from repro.errors import ParameterizedPlanError
@@ -350,12 +310,9 @@ class _NestG:
                     "temp table built during transformation contains a "
                     "bind parameter: " + to_sql(definition.query)
                 )
-            SingleLevelExecutor(
-                self.catalog,
-                self.join_method,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            ).materialize(definition.name, definition.query)
+            SingleLevelExecutor(self.catalog, self.config).materialize(
+                definition.name, definition.query
+            )
             self.trace.append(f"built {definition.name} (needed for NEST-A)")
             self.built += 1
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.diagnostics import Findings
 from repro.catalog.catalog import Catalog
+from repro.config import ExecConfig
 from repro.core.classify import catalog_resolver
 from repro.core.nest_g import GeneralTransform, nest_g
 from repro.core.predicates import rewrite_extended_predicates
@@ -65,15 +67,13 @@ class RunReport:
 
 
 def prepare_query(
-    select: Select,
-    catalog: Catalog,
-    exists_count_mode: str = "star",
-    quantifier_mode: str = "exact",
+    select: Select, catalog: Catalog, config: ExecConfig = ExecConfig()
 ) -> Select:
-    """Qualify all column references and rewrite extended predicates.
+    """Qualify all column references and rewrite extended predicates
+    (by ``config``'s predicate modes).
 
-    Shared by the pipeline and the planner so both reason about the
-    same normalized tree.
+    Run once per plan: the planner, NEST-G and the verifier all reason
+    about the tree this returns.
     """
     from repro.sql.ast import TableRef, walk
     from repro.sql.qualify import qualify
@@ -106,76 +106,25 @@ def prepare_query(
         return None
 
     qualified = qualify(select, has_column, list_columns=list_columns)
-    return rewrite_extended_predicates(qualified, exists_count_mode, quantifier_mode)
-
-
-#: Accepted values of the enumerated settings, checked once at
-#: construction (a typo must not reach NEST-G, where ``method="auto"``
-#: would read the resulting TransformError as "cannot be unnested").
-_CHOICES = {
-    "join_method": ("merge", "nested", "hash"),
-    "ja_algorithm": ("ja2", "kim", "kim-outer"),
-    "exists_count_mode": ("star", "paper"),
-    "quantifier_mode": ("exact", "paper"),
-}
+    return rewrite_extended_predicates(qualified, config)
 
 
 class Engine:
-    """Runs queries against a catalog by either evaluation strategy."""
+    """Runs queries against a catalog by either evaluation strategy.
 
-    #: The settings that shape a plan, in cache-key order: what
-    #: :meth:`on_session` copies and what
-    #: :func:`repro.serve.plan.engine_config` keys on, so the cache key
-    #: cannot drift from what a clone inherits.
-    SETTINGS = (
-        "join_method",
-        "parallelism",
-        "parallel_threshold",
-        "ja_algorithm",
-        "dedupe_inner",
-        "dedupe_outer",
-        "exists_count_mode",
-        "quantifier_mode",
-    )
+    A thin facade over the one statement path: it holds the catalog,
+    the :class:`~repro.config.ExecConfig` every plan it builds runs
+    under, the ``verify`` switch and an optional plan cache.  The
+    settings are accepted as keyword arguments and forwarded once into
+    ``ExecConfig(**settings)``; reconfiguring a live engine is
+    ``engine.config = dataclasses.replace(engine.config, ...)``.
+    """
 
     def __init__(
-        self,
-        catalog: Catalog,
-        join_method: str = "merge",
-        ja_algorithm: str = "ja2",
-        dedupe_inner: bool = False,
-        dedupe_outer: bool = False,
-        exists_count_mode: str = "star",
-        quantifier_mode: str = "exact",
-        verify: bool = True,
-        plan_cache=None,
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
+        self, catalog: Catalog, *, verify: bool = True, plan_cache=None, **settings
     ) -> None:
         self.catalog = catalog
-        self.join_method = join_method
-        #: Intra-query fan-out: partition-parallel scans, probes, and
-        #: aggregations over the shared exchange pool.  1 = serial.
-        #: Same plans, same page I/O totals at every degree.
-        self.parallelism = parallelism
-        #: Inputs below this row count stay serial even when
-        #: ``parallelism > 1`` (None = the engine default).
-        self.parallel_threshold = parallel_threshold
-        self.ja_algorithm = ja_algorithm
-        self.dedupe_inner = dedupe_inner
-        self.dedupe_outer = dedupe_outer
-        self.exists_count_mode = exists_count_mode
-        self.quantifier_mode = quantifier_mode
-        for setting, allowed in _CHOICES.items():
-            if getattr(self, setting) not in allowed:
-                raise ReproError(
-                    f"unknown {setting} {getattr(self, setting)!r} "
-                    f"(choose from {', '.join(allowed)})"
-                )
-        if not isinstance(parallelism, int) or parallelism < 1:
-            raise ReproError(
-                f"parallelism must be an integer >= 1, got {parallelism!r}"
-            )
+        self.config = ExecConfig(**settings)
         #: Optional repro.serve.PlanCache consulted by run_cached().
         self.plan_cache = plan_cache
         #: Run the static plan verifier + Kim-bug lint after NEST-G.
@@ -184,26 +133,40 @@ class Engine:
         #: algorithms ("kim", "kim-outer") findings are collected as
         #: warnings in ``last_findings`` so the bug gallery still runs.
         self.verify = verify
+        #: The verifier's findings for the last plan this engine built.
         self.last_findings = None
 
-    def on_session(self) -> "Engine":
-        """This engine's settings over a private session overlay of its
-        catalog: temps built there never touch the shared catalog.  The
-        clone serves no plan cache of its own, so its plans lease
-        nothing.  An engine that already runs on a session is its own
-        session engine."""
-        from repro.serve.session import SessionCatalog
-
-        session = SessionCatalog.over(self.catalog)
-        if session is self.catalog:
-            return self
-        return Engine(
-            session,
-            verify=self.verify,
-            **{name: getattr(self, name) for name in self.SETTINGS},
-        )
-
     # -- public API ----------------------------------------------------------
+
+    def plan(
+        self,
+        select: Select,
+        method: str,
+        fingerprint: str = "",
+        session: Catalog | None = None,
+    ):
+        """Build a statement's :class:`~repro.serve.plan.CachedPlan`
+        under this engine's config; every entry point plans through
+        here, so ``last_findings`` is assigned in this one place.
+
+        Planned in ``session`` when given — the caller replays there and
+        drops its temps, and such a plan leases nothing — else in a
+        private overlay of the catalog, sharing temps through the plan
+        cache's registry when there is a cache.
+        """
+        # Function-level: repro.serve.plan imports this module.
+        from repro.serve.plan import build_plan
+
+        registry = None
+        if session is None and self.plan_cache is not None:
+            registry = self.plan_cache.sharing
+        plan = build_plan(
+            self.catalog if session is None else session,
+            self.config, select, method, fingerprint,
+            verify=self.verify, registry=registry,
+        )
+        self.last_findings = plan.findings
+        return plan
 
     def run(self, query: str | Select, method: str = "transform") -> RunReport:
         """Execute a query and report rows plus page I/O.
@@ -215,19 +178,17 @@ class Engine:
         Temps NEST-A built while planning are read by the replay, not
         rebuilt.  Safe to call from many threads.
         """
-        from repro.serve.plan import build_plan
+        # Function-level: the repro.serve package imports this module.
+        from repro.serve.session import SessionCatalog
 
         select = parse(query) if isinstance(query, str) else query
-        planner = self.on_session()
-        session = planner.catalog
+        session = SessionCatalog.over(self.catalog)
         before = session.buffer.stats()
         try:
             with session.read_lock(), session.snapshots.pinned():
-                plan = build_plan(planner, select, method, "")
-                report = plan.replay(session)
+                report = self.plan(select, method, session=session).replay(session)
         finally:
             session.drop_temp_tables()
-            self.last_findings = planner.last_findings
         # Plan-time reads (type-A blocks, their temps) are part of the
         # statement's cost.
         report.io = session.buffer.stats() - before
@@ -249,7 +210,7 @@ class Engine:
         """Execute through the plan cache (requires ``plan_cache``).
 
         The SQL is normalized (predicate literals parameterized, text
-        canonicalized) and looked up by fingerprint + engine config;
+        canonicalized) and looked up by fingerprint + method + config;
         on a hit the stored plan replays without re-planning or
         re-verification.  Queries whose plan shape depends on the
         literal values get per-vector ("custom") cache entries.
@@ -262,7 +223,6 @@ class Engine:
             substitute_params,
             user_param_count,
         )
-        from repro.serve.plan import build_plan, engine_config
 
         cache: PlanCache | None = self.plan_cache
         if cache is None:
@@ -276,14 +236,14 @@ class Engine:
             )
         normalized, extracted = parameterize(select)
         values = vector + extracted
-        key = (fingerprint(normalized), engine_config(self, method))
+        key = (fingerprint(normalized), method, self.config)
         schema_version = self.catalog.schema_version
         data_version = self.catalog.data_version
 
         plan = cache.lookup(key, schema_version, data_version)
         if plan is None:
             try:
-                plan = build_plan(self, normalized, method, key[0])
+                plan = self.plan(normalized, method, key[0])
                 cache.store(key, plan)
             except ParameterizedPlanError:
                 # Custom plan: the literal values shape the plan, so
@@ -292,7 +252,7 @@ class Engine:
                 plan = cache.lookup(custom_key, schema_version, data_version)
                 if plan is None:
                     literal = substitute_params(normalized, values)
-                    plan = build_plan(self, literal, method, key[0])
+                    plan = self.plan(literal, method, key[0])
                     cache.store(custom_key, plan)
                 return plan.replay(self.catalog, ())
         return plan.replay(self.catalog, values)
@@ -305,7 +265,8 @@ class Engine:
         drop them with ``catalog.drop_temp_tables()``.
         """
         select = parse(query) if isinstance(query, str) else query
-        return self._nest_g(self._prepare(select), self.join_method)
+        rewritten = prepare_query(select, self.catalog, self.config)
+        return nest_g(rewritten, self.catalog, self.config)
 
     def explain(self, query: str | Select) -> str:
         """Human-readable transformation plan for a query.
@@ -313,15 +274,15 @@ class Engine:
         Planned on a session overlay: the temps a type-A block needs
         come and go there, never in the shared catalog.
         """
+        from repro.serve.session import SessionCatalog  # see run()
         from repro.sql.printer import to_sql_pretty
 
         select = parse(query) if isinstance(query, str) else query
-        planner = self.on_session()
-        session = planner.catalog
+        session = SessionCatalog.over(self.catalog)
         try:
             with session.read_lock(), session.snapshots.pinned():
-                rewritten = planner._prepare(select)
-                transform = planner._nest_g(rewritten, self.join_method)
+                rewritten = prepare_query(select, session, self.config)
+                transform = nest_g(rewritten, session, self.config)
         finally:
             session.drop_temp_tables()
         lines = ["-- original query", to_sql_pretty(rewritten), ""]
@@ -334,191 +295,175 @@ class Engine:
         lines.append(to_sql(transform.query))
         return "\n".join(lines)
 
-    # -- planning steps (driven by repro.serve.plan.build_plan) ---------------
 
-    def _dedupe_outer(
-        self, transform: GeneralTransform
-    ) -> tuple[list[TempTableDef], Select, int]:
-        """Apply the rowid multiplicity fix-up to the canonical query.
+# -- planning steps: functions of (session catalog, config), called in this
+# -- order (after prepare_query and nest_g) by repro.serve.plan.build_plan ----
 
-        When a NEST-N-J merge at the root may have fanned out outer
-        rows (``root_fanout_merge``: NEST-G derives it per merge — one
-        into a duplicate-free inner temp matched on all its columns
-        cannot) and ``dedupe_outer`` is on, rewrite the canonical query to
-        ``SELECT DISTINCT rid(T1), ..., rid(Tk), <items> ...`` using
-        the implicit rowid of each original outer table; the caller
-        strips the leading rowid columns.  DISTINCT over unique rowids
-        collapses the fan-out to exactly one row per surviving outer
-        tuple — restoring nested-iteration multiplicities even when
-        outer rows are value-identical.  See DESIGN.md.
 
-        Returns the temp definitions the fix-up appends to the chain,
-        the (possibly rewritten) query, and the number of leading
-        columns to strip.  Purely structural: no data is read.
-        """
-        from dataclasses import replace as dc_replace
+def dedupe_outer_fixup(
+    transform: GeneralTransform, catalog: Catalog, config: ExecConfig
+) -> tuple[list[TempTableDef], Select, int]:
+    """Apply the rowid multiplicity fix-up to the canonical query.
 
-        from repro.engine.relation import ROWID_COLUMN
-        from repro.sql.ast import ColumnRef, SelectItem
+    When a NEST-N-J merge at the root may have fanned out outer
+    rows (``root_fanout_merge``: NEST-G derives it per merge — one
+    into a duplicate-free inner temp matched on all its columns
+    cannot) and ``config.dedupe_outer`` is on, rewrite the canonical
+    query to ``SELECT DISTINCT rid(T1), ..., rid(Tk), <items> ...`` using
+    the implicit rowid of each original outer table; the caller
+    strips the leading rowid columns.  DISTINCT over unique rowids
+    collapses the fan-out to exactly one row per surviving outer
+    tuple — restoring nested-iteration multiplicities even when
+    outer rows are value-identical.  See DESIGN.md.
 
-        query = transform.query
-        if not (self.dedupe_outer and transform.root_fanout_merge):
-            return [], query, 0
-        if query.group_by or query.has_aggregate_select() or query.distinct:
-            # Aggregated root: dedup must happen *before* aggregation
-            # (the fan-out would corrupt COUNT/SUM/AVG).  Stage the
-            # deduplicated outer rows in one more temp, then aggregate
-            # over it.
-            staging, aggregated = self._dedupe_outer_aggregated(transform)
-            return [staging], aggregated, 0
-        rid_items = tuple(
-            SelectItem(ColumnRef(ref.binding, ROWID_COLUMN), alias=f"RID{i}")
-            for i, ref in enumerate(transform.root_tables)
+    Returns the temp definitions the fix-up appends to the chain,
+    the (possibly rewritten) query, and the number of leading
+    columns to strip.  Purely structural: no data is read.
+    """
+    from dataclasses import replace as dc_replace
+
+    from repro.engine.relation import ROWID_COLUMN
+    from repro.sql.ast import ColumnRef, SelectItem
+
+    query = transform.query
+    if not (config.dedupe_outer and transform.root_fanout_merge):
+        return [], query, 0
+    if query.group_by or query.has_aggregate_select() or query.distinct:
+        # Aggregated root: dedup must happen *before* aggregation
+        # (the fan-out would corrupt COUNT/SUM/AVG).  Stage the
+        # deduplicated outer rows in one more temp, then aggregate
+        # over it.
+        staging, aggregated = _dedupe_outer_aggregated(transform, catalog)
+        return [staging], aggregated, 0
+    rid_items = tuple(
+        SelectItem(ColumnRef(ref.binding, ROWID_COLUMN), alias=f"RID{i}")
+        for i, ref in enumerate(transform.root_tables)
+    )
+    rewritten = dc_replace(query, items=rid_items + query.items, distinct=True)
+    return [], rewritten, len(rid_items)
+
+
+def _dedupe_outer_aggregated(
+    transform: GeneralTransform, catalog: Catalog
+) -> tuple[TempTableDef, Select]:
+    """Pre-aggregation dedup: stage distinct outer rows in a temp.
+
+    ``SELECT agg(...) FROM O, ... WHERE W [GROUP BY g]`` becomes::
+
+        DTEMP = SELECT DISTINCT rid(O), O.c1, ..., O.ck
+                FROM O, ... WHERE W
+        SELECT agg(...') FROM DTEMP [GROUP BY g']
+
+    where the primes rewrite O's column references to DTEMP's.
+    ``DTEMP`` is an ordinary trailing definition of the temp chain.
+    Supported for a single original outer table (the common shape);
+    multiple outer tables would need disambiguated staging columns.
+    """
+    from repro.engine.relation import ROWID_COLUMN
+    from repro.serve.normalize import rewrite_leaves
+    from repro.sql.ast import ColumnRef, SelectItem, TableRef
+
+    query = transform.query
+    if len(transform.root_tables) != 1:
+        raise TransformError(
+            "dedupe_outer with aggregation supports a single outer table"
         )
-        rewritten = dc_replace(
-            query, items=rid_items + query.items, distinct=True
-        )
-        return [], rewritten, len(rid_items)
+    outer_binding = transform.root_tables[0].binding
+    outer_table = transform.root_tables[0].name
+    outer_columns = catalog.schema_of(outer_table).column_names
 
-    def _dedupe_outer_aggregated(
-        self, transform: GeneralTransform
-    ) -> tuple[TempTableDef, Select]:
-        """Pre-aggregation dedup: stage distinct outer rows in a temp.
+    temp_name = catalog.create_temp_name("DTEMP")
+    staging_items = (
+        SelectItem(ColumnRef(outer_binding, ROWID_COLUMN), alias="RID"),
+    ) + tuple(
+        SelectItem(ColumnRef(outer_binding, column), alias=column)
+        for column in outer_columns
+    )
+    staging = Select(
+        items=staging_items,
+        from_tables=query.from_tables,
+        where=query.where,
+        distinct=True,
+    )
 
-        ``SELECT agg(...) FROM O, ... WHERE W [GROUP BY g]`` becomes::
+    def to_staging(leaf):
+        if isinstance(leaf, ColumnRef) and leaf.table == outer_binding:
+            return ColumnRef(temp_name, leaf.column)
+        return leaf
 
-            DTEMP = SELECT DISTINCT rid(O), O.c1, ..., O.ck
-                    FROM O, ... WHERE W
-            SELECT agg(...') FROM DTEMP [GROUP BY g']
+    def rewrite(expr):
+        return rewrite_leaves(expr, to_staging)
 
-        where the primes rewrite O's column references to DTEMP's.
-        ``DTEMP`` is an ordinary trailing definition of the temp chain.
-        Supported for a single original outer table (the common shape);
-        multiple outer tables would need disambiguated staging columns.
-        """
-        from repro.engine.relation import ROWID_COLUMN
-        from repro.serve.normalize import rewrite_leaves
-        from repro.sql.ast import ColumnRef, SelectItem, TableRef
+    aggregated = Select(
+        items=tuple(
+            SelectItem(rewrite(item.expr), item.alias) for item in query.items
+        ),
+        from_tables=(TableRef(temp_name),),
+        group_by=tuple(rewrite(expr) for expr in query.group_by),
+        having=rewrite(query.having) if query.having is not None else None,
+        distinct=query.distinct,
+    )
+    return TempTableDef(temp_name, staging), aggregated
 
-        query = transform.query
-        if len(transform.root_tables) != 1:
-            raise TransformError(
-                "dedupe_outer with aggregation supports a single outer table"
+
+def verify_plan(
+    rewritten: Select,
+    transform: GeneralTransform,
+    catalog: Catalog,
+    config: ExecConfig,
+    fixup: list[TempTableDef],
+    final_query: Select,
+) -> tuple[Findings, list[str]]:
+    """Mandatory post-transform static checks (``Engine.verify``).
+
+    Returns the findings and the trace lines describing the outcome;
+    an error finding raises instead, carrying its diagnostics.  The
+    scope check on the *qualified* input AST runs first (PV003
+    enforces that qualification really qualified everything), then
+    the plan verifier walks the temp chain and canonical query, and
+    the Kim-bug lint looks for the paper's section 5 shapes.
+
+    ``fixup`` and ``final_query`` are what :func:`dedupe_outer_fixup`
+    made of the canonical query; the plan verifier never sees
+    those, so they are checked here by the executor's own rule
+    (any error raises, whatever the JA algorithm) — once per plan,
+    which is why a replay runs its blocks with ``verify=False``.
+    """
+    from repro.analysis import lint_transform, verify_nested, verify_transform
+    from repro.analysis.verifier import collect_temp_infos, verify_single_level
+
+    findings = verify_nested(rewritten, catalog, require_qualified=True)
+    plan_findings, temps = verify_transform(
+        transform, catalog, join_method=config.join_method
+    )
+    findings.extend(plan_findings)
+    findings.extend(lint_transform(transform, catalog, temps))
+
+    if config.ja_algorithm == "ja2":
+        findings.raise_errors("static verification of transformed plan")
+        trace = [
+            f"verifier: {len(findings)} finding(s), no errors"
+            if findings
+            else "verifier: plan ok"
+        ]
+    else:
+        # Deliberately buggy algorithm: keep the findings as warnings
+        # so the section 5 bug gallery can still execute the plan.
+        trace = [
+            f"verifier (not enforced for ja={config.ja_algorithm}): "
+            f"[{d.rule}] {d.message}"
+            for d in findings
+        ] or ["verifier: plan ok"]
+
+    if final_query is not transform.query:
+        if fixup:
+            temps = collect_temp_infos([*transform.setup, *fixup], catalog)
+        for block in (*(d.query for d in fixup), final_query):
+            rewrite_findings = verify_single_level(
+                block, catalog, temps=temps, join_method=config.join_method
             )
-        outer_binding = transform.root_tables[0].binding
-        outer_table = transform.root_tables[0].name
-        outer_columns = self.catalog.schema_of(outer_table).column_names
-
-        temp_name = self.catalog.create_temp_name("DTEMP")
-        staging_items = (
-            SelectItem(ColumnRef(outer_binding, ROWID_COLUMN), alias="RID"),
-        ) + tuple(
-            SelectItem(ColumnRef(outer_binding, column), alias=column)
-            for column in outer_columns
-        )
-        staging = Select(
-            items=staging_items,
-            from_tables=query.from_tables,
-            where=query.where,
-            distinct=True,
-        )
-
-        def to_staging(leaf):
-            if isinstance(leaf, ColumnRef) and leaf.table == outer_binding:
-                return ColumnRef(temp_name, leaf.column)
-            return leaf
-
-        def rewrite(expr):
-            return rewrite_leaves(expr, to_staging)
-
-        aggregated = Select(
-            items=tuple(
-                SelectItem(rewrite(item.expr), item.alias) for item in query.items
-            ),
-            from_tables=(TableRef(temp_name),),
-            group_by=tuple(rewrite(expr) for expr in query.group_by),
-            having=rewrite(query.having) if query.having is not None else None,
-            distinct=query.distinct,
-        )
-        return TempTableDef(temp_name, staging), aggregated
-
-    def _prepare(self, select: Select) -> Select:
-        """Qualify all column references, then rewrite extended predicates."""
-        return prepare_query(
-            select, self.catalog, self.exists_count_mode, self.quantifier_mode
-        )
-
-    def _nest_g(self, rewritten: Select, join_method: str) -> GeneralTransform:
-        return nest_g(
-            rewritten,
-            self.catalog,
-            ja_algorithm=self.ja_algorithm,
-            dedupe_inner=self.dedupe_inner,
-            join_method=join_method,
-            parallelism=self.parallelism,
-            parallel_threshold=self.parallel_threshold,
-        )
-
-    def _verify_transform(
-        self,
-        rewritten: Select,
-        transform: GeneralTransform,
-        join_method: str,
-        fixup: list[TempTableDef],
-        final_query: Select,
-    ) -> list[str]:
-        """Mandatory post-transform static checks (see ``verify``).
-
-        Returns trace lines describing the verification outcome.  The
-        scope check on the *qualified* input AST runs first (PV003
-        enforces that qualification really qualified everything), then
-        the plan verifier walks the temp chain and canonical query, and
-        the Kim-bug lint looks for the paper's section 5 shapes.
-
-        ``fixup`` and ``final_query`` are what :meth:`_dedupe_outer`
-        made of the canonical query; the plan verifier never sees
-        those, so they are checked here by the executor's own rule
-        (any error raises, whatever the JA algorithm) — once per plan,
-        which is why a replay runs its blocks with ``verify=False``.
-        """
-        from repro.analysis import lint_transform, verify_nested, verify_transform
-        from repro.analysis.verifier import collect_temp_infos, verify_single_level
-
-        findings = verify_nested(rewritten, self.catalog, require_qualified=True)
-        plan_findings, temps = verify_transform(
-            transform, self.catalog, join_method=join_method
-        )
-        findings.extend(plan_findings)
-        findings.extend(lint_transform(transform, self.catalog, temps))
-        self.last_findings = findings
-
-        if self.ja_algorithm == "ja2":
-            findings.raise_errors("static verification of transformed plan")
-            trace = [
-                f"verifier: {len(findings)} finding(s), no errors"
-                if findings
-                else "verifier: plan ok"
-            ]
-        else:
-            # Deliberately buggy algorithm: keep the findings as warnings
-            # so the section 5 bug gallery can still execute the plan.
-            trace = [
-                f"verifier (not enforced for ja={self.ja_algorithm}): "
-                f"[{d.rule}] {d.message}"
-                for d in findings
-            ] or ["verifier: plan ok"]
-
-        if final_query is not transform.query:
-            if fixup:
-                temps = collect_temp_infos(
-                    [*transform.setup, *fixup], self.catalog
+            if not rewrite_findings.by_rule("PV004"):
+                rewrite_findings.raise_errors(
+                    "static verification of canonical query"
                 )
-            for block in (*(d.query for d in fixup), final_query):
-                rewrite_findings = verify_single_level(
-                    block, self.catalog, temps=temps, join_method=join_method
-                )
-                if not rewrite_findings.by_rule("PV004"):
-                    rewrite_findings.raise_errors(
-                        "static verification of canonical query"
-                    )
-        return trace
+    return findings, trace

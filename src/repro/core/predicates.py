@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.config import ExecConfig
 from repro.errors import TransformError
 from repro.sql.ast import (
     And,
@@ -92,16 +93,13 @@ _QUANTIFIER_AGG = {
 
 
 def rewrite_extended_predicates(
-    select: Select,
-    exists_count_mode: str = "star",
-    quantifier_mode: str = "exact",
+    select: Select, config: ExecConfig = ExecConfig()
 ) -> Select:
-    """Rewrite every EXISTS / NOT EXISTS / ANY / ALL in a query tree."""
-    if exists_count_mode not in ("star", "paper"):
-        raise TransformError(f"unknown exists_count_mode {exists_count_mode!r}")
-    if quantifier_mode not in ("exact", "paper"):
-        raise TransformError(f"unknown quantifier_mode {quantifier_mode!r}")
-    return _rewrite_select(select, exists_count_mode, quantifier_mode)
+    """Rewrite every EXISTS / NOT EXISTS / ANY / ALL in a query tree,
+    by ``config.exists_count_mode`` and ``config.quantifier_mode``."""
+    return _rewrite_select(
+        select, config.exists_count_mode, config.quantifier_mode
+    )
 
 
 def _rewrite_select(select: Select, mode: str, qmode: str) -> Select:

@@ -60,6 +60,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from repro.config import CHOICES
 from repro.core.pipeline import Engine
 from repro.difftest.grammar import Case, CaseGenerator
 from repro.difftest.leaks import leaked_pages
@@ -71,7 +72,7 @@ from repro.sql.parser import parse
 
 
 #: The transform leg runs once per join method by default.
-JOIN_METHODS = ("merge", "nested", "hash")
+JOIN_METHODS = CHOICES["join_method"]
 
 #: Evaluator legs: name -> expression compiler on?  "compiled" keeps
 #: the bare leg name (``transform[merge]``).
@@ -137,23 +138,19 @@ def run_case(
 
     transform_skipped = False
     detail_skip = ""
-    executors = {
-        degree: Engine(
-            catalog,
-            dedupe_inner=True,
-            dedupe_outer=True,
-            parallelism=degree,
-            # The grammar's cases are tiny; without a zero threshold a
-            # parallel leg would silently run the serial operators.
-            parallel_threshold=0 if degree > 1 else None,
-        )
-        for degree in parallelisms
-    }
     for join_method in join_methods:
         page_ios: dict[str, int] = {}
         for engine_name, degree in itertools.product(engines, parallelisms):
-            executor = executors[degree]
-            executor.join_method = join_method
+            executor = Engine(
+                catalog,
+                join_method=join_method,
+                dedupe_inner=True,
+                dedupe_outer=True,
+                parallelism=degree,
+                # The grammar's cases are tiny; without a zero threshold
+                # a parallel leg would silently run the serial operators.
+                parallel_threshold=0 if degree > 1 else None,
+            )
             suffix = "" if engine_name == "compiled" else f"|{engine_name}"
             if degree > 1:
                 suffix += f"|p{degree}"

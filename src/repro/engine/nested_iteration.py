@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.catalog.catalog import Catalog
+from repro.config import ExecConfig
 from repro.engine.aggregate import compute_aggregate
 from repro.engine.compile import try_compile_predicate, try_compile_scalar
 from repro.engine.expression import (
@@ -115,26 +116,16 @@ class NestedIterationExecutor(SubqueryHandler):
     def __init__(
         self,
         catalog: Catalog,
-        materialize_uncorrelated: bool = True,
+        config: ExecConfig = ExecConfig(),
         use_indexes: bool = True,
-        memoize_correlated: bool = True,
         verify: bool = True,
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
     ) -> None:
         self.catalog = catalog
-        self.materialize_uncorrelated = materialize_uncorrelated
+        self.config = config
         self.use_indexes = use_indexes
-        self.memoize_correlated = memoize_correlated
         self.verify = verify
-        self.parallelism = parallelism
-        if parallel_threshold is None:
-            from repro.engine.parallel import DEFAULT_PARALLEL_THRESHOLD
-
-            parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
-        self.parallel_threshold = parallel_threshold
         self._scalar_cache: dict[int, object] = {}
-        self._column_cache: dict[int, Relation | list[object]] = {}
+        self._column_cache: dict[int, Relation] = {}
         self._index_plans: dict[int, object] = {}
         # Compiled-evaluation plans, keyed on AST node identity (the
         # plan lists hold the nodes, keeping their ids stable).
@@ -251,9 +242,7 @@ class NestedIterationExecutor(SubqueryHandler):
                 id(query),
                 partial(self._column_store, query),
             )
-            if isinstance(cached, Relation):
-                return [row[0] for row in cached]
-            return list(cached)
+            return [row[0] for row in cached]
         memo_key = self._memo_key("column", query, context)
         if memo_key is None:
             return self._column_values(query, context)
@@ -261,10 +250,8 @@ class NestedIterationExecutor(SubqueryHandler):
             self._corr_memo, memo_key, partial(self._column_values, query, context)
         )
 
-    def _column_store(self, query: Select) -> Relation | list[object]:
+    def _column_store(self, query: Select) -> Relation:
         values = self._column_values(query, None)
-        if not self.materialize_uncorrelated:
-            return values
         # System R's X: the inner result lives on disk and is
         # rescanned per outer tuple (cheap only if it fits in B).
         # Single-flight matters doubly here: a duplicated computation
@@ -315,7 +302,7 @@ class NestedIterationExecutor(SubqueryHandler):
         outer references cannot be enumerated, or when one of them does
         not resolve in the given context.
         """
-        if not self.memoize_correlated or context is None:
+        if context is None:
             return None
         refs = self._outer_ref_plans.get(id(query))
         if refs is None:
@@ -448,18 +435,18 @@ class NestedIterationExecutor(SubqueryHandler):
         """
         if (
             outer is not None
-            or self.parallelism <= 1
+            or self.config.parallelism <= 1
             or len(select.from_tables) != 1
         ):
             return None
         heap = self.catalog.heap_of(select.from_tables[0].name)
-        if heap.num_rows < self.parallel_threshold:
+        if heap.num_rows < self.config.parallel_threshold:
             return None
         from repro.engine.exchange import in_worker, run_tasks
 
         if in_worker():
             return None
-        nparts = max(1, min(self.parallelism, heap.num_pages))
+        nparts = max(1, min(self.config.parallelism, heap.num_pages))
         shards = heap.partition_pages(nparts)
 
         def work(index: int) -> list[tuple]:
@@ -472,7 +459,7 @@ class NestedIterationExecutor(SubqueryHandler):
 
         gathered = run_tasks(
             [partial(work, index) for index in range(nparts)],
-            width=self.parallelism,
+            width=self.config.parallelism,
         )
         return [row for shard in gathered for row in shard]
 

@@ -60,18 +60,11 @@ from repro.sql.ast import Expr
 from repro.storage.buffer import BufferPool
 
 __all__ = [
-    "DEFAULT_PARALLEL_THRESHOLD",
     "parallel_distinct",
     "parallel_group_aggregate",
     "parallel_hash_join",
     "parallel_restrict_project",
 ]
-
-#: Inputs below this row count run the serial operator even under
-#: ``parallelism > 1``: the exchange's dispatch overhead exceeds any
-#: I/O overlap on small inputs, and correctness is identical either
-#: way.  Benchmarks and the difftest's parallel legs override it.
-DEFAULT_PARALLEL_THRESHOLD = 2048
 
 
 def _scatter(

@@ -43,6 +43,7 @@ from functools import partial
 
 from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
+from repro.config import ExecConfig
 from repro.engine.aggregate import AggSpec
 from repro.engine.operators import (
     group_aggregate,
@@ -56,7 +57,6 @@ from repro.engine.operators import (
     scan_table,
 )
 from repro.engine.parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
     parallel_distinct,
     parallel_group_aggregate,
     parallel_hash_join,
@@ -104,22 +104,12 @@ class SingleLevelExecutor:
     def __init__(
         self,
         catalog: Catalog,
-        join_method: str = "merge",
+        config: ExecConfig = ExecConfig(),
         verify: bool = True,
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
     ) -> None:
-        if join_method not in ("merge", "nested", "hash"):
-            raise PlanError(f"unknown join method {join_method!r}")
-        if parallelism < 1:
-            raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.catalog = catalog
         self.buffer = catalog.buffer
-        self.join_method = join_method
-        self.parallelism = parallelism
-        if parallel_threshold is None:
-            parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
-        self.parallel_threshold = parallel_threshold
+        self.config = config
         self.verify = verify
         self.steps: list[str] = []
         #: ``sorted_runs(scan, keys, sort) -> (run, leased)``: set by a
@@ -185,11 +175,11 @@ class SingleLevelExecutor:
         wide = _PARALLEL.get(operator)
         if (
             wide is not None
-            and self.parallelism > 1
-            and args[0].num_rows >= self.parallel_threshold
+            and self.config.parallelism > 1
+            and args[0].num_rows >= self.config.parallel_threshold
         ):
             operator = wide
-            kwargs["parallelism"] = self.parallelism
+            kwargs["parallelism"] = self.config.parallelism
         relation = operator(*args, **kwargs)
         self._scratch.append(relation)
         return relation
@@ -210,7 +200,7 @@ class SingleLevelExecutor:
             result = self._plain_output(select, joined)
 
         if select.distinct:
-            if self.join_method == "hash":
+            if self.config.join_method == "hash":
                 result = self._run(
                     hash_distinct, result, self.buffer, name="distinct"
                 )
@@ -240,7 +230,7 @@ class SingleLevelExecutor:
         from repro.analysis.verifier import verify_single_level
 
         findings = verify_single_level(
-            select, self.catalog, join_method=self.join_method
+            select, self.catalog, join_method=self.config.join_method
         )
         if findings.by_rule("PV004"):
             return
@@ -359,7 +349,7 @@ class SingleLevelExecutor:
                 else:
                     theta.append((left_col, op, right_col, outer))
 
-        if self.join_method == "nested":
+        if self.config.join_method == "nested":
             predicate = make_and(
                 [Comparison(l, "=", r, null_safe=ns) for l, r, _, ns in equi]
                 + [self._theta_pred_expr(t) for t in theta]
@@ -375,7 +365,7 @@ class SingleLevelExecutor:
             )
 
         if equi:
-            if self.join_method == "hash":
+            if self.config.join_method == "hash":
                 return self._hash_equi(left, right, equi, theta, other)
             return self._merge_equi(left, right, equi, theta, other)
         if theta:
@@ -659,7 +649,7 @@ class SingleLevelExecutor:
         aggregate_op = group_aggregate
         names = schema.qualified_names()
         if group_positions and not group_order(relation.order, group_positions)[0]:
-            if self.join_method == "hash":
+            if self.config.join_method == "hash":
                 aggregate_op = hash_group_aggregate
                 self._log("hash GROUP BY (no sort)")
             else:

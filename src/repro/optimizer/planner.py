@@ -24,12 +24,14 @@ import math
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
+from repro.config import ExecConfig
 from repro.core.classify import (
     NestedPredicate,
     NestingType,
     catalog_resolver,
     classify_block,
 )
+from repro.core.pipeline import prepare_query
 from repro.engine.relation import temp_rows_per_page
 from repro.errors import PlanError
 from repro.optimizer.cost import (
@@ -98,19 +100,26 @@ class Planner:
     with merge joins), which is also what ``method="auto"`` does.
     """
 
-    def __init__(self, catalog: Catalog) -> None:
+    def __init__(
+        self, catalog: Catalog, config: ExecConfig = ExecConfig()
+    ) -> None:
         self.catalog = catalog
+        #: The predicate modes :meth:`choose` prepares statement text under.
+        self.config = config
 
     # -- public API --------------------------------------------------------
 
     def choose(self, query: str | Select) -> PlanChoice:
-        """Estimate all strategies and pick the cheapest."""
-        from repro.core.pipeline import prepare_query
+        """Estimate all strategies and pick the cheapest.
 
-        select = parse(query) if isinstance(query, str) else query
+        Text is parsed and prepared here, under ``config``; a tree is
+        taken as what ``prepare_query`` returned — ``build_plan``
+        prepares a statement once and costs the very tree it runs.
+        """
+        if isinstance(query, str):
+            query = prepare_query(parse(query), self.catalog, self.config)
         try:
-            select = prepare_query(select, self.catalog)
-            return self._choose_analyzed(select)
+            return self._choose_analyzed(query)
         except PlanError:
             return PlanChoice(
                 method="transform",

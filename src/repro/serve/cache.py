@@ -1,9 +1,10 @@
 """The LRU plan cache and its invalidation wiring.
 
-Keys are ``(fingerprint, engine_config)`` — the normalized SQL text of
-the literal-parameterized tree plus every engine knob that affects plan
-shape.  Versions are *not* part of the key; each entry records the
-versions it was built under and a lookup it is no longer valid at
+Keys are ``(fingerprint, method, config)`` — the normalized SQL text of
+the literal-parameterized tree, the evaluation method asked for and the
+engine's :class:`~repro.config.ExecConfig`.  Versions are *not* part of
+the key; each entry records the versions it was built under and a
+lookup it is no longer valid at
 (:meth:`~repro.serve.plan.CachedPlan.valid_at`: another schema version,
 or another data version for a plan that folded data in) is treated as
 an invalidation (the entry is dropped and rebuilt).

@@ -25,18 +25,28 @@ the registry's leases, or the parameter context variable.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.analysis.diagnostics import Findings
 from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
-from repro.core.pipeline import Engine, RunReport
+from repro.config import ExecConfig
+from repro.core.nest_g import nest_g
+from repro.core.pipeline import (
+    RunReport,
+    dedupe_outer_fixup,
+    prepare_query,
+    verify_plan,
+)
 from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
 from repro.engine.relation import Relation, describe_order
 from repro.engine.sort import column_order
 from repro.errors import ParameterizedPlanError, ReproError, TransformError
 from repro.optimizer.executor import SingleLevelExecutor
+from repro.optimizer.planner import Planner
 from repro.serve.binding import ParamSpec, check_binding, derive_param_specs
+from repro.serve.normalize import user_param_count
 from repro.serve.session import SessionCatalog
 from repro.serve.sharing import (
     SharedEntry,
@@ -50,12 +60,6 @@ from repro.txn.mvcc import TransactionSnapshot
 
 #: The evaluation methods a statement can ask for (see core.pipeline).
 METHODS = ("transform", "auto", "nested_iteration", "cost")
-
-
-def engine_config(engine: Engine, method: str) -> tuple:
-    """Engine-configuration component of every cache key: two engines
-    with different settings must never share a plan."""
-    return (method, *(getattr(engine, name) for name in Engine.SETTINGS))
 
 
 @dataclass
@@ -74,11 +78,11 @@ class CachedPlan:
     #: The statement as given: what a nested-iteration plan evaluates.
     select: Select
     param_specs: list[ParamSpec]
-    join_method: str
-    #: Worker-shard count (and its activation threshold) baked in at
-    #: plan time; part of the cache key via :func:`engine_config`.
-    parallelism: int = 1
-    parallel_threshold: int | None = None
+    #: The configuration the plan was built under and runs under — the
+    #: engine's, with the join method this plan really runs (the
+    #: planner's pick under ``method="cost"``).  Also the part of every
+    #: sharing key that says which settings shaped a temp's contents.
+    config: ExecConfig
     #: Planning read data: NEST-A evaluated a type-A block and folded
     #: its value in.  Replays re-read the base tables under a pinned
     #: snapshot, so a plan that folded nothing survives inserts; one
@@ -103,10 +107,12 @@ class CachedPlan:
         default=None, repr=False, compare=False
     )
     #: Per-definition structural fingerprints + parameter slots (see
-    #: :mod:`repro.serve.sharing`) and the engine settings that shape a
-    #: temp's contents; computed only when there is a registry.
+    #: :mod:`repro.serve.sharing`); computed only when there is a
+    #: registry.
     share_specs: tuple[ShareSpec, ...] = ()
-    share_config: tuple = ()
+    #: What the verifier found at plan time (None: not verified, or a
+    #: nested-iteration plan).
+    findings: Findings | None = field(default=None, repr=False, compare=False)
     #: Temp name -> the order its definition delivered, as the replays
     #: so far saw it: the operators that ran claim it, nobody plans it.
     delivered: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
@@ -178,11 +184,9 @@ class CachedPlan:
             bound_params(values),
         ):
             if self.kind == "nested_iteration":
-                result = NestedIterationExecutor(
-                    session,
-                    parallelism=self.parallelism,
-                    parallel_threshold=self.parallel_threshold,
-                ).execute(self.select)
+                result = NestedIterationExecutor(session, self.config).execute(
+                    self.select
+                )
                 return RunReport(
                     result=result,
                     io=session.buffer.stats() - before,
@@ -191,13 +195,7 @@ class CachedPlan:
                 )
             assert self.final_query is not None
             # verify=False: every block was verified at plan time.
-            executor = SingleLevelExecutor(
-                session,
-                self.join_method,
-                verify=False,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
+            executor = SingleLevelExecutor(session, self.config, verify=False)
             registry = self.registry
             if isinstance(snapshot, TransactionSnapshot):
                 # A transaction's read-your-writes overlay leases and
@@ -209,7 +207,7 @@ class CachedPlan:
             def key_of(identity, slots: tuple[int, ...] = ()) -> tuple:
                 return (
                     identity,
-                    self.share_config,
+                    self.config,
                     self.catalog_version,
                     data_version,
                     tuple(values[i] for i in slots),
@@ -224,7 +222,7 @@ class CachedPlan:
                 result=QueryResult(columns=self.columns, rows=rows),
                 io=session.buffer.stats() - before,
                 method="transform",
-                join_method=self.join_method,
+                join_method=self.config.join_method,
                 canonical_sql=self.canonical_sql,
                 setup_sql=list(self.setup_sql),
                 trace=list(self.trace),
@@ -254,7 +252,7 @@ class CachedPlan:
           replays in the session NEST-A built its prefix in): read it;
         * **leased** — it is needed, a ``registry`` is given and some
           plan has materialized that very temp (``key_of``: fingerprint,
-          engine config, snapshot, bound values): lease the heap;
+          plan config, snapshot, bound values): lease the heap;
         * **built** — it is needed and nobody has it: execute the
           definition, which makes the temps *it* reads needed, and
           publish the heap to the registry when there is one
@@ -366,33 +364,39 @@ class CachedPlan:
 
 
 def build_plan(
-    engine: Engine, select: Select, method: str, fingerprint: str
+    catalog: Catalog,
+    config: ExecConfig,
+    select: Select,
+    method: str,
+    fingerprint: str = "",
+    *,
+    verify: bool = True,
+    registry: SharedSubplanRegistry | None = None,
 ) -> CachedPlan:
     """Run the full pipeline up to (not including) the temp chain.
 
-    Plans in a private session overlay of ``engine.catalog``, so temps
-    NEST-G builds to evaluate type-A blocks never touch the shared
-    catalog; they are dropped on the way out — unless the engine already
-    runs on a session (``Engine.run``), which then replays over them.
+    Plans in a private session overlay of ``catalog``, so temps NEST-G
+    builds to evaluate type-A blocks never touch the shared catalog;
+    they are dropped on the way out — unless ``catalog`` already is a
+    session (``Engine.run``), whose owner then replays over them.
+
+    The plan runs under ``config`` with the join method decided here
+    (``method="cost"``: the planner's), and that one value is what its
+    temps are shared under in ``registry``.  ``verify`` runs the static
+    verifier + lint once, at plan time; its findings ride on the plan.
 
     Raises :class:`~repro.errors.ParameterizedPlanError` when the plan
     shape depends on parameter values (callers switch to per-vector
     "custom" plans).
     """
-    from repro.serve.normalize import user_param_count
-
     if method not in METHODS:
         raise ReproError(f"unknown method {method!r}")
-    planner = engine.on_session()
-    session = planner.catalog
+    session = SessionCatalog.over(catalog)
     schema_version = session.schema_version
     # Read before planning does: should a commit land while a type-A
     # block is being folded, the plan is stamped with the older version
     # and the next lookup re-plans.
     data_version = session.data_version
-    cache = engine.plan_cache
-    registry = cache.sharing if cache is not None else None
-    join_method = engine.join_method
 
     def plan_of(
         kind: str, rewritten: Select, trace: list[str], **chain
@@ -407,9 +411,7 @@ def build_plan(
             param_specs=derive_param_specs(rewritten, session, slots)
             if slots
             else [],
-            join_method=join_method,
-            parallelism=engine.parallelism,
-            parallel_threshold=engine.parallel_threshold,
+            config=config,
             trace=trace,
             registry=registry,
             **chain,
@@ -417,33 +419,34 @@ def build_plan(
 
     with session.read_lock(), session.snapshots.pinned():
         try:
+            # Once per plan, under the plan's own predicate modes: what
+            # the planner costs is the tree the plan runs.
+            rewritten = prepare_query(select, session, config)
             choice: list[str] = []
             if method == "cost":
                 # The section-7 cost model picks the strategy (SEL 79
                 # style) once per plan; it is re-asked when the schema /
                 # stats version moves and the plan is rebuilt.
-                from repro.optimizer.planner import Planner
-
-                chosen = Planner(session).choose(select)
+                chosen = Planner(session).choose(rewritten)
                 choice = chosen.describe().splitlines()
                 method = "auto"
                 if chosen.method == "nested_iteration":
                     method = "nested_iteration"
-                else:
-                    join_method = chosen.join_method or join_method
-            rewritten = planner._prepare(select)
+                elif chosen.join_method:
+                    config = replace(config, join_method=chosen.join_method)
             if method == "nested_iteration":
                 return plan_of("nested_iteration", rewritten, choice)
+            findings: Findings | None = None
+            verified: list[str] = []
             try:
-                transform = planner._nest_g(rewritten, join_method)
-                fixup, final_query, strip = planner._dedupe_outer(transform)
-                verified = (
-                    planner._verify_transform(
-                        rewritten, transform, join_method, fixup, final_query
-                    )
-                    if engine.verify
-                    else []
+                transform = nest_g(rewritten, session, config)
+                fixup, final_query, strip = dedupe_outer_fixup(
+                    transform, session, config
                 )
+                if verify:
+                    findings, verified = verify_plan(
+                        rewritten, transform, session, config, fixup, final_query
+                    )
             except ParameterizedPlanError:
                 # Must reach the caller: the plan shape depends on
                 # parameter values, so the serving layer plans per
@@ -456,22 +459,7 @@ def build_plan(
                     raise
                 session.drop_temp_tables()
                 return plan_of("nested_iteration", rewritten, choice)
-            finally:
-                engine.last_findings = planner.last_findings
             setup = [*transform.setup, *fixup]
-            sharing = {}
-            if registry is not None:
-                sharing = dict(
-                    share_specs=compute_share_specs(setup),
-                    # The engine settings that shape a temp's contents,
-                    # with the join method this plan really runs.
-                    share_config=tuple(
-                        join_method
-                        if name == "join_method"
-                        else getattr(engine, name)
-                        for name in Engine.SETTINGS
-                    ),
-                )
             return plan_of(
                 "transform",
                 rewritten,
@@ -483,8 +471,11 @@ def build_plan(
                 columns=output_names(transform.query),
                 canonical_sql=to_sql(transform.query),
                 setup_sql=[d.describe() for d in setup],
-                **sharing,
+                share_specs=()
+                if registry is None
+                else compute_share_specs(setup),
+                findings=findings,
             )
         finally:
-            if planner is not engine:
+            if session is not catalog:
                 session.drop_temp_tables()

@@ -43,7 +43,7 @@ from repro.serve.batch import (
 )
 from repro.serve.binding import check_binding, derive_param_specs
 from repro.serve.normalize import fingerprint, substitute_params, user_param_count
-from repro.serve.plan import CachedPlan, build_plan
+from repro.serve.plan import CachedPlan
 from repro.sql.ast import Parameter, Select, walk
 from repro.sql.parser import parse
 from repro.storage.locks import make_lock
@@ -80,19 +80,14 @@ class PreparedStatement:
     def _derive_specs(self):
         catalog = self.engine.catalog
         with catalog.read_lock():
-            rewritten = prepare_query(
-                self.select,
-                catalog,
-                self.engine.exists_count_mode,
-                self.engine.quantifier_mode,
-            )
+            rewritten = prepare_query(self.select, catalog, self.engine.config)
             self._specs_version = catalog.schema_version
             return derive_param_specs(rewritten, catalog, self.param_count)
 
     def _plan_initial(self) -> str:
         try:
-            self._plan = build_plan(
-                self.engine, self.select, self.method, self.fingerprint
+            self._plan = self.engine.plan(
+                self.select, self.method, self.fingerprint
             )
             return "generic"
         except ParameterizedPlanError:
@@ -251,8 +246,8 @@ class PreparedStatement:
                     plan.release()
                 # Re-plan *and* re-verify: build_plan runs the static
                 # verifier + lint again against the new catalog state.
-                self._plan = plan = build_plan(
-                    self.engine, self.select, self.method, self.fingerprint
+                self._plan = plan = self.engine.plan(
+                    self.select, self.method, self.fingerprint
                 )
         return plan
 
@@ -268,9 +263,7 @@ class PreparedStatement:
                 plan = None
             if plan is None:
                 literal = substitute_params(self.select, vector)
-                plan = build_plan(
-                    self.engine, literal, self.method, self.fingerprint
-                )
+                plan = self.engine.plan(literal, self.method, self.fingerprint)
                 while len(self._custom) >= _CUSTOM_PLAN_CAP:
                     _vec, evicted = self._custom.popitem(last=False)
                     evicted.release()

@@ -24,7 +24,7 @@ Two pieces:
   bound values select a materialization.
 
 * :class:`SharedSubplanRegistry` — one per plan cache.  Keys are
-  ``(fingerprint, engine share-config, schema_version, data_version,
+  ``(fingerprint, the plan's ExecConfig, schema_version, data_version,
   bound parameter values)``; a registered entry is a materialized heap
   plus its column names.  Consuming plans hold refcounted handles
   (``holders``), in-flight replays pin entries (``active``), and

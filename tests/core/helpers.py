@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+from repro.config import ExecConfig
 from repro.core.pipeline import Engine
 from repro.optimizer.executor import SingleLevelExecutor
 
@@ -31,7 +32,7 @@ def build_temps(catalog, transform, join_method="merge"):
     """
     contents = {}
     for definition in transform.setup[transform.built:]:
-        executor = SingleLevelExecutor(catalog, join_method)
+        executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
         relation = executor.execute(definition.query)
         catalog.register_temp(
             definition.name, relation.heap, executor.output_names(definition.query)

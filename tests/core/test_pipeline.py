@@ -1,10 +1,13 @@
 """Tests for the Engine pipeline and the public Database API."""
 
+import dataclasses
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro import Database
+from repro.config import DEFAULT_PARALLEL_THRESHOLD, ExecConfig
 from repro.core.pipeline import Engine
 from repro.errors import CatalogError, ReproError, TransformError
 from repro.workloads.paper_data import (
@@ -129,30 +132,94 @@ class TestSettingsValidation:
             Database(ja_algorithm="nope").query(KIESSLING_Q2, method="auto")
 
 
-class TestSessionClone:
-    def test_clone_copies_every_plan_setting(self):
-        from repro.serve.plan import engine_config
-        from repro.serve.session import SessionCatalog
+#: A second legal value for every ExecConfig field.
+OTHER_VALUE = {
+    "join_method": "hash",
+    "parallelism": 2,
+    "parallel_threshold": 0,
+    "ja_algorithm": "kim-outer",
+    "dedupe_inner": True,
+    "dedupe_outer": True,
+    "exists_count_mode": "paper",
+    "quantifier_mode": "paper",
+}
 
-        engine = Engine(
-            load_kiessling_instance(),
-            join_method="hash",
-            ja_algorithm="kim-outer",
-            dedupe_inner=True,
-            dedupe_outer=True,
-            exists_count_mode="paper",
-            quantifier_mode="paper",
-            verify=False,
-            parallelism=3,
-            parallel_threshold=7,
+
+def kiessling_db(**settings) -> Database:
+    db = Database(**settings)
+    db.create_table("PARTS", ["PNUM", "QOH"])
+    db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
+    db.insert("PARTS", [(3, 6), (10, 1), (8, 0)])
+    db.insert("SUPPLY", [(3, 4, "1979-07-03"), (10, 1, "1978-06-08")])
+    return db
+
+
+class TestExecConfig:
+    def test_frozen_hashable_and_resolved_once(self):
+        config = ExecConfig(join_method="hash", parallel_threshold=None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.join_method = "merge"
+        assert config.parallel_threshold == DEFAULT_PARALLEL_THRESHOLD
+        assert config == ExecConfig(join_method="hash")
+        assert len({config, ExecConfig(join_method="hash"), ExecConfig()}) == 2
+        assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(ExecConfig)}
+
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("join_method", "nope"),
+            ("ja_algorithm", "nope"),
+            ("exists_count_mode", "count"),
+            ("quantifier_mode", "fuzzy"),
+            ("parallelism", 0),
+            ("parallelism", 1.5),
+        ],
+    )
+    def test_bad_value_rejected_at_construction_and_through_replace(
+        self, setting, value
+    ):
+        with pytest.raises(ReproError, match=setting):
+            ExecConfig(**{setting: value})
+        with pytest.raises(ReproError, match=setting):
+            replace(ExecConfig(), **{setting: value})
+
+    def test_engine_forwards_settings_and_rejects_unknown_keyword(self):
+        engine = Engine(load_kiessling_instance(), join_method="hash", verify=False)
+        assert engine.config == ExecConfig(join_method="hash")
+        assert engine.verify is False
+        with pytest.raises(TypeError):
+            Engine(load_kiessling_instance(), join_methd="hash")
+
+    @pytest.mark.parametrize("field", sorted(OTHER_VALUE))
+    def test_any_field_changes_plan_cache_key_and_share_key(self, field):
+        db = kiessling_db()
+        db.execute_cached(KIESSLING_Q2, method="transform")
+        published = len(db.plan_cache.sharing)
+        assert published > 0
+        db.engine.config = replace(db.engine.config, **{field: OTHER_VALUE[field]})
+        db.execute_cached(KIESSLING_Q2, method="transform")
+        # A second plan, which leased none of the first one's temps.
+        stats = db.cache_stats()
+        assert (stats.size, stats.hits, stats.shared_hits) == (2, 0, 0)
+        assert len(db.plan_cache.sharing) > published
+
+    def test_cost_plan_shares_under_the_join_method_it_runs(self, monkeypatch):
+        from repro.optimizer.planner import PlanChoice, Planner
+        from repro.sql.parser import parse
+
+        monkeypatch.setattr(
+            Planner,
+            "choose",
+            lambda self, select: PlanChoice(
+                method="transform", join_method="nested", estimated_cost=0.0
+            ),
         )
-        clone = engine.on_session()
-        assert isinstance(clone.catalog, SessionCatalog)
-        assert clone.verify is False and clone.plan_cache is None
-        # Same field list feeds the cache key, so it cannot drift from
-        # what the clone inherits.
-        assert engine_config(clone, "auto") == engine_config(engine, "auto")
-        assert len(engine_config(engine, "auto")) == 1 + len(Engine.SETTINGS)
+        db = kiessling_db(join_method="merge")
+        plan = db.engine.plan(parse(KIESSLING_Q2), "cost")
+        assert plan.registry is db.plan_cache.sharing
+        assert plan.config == replace(db.engine.config, join_method="nested")
+        assert db.engine.config.join_method == "merge"
+        assert plan.replay(db.catalog).join_method == "nested"
 
 
 class TestCostBasedRunLeavesEngineAlone:
@@ -166,13 +233,9 @@ class TestCostBasedRunLeavesEngineAlone:
 
         from repro.optimizer.executor import SingleLevelExecutor
         from repro.optimizer.planner import PlanChoice, Planner
-        from repro.serve.plan import engine_config
 
-        db = Database(join_method="merge")
-        db.create_table("PARTS", ["PNUM", "QOH"])
-        db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
-        db.insert("PARTS", [(3, 6), (10, 1), (8, 0)])
-        db.insert("SUPPLY", [(3, 4, "1979-07-03"), (10, 1, "1978-06-08")])
+        db = kiessling_db(join_method="merge")
+        before = db.engine.config
         monkeypatch.setattr(
             Planner,
             "choose",
@@ -186,7 +249,7 @@ class TestCostBasedRunLeavesEngineAlone:
         real_execute = SingleLevelExecutor.execute
 
         def gated(self, select):
-            used.append(self.join_method)
+            used.append(self.config.join_method)
             entered.set()
             assert release.wait(timeout=30)
             return real_execute(self, select)
@@ -200,13 +263,12 @@ class TestCostBasedRunLeavesEngineAlone:
         try:
             assert entered.wait(timeout=30)
             # Mid-run, from another thread: nothing was swapped.
-            observed = db.engine.join_method
-            key = engine_config(db.engine, "auto")
+            observed = db.engine.config
         finally:
             release.set()
             runner.join(timeout=30)
-        assert observed == "merge"
-        assert key == engine_config(db.engine, "auto") and "nested" not in key
+        assert observed is before and observed.join_method == "merge"
+        assert db.engine.config is before
         # ...and the run itself did use the planner's choice.
         assert set(used) == {"nested"}
         assert reports[0].join_method == "nested"

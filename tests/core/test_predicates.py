@@ -9,9 +9,10 @@ from collections import Counter
 
 import pytest
 
+from repro.config import ExecConfig
 from repro.core.pipeline import Engine
 from repro.core.predicates import rewrite_extended_predicates
-from repro.errors import TransformError
+from repro.errors import ReproError, TransformError
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 from repro.workloads.paper_data import (
@@ -24,8 +25,8 @@ from repro.catalog.schema import schema
 from tests.core.helpers import assert_equivalent
 
 
-def rewrite(sql, **kwargs):
-    return to_sql(rewrite_extended_predicates(parse(sql), **kwargs))
+def rewrite(sql, **modes):
+    return to_sql(rewrite_extended_predicates(parse(sql), ExecConfig(**modes)))
 
 
 class TestRewriteShapes:
@@ -127,7 +128,10 @@ class TestRewriteShapes:
         assert "A <= (SELECT MIN(B) AS AGG FROM U)" in out
 
     def test_unknown_quantifier_mode_rejected(self):
-        with pytest.raises(TransformError):
+        # Rejected where the config is built, as a configuration error —
+        # not a TransformError, which method="auto" reads as "cannot be
+        # unnested".
+        with pytest.raises(ReproError, match="quantifier_mode"):
             rewrite(
                 "SELECT A FROM T WHERE A < ALL (SELECT B FROM U)",
                 quantifier_mode="bogus",

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core.pipeline import Engine
 from repro.difftest.grammar import Case
 from repro.difftest.runner import run_case
-from repro.serve.plan import build_plan
 from repro.sql.parser import parse
 
 # A tiny domain forces duplicates and join collisions; NULL everywhere.
@@ -117,7 +116,7 @@ def test_answers_and_derived_fix_up(shape, rows_t, rows_u):
     assert not outcome.transform_skipped
 
     engine = Engine(case.build_catalog(), dedupe_inner=True, dedupe_outer=True)
-    plan = build_plan(engine, parse(sql), "transform", "")
+    plan = engine.plan(parse(sql), "transform")
     assert [d.name.rsplit("_", 1)[0] for d in plan.setup] == definitions
     assert (plan.strip > 0) == fix_up
     assert plan.final_query.distinct == fix_up
@@ -140,10 +139,10 @@ def test_scalar_type_j_and_correlated_not_in_take_the_old_path(rows_t, rows_u):
     catalog = Case(rows={"T": rows_t, "U": rows_u}, sql="").build_catalog()
     engine = Engine(catalog, dedupe_inner=True, dedupe_outer=True)
     scalar = ROOT + "T.B = (SELECT U.C FROM U WHERE U.A = T.A)"
-    plan = build_plan(engine, parse(scalar), "transform", "")
+    plan = engine.plan(parse(scalar), "transform")
     assert not plan.setup and plan.strip == 1
     not_in = ROOT + "T.B NOT IN (SELECT U.C FROM U WHERE U.A = T.A)"
     case = Case(rows={"T": rows_t, "U": rows_u}, sql=not_in)
     outcome = run_case(case, engines=("compiled",))
     assert outcome.status == "ok" and outcome.transform_skipped
-    assert build_plan(engine, parse(not_in), "auto", "").kind == "nested_iteration"
+    assert engine.plan(parse(not_in), "auto").kind == "nested_iteration"

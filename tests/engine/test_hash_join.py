@@ -14,6 +14,7 @@ import pytest
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import schema
+from repro.config import ExecConfig
 from repro.difftest.oracle import SQLiteOracle
 from repro.engine.aggregate import AggSpec
 from repro.engine.operators import (
@@ -252,8 +253,8 @@ class TestExecutorIntegration:
         query = parse(
             "SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND R.W > 5"
         )
-        merge_result = SingleLevelExecutor(catalog, "merge").execute(query)
-        hash_result = SingleLevelExecutor(catalog, "hash").execute(query)
+        merge_result = SingleLevelExecutor(catalog, ExecConfig("merge")).execute(query)
+        hash_result = SingleLevelExecutor(catalog, ExecConfig("hash")).execute(query)
         assert Counter(hash_result.to_list()) == Counter(
             merge_result.to_list()
         )
@@ -267,7 +268,7 @@ class TestExecutorIntegration:
         catalog.create_table(schema("R", "K"), rows_per_page=4)
         catalog.insert("L", [(3,), (1,), (2,)])
         catalog.insert("R", [(2,), (3,), (4,)])
-        executor = SingleLevelExecutor(catalog, "hash")
+        executor = SingleLevelExecutor(catalog, ExecConfig("hash"))
         executor.execute(parse("SELECT L.K FROM L, R WHERE L.K = R.K"))
         assert not any(step.startswith("sort") for step in executor.steps)
         assert any(step.startswith("hash join") for step in executor.steps)

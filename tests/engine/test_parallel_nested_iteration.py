@@ -19,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from repro.config import ExecConfig
 from repro.engine.nested_iteration import NestedIterationExecutor
 from repro.sql.parser import parse
 from repro.storage.buffer import BufferPool
@@ -50,7 +51,7 @@ def run_ni(query, parallelism, catalog=None):
     catalog.buffer.evict_all()
     catalog.buffer.reset_stats()
     executor = NestedIterationExecutor(
-        catalog, parallelism=parallelism, parallel_threshold=0
+        catalog, ExecConfig(parallelism=parallelism, parallel_threshold=0)
     )
     result = executor.execute(parse(query))
     return result, catalog.buffer.stats()
@@ -103,7 +104,7 @@ class TestMemoHammer:
         and its single-flight pending entries are shared state."""
         catalog = build_parts_supply(SPEC)
         executor = NestedIterationExecutor(
-            catalog, parallelism=2, parallel_threshold=0
+            catalog, ExecConfig(parallelism=2, parallel_threshold=0)
         )
         expected = executor.execute(parse(CORRELATED_EXISTS)).rows
         start = threading.Barrier(8, timeout=30)

@@ -17,6 +17,7 @@ import pytest
 
 from repro import Database
 from repro.analysis.check import FIGURE1_WORKLOAD, INSTANCES
+from repro.config import ExecConfig
 from repro.difftest.leaks import leaked_pages
 from repro.errors import ExecutionError, PlanError
 from repro.optimizer.executor import SingleLevelExecutor
@@ -182,7 +183,7 @@ class TestErrorPathsFreeTheirScratch:
     def test_residual_that_raises_mid_join(self, join_method, mode):
         # A.X / B.Y divides by zero on the last B row: the restricts (and
         # for merge the sorts) are built, the join output is half written.
-        executor = SingleLevelExecutor(self.db.catalog, join_method)
+        executor = SingleLevelExecutor(self.db.catalog, ExecConfig(join_method))
         with evaluation(mode), pytest.raises(ExecutionError):
             executor.execute(
                 parse(
@@ -193,7 +194,7 @@ class TestErrorPathsFreeTheirScratch:
         self.assert_clean()
 
     def test_plan_error_after_the_joins_ran(self):
-        executor = SingleLevelExecutor(self.db.catalog, "merge", verify=False)
+        executor = SingleLevelExecutor(self.db.catalog, verify=False)
         with pytest.raises(PlanError):
             executor.execute(
                 parse(

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.config import ExecConfig
 from repro.errors import PlanError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
@@ -15,7 +16,7 @@ from repro.workloads.paper_data import (
 
 
 def run(catalog, sql, join_method="merge"):
-    executor = SingleLevelExecutor(catalog, join_method=join_method)
+    executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
     return executor.execute(parse(sql))
 
 
@@ -134,7 +135,7 @@ class TestGrouping:
 
     def test_group_by_join_column_after_merge_join_skips_sort(self):
         catalog = load_kiessling_instance()
-        executor = SingleLevelExecutor(catalog, join_method="merge")
+        executor = SingleLevelExecutor(catalog, ExecConfig("merge"))
         result = executor.execute(
             parse(
                 "SELECT PARTS.PNUM, COUNT(SUPPLY.SHIPDATE) FROM PARTS, SUPPLY "

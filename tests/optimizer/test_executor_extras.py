@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.config import ExecConfig
 from repro.core.pipeline import Engine
 from repro.errors import PlanError
 from repro.optimizer.executor import SingleLevelExecutor
@@ -16,7 +17,7 @@ from repro.workloads.paper_data import (
 
 
 def run(catalog, sql, join_method="merge"):
-    executor = SingleLevelExecutor(catalog, join_method=join_method)
+    executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
     return executor.execute(parse(sql))
 
 

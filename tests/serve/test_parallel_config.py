@@ -8,9 +8,9 @@ serial engine puts them.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 from repro.api import Database
-from repro.serve.plan import engine_config
 
 
 def seed_db(**kwargs):
@@ -36,9 +36,7 @@ class TestPlanCacheKey:
     def test_engine_config_includes_parallelism(self):
         serial = seed_db(parallelism=1)
         parallel = seed_db(parallelism=4, parallel_threshold=0)
-        assert engine_config(serial.engine, "transform") != engine_config(
-            parallel.engine, "transform"
-        )
+        assert serial.engine.config != parallel.engine.config
 
     def test_degree_change_is_a_cache_miss(self):
         db = seed_db(parallelism=1)
@@ -46,10 +44,16 @@ class TestPlanCacheKey:
         assert len(db.plan_cache) == 1
         # Reconfigure the live engine: the next lookup must not reuse
         # the serial plan.
-        db.engine.parallelism = 4
-        db.engine.parallel_threshold = 0
+        serial = db.engine.config
+        db.engine.config = replace(serial, parallelism=4, parallel_threshold=0)
         db.execute_cached(JA_SQL)
         assert len(db.plan_cache) == 2
+        assert db.plan_cache.stats().hits == 0
+        # ...and the old configuration still hits the plan built under it.
+        db.engine.config = serial
+        db.execute_cached(JA_SQL)
+        assert len(db.plan_cache) == 2
+        assert db.plan_cache.stats().hits == 1
 
     def test_same_degree_hits(self):
         db = seed_db(parallelism=4, parallel_threshold=0)

@@ -2,9 +2,11 @@
 and no statement is second-class on the kept-plan routes."""
 
 from collections import Counter
+from dataclasses import replace
 
 from repro.api import Database
 from repro.optimizer.executor import SingleLevelExecutor
+from repro.sql.parser import parse
 
 JA_THEN_A = (
     "SELECT PNUM FROM PARTS WHERE QOH = "
@@ -97,6 +99,46 @@ class TestNoSecondClassStatements:
         statement = db.prepare(AGGREGATED_ROOT.replace("QOH IN", "QOH >= ? AND QOH IN"))
         assert statement.mode == "generic"
         assert Counter(statement.execute((0,)).result.rows) == expected
+
+    def test_cost_plan_prepares_once_and_costs_the_tree_it_runs(
+        self, monkeypatch
+    ):
+        """The planner used to prepare its own copy under the *default*
+        predicate modes: under quantifier_mode="paper" it costed the
+        counting rewrite of > ALL while the engine ran the MAX rewrite."""
+        import repro.optimizer.planner as planner_module
+        import repro.serve.plan as plan_module
+        from repro.sql.printer import to_sql
+
+        prepared, costed = [], []
+        real_prepare = plan_module.prepare_query
+        real_choose = planner_module.Planner.choose
+
+        def prepare(select, catalog, config):
+            prepared.append(real_prepare(select, catalog, config))
+            return prepared[-1]
+
+        def choose(self, query):
+            costed.append(query)
+            return real_choose(self, query)
+
+        monkeypatch.setattr(plan_module, "prepare_query", prepare)
+        monkeypatch.setattr(planner_module, "prepare_query", prepare)
+        monkeypatch.setattr(planner_module.Planner, "choose", choose)
+        db = make_db()
+        db.engine.config = replace(
+            db.engine.config, quantifier_mode="paper", exists_count_mode="paper"
+        )
+        sql = (
+            "SELECT PNUM FROM PARTS WHERE QOH > ALL "
+            "(SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)"
+        )
+        plan = db.engine.plan(parse(sql), "cost")
+        # One qualify + rewrite per plan, and its result is what is costed.
+        assert len(prepared) == 1 and costed[0] is prepared[0]
+        assert "MAX(" in to_sql(costed[0]) and "COUNT(" not in to_sql(costed[0])
+        if plan.kind == "transform":
+            assert any("MAX(" in definition for definition in plan.setup_sql)
 
     def test_cost_based_choice_is_stored_with_the_plan(self, monkeypatch):
         from repro.optimizer.planner import PlanChoice, Planner

@@ -47,6 +47,25 @@ class TestShellCommands:
         assert "join method: nested" in out
         assert "join method must be" in out
 
+    def test_join_hash_reaches_the_executor_and_typo_leaves_config_alone(self):
+        out = io.StringIO()
+        shell = Shell(out=out)
+        shell.handle("\\load kiessling")
+        shell.handle("\\join hash")
+        assert "join method: hash" in out.getvalue()
+        configured = shell.db.engine.config
+        assert configured.join_method == "hash"
+        report = shell.db.run(
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) "
+            "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
+            method="transform",
+        )
+        assert report.join_method == "hash"
+        assert any("hash join" in step for step in report.steps)
+        shell.handle("\\join nope")
+        assert "join method must be merge | nested | hash" in out.getvalue()
+        assert shell.db.engine.config is configured
+
     def test_io_and_reset(self):
         _, out = run_session(["\\io", "\\reset", "\\quit"])
         assert "page I/Os" in out
