@@ -40,6 +40,7 @@ from repro.sql.ast import (
     column_refs,
     conjuncts,
     make_and,
+    rewrite_leaves,
 )
 
 
@@ -110,8 +111,6 @@ def dedupe_inner_setup(
     split cannot express it: the item reads an outer column, or a
     correlated block groups or is DISTINCT.
     """
-    from repro.serve.normalize import rewrite_leaves
-
     inner = node.query
     item = _single_item(inner)
     bindings = set(inner.table_bindings)

@@ -16,9 +16,9 @@ Every statement takes one path: :func:`repro.serve.plan.build_plan`
 plans it and :meth:`repro.serve.plan.CachedPlan.replay` executes the
 plan.  :meth:`Engine.run` does both once in a private session and
 throws the plan away; :meth:`Engine.run_cached` and prepared statements
-keep the plan.  Every run returns a :class:`RunReport` with the result
-rows, the page I/O consumed (the paper's cost measure), and the
-transformation trace.
+keep it in the plan cache.  Every run returns a :class:`RunReport` with
+the result rows, the page I/O consumed (the paper's cost measure), and
+the transformation trace.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class Engine:
     ) -> None:
         self.catalog = catalog
         self.config = ExecConfig(**settings)
-        #: Optional repro.serve.PlanCache consulted by run_cached().
+        #: Optional repro.serve.PlanCache: where run_cached() and this
+        #: engine's prepared statements keep their plans.
         self.plan_cache = plan_cache
         #: Run the static plan verifier + Kim-bug lint after NEST-G.
         #: With the paper-correct ``ja_algorithm="ja2"`` any error
@@ -210,22 +211,16 @@ class Engine:
         """Execute through the plan cache (requires ``plan_cache``).
 
         The SQL is normalized (predicate literals parameterized, text
-        canonicalized) and looked up by fingerprint + method + config;
-        on a hit the stored plan replays without re-planning or
-        re-verification.  Queries whose plan shape depends on the
-        literal values get per-vector ("custom") cache entries.
+        canonicalized) and resolved by fingerprint + method + config
+        (:meth:`repro.serve.cache.PlanCache.resolve`, as a prepared
+        statement's is): on a hit the stored plan replays without
+        re-planning or re-verification.  Queries whose plan shape
+        depends on the literal values get per-vector ("custom") entries.
         """
-        from repro.errors import BindError, ParameterizedPlanError
-        from repro.serve.cache import PlanCache
-        from repro.serve.normalize import (
-            fingerprint,
-            parameterize,
-            substitute_params,
-            user_param_count,
-        )
+        from repro.errors import BindError
+        from repro.serve.normalize import fingerprint, parameterize, user_param_count
 
-        cache: PlanCache | None = self.plan_cache
-        if cache is None:
+        if self.plan_cache is None:
             raise ReproError("engine has no plan cache; pass plan_cache=")
         select = parse(sql)
         declared = user_param_count(select)
@@ -235,26 +230,9 @@ class Engine:
                 f"statement takes {declared} parameter(s), got {len(vector)}"
             )
         normalized, extracted = parameterize(select)
-        values = vector + extracted
-        key = (fingerprint(normalized), method, self.config)
-        schema_version = self.catalog.schema_version
-        data_version = self.catalog.data_version
-
-        plan = cache.lookup(key, schema_version, data_version)
-        if plan is None:
-            try:
-                plan = self.plan(normalized, method, key[0])
-                cache.store(key, plan)
-            except ParameterizedPlanError:
-                # Custom plan: the literal values shape the plan, so
-                # they join the cache key and are baked into the tree.
-                custom_key = key + (values,)
-                plan = cache.lookup(custom_key, schema_version, data_version)
-                if plan is None:
-                    literal = substitute_params(normalized, values)
-                    plan = self.plan(literal, method, key[0])
-                    cache.store(custom_key, plan)
-                return plan.replay(self.catalog, ())
+        plan, values = self.plan_cache.resolve(
+            self, normalized, fingerprint(normalized), method, vector + extracted
+        )
         return plan.replay(self.catalog, values)
 
     def transform(self, query: str | Select) -> GeneralTransform:
@@ -360,8 +338,7 @@ def _dedupe_outer_aggregated(
     multiple outer tables would need disambiguated staging columns.
     """
     from repro.engine.relation import ROWID_COLUMN
-    from repro.serve.normalize import rewrite_leaves
-    from repro.sql.ast import ColumnRef, SelectItem, TableRef
+    from repro.sql.ast import ColumnRef, SelectItem, TableRef, rewrite_leaves
 
     query = transform.query
     if len(transform.root_tables) != 1:

@@ -58,25 +58,20 @@ from dataclasses import replace
 from repro.config import ExecConfig
 from repro.errors import TransformError
 from repro.sql.ast import (
-    And,
-    Between,
     ColumnRef,
     Comparison,
     Exists,
     Expr,
     FuncCall,
-    InList,
-    InSubquery,
-    IsNull,
     Literal,
     Not,
-    Or,
     Quantified,
     ScalarSubquery,
     Select,
     SelectItem,
     Star,
     make_and,
+    map_children,
 )
 
 #: op, quantifier → aggregate for the section 8.2 table (paper mode).
@@ -117,17 +112,11 @@ def _rewrite_select(select: Select, mode: str, qmode: str) -> Select:
 
 
 def _rewrite_expr(expr: Expr, mode: str, qmode: str) -> Expr:
-    if isinstance(expr, And):
-        return And(tuple(_rewrite_expr(op, mode, qmode) for op in expr.operands))
-    if isinstance(expr, Or):
-        return Or(tuple(_rewrite_expr(op, mode, qmode) for op in expr.operands))
-    if isinstance(expr, Not):
+    if isinstance(expr, Not) and isinstance(expr.operand, Exists):
         inner = expr.operand
-        if isinstance(inner, Exists):
-            return _exists_to_count(
-                inner.query, negated=not inner.negated, mode=mode, qmode=qmode
-            )
-        return Not(_rewrite_expr(inner, mode, qmode))
+        return _exists_to_count(
+            inner.query, negated=not inner.negated, mode=mode, qmode=qmode
+        )
     if isinstance(expr, Exists):
         return _exists_to_count(
             expr.query, negated=expr.negated, mode=mode, qmode=qmode
@@ -136,25 +125,9 @@ def _rewrite_expr(expr: Expr, mode: str, qmode: str) -> Expr:
         if qmode == "exact":
             return _quantified_to_count(expr, mode, qmode)
         return _quantified_to_aggregate(expr, mode, qmode)
-    if isinstance(expr, InSubquery):
-        return replace(expr, query=_rewrite_select(expr.query, mode, qmode))
-    if isinstance(expr, Comparison):
-        return Comparison(
-            _rewrite_scalar(expr.left, mode, qmode),
-            expr.op,
-            _rewrite_scalar(expr.right, mode, qmode),
-            expr.outer,
-            expr.null_safe,
-        )
-    if isinstance(expr, (IsNull, Between, InList)):
-        return expr
-    return expr
-
-
-def _rewrite_scalar(expr: Expr, mode: str, qmode: str) -> Expr:
-    if isinstance(expr, ScalarSubquery):
-        return ScalarSubquery(_rewrite_select(expr.query, mode, qmode))
-    return expr
+    if isinstance(expr, Select):
+        return _rewrite_select(expr, mode, qmode)
+    return map_children(expr, lambda child: _rewrite_expr(child, mode, qmode))
 
 
 def _exists_to_count(

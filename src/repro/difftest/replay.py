@@ -8,14 +8,18 @@ temp chains, interleaved with committed inserts — through
 
 1. ``execute_cached`` on a :class:`~repro.api.Database` (cached plans
    leasing and publishing shared temps),
-2. ``Database.run`` on the same instance (the same statement path with
+2. a prepared handle of the same shape with the cutoff as ``?`` (the
+   same plan store, resolved from the statement's side),
+3. ``Database.run`` on the same instance (the same statement path with
    no cache: planned afresh, every temp built and dropped), and
-3. a SQLite shadow fed the same rows,
+4. a SQLite shadow fed the same rows,
 
-and demands every result agree across all three after every event.
+and demands every result agree across all four after every event.
 The inserts exercise eager invalidation mid-replay: a purged shared
 temp must never leak a stale row into a later answer, and a plan that
-folded a type-A block's value in must be re-planned.
+folded a type-A block's value in must be re-planned.  The handles stay
+open to the end, so the closing ``plan_cache.clear()`` and page-leak
+check cover what prepared statements kept too.
 
 The leg fails if less than :data:`MIN_SHARED_FRACTION` of the temp
 installations were served from the registry — a replay that does not
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field
 from repro.api import Database
 from repro.difftest.leaks import leaked_pages
 from repro.difftest.normalize import normalize_rows
+from repro.serve.prepared import PreparedStatement
 
 #: Inner-chain cutoffs: two distinct values so the replay exercises
 #: value-keyed registry entries without drowning sharing in variety.
@@ -44,8 +49,11 @@ CUTOFFS = ("1980-06-01", "1983-01-01")
 MIN_SHARED_FRACTION = 0.30
 
 
-def query_pool() -> list[str]:
+def query_pool() -> list[tuple[str, tuple[str, ...]]]:
     """Mixed shapes: several outer blocks per inner chain, plus noise.
+
+    Each is ``(template, values)``: ``template.format(*literals)`` is
+    the ad-hoc text, ``template.format("?")`` the prepared one.
 
     The first three shapes per cutoff share the whole NEST-JA2 chain
     (same correlated COUNT), so a healthy replay leases far more temps
@@ -57,36 +65,44 @@ def query_pool() -> list[str]:
     tracked wrong answer until its inner relation became a
     duplicate-free temp: a fan-out before the COUNT would show here.
     """
-    pool: list[str] = []
+    inner = (
+        "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {})"
+    )
+    pool: list[tuple[str, tuple[str, ...]]] = []
     for cutoff in CUTOFFS:
-        inner = (
-            "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
-            f"WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < '{cutoff}')"
-        )
         pool.extend(
-            [
+            (template, (cutoff,))
+            for template in (
                 f"SELECT PNUM FROM PARTS WHERE QOH = {inner}",
                 f"SELECT PNUM, QOH FROM PARTS WHERE QOH >= {inner}",
                 f"SELECT QOH FROM PARTS WHERE QOH < {inner}",
-            ]
-        )
-        pool.append(
-            "SELECT PNUM FROM PARTS WHERE PNUM IN "
-            f"(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < '{cutoff}')"
+                "SELECT PNUM FROM PARTS WHERE PNUM IN "
+                "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < {})",
+            )
         )
     pool.append(
-        "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) "
-        "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN IN "
-        "(SELECT QUAN FROM SUPPLY S2 WHERE S2.PNUM = PARTS.PNUM "
-        f"AND S2.SHIPDATE < '{CUTOFFS[0]}'))"
+        (
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) "
+            "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN IN "
+            "(SELECT QUAN FROM SUPPLY S2 WHERE S2.PNUM = PARTS.PNUM "
+            "AND S2.SHIPDATE < {}))",
+            (CUTOFFS[0],),
+        )
     )
     pool.append(
-        "SELECT PARTS.PNUM FROM PARTS, SUPPLY "
-        "WHERE PARTS.PNUM = SUPPLY.PNUM AND SUPPLY.QUAN > 2"
+        (
+            "SELECT PARTS.PNUM FROM PARTS, SUPPLY "
+            "WHERE PARTS.PNUM = SUPPLY.PNUM AND SUPPLY.QUAN > 2",
+            (),
+        )
     )
     pool.append(
-        "SELECT PNUM, QOH FROM PARTS WHERE PNUM = "
-        "(SELECT MAX(P2.PNUM) FROM PARTS P2)"
+        (
+            "SELECT PNUM, QOH FROM PARTS WHERE PNUM = "
+            "(SELECT MAX(P2.PNUM) FROM PARTS P2)",
+            (),
+        )
     )
     return pool
 
@@ -194,6 +210,7 @@ def run_replay(
                 f'INSERT INTO "{table}" VALUES ({marks})', rows
             )
         shadow.commit()
+        handles: dict[str, PreparedStatement] = {}
         for step in range(queries):
             if write_every and step % write_every == write_every - 1:
                 table, rows = _write_batch(rng)
@@ -205,8 +222,12 @@ def run_replay(
                 shadow.commit()
                 report.writes += 1
                 continue
-            sql = rng.choice(pool)
+            template, values = rng.choice(pool)
+            sql = template.format(*(f"'{value}'" for value in values))
             shared_run = db.execute_cached(sql)
+            if template not in handles:
+                handles[template] = db.prepare(template.format("?"))
+            prepared_run = handles[template].execute(values)
             plain_run = db.run(sql, method="auto")
             oracle_rows = [
                 tuple(row) for row in shadow.execute(sql).fetchall()
@@ -230,6 +251,11 @@ def run_replay(
                 report.failures.append(
                     f"{leg} step {step}: execute_cached diverged from "
                     f"Database.run\n  {sql}"
+                )
+            if ours != normalize_rows(prepared_run.result.rows):
+                report.failures.append(
+                    f"{leg} step {step}: execute_cached diverged from "
+                    f"the prepared statement\n  {sql}"
                 )
         registry = db.plan_cache.sharing
         if any(entry.active != 0 for entry in registry._entries.values()):

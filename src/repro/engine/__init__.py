@@ -26,7 +26,6 @@ from repro.engine.compile import (
     compile_predicate,
     compile_scalar,
     interpreted_only,
-    set_compile_enabled,
     try_compile_predicate,
     try_compile_scalar,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "eval_predicate",
     "eval_scalar",
     "interpreted_only",
-    "set_compile_enabled",
     "try_compile_predicate",
     "try_compile_scalar",
 ]

@@ -26,8 +26,8 @@ scalars, references that do not bind in the chain — raises
 :class:`CannotCompile`; callers fall back to the interpreter, which
 reproduces the documented runtime error (or evaluates the subquery).
 The ``try_compile_*`` helpers return None in that case, and also when
-compilation is globally disabled (the benchmark harness toggles
-:func:`set_compile_enabled` to measure interpreted vs compiled runs).
+compilation is globally disabled (:func:`interpreted_only`, which the
+differential tester uses to run its interpreted legs).
 """
 
 from __future__ import annotations
@@ -377,12 +377,6 @@ _memo_lock = make_lock("engine.compile_memo")
 #: key → CompiledFn, or the CannotCompile sentinel below.
 _memo: dict[tuple, object] = {}
 _CANNOT = object()
-
-
-def clear_compile_memo() -> None:
-    """Drop all memoized closures (tests and DDL-heavy sessions)."""
-    with _memo_lock:
-        _memo.clear()
 
 
 def _memoized(

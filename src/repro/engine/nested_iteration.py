@@ -68,9 +68,6 @@ class QueryResult:
     def column(self, index: int = 0) -> list[object]:
         return [row[index] for row in self.rows]
 
-    def sorted_rows(self) -> list[tuple]:
-        return sorted(self.rows, key=order_key(column_profile(self.rows), ()))
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -719,17 +716,9 @@ class NestedIterationExecutor(SubqueryHandler):
         def rewrite(node: Expr) -> Expr:
             if isinstance(node, FuncCall) and node.is_aggregate:
                 return A.Literal(self._eval_group_expr(node, schema, group, outer))
-            if isinstance(node, A.Comparison):
-                return A.Comparison(
-                    rewrite(node.left), node.op, rewrite(node.right), node.outer
-                )
-            if isinstance(node, A.And):
-                return A.And(tuple(rewrite(op) for op in node.operands))
-            if isinstance(node, A.Or):
-                return A.Or(tuple(rewrite(op) for op in node.operands))
-            if isinstance(node, A.Not):
-                return A.Not(rewrite(node.operand))
-            return node
+            if isinstance(node, Select):
+                return node  # its aggregates are its own
+            return A.map_children(node, rewrite)
 
         rewritten = rewrite(predicate)
         representative = group[0] if group else tuple(None for _ in schema.fields)

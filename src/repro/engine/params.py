@@ -44,11 +44,6 @@ def bound_params(values: Sequence[object]) -> Iterator[None]:
         _ACTIVE_PARAMS.reset(token)
 
 
-def current_params() -> tuple[object, ...] | None:
-    """The bound vector, or None outside any ``bound_params`` block."""
-    return _ACTIVE_PARAMS.get()
-
-
 def param_value(index: int, name: str | None = None) -> object:
     """Look up one parameter slot in the active binding."""
     values = _ACTIVE_PARAMS.get()

@@ -134,14 +134,6 @@ def _single_schema(chain: tuple[RowSchema, ...]) -> RowSchema:
 # -- scalar kernels ----------------------------------------------------------
 
 
-def compile_batch_scalar(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
-) -> BatchFn:
-    """Compile a scalar to a batch kernel; raises :class:`CannotCompile`."""
-    chain = (schemas,) if isinstance(schemas, RowSchema) else tuple(schemas)
-    return _scalar(expr, chain)
-
-
 def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
     schema = _single_schema(chain)
     if isinstance(expr, Literal):
@@ -273,14 +265,6 @@ def _resolve(ref: ColumnRef, schema: RowSchema) -> int:
 
 
 # -- predicate kernels -------------------------------------------------------
-
-
-def compile_batch_predicate(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
-) -> BatchFn:
-    """Compile a predicate to a three-valued mask kernel."""
-    chain = (schemas,) if isinstance(schemas, RowSchema) else tuple(schemas)
-    return _predicate(expr, chain)
 
 
 def _compare_kernel(op: str, left: BatchFn, right: BatchFn) -> BatchFn:

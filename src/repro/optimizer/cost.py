@@ -275,66 +275,32 @@ def ja2_costs(params: CostParameters, mode: str = LOG_CONTINUOUS) -> Ja2CostBrea
 # ---------------------------------------------------------------------------
 #
 # The paper costs only sort-merge and nested-loop evaluation.  The
-# executor's ``join_method="hash"`` adds classic (Grace-style) hash
-# operators, costed with the standard textbook accounting: an input
-# whose build side fits in the in-memory hash table (≈ ``B - 2`` frames,
-# one frame reserved for input and one for output) is processed in a
-# single pass; otherwise both inputs are partitioned to disk first,
-# tripling their I/O (read + partition-write + partition-read).
-
-
-def _fits_in_memory(pages: float, buffer_pages: int) -> bool:
-    return pages <= max(0, buffer_pages - 2)
+# executor's ``join_method="hash"`` adds hash operators that build their
+# table in memory whatever ``B`` is (``hash_join``,
+# ``hash_group_aggregate`` and ``hash_distinct`` never spill), so the
+# model charges what runs: each input read once, each output written
+# once.  No sort terms, and no partitioning pass either.
 
 
 def hash_join_cost(
-    p_build: float,
-    p_probe: float,
-    buffer_pages: int,
-    result_pages: float = 0.0,
+    p_build: float, p_probe: float, result_pages: float = 0.0
 ) -> float:
-    """Hash equi join building on ``p_build``, probing with ``p_probe``.
-
-    In-memory: ``Pbuild + Pprobe + Presult``.  Partitioned:
-    ``3·(Pbuild + Pprobe) + Presult``.  No sort terms — that is the
-    whole point versus :func:`transform_nj_cost`.
-    """
-    if _fits_in_memory(p_build, buffer_pages):
-        return p_build + p_probe + result_pages
-    return 3.0 * (p_build + p_probe) + result_pages
+    """Hash equi join building on ``p_build``, probing with ``p_probe``:
+    ``Pbuild + Pprobe + Presult``.  No sort terms — that is the whole
+    point versus :func:`transform_nj_cost`."""
+    return p_build + p_probe + result_pages
 
 
-def hash_aggregate_cost(
-    p_in: float, buffer_pages: int, result_pages: float = 0.0
-) -> float:
-    """Hash GROUP BY / DISTINCT over a ``p_in``-page input.
-
-    One scan when the group table fits in memory, else partition first:
-    ``Pin + Presult`` vs ``3·Pin + Presult``.
-    """
-    if _fits_in_memory(p_in, buffer_pages):
-        return p_in + result_pages
-    return 3.0 * p_in + result_pages
-
-
-def transform_nj_hash_cost(
-    pi: float,
-    pj: float,
-    buffer_pages: int,
-    result_pages: float = 0.0,
-) -> float:
-    """Canonical N/J-query evaluation by hash join (build the smaller
-    side) — the hash counterpart of :func:`transform_nj_cost`."""
-    build, probe = (pi, pj) if pi <= pj else (pj, pi)
-    return hash_join_cost(build, probe, buffer_pages, result_pages)
+def hash_aggregate_cost(p_in: float, result_pages: float = 0.0) -> float:
+    """Hash GROUP BY / DISTINCT over a ``p_in``-page input: one scan,
+    ``Pin + Presult``."""
+    return p_in + result_pages
 
 
 def outer_projection_cost_hash(params: CostParameters) -> float:
     """Section 7.1's Rt2 creation with hash dedup instead of a sort:
-    read Ri, write Rt2 (``Pi + Pt2``); a spilling dedup triples Rt2."""
-    if _fits_in_memory(params.pt2, params.buffer_pages):
-        return params.pi + params.pt2
-    return params.pi + 3.0 * params.pt2
+    read Ri, write Rt2 (``Pi + Pt2``)."""
+    return params.pi + params.pt2
 
 
 def temp_creation_cost_hash(params: CostParameters) -> float:
@@ -344,23 +310,18 @@ def temp_creation_cost_hash(params: CostParameters) -> float:
     with Rt3 writing Rt4, then hash aggregation of Rt4 writing Rt —
     no sort of Rt3 and no reliance on Rt2's order.
     """
-    build, probe = (
-        (params.pt2, params.pt3)
-        if params.pt2 <= params.pt3
-        else (params.pt3, params.pt2)
-    )
     return (
         params.pj
         + params.pt3
-        + hash_join_cost(build, probe, params.buffer_pages, params.pt4)
-        + hash_aggregate_cost(params.pt4, params.buffer_pages, params.pt)
+        + hash_join_cost(params.pt2, params.pt3, params.pt4)
+        + hash_aggregate_cost(params.pt4, params.pt)
     )
 
 
 def final_join_cost_hash(params: CostParameters) -> float:
     """Section 7.3's final join by hash: build on Rt (the small grouped
     temp), probe with Ri — ``Ri`` needs no sort."""
-    return hash_join_cost(params.pt, params.pi, params.buffer_pages)
+    return hash_join_cost(params.pt, params.pi)
 
 
 def ja2_hash_cost(params: CostParameters) -> float:

@@ -744,26 +744,11 @@ class SingleLevelExecutor:
                         f"HAVING references non-grouped column {expr.qualified()}"
                     )
                 return ColumnRef(None, f"G{group_positions.index(position)}")
-            if isinstance(expr, A.Comparison):
-                return A.Comparison(
-                    rewrite(expr.left), expr.op, rewrite(expr.right), expr.outer
-                )
-            if isinstance(expr, A.And):
-                return A.And(tuple(rewrite(op) for op in expr.operands))
-            if isinstance(expr, A.Or):
-                return A.Or(tuple(rewrite(op) for op in expr.operands))
-            if isinstance(expr, A.Not):
-                return A.Not(rewrite(expr.operand))
-            if isinstance(expr, (A.Literal,)):
-                return expr
-            if isinstance(expr, A.IsNull):
-                return A.IsNull(rewrite(expr.operand), expr.negated)
-            if isinstance(expr, A.Between):
-                return A.Between(
-                    rewrite(expr.operand), rewrite(expr.low),
-                    rewrite(expr.high), expr.negated,
-                )
-            raise PlanError(f"unsupported HAVING expression: {to_sql(expr)}")
+            if isinstance(
+                expr, (A.ScalarSubquery, A.InSubquery, A.Exists, A.Quantified)
+            ):
+                raise PlanError(f"unsupported HAVING expression: {to_sql(expr)}")
+            return A.map_children(expr, rewrite)
 
         return rewrite(predicate)
 

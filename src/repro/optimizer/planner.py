@@ -36,11 +36,11 @@ from repro.engine.relation import temp_rows_per_page
 from repro.errors import PlanError
 from repro.optimizer.cost import (
     CostParameters,
+    hash_join_cost,
     ja2_costs,
     ja2_hash_cost,
     nested_iteration_cost_auto,
     transform_nj_cost,
-    transform_nj_hash_cost,
 )
 from repro.sql.ast import (
     Between,
@@ -147,8 +147,8 @@ class Planner:
             alternatives["transform (merge join)"] = transform_nj_cost(
                 params.pi, params.pj, params.buffer_pages
             )
-            alternatives["transform (hash join)"] = transform_nj_hash_cost(
-                params.pi, params.pj, params.buffer_pages
+            alternatives["transform (hash join)"] = hash_join_cost(
+                params.pi, params.pj
             )
         else:
             breakdown = ja2_costs(params)

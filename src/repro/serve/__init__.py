@@ -19,10 +19,12 @@ Layers:
   statement path; ``Engine.run`` is this with no cache);
 * :mod:`repro.serve.binding` — verifier-derived type/nullability
   checks applied to parameter vectors at bind time;
-* :mod:`repro.serve.cache` — the LRU plan cache with hit/miss/
-  invalidation counters, wired to :class:`~repro.catalog.catalog.
-  Catalog` change hooks;
-* :mod:`repro.serve.prepared` — prepared statements.
+* :mod:`repro.serve.cache` — the LRU plan cache, the one store of kept
+  plans and the rule that resolves a statement to its plan, with
+  hit/miss/invalidation counters, wired to
+  :class:`~repro.catalog.catalog.Catalog` change hooks;
+* :mod:`repro.serve.prepared` — prepared statements: the text and its
+  bind contracts; the plans are the cache's.
 """
 
 from repro.serve.cache import CacheStats, PlanCache

@@ -22,7 +22,7 @@ executes the whole batch set-at-a-time:
   the result rows demultiplexes them back into per-vector results.
 
 The rewrite is purely structural — no data access — so it is derived
-once per (plan, schema version) and cached on the statement.  Shapes
+once per plan and rides on it (``CachedPlan.batch_plan``).  Shapes
 the rewrite cannot prove correct (grouped/aggregated final queries,
 ORDER BY, full outer joins, dedupe-outer row-id plans, custom
 statements) raise :class:`BatchIneligible` and the statement falls back
@@ -41,7 +41,6 @@ from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError
 from repro.optimizer.executor import SingleLevelExecutor
-from repro.serve.normalize import rewrite_leaves
 from repro.serve.session import SessionCatalog
 from repro.sql.ast import (
     ColumnRef,
@@ -51,6 +50,7 @@ from repro.sql.ast import (
     SelectItem,
     TableRef,
     make_and,
+    rewrite_leaves,
     walk,
 )
 from repro.sql.printer import to_sql

@@ -1,10 +1,18 @@
-"""The LRU plan cache and its invalidation wiring.
+"""The plan store: every plan kept across calls is an entry here.
 
 Keys are ``(fingerprint, method, config)`` — the normalized SQL text of
-the literal-parameterized tree, the evaluation method asked for and the
-engine's :class:`~repro.config.ExecConfig`.  Versions are *not* part of
-the key; each entry records the versions it was built under and a
-lookup it is no longer valid at
+the parameterized tree, the evaluation method asked for and the engine's
+:class:`~repro.config.ExecConfig` *as it is when the statement runs*, so
+a reconfigured engine never replays a plan built for another value.
+:meth:`PlanCache.resolve` is the one rule by which ``execute_cached``
+and prepared statements get from a statement to the plan they replay —
+look up, re-plan what is no longer valid, fall over to a per-vector
+("custom") plan where the values shape the plan — so both are counted
+in one set of statistics, bounded by one capacity and share each
+other's plans.
+
+Versions are *not* part of the key; each entry records the versions it
+was built under and a lookup it is no longer valid at
 (:meth:`~repro.serve.plan.CachedPlan.valid_at`: another schema version,
 or another data version for a plan that folded data in) is treated as
 an invalidation (the entry is dropped and rebuilt).
@@ -24,6 +32,7 @@ Invalidation is event-class aware (see
   snapshot instead of re-planning.
 
 All operations are lock-protected; worker threads share one cache.
+Planning itself runs outside the lock.
 """
 
 from __future__ import annotations
@@ -32,9 +41,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog, event_class
-from repro.storage.locks import make_lock
+from repro.core.pipeline import Engine
+from repro.errors import ParameterizedPlanError
+from repro.serve.normalize import substitute_params
 from repro.serve.plan import CachedPlan
 from repro.serve.sharing import SharedSubplanRegistry
+from repro.sql.ast import Select
+from repro.storage.locks import make_lock
 
 #: Default maximum number of cached plans.
 DEFAULT_CAPACITY = 128
@@ -85,6 +98,20 @@ class CacheStats:
         )
 
 
+class _CustomShaped:
+    """The entry under a key whose plan shape depends on the bound values
+    (a parameter inside a type-A block, folded into the plan): the plans
+    are under ``key + (values,)``, this only remembers not to plan the
+    parameterized tree again.  It quacks like a plan that holds nothing,
+    so it ages out, is purged and is counted like any other entry."""
+
+    def release(self) -> None:
+        pass
+
+
+CUSTOM_SHAPED = _CustomShaped()
+
+
 class PlanCache:
     """Bounded LRU of :class:`~repro.serve.plan.CachedPlan` objects."""
 
@@ -92,7 +119,7 @@ class PlanCache:
         if capacity < 1:
             raise ValueError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
+        self._entries: OrderedDict[tuple, CachedPlan | _CustomShaped] = OrderedDict()
         self._lock = make_lock("serve.plan_cache")
         #: The shared temp materializations of the plans served here
         #: (see repro.serve.sharing).
@@ -121,16 +148,67 @@ class PlanCache:
                 for plan in self._entries.values():
                     plan.release()
                 self._entries.clear()
-        # Plans built outside this cache (prepared statements) may
-        # hold registry entries too; purge those as well.
         self.sharing.purge_all("schema")
 
     # -- access ------------------------------------------------------------
 
+    def resolve(
+        self,
+        engine: Engine,
+        select: Select,
+        fingerprint: str,
+        method: str,
+        values: tuple[object, ...] | None,
+    ) -> tuple[CachedPlan | None, tuple[object, ...] | None]:
+        """The plan to replay for a statement, and the values left to
+        bind into it — how ``execute_cached`` and prepared statements
+        alike get from a statement to its plan.
+
+        ``select`` is the parameterized tree ``fingerprint`` was taken
+        from.  The key is read now: the engine's config of the moment
+        and the catalog's versions.  A valid entry is a hit; otherwise
+        ``engine`` plans (outside every lock — two threads missing at
+        once both plan, the later ``store`` wins) and the plan is kept.
+        Where the values shape the plan the key is remembered as
+        custom-shaped and the plan is that of the literal tree under
+        ``key + (values,)``, with nothing left to bind.  ``values=None``
+        asks for the generic plan only (prepare time): ``(None, None)``
+        comes back for a custom-shaped statement.
+        """
+        key = (fingerprint, method, engine.config)
+        catalog = engine.catalog
+        versions = (catalog.schema_version, catalog.data_version)
+
+        def plan_for(key: tuple, tree: Select) -> CachedPlan | _CustomShaped:
+            plan = self.lookup(key, *versions)
+            if plan is None:
+                try:
+                    plan = engine.plan(tree, method, fingerprint)
+                except ParameterizedPlanError:
+                    plan = CUSTOM_SHAPED
+                self.store(key, plan)
+            return plan
+
+        plan = plan_for(key, select)
+        if plan is not CUSTOM_SHAPED:
+            return plan, values
+        if values is None:
+            return None, None
+        return plan_for(key + (values,), substitute_params(select, values)), ()
+
+    def discard(self, fingerprint: str, method: str) -> None:
+        """Drop every entry of one statement — whatever the config or
+        the values it was planned for (``PreparedStatement.close``)."""
+        with self._lock:
+            for key in [k for k in self._entries if k[:2] == (fingerprint, method)]:
+                self._entries.pop(key).release()
+
     def lookup(
         self, key: tuple, schema_version: int, data_version: int
-    ) -> CachedPlan | None:
-        """The cached plan for ``key`` valid at these versions, or None.
+    ) -> CachedPlan | _CustomShaped | None:
+        """The cached plan for ``key`` valid at these versions, or None
+        (or ``CUSTOM_SHAPED``, neither hit nor miss: the plan is under
+        ``key + (values,)``).
 
         An entry that is no longer valid counts as an invalidation
         *and* a miss: it is dropped and the caller rebuilds.  For a
@@ -143,6 +221,9 @@ class PlanCache:
             if plan is None:
                 self.misses += 1
                 return None
+            if plan is CUSTOM_SHAPED:
+                self._entries.move_to_end(key)
+                return plan
             if not plan.valid_at(schema_version, data_version):
                 del self._entries[key]
                 plan.release()
@@ -155,7 +236,7 @@ class PlanCache:
                 self.snapshot_pin_hits += 1
             return plan
 
-    def store(self, key: tuple, plan: CachedPlan) -> None:
+    def store(self, key: tuple, plan: CachedPlan | _CustomShaped) -> None:
         with self._lock:
             replaced = self._entries.pop(key, None)
             if replaced is not None and replaced is not plan:

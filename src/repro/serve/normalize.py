@@ -27,133 +27,15 @@ import itertools
 from dataclasses import replace
 
 from repro.sql.ast import (
-    And,
-    Between,
-    BinaryArith,
-    ColumnRef,
-    Comparison,
-    Exists,
     Expr,
-    FuncCall,
-    InList,
-    InSubquery,
-    IsNull,
     Literal,
     Node,
-    Not,
-    Or,
-    OrderItem,
     Parameter,
-    Quantified,
-    ScalarSubquery,
     Select,
-    SelectItem,
-    Star,
-    UnaryMinus,
+    rewrite_leaves,
     walk,
 )
 from repro.sql.printer import to_sql
-
-
-def rewrite_leaves(node: Node, leaf) -> Node:
-    """Rebuild a tree bottom-up, applying ``leaf`` to every leaf expression.
-
-    ``leaf`` receives each :class:`Literal`/:class:`Parameter`/
-    :class:`ColumnRef`/:class:`Star` and returns a replacement (or the
-    node unchanged).  Composite nodes are rebuilt only when a child
-    actually changed, so untouched subtrees keep identity.
-    """
-    if isinstance(node, (Literal, Parameter, ColumnRef, Star)):
-        return leaf(node)
-    if isinstance(node, FuncCall):
-        arg = rewrite_leaves(node.arg, leaf)
-        return node if arg is node.arg else replace(node, arg=arg)
-    if isinstance(node, UnaryMinus):
-        operand = rewrite_leaves(node.operand, leaf)
-        return node if operand is node.operand else replace(node, operand=operand)
-    if isinstance(node, BinaryArith):
-        left = rewrite_leaves(node.left, leaf)
-        right = rewrite_leaves(node.right, leaf)
-        if left is node.left and right is node.right:
-            return node
-        return replace(node, left=left, right=right)
-    if isinstance(node, ScalarSubquery):
-        query = rewrite_leaves(node.query, leaf)
-        return node if query is node.query else replace(node, query=query)
-    if isinstance(node, Comparison):
-        left = rewrite_leaves(node.left, leaf)
-        right = rewrite_leaves(node.right, leaf)
-        if left is node.left and right is node.right:
-            return node
-        return replace(node, left=left, right=right)
-    if isinstance(node, IsNull):
-        operand = rewrite_leaves(node.operand, leaf)
-        return node if operand is node.operand else replace(node, operand=operand)
-    if isinstance(node, InList):
-        operand = rewrite_leaves(node.operand, leaf)
-        items = tuple(rewrite_leaves(item, leaf) for item in node.items)
-        if operand is node.operand and all(
-            a is b for a, b in zip(items, node.items)
-        ):
-            return node
-        return replace(node, operand=operand, items=items)
-    if isinstance(node, InSubquery):
-        operand = rewrite_leaves(node.operand, leaf)
-        query = rewrite_leaves(node.query, leaf)
-        if operand is node.operand and query is node.query:
-            return node
-        return replace(node, operand=operand, query=query)
-    if isinstance(node, Exists):
-        query = rewrite_leaves(node.query, leaf)
-        return node if query is node.query else replace(node, query=query)
-    if isinstance(node, Quantified):
-        operand = rewrite_leaves(node.operand, leaf)
-        query = rewrite_leaves(node.query, leaf)
-        if operand is node.operand and query is node.query:
-            return node
-        return replace(node, operand=operand, query=query)
-    if isinstance(node, Between):
-        operand = rewrite_leaves(node.operand, leaf)
-        low = rewrite_leaves(node.low, leaf)
-        high = rewrite_leaves(node.high, leaf)
-        if operand is node.operand and low is node.low and high is node.high:
-            return node
-        return replace(node, operand=operand, low=low, high=high)
-    if isinstance(node, (And, Or)):
-        operands = tuple(rewrite_leaves(op, leaf) for op in node.operands)
-        if all(a is b for a, b in zip(operands, node.operands)):
-            return node
-        return replace(node, operands=operands)
-    if isinstance(node, Not):
-        operand = rewrite_leaves(node.operand, leaf)
-        return node if operand is node.operand else replace(node, operand=operand)
-    if isinstance(node, SelectItem):
-        expr = rewrite_leaves(node.expr, leaf)
-        return node if expr is node.expr else replace(node, expr=expr)
-    if isinstance(node, OrderItem):
-        expr = rewrite_leaves(node.expr, leaf)
-        return node if expr is node.expr else replace(node, expr=expr)
-    if isinstance(node, Select):
-        items = tuple(rewrite_leaves(item, leaf) for item in node.items)
-        where = (
-            rewrite_leaves(node.where, leaf) if node.where is not None else None
-        )
-        group_by = tuple(rewrite_leaves(e, leaf) for e in node.group_by)
-        having = (
-            rewrite_leaves(node.having, leaf)
-            if node.having is not None
-            else None
-        )
-        order_by = tuple(rewrite_leaves(i, leaf) for i in node.order_by)
-        return replace(
-            node,
-            items=items,
-            where=where,
-            group_by=group_by,
-            having=having,
-            order_by=order_by,
-        )
-    raise TypeError(f"cannot rewrite {type(node).__name__}")
 
 
 def user_param_count(select: Select) -> int:

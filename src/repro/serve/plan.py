@@ -5,7 +5,9 @@
 the only code that installs a temp chain, runs the final block, drains
 it, builds the :class:`~repro.core.pipeline.RunReport` and sweeps.
 ``Engine.run`` plans and replays once in one session and drops the
-plan; ``Engine.run_cached`` and prepared statements keep it.
+plan; ``Engine.run_cached`` and prepared statements keep it — in the
+:class:`~repro.serve.cache.PlanCache`, the only object that holds a
+plan across calls.
 
 A :class:`CachedPlan` records everything the pipeline produces up to —
 but not including — the data access of its temp chain: the ordered
@@ -119,6 +121,10 @@ class CachedPlan:
     #: Temp name -> what the last replay did with that link: "present",
     #: "shared", "built" or "not read".
     last_links: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
+    #: The set-oriented plan ``executemany`` derives from this one
+    #: (:mod:`repro.serve.batch`): None until asked for, False when the
+    #: shape does not batch.  It lives and dies with this plan.
+    batch_plan: object = field(default=None, repr=False, compare=False)
 
     @property
     def param_count(self) -> int:
@@ -131,12 +137,15 @@ class CachedPlan:
         )
 
     def release(self) -> None:
-        """Drop the registry handles this plan holds (cache eviction,
-        invalidation, ``PreparedStatement.close``); entries no other
-        plan holds are freed by the registry, deferred to the last
-        lease in flight.  Idempotent."""
-        if self.registry is not None:
-            self.registry.drop_holder(self)
+        """Drop the registry handles this plan holds (the cache evicts,
+        invalidates or discards it); entries no other plan holds are
+        freed by the registry, deferred to the last lease in flight.
+        For good: a thread that resolved the plan just before, or is
+        still replaying it, goes on without the registry — what it
+        published nobody would ever release.  Idempotent."""
+        registry, self.registry = self.registry, None
+        if registry is not None:
+            registry.drop_holder(self)
 
     def describe(self) -> str:
         lines = [

@@ -1,21 +1,27 @@
-"""Prepared statements: plan once, bind and execute many times.
+"""Prepared statements: parse once, bind and execute many times.
 
-``Engine.prepare(sql)`` parses and plans a statement with ``?`` or
-``:name`` markers once; each ``execute(values)`` binds the vector
-straight into the already-compiled plan (closures read parameters
-through a context variable, so nothing is recompiled) and replays it.
+``Engine.prepare(sql)`` parses a statement with ``?`` or ``:name``
+markers once and keeps what belongs to the *text*: the tree, its
+fingerprint, the parameter names and the bind contracts.  The plans are
+not the statement's: each ``execute(values)`` resolves the plan to
+replay through :meth:`repro.serve.cache.PlanCache.resolve` — the rule
+``execute_cached`` resolves by — and binds the vector straight into it
+(closures read parameters through a context variable, so nothing is
+recompiled).
 
-Two modes, chosen automatically at prepare time:
+Two modes, as the last resolution found the statement:
 
 * **generic** — one parameterized plan serves every vector (the common
   case; what real systems call a generic plan);
 * **custom** — the plan's shape depends on parameter values (a bind
   parameter inside a type-A block whose result is folded into the plan
-  as a constant); a small per-vector plan cache is kept instead,
-  mirroring the generic-vs-custom plan split in production databases.
+  as a constant); one plan per vector is kept instead, each a
+  plan-cache entry like any other, mirroring the generic-vs-custom plan
+  split in production databases.
 
-Both re-check the plan per execute
-(:meth:`~repro.serve.plan.CachedPlan.valid_at`) and re-plan
+Because the cache key is read per execute, a statement follows
+``engine.config`` when it is reassigned, and one staleness rule covers
+it (:meth:`~repro.serve.plan.CachedPlan.valid_at`): a plan is re-built
 (re-running verification and lint) when the catalog's *schema* version
 moved — DDL between executions can never leave a stale plan running.
 Plain inserts bump only the data version: a plan that folded no data
@@ -28,32 +34,27 @@ Statements are safe to execute from multiple threads concurrently.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
 from repro.core.pipeline import Engine, RunReport, prepare_query
-from repro.errors import BindError, ParameterizedPlanError, ReproError
+from repro.errors import BindError, ReproError
 from repro.serve.batch import (
     BatchIneligible,
-    BatchPlan,
     BatchReport,
     build_batch_plan,
     execute_batch_plan,
     total_io,
 )
 from repro.serve.binding import check_binding, derive_param_specs
-from repro.serve.normalize import fingerprint, substitute_params, user_param_count
+from repro.serve.cache import PlanCache
+from repro.serve.normalize import fingerprint, user_param_count
 from repro.serve.plan import CachedPlan
 from repro.sql.ast import Parameter, Select, walk
 from repro.sql.parser import parse
-from repro.storage.locks import make_lock
-
-#: Custom-plan (per-vector) cache bound per statement.
-_CUSTOM_PLAN_CAP = 16
 
 
 class PreparedStatement:
-    """A parsed, planned, bind-ready statement handle."""
+    """A parsed, bind-ready statement handle."""
 
     def __init__(self, engine: Engine, sql: str, method: str = "auto") -> None:
         self.engine = engine
@@ -66,14 +67,18 @@ class PreparedStatement:
             if isinstance(node, Parameter) and node.name:
                 self.named_params[node.name] = node.index
         self.fingerprint = fingerprint(self.select)
-        self._lock = make_lock("serve.prepared")
-        self._plan: CachedPlan | None = None
-        self._custom: OrderedDict[tuple, CachedPlan] = OrderedDict()
-        #: (generic plan, derived batch plan or None) — see executemany.
-        self._batch: tuple[CachedPlan, BatchPlan | None] | None = None
+        #: Where the plans are kept: the engine's plan cache, or — on an
+        #: engine without one — a private cache.  ``Engine.plan`` hands
+        #: a registry out only for the engine's own cache, so plans kept
+        #: in a private one share nothing and free every temp per replay.
+        self._cache: PlanCache = (
+            engine.plan_cache if engine.plan_cache is not None else PlanCache()
+        )
         self._specs_version: int | None = None
         self.param_specs = self._derive_specs()
-        self.mode = self._plan_initial()
+        # Plan now: what cannot be planned fails at prepare time, the
+        # first execute is a cache hit, and ``mode`` is known.
+        self._resolve(None)
 
     # -- planning ----------------------------------------------------------
 
@@ -84,28 +89,25 @@ class PreparedStatement:
             self._specs_version = catalog.schema_version
             return derive_param_specs(rewritten, catalog, self.param_count)
 
-    def _plan_initial(self) -> str:
-        try:
-            self._plan = self.engine.plan(
-                self.select, self.method, self.fingerprint
-            )
-            return "generic"
-        except ParameterizedPlanError:
-            return "custom"
+    def _resolve(
+        self, vector: tuple[object, ...] | None
+    ) -> tuple[CachedPlan | None, tuple[object, ...] | None]:
+        """The plan to replay for ``vector`` and the values left to
+        bind into it; for ``None`` the generic plan, which a custom
+        statement does not have (``(None, None)``)."""
+        plan, values = self._cache.resolve(
+            self.engine, self.select, self.fingerprint, self.method, vector
+        )
+        generic = plan is not None and plan.param_count == self.param_count
+        #: "generic" or "custom", as of the last resolution.
+        self.mode = "generic" if generic else "custom"
+        return plan, values
 
     def close(self) -> None:
-        """Release the statement's plans and the temps they hold in the
-        shared registry (SQL's DEALLOCATE).  A later ``execute`` simply
-        plans again."""
-        with self._lock:
-            plans = [*self._custom.values()]
-            if self._plan is not None:
-                plans.append(self._plan)
-            self._plan = None
-            self._custom.clear()
-            self._batch = None
-        for plan in plans:
-            plan.release()
+        """Discard the statement's plans from the cache, and with them
+        the temps they hold in the shared registry (SQL's DEALLOCATE).
+        A later ``execute`` simply plans again."""
+        self._cache.discard(self.fingerprint, self.method)
 
     def describe(self) -> str:
         lines = [f"mode: {self.mode}", f"parameters: {self.param_count}"]
@@ -117,8 +119,9 @@ class PreparedStatement:
             )
             null = "nullable" if spec.allow_null else "not null"
             lines.append(f"  {spec.label()}: {wanted}, {null}")
-        if self._plan is not None:
-            lines.append(self._plan.describe())
+        plan, _values = self._resolve(None)
+        if plan is not None:
+            lines.append(plan.describe())
         return "\n".join(lines)
 
     # -- binding -----------------------------------------------------------
@@ -142,6 +145,13 @@ class PreparedStatement:
             return tuple(vector)
         return tuple(values)
 
+    def _check(self, vector: tuple[object, ...]) -> None:
+        if self._specs_version != self.engine.catalog.schema_version:
+            # Schema/stats moved: re-derive the bind contracts too (a
+            # column's type may have changed across drop/recreate).
+            self.param_specs = self._derive_specs()
+        check_binding(self.param_specs, vector)
+
     # -- execution ---------------------------------------------------------
 
     def execute(
@@ -149,17 +159,9 @@ class PreparedStatement:
     ) -> RunReport:
         """Bind ``values`` and run; returns the full run report."""
         vector = self._vector(values)
-        catalog = self.engine.catalog
-        version = catalog.schema_version
-        if self._specs_version != version:
-            # Schema/stats moved: re-derive the bind contracts too (a
-            # column's type may have changed across drop/recreate).
-            self.param_specs = self._derive_specs()
-        check_binding(self.param_specs, vector)
-
-        if self.mode == "custom":
-            return self._run_custom(vector, version)
-        return self._generic_plan(version).replay(catalog, vector)
+        self._check(vector)
+        plan, bind = self._resolve(vector)
+        return plan.replay(self.engine.catalog, bind)
 
     def executemany(
         self, vectors: Sequence[Sequence[object] | Mapping[str, object]]
@@ -183,25 +185,29 @@ class PreparedStatement:
         """Like :meth:`executemany`, returning the full batch report."""
         bound = [self._vector(vector) for vector in vectors]
         catalog = self.engine.catalog
-        if len(bound) < 2 or self.mode != "generic" or self.param_count == 0:
+        if len(bound) < 2 or self.param_count == 0:
             return self._loop_batch(bound)
-        version = catalog.schema_version
-        if self._specs_version != version:
-            self.param_specs = self._derive_specs()
+        plan, _values = self._resolve(None)
+        if plan is None:  # custom: one plan per vector
+            return self._loop_batch(bound)
         for vector in bound:
-            check_binding(self.param_specs, vector)
-        plan = self._generic_plan(version)
-        with self._lock:
-            batch_plan = self._batch_plan_for(plan)
-        if batch_plan is None:
+            self._check(vector)
+        # The set-oriented plan rides on the plan it was derived from:
+        # None until asked for, False when the shape does not batch.
+        if plan.batch_plan is None:
+            try:
+                plan.batch_plan = build_batch_plan(plan, catalog)
+            except BatchIneligible:
+                plan.batch_plan = False
+        batch_plan = plan.batch_plan
+        if not batch_plan:
             return self._loop_batch(bound)
         try:
             reports = execute_batch_plan(plan, batch_plan, catalog, bound)
         except ReproError:
             # A shape the structural guards missed surfaced at run
             # time; remember the plan does not batch and fall back.
-            with self._lock:
-                self._batch = (plan, None)
+            plan.batch_plan = False
             return self._loop_batch(bound)
         return BatchReport(
             reports=reports,
@@ -209,18 +215,6 @@ class PreparedStatement:
             batch_size=len(bound),
             io=reports[0].io if reports else total_io(reports),
         )
-
-    def _batch_plan_for(self, plan: CachedPlan) -> BatchPlan | None:
-        """The derived batch plan for ``plan`` (cached; None = no batch)."""
-        cached = self._batch
-        if cached is not None and cached[0] is plan:
-            return cached[1]
-        try:
-            batch_plan = build_batch_plan(plan, self.engine.catalog)
-        except BatchIneligible:
-            batch_plan = None
-        self._batch = (plan, batch_plan)
-        return batch_plan
 
     def _loop_batch(self, vectors: list[tuple[object, ...]]) -> BatchReport:
         catalog = self.engine.catalog
@@ -235,44 +229,6 @@ class PreparedStatement:
             batch_size=len(vectors),
             io=total_io(reports),
         )
-
-    def _generic_plan(self, version: int) -> CachedPlan:
-        """The generic plan, re-planned when it is no longer valid."""
-        data_version = self.engine.catalog.data_version
-        with self._lock:
-            plan = self._plan
-            if plan is None or not plan.valid_at(version, data_version):
-                if plan is not None:
-                    plan.release()
-                # Re-plan *and* re-verify: build_plan runs the static
-                # verifier + lint again against the new catalog state.
-                self._plan = plan = self.engine.plan(
-                    self.select, self.method, self.fingerprint
-                )
-        return plan
-
-    def _run_custom(
-        self, vector: tuple[object, ...], version: int
-    ) -> RunReport:
-        data_version = self.engine.catalog.data_version
-        with self._lock:
-            plan = self._custom.get(vector)
-            if plan is not None and not plan.valid_at(version, data_version):
-                del self._custom[vector]
-                plan.release()
-                plan = None
-            if plan is None:
-                literal = substitute_params(self.select, vector)
-                plan = self.engine.plan(literal, self.method, self.fingerprint)
-                while len(self._custom) >= _CUSTOM_PLAN_CAP:
-                    _vec, evicted = self._custom.popitem(last=False)
-                    evicted.release()
-                self._custom[vector] = plan
-            else:
-                self._custom.move_to_end(vector)
-        # The vector's values are baked into the custom plan as
-        # literals; nothing is left to bind.
-        return plan.replay(self.engine.catalog, ())
 
 
 class _Missing:

@@ -181,7 +181,8 @@ class SharedSubplanRegistry:
 
         A lease pins the heap against truncation until
         :meth:`release_lease`; the consuming plan is also recorded as a
-        holder so the entry outlives LRU churn while the plan is cached.
+        holder so the entry outlives LRU churn while the plan is cached
+        (a plan the cache released meanwhile holds nothing any more).
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -192,7 +193,7 @@ class SharedSubplanRegistry:
             self._entries[key] = entry
             entry.active += 1
             holder = id(plan)
-            if holder not in entry.holders:
+            if holder not in entry.holders and plan.registry is self:
                 entry.holders.add(holder)
                 self._held.setdefault(holder, set()).add(key)
             if entry.publisher != plan.fingerprint:
@@ -206,15 +207,20 @@ class SharedSubplanRegistry:
         """Register a freshly built materialization; returns its lease.
 
         Returns None — and the caller keeps the heap private — when a
-        concurrent replay already published the key, or when a commit
+        concurrent replay already published the key, when a commit
         landed after this replay pinned its snapshot (the key's data
         version is no longer current, so the entry would be stillborn:
         purgeable on arrival and only hittable by already-pinned
-        readers).
+        readers), or when the cache released ``plan`` while it was
+        being replayed (no holder would ever drop the entry).
         """
         data_version = key[3]
         with self._lock:
-            if key in self._entries or data_version != current_data_version:
+            if (
+                key in self._entries
+                or data_version != current_data_version
+                or plan.registry is not self
+            ):
                 return None
             holder = id(plan)
             entry = SharedEntry(

@@ -14,8 +14,7 @@ right-hand side is an inner query block.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 
 #: Comparison operators after normalization (``!=`` → ``<>``,
@@ -353,60 +352,90 @@ class Select(Node):
 # ---------------------------------------------------------------------------
 
 
+#: The fields of each node type that hold child nodes (a node, a tuple
+#: of nodes, or None), in source order.  ``children`` and
+#: ``map_children`` both read it, so a traversal and a rebuild can never
+#: disagree about what a node contains.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    ColumnRef: (),
+    Literal: (),
+    Star: (),
+    Parameter: (),
+    TableRef: (),
+    FuncCall: ("arg",),
+    UnaryMinus: ("operand",),
+    BinaryArith: ("left", "right"),
+    ScalarSubquery: ("query",),
+    Comparison: ("left", "right"),
+    IsNull: ("operand",),
+    InList: ("operand", "items"),
+    InSubquery: ("operand", "query"),
+    Exists: ("query",),
+    Quantified: ("operand", "query"),
+    Between: ("operand", "low", "high"),
+    And: ("operands",),
+    Or: ("operands",),
+    Not: ("operand",),
+    SelectItem: ("expr",),
+    OrderItem: ("expr",),
+    Select: ("items", "from_tables", "where", "group_by", "having", "order_by"),
+}
+
+
+def _child_fields(node: Node) -> tuple[str, ...]:
+    try:
+        return _CHILD_FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"not an AST node: {node!r}") from None
+
+
 def children(node: Node) -> Iterator[Node]:
     """Yield the direct AST children of ``node`` (excluding None)."""
-    if isinstance(node, (ColumnRef, Literal, Star, Parameter)):
-        return
-    elif isinstance(node, FuncCall):
-        yield node.arg
-    elif isinstance(node, UnaryMinus):
-        yield node.operand
-    elif isinstance(node, BinaryArith):
-        yield node.left
-        yield node.right
-    elif isinstance(node, ScalarSubquery):
-        yield node.query
-    elif isinstance(node, Comparison):
-        yield node.left
-        yield node.right
-    elif isinstance(node, IsNull):
-        yield node.operand
-    elif isinstance(node, InList):
-        yield node.operand
-        yield from node.items
-    elif isinstance(node, InSubquery):
-        yield node.operand
-        yield node.query
-    elif isinstance(node, Exists):
-        yield node.query
-    elif isinstance(node, Quantified):
-        yield node.operand
-        yield node.query
-    elif isinstance(node, Between):
-        yield node.operand
-        yield node.low
-        yield node.high
-    elif isinstance(node, (And, Or)):
-        yield from node.operands
-    elif isinstance(node, Not):
-        yield node.operand
-    elif isinstance(node, SelectItem):
-        yield node.expr
-    elif isinstance(node, OrderItem):
-        yield node.expr
-    elif isinstance(node, TableRef):
-        return
-    elif isinstance(node, Select):
-        yield from node.items
-        yield from node.from_tables
-        if node.where is not None:
-            yield node.where
-        yield from node.group_by
-        if node.having is not None:
-            yield node.having
-        yield from node.order_by
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
+    for name in _child_fields(node):
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            yield from value
+        elif value is not None:
+            yield value
+
+
+def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """Rebuild ``node`` from ``fn`` of each direct child.
+
+    The same object comes back when ``fn`` changed nothing, so untouched
+    subtrees keep their identity.  A rewriter states the nodes it changes
+    and hands every other node here.
+    """
+    changed: dict[str, object] = {}
+    for name in _child_fields(node):
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            mapped = tuple(fn(child) for child in value)
+            if any(new is not old for new, old in zip(mapped, value)):
+                changed[name] = mapped
+        elif value is not None:
+            mapped = fn(value)
+            if mapped is not value:
+                changed[name] = mapped
+    return replace(node, **changed) if changed else node
+
+
+def rewrite_leaves(node: Node, leaf: Callable[[Expr], Expr]) -> Node:
+    """Rebuild a tree bottom-up, applying ``leaf`` to every leaf expression.
+
+    ``leaf`` receives each :class:`Literal`/:class:`Parameter`/
+    :class:`ColumnRef`/:class:`Star` and returns a replacement (or the
+    node unchanged); FROM-clause entries are not expressions and stay.
+    """
+
+    def rewrite(node: Node) -> Node:
+        if isinstance(node, (Literal, Parameter, ColumnRef, Star)):
+            return leaf(node)
+        if isinstance(node, TableRef):
+            return node
+        return map_children(node, rewrite)
+
+    return rewrite(node)
 
 
 def walk(node: Node, *, into_subqueries: bool = True) -> Iterator[Node]:
@@ -444,17 +473,6 @@ def contains_aggregate(expr: Expr) -> bool:
     )
 
 
-def subquery_nodes(node: Node) -> Iterator[Expr]:
-    """Yield the predicate nodes of ``node`` that embed a query block.
-
-    Only the current block's own predicates are examined; blocks nested
-    inside those subqueries are not entered.
-    """
-    for item in walk(node, into_subqueries=False):
-        if isinstance(item, (ScalarSubquery, InSubquery, Exists, Quantified)):
-            yield item
-
-
 def conjuncts(predicate: Expr | None) -> list[Expr]:
     """Flatten a predicate into its top-level AND-ed conjuncts.
 
@@ -485,14 +503,3 @@ def make_and(predicates: Iterable[Expr | None]) -> Expr | None:
     if len(flat) == 1:
         return flat[0]
     return And(tuple(flat))
-
-
-def replace_where(block: Select, predicate: Expr | None) -> Select:
-    """Return ``block`` with its WHERE clause replaced."""
-    return replace(block, where=predicate)
-
-
-def fresh_name_generator(prefix: str = "TEMP") -> Iterator[str]:
-    """Yield an endless stream of distinct temp-table names."""
-    for index in itertools.count(1):
-        yield f"{prefix}{index}"

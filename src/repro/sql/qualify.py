@@ -10,37 +10,21 @@ surgery safe.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
 
 from repro.errors import BindError
 from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
-    And,
-    Between,
-    BinaryArith,
     ColumnRef,
-    Comparison,
-    Exists,
     Expr,
-    FuncCall,
-    InList,
-    InSubquery,
-    IsNull,
-    Literal,
-    Not,
-    Or,
+    Node,
     OrderItem,
-    Parameter,
-    Quantified,
-    ScalarSubquery,
     Select,
     SelectItem,
     Star,
-    UnaryMinus,
+    map_children,
 )
-
-
-from collections.abc import Callable
 
 #: Enumerates a binding's columns; enables ``SELECT *`` expansion.
 ColumnLister = Callable[[str], list[str] | None]
@@ -66,8 +50,12 @@ def qualify(
     local = select.table_bindings
     scopes = enclosing + (local,)
 
-    def fix(expr: Expr) -> Expr:
-        return _qualify_expr(expr, scopes, has_column, list_columns)
+    def fix(node: Node) -> Node:
+        if isinstance(node, ColumnRef):
+            return _qualify_ref(node, scopes, has_column)
+        if isinstance(node, Select):
+            return qualify(node, has_column, scopes, list_columns)
+        return map_children(node, fix)
 
     items: list[SelectItem] = []
     for item in select.items:
@@ -136,59 +124,3 @@ def _qualify_ref(
             )
     raise BindError(f"cannot resolve column {ref.column!r}")
 
-
-def _qualify_expr(
-    expr: Expr,
-    scopes: tuple[tuple[str, ...], ...],
-    has_column: ColumnResolver,
-    list_columns: ColumnLister | None = None,
-) -> Expr:
-    def fix(e: Expr) -> Expr:
-        return _qualify_expr(e, scopes, has_column, list_columns)
-
-    def fix_block(query: Select) -> Select:
-        return qualify(query, has_column, scopes, list_columns)
-
-    if isinstance(expr, ColumnRef):
-        return _qualify_ref(expr, scopes, has_column)
-    if isinstance(expr, (Literal, Star, Parameter)):
-        return expr
-    if isinstance(expr, FuncCall):
-        if isinstance(expr.arg, Star):
-            return expr
-        return FuncCall(expr.name, fix(expr.arg), expr.distinct)
-    if isinstance(expr, UnaryMinus):
-        return UnaryMinus(fix(expr.operand))
-    if isinstance(expr, BinaryArith):
-        return BinaryArith(fix(expr.left), expr.op, fix(expr.right))
-    if isinstance(expr, ScalarSubquery):
-        return ScalarSubquery(fix_block(expr.query))
-    if isinstance(expr, Comparison):
-        return Comparison(
-            fix(expr.left), expr.op, fix(expr.right), expr.outer, expr.null_safe
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(fix(expr.operand), expr.negated)
-    if isinstance(expr, InList):
-        return InList(
-            fix(expr.operand), tuple(fix(i) for i in expr.items), expr.negated
-        )
-    if isinstance(expr, InSubquery):
-        return InSubquery(fix(expr.operand), fix_block(expr.query), expr.negated)
-    if isinstance(expr, Exists):
-        return Exists(fix_block(expr.query), expr.negated)
-    if isinstance(expr, Quantified):
-        return Quantified(
-            fix(expr.operand), expr.op, expr.quantifier, fix_block(expr.query)
-        )
-    if isinstance(expr, Between):
-        return Between(
-            fix(expr.operand), fix(expr.low), fix(expr.high), expr.negated
-        )
-    if isinstance(expr, And):
-        return And(tuple(fix(op) for op in expr.operands))
-    if isinstance(expr, Or):
-        return Or(tuple(fix(op) for op in expr.operands))
-    if isinstance(expr, Not):
-        return Not(fix(expr.operand))
-    raise TypeError(f"cannot qualify {expr!r}")

@@ -225,6 +225,53 @@ class TestOrderByOnTransformedPlans:
         assert ni.result.rows == tr.result.rows == [(1, 1), (2, 1)]
 
 
+class TestHavingNodeRepertoire:
+    """Both HAVING rewriters hand-copied a subset of the expression
+    nodes: arithmetic, IN-lists and unary minus over an aggregate raised
+    ``unsupported HAVING expression`` under transform, and those plus
+    BETWEEN and IS NULL raised ``used outside aggregation context``
+    under nested iteration.  They now state the nodes they change and
+    leave the rest to ``map_children``.
+    """
+
+    ROWS = [(1, 1), (1, 2), (2, None), (3, 1), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize(
+        "having",
+        [
+            "COUNT(*) + 1 > 2",
+            "COUNT(*) IN (2, 3)",
+            "-COUNT(*) < -1",
+            "COUNT(*) BETWEEN 2 AND 3",
+            "SUM(T.B) IS NOT NULL",
+        ],
+    )
+    def test_having_shape_agrees_with_sqlite(self, having):
+        check(
+            case(
+                self.ROWS,
+                [],
+                f"SELECT T.A, COUNT(*) FROM T GROUP BY T.A HAVING {having}",
+            ),
+            expected=[(1, 2), (3, 3)],
+        )
+
+    def test_having_literal_through_the_plan_cache(self):
+        """``execute_cached`` turns the literal into a parameter, a leaf
+        the transform-side rewriter did not know either."""
+        from repro import Database
+
+        db = Database()
+        db.create_table("T", ["A", "B"])
+        db.insert("T", self.ROWS)
+        sql = "SELECT T.A, COUNT(*) FROM T GROUP BY T.A HAVING COUNT(*) > {}"
+        assert Counter(db.execute_cached(sql.format(1)).result.rows) == Counter(
+            [(1, 2), (3, 3)]
+        )
+        assert db.execute_cached(sql.format(2)).result.rows == [(3, 3)]
+        assert db.cache_stats().hits == 1
+
+
 class TestKnownDivergences:
     """Correctness gaps, tracked as strict xfails so tier-1 notices
     when one closes; a closed one stays as an ordinary regression.

@@ -8,15 +8,21 @@ from repro.optimizer.cost import (
     LOG_CEIL,
     LOG_CONTINUOUS,
     CostParameters,
+    final_join_cost_hash,
     final_join_cost_merge,
     final_join_cost_nested,
+    hash_aggregate_cost,
+    hash_join_cost,
     ja2_costs,
+    ja2_hash_cost,
     log_passes,
     nested_iteration_cost,
     nested_iteration_cost_auto,
     nested_iteration_cost_buffered,
     outer_projection_cost,
+    outer_projection_cost_hash,
     sort_cost,
+    temp_creation_cost_hash,
     temp_creation_cost_merge,
     temp_creation_cost_nested,
     transform_nj_cost,
@@ -141,3 +147,39 @@ class TestTransformNJ:
         ceil_cost = transform_nj_cost(20, 100, 11, mode=LOG_CEIL)
         cont_cost = transform_nj_cost(20, 100, 11, mode=LOG_CONTINUOUS)
         assert cont_cost <= ceil_cost
+
+
+class TestHashOperators:
+    """Model = machine: ``hash_join`` / ``hash_group_aggregate`` /
+    ``hash_distinct`` build in memory whatever ``B`` is, so the model
+    charges one read per input and one write per output and never a
+    partitioning pass — at any buffer size."""
+
+    def test_join_and_aggregate_are_one_pass(self):
+        assert hash_join_cost(30, 50) == 80
+        assert hash_join_cost(30, 50, result_pages=7) == 87
+        assert hash_join_cost(2200, 20) == 2220  # scan_big scale: no 3x
+        assert hash_aggregate_cost(40) == 40
+        assert hash_aggregate_cost(40, result_pages=5) == 45
+
+    def test_ja2_hash_steps_on_the_section_7_4_example(self):
+        params = CostParameters.paper_section_7_4()
+        assert outer_projection_cost_hash(params) == params.pi + params.pt2
+        assert temp_creation_cost_hash(params) == (
+            params.pj + params.pt3  # restrict and project Rj
+            + params.pt2 + params.pt3 + params.pt4  # join, write Rt4
+            + params.pt4 + params.pt  # aggregate, write Rt
+        )
+        assert final_join_cost_hash(params) == params.pt + params.pi
+        assert ja2_hash_cost(params) == (
+            outer_projection_cost_hash(params)
+            + temp_creation_cost_hash(params)
+            + final_join_cost_hash(params)
+        )
+
+    def test_cost_does_not_depend_on_the_buffer(self):
+        from dataclasses import replace
+
+        params = CostParameters.paper_section_7_4()
+        tiny = replace(params, buffer_pages=3)
+        assert ja2_hash_cost(tiny) == ja2_hash_cost(params)

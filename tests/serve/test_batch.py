@@ -104,7 +104,7 @@ class TestStrategySelection:
         db = make_db()
         stmt = db.prepare("SELECT COUNT(PNUM) FROM PARTS WHERE QOH > ?")
         with pytest.raises(BatchIneligible):
-            build_batch_plan(stmt._plan, db.catalog)
+            build_batch_plan(stmt._resolve(None)[0], db.catalog)
         batch = stmt.execute_batch([(0,), (3,)])
         assert batch.strategy == "loop"
         for threshold, report in zip((0, 3), batch.reports):
@@ -122,20 +122,21 @@ class TestStrategySelection:
         if stmt.mode != "generic":
             pytest.skip("shape not served by a generic plan")
         with pytest.raises(BatchIneligible):
-            build_batch_plan(stmt._plan, db.catalog)
+            build_batch_plan(stmt._resolve(None)[0], db.catalog)
 
     def test_derived_batch_plan_is_cached_per_plan(self):
         db = make_db()
         stmt = db.prepare(JA_PARAM)
         stmt.execute_batch(vectors(3))
-        first = stmt._batch
+        first = stmt._resolve(None)[0].batch_plan
+        assert first
         stmt.execute_batch(vectors(3))
-        assert stmt._batch is first
+        assert stmt._resolve(None)[0].batch_plan is first
         # DDL re-plans; the stale derived plan must be rebuilt too.
         db.create_index("SUPPLY", "PNUM")
         batch = stmt.execute_batch(vectors(3))
         assert batch.strategy == "batched"
-        assert stmt._batch is not first
+        assert stmt._resolve(None)[0].batch_plan is not first
 
 
 class TestSnapshotPinning:

@@ -112,7 +112,7 @@ def test_leased_last_link_leaves_upstream_entries_alone(monkeypatch):
     statement = db.prepare(JA)
     first = statement.execute((CUTOFF,))
     registry = db.plan_cache.sharing
-    plan = statement._plan
+    plan = statement._resolve(None)[0]
     upstream = link_keys(registry, plan)[:2]
     assert list(registry._entries)[:2] == upstream  # built first: oldest
 
@@ -154,7 +154,7 @@ def test_rebuilding_the_last_link_leases_what_it_reads(monkeypatch):
     statement = db.prepare(JA)
     first = statement.execute((CUTOFF,))
     registry = db.plan_cache.sharing
-    keys = link_keys(registry, statement._plan)
+    keys = link_keys(registry, statement._resolve(None)[0])
     evict(registry, keys[2:])
     blocks: list[str] = []
     real = SingleLevelExecutor.execute

@@ -150,7 +150,7 @@ class TestAnalyzeEquivalence:
                 nt2=pnum.distinct,
             )
             return (
-                hash_join_cost(params.pt, params.pi, params.buffer_pages),
+                hash_join_cost(params.pt, params.pi),
                 ja2_hash_cost(params),
             )
 

@@ -211,6 +211,7 @@ class TestRefcountedLifecycle:
             fingerprint = "F"
 
         plan = _Plan()
+        plan.registry = registry  # held by the cache: may publish
         keys = [("fp%d" % i, (), 1, 1, ()) for i in range(3)]
         first = registry.publish(keys[0], _Heap(), ["C"], plan, 1)
         assert first is not None  # lease held: pinned against eviction
