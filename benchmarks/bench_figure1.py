@@ -75,7 +75,7 @@ def measured_costs(row: str) -> tuple[float, float, PartsSupplySpec]:
             buffer_pages=6, seed=11,
         )
         catalog = build_parts_supply(spec)
-        ni, tr = compare_methods(catalog, GENERATED_N_QUERY, dedupe_inner=True)
+        ni, tr = compare_methods(catalog, GENERATED_N_QUERY)
         return ni.page_ios, tr.page_ios, spec
     if row == "Type-J":
         spec = PartsSupplySpec(
@@ -83,7 +83,7 @@ def measured_costs(row: str) -> tuple[float, float, PartsSupplySpec]:
             buffer_pages=6, seed=12,
         )
         catalog = build_parts_supply(spec)
-        ni, tr = compare_methods(catalog, GENERATED_J_QUERY, check="set")
+        ni, tr = compare_methods(catalog, GENERATED_J_QUERY)
         return ni.page_ios, tr.page_ios, spec
     spec = PartsSupplySpec(
         num_parts=100, num_supply=600, rows_per_page=10,
@@ -123,7 +123,7 @@ def test_figure1_row(row, benchmark):
     def run_transformed():
         from repro.bench.harness import measure
 
-        return measure(catalog, query, "transform", dedupe_inner=True).page_ios
+        return measure(catalog, query, "transform").page_ios
 
     ios = benchmark.pedantic(run_transformed, rounds=3, iterations=1)
     benchmark.extra_info.update(

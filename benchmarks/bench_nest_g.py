@@ -59,13 +59,11 @@ FIGURE2_QUERY = """
 
 def test_figure2_transformation(benchmark, write_report):
     catalog = figure2_catalog()
-    engine = Engine(catalog, dedupe_inner=True)
+    engine = Engine(catalog)
 
     def run():
         oracle = measure(catalog, FIGURE2_QUERY, "nested_iteration")
-        transformed = measure(
-            catalog, FIGURE2_QUERY, "transform", dedupe_inner=True
-        )
+        transformed = measure(catalog, FIGURE2_QUERY, "transform")
         return oracle, transformed
 
     oracle, transformed = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -74,20 +74,14 @@ WORKLOADS = [
     {
         "name": "figure1-type-n",
         "query": GENERATED_N_QUERY,
-        "dedupe_inner": True,
-        "dedupe_outer": False,
     },
     {
         "name": "figure1-type-j",
         "query": GENERATED_J_QUERY,
-        "dedupe_inner": False,
-        "dedupe_outer": True,
     },
     {
         "name": "figure1-type-ja",
         "query": GENERATED_JA_QUERY,
-        "dedupe_inner": False,
-        "dedupe_outer": False,
     },
 ]
 
@@ -135,8 +129,6 @@ def measure_point(
             lambda degree=degree: measure(
                 catalog, workload["query"], "transform",
                 join_method="hash",
-                dedupe_inner=workload["dedupe_inner"],
-                dedupe_outer=workload["dedupe_outer"],
                 parallelism=degree,
             ),
         )

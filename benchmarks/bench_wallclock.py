@@ -48,9 +48,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR2.json"
 
 #: The Figure-1 synthetic instances (same specs as bench_figure1.py).
-#: ``check`` is the cross-leg agreement discipline; every workload now
-#: requires bag (multiset) agreement — the type-J fan-out is fixed by
-#: the rowid-based ``dedupe_outer`` rewrite (see DESIGN.md).
+#: ``check`` is the cross-leg agreement discipline; every workload
+#: requires bag (multiset) agreement — an ``IN`` is merged as a
+#: semi-join, so a type-J match does not fan out (see DESIGN.md).
 WORKLOADS = [
     {
         "name": "figure1-type-n",
@@ -59,7 +59,6 @@ WORKLOADS = [
             num_parts=150, num_supply=4000, rows_per_page=10,
             buffer_pages=6, seed=11,
         ),
-        "dedupe_inner": True,
         "check": "bag",
     },
     {
@@ -69,12 +68,6 @@ WORKLOADS = [
             num_parts=100, num_supply=600, rows_per_page=10,
             buffer_pages=6, seed=12,
         ),
-        "dedupe_inner": False,
-        # A paper-literal type-J plan fans out outer rows that match
-        # several inner rows (35 baseline rows vs 40 transformed); the
-        # rowid fix-up restores nested-iteration multiplicities, so
-        # every leg must now agree as a bag.  See DESIGN.md.
-        "dedupe_outer": True,
         "check": "bag",
     },
     {
@@ -84,7 +77,6 @@ WORKLOADS = [
             num_parts=100, num_supply=600, rows_per_page=10,
             buffer_pages=6, seed=13,
         ),
-        "dedupe_inner": False,
         "check": "bag",
     },
 ]
@@ -101,22 +93,16 @@ def best_of(repeats: int, run) -> MeasuredRun:
 def measure_workload(workload: dict, repeats: int, smoke: bool) -> list[dict]:
     catalog = build_parts_supply(workload["spec"])
     query = workload["query"]
-    dedupe = workload["dedupe_inner"]
-    dedupe_outer = workload.get("dedupe_outer", False)
 
     legs: dict[str, MeasuredRun] = {}
     with interpreted_only():
         legs["nested_iteration[interpreted]"] = best_of(
             repeats,
-            lambda: measure(
-                catalog, query, "nested_iteration", dedupe_inner=dedupe
-            ),
+            lambda: measure(catalog, query, "nested_iteration"),
         )
     legs["nested_iteration[compiled]"] = best_of(
         repeats,
-        lambda: measure(
-            catalog, query, "nested_iteration", dedupe_inner=dedupe
-        ),
+        lambda: measure(catalog, query, "nested_iteration"),
     )
     if not smoke:
         for join_method in JOIN_METHODS:
@@ -124,8 +110,7 @@ def measure_workload(workload: dict, repeats: int, smoke: bool) -> list[dict]:
                 repeats,
                 lambda: measure(
                     catalog, query, "transform",
-                    join_method=join_method, dedupe_inner=dedupe,
-                    dedupe_outer=dedupe_outer,
+                    join_method=join_method,
                 ),
             )
 

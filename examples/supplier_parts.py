@@ -26,9 +26,10 @@ EXAMPLES = [
     ("(1) suppliers of part P2", INTRO_QUERY_1, "bag"),
     ("(2) type-A nesting", TYPE_A_QUERY, "bag"),
     ("(3) type-N nesting", TYPE_N_QUERY, "bag"),
-    # Paper-literal NEST-N-J can duplicate outer rows for type-J
-    # (DESIGN.md, "NEST-N-J and duplicates") — compare as sets.
-    ("(4) type-J nesting", TYPE_J_QUERY, "set"),
+    # Kim's literal NEST-N-J would duplicate outer rows here (DESIGN.md,
+    # "NEST-N-J and duplicates"); NEST-G merges the inner temp as a
+    # semi-join, so the bags agree.
+    ("(4) type-J nesting", TYPE_J_QUERY, "bag"),
     ("(5) type-JA nesting", TYPE_JA_QUERY, "bag"),
 ]
 

@@ -12,7 +12,7 @@ Three entry points, matched to the three places plans exist:
   resolves against its input row schema), grouped-output coverage,
   ORDER BY resolution, and join-shape invariants (outer joins must
   preserve the accumulated left input, hash joins key on equality
-  only);
+  only, a semi table's columns are read by WHERE only);
 * :func:`verify_transform` — a whole NEST-G result: each temp-table
   definition is verified in build order against the catalog plus the
   temps defined so far, the canonical query must be nest-free, and
@@ -38,7 +38,6 @@ from repro.analysis.nullability import (
     catalog_provider,
 )
 from repro.catalog.catalog import Catalog
-from repro.engine.relation import ROWID_COLUMN
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -101,7 +100,7 @@ def output_names(select: Select) -> list[str]:
 
 
 class _Columns:
-    """Per-block binding → column-name sets, with rowid awareness."""
+    """Per-block binding → column-name sets."""
 
     def __init__(
         self,
@@ -150,13 +149,6 @@ def _resolve_ref(
 ) -> None:
     """Check one reference against a scope chain (innermost first)."""
     span = source_map.column_span(ref) if source_map is not None else None
-    if ref.column == ROWID_COLUMN:
-        # The implicit rowid pseudo-column exists on every scanned
-        # relation; it must be qualified to name whose rowid it is.
-        if ref.table is not None and any(
-            ref.table in scope for scope in scopes
-        ):
-            return
     if ref.table is None and require_qualified:
         findings.add(
             Diagnostic(
@@ -332,6 +324,7 @@ def verify_single_level(
             _resolve_ref(node, scopes, findings, subject=subject)
 
     _verify_join_shape(select, local, findings, join_method, subject)
+    _verify_semi_scope(select, local, findings, subject)
     if select.group_by or select.has_aggregate_select():
         _verify_grouped_output(select, findings, subject)
     if select.order_by:
@@ -436,6 +429,38 @@ def _verify_join_shape(
                         subject=to_sql(comparison),
                     )
                 )
+
+
+def _verify_semi_scope(
+    select: Select,
+    local: dict[str, set[str]],
+    findings: Findings,
+    subject: str,
+) -> None:
+    """PV012: a semi table's columns are visible to WHERE only — a
+    semi-join puts out none of its right columns, so a SELECT, GROUP
+    BY, HAVING or ORDER BY reference would find nothing to read."""
+    semi = {ref.binding for ref in select.from_tables if ref.semi}
+    if not semi:
+        return
+    outside = [*select.items, *select.group_by, *select.order_by]
+    if select.having is not None:
+        outside.append(select.having)
+    for ref in (r for clause in outside for r in column_refs(clause)):
+        owners = (
+            {ref.table}
+            if ref.table is not None
+            else {b for b, cols in local.items() if ref.column in cols}
+        )
+        if owners and owners <= semi:
+            findings.add(
+                Diagnostic(
+                    "PV012",
+                    f"column {ref.qualified()} of a semi-joined table is "
+                    "read outside WHERE",
+                    subject=subject,
+                )
+            )
 
 
 def _verify_grouped_output(

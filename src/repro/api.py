@@ -54,16 +54,6 @@ class Database:
         ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2), or
             ``"kim"`` / ``"kim-outer"`` to reproduce the original buggy
             NEST-JA and its naive outer-join repair.
-        dedupe_inner: restrict, project and deduplicate the inner
-            relation of an ``IN`` subquery into a temp before it is
-            merged — uncorrelated (type-N) and correlated (type-J)
-            alike (see DESIGN.md).
-        dedupe_outer: apply the rowid-based semijoin fix-up that
-            restores nested-iteration multiplicities after a merge
-            that may fan out (the modern answer to Kim's Lemma-1
-            caveat); NEST-G derives that no fix-up is needed when every
-            column of the deduplicated inner temp is matched by a
-            strict equality.
         plan_cache_size: capacity of the serving-layer plan cache used
             by :meth:`execute_cached` / :meth:`prepare` (default 128).
         io_delay: simulated per-page-read latency in seconds (sleeps
@@ -94,8 +84,6 @@ class Database:
         buffer_pages: int = 32,
         join_method: str = "merge",
         ja_algorithm: str = "ja2",
-        dedupe_inner: bool = False,
-        dedupe_outer: bool = False,
         plan_cache_size: int = 128,
         io_delay: float = 0.0,
         parallelism: int = 1,
@@ -116,8 +104,6 @@ class Database:
             self.catalog,
             join_method=join_method,
             ja_algorithm=ja_algorithm,
-            dedupe_inner=dedupe_inner,
-            dedupe_outer=dedupe_outer,
             plan_cache=self.plan_cache,
             parallelism=parallelism,
             parallel_threshold=parallel_threshold,

@@ -52,10 +52,9 @@ def compare_methods(
     ``settings`` given) on the same query.
 
     ``check`` verifies the transformed result against the baseline:
-    ``"bag"`` (multiset equality, the default), ``"set"`` (for
-    paper-literal type-J plans, whose multiplicities may legitimately
-    differ — see DESIGN.md), or None (for deliberately buggy algorithms
-    such as ``ja_algorithm="kim"``).  A benchmark must never silently
+    ``"bag"`` (multiset equality, the default), ``"set"`` (duplicates
+    ignored), or None (for deliberately buggy algorithms such as
+    ``ja_algorithm="kim"``).  A benchmark must never silently
     time a wrong answer.
     """
     baseline = measure(catalog, sql, "nested_iteration")

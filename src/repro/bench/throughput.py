@@ -69,23 +69,16 @@ WORKLOADS = [
             "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < ?)"
         ),
         "params": (CUTOFF,),
-        "dedupe_inner": True,
     },
     {
         "name": "figure1-type-j",
         "query": GENERATED_J_QUERY,
         "param_query": GENERATED_J_QUERY,
         "params": (),
-        "dedupe_inner": False,
-        # NEST-N-J at the root of a type-J query can fan out outer
-        # rows (the Lemma-1 caveat); the rowid fix-up restores
-        # nested-iteration multiplicities, keeping every path's rows
-        # comparable to the SQLite oracle.
-        "dedupe_outer": True,
-        # The transformed type-J plan is a flat join with no setup
-        # temps, so a cache hit only skips planning/verification —
-        # execution dominates and the speedup is modest.  The gate
-        # just requires the cached path not to be slower.
+        # The query text carries its cutoff as a literal and the plan
+        # is one inner temp plus a semi-join, so a cache hit skips
+        # little besides planning/verification.  The gate just
+        # requires the cached path not to be slower.
         "min_speedup": 1.0,
     },
     {
@@ -97,7 +90,6 @@ WORKLOADS = [
             "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)"
         ),
         "params": (CUTOFF,),
-        "dedupe_inner": False,
     },
 ]
 
@@ -154,12 +146,7 @@ def measure_latency(workload: dict, iters: int) -> list[dict]:
     catalog = build_parts_supply(LATENCY_SPEC)
     cache = PlanCache()
     cache.attach(catalog)
-    engine = Engine(
-        catalog,
-        plan_cache=cache,
-        dedupe_inner=workload["dedupe_inner"],
-        dedupe_outer=workload.get("dedupe_outer", False),
-    )
+    engine = Engine(catalog, plan_cache=cache)
     name = workload["name"]
 
     cold_report = engine.run(workload["query"], method="transform")
@@ -202,12 +189,7 @@ def measure_scaling(workload: dict, calls_per_thread: int) -> list[dict]:
     catalog.buffer.disk.io_delay = SCALING_IO_DELAY
     cache = PlanCache()
     cache.attach(catalog)
-    engine = Engine(
-        catalog,
-        plan_cache=cache,
-        dedupe_inner=workload["dedupe_inner"],
-        dedupe_outer=workload.get("dedupe_outer", False),
-    )
+    engine = Engine(catalog, plan_cache=cache)
     name = workload["name"]
     reference = engine.run_cached(
         workload["query"], method="transform"
@@ -261,7 +243,7 @@ def _build_mixed_database(spec):
     from repro.api import Database
 
     source = build_parts_supply(spec)
-    db = Database(buffer_pages=spec.buffer_pages, dedupe_inner=False)
+    db = Database(buffer_pages=spec.buffer_pages)
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
     db.insert("PARTS", list(source.heap_of("PARTS").scan()))

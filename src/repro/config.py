@@ -1,6 +1,6 @@
 """The physical configuration of a plan, as one value.
 
-:class:`ExecConfig` is the only way the eight plan-shaping settings
+:class:`ExecConfig` is the only way the six plan-shaping settings
 travel below ``Database.__init__`` / ``Engine.__init__``: planning and
 both executors read it, the plan cache keys on it, and a
 :class:`~repro.serve.plan.CachedPlan` stores the one it runs under.
@@ -50,10 +50,6 @@ class ExecConfig:
             means the default and is resolved here, once.
         ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2), or
             ``"kim"`` / ``"kim-outer"`` (the bug-reproducing originals).
-        dedupe_inner: restrict, project and deduplicate the inner
-            relation of an IN subquery into a temp before merging.
-        dedupe_outer: the rowid fix-up that restores nested-iteration
-            multiplicities after a merge that may fan out.
         exists_count_mode: ``"star"`` | ``"paper"`` (section 8.1).
         quantifier_mode: ``"exact"`` | ``"paper"`` (section 8.2).
     """
@@ -62,8 +58,6 @@ class ExecConfig:
     parallelism: int = 1
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
     ja_algorithm: str = "ja2"
-    dedupe_inner: bool = False
-    dedupe_outer: bool = False
     exists_count_mode: str = "star"
     quantifier_mode: str = "exact"
 

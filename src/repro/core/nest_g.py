@@ -9,7 +9,11 @@ transformation between each block and its parent:
   **type-JA**: ``nest_ja2()`` then immediately ``nest_nj()``;
 * inner SELECT has an aggregate, no correlation → **type-A**: evaluate
   the block once and replace it with the resulting constant;
-* no aggregate → **type-N/J**: ``nest_nj()``.
+* no aggregate → **type-N/J**: ``nest_nj()`` — for an ``IN``, over the
+  restricted, projected, duplicate-free inner temp, merged as a
+  semi-joined table (``FROM PARTS, SEMI JTEMP_3``): Kim's Lemma 1
+  (``IN`` → ``=``) is a statement about sets, a semi-join is what
+  ``IN`` means for bags.
 
 Because the recursion transforms children first, a join predicate that
 spans several levels (the paper's Figure 2, where block E references a
@@ -28,7 +32,8 @@ from repro.config import ExecConfig
 from repro.core.classify import catalog_resolver, ensure_transformable
 from repro.core.nest_ja import apply_nest_ja, apply_nest_ja_outer_naive
 from repro.core.nest_ja2 import apply_nest_ja2
-from repro.core.nest_nj import apply_nest_nj, dedupe_inner_setup
+from repro.core._ja_common import side_of
+from repro.core.nest_nj import apply_nest_nj, inner_temp_setup, joined_plainly
 from repro.core.transform import TempTableDef
 from repro.errors import TransformError
 from repro.sql.analysis import is_correlated
@@ -40,6 +45,7 @@ from repro.sql.ast import (
     MIRRORED_OPS,
     ScalarSubquery,
     Select,
+    column_refs,
     conjuncts,
     make_and,
     walk,
@@ -58,12 +64,6 @@ class GeneralTransform:
         built: how many of ``setup`` were already materialized during
             transformation (to evaluate type-A blocks that referenced
             earlier temps); the pipeline builds the rest.
-        root_tables: the root block's original FROM clause, before any
-            merges (used by the ``dedupe_outer`` multiplicity fix-up).
-        root_fanout_merge: True when a NEST-N-J merge at the root level
-            may have changed output multiplicities — the Lemma-1 caveat:
-            any merge without inner dedup, and a deduplicated one whose
-            temp is not matched on all its columns by strict equalities.
         folded: True when NEST-A evaluated a block (building the
             ``built`` prefix first) and folded its value into ``query``
             or ``setup``: the result then describes the data it was
@@ -74,8 +74,6 @@ class GeneralTransform:
     query: Select
     trace: list[str]
     built: int = 0
-    root_tables: tuple = ()
-    root_fanout_merge: bool = False
     folded: bool = False
 
 
@@ -90,21 +88,18 @@ def nest_g(
         catalog: resolves schemas; type-A blocks are evaluated against
             it (System R behaviour), as are any temp tables they need.
         config: ``ja_algorithm`` picks NEST-JA2 or a bug-reproducing
-            original and ``dedupe_inner`` the DESIGN.md multiset fix-up
-            (off by default for paper fidelity); ``join_method`` and the
-            parallel settings run the temp builds and type-A
-            evaluations transformation itself needs.
+            original; ``join_method`` and the parallel settings run the
+            temp builds and type-A evaluations transformation itself
+            needs.
     """
     driver = _NestG(catalog, config)
-    canonical = driver.transform(select, env={}, is_root=True)
+    canonical = driver.transform(select, env={})
     _check_canonical(canonical)
     return GeneralTransform(
         setup=driver.setup,
         query=canonical,
         trace=driver.trace,
         built=driver.built,
-        root_tables=select.from_tables,
-        root_fanout_merge=driver.root_fanout_merge,
         folded=driver.folded,
     )
 
@@ -116,15 +111,12 @@ class _NestG:
         self.setup: list[TempTableDef] = []
         self.trace: list[str] = []
         self.built = 0
-        self.root_fanout_merge = False
         self.folded = False
         self._has_column = catalog_resolver(catalog)
 
     # -- recursion ---------------------------------------------------------
 
-    def transform(
-        self, block: Select, env: dict[str, str], is_root: bool = False
-    ) -> Select:
+    def transform(self, block: Select, env: dict[str, str]) -> Select:
         """Postorder transformation of one query block."""
         ensure_transformable(block)
 
@@ -150,16 +142,14 @@ class _NestG:
                 node = new_node
                 inner = transformed_inner
 
-            block = self._dispatch(block, node, inner, env, inner_env, is_root)
+            block = self._dispatch(block, node, inner, inner_env)
 
     def _dispatch(
         self,
         block: Select,
         node: Expr,
         inner: Select,
-        env: dict[str, str],
         inner_env: dict[str, str],
-        is_root: bool = False,
     ) -> Select:
         visible = tuple(inner_env)
         has_column = self._resolver_for(inner_env)
@@ -178,31 +168,21 @@ class _NestG:
                 )
             return self._apply_a(block, node, inner)
         kind = "J" if correlated else "N"
-        label = f"type-{kind}"
-        # A plain NEST-N-J merge can fan out outer rows (the Lemma-1
-        # multiset caveat); one into a deduplicated inner temp says
-        # whether it can.
-        fans_out = True
-        if self.config.dedupe_inner and isinstance(node, InSubquery):
-            fix = dedupe_inner_setup(
+        merged_what = "inner block"
+        if isinstance(node, InSubquery):
+            # IN is a semi-join: merge the duplicate-free inner temp as a
+            # SEMI table, so no outer row fans out (the Lemma-1 caveat).
+            # A scalar comparison matches at most one row: merged flat.
+            temp, over_temp = inner_temp_setup(
                 node, self.catalog.create_temp_name, has_column
             )
-            if fix is not None:
-                temp, new_node, fans_out = fix
-                self.setup.append(temp)
-                self.trace.append(f"NEST-{kind} dedup: {temp.describe()}")
-                block = _replace_conjunct(block, node, new_node)
-                node = new_node
-                label += ", deduplicated, " + (
-                    "may fan out"
-                    if fans_out
-                    else "cannot fan out: no rowid fix-up"
-                )
-        if fans_out and is_root:
-            # The pipeline's dedupe_outer fix-up restores multiplicities.
-            self.root_fanout_merge = True
+            self.setup.append(temp)
+            self.trace.append(f"NEST-{kind} inner temp: {temp.describe()}")
+            block = _replace_conjunct(block, node, over_temp)
+            node = over_temp
+            merged_what = f"{temp.name} as a semi-join"
         merged = apply_nest_nj(block, node)
-        self.trace.append(f"NEST-N-J ({label}): merged inner block")
+        self.trace.append(f"NEST-N-J (type-{kind}): merged {merged_what}")
         return merged
 
     def _apply_ja(
@@ -222,6 +202,22 @@ class _NestG:
             raise TransformError(
                 "type-JA nesting requires a scalar comparison predicate"
             )
+        # The step projects the inner columns its correlated predicates
+        # read; a semi table's columns do not come out of its join, so a
+        # table read there joins plainly.  (It can then fan out below
+        # the aggregate: ROADMAP's open type-J-under-type-JA case.)
+        local = set(inner.table_bindings)
+        correlated = [
+            conjunct
+            for conjunct in conjuncts(inner.where)
+            if any(
+                side_of(ref, local, has_column) == "outer"
+                for ref in column_refs(conjunct)
+            )
+        ]
+        inner = joined_plainly(
+            inner, {ref.table for c in correlated for ref in column_refs(c)}
+        )
         fresh = lambda: self.catalog.create_temp_name("TEMP")
         if self.config.ja_algorithm == "ja2":
             result = apply_nest_ja2(
@@ -294,7 +290,12 @@ class _NestG:
         self._build_pending_setup()
         from repro.engine.nested_iteration import NestedIterationExecutor
 
-        return NestedIterationExecutor(self.catalog, self.config).execute(inner).rows
+        # Nested iteration gives SEMI no meaning: the block joins plainly.
+        return (
+            NestedIterationExecutor(self.catalog, self.config)
+            .execute(joined_plainly(inner))
+            .rows
+        )
 
     def _build_pending_setup(self) -> None:
         from repro.errors import ParameterizedPlanError

@@ -13,14 +13,15 @@ time; the recursive driver (NEST-G) walks multi-level queries.
 Faithfulness note (see DESIGN.md, "NEST-N-J and duplicates"): replacing
 ``IN`` by ``=`` preserves *set* semantics (Kim's Lemma 1) but can
 change multiplicities when the inner relation holds duplicate values in
-the projected column.  Under ``dedupe_inner`` the pipeline restricts,
-projects and deduplicates the inner relation first
-(:func:`dedupe_inner_setup`), for type-N and type-J alike.
+the projected column.  :func:`apply_nest_nj` is the literal algorithm;
+NEST-G hands it an ``IN`` over the restricted, projected, duplicate-free
+inner temp of :func:`inner_temp_setup`, marked as a semi-joined table,
+for type-N and type-J alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import replace
 
 from repro.core._ja_common import side_of
@@ -32,6 +33,7 @@ from repro.sql.ast import (
     Comparison,
     Expr,
     InSubquery,
+    Literal,
     MIRRORED_OPS,
     ScalarSubquery,
     Select,
@@ -87,29 +89,32 @@ def apply_nest_nj(outer: Select, node: Expr) -> Select:
     )
 
 
-def dedupe_inner_setup(
+def inner_temp_setup(
     node: InSubquery,
     fresh_name: Callable[[str], str],
     has_column: ColumnResolver,
-) -> tuple[TempTableDef, InSubquery, bool] | None:
-    """The inner-side fix-up: restrict, project and deduplicate the
-    inner relation *before* the join (NEST-JA2's step 2, for type-N/J).
+) -> tuple[TempTableDef, InSubquery]:
+    """The inner relation of ``x IN (SELECT item FROM inner WHERE ...)``
+    restricted, projected and duplicate-free *before* the join
+    (NEST-JA2's step 2, for type-N/J), to be merged as a semi-join.
 
     The inner WHERE splits, as ``decompose_inner_block`` splits it, into
     local and correlated conjuncts.  Returns the definition ``temp =
     SELECT DISTINCT <every inner column a correlated conjunct reads> AS
-    J1.., item AS C1 FROM inner WHERE <local conjuncts>``, the predicate
-    ``x IN (SELECT C1 FROM temp WHERE <correlated conjuncts over temp>)``
-    for NEST-N-J to merge, and whether that merge can fan an outer row
-    out.  It cannot when a strict ``=`` pins every temp column to an
-    expression of outer columns only: a duplicate-free relation matched
-    on all its columns has at most one partner (``=`` is never true on
-    NULL).  Type-N is the case of no correlated conjunct: ``C1`` alone,
-    pinned by the ``IN`` itself.
+    J1.., item AS C1 FROM inner WHERE <local conjuncts>`` and the
+    predicate ``x IN (SELECT C1 FROM SEMI temp WHERE <correlated
+    conjuncts over temp>)`` for NEST-N-J to merge: the ``SEMI`` mark
+    rides into the merged FROM clause, so an outer row survives once
+    however many temp rows match it.  Type-N is the case of no
+    correlated conjunct: ``C1`` alone.  An item that reads an outer
+    column is no column of the inner relation: its inner columns are
+    projected like the correlation columns and the item is spelled over
+    them.
 
-    Returns None — the caller merges the block as it stands — when the
-    split cannot express it: the item reads an outer column, or a
-    correlated block groups or is DISTINCT.
+    The definition is a DISTINCT projection, where Kim's Lemma 1 holds
+    as stated, so semi tables merged into ``inner`` earlier join plainly
+    in it: a correlated conjunct carried out of the block may read their
+    columns.
     """
     inner = node.query
     item = _single_item(inner)
@@ -120,46 +125,63 @@ def dedupe_inner_setup(
 
     local = [c for c in conjuncts(inner.where) if sides(c) <= {"inner"}]
     correlated = [c for c in conjuncts(inner.where) if sides(c) - {"inner"}]
-    if "outer" in sides(item) or (
-        correlated and (inner.group_by or inner.having or inner.distinct)
-    ):
-        return None
-    temp_name = fresh_name("JTEMP" if correlated else "NTEMP")
+    outer_item = "outer" in sides(item)
+    if (correlated or outer_item) and (inner.group_by or inner.having):
+        raise TransformError(
+            "correlated inner blocks with GROUP BY/HAVING are not supported"
+        )
+    temp_name = fresh_name("JTEMP" if correlated or outer_item else "NTEMP")
     # Correlation columns first, as NEST-JA2's TEMP3 has them: the
     # sort-unique then delivers the order the final merge join wants.
     column_of: dict[Expr, ColumnRef] = {}
-    for ref in (r for c in correlated for r in column_refs(c)):
+    carried = [*correlated, item] if outer_item else correlated
+    for ref in (r for expr in carried for r in column_refs(expr)):
         if ref not in column_of and sides(ref) == {"inner"}:
             column_of[ref] = ColumnRef(temp_name, f"J{len(column_of) + 1}")
-    pinned = {
-        column
-        for c in correlated
-        if isinstance(c, Comparison) and c.op == "=" and not c.null_safe
-        for column, other in ((c.left, c.right), (c.right, c.left))
-        if column in column_of and sides(other) <= {"outer"}
-    }
-    result = ColumnRef(temp_name, "C1")  # pinned by the IN: operand = C1
+
+    def over_temp(expr: Expr) -> Expr:
+        return rewrite_leaves(expr, lambda leaf: column_of.get(leaf, leaf))
+
+    projected = list(column_of.items())
+    if outer_item:
+        result = over_temp(item)
+    else:
+        result = ColumnRef(temp_name, "C1")
+        projected.append((item, result))
+    if not projected:
+        # Nothing of the inner relation is read: only whether it is empty.
+        projected.append((Literal(1), ColumnRef(temp_name, "C1")))
     temp_query = replace(
-        inner,
+        joined_plainly(inner),
         items=tuple(
-            SelectItem(expr, alias=column.column)
-            for expr, column in [*column_of.items(), (item, result)]
+            SelectItem(expr, alias=column.column) for expr, column in projected
         ),
         where=make_and(local),
         distinct=True,
     )
     new_inner = Select(
         items=(SelectItem(result, alias="C1"),),
-        from_tables=(TableRef(temp_name),),
-        where=make_and(
-            rewrite_leaves(c, lambda leaf: column_of.get(leaf, leaf))
-            for c in correlated
-        ),
+        from_tables=(TableRef(temp_name, semi=True),),
+        where=make_and(over_temp(c) for c in correlated),
     )
     return (
         TempTableDef(temp_name, temp_query),
         InSubquery(node.operand, new_inner, node.negated),
-        pinned != set(column_of),
+    )
+
+
+def joined_plainly(block: Select, bindings: Collection[str] | None = None) -> Select:
+    """``block`` with the semi mark cleared — on ``bindings`` only, when
+    given: those tables join as Kim's NEST-N-J has them."""
+    return replace(
+        block,
+        from_tables=tuple(
+            replace(
+                ref,
+                semi=ref.semi and bindings is not None and ref.binding not in bindings,
+            )
+            for ref in block.from_tables
+        ),
     )
 
 

@@ -31,7 +31,6 @@ from repro.config import ExecConfig
 from repro.core.classify import catalog_resolver
 from repro.core.nest_g import GeneralTransform, nest_g
 from repro.core.predicates import rewrite_extended_predicates
-from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError, TransformError
 from repro.sql.ast import Select
@@ -83,6 +82,13 @@ def prepare_query(
     bindings: dict[str, str] = {}
     for node in walk(select):
         if isinstance(node, TableRef):
+            if node.semi:
+                # Plan syntax (NEST-G's mark on a merged inner temp);
+                # nested iteration gives it no meaning.
+                raise ReproError(
+                    f"SEMI {node.binding}: a statement cannot mark a table "
+                    "as semi-joined; write the IN predicate instead"
+                )
             if not catalog.has_table(node.name):
                 raise CatalogError(f"no such table: {node.name}")
             previous = bindings.setdefault(node.binding, node.name)
@@ -274,113 +280,8 @@ class Engine:
         return "\n".join(lines)
 
 
-# -- planning steps: functions of (session catalog, config), called in this
-# -- order (after prepare_query and nest_g) by repro.serve.plan.build_plan ----
-
-
-def dedupe_outer_fixup(
-    transform: GeneralTransform, catalog: Catalog, config: ExecConfig
-) -> tuple[list[TempTableDef], Select, int]:
-    """Apply the rowid multiplicity fix-up to the canonical query.
-
-    When a NEST-N-J merge at the root may have fanned out outer
-    rows (``root_fanout_merge``: NEST-G derives it per merge — one
-    into a duplicate-free inner temp matched on all its columns
-    cannot) and ``config.dedupe_outer`` is on, rewrite the canonical
-    query to ``SELECT DISTINCT rid(T1), ..., rid(Tk), <items> ...`` using
-    the implicit rowid of each original outer table; the caller
-    strips the leading rowid columns.  DISTINCT over unique rowids
-    collapses the fan-out to exactly one row per surviving outer
-    tuple — restoring nested-iteration multiplicities even when
-    outer rows are value-identical.  See DESIGN.md.
-
-    Returns the temp definitions the fix-up appends to the chain,
-    the (possibly rewritten) query, and the number of leading
-    columns to strip.  Purely structural: no data is read.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.engine.relation import ROWID_COLUMN
-    from repro.sql.ast import ColumnRef, SelectItem
-
-    query = transform.query
-    if not (config.dedupe_outer and transform.root_fanout_merge):
-        return [], query, 0
-    if query.group_by or query.has_aggregate_select() or query.distinct:
-        # Aggregated root: dedup must happen *before* aggregation
-        # (the fan-out would corrupt COUNT/SUM/AVG).  Stage the
-        # deduplicated outer rows in one more temp, then aggregate
-        # over it.
-        staging, aggregated = _dedupe_outer_aggregated(transform, catalog)
-        return [staging], aggregated, 0
-    rid_items = tuple(
-        SelectItem(ColumnRef(ref.binding, ROWID_COLUMN), alias=f"RID{i}")
-        for i, ref in enumerate(transform.root_tables)
-    )
-    rewritten = dc_replace(query, items=rid_items + query.items, distinct=True)
-    return [], rewritten, len(rid_items)
-
-
-def _dedupe_outer_aggregated(
-    transform: GeneralTransform, catalog: Catalog
-) -> tuple[TempTableDef, Select]:
-    """Pre-aggregation dedup: stage distinct outer rows in a temp.
-
-    ``SELECT agg(...) FROM O, ... WHERE W [GROUP BY g]`` becomes::
-
-        DTEMP = SELECT DISTINCT rid(O), O.c1, ..., O.ck
-                FROM O, ... WHERE W
-        SELECT agg(...') FROM DTEMP [GROUP BY g']
-
-    where the primes rewrite O's column references to DTEMP's.
-    ``DTEMP`` is an ordinary trailing definition of the temp chain.
-    Supported for a single original outer table (the common shape);
-    multiple outer tables would need disambiguated staging columns.
-    """
-    from repro.engine.relation import ROWID_COLUMN
-    from repro.sql.ast import ColumnRef, SelectItem, TableRef, rewrite_leaves
-
-    query = transform.query
-    if len(transform.root_tables) != 1:
-        raise TransformError(
-            "dedupe_outer with aggregation supports a single outer table"
-        )
-    outer_binding = transform.root_tables[0].binding
-    outer_table = transform.root_tables[0].name
-    outer_columns = catalog.schema_of(outer_table).column_names
-
-    temp_name = catalog.create_temp_name("DTEMP")
-    staging_items = (
-        SelectItem(ColumnRef(outer_binding, ROWID_COLUMN), alias="RID"),
-    ) + tuple(
-        SelectItem(ColumnRef(outer_binding, column), alias=column)
-        for column in outer_columns
-    )
-    staging = Select(
-        items=staging_items,
-        from_tables=query.from_tables,
-        where=query.where,
-        distinct=True,
-    )
-
-    def to_staging(leaf):
-        if isinstance(leaf, ColumnRef) and leaf.table == outer_binding:
-            return ColumnRef(temp_name, leaf.column)
-        return leaf
-
-    def rewrite(expr):
-        return rewrite_leaves(expr, to_staging)
-
-    aggregated = Select(
-        items=tuple(
-            SelectItem(rewrite(item.expr), item.alias) for item in query.items
-        ),
-        from_tables=(TableRef(temp_name),),
-        group_by=tuple(rewrite(expr) for expr in query.group_by),
-        having=rewrite(query.having) if query.having is not None else None,
-        distinct=query.distinct,
-    )
-    return TempTableDef(temp_name, staging), aggregated
+# -- the planning step after prepare_query and nest_g, called by
+# -- repro.serve.plan.build_plan ---------------------------------------------
 
 
 def verify_plan(
@@ -388,8 +289,6 @@ def verify_plan(
     transform: GeneralTransform,
     catalog: Catalog,
     config: ExecConfig,
-    fixup: list[TempTableDef],
-    final_query: Select,
 ) -> tuple[Findings, list[str]]:
     """Mandatory post-transform static checks (``Engine.verify``).
 
@@ -398,16 +297,10 @@ def verify_plan(
     scope check on the *qualified* input AST runs first (PV003
     enforces that qualification really qualified everything), then
     the plan verifier walks the temp chain and canonical query, and
-    the Kim-bug lint looks for the paper's section 5 shapes.
-
-    ``fixup`` and ``final_query`` are what :func:`dedupe_outer_fixup`
-    made of the canonical query; the plan verifier never sees
-    those, so they are checked here by the executor's own rule
-    (any error raises, whatever the JA algorithm) — once per plan,
-    which is why a replay runs its blocks with ``verify=False``.
+    the Kim-bug lint looks for the paper's section 5 shapes.  Once per
+    plan, which is why a replay runs its blocks with ``verify=False``.
     """
     from repro.analysis import lint_transform, verify_nested, verify_transform
-    from repro.analysis.verifier import collect_temp_infos, verify_single_level
 
     findings = verify_nested(rewritten, catalog, require_qualified=True)
     plan_findings, temps = verify_transform(
@@ -431,16 +324,4 @@ def verify_plan(
             f"[{d.rule}] {d.message}"
             for d in findings
         ] or ["verifier: plan ok"]
-
-    if final_query is not transform.query:
-        if fixup:
-            temps = collect_temp_infos([*transform.setup, *fixup], catalog)
-        for block in (*(d.query for d in fixup), final_query):
-            rewrite_findings = verify_single_level(
-                block, catalog, temps=temps, join_method=config.join_method
-            )
-            if not rewrite_findings.by_rule("PV004"):
-                rewrite_findings.raise_errors(
-                    "static verification of canonical query"
-                )
     return findings, trace

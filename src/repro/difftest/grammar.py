@@ -15,7 +15,11 @@ The grammar deliberately concentrates on the paper's hard spots:
   (section 5.3's operator bug);
 * EXISTS / NOT EXISTS / ANY / ALL with every comparison operator
   (section 8), including over empty inner sets;
-* uncorrelated NOT IN (NEST-A territory) and plain type-N/J nesting.
+* uncorrelated NOT IN (NEST-A territory) and plain type-N/J nesting;
+* type-J ``IN`` the ways a semi-join must get right and a flat merge
+  gets wrong: theta-, ``<=>``- and disjunction-correlated, an item that
+  reads an outer column — under plain, aggregated and grouped roots,
+  over one outer table or two (``U`` again, as ``X``).
 
 Data is integer-only over a tiny domain: small domains force
 duplicates and join collisions, and they sidestep SQLite type-affinity
@@ -149,9 +153,19 @@ class CaseGenerator:
         return f"T.A NOT IN (SELECT U.A FROM U{self._inner_where(False)})"
 
     def _type_j(self) -> str:
-        where = f" WHERE U.C {self.op()} T.B"
+        correlation = self.rng.choice(
+            (
+                f"U.C {self.op()} T.B",
+                f"U.C {self.op()} T.B",
+                "U.C <=> T.B",
+                f"(U.C = T.B OR U.A {self.op()} T.B)",
+                f"U.C {self.op()} T.B AND U.A {self.op()} T.A",
+            )
+        )
+        where = f" WHERE {correlation}"
         where += self.maybe_and_simple("U", TABLES["U"])
-        return f"T.A IN (SELECT U.A FROM U{where})"
+        item = self.rng.choice(("U.A", "U.A", "U.A", "U.A + T.B", "T.B"))
+        return f"T.A IN (SELECT {item} FROM U{where})"
 
     def _exists(self) -> str:
         keyword = "EXISTS" if self.rng.random() < 0.5 else "NOT EXISTS"
@@ -186,8 +200,24 @@ class CaseGenerator:
         conjuncts = [self.nested_predicate()]
         if self.rng.random() < 0.4:
             conjuncts.append(self.simple_predicate("T", TABLES["T"]))
+        tables = "T"
+        if self.rng.random() < 0.25:
+            # A second outer table: every T row once per partner.
+            tables = "T, U X"
+            conjuncts.append(f"T.A {self.rng.choice(('=', '<='))} X.A")
         self.rng.shuffle(conjuncts)
-        return "SELECT T.A, T.B FROM T WHERE " + " AND ".join(conjuncts)
+        # What the root does with the rows the predicates let through.
+        select, tail = "T.A, T.B", ""
+        roll = self.rng.random()
+        if roll < 0.4:
+            select = self.rng.choice(_AGGS).format(col="T.B")
+            if roll < 0.2:
+                select, tail = f"T.A, {select}", " GROUP BY T.A"
+        return (
+            f"SELECT {select} FROM {tables} WHERE "
+            + " AND ".join(conjuncts)
+            + tail
+        )
 
     def _flat_query(self) -> str:
         roll = self.rng.random()

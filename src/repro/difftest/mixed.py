@@ -105,9 +105,7 @@ class _Shadow:
 
 
 def _make_db() -> Database:
-    # SQL-semantics dedupe fix-ups on, exactly like the read-only
-    # difftest: the leg checks the fixed-up pipeline against SQLite.
-    db = Database(buffer_pages=24, dedupe_inner=True, dedupe_outer=True)
+    db = Database(buffer_pages=24)
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
     return db

@@ -165,15 +165,10 @@ def _write_batch(rng: random.Random) -> tuple[str, list[tuple]]:
 
 
 def _make_database(parallelism: int) -> Database:
-    # dedupe_inner/outer on, like the classic difftest legs: the
-    # paper-faithful defaults reproduce Kim's Lemma-1 multiplicity
-    # caveat by design, and this leg checks the fixed-up pipeline.
     db = Database(
         buffer_pages=128,
         parallelism=parallelism,
         parallel_threshold=0 if parallelism > 1 else None,
-        dedupe_inner=True,
-        dedupe_outer=True,
     )
     db.create_table("PARTS", ["PNUM", "QOH"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "text")])

@@ -23,11 +23,6 @@ one join method — compiler on or off, serial or parallel — must report
 how many shards, is not part of the plan, so a difference in page
 counts is a divergence even when the rows agree.
 
-The engine runs with ``dedupe_inner=True, dedupe_outer=True``: the
-paper-faithful defaults reproduce Kim's Lemma-1 multiplicity caveat by
-design, and the difftest's job is to check the *fixed-up* pipeline
-against real SQL semantics.
-
 Static analysis rides along on every leg: the engine's default
 ``verify=True`` runs the plan verifier + Kim-bug lint
 (:mod:`repro.analysis`) over each transformed plan before execution,
@@ -116,7 +111,7 @@ def run_case(
     except Exception as exc:  # pragma: no cover - grammar emits valid SQL
         return CaseOutcome(case, "error", detail=f"parse: {exc}")
 
-    engine = Engine(catalog, dedupe_inner=True, dedupe_outer=True)
+    engine = Engine(catalog)
     results: dict[str, Counter] = {}
 
     try:
@@ -144,8 +139,6 @@ def run_case(
             executor = Engine(
                 catalog,
                 join_method=join_method,
-                dedupe_inner=True,
-                dedupe_outer=True,
                 parallelism=degree,
                 # The grammar's cases are tiny; without a zero threshold
                 # a parallel leg would silently run the serial operators.

@@ -21,9 +21,16 @@ Join methods provided (section 7 considers both at each join step):
   inputs**: the right input is read once into an in-memory hash table
   with duplicate chains, then the left input probes it.  An extension
   beyond the paper's section-7 repertoire (its cost model considers
-  only nested-loop and sort-merge); inner and left-outer modes, the
-  null-safe ``<=>`` key regime, and in-join residual predicates all
-  match :func:`merge_join` semantics exactly.
+  only nested-loop and sort-merge); the join modes, the null-safe
+  ``<=>`` key regime, and in-join residual predicates all match
+  :func:`merge_join` semantics exactly.
+
+All three take ``mode="inner"``, ``"left"`` (the outer join of section
+5.2) or ``"semi"``: a left row comes out once, alone, when some right
+row satisfies the key *and* the residual — what ``x IN (SELECT ...)``
+means for bags, where Kim's Lemma 1 (``IN`` → ``=``) holds for sets
+only.  A semi join's output is a subsequence of its left input: the
+left schema, the left order, uniqueness kept.
 
 Hash-based grouping (:func:`hash_group_aggregate`) and duplicate
 elimination (:func:`hash_distinct`) likewise avoid the sort their
@@ -85,7 +92,18 @@ from repro.errors import ExecutionError
 from repro.sql.ast import And, ColumnRef, Comparison, Expr
 from repro.storage.buffer import BufferPool
 
-JoinMode = str  # "inner" | "left"
+JoinMode = str  # "inner" | "left" | "semi"
+
+
+def _join_output(
+    left: Relation, right: Relation, mode: JoinMode, ordered: tuple[int, ...]
+) -> tuple[RowSchema, Order]:
+    """A join's output schema and order claim; ``ordered`` is the column
+    order an inner or outer join's rows come out in (a left row may
+    repeat there, so it is never a key)."""
+    if mode == "semi":
+        return left.schema, left.order
+    return left.schema + right.schema, (ordered, False)
 
 
 def scan_table(entry: TableEntry, binding: str | None = None) -> Relation:
@@ -248,9 +266,9 @@ def nested_loop_join(
     ``B - 1`` pages the measured cost collapses to one read of each
     input — exactly the distinction the paper's section 7.2 draws.
     """
-    out_schema = left.schema + right.schema
     right_nulls = (None,) * len(right.schema)
-    keep = _row_predicate(predicate, out_schema)
+    keep = _row_predicate(predicate, left.schema + right.schema)
+    semi = mode == "semi"
 
     def generate() -> Iterator[tuple]:
         for left_row in left:
@@ -259,13 +277,18 @@ def nested_loop_join(
                 combined = left_row + right_row
                 if keep is None or keep(combined) is True:
                     matched = True
+                    if semi:
+                        break  # the rest of this rescan is not read
                     yield combined
-            if mode == "left" and not matched:
+            if semi:
+                if matched:
+                    yield left_row
+            elif mode == "left" and not matched:
                 yield left_row + right_nulls
 
-    # The left input's order survives; a left row may repeat, so no key.
+    out_schema, order = _join_output(left, right, mode, left.order[0])
     return Relation.materialize(
-        out_schema, generate(), buffer, name=name, order=(left.order[0], False)
+        out_schema, generate(), buffer, name=name, order=order
     )
 
 
@@ -312,7 +335,8 @@ def merge_join(
 
     ``mode="left"`` is the outer join of section 5.2: left tuples with
     no match appear once, NULL-padded on the right — the fix that lets
-    COUNT see its empty groups.
+    COUNT see its empty groups.  ``mode="semi"`` emits each left tuple
+    that has a match once, without the right columns.
 
     ``null_safe`` (equi joins only) is the NULL regime per key column —
     one bool for all of them — where True makes NULL join NULL (``<=>``
@@ -323,7 +347,8 @@ def merge_join(
     *as part of the join condition*: a right row only counts as a match
     when it returns True.  This matters for ``mode="left"`` — filtering
     after an outer join would drop the NULL-padded rows (and fail to
-    NULL-pad left rows whose only key matches flunk the residual).
+    NULL-pad left rows whose only key matches flunk the residual) — and
+    for ``mode="semi"``, whose output has no right columns to filter on.
     """
     regimes = _regimes(null_safe, len(left_key))
     if op == "=":
@@ -344,10 +369,9 @@ def merge_join(
     # One list per left row, flattened at C speed; the writer still
     # pulls row by row, so output pages are allocated between the same
     # input reads as ever.
-    out_schema = left.schema + right.schema
+    out_schema, order = _join_output(left, right, mode, tuple(left_key))
     return Relation.materialize(
-        out_schema, chain.from_iterable(matches), buffer, name=name,
-        order=(tuple(left_key), False),
+        out_schema, chain.from_iterable(matches), buffer, name=name, order=order
     )
 
 
@@ -356,9 +380,17 @@ def _joined(
     matches: Sequence[tuple],
     residual: Callable[[tuple], object] | None,
     outer_pad: tuple | None,
+    semi: bool,
 ) -> list[tuple]:
     """One left row's output: its surviving matches, or — outer join,
-    none survived — the row NULL-padded."""
+    none survived — the row NULL-padded; semi join: the row itself,
+    when any survives."""
+    if semi:
+        if residual is None:
+            hit = bool(matches)
+        else:
+            hit = any(residual(left_row + r) is True for r in matches)
+        return [left_row] if hit else []
     out = [left_row + right_row for right_row in matches]
     if residual is not None:
         out = [combined for combined in out if residual(combined) is True]
@@ -389,6 +421,7 @@ def _merge_equi_join(
     over like any other non-match.
     """
     outer_pad = (None,) * len(right.schema) if mode == "left" else None
+    semi = mode == "semi"
     # Raw keys: the bare value for one column, a tuple otherwise.
     left_of = itemgetter(*left_key)
     single = len(left_key) == 1
@@ -427,7 +460,7 @@ def _merge_equi_join(
                 else:
                     current, group = step[0], list(step[1])
             matches = group if not exhausted and current == key else ()
-            out = _joined(left_row, matches, residual, outer_pad)
+            out = _joined(left_row, matches, residual, outer_pad, semi)
             if out:
                 yield out
 
@@ -449,6 +482,7 @@ def _merge_theta_join(
     against them.
     """
     outer_pad = (None,) * len(right.schema) if mode == "left" else None
+    semi = mode == "semi"
     right_rows = [
         row
         for row in chain.from_iterable(right.iter_batches())
@@ -476,7 +510,7 @@ def _merge_theta_join(
                 matches = _theta_range(
                     right_rows, right_keys, orderable(value), op
                 )
-            out = _joined(left_row, matches, residual, outer_pad)
+            out = _joined(left_row, matches, residual, outer_pad, semi)
             if out:
                 yield out
 
@@ -553,9 +587,9 @@ def hash_probe_body(
       them (dict equality on None is exactly null-safe matching);
     * a conjunct reading only right columns filters rows out of the
       hash table at build; only left columns, it masks probe rows —
-      equivalent for inner and left-outer joins alike (a left row all
-      of whose matches fail the residual pads with NULLs either way),
-      and far cheaper than materializing candidates;
+      equivalent in every mode (a left row all of whose matches fail
+      the residual pads with NULLs, or is dropped, either way), and far
+      cheaper than materializing candidates;
     * anything left over keeps the candidate-time check (kernel when it
       compiles, per-row scalar fallback otherwise).
 
@@ -644,6 +678,7 @@ def hash_probe_body(
                 bucket.append(row)
 
     left_outer = mode == "left"
+    semi = mode == "semi"
 
     def probe(batch: list[tuple]) -> list[tuple]:
         if not batch:
@@ -667,6 +702,12 @@ def hash_probe_body(
         else:
             buckets = list(map(get, keys))
         if residual is None:
+            if semi:
+                return [
+                    left_row
+                    for left_row, bucket in zip(batch, buckets)
+                    if bucket is not None
+                ]
             if left_outer:
                 extend = out.extend
                 for left_row, bucket in zip(batch, buckets):
@@ -690,8 +731,13 @@ def hash_probe_body(
                     combined = left_row + right_row
                     if residual(combined) is True:
                         matched = True
+                        if semi:
+                            break
                         append(combined)
-                if left_outer and not matched:
+                if semi:
+                    if matched:
+                        append(left_row)
+                elif left_outer and not matched:
                     append(left_row + right_nulls)
             return out
         # Candidate combined rows for the whole probe batch, filtered by
@@ -704,16 +750,17 @@ def hash_probe_body(
                 cand.extend([left_row + r for r in bucket])
             spans.append(len(cand))
         mask = residual_kernel(list(zip(*cand)), len(cand), None) if cand else []
-        if not left_outer:
+        if not (left_outer or semi):
             return [row for row, value in zip(cand, mask) if value is True]
         start = 0
         for left_row, end in zip(batch, spans):
-            matched = False
-            for i in range(start, end):
-                if mask[i] is True:
-                    matched = True
-                    append(cand[i])
-            if not matched:
+            hits = [cand[i] for i in range(start, end) if mask[i] is True]
+            if semi:
+                if hits:
+                    append(left_row)
+            elif hits:
+                out.extend(hits)
+            else:
                 append(left_row + right_nulls)
             start = end
         return out
@@ -764,6 +811,7 @@ def hash_join(
     SQL ``=``: a NULL in either key matches nothing — build rows with
     NULL keys are not even inserted, and probe rows with NULL keys
     produce no matches (but are NULL-padded under ``mode="left"``).
+    ``mode="semi"`` emits the probe rows that have a match, each once.
 
     ``null_safe`` switches key columns — all of them, or each by its
     own bool — to ``<=>`` semantics: a NULL there hashes and joins like
@@ -777,12 +825,13 @@ def hash_join(
     probe = hash_probe_body(
         left.schema, right, left_key, right_key, mode, null_safe, residual
     )
+    out_schema, order = _join_output(left, right, mode, left.order[0])
     return Relation.materialize_batches(
-        left.schema + right.schema,
+        out_schema,
         _nonempty(probe, left.iter_batches()),
         buffer,
         name=name,
-        order=(left.order[0], False),
+        order=order,
     )
 
 

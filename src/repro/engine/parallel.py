@@ -50,6 +50,7 @@ from repro.engine.exchange import run_tasks
 from repro.engine.operators import (
     JoinMode,
     _aggregate_plan,
+    _join_output,
     _nonempty,
     _scalar_aggregate,
     hash_probe_body,
@@ -138,8 +139,9 @@ def parallel_hash_join(
     afterwards, so workers probe it without any synchronization.  The
     probe side is sharded; each worker emits matches in its shard's
     scan order and the ordered gather restores the serial probe order,
-    so output rows, NULL padding under ``mode="left"``, and in-join
-    ``residual`` semantics are all exactly the serial operator's.
+    so output rows, NULL padding under ``mode="left"``, the one row
+    per matched probe row of ``mode="semi"``, and in-join ``residual``
+    semantics are all exactly the serial operator's.
 
     (A partitioned build with per-worker tables merged was the
     alternative; the shared build wins here because the probe side is
@@ -150,12 +152,13 @@ def parallel_hash_join(
     probe = hash_probe_body(
         left.schema, right, left_key, right_key, mode, null_safe, residual
     )
+    out_schema, order = _join_output(left, right, mode, left.order[0])
     return Relation.materialize_batches(
-        left.schema + right.schema,
+        out_schema,
         _scatter(left, probe, parallelism),
         buffer,
         name=name,
-        order=(left.order[0], False),
+        order=order,
     )
 
 

@@ -29,10 +29,8 @@ from repro.storage.heap import HeapFile
 
 __all__ = [
     "NO_ORDER",
-    "ROWID_COLUMN",
     "Order",
     "Relation",
-    "RowidRelation",
     "describe_order",
     "temp_rows_per_page",
 ]
@@ -292,94 +290,3 @@ class Relation:
             f"Relation({self.name or '?'}, {backing}, rows={self.num_rows},"
             f" pages={self.num_pages})"
         )
-
-
-#: Name of the implicit row-identifier column (see :class:`RowidRelation`).
-ROWID_COLUMN = "#RID"
-
-
-class RowidRelation(Relation):
-    """A view of a relation with an appended row-identifier column.
-
-    Scanning a heap is deterministic, so enumerating the scan gives
-    every physical tuple a stable identity — even when two tuples are
-    value-identical.  The pipeline's ``dedupe_outer`` fix-up (see
-    DESIGN.md) uses this to restore nested-iteration multiplicities
-    after a type-J NEST-N-J merge: DISTINCT over (rowid, output)
-    collapses the join's fan-out back to one row per outer tuple.
-
-    The view owns no storage: ``heap`` and the in-memory row list
-    delegate to the base relation, so backing-state checks
-    (``is_heap_backed``, ``heap is not None``, ``num_rows``,
-    ``num_pages``, drop decisions) all agree with the base instead of
-    splitting brains between "the view has no heap" and "the view is
-    heap-backed".  Note the delegated heap stores the *base* tuples —
-    the rowid column exists only on rows produced by iterating the
-    view itself.
-    """
-
-    def __init__(self, base: Relation, binding: str) -> None:
-        # Deliberately does not call Relation.__init__: this is a view
-        # whose backing state is the base's (see the class docstring).
-        self._base = base
-        self.schema = base.schema + RowSchema([(binding, ROWID_COLUMN)])
-        self.name = base.name
-
-    @property
-    def heap(self):  # type: ignore[override]
-        return self._base.heap
-
-    @property
-    def _rows(self):  # type: ignore[override]
-        return self._base._rows
-
-    def __iter__(self):
-        return (row + (rid,) for rid, row in enumerate(self._base))
-
-    def iter_batches(self) -> Iterator[list[tuple]]:
-        rid = 0
-        for batch in self._base.iter_batches():
-            out = []
-            for row in batch:
-                out.append(row + (rid,))
-                rid += 1
-            yield out
-
-    def iter_partition_batches(
-        self, index: int, partitions: int, scheme: str = "range"
-    ) -> Iterator[list[tuple]]:
-        """Shard the view while keeping rowids identical to a serial scan.
-
-        Rowids are scan positions, so a shard must know each batch's
-        global offset without scanning the shards before it.  For heap
-        bases that offset is ``page_index * rows_per_page`` — exact
-        because the append path fills every page but the last before
-        allocating a new one (see :meth:`HeapFile.rows_before`).  For
-        in-memory bases batches start at fixed multiples of the batch
-        size.  Either way the rids a shard assigns are exactly the rids
-        the serial :meth:`iter_batches` would assign those rows.
-        """
-        heap = self.heap
-        if heap is not None:
-            shard = heap.partition_pages(partitions, scheme)[index]
-            for page_index, rows in heap.scan_pages_partition(shard):
-                rid = heap.rows_before(page_index)
-                yield [row + (rid + slot,) for slot, row in enumerate(rows)]
-            return
-        rows = self._rows
-        starts = list(range(0, len(rows), _MEMORY_BATCH_ROWS))
-        if scheme == "range":
-            base, extra = divmod(len(starts), partitions)
-            lo = index * base + min(index, extra)
-            hi = lo + base + (1 if index < extra else 0)
-            mine = starts[lo:hi]
-        elif scheme == "hash":
-            mine = starts[index::partitions]
-        else:
-            raise ValueError(f"unknown partition scheme {scheme!r}")
-        for start in mine:
-            batch = rows[start : start + _MEMORY_BATCH_ROWS]
-            yield [row + (start + slot,) for slot, row in enumerate(batch)]
-
-    def drop(self) -> None:
-        self._base.drop()

@@ -62,12 +62,7 @@ from repro.engine.parallel import (
     parallel_hash_join,
     parallel_restrict_project,
 )
-from repro.engine.relation import (
-    ROWID_COLUMN,
-    Relation,
-    RowidRelation,
-    describe_order,
-)
+from repro.engine.relation import Relation, describe_order
 from repro.engine.schema import RowSchema
 from repro.engine.sort import external_sort
 from repro.errors import PlanError
@@ -85,6 +80,14 @@ from repro.sql.ast import (
     walk,
 )
 from repro.sql.printer import to_sql
+
+
+def _join_step(method: str, mode: str, on: str) -> str:
+    """A join's step text: ``merge semi-join on ...``."""
+    return (
+        f"{method} {'semi-join' if mode == 'semi' else 'join'} on {on}"
+        + (" (left outer)" if mode == "left" else "")
+    )
 
 
 #: The single-pass operators and their exchange counterparts; the
@@ -249,13 +252,14 @@ class SingleLevelExecutor:
         tables = select.from_tables
         if not tables:
             raise PlanError("query has no FROM clause")
+        if tables[0].semi:
+            raise PlanError(
+                f"semi table {tables[0].binding} has no table before it to restrict"
+            )
 
-        rowid_bindings = self._rowid_bindings(select)
         relations: list[Relation] = []
         for ref in tables:
             relation = scan_table(self.catalog.get(ref.name), binding=ref.binding)
-            if ref.binding in rowid_bindings:
-                relation = RowidRelation(relation, ref.binding)
             local = self._table_local_predicate(
                 all_conjuncts, relation.schema, ref.binding
             )
@@ -268,8 +272,8 @@ class SingleLevelExecutor:
             relations.append(relation)
 
         joined = relations[0]
-        for relation in relations[1:]:
-            joined = self._join_pair(all_conjuncts, joined, relation)
+        for ref, relation in zip(tables[1:], relations[1:]):
+            joined = self._join_pair(all_conjuncts, joined, relation, ref.semi)
         return joined
 
     def _table_local_predicate(
@@ -284,16 +288,6 @@ class SingleLevelExecutor:
                 local.append(conjunct)
                 self._consumed.add(index)
         return make_and(local)
-
-    def _rowid_bindings(self, select: Select) -> set[str]:
-        """Bindings whose implicit rowid column the query references."""
-        return {
-            node.table
-            for node in walk(select)
-            if isinstance(node, ColumnRef)
-            and node.column == ROWID_COLUMN
-            and node.table is not None
-        }
 
     def _bindings_used(self, conjunct: Expr) -> set[str]:
         used: set[str] = set()
@@ -320,8 +314,16 @@ class SingleLevelExecutor:
     # -- pairwise joins --------------------------------------------------------
 
     def _join_pair(
-        self, all_conjuncts: list[Expr], left: Relation, right: Relation
+        self,
+        all_conjuncts: list[Expr],
+        left: Relation,
+        right: Relation,
+        semi: bool = False,
     ) -> Relation:
+        """Join the accumulated ``left`` with the next FROM table on the
+        conjuncts that read both.  A ``semi`` table (``TableRef.semi``)
+        is semi-joined: its columns do not come out, so every conjunct
+        that reads it must be part of this join's condition."""
         left_quals = left.schema.qualifiers
         right_quals = right.schema.qualifiers
 
@@ -349,15 +351,31 @@ class SingleLevelExecutor:
                 else:
                     theta.append((left_col, op, right_col, outer))
 
+        mode = "left" if self._any_outer(equi, theta) else "inner"
+        if semi:
+            stray = [
+                to_sql(conjunct)
+                for index, conjunct in enumerate(all_conjuncts)
+                if index not in self._consumed
+                and self._bindings_used(conjunct) & right_quals
+            ]
+            if stray or mode == "left":
+                raise PlanError(
+                    f"semi table {right.name} must be joined by every "
+                    "conjunct that reads it, none of them an outer join: "
+                    + "; ".join(stray or ["outer-join marker"])
+                )
+            mode = "semi"
+
         if self.config.join_method == "nested":
             predicate = make_and(
                 [Comparison(l, "=", r, null_safe=ns) for l, r, _, ns in equi]
                 + [self._theta_pred_expr(t) for t in theta]
                 + other
             )
-            mode = "left" if self._any_outer(equi, theta) else "inner"
             self._log(
-                f"nested-loop join ({to_sql(predicate) if predicate else 'cross'})"
+                f"nested-loop {'semi-join' if semi else 'join'} "
+                f"({to_sql(predicate) if predicate else 'cross'})"
             )
             return self._run(
                 nested_loop_join, left, right, self.buffer,
@@ -366,18 +384,18 @@ class SingleLevelExecutor:
 
         if equi:
             if self.config.join_method == "hash":
-                return self._hash_equi(left, right, equi, theta, other)
-            return self._merge_equi(left, right, equi, theta, other)
+                return self._hash_equi(left, right, mode, equi, theta, other)
+            return self._merge_equi(left, right, mode, equi, theta, other)
         if theta:
             # No equi keys to hash on: the hash method falls back to the
             # sorted theta merge join.
-            return self._merge_theta(left, right, theta, other)
+            return self._merge_theta(left, right, mode, theta, other)
 
         # No join predicate: cross product by nested loops.
         self._log("cross product (no join predicate)")
         return self._run(
             nested_loop_join, left, right, self.buffer,
-            predicate=make_and(other), name="cross",
+            predicate=make_and(other), mode=mode, name="cross",
         )
 
     def _equi_keys(self, equi, left: Relation, right: Relation) -> tuple:
@@ -411,11 +429,10 @@ class SingleLevelExecutor:
         first = max(covered(right, 1), covered(left, 0), key=len)
         return first + [e for e in equi if e not in first]
 
-    def _merge_equi(self, left, right, equi, theta, other) -> Relation:
+    def _merge_equi(self, left, right, mode, equi, theta, other) -> Relation:
         left_keys, right_keys, regimes, text = self._equi_keys(
             self._aligned(equi, left, right), left, right
         )
-        mode = "left" if self._any_outer(equi, theta) else "inner"
         residual_preds = [self._theta_pred_expr(t) for t in theta] + other
         left = self._ensure_sorted(left, tuple(left_keys))
         right = self._ensure_sorted(right, tuple(right_keys))
@@ -424,23 +441,21 @@ class SingleLevelExecutor:
             left_keys, right_keys, op="=", mode=mode, name="merge-join",
             null_safe=regimes,
             residual=self._residual_callable(
-                make_and(residual_preds) if mode == "left" else None,
+                make_and(residual_preds) if mode != "inner" else None,
                 left.schema + right.schema,
             ),
         )
-        self._log(
-            f"merge join on {text}" + (" (left outer)" if mode == "left" else "")
-        )
-        if mode == "left":
+        self._log(_join_step("merge", mode, text))
+        if mode != "inner":
             return joined  # residual already applied inside the join
         return self._filter(joined, make_and(residual_preds))
 
-    def _hash_equi(self, left, right, equi, theta, other) -> Relation:
+    def _hash_equi(self, left, right, mode, equi, theta, other) -> Relation:
         left_keys, right_keys, regimes, text = self._equi_keys(equi, left, right)
-        mode = "left" if self._any_outer(equi, theta) else "inner"
         residual_preds = [self._theta_pred_expr(t) for t in theta] + other
         # Hash joins need no sorted inputs; the residual is always
-        # applied in-join (required for the outer mode, free otherwise).
+        # applied in-join (required for the outer and semi modes, free
+        # otherwise).
         joined = self._run(
             hash_join, left, right, self.buffer,
             left_keys, right_keys, mode=mode, name="hash-join",
@@ -449,18 +464,13 @@ class SingleLevelExecutor:
                 make_and(residual_preds), left.schema + right.schema
             ),
         )
-        self._log(
-            f"hash join on {text}"
-            + (" (left outer)" if mode == "left" else "")
-            + " (build right, no sort)"
-        )
+        self._log(_join_step("hash", mode, text) + " (build right, no sort)")
         return joined
 
-    def _merge_theta(self, left, right, theta, other) -> Relation:
+    def _merge_theta(self, left, right, mode, theta, other) -> Relation:
         left_col, op, right_col, outer = theta[0]
         left_key = left.schema.index_of(left_col)
         right_key = right.schema.index_of(right_col)
-        mode = "left" if self._any_outer([], theta) else "inner"
 
         residual_preds = [self._theta_pred_expr(t) for t in theta[1:]] + other
         left = self._ensure_sorted(left, (left_key,))
@@ -472,15 +482,17 @@ class SingleLevelExecutor:
             merge_join, left, right, self.buffer,
             [left_key], [right_key], op=op, mode=mode, name="theta-join",
             residual=self._residual_callable(
-                make_and(residual_preds) if mode == "left" else None,
+                make_and(residual_preds) if mode != "inner" else None,
                 left.schema + right.schema,
             ),
         )
         self._log(
-            f"theta merge join on {right_col.qualified()} {op} "
-            f"{left_col.qualified()}" + (" (left outer)" if mode == "left" else "")
+            _join_step(
+                "theta merge", mode,
+                f"{right_col.qualified()} {op} {left_col.qualified()}",
+            )
         )
-        if mode == "left":
+        if mode != "inner":
             return joined
         return self._filter(joined, make_and(residual_preds))
 
@@ -837,13 +849,11 @@ class SingleLevelExecutor:
             self._run, external_sort, relation, list(keys), self.buffer,
             name="sorted",
         )
-        # Base-table heaps are the versioned ones; a rowid view numbers
-        # rows in heap order, which a sorted copy would not reproduce.
+        # Base-table heaps are the versioned ones.
         if (
             self.sorted_runs is not None
             and relation.heap is not None
             and relation.heap.versioned
-            and not isinstance(relation, RowidRelation)
         ):
             run, leased = self.sorted_runs(relation, keys, sort)
         else:

@@ -24,9 +24,9 @@ executes the whole batch set-at-a-time:
 The rewrite is purely structural — no data access — so it is derived
 once per plan and rides on it (``CachedPlan.batch_plan``).  Shapes
 the rewrite cannot prove correct (grouped/aggregated final queries,
-ORDER BY, full outer joins, dedupe-outer row-id plans, custom
-statements) raise :class:`BatchIneligible` and the statement falls back
-to the per-vector loop — under one pinned MVCC snapshot either way, so
+ORDER BY, full outer joins, custom statements) raise
+:class:`BatchIneligible` and the statement falls back to the per-vector
+loop — under one pinned MVCC snapshot either way, so
 a batch can never straddle a concurrent commit.
 """
 
@@ -139,6 +139,40 @@ def _rewrite_parameters(query: Select, binding_name: str) -> Select:
     return rewrite_leaves(query, leaf)
 
 
+def _seq_sources(
+    query: Select, batched_names: set[str], binding_name: str, required: bool
+) -> tuple[list[ColumnRef], tuple[TableRef, ...]]:
+    """The batch-sequence columns a block can read — the one it puts
+    out first — and its FROM clause, with the binding relation crossed
+    in when it has to be: the block reads a parameter, or a source is
+    ``required`` (a batched definition always puts one out) and no input
+    has one.
+
+    A semi table's ``BSEQ`` does not come out of its join, so a block
+    with a batched semi table crosses ``B`` in as well and ``B.SEQ =
+    temp.BSEQ`` becomes part of the semi condition.  ``B`` goes ahead of
+    the first semi table: every conjunct that reads a semi table is
+    consumed by that table's join, and some now read ``B`` (the seq
+    equalities, a rewritten parameter).
+    """
+    batched = [ref for ref in query.from_tables if ref.name in batched_names]
+    sources = [ColumnRef(ref.binding, SEQ_COLUMN) for ref in batched]
+    from_tables = query.from_tables
+    if (
+        _uses_parameter(query)
+        or any(ref.semi for ref in batched)
+        or (required and not batched)
+    ):
+        sources.insert(0, ColumnRef(binding_name, "SEQ"))
+        at = next(
+            (i for i, ref in enumerate(from_tables) if ref.semi), len(from_tables)
+        )
+        from_tables = (
+            from_tables[:at] + (TableRef(binding_name),) + from_tables[at:]
+        )
+    return sources, from_tables
+
+
 def _rewrite_definition(
     query: Select, batched_names: set[str], binding_name: str
 ) -> Select:
@@ -156,12 +190,6 @@ def _rewrite_definition(
             "scalar aggregate without GROUP BY collapses across the batch"
         )
     name_of = {ref.binding: ref.name for ref in query.from_tables}
-    batched_bindings = [
-        ref.binding
-        for ref in query.from_tables
-        if ref.name in batched_names
-    ]
-    add_binding = _uses_parameter(query) or not batched_bindings
     rewritten = _rewrite_parameters(query, binding_name)
 
     # Outer comparisons: when the padded side is batched, its seq column
@@ -203,19 +231,13 @@ def _rewrite_definition(
                 )
             )
 
-    sources: list[ColumnRef] = []
-    if add_binding:
-        sources.append(ColumnRef(binding_name, "SEQ"))
-    for binding in batched_bindings:
-        if binding not in covered:
-            sources.append(ColumnRef(binding, SEQ_COLUMN))
+    sources, from_tables = _seq_sources(
+        query, batched_names, binding_name, required=True
+    )
+    sources = [source for source in sources if source.table not in covered]
     seq_predicates.extend(
         Comparison(sources[0], "=", source) for source in sources[1:]
     )
-
-    from_tables = rewritten.from_tables
-    if add_binding:
-        from_tables = from_tables + (TableRef(binding_name),)
     group_by = rewritten.group_by
     if group_by:
         group_by = group_by + (sources[0],)
@@ -237,27 +259,15 @@ def _rewrite_final(
         raise BatchIneligible("final query aggregates across the batch")
     if _outer_comparisons(query):
         raise BatchIneligible("final query contains an outer join")
-    batched_bindings = [
-        ref.binding
-        for ref in query.from_tables
-        if ref.name in batched_names
-    ]
-    add_binding = _uses_parameter(query)
-    if not batched_bindings and not add_binding:
+    sources, from_tables = _seq_sources(
+        query, batched_names, binding_name, required=False
+    )
+    if not sources:
         raise BatchIneligible("final query is batch-invariant")
     rewritten = _rewrite_parameters(query, binding_name)
-    sources: list[ColumnRef] = []
-    if add_binding:
-        sources.append(ColumnRef(binding_name, "SEQ"))
-    sources.extend(
-        ColumnRef(binding, SEQ_COLUMN) for binding in batched_bindings
-    )
     seq_predicates = [
         Comparison(sources[0], "=", source) for source in sources[1:]
     ]
-    from_tables = rewritten.from_tables
-    if add_binding:
-        from_tables = from_tables + (TableRef(binding_name),)
     return replace(
         rewritten,
         items=(SelectItem(sources[0], alias=SEQ_COLUMN),) + rewritten.items,
@@ -330,8 +340,6 @@ def build_batch_plan(plan, catalog) -> BatchPlan:
     """
     if plan.kind != "transform":
         raise BatchIneligible("only transform plans batch")
-    if plan.strip:
-        raise BatchIneligible("dedupe-outer row-id plans do not batch")
     if plan.param_count < 1:
         raise BatchIneligible("statement has no parameters")
     batched = classify_definitions(plan.setup)

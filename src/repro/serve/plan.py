@@ -1,7 +1,7 @@
 """Building and replaying plans: the one statement path.
 
 :func:`build_plan` is the only code that runs qualify/rewrite → NEST-G
-→ verify + lint → dedupe-outer fix-up, and :meth:`CachedPlan.replay` is
+→ verify + lint, and :meth:`CachedPlan.replay` is
 the only code that installs a temp chain, runs the final block, drains
 it, builds the :class:`~repro.core.pipeline.RunReport` and sweeps.
 ``Engine.run`` plans and replays once in one session and drops the
@@ -34,12 +34,7 @@ from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.nest_g import nest_g
-from repro.core.pipeline import (
-    RunReport,
-    dedupe_outer_fixup,
-    prepare_query,
-    verify_plan,
-)
+from repro.core.pipeline import RunReport, prepare_query, verify_plan
 from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
 from repro.engine.relation import Relation, describe_order
@@ -90,13 +85,10 @@ class CachedPlan:
     #: snapshot, so a plan that folded nothing survives inserts; one
     #: that did is stale as soon as the data version moves.
     folded: bool = False
-    #: The temp chain in build order (NEST-G's definitions, then the
-    #: aggregated dedupe-outer staging temp when there is one) and the
-    #: single-level query over it.
+    #: The temp chain in build order (NEST-G's definitions) and the
+    #: canonical single-level query over it.
     setup: Sequence[TempTableDef] = ()
     final_query: Select | None = None
-    #: Leading rowid columns the dedupe-outer fix-up put on every row.
-    strip: int = 0
     columns: list[str] = field(default_factory=list)
     canonical_sql: str | None = None
     setup_sql: list[str] = field(default_factory=list)
@@ -225,8 +217,6 @@ class CachedPlan:
             rows, steps, temp_pages = self.run_chain(
                 session, executor, self.setup, self.final_query, registry, key_of
             )
-            if self.strip:
-                rows = [row[self.strip:] for row in rows]
             return RunReport(
                 result=QueryResult(columns=self.columns, rows=rows),
                 io=session.buffer.stats() - before,
@@ -449,12 +439,9 @@ def build_plan(
             verified: list[str] = []
             try:
                 transform = nest_g(rewritten, session, config)
-                fixup, final_query, strip = dedupe_outer_fixup(
-                    transform, session, config
-                )
                 if verify:
                     findings, verified = verify_plan(
-                        rewritten, transform, session, config, fixup, final_query
+                        rewritten, transform, session, config
                     )
             except ParameterizedPlanError:
                 # Must reach the caller: the plan shape depends on
@@ -468,21 +455,19 @@ def build_plan(
                     raise
                 session.drop_temp_tables()
                 return plan_of("nested_iteration", rewritten, choice)
-            setup = [*transform.setup, *fixup]
             return plan_of(
                 "transform",
                 rewritten,
                 [*choice, *transform.trace, *verified],
                 folded=transform.folded,
-                setup=setup,
-                final_query=final_query,
-                strip=strip,
+                setup=transform.setup,
+                final_query=transform.query,
                 columns=output_names(transform.query),
                 canonical_sql=to_sql(transform.query),
-                setup_sql=[d.describe() for d in setup],
+                setup_sql=[d.describe() for d in transform.setup],
                 share_specs=()
                 if registry is None
-                else compute_share_specs(setup),
+                else compute_share_specs(transform.setup),
                 findings=findings,
             )
         finally:

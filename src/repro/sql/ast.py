@@ -284,10 +284,16 @@ class TableRef(Node):
     Attributes:
         name: the catalog table name.
         alias: optional alias; when present, column references use it.
+        semi: plan syntax (``FROM PARTS, SEMI JTEMP_3``), never a user's:
+            the table is semi-joined — a row of the tables before it
+            survives once when some row of this one satisfies every
+            conjunct that reads it, and none of its columns come out.
+            NEST-G marks the inner temp of an ``IN`` so.
     """
 
     name: str
     alias: str | None = None
+    semi: bool = False
 
     @property
     def binding(self) -> str:

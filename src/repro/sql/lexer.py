@@ -60,6 +60,7 @@ KEYWORDS = frozenset(
         "AS",
         "ASC",
         "DESC",
+        "SEMI",
     }
 )
 

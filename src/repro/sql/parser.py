@@ -26,7 +26,9 @@ The paper's archaic spellings are normalized while parsing:
 * ``SOME`` → ``ANY``;
 * ``=+`` (the section 5.2 outer-join comparison) → an equality
   comparison with ``outer="left"`` (the left operand's relation is
-  preserved, which is how algorithm NEST-JA2 uses it).
+  preserved, which is how algorithm NEST-JA2 uses it);
+* ``SEMI <table>`` in a FROM clause (how the printer marks a
+  semi-joined table of a plan) → ``TableRef.semi``.
 """
 
 from __future__ import annotations
@@ -198,13 +200,14 @@ class Parser:
         return tuple(refs)
 
     def _table_ref(self) -> TableRef:
+        semi = self._accept_keyword("SEMI")
         name = self._expect(TokenType.IDENT).value
         alias = None
         if self._accept_keyword("AS"):
             alias = self._expect(TokenType.IDENT).value
         elif self._current.type is TokenType.IDENT:
             alias = self._advance().value
-        return TableRef(name, alias)
+        return TableRef(name, alias, semi)
 
     def _order_items(self) -> list[OrderItem]:
         items = [self._order_item()]

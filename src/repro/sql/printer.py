@@ -3,7 +3,7 @@
 The printer produces canonical, re-parseable SQL: normalized operators,
 upper-case keywords, explicit parentheses around subqueries, and
 ``TEMP1.PNUM =+ TEMP2.PNUM`` for the outer-join comparison of section
-5.2.  ``parse(to_sql(q))`` round-trips to an equal AST (tested by a
+5.2, ``FROM PARTS, SEMI JTEMP_3`` for a semi-joined table.  ``parse(to_sql(q))`` round-trips to an equal AST (tested by a
 Hypothesis property in the test suite).
 """
 
@@ -143,9 +143,8 @@ def _select_item(item: SelectItem) -> str:
 
 
 def _table_ref(ref: TableRef) -> str:
-    if ref.alias:
-        return f"{ref.name} {ref.alias}"
-    return ref.name
+    text = f"{ref.name} {ref.alias}" if ref.alias else ref.name
+    return f"SEMI {text}" if ref.semi else text
 
 
 def _order_item(item: OrderItem) -> str:

@@ -30,7 +30,7 @@ def test_not_null_columns_never_produce_null(seed, index):
     select = parse(case.sql)
     inferred = infer_query_nullability(select, catalog)
 
-    engine = Engine(catalog, dedupe_inner=True, dedupe_outer=True)
+    engine = Engine(catalog)
     try:
         report = engine.run(select, method="nested_iteration")
     except ReproError:

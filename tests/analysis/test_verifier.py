@@ -172,6 +172,23 @@ class TestVerifySingleLevel:
         )
         assert not verify_single_level(parse(sql), catalog)
 
+    def test_semi_table_columns_are_visible_to_where_only(self):
+        """PV012: a semi-join puts out none of its right columns."""
+        catalog = load_kiessling_instance()
+        semi = "FROM PARTS, SEMI SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM"
+        assert not verify_single_level(parse(f"SELECT PARTS.QOH {semi}"), catalog)
+        for sql in (
+            f"SELECT SUPPLY.QUAN {semi}",
+            f"SELECT QUAN {semi}",  # unqualified, owned by the semi table
+            f"SELECT COUNT(SUPPLY.QUAN) {semi}",
+            f"SELECT COUNT(*) {semi} GROUP BY SUPPLY.QUAN",
+            f"SELECT PARTS.QOH {semi} GROUP BY PARTS.QOH "
+            "HAVING MAX(SUPPLY.QUAN) > 1",
+            f"SELECT PARTS.QOH {semi} ORDER BY SUPPLY.QUAN",
+        ):
+            findings = verify_single_level(parse(sql), catalog)
+            assert "PV012" in [d.rule for d in findings.errors], sql
+
     def test_order_by_select_alias_is_clean(self):
         # qualify leaves ORDER BY <alias> unqualified; it names the
         # output column, not a table column (PV001) and it is in the

@@ -1,11 +1,13 @@
-"""Tests for the rowid-based outer dedup (the modern type-J fix).
+"""An ``IN`` merge keeps the outer rows' multiplicities.
 
 The paper's NEST-N-J follows Kim's Lemma 1, a *set*-semantics statement:
 an outer tuple matching several inner tuples is emitted several times.
-Modern optimizers unnest IN-subqueries as semijoins instead.  The
-``dedupe_outer`` option reproduces that: DISTINCT over the outer rows'
-implicit rowids collapses the fan-out back to one output per outer
-tuple, preserving multiplicities even for value-identical outer rows.
+Modern optimizers unnest IN-subqueries as semijoins instead, and so
+does NEST-G: the inner temp is merged as a ``SEMI`` table, so an outer
+tuple comes out once however many inner tuples match it — also when
+outer rows are value-identical, and below an aggregate.  (The module
+keeps the name of the rowid fix-up that used to repair the fan-out
+after the fact.)
 """
 
 from collections import Counter
@@ -16,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import schema
 from repro.core.pipeline import Engine
-from repro.errors import TransformError
 from repro.workloads.paper_data import (
     TYPE_J_QUERY,
     fresh_catalog,
     load_supplier_parts,
 )
+from tests.core.helpers import literal_nest_nj
 
 
 def tu_catalog(t_rows, u_rows):
@@ -36,24 +38,23 @@ def tu_catalog(t_rows, u_rows):
 class TestDedupeOuter:
     def test_type_j_multiplicities_restored(self):
         catalog = load_supplier_parts()
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         ni = engine.run(TYPE_J_QUERY, method="nested_iteration")
         tr = engine.run(TYPE_J_QUERY, method="transform")
         assert Counter(tr.result.rows) == Counter(ni.result.rows)
 
     def test_without_fix_multiplicities_inflate(self):
+        """The caveat, by calling Kim's literal algorithm."""
         catalog = load_supplier_parts()
-        engine = Engine(catalog, dedupe_outer=False)
-        ni = engine.run(TYPE_J_QUERY, method="nested_iteration")
-        tr = engine.run(TYPE_J_QUERY, method="transform")
-        assert len(tr.result.rows) > len(ni.result.rows)
+        ni = Engine(catalog).run(TYPE_J_QUERY, method="nested_iteration")
+        assert len(literal_nest_nj(catalog, TYPE_J_QUERY)) > len(ni.result.rows)
 
     def test_value_identical_outer_rows_stay_distinct(self):
         """Two identical outer tuples both match: two output rows, not
         one (plain DISTINCT would collapse them) and not six (the raw
         join would fan each out three ways)."""
         catalog = tu_catalog([(1, 0), (1, 0)], [(1, 0), (1, 1), (1, 2)])
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         sql = "SELECT A FROM T WHERE A IN (SELECT B FROM U)"
         ni = engine.run(sql, method="nested_iteration")
         tr = engine.run(sql, method="transform")
@@ -65,7 +66,7 @@ class TestDedupeOuter:
             [(1, 5), (2, 5), (3, 9)],
             [(1, 5), (1, 5), (2, 5), (3, 0)],
         )
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         sql = "SELECT A FROM T WHERE V IN (SELECT W FROM U WHERE U.B = T.A)"
         ni = engine.run(sql, method="nested_iteration")
         tr = engine.run(sql, method="transform")
@@ -73,20 +74,20 @@ class TestDedupeOuter:
 
     def test_no_rewrite_when_no_fanout_merge(self):
         """Type-JA plans join a grouped temp (one row per key): no
-        fan-out, no rewrite, identical results."""
+        fan-out, no semi table, identical results."""
         catalog = tu_catalog([(1, 2)], [(1, 5), (1, 7)])
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         sql = "SELECT A FROM T WHERE V = (SELECT COUNT(W) FROM U WHERE U.B = T.A)"
         report = engine.run(sql, method="transform")
         assert report.canonical_sql is not None
-        assert "#RID" not in report.canonical_sql
+        assert "SEMI" not in report.canonical_sql
         assert report.result.rows == [(1,)]
 
     def test_aggregated_root_count(self):
-        """Pre-aggregation dedup: COUNT over the outer relation must not
-        be inflated by the join fan-out."""
+        """COUNT over the outer relation sees each outer row once: the
+        semi-join below it has no fan-out to inflate it."""
         catalog = tu_catalog([(1, 0), (2, 0), (9, 0)], [(1, 0), (1, 1), (2, 0)])
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         sql = "SELECT COUNT(*) FROM T WHERE A IN (SELECT B FROM U)"
         ni = engine.run(sql, method="nested_iteration")
         tr = engine.run(sql, method="transform")
@@ -95,17 +96,16 @@ class TestDedupeOuter:
 
     def test_aggregated_root_without_fix_inflates(self):
         catalog = tu_catalog([(1, 0), (2, 0)], [(1, 0), (1, 1), (2, 0)])
-        engine = Engine(catalog, dedupe_outer=False)
         sql = "SELECT COUNT(*) FROM T WHERE A IN (SELECT B FROM U)"
-        tr = engine.run(sql, method="transform")
-        assert tr.result.rows == [(3,)]  # inflated: 2 matches + 1
+        # Kim's literal merge: inflated, 2 matches + 1.
+        assert literal_nest_nj(catalog, sql) == [(3,)]
 
     def test_aggregated_root_group_by(self):
         catalog = tu_catalog(
             [(1, 5), (1, 6), (2, 7), (3, 0)],
             [(1, 0), (1, 1), (2, 0)],
         )
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         sql = (
             "SELECT A, COUNT(*), SUM(V) FROM T "
             "WHERE A IN (SELECT B FROM U) GROUP BY A"
@@ -116,23 +116,32 @@ class TestDedupeOuter:
         assert Counter(ni.result.rows) == Counter([(1, 2, 11), (2, 1, 7)])
 
     def test_aggregated_root_multi_table_rejected(self):
-        catalog = tu_catalog([(1, 0)], [(1, 0)])
+        """The rowid fix-up gave up on an aggregated root over two outer
+        tables (``TransformError``); a semi-join needs no staging temp,
+        so it is an ordinary plan with the nested-iteration answer."""
+        catalog = tu_catalog([(1, 0), (1, 0)], [(1, 0), (1, 1)])
         from repro.catalog.schema import schema as make_schema
 
         catalog.create_table(make_schema("W2", "C"))
-        catalog.insert("W2", [(1,)])
-        engine = Engine(catalog, dedupe_outer=True)
-        with pytest.raises(TransformError):
-            engine.run(
-                "SELECT COUNT(*) FROM T, W2 WHERE T.A = W2.C AND "
-                "T.A IN (SELECT B FROM U)",
-                method="transform",
-            )
+        catalog.insert("W2", [(1,), (1,), (2,)])
+        report = Engine(catalog).run(
+            "SELECT COUNT(*) FROM T, W2 WHERE T.A = W2.C AND "
+            "T.A IN (SELECT B FROM U)",
+            method="transform",
+        )
+        assert report.result.rows == [(4,)]  # 2 T rows x 2 W2 rows, once each
 
     def test_facade_exposes_option(self):
+        """No option left to expose: the default is the semi-join, and
+        the retired keywords are rejected."""
         from repro import Database
 
-        db = Database(dedupe_outer=True)
+        for retired in ("dedupe_inner", "dedupe_outer"):
+            with pytest.raises(TypeError):
+                Database(**{retired: True})
+            with pytest.raises(TypeError):
+                Engine(fresh_catalog(), **{retired: True})
+        db = Database()
         db.create_table("T", ["A"])
         db.create_table("U", ["B"])
         db.insert("T", [(1,)])
@@ -155,7 +164,7 @@ class TestDedupeOuterProperty:
     @settings(max_examples=50, deadline=None)
     def test_correlated_in_equivalence(self, t_rows, u_rows):
         catalog = tu_catalog(t_rows, u_rows)
-        engine = Engine(catalog, dedupe_outer=True)
+        engine = Engine(catalog)
         sql = "SELECT A, V FROM T WHERE V IN (SELECT W FROM U WHERE U.B = T.A)"
         ni = engine.run(sql, method="nested_iteration")
         tr = engine.run(sql, method="transform")

@@ -28,7 +28,7 @@ def check(c, expected=None):
     )
     assert not outcome.transform_skipped, "transform leg unexpectedly skipped"
     if expected is not None:
-        engine = Engine(c.build_catalog(), dedupe_inner=True, dedupe_outer=True)
+        engine = Engine(c.build_catalog())
         rows = engine.run(c.sql, method="transform").result.rows
         assert Counter(rows) == Counter(expected)
 
@@ -206,10 +206,67 @@ class TestMultiplicities:
         )
 
 
+class TestSemiJoinUnderEveryRoot:
+    """An ``IN`` merged as a semi-join below whatever the root block
+    does with its rows.  The rowid fix-up these replace staged an
+    aggregated root's outer rows in one more temp and gave up on two
+    outer tables (``TransformError``: the transform leg was skipped)."""
+
+    #: T x (U as X) on A, the theta-correlated IN on top: several JTEMP
+    #: rows match one outer pair, and outer pairs repeat.
+    ROWS_T = [(1, 0), (2, 0), (2, 0), (2, 1), (None, 0)]
+    ROWS_U = [(0, 0), (0, 0), (1, 0), (1, 1), (2, 0), (2, None)]
+    FROM_WHERE = (
+        " FROM T, U X WHERE T.A = X.A AND "
+        "T.B IN (SELECT U.C FROM U WHERE U.A < T.A)"
+    )
+
+    @pytest.mark.parametrize(
+        "select,tail,expected",
+        [
+            ("SELECT COUNT(T.A)", "", [(8,)]),
+            (
+                "SELECT T.A, COUNT(*), SUM(X.C)", " GROUP BY T.A",
+                [(1, 2, 1), (2, 6, 0)],
+            ),
+            (
+                "SELECT T.A, COUNT(*)", " GROUP BY T.A HAVING COUNT(*) > 2",
+                [(2, 6)],
+            ),
+            (
+                "SELECT DISTINCT T.A, X.C", "",
+                [(1, 0), (1, 1), (2, 0), (2, None)],
+            ),
+            (
+                "SELECT T.A, T.B", " ORDER BY T.A",
+                [(1, 0)] * 2 + [(2, 0)] * 4 + [(2, 1)] * 2,
+            ),
+        ],
+        ids=["count", "group_by", "having", "distinct", "order_by"],
+    )
+    def test_two_outer_tables(self, select, tail, expected):
+        check(
+            case(self.ROWS_T, self.ROWS_U, select + self.FROM_WHERE + tail),
+            expected=expected,
+        )
+
+    def test_value_identical_outer_rows_stay_distinct(self):
+        """Two identical outer tuples both match three inner ones: two
+        rows, not one (a DISTINCT would collapse them), not six."""
+        check(
+            case(
+                [(1, 0), (1, 0)],
+                [(1, 0), (1, 1), (1, 2)],
+                "SELECT T.A, T.B FROM T WHERE T.A IN (SELECT U.A FROM U)",
+            ),
+            expected=[(1, 0), (1, 0)],
+        )
+
+
 class TestOrderByOnTransformedPlans:
-    """ORDER BY referenced original table columns, but the dedupe_outer
-    rewrite re-labels the output schema; position lookup now falls back
-    to matching SELECT items.
+    """ORDER BY referenced original table columns, but the result
+    schema is labelled with output names; position lookup falls back to
+    matching SELECT items.
     """
 
     def test_order_by_qualified_column_after_transform(self):
@@ -219,7 +276,7 @@ class TestOrderByOnTransformedPlans:
             "SELECT T.A, T.B FROM T WHERE T.A IN (SELECT U.A FROM U) "
             "ORDER BY T.A",
         )
-        engine = Engine(c.build_catalog(), dedupe_inner=True, dedupe_outer=True)
+        engine = Engine(c.build_catalog())
         ni = engine.run(c.sql, method="nested_iteration")
         tr = engine.run(c.sql, method="transform")
         assert ni.result.rows == tr.result.rows == [(1, 1), (2, 1)]
@@ -279,9 +336,9 @@ class TestKnownDivergences:
     A type-J block reaching past its type-JA parent to the root: the
     flat NEST-N-J merge inside the aggregated block fanned out on
     duplicate inner values and inflated COUNT ("known divergences" in
-    benchmarks/suite/README.md) until ``dedupe_inner`` gave type-J the
-    duplicate-free inner temp type-N already had — matched on all its
-    columns by strict equalities, it has at most one partner a row.
+    benchmarks/suite/README.md) until type-J got the duplicate-free
+    inner temp type-N already had — matched on all its columns by strict
+    equalities, it has at most one partner a row.
     """
 
     def test_type_j_block_reaching_root_inside_type_ja(self):
@@ -300,9 +357,10 @@ class TestKnownDivergences:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="still open: a theta-correlated type-J block inside a "
-        "type-JA block is not pinned on every JTEMP column, so its merge "
-        "fans out below the COUNT, where no rowid fix-up reaches",
+        reason="still open: a type-J block theta-correlated past its "
+        "type-JA parent — NEST-JA2 must project JTEMP's correlation "
+        "column, so the semi mark is cleared and the plain join fans out "
+        "below the COUNT",
     )
     def test_theta_type_j_block_inside_type_ja(self):
         # For T.A = 2 both U rows qualify (COUNT 2); the merge counts
@@ -347,12 +405,7 @@ class TestKnownDivergences:
             "(SELECT QUAN FROM SUPPLY S2 WHERE S2.PNUM = PARTS.PNUM "
             "AND S2.SHIPDATE < '1980-01-15'))"
         )
-        db = Database(
-            buffer_pages=32,
-            join_method=join_method,
-            dedupe_inner=True,
-            dedupe_outer=True,
-        )
+        db = Database(buffer_pages=32, join_method=join_method)
         db.create_table("PARTS", ["PNUM", "QOH"], rows_per_page=10)
         db.create_table(
             "SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")], rows_per_page=10

@@ -91,7 +91,8 @@ class TestFigure2:
         trans-aggregate join predicate references."""
         engine = Engine(figure2_catalog())
         transform = engine.transform(FIGURE2_QUERY)
-        temp1 = transform.setup[0]
+        # NEST-JA2's step 1, after the inner temps of the IN blocks.
+        temp1 = next(d for d in transform.setup if d.name.startswith("TEMP_"))
         assert "FROM TA" in temp1.describe()
         engine.catalog.drop_temp_tables()
 

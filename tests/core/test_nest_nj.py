@@ -1,12 +1,14 @@
 """Tests for algorithm NEST-N-J (paper section 3.1, Kim's Lemma 1)."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from repro.core.nest_nj import apply_nest_nj, dedupe_inner_setup
-from repro.core.pipeline import Engine
+from repro.core.nest_nj import apply_nest_nj, inner_temp_setup
+from repro.core.pipeline import Engine, prepare_query
 from repro.errors import TransformError
+from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.analysis import resolver_from_columns
 from repro.sql.ast import Comparison, TableRef
 from repro.sql.parser import parse
@@ -19,7 +21,7 @@ from repro.workloads.paper_data import (
 )
 from repro.catalog.schema import schema
 
-from tests.core.helpers import assert_equivalent
+from tests.core.helpers import assert_equivalent, literal_nest_nj
 
 
 def first_nested_conjunct(block):
@@ -107,10 +109,8 @@ class TestSemantics:
         """Paper-literal NEST-N-J: sets match, multiplicities may not
         (the documented Lemma-1 duplicates caveat)."""
         catalog = load_supplier_parts()
-        engine = Engine(catalog)
-        ni = engine.run(TYPE_J_QUERY, method="nested_iteration")
-        tr = engine.run(TYPE_J_QUERY, method="transform")
-        assert set(tr.result.rows) == set(ni.result.rows)
+        ni = Engine(catalog).run(TYPE_J_QUERY, method="nested_iteration")
+        assert set(literal_nest_nj(catalog, TYPE_J_QUERY)) == set(ni.result.rows)
 
     def test_type_n_duplicates_in_inner_inflate_result(self):
         """The caveat itself: duplicate inner values duplicate outer rows."""
@@ -120,11 +120,9 @@ class TestSemantics:
         catalog.insert("T", [(1,)])
         catalog.insert("U", [(1,), (1,)])
         sql = "SELECT A FROM T WHERE A IN (SELECT B FROM U)"
-        engine = Engine(catalog)
-        ni = engine.run(sql, method="nested_iteration")
-        tr = engine.run(sql, method="transform")
+        ni = Engine(catalog).run(sql, method="nested_iteration")
         assert ni.result.rows == [(1,)]
-        assert Counter(tr.result.rows) == Counter([(1,), (1,)])  # inflated
+        assert literal_nest_nj(catalog, sql) == [(1,), (1,)]  # inflated
 
     def test_dedupe_inner_fixes_multiplicity(self):
         catalog = fresh_catalog()
@@ -133,28 +131,29 @@ class TestSemantics:
         catalog.insert("T", [(1,), (2,)])
         catalog.insert("U", [(1,), (1,), (3,)])
         sql = "SELECT A FROM T WHERE A IN (SELECT B FROM U)"
-        engine = Engine(catalog, dedupe_inner=True)
+        engine = Engine(catalog)
         ni = engine.run(sql, method="nested_iteration")
         tr = engine.run(sql, method="transform")
         assert Counter(tr.result.rows) == Counter(ni.result.rows)
 
     def test_dedupe_inner_setup_shape(self):
         block = parse("SELECT A FROM T WHERE A IN (SELECT B FROM U WHERE B > 0)")
-        temp, new_pred, fans_out = dedupe_inner_setup(
+        temp, new_pred = inner_temp_setup(
             block.where,
             lambda prefix: f"{prefix}_1",
             resolver_from_columns({"T": {"A"}, "U": {"B"}}),
         )
-        assert not fans_out  # C1 is bound by the IN itself
         assert to_sql(temp.query) == (
             "SELECT DISTINCT B AS C1 FROM U WHERE B > 0"
         )
-        assert to_sql(new_pred) == "A IN (SELECT NTEMP_1.C1 AS C1 FROM NTEMP_1)"
+        assert to_sql(new_pred) == (
+            "A IN (SELECT NTEMP_1.C1 AS C1 FROM SEMI NTEMP_1)"
+        )
 
     @staticmethod
     def _setup_of(inner_sql):
         block = parse(f"SELECT A FROM T WHERE T.B IN ({inner_sql})")
-        return dedupe_inner_setup(
+        return inner_temp_setup(
             block.where,
             lambda prefix: f"{prefix}_1",
             resolver_from_columns({"T": {"A", "B"}, "U": {"A", "C"}}),
@@ -163,16 +162,16 @@ class TestSemantics:
     def test_dedupe_inner_setup_type_j_shape(self):
         """Correlation columns first, item last; the correlated conjunct
         moves out of the definition and is rewritten over the temp."""
-        temp, new_pred, fans_out = self._setup_of(
+        temp, new_pred = self._setup_of(
             "SELECT U.C + 1 FROM U WHERE U.A = T.A AND U.C > 0"
         )
         assert to_sql(temp.query) == (
             "SELECT DISTINCT U.A AS J1, U.C + 1 AS C1 FROM U WHERE U.C > 0"
         )
         assert to_sql(new_pred) == (
-            "T.B IN (SELECT JTEMP_1.C1 AS C1 FROM JTEMP_1 WHERE JTEMP_1.J1 = T.A)"
+            "T.B IN (SELECT JTEMP_1.C1 AS C1 FROM SEMI JTEMP_1 "
+            "WHERE JTEMP_1.J1 = T.A)"
         )
-        assert not fans_out  # J1 and C1 both pinned by a strict =
 
     @pytest.mark.parametrize(
         "correlation",
@@ -185,10 +184,21 @@ class TestSemantics:
         ],
     )
     def test_dedupe_inner_setup_reports_possible_fan_out(self, correlation):
-        _temp, _pred, fans_out = self._setup_of(
-            f"SELECT U.C FROM U WHERE {correlation}"
+        """Correlations under which several temp rows can match one
+        outer row (they used to be reported, for a rowid fix-up): the
+        temp is a semi table whatever the correlation, and the merged
+        block gives each T row once."""
+        _temp, new_pred = self._setup_of(f"SELECT U.C FROM U WHERE {correlation}")
+        assert new_pred.query.from_tables == (TableRef("JTEMP_1", semi=True),)
+        catalog = fresh_catalog()
+        catalog.create_table(schema("T", "A", "B"))
+        catalog.create_table(schema("U", "A", "C"))
+        catalog.insert("T", [(2, 0), (2, 0), (None, 0), (0, 1)])
+        catalog.insert("U", [(0, 0), (1, 0), (2, 0), (None, 0), (1, 1), (1, 1)])
+        assert_equivalent(
+            catalog,
+            f"SELECT A FROM T WHERE T.B IN (SELECT U.C FROM U WHERE {correlation})",
         )
-        assert fans_out
 
     @pytest.mark.parametrize(
         "inner_sql",
@@ -198,7 +208,16 @@ class TestSemantics:
         ],
     )
     def test_dedupe_inner_setup_not_applicable(self, inner_sql):
-        assert self._setup_of(inner_sql) is None
+        """The two shapes the split used to decline ("not applicable",
+        merged flat): an item that reads an outer column has its inner
+        columns projected like the correlation columns, and DISTINCT in
+        a correlated ``IN`` block says nothing the temp does not."""
+        temp, new_pred = self._setup_of(inner_sql)
+        assert temp.query.distinct and temp.query.where is None
+        assert to_sql(new_pred.query.where) == "JTEMP_1.J1 = T.A"
+        assert to_sql(new_pred.query.items[0].expr) in (
+            "JTEMP_1.J2 + T.A", "JTEMP_1.C1",
+        )
 
     def test_multi_level_type_n_with_dedupe(self):
         """SP holds duplicate SNO values, so multiset equivalence needs
@@ -211,17 +230,24 @@ class TestSemantics:
               (SELECT SNO FROM SP WHERE PNO IN
                 (SELECT PNO FROM P WHERE WEIGHT > 16))
             """,
-            dedupe_inner=True,
         )
 
     def test_multi_level_type_n_paper_literal_is_set_equivalent(self):
+        """Kim's literal merge, one level at a time from the inside."""
         catalog = load_supplier_parts()
-        engine = Engine(catalog)
         sql = """
             SELECT SNAME FROM S WHERE SNO IN
               (SELECT SNO FROM SP WHERE PNO IN
                 (SELECT PNO FROM P WHERE WEIGHT > 16))
         """
-        ni = engine.run(sql, method="nested_iteration")
-        tr = engine.run(sql, method="transform")
-        assert set(tr.result.rows) == set(ni.result.rows)
+        ni = Engine(catalog).run(sql, method="nested_iteration")
+        outer = prepare_query(parse(sql), catalog)
+        middle = outer.where.query
+        over_flat_middle = replace(
+            outer.where, query=apply_nest_nj(middle, middle.where)
+        )
+        flat = apply_nest_nj(
+            replace(outer, where=over_flat_middle), over_flat_middle
+        )
+        rows = SingleLevelExecutor(catalog).execute(flat).drain()
+        assert set(rows) == set(ni.result.rows)

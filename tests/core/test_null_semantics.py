@@ -31,7 +31,7 @@ def make_catalog():
 
 
 def run_both(catalog, sql):
-    engine = Engine(catalog, dedupe_inner=True, dedupe_outer=True)
+    engine = Engine(catalog)
     ni = engine.run(sql, method="nested_iteration")
     tr = engine.run(sql, method="auto")
     assert Counter(ni.result.rows) == Counter(tr.result.rows)

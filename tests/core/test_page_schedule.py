@@ -16,12 +16,17 @@ NULL-regime merge keys) and regenerated 30 ``merge`` / ``nested`` cells;
 ``test_order_tracking_only_saved_pages`` holds the new table to the old:
 no cell reads or writes more, no ``hash`` cell moved at all.
 
-PR 18 changed the *plan* of one shape: under ``dedupe_inner`` a type-J
-``IN`` block is a restricted, projected, duplicate-free temp
+PR 18 changed the *plan* of one shape: a type-J ``IN`` block is a restricted, projected, duplicate-free temp
 (``JTEMP``) instead of a flat merge with a rowid fix-up on top.  The six
 ``j`` cells were regenerated; ``test_type_j_temp_costs_its_pages`` holds
 them to the old ones.  The other 66 cells did not move: without a
 registry the chain driver builds every link, in the order it always did.
+
+PR 23 made every ``IN`` merge a semi-join (``FROM PARTS, SEMI NTEMP_1``)
+and retired the two flags that used to ask for the inner temp and the
+rowid fix-up.  The 24 cells of the four shapes that merge an ``IN`` were
+regenerated; ``test_semi_join_only_saved_pages`` holds them to the old
+ones.  The other 48 are bit-identical.
 """
 
 from __future__ import annotations
@@ -92,8 +97,6 @@ def measure(shape: str, join_method: str, parallelism: int) -> tuple:
         join_method=join_method,
         parallelism=parallelism,
         parallel_threshold=64,
-        dedupe_inner=True,
-        dedupe_outer=True,
     )
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"], rows_per_page=10)
     db.create_table(
@@ -120,18 +123,18 @@ def measure(shape: str, join_method: str, parallelism: int) -> tuple:
 # Reads are None where the parent itself does not repeat them: parallel
 # nested iteration probes the ISAM index from four threads against B=8.
 EXPECTED: dict[tuple[str, str, int], tuple] = {
-    ('n', 'merge', 1): (151, 58, (1,), 'transform', 2, 1, 60),
-    ('n', 'merge', 4): (150, 58, (1,), 'transform', 2, 1, 60),
-    ('n', 'nested', 1): (111, 18, (1,), 'transform', 2, 1, 60),
-    ('n', 'nested', 4): (110, 18, (1,), 'transform', 2, 1, 60),
-    ('n', 'hash', 1): (111, 18, (1,), 'transform', 2, 1, 60),
-    ('n', 'hash', 4): (110, 18, (1,), 'transform', 2, 1, 60),
-    ('j', 'merge', 1): (161, 67, (7,), 'transform', 2, 1, 52),
-    ('j', 'merge', 4): (156, 67, (7,), 'transform', 2, 1, 52),
-    ('j', 'nested', 1): (262, 27, (7,), 'transform', 2, 1, 52),
-    ('j', 'nested', 4): (257, 27, (7,), 'transform', 2, 1, 52),
-    ('j', 'hash', 1): (120, 27, (7,), 'transform', 2, 1, 52),
-    ('j', 'hash', 4): (110, 27, (7,), 'transform', 2, 1, 52),
+    ('n', 'merge', 1): (151, 57, (1,), 'transform', 2, 1, 60),
+    ('n', 'merge', 4): (150, 57, (1,), 'transform', 2, 1, 60),
+    ('n', 'nested', 1): (111, 17, (1,), 'transform', 2, 1, 60),
+    ('n', 'nested', 4): (110, 17, (1,), 'transform', 2, 1, 60),
+    ('n', 'hash', 1): (111, 17, (1,), 'transform', 2, 1, 60),
+    ('n', 'hash', 4): (110, 17, (1,), 'transform', 2, 1, 60),
+    ('j', 'merge', 1): (160, 66, (7,), 'transform', 2, 1, 52),
+    ('j', 'merge', 4): (155, 66, (7,), 'transform', 2, 1, 52),
+    ('j', 'nested', 1): (254, 26, (7,), 'transform', 2, 1, 52),
+    ('j', 'nested', 4): (249, 26, (7,), 'transform', 2, 1, 52),
+    ('j', 'hash', 1): (119, 26, (7,), 'transform', 2, 1, 52),
+    ('j', 'hash', 4): (110, 26, (7,), 'transform', 2, 1, 52),
     ('ja_count', 'merge', 1): (198, 88, (2, 7, 4), 'transform', 4, 3, 55),
     ('ja_count', 'merge', 4): (194, 88, (2, 7, 4), 'transform', 4, 3, 55),
     ('ja_count', 'nested', 1): (246, 41, (2, 7, 4), 'transform', 4, 3, 55),
@@ -174,18 +177,18 @@ EXPECTED: dict[tuple[str, str, int], tuple] = {
     ('not_in', 'nested', 4): (100, 5, (), 'transform', 1, 0, 140),
     ('not_in', 'hash', 1): (101, 5, (), 'transform', 1, 0, 140),
     ('not_in', 'hash', 4): (100, 5, (), 'transform', 1, 0, 140),
-    ('two_preds', 'merge', 1): (289, 106, (1, 2, 7, 4), 'transform', 5, 4, 5),
-    ('two_preds', 'merge', 4): (284, 106, (1, 2, 7, 4), 'transform', 5, 4, 5),
-    ('two_preds', 'nested', 1): (340, 57, (1, 2, 7, 4), 'transform', 5, 4, 5),
-    ('two_preds', 'nested', 4): (337, 57, (1, 2, 7, 4), 'transform', 5, 4, 5),
-    ('two_preds', 'hash', 1): (246, 57, (1, 2, 7, 4), 'transform', 5, 4, 5),
-    ('two_preds', 'hash', 4): (240, 57, (1, 2, 7, 4), 'transform', 5, 4, 5),
-    ('depth2', 'merge', 1): (580, 332, (1, 7, 2, 1), 'transform', 5, 4, 60),
-    ('depth2', 'merge', 4): (571, 332, (1, 7, 2, 1), 'transform', 5, 4, 60),
-    ('depth2', 'nested', 1): (359, 45, (1, 7, 2, 1), 'transform', 5, 4, 60),
-    ('depth2', 'nested', 4): (352, 45, (1, 7, 2, 1), 'transform', 5, 4, 60),
-    ('depth2', 'hash', 1): (292, 45, (1, 7, 2, 1), 'transform', 5, 4, 60),
-    ('depth2', 'hash', 4): (281, 45, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('two_preds', 'merge', 1): (289, 103, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'merge', 4): (284, 103, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'nested', 1): (340, 56, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'nested', 4): (337, 56, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'hash', 1): (245, 56, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'hash', 4): (240, 56, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('depth2', 'merge', 1): (580, 331, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'merge', 4): (571, 331, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'nested', 1): (359, 44, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'nested', 4): (352, 44, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'hash', 1): (292, 44, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'hash', 4): (281, 44, (1, 7, 2, 1), 'transform', 5, 4, 60),
     ('or_fallback', 'merge', 1): (795, 0, (), 'nested_iteration', 0, 0, 55),
     ('or_fallback', 'merge', 4): (None, 0, (), 'nested_iteration', 0, 0, 55),
     ('or_fallback', 'nested', 1): (795, 0, (), 'nested_iteration', 0, 0, 55),
@@ -233,7 +236,7 @@ BEFORE_ORDERS: dict[tuple[str, str, int], tuple[int, int]] = {
 
 
 #: The ``j`` cells as pinned before type-J got its inner temp: one
-#: block, no definition, the fan-out collapsed by ``#RID`` + DISTINCT.
+#: block, no definition, the fan-out collapsed by a rowid + DISTINCT.
 BEFORE_JTEMP: dict[tuple[str, str, int], tuple] = {
     ('j', 'merge', 1): (165, 75, (), 'transform', 1, 0, 52),
     ('j', 'merge', 4): (165, 75, (), 'transform', 1, 0, 52),
@@ -241,6 +244,37 @@ BEFORE_JTEMP: dict[tuple[str, str, int], tuple] = {
     ('j', 'nested', 4): (2102, 15, (), 'transform', 1, 0, 52),
     ('j', 'hash', 1): (111, 15, (), 'transform', 1, 0, 52),
     ('j', 'hash', 4): (110, 15, (), 'transform', 1, 0, 52),
+}
+
+
+#: (reads, writes) of the cells PR 23 moved, as pinned before an ``IN``
+#: merge became a semi-join: the inner temp was joined plainly, so the
+#: join wrote its columns beside the outer row's.
+BEFORE_SEMI: dict[tuple[str, str, int], tuple[int, int]] = {
+    ('n', 'merge', 1): (151, 58),
+    ('n', 'merge', 4): (150, 58),
+    ('n', 'nested', 1): (111, 18),
+    ('n', 'nested', 4): (110, 18),
+    ('n', 'hash', 1): (111, 18),
+    ('n', 'hash', 4): (110, 18),
+    ('j', 'merge', 1): (161, 67),
+    ('j', 'merge', 4): (156, 67),
+    ('j', 'nested', 1): (262, 27),
+    ('j', 'nested', 4): (257, 27),
+    ('j', 'hash', 1): (120, 27),
+    ('j', 'hash', 4): (110, 27),
+    ('two_preds', 'merge', 1): (289, 106),
+    ('two_preds', 'merge', 4): (284, 106),
+    ('two_preds', 'nested', 1): (340, 57),
+    ('two_preds', 'nested', 4): (337, 57),
+    ('two_preds', 'hash', 1): (246, 57),
+    ('two_preds', 'hash', 4): (240, 57),
+    ('depth2', 'merge', 1): (580, 332),
+    ('depth2', 'merge', 4): (571, 332),
+    ('depth2', 'nested', 1): (359, 45),
+    ('depth2', 'nested', 4): (352, 45),
+    ('depth2', 'hash', 1): (292, 45),
+    ('depth2', 'hash', 4): (281, 45),
 }
 
 
@@ -255,12 +289,41 @@ def test_uncached_page_schedule(shape, join_method, parallelism):
     assert measured == expected
 
 
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_default_database_returns_the_nested_iteration_bag(shape):
+    """No flag has to ask for it: ``n`` and ``depth2`` came out a row
+    or two long under the old defaults (Kim's literal merge)."""
+    from collections import Counter
+
+    db = Database()
+    db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"])
+    db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
+    db.insert("PARTS", PARTS[:40])
+    db.insert("SUPPLY", SUPPLY[:160])
+    sql = SHAPES[shape].format(c=CUTOFF)
+    assert Counter(db.query(sql, method="auto").rows) == Counter(
+        db.query(sql, method="nested_iteration").rows
+    )
+
+
 def test_order_tracking_only_saved_pages():
     assert not [key for key in BEFORE_ORDERS if key[1] == "hash"]
     for key, (reads, writes) in BEFORE_ORDERS.items():
         now = EXPECTED[key]
         assert now[0] <= reads and now[1] <= writes, key
         assert (now[0], now[1]) != (reads, writes), key
+
+
+def test_semi_join_only_saved_pages():
+    """A semi-join writes no right columns, and a nested-loop one stops
+    rescanning at the first match: the 24 cells whose plan merges an
+    ``IN`` (``n``, ``j``, ``two_preds``, ``depth2``) fell, nothing else
+    about them moved, and the other 48 cells were not touched."""
+    assert {key[0] for key in BEFORE_SEMI} == {"n", "j", "two_preds", "depth2"}
+    assert len(BEFORE_SEMI) == 24
+    for key, (reads, writes) in BEFORE_SEMI.items():
+        now = EXPECTED[key]
+        assert now[0] <= reads and now[1] < writes, key
 
 
 def test_type_j_temp_costs_its_pages():

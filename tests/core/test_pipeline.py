@@ -10,6 +10,7 @@ from repro import Database
 from repro.config import DEFAULT_PARALLEL_THRESHOLD, ExecConfig
 from repro.core.pipeline import Engine
 from repro.errors import CatalogError, ReproError, TransformError
+from repro.sql.parser import parse
 from repro.workloads.paper_data import (
     KIESSLING_Q2,
     load_kiessling_instance,
@@ -89,6 +90,46 @@ class TestEngineMethods:
             )
 
 
+class TestSemiIsPlanSyntax:
+    """``SEMI <table>`` is how a plan prints a semi-joined inner temp
+    (``parse(to_sql(q))`` round-trips); a statement may not carry it —
+    nested iteration gives it no meaning."""
+
+    @pytest.mark.parametrize(
+        "method", ["transform", "auto", "nested_iteration", "cost"]
+    )
+    def test_user_statement_with_semi_is_rejected(self, method):
+        db = Database()
+        db.create_table("T", ["A"])
+        db.create_table("U", ["A"])
+        for sql in (
+            "SELECT T.A FROM T, SEMI U WHERE T.A = U.A",
+            "SELECT T.A FROM T WHERE T.A IN (SELECT X.A FROM T X, SEMI U)",
+        ):
+            with pytest.raises(ReproError, match="SEMI U"):
+                db.run(sql, method=method)
+            with pytest.raises(ReproError, match="SEMI U"):
+                db.execute_cached(sql, method=method)
+            with pytest.raises(ReproError, match="SEMI U"):
+                db.explain(sql)
+
+    def test_plans_print_it_and_parse_it_back(self):
+        db = Database()
+        db.create_table("T", ["A", "B"])
+        db.create_table("U", ["A", "C"])
+        sql = "SELECT T.A FROM T WHERE T.B IN (SELECT U.C FROM U WHERE U.A < T.A)"
+        report = db.run(sql, method="transform")
+        plan = db.engine.plan(parse(sql), "transform")
+        assert "SEMI JTEMP" in report.canonical_sql
+        assert "SEMI JTEMP" in db.explain(sql) and "SEMI JTEMP" in plan.describe()
+        assert parse(plan.canonical_sql) == plan.final_query
+        assert any(
+            line.startswith("NEST-N-J (type-J): merged JTEMP")
+            and line.endswith("as a semi-join")
+            for line in report.trace
+        )
+
+
 class TestSettingsValidation:
     """A mistyped setting fails at construction, not at the first query
     — and never by silently falling back to nested iteration."""
@@ -138,8 +179,6 @@ OTHER_VALUE = {
     "parallelism": 2,
     "parallel_threshold": 0,
     "ja_algorithm": "kim-outer",
-    "dedupe_inner": True,
-    "dedupe_outer": True,
     "exists_count_mode": "paper",
     "quantifier_mode": "paper",
 }
@@ -163,6 +202,7 @@ class TestExecConfig:
         assert config == ExecConfig(join_method="hash")
         assert len({config, ExecConfig(join_method="hash"), ExecConfig()}) == 2
         assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(ExecConfig)}
+        assert len(OTHER_VALUE) == 6  # dedupe_inner / dedupe_outer are derived now
 
     @pytest.mark.parametrize(
         "setting,value",

@@ -94,8 +94,20 @@ class TestGenerator:
             "COUNT(*)",
             "DISTINCT",
             "GROUP BY",
+            # type-J IN the ways a flat merge gets wrong (ROADMAP 8c) ...
+            "<=> T.B",
+            " OR U.A",
+            "SELECT U.A + T.B FROM U",
+            "SELECT T.B FROM U",
+            # ... under every kind of root, over one outer table or two.
+            "FROM T, U X WHERE",
+            ") FROM T, U X WHERE",
+            "X.A GROUP BY T.A",
         ):
             assert marker in sqls, f"grammar never produced {marker}"
+        assert any(
+            f"U.C {op} T.B" in sqls for op in ("<", "<=", ">", ">=", "<>")
+        )
         has_null = any(
             value is None
             for i in range(20)
@@ -104,6 +116,32 @@ class TestGenerator:
             for value in row
         )
         assert has_null
+
+
+class TestEveryInMergeIsASemiJoin:
+    def test_one_rule_over_the_corpus(self):
+        """Walk ``plan.setup`` and ``plan.final_query`` of every case the
+        grammar draws: outside DISTINCT definitions and the NEST-JA2
+        projection case, an inner temp is a semi table — and nothing
+        else ever is."""
+        from repro.core.pipeline import Engine
+        from repro.errors import TransformError
+        from repro.sql.parser import parse
+        from tests.core.helpers import assert_in_merges_are_semi
+
+        generator = CaseGenerator(0)
+        semi_tables = planned = 0
+        for index in range(200):
+            case = generator.case(index)
+            try:
+                plan = Engine(case.build_catalog()).plan(
+                    parse(case.sql), "transform"
+                )
+            except TransformError:
+                continue  # correlated NOT IN
+            planned += 1
+            semi_tables += len(assert_in_merges_are_semi(plan))
+        assert planned > 190 and semi_tables > 30
 
 
 class TestMinimize:

@@ -363,22 +363,13 @@ class TestEngineLevelEquivalence:
             buffer_pages=512,
             seed=9,
         )
-        jobs = [
-            (GENERATED_N_QUERY, True, False),
-            (GENERATED_J_QUERY, False, True),
-            (GENERATED_JA_QUERY, False, False),
-        ]
-        for query, dedupe_inner, dedupe_outer in jobs:
+        for query in (GENERATED_N_QUERY, GENERATED_J_QUERY, GENERATED_JA_QUERY):
             with evaluation(mode):
                 catalog = build_parts_supply(spec)
-                serial = measure(
-                    catalog, query, "transform", join_method="hash",
-                    dedupe_inner=dedupe_inner, dedupe_outer=dedupe_outer,
-                )
+                serial = measure(catalog, query, "transform", join_method="hash")
                 catalog = build_parts_supply(spec)
                 parallel = measure(
                     catalog, query, "transform", join_method="hash",
-                    dedupe_inner=dedupe_inner, dedupe_outer=dedupe_outer,
                     parallelism=4, parallel_threshold=0,
                 )
             assert Counter(parallel.rows) == Counter(serial.rows)

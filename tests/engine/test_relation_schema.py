@@ -127,61 +127,3 @@ class TestTempRowsPerPage:
         # page_bytes // row_width with a floor of one tuple per page.
         assert temp_rows_per_page(2) == temp_rows_per_page(1) // 2
         assert temp_rows_per_page(10_000) == 1
-
-
-class TestRowidRelation:
-    """The rowid view must delegate backing state to its base (the
-    PR-6 split-brain fix): backing checks, row/page counts, and drop
-    decisions all agree with the base relation."""
-
-    def _heap_base(self, buffer):
-        schema = RowSchema([("T", "A")])
-        return Relation.materialize(
-            schema, [(10,), (20,), (10,), (30,)], buffer, rows_per_page=2,
-            name="base",
-        )
-
-    def test_heap_backed_view_delegates_backing_state(self):
-        from repro.engine.relation import ROWID_COLUMN, RowidRelation
-
-        buffer = make_buffer()
-        base = self._heap_base(buffer)
-        view = RowidRelation(base, "T")
-        assert view.is_heap_backed
-        assert view.heap is base.heap
-        assert view.num_rows == base.num_rows
-        assert view.num_pages == base.num_pages
-        assert view.schema.column_names()[-1] == ROWID_COLUMN
-
-    def test_view_rows_carry_scan_position(self):
-        from repro.engine.relation import RowidRelation
-
-        buffer = make_buffer()
-        view = RowidRelation(self._heap_base(buffer), "T")
-        rows = view.to_list()
-        # Stable identity even for value-identical tuples.
-        assert rows == [(10, 0), (20, 1), (10, 2), (30, 3)]
-        # Batch access agrees with row access.
-        batched = [row for batch in view.iter_batches() for row in batch]
-        assert batched == rows
-
-    def test_memory_backed_view_delegates(self):
-        from repro.engine.relation import RowidRelation
-
-        schema = RowSchema([("T", "A")])
-        base = Relation.from_rows(schema, [(1,), (1,)])
-        view = RowidRelation(base, "T")
-        assert not view.is_heap_backed
-        assert view.num_rows == 2
-        assert view.num_pages == 0
-        assert view.to_list() == [(1, 0), (1, 1)]
-
-    def test_drop_frees_base_pages(self):
-        from repro.engine.relation import RowidRelation
-
-        buffer = make_buffer()
-        base = self._heap_base(buffer)
-        view = RowidRelation(base, "T")
-        view.drop()
-        assert buffer.disk.num_pages == 0
-        assert base.num_rows == 0

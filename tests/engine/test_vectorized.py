@@ -356,9 +356,7 @@ class TestThreeValuedLogic:
         with SQLiteOracle(catalog) as oracle:
             expected = normalize_rows(oracle.run(select))
 
-        runner = Engine(
-            catalog, join_method="hash", dedupe_inner=True, dedupe_outer=True
-        )
+        runner = Engine(catalog, join_method="hash")
         pages = set()
         for mode in MODES:
             catalog.buffer.evict_all()  # cold cache per leg

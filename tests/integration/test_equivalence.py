@@ -120,7 +120,7 @@ class TestTypeNEquivalence:
             WHERE PNUM IN (SELECT PNUM FROM SUPPLY
                            WHERE SHIPDATE < '1980-01-01')
         """
-        check(make_catalog(parts, supply), sql, dedupe_inner=True)
+        check(make_catalog(parts, supply), sql)
 
     @given(parts=parts_rows, supply=supply_rows)
     @settings(max_examples=30, deadline=None)
@@ -187,9 +187,9 @@ class TestMultiLevelEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_two_level_ja_over_n_with_dedupe(self, parts, supply, cutoff):
         """A type-N block nested under an aggregate: merging it with
-        duplicate inner values would *change the aggregate*, so the
-        inner-side dedup is required for full equivalence (the paper's
-        Lemma 1 assumes set semantics; see DESIGN.md)."""
+        duplicate inner values would *change the aggregate* (the paper's
+        Lemma 1 assumes set semantics; see DESIGN.md), so the inner temp
+        is a semi table of NEST-JA2's restricted inner projection."""
         sql = f"""
             SELECT PNUM FROM PARTS
             WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY
@@ -199,22 +199,18 @@ class TestMultiLevelEquivalence:
         """
         # The inner type-N block references PARTS via an alias to avoid
         # the FROM-collision restriction.
-        check(make_catalog(parts, supply), sql, dedupe_inner=True)
+        check(make_catalog(parts, supply), sql)
 
     def test_paper_literal_merge_inflates_aggregate(self):
-        """Pin the divergence: without dedup, duplicate values in the
-        type-N inner relation inflate a COUNT computed above it."""
-        parts = [(1, 1), (1, 1)]
-        supply = [(1, 1, "1975-01-01")]
-        sql = """
-            SELECT PNUM FROM PARTS
-            WHERE QOH = (SELECT COUNT(QUAN) FROM SUPPLY
-                         WHERE SUPPLY.PNUM = PARTS.PNUM AND
-                               QUAN IN (SELECT QOH FROM PARTS X
-                                        WHERE X.PNUM > 0))
+        """Pin the caveat: Kim's literal merge of a type-N block with
+        duplicate inner values inflates a COUNT computed above it."""
+        from tests.core.helpers import literal_nest_nj
+
+        catalog = make_catalog([(1, 1), (1, 1)], [(1, 1, "1975-01-01")])
+        aggregated_block = """
+            SELECT COUNT(QUAN) FROM SUPPLY
+            WHERE QUAN IN (SELECT QOH FROM PARTS X WHERE X.PNUM > 0)
         """
-        engine = Engine(make_catalog(parts, supply))
-        ni = engine.run(sql, method="nested_iteration")
-        tr = engine.run(sql, method="transform")
-        assert Counter(ni.result.rows) == Counter([(1,), (1,)])
-        assert tr.result.rows == []  # COUNT inflated from 1 to 2
+        ni = Engine(catalog).run(aggregated_block, method="nested_iteration")
+        assert ni.result.rows == [(1,)]
+        assert literal_nest_nj(catalog, aggregated_block) == [(2,)]

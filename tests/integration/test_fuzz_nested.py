@@ -10,12 +10,10 @@ The generator stays inside the semantic space where full bag
 equivalence is guaranteed (each constraint mirrors a documented
 caveat):
 
-* the engine runs with ``dedupe_inner`` and ``dedupe_outer`` on, which
-  restores multiplicities for type-N merges anywhere and type-J merges
-  at the root;
 * aggregate blocks that contain further nesting use MAX/MIN only —
-  duplicate-*insensitive* aggregates, immune to join fan-out from
-  merges below them (COUNT/SUM/AVG appear in leaf aggregate blocks);
+  duplicate-*insensitive* aggregates, immune to the fan-out of an
+  ``IN`` merge whose semi mark an enclosing NEST-JA2 step had to clear
+  (COUNT/SUM/AVG appear in leaf aggregate blocks);
 * correlated NOT IN is never generated (no canonical form exists);
 * scalar comparisons always face aggregate blocks (cardinality ≤ 1).
 """
@@ -186,7 +184,7 @@ def test_random_nested_queries_match_oracle(sql, r1, r2, r3):
     from repro.errors import TransformError
 
     catalog = make_catalog({"R1": r1, "R2": r2, "R3": r3})
-    engine = Engine(catalog, dedupe_inner=True, dedupe_outer=True)
+    engine = Engine(catalog)
 
     oracle = engine.run(sql, method="nested_iteration")
     try:

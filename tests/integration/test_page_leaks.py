@@ -70,8 +70,6 @@ def load(instance: str, join_method: str, parallelism: int) -> Database:
         # The instances are tiny: without a zero threshold the parallel
         # configurations would run the serial operators.
         parallel_threshold=0 if parallelism > 1 else None,
-        dedupe_inner=True,
-        dedupe_outer=True,
     )
     source = INSTANCES[instance]()
     for name in source.table_names():
@@ -134,13 +132,11 @@ class TestViewsOwnNothing:
 
     def test_dropping_a_scan_keeps_the_table(self):
         from repro.engine.operators import scan_table
-        from repro.engine.relation import RowidRelation
 
         db = load("kiessling", "merge", 1)
         entry = db.catalog.get("PARTS")
         rows = list(entry.heap.scan())
         scan_table(entry).drop()
-        RowidRelation(scan_table(entry), "PARTS").drop()
         assert list(entry.heap.scan()) == rows
         assert entry.heap.num_pages > 0
 
@@ -233,7 +229,7 @@ def test_thousand_mixed_operations_stay_bounded():
     """disk.num_pages after 1 000 mixed_rw-style operations: base tables
     plus the plan cache's bounded temp population, not one page per
     intermediate ever built."""
-    db = Database(buffer_pages=64, dedupe_inner=True, dedupe_outer=True)
+    db = Database(buffer_pages=64)
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
     db.insert("PARTS", [(p, p % 7) for p in range(60)])

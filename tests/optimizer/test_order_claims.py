@@ -75,8 +75,6 @@ def test_every_claimed_order_is_true(claims, join_method, parallelism):
         join_method=join_method,
         parallelism=parallelism,
         parallel_threshold=64,
-        dedupe_inner=True,
-        dedupe_outer=True,
     )
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"], rows_per_page=10)
     db.create_table(
@@ -98,7 +96,7 @@ def test_every_claimed_order_is_true(claims, join_method, parallelism):
 def test_claims_with_nulls_and_mixed_types(claims):
     """NULL and text keys order under the engine's total order, not
     Python's: the claims must hold there too."""
-    db = Database(buffer_pages=8, dedupe_inner=True, dedupe_outer=True)
+    db = Database(buffer_pages=8)
     db.create_table("R", [("A", "any"), "B"])
     db.create_table("S", [("A", "any"), "C"])
     db.insert("R", [(None, 1), (2, None), ("x", 0), (2, 2), (1, 1), (None, None)])

@@ -86,6 +86,70 @@ class TestEquivalence:
         assert reports[0].method == "batched-transform"
 
 
+class TestSemiTables:
+    """A batched ``IN``: the inner temp is a semi table, whose ``BSEQ``
+    does not come out of its join — the binding relation is crossed in
+    ahead of it and ``B.SEQ = temp.BSEQ`` is part of the semi condition."""
+
+    SHAPES = {
+        "n": "SELECT PNUM FROM PARTS WHERE PNUM IN "
+        "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < ?)",
+        "j": "SELECT PNUM FROM PARTS WHERE QOH IN (SELECT QUAN FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)",
+        # The semi table ahead of a plain batched temp in FROM order.
+        "two_preds": "SELECT PNUM FROM PARTS WHERE PNUM IN "
+        "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < ?) AND QOH = "
+        "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)",
+        # A semi table inside a batched definition (NEST-JA2's TEMP2).
+        "under_ja": "SELECT PNUM FROM PARTS WHERE QOH = "
+        "(SELECT COUNT(SHIPDATE) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM "
+        "AND QUAN IN (SELECT S2.QUAN FROM SUPPLY S2 "
+        "WHERE S2.PNUM = SUPPLY.PNUM AND S2.SHIPDATE < ?))",
+        # The parameter itself inside the semi condition.
+        "param_in_condition": "SELECT PNUM FROM PARTS WHERE QOH IN "
+        "(SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM < PARTS.PNUM + ?)",
+    }
+
+    @staticmethod
+    def vectors_for(shape, sql):
+        if shape == "param_in_condition":
+            return [(k,) for k in range(6)]
+        return [vector * sql.count("?") for vector in vectors(6)]
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_batched_in_equals_the_loop(self, shape):
+        sql = self.SHAPES[shape]
+        stmt = make_db().prepare(sql)
+        vecs = self.vectors_for(shape, sql)
+        batch = stmt.execute_batch(vecs)
+        assert batch.strategy == "batched"
+        assert "semi-join" in " ".join(batch.reports[0].steps)
+        for vector, report in zip(vecs, batch.reports):
+            assert Counter(report.result.rows) == Counter(
+                stmt.execute(vector).result.rows
+            ), vector
+
+    def test_theta_correlated_in_gives_the_loop_answer_either_way(self):
+        """Whichever strategy the shape gets (the rowid fix-up it used
+        to need made it loop)."""
+        sql = (
+            "SELECT PNUM FROM PARTS WHERE QOH IN (SELECT QUAN FROM SUPPLY "
+            "WHERE SUPPLY.PNUM < PARTS.PNUM AND SHIPDATE < ?)"
+        )
+        db = make_db()
+        stmt = db.prepare(sql)
+        vecs = vectors(5)
+        batch = stmt.execute_batch(vecs)
+        for vector, report in zip(vecs, batch.reports):
+            nested = db.run(
+                sql.replace("?", repr(vector[0])), method="nested_iteration"
+            )
+            assert Counter(report.result.rows) == Counter(
+                stmt.execute(vector).result.rows
+            ) == Counter(nested.result.rows), vector
+
+
 class TestStrategySelection:
     def test_small_batches_loop(self):
         db = make_db()

@@ -25,7 +25,7 @@ CUTOFF = "1980-07-15"
 
 def make_db(n_parts: int = 40, n_supply: int = 200) -> Database:
     rng = random.Random(18)
-    db = Database(buffer_pages=256, dedupe_inner=True, dedupe_outer=True)
+    db = Database(buffer_pages=256)
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"], rows_per_page=10)
     db.create_table(
         "SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")], rows_per_page=10

@@ -140,9 +140,7 @@ class TestModes:
 class TestResultFidelity:
     """Cached paths must agree with the interpreter and with SQLite."""
 
-    #: (sql, params, engine fix-up flags needed for multiset fidelity —
-    #: type-N merges fan out duplicate inner PNUMs without dedupe_inner,
-    #: the DESIGN.md caveat).
+    #: (sql, params, Database settings).
     QUERIES = [
         ("SELECT PNUM FROM PARTS WHERE QOH >= ?", (1,), {}),
         (
@@ -156,7 +154,7 @@ class TestResultFidelity:
             "SELECT PNUM FROM PARTS WHERE PNUM IN "
             "(SELECT PNUM FROM SUPPLY WHERE QUAN >= ?)",
             (2,),
-            {"dedupe_inner": True},
+            {},
         ),
     ]
 

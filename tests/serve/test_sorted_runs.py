@@ -16,7 +16,7 @@ SORT_FREE = ("n", "ja_count", "ja_max", "exists", "not_exists")
 
 
 def make_db() -> Database:
-    db = Database(buffer_pages=256, dedupe_inner=True, dedupe_outer=True)
+    db = Database(buffer_pages=256)
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"], rows_per_page=10)
     db.create_table(
         "SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")], rows_per_page=10

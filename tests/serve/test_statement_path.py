@@ -83,17 +83,25 @@ class TestSingleShot:
 
 class TestNoSecondClassStatements:
     def test_aggregated_dedupe_outer_staging_temp_is_an_ordinary_temp(self):
-        db = make_db(dedupe_outer=True)
+        """An aggregated root over an ``IN`` used to stage its outer
+        rows, rowid first, in one more temp and strip the rowid off
+        again; the semi-join needs neither — the inner temp is the only
+        definition and the plan has no column to strip."""
+        db = make_db()
         expected = bag(db, AGGREGATED_ROOT)
         single = db.run(AGGREGATED_ROOT)
         assert Counter(single.result.rows) == expected
         assert [s.split()[0] for s in single.steps] == ["built", "final:"]
         (name,) = single.temp_pages
-        assert name.startswith("DTEMP") and name in single.setup_sql[0]
+        assert name.startswith("JTEMP") and f"SEMI {name}" in single.canonical_sql
+        assert "semi-join" in single.steps[-1]
+        plan = db.engine.plan(parse(AGGREGATED_ROOT), "transform")
+        assert not hasattr(plan, "strip")
+        assert len(plan.final_query.items) == len(single.result.columns) == 2
         first = db.execute_cached(AGGREGATED_ROOT)
         second = db.execute_cached(AGGREGATED_ROOT)
-        assert first.steps[0].startswith("built DTEMP")
-        assert second.steps[0].startswith("shared DTEMP")
+        assert first.steps[0].startswith("built JTEMP")
+        assert second.steps[0].startswith("shared JTEMP")
         assert Counter(second.result.rows) == expected
         assert db.cache_stats().hits == 1
         statement = db.prepare(AGGREGATED_ROOT.replace("QOH IN", "QOH >= ? AND QOH IN"))

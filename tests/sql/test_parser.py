@@ -176,6 +176,18 @@ class TestPredicates:
         )
 
 
+    def test_semi_table(self):
+        """Plan syntax (``TableRef.semi``), read back as ``=+`` is."""
+        from repro.sql.ast import TableRef
+
+        block = parse("SELECT A FROM T, SEMI JTEMP_3, SEMI U X WHERE T.A = X.B")
+        assert block.from_tables == (
+            TableRef("T"),
+            TableRef("JTEMP_3", semi=True),
+            TableRef("U", "X", semi=True),
+        )
+
+
 class TestNestedPredicates:
     def test_in_subquery(self):
         block = parse(

@@ -63,6 +63,10 @@ class TestPrinting:
         source = "SELECT A FROM T, U WHERE T.A =+ U.B"
         assert parse(to_sql(parse(source))) == parse(source)
 
+    def test_semi_table_round_trips(self):
+        source = "SELECT A FROM T, SEMI JTEMP_3, SEMI U X WHERE T.A = X.B"
+        assert to_sql(parse(source)) == source
+
     def test_table_alias(self):
         sql = to_sql(parse("select x.a from t x"))
         assert "FROM T X" in sql

@@ -107,7 +107,9 @@ def selects(depth=2):
         Select,
         items=items,
         from_tables=st.lists(
-            st.builds(TableRef, tables, st.none()), min_size=1, max_size=2
+            st.builds(TableRef, tables, st.none(), st.booleans()),
+            min_size=1,
+            max_size=2,
         ).map(tuple),
         where=where,
         group_by=st.just(()),

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.engine.relation import Relation, RowidRelation
+from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -151,38 +151,6 @@ class TestRelationPartitions:
         assert relation.partition_count(0) == 1
         empty = Relation.from_rows(self.schema(), [])
         assert empty.partition_count(4) == 1
-
-    def test_rowid_shards_assign_serial_rids(self):
-        rows = [(i, i + 100) for i in range(23)]
-        buffer = BufferPool(DiskManager(), capacity=16)
-        base = Relation.materialize(
-            self.schema(), rows, buffer, rows_per_page=4
-        )
-        view = RowidRelation(base, "T")
-        serial = [
-            row for batch in view.iter_batches() for row in batch
-        ]
-        partitions = view.partition_count(3)
-        sharded = [
-            row
-            for index in range(partitions)
-            for batch in view.iter_partition_batches(index, partitions)
-            for row in batch
-        ]
-        assert sharded == serial
-        assert [row[-1] for row in sharded] == list(range(23))
-
-    def test_rowid_shards_memory_backed(self):
-        rows = [(i, i) for i in range(600)]
-        view = RowidRelation(Relation.from_rows(self.schema(), rows), "T")
-        partitions = view.partition_count(2)
-        sharded = [
-            row
-            for index in range(partitions)
-            for batch in view.iter_partition_batches(index, partitions)
-            for row in batch
-        ]
-        assert [row[-1] for row in sharded] == list(range(600))
 
 
 class TestSkewedKeys:
