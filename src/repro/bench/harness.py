@@ -52,10 +52,9 @@ def compare_methods(
     ``settings`` given) on the same query.
 
     ``check`` verifies the transformed result against the baseline:
-    ``"bag"`` (multiset equality, the default), ``"set"`` (duplicates
-    ignored), or None (for deliberately buggy algorithms such as
-    ``ja_algorithm="kim"``).  A benchmark must never silently
-    time a wrong answer.
+    ``"bag"`` (multiset equality, the default) or None (for deliberately
+    buggy algorithms such as ``ja_algorithm="kim"``).  A benchmark must
+    never silently time a wrong answer.
     """
     baseline = measure(catalog, sql, "nested_iteration")
     transformed = measure(catalog, sql, "transform", **settings)
@@ -66,11 +65,5 @@ def compare_methods(
             "methods disagree (bag): "
             f"nested_iteration={sorted(baseline.rows, key=str)} "
             f"transform={sorted(transformed.rows, key=str)}"
-        )
-    if check == "set" and set(baseline.rows) != set(transformed.rows):
-        raise AssertionError(
-            "methods disagree (set): "
-            f"nested_iteration={sorted(set(baseline.rows), key=str)} "
-            f"transform={sorted(set(transformed.rows), key=str)}"
         )
     return baseline, transformed

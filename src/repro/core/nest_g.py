@@ -290,12 +290,7 @@ class _NestG:
         self._build_pending_setup()
         from repro.engine.nested_iteration import NestedIterationExecutor
 
-        # Nested iteration gives SEMI no meaning: the block joins plainly.
-        return (
-            NestedIterationExecutor(self.catalog, self.config)
-            .execute(joined_plainly(inner))
-            .rows
-        )
+        return NestedIterationExecutor(self.catalog, self.config).execute(inner).rows
 
     def _build_pending_setup(self) -> None:
         from repro.errors import ParameterizedPlanError

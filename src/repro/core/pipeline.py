@@ -83,8 +83,7 @@ def prepare_query(
     for node in walk(select):
         if isinstance(node, TableRef):
             if node.semi:
-                # Plan syntax (NEST-G's mark on a merged inner temp);
-                # nested iteration gives it no meaning.
+                # Plan syntax: NEST-G's mark on a merged inner temp.
                 raise ReproError(
                     f"SEMI {node.binding}: a statement cannot mark a table "
                     "as semi-joined; write the IN predicate instead"

@@ -132,6 +132,7 @@ class CaseGenerator:
                 self._exists,
                 self._quantified,
                 self._type_a,
+                self._type_a_over_in,
                 self._type_ja,
             )
         )
@@ -183,6 +184,20 @@ class CaseGenerator:
         agg = self.rng.choice(_AGGS).format(col="U.C")
         return (
             f"T.B {self.op()} (SELECT {agg} FROM U{self._inner_where(False)})"
+        )
+
+    def _type_a_over_in(self) -> str:
+        # Type-A for the root, but its block holds an IN correlated to
+        # the block itself: NEST-A evaluates a block with a semi table.
+        # A bag aggregate sees a semi table that fans out.
+        agg = self.rng.choice(("COUNT(U.C)", "COUNT(*)", "SUM(U.C)"))
+        theta = self.rng.choice(("<", "<=", ">", ">=", "<>"))
+        correlation = self.rng.choice(
+            (f"U2.A {theta} U.A", "U2.A <=> U.A", f"U2.A {theta} U.A AND U2.C >= 1")
+        )
+        return (
+            f"T.B {self.op()} (SELECT {agg} FROM U WHERE U.C IN "
+            f"(SELECT U2.C FROM U U2 WHERE {correlation}))"
         )
 
     def _type_ja(self) -> str:

@@ -4,10 +4,7 @@ For every generated case the runner executes the query several ways —
 
 1. ``nested_iteration`` (System R semantics, the repo's baseline),
 2. ``transform``        (NEST-G with the paper's algorithms), once per
-   join method (merge, nested, hash by default) — with the expression
-   compiler on (``transform[merge]``: batch kernels and compiled
-   closures) and, on request, off (``transform[merge|interpreted]``:
-   every expression through the tree-walking interpreter) — and
+   join method (merge, nested, hash by default) and worker width, and
 3. SQLite               (the external reference oracle)
 
 — normalizes each result to a multiset, and demands agreement.  The
@@ -15,13 +12,10 @@ transform legs are skipped (not failed) when the query is outside the
 algorithms' documented reach (``TransformError``, e.g. correlated
 NOT IN); the other legs must still agree.
 
-The interpreted leg is the batch kernels' oracle check: the row
-interpreter defines the semantics, the kernels must reproduce them,
-and SQLite keeps both honest.  On top of bag-equal rows, every leg of
-one join method — compiler on or off, serial or parallel — must report
-**identical page I/O**: how an operator evaluates its tuples, and over
-how many shards, is not part of the plan, so a difference in page
-counts is a divergence even when the rows agree.
+On top of bag-equal rows, every width of one join method — serial or
+parallel — must report **identical page I/O**: over how many shards an
+operator evaluates its tuples is not part of the plan, so a difference
+in page counts is a divergence even when the rows agree.
 
 Static analysis rides along on every leg: the engine's default
 ``verify=True`` runs the plan verifier + Kim-bug lint
@@ -50,9 +44,7 @@ batches (:mod:`repro.difftest.mixed`).
 from __future__ import annotations
 
 import argparse
-import itertools
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.config import CHOICES
@@ -61,21 +53,12 @@ from repro.difftest.grammar import Case, CaseGenerator
 from repro.difftest.leaks import leaked_pages
 from repro.difftest.normalize import normalize_rows
 from repro.difftest.oracle import SQLiteOracle
-from repro.engine.compile import interpreted_only
 from repro.errors import TransformError
 from repro.sql.parser import parse
 
 
 #: The transform leg runs once per join method by default.
 JOIN_METHODS = CHOICES["join_method"]
-
-#: Evaluator legs: name -> expression compiler on?  "compiled" keeps
-#: the bare leg name (``transform[merge]``).
-ENGINE_LEGS = {"compiled": True, "interpreted": False}
-
-#: Default evaluator matrix (the interpreted leg roughly doubles the
-#: runtime; opt in via --engines).
-ENGINES = ("compiled",)
 
 #: Default parallelism matrix: serial only (cross in degrees with
 #: --parallelism; parallel legs run with ``parallel_threshold=0`` so
@@ -101,7 +84,6 @@ class CaseOutcome:
 def run_case(
     case: Case,
     join_methods: tuple[str, ...] = JOIN_METHODS,
-    engines: tuple[str, ...] = ENGINES,
     parallelisms: tuple[int, ...] = PARALLELISMS,
 ) -> CaseOutcome:
     """Execute one case every way and compare normalized bags."""
@@ -135,7 +117,7 @@ def run_case(
     detail_skip = ""
     for join_method in join_methods:
         page_ios: dict[str, int] = {}
-        for engine_name, degree in itertools.product(engines, parallelisms):
+        for degree in parallelisms:
             executor = Engine(
                 catalog,
                 join_method=join_method,
@@ -144,23 +126,19 @@ def run_case(
                 # a parallel leg would silently run the serial operators.
                 parallel_threshold=0 if degree > 1 else None,
             )
-            suffix = "" if engine_name == "compiled" else f"|{engine_name}"
-            if degree > 1:
-                suffix += f"|p{degree}"
+            suffix = f"|p{degree}" if degree > 1 else ""
             leg = f"transform[{join_method}{suffix}]"
-            evaluator = nullcontext if ENGINE_LEGS[engine_name] else interpreted_only
             # Cold cache per leg (the bench protocol): page I/O must
             # reflect the plan, not the buffer state a previous leg
             # happened to leave behind.
             catalog.buffer.evict_all()
             try:
-                with evaluator():
-                    tr = executor.run(select, method="transform")
+                tr = executor.run(select, method="transform")
                 results[leg] = normalize_rows(tr.result.rows)
                 page_ios[leg] = tr.io.page_ios
             except TransformError as exc:
-                # The rewrite itself is independent of join method,
-                # evaluator and width: one skip means they all skip.
+                # The rewrite itself is independent of join method and
+                # width: one skip means they all skip.
                 transform_skipped = True
                 detail_skip = str(exc)
             except Exception as exc:
@@ -174,9 +152,8 @@ def run_case(
                 break
         if transform_skipped:
             break
-        # Every evaluator and parallelism leg of one join method must
-        # charge the same page I/O — neither the expression compiler
-        # nor the exchange operators may change the cost model.
+        # Every width of one join method must charge the same page
+        # I/O — the exchange operators may not change the cost model.
         if len(set(page_ios.values())) > 1:
             return CaseOutcome(
                 case,
@@ -244,7 +221,6 @@ def run_difftest(
     stop_on_failure: bool = True,
     minimize: bool = True,
     join_methods: tuple[str, ...] = JOIN_METHODS,
-    engines: tuple[str, ...] = ENGINES,
     parallelisms: tuple[int, ...] = PARALLELISMS,
 ) -> Report:
     """Generate and check ``examples`` cases; minimize any failure."""
@@ -254,7 +230,7 @@ def run_difftest(
     report = Report()
     for index in range(examples):
         case = generator.case(index)
-        outcome = run_case(case, join_methods, engines, parallelisms)
+        outcome = run_case(case, join_methods, parallelisms)
         report.examples += 1
         if outcome.status == "ok":
             report.ok += 1
@@ -264,13 +240,11 @@ def run_difftest(
         if minimize:
             shrunk = minimize_case(
                 case,
-                lambda c: run_case(
-                    c, join_methods, engines, parallelisms
-                ).failed,
+                lambda c: run_case(c, join_methods, parallelisms).failed,
             )
-            outcome = run_case(shrunk, join_methods, engines, parallelisms)
+            outcome = run_case(shrunk, join_methods, parallelisms)
             if not outcome.failed:  # pragma: no cover - shrinker invariant
-                outcome = run_case(case, join_methods, engines, parallelisms)
+                outcome = run_case(case, join_methods, parallelisms)
         report.failures.append(outcome)
         if stop_on_failure:
             break
@@ -324,18 +298,10 @@ def main(argv: list[str] | None = None) -> int:
         f"(default: {','.join(JOIN_METHODS)})",
     )
     parser.add_argument(
-        "--engines",
-        default=",".join(ENGINES),
-        help="comma-separated evaluator legs for the transform runs "
-        "(expression compiler on / off), from "
-        f"{{{','.join(ENGINE_LEGS)}}} (default: {','.join(ENGINES)})",
-    )
-    parser.add_argument(
         "--parallelism",
         default=",".join(str(p) for p in PARALLELISMS),
-        help="comma-separated worker-shard degrees crossed with the "
-        "evaluator legs; degrees > 1 run with parallel_threshold=0 "
-        "(default: 1)",
+        help="comma-separated worker-shard degrees for the transform "
+        "legs; degrees > 1 run with parallel_threshold=0 (default: 1)",
     )
     parser.add_argument(
         "--mixed",
@@ -362,14 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         for method in args.join_methods.split(",")
         if method.strip()
     )
-    engines = tuple(
-        name.strip() for name in args.engines.split(",") if name.strip()
-    )
-    unknown = [name for name in engines if name not in ENGINE_LEGS]
-    if unknown:
-        parser.error(
-            f"unknown engine(s) {unknown}; choose from {list(ENGINE_LEGS)}"
-        )
     try:
         parallelisms = tuple(
             int(token.strip())
@@ -385,7 +343,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         stop_on_failure=not args.keep_going,
         join_methods=join_methods,
-        engines=engines,
         parallelisms=parallelisms,
     )
     for outcome in report.failures:

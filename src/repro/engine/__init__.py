@@ -13,29 +13,20 @@ Two evaluation paths share this package:
   grouped aggregation, all through the buffer pool so page I/O is
   measured.
 
-Both paths evaluate per-row expressions through
-:mod:`repro.engine.compile` when possible: an expression + schema chain
-is compiled once into a plain closure (column indices and operators
-bound ahead of time), falling back to the
-:mod:`repro.engine.expression` interpreter for subqueries and other
-shapes the compiler does not cover.
+Both paths evaluate expressions compiled once per (expression, schema):
+the operators as the batch kernels of :mod:`repro.engine.vector_compile`,
+nested iteration as the closures of :mod:`repro.engine.compile`, which
+evaluate subqueries through the executor's
+:class:`~repro.engine.expression.SubqueryHandler`.
 """
 
-from repro.engine.compile import (
-    CannotCompile,
-    compile_predicate,
-    compile_scalar,
-    interpreted_only,
-    try_compile_predicate,
-    try_compile_scalar,
-)
-from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
+from repro.engine.compile import compile_predicate, compile_scalar
+from repro.engine.expression import EvalContext
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 
 __all__ = [
-    "CannotCompile",
     "EvalContext",
     "NestedIterationExecutor",
     "QueryResult",
@@ -43,9 +34,4 @@ __all__ = [
     "RowSchema",
     "compile_predicate",
     "compile_scalar",
-    "eval_predicate",
-    "eval_scalar",
-    "interpreted_only",
-    "try_compile_predicate",
-    "try_compile_scalar",
 ]

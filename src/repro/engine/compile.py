@@ -1,16 +1,14 @@
-"""Compile expressions to plain Python closures (the per-row hot path).
+"""Compile expressions to plain Python closures — the row evaluator.
 
-:mod:`repro.engine.expression` interprets the AST recursively for every
-row: each :class:`ColumnRef` walks schemas, each node costs an
-``isinstance`` ladder, and every row allocates an ``EvalContext``.
-That is fine for the oracle but dominates wall-clock time on the
-transformed plans' restrict/project/join loops and on nested
-iteration's inner rescans.
+The engine evaluates an expression one of two ways, by job: the
+operators run their single-scope expressions as the batch kernels of
+:mod:`repro.engine.vector_compile`, and everything that runs a row at a
+time — nested iteration, correlated references, subqueries, the join
+residuals checked per candidate — runs the closure this module builds.
 
-This module compiles an :class:`~repro.sql.ast.Expr` against a *schema
-chain* — the row's own :class:`~repro.engine.schema.RowSchema` plus the
-schemas of any enclosing (correlated) contexts — into a closure of the
-form ``fn(row, outer)``:
+An :class:`~repro.sql.ast.Expr` is compiled against a *schema chain* —
+the row's own :class:`~repro.engine.schema.RowSchema` plus the schemas
+of any enclosing (correlated) contexts — into ``fn(row, outer)``:
 
 * column indices are resolved **once**, at compile time (a reference to
   an enclosing block becomes a fixed number of ``.outer`` hops plus a
@@ -19,24 +17,31 @@ form ``fn(row, outer)``:
   string dispatch);
 * SQL three-valued logic is preserved exactly: NULL propagation,
   short-circuit AND/OR over unknown, ``<=>`` null-safe equality, the
-  type-mismatch errors of :func:`~repro.engine.expression.compare_values`.
+  mixed-type comparison error.
 
-Anything the compiler cannot express — subqueries, aggregates used as
-scalars, references that do not bind in the chain — raises
-:class:`CannotCompile`; callers fall back to the interpreter, which
-reproduces the documented runtime error (or evaluates the subquery).
-The ``try_compile_*`` helpers return None in that case, and also when
-compilation is globally disabled (:func:`interpreted_only`, which the
-differential tester uses to run its interpreted legs).
+Compilation never declines; every node the parser produces becomes a
+closure.  A subquery node builds the row's
+:class:`~repro.engine.expression.EvalContext` and asks the
+:class:`~repro.engine.expression.SubqueryHandler` given at compile time
+(nested iteration passes itself; with none, evaluating the node is an
+error — physical plans are fully unnested).  A node that can only fail
+— an aggregate outside aggregation, ``*``, a predicate used as a
+scalar, a scalar used as a predicate, a column that does not resolve or
+resolves ambiguously — raises its error when a row is evaluated, never
+at compile time, so an empty input stays silent.
+
+The **cell rules** below are the one definition of what a single value
+evaluates to; the batch kernels apply them to every cell their
+same-type fast paths do not cover.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
+from typing import Any, TypeVar
 
-
+from repro.engine.expression import EvalContext, SubqueryHandler
 from repro.engine.params import param_value
 from repro.engine.schema import RowSchema
 from repro.errors import BindError, ExecutionError
@@ -47,74 +52,208 @@ from repro.sql.ast import (
     BinaryArith,
     ColumnRef,
     Comparison,
+    Exists,
     Expr,
+    FuncCall,
     InList,
+    InSubquery,
     IsNull,
     Literal,
     Not,
     Or,
     Parameter,
+    Quantified,
+    ScalarSubquery,
+    Select,
+    Star,
     UnaryMinus,
+    walk,
 )
 
 #: A compiled expression: ``fn(row, outer)`` where ``row`` is the local
 #: tuple and ``outer`` is the enclosing EvalContext chain (or None when
 #: the expression references only local columns).
-CompiledFn = Callable[[tuple, object], object]
+CompiledFn = Callable[[tuple, Any], Any]
+
+#: A cell rule over two values.
+Cell = Callable[[Any, Any], Any]
+
+_F = TypeVar("_F")
 
 
-class CannotCompile(Exception):
-    """The expression needs the interpreter (subquery, unbound ref, ...)."""
+# -- cell rules --------------------------------------------------------------
+
+#: The Python operator behind each SQL operator: what a cell rule
+#: applies once NULLs and types are settled, and what the batch
+#: kernels' same-type fast paths apply directly.
+ARITHMETIC: dict[str, Cell] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+COMPARISON: dict[str, Cell] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
-# -- global toggle (benchmark harness) --------------------------------------
-
-_COMPILE_ENABLED = True
-
-
-def compile_enabled() -> bool:
-    return _COMPILE_ENABLED
+def is_number(value: object) -> bool:
+    """SQL numbers are int and float — never bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def set_compile_enabled(enabled: bool) -> None:
-    """Globally enable/disable compilation (``try_compile_*`` → None)."""
-    global _COMPILE_ENABLED
-    _COMPILE_ENABLED = bool(enabled)
+def _require_number(value: object) -> None:
+    if not is_number(value):
+        raise ExecutionError(f"expected a number, got {value!r}")
 
 
-@contextmanager
-def interpreted_only():
-    """Context manager: force the interpreted path (for benchmarks)."""
-    previous = _COMPILE_ENABLED
-    set_compile_enabled(False)
-    try:
-        yield
-    finally:
-        set_compile_enabled(previous)
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise ExecutionError("division by zero")
+    return left / right
 
 
-# -- column resolution -------------------------------------------------------
+def negation(value: Any) -> Any:
+    """Unary minus: NULL stays NULL; anything but a number is an error."""
+    if value is None:
+        return None
+    _require_number(value)
+    return -value
 
 
-def _normalize_chain(schemas: RowSchema | Sequence[RowSchema]) -> tuple[RowSchema, ...]:
-    if isinstance(schemas, RowSchema):
-        return (schemas,)
-    chain = tuple(schemas)
-    if not chain:
-        raise CannotCompile("empty schema chain")
-    return chain
+def arithmetic(op: str) -> Cell:
+    """``left op right``: NULL propagates, both sides must be numbers,
+    division by zero is an error."""
+    apply = _divide if op == "/" else ARITHMETIC.get(op)
+
+    def cell(left: Any, right: Any) -> Any:
+        if left is None or right is None:
+            return None
+        _require_number(left)
+        _require_number(right)
+        if apply is None:
+            raise ExecutionError(f"unknown arithmetic operator {op!r}")
+        return apply(left, right)
+
+    return cell
 
 
-def _resolve(ref: ColumnRef, chain: tuple[RowSchema, ...]) -> tuple[int, int]:
-    """Resolve a reference to ``(depth, index)``; innermost schema first."""
+def comparison(op: str) -> Cell:
+    """Three-valued ``left op right``: NULL on either side is unknown;
+    numbers compare with numbers, strings with strings, and mixing is
+    an execution error rather than a silent falsehood."""
+    apply = COMPARISON[op]
+
+    def cell(left: Any, right: Any) -> bool | None:
+        if left is None or right is None:
+            return None
+        if is_number(left) != is_number(right):
+            raise ExecutionError(
+                f"cannot compare {left!r} with {right!r} (type mismatch)"
+            )
+        return apply(left, right)
+
+    return cell
+
+
+_equal = comparison("=")
+
+
+def null_safe_equal(left: Any, right: Any) -> bool:
+    """``<=>``: NULL <=> NULL is True, NULL <=> value is False,
+    otherwise ``=`` (type mismatch included).  Never unknown."""
+    if left is None or right is None:
+        return left is None and right is None
+    return _equal(left, right) is True
+
+
+def between(above: bool | None, below: bool | None, negated: bool) -> bool | None:
+    """``[NOT] BETWEEN`` from its two bound comparisons (both are always
+    evaluated: the bounds are compared eagerly)."""
+    if above is False or below is False:
+        inside = False
+    elif above is None or below is None:
+        return None
+    else:
+        inside = True
+    return not inside if negated else inside
+
+
+def membership(value: Any, items: Sequence, negated: bool) -> bool | None:
+    """``value [NOT] IN items``: True at the first equal item, unknown
+    when none is equal but some comparison was unknown."""
+    result: bool | None = False
+    for item in items:
+        matched = _equal(value, item)
+        if matched is True:
+            result = True
+            break
+        if matched is None:
+            result = None
+    if result is None:
+        return None
+    return not result if negated else result
+
+
+def quantified(op: str, quantifier: str) -> Callable[[Any, Sequence], bool | None]:
+    """``value op ANY|ALL items``.
+
+    ``op ANY ∅`` is false and ``op ALL ∅`` is (vacuously) true — the
+    edge case that makes the paper's section 8.2 rewrites "logically
+    (but not necessarily semantically) equivalent".
+    """
+    compare = comparison(op)
+    decided = quantifier == "ANY"  # the outcome one item can settle
+
+    def cell(value: Any, items: Sequence) -> bool | None:
+        result: bool | None = not decided
+        for item in items:
+            matched = compare(value, item)
+            if matched is decided:
+                return decided
+            if matched is None:
+                result = None
+        return result
+
+    return cell
+
+
+# -- column resolution and raising nodes -------------------------------------
+
+
+def _raiser(error: type[Exception], message: str) -> CompiledFn:
+    """A node that can only fail: it raises when a row is evaluated."""
+
+    def fail(row: tuple, outer: Any) -> Any:
+        raise error(message)
+
+    return fail
+
+
+_NO_HANDLER = _raiser(
+    ExecutionError,
+    "subquery encountered but no executor installed "
+    "(physical plans must be fully unnested)",
+)
+
+
+def _column(ref: ColumnRef, chain: tuple[RowSchema, ...]) -> CompiledFn:
+    """A getter for ``ref``, innermost schema first — the order
+    :meth:`EvalContext.resolve` searches at runtime."""
     for depth, schema in enumerate(chain):
         try:
             index = schema.try_index_of(ref)
         except BindError as error:  # ambiguous within one schema
-            raise CannotCompile(str(error)) from error
+            return _raiser(BindError, str(error))
         if index is not None:
-            return depth, index
-    raise CannotCompile(f"cannot resolve column {ref.qualified()}")
+            return _column_getter(depth, index)
+    return _raiser(BindError, f"cannot resolve column {ref.qualified()}")
 
 
 def _column_getter(depth: int, index: int) -> CompiledFn:
@@ -133,39 +272,10 @@ def _column_getter(depth: int, index: int) -> CompiledFn:
 
 # -- scalar compilation ------------------------------------------------------
 
-_ARITH_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
 
-_CMP_OPS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_number(value: object) -> None:
-    if not _is_number(value):
-        raise ExecutionError(f"expected a number, got {value!r}")
-
-
-def compile_scalar(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
+def _scalar(
+    expr: Expr, chain: tuple[RowSchema, ...], handler: SubqueryHandler | None
 ) -> CompiledFn:
-    """Compile a scalar expression; raises :class:`CannotCompile`."""
-    return _scalar(expr, _normalize_chain(schemas))
-
-
-def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
     if isinstance(expr, Literal):
         value = expr.value
         return lambda row, outer: value
@@ -173,88 +283,43 @@ def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
         index, name = expr.index, expr.name
         return lambda row, outer: param_value(index, name)
     if isinstance(expr, ColumnRef):
-        depth, index = _resolve(expr, chain)
-        return _column_getter(depth, index)
+        return _column(expr, chain)
     if isinstance(expr, UnaryMinus):
-        operand = _scalar(expr.operand, chain)
-
-        def negate(row, outer):
-            value = operand(row, outer)
-            if value is None:
-                return None
-            _require_number(value)
-            return -value
-
-        return negate
+        operand = _scalar(expr.operand, chain, handler)
+        return lambda row, outer: negation(operand(row, outer))
     if isinstance(expr, BinaryArith):
-        left = _scalar(expr.left, chain)
-        right = _scalar(expr.right, chain)
-        if expr.op == "/":
-
-            def divide(row, outer):
-                l = left(row, outer)
-                r = right(row, outer)
-                if l is None or r is None:
-                    return None
-                _require_number(l)
-                _require_number(r)
-                if r == 0:
-                    raise ExecutionError("division by zero")
-                return l / r
-
-            return divide
-        py_op = _ARITH_OPS.get(expr.op)
-        if py_op is None:
-            raise CannotCompile(f"unknown arithmetic operator {expr.op!r}")
-
-        def arith(row, outer):
-            l = left(row, outer)
-            r = right(row, outer)
-            if l is None or r is None:
-                return None
-            _require_number(l)
-            _require_number(r)
-            return py_op(l, r)
-
-        return arith
-    # ScalarSubquery, FuncCall, Star, predicates-as-scalars: interpreter.
-    raise CannotCompile(f"cannot compile scalar {type(expr).__name__}")
+        left = _scalar(expr.left, chain, handler)
+        right = _scalar(expr.right, chain, handler)
+        cell = arithmetic(expr.op)
+        return lambda row, outer: cell(left(row, outer), right(row, outer))
+    if isinstance(expr, ScalarSubquery):
+        if handler is None:
+            return _NO_HANDLER
+        query, schema, scalar = expr.query, chain[0], handler.scalar
+        return lambda row, outer: scalar(
+            query, EvalContext(row, schema, outer, handler)
+        )
+    if isinstance(expr, FuncCall):
+        return _raiser(
+            ExecutionError,
+            f"aggregate {expr.name} used outside aggregation context",
+        )
+    if isinstance(expr, Star):
+        return _raiser(ExecutionError, "* is not a scalar expression")
+    # Predicates used as scalars (no BOOLEAN type in this dialect).
+    return _raiser(
+        ExecutionError, f"expected scalar expression, got {type(expr).__name__}"
+    )
 
 
 # -- predicate compilation ---------------------------------------------------
 
 
-def _compare_maker(op: str) -> Callable[[object, object], object]:
-    """Three-valued comparison with the op bound once.
-
-    Mirrors :func:`repro.engine.expression.compare_values` exactly,
-    including the mixed-type :class:`ExecutionError`.
-    """
-    py_op = _CMP_OPS[op]
-
-    def compare(left: object, right: object) -> bool | None:
-        if left is None or right is None:
-            return None
-        if _is_number(left) != _is_number(right):
-            raise ExecutionError(
-                f"cannot compare {left!r} with {right!r} (type mismatch)"
-            )
-        return py_op(left, right)
-
-    return compare
-
-
-def compile_predicate(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
+def _predicate(
+    expr: Expr, chain: tuple[RowSchema, ...], handler: SubqueryHandler | None
 ) -> CompiledFn:
-    """Compile a predicate to a three-valued closure; raises
-    :class:`CannotCompile` for subquery predicates and friends."""
-    return _predicate(expr, _normalize_chain(schemas))
-
-
-def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
     if isinstance(expr, And):
-        parts = [_predicate(operand, chain) for operand in expr.operands]
+        parts = [_predicate(operand, chain, handler) for operand in expr.operands]
 
         def conj(row, outer):
             result: bool | None = True
@@ -268,7 +333,7 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
 
         return conj
     if isinstance(expr, Or):
-        parts = [_predicate(operand, chain) for operand in expr.operands]
+        parts = [_predicate(operand, chain, handler) for operand in expr.operands]
 
         def disj(row, outer):
             result: bool | None = False
@@ -282,7 +347,7 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
 
         return disj
     if isinstance(expr, Not):
-        operand = _predicate(expr.operand, chain)
+        operand = _predicate(expr.operand, chain, handler)
 
         def negate(row, outer):
             value = operand(row, outer)
@@ -292,76 +357,81 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
 
         return negate
     if isinstance(expr, Comparison):
-        left = _scalar(expr.left, chain)
-        right = _scalar(expr.right, chain)
-        if expr.null_safe:
-            equal = _compare_maker("=")
-
-            def null_safe(row, outer):
-                l = left(row, outer)
-                r = right(row, outer)
-                if l is None or r is None:
-                    return l is None and r is None
-                return equal(l, r) is True
-
-            return null_safe
-        compare = _compare_maker(expr.op)
+        left = _scalar(expr.left, chain, handler)
+        right = _scalar(expr.right, chain, handler)
+        compare = null_safe_equal if expr.null_safe else comparison(expr.op)
         return lambda row, outer: compare(left(row, outer), right(row, outer))
     if isinstance(expr, IsNull):
-        operand = _scalar(expr.operand, chain)
+        operand = _scalar(expr.operand, chain, handler)
         if expr.negated:
             return lambda row, outer: operand(row, outer) is not None
         return lambda row, outer: operand(row, outer) is None
     if isinstance(expr, Between):
-        value_fn = _scalar(expr.operand, chain)
-        low_fn = _scalar(expr.low, chain)
-        high_fn = _scalar(expr.high, chain)
-        ge = _compare_maker(">=")
-        le = _compare_maker("<=")
+        value_fn = _scalar(expr.operand, chain, handler)
+        low_fn = _scalar(expr.low, chain, handler)
+        high_fn = _scalar(expr.high, chain, handler)
+        ge, le = comparison(">="), comparison("<=")
         negated = expr.negated
 
-        def between(row, outer):
+        def within(row, outer):
             value = value_fn(row, outer)
             low = low_fn(row, outer)
             high = high_fn(row, outer)
-            # Both bounds compared eagerly, like the interpreter.
-            above = ge(value, low)
-            below = le(value, high)
-            if above is False or below is False:
-                inside: bool | None = False
-            elif above is None or below is None:
-                inside = None
-            else:
-                inside = True
-            if inside is None:
-                return None
-            return (not inside) if negated else inside
+            return between(ge(value, low), le(value, high), negated)
 
-        return between
+        return within
     if isinstance(expr, InList):
-        value_fn = _scalar(expr.operand, chain)
-        item_fns = [_scalar(item, chain) for item in expr.items]
-        equal = _compare_maker("=")
+        value_fn = _scalar(expr.operand, chain, handler)
+        item_fns = [_scalar(item, chain, handler) for item in expr.items]
         negated = expr.negated
 
-        def membership(row, outer):
+        def in_list(row, outer):
             value = value_fn(row, outer)
-            items = [fn(row, outer) for fn in item_fns]
-            result: bool | None = False
-            for item in items:
-                matched = equal(value, item)
-                if matched is True:
-                    result = True
-                    break
-                if matched is None:
-                    result = None
-            if result is None:
-                return None
-            return (not result) if negated else result
+            return membership(value, [fn(row, outer) for fn in item_fns], negated)
 
-        return membership
-    # InSubquery, Exists, Quantified, bare scalars: interpreter.
-    raise CannotCompile(f"cannot compile predicate {type(expr).__name__}")
+        return in_list
+    if isinstance(expr, (InSubquery, Exists, Quantified)):
+        return _subquery_predicate(expr, chain, handler)
+    # A bare scalar in predicate position is a dialect error.
+    return _raiser(ExecutionError, f"not a predicate: {type(expr).__name__}")
+
+
+def _subquery_predicate(
+    expr: InSubquery | Exists | Quantified,
+    chain: tuple[RowSchema, ...],
+    handler: SubqueryHandler | None,
+) -> CompiledFn:
+    """IN / EXISTS / ANY / ALL over a subquery: the operand first, then
+    the handler's rows for this row's context."""
+    if handler is None:
+        return _NO_HANDLER
+    query, schema = expr.query, chain[0]
+    if isinstance(expr, Exists):
+        exists, negated = handler.exists, expr.negated
+
+        def exists_fn(row, outer):
+            answer = exists(query, EvalContext(row, schema, outer, handler))
+            return not answer if negated else answer
+
+        return exists_fn
+    operand = _scalar(expr.operand, chain, handler)
+    column = handler.column
+    if isinstance(expr, InSubquery):
+        negated = expr.negated
+
+        def in_subquery(row, outer):
+            value = operand(row, outer)
+            items = column(query, EvalContext(row, schema, outer, handler))
+            return membership(value, items, negated)
+
+        return in_subquery
+    cell = quantified(expr.op, expr.quantifier)
+
+    def quantified_fn(row, outer):
+        value = operand(row, outer)
+        return cell(value, column(query, EvalContext(row, schema, outer, handler)))
+
+    return quantified_fn
 
 
 # -- closure memo ------------------------------------------------------------
@@ -370,70 +440,65 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
 # tuple, so ``(expr, chain)`` is a usable cache key.  Compiled closures
 # are pure (all per-row state flows through ``(row, outer)`` and the
 # parameter contextvar), so one closure can serve every thread.  The
-# memo is what lets a cached plan skip recompilation on replay.
+# memo is what lets a cached plan skip recompilation on replay.  A
+# closure bound to a subquery handler stays out of it: nested iteration
+# keeps its own plans per block.
 
 _MEMO_CAPACITY = 4096
 _memo_lock = make_lock("engine.compile_memo")
-#: key → CompiledFn, or the CannotCompile sentinel below.
-_memo: dict[tuple, object] = {}
-_CANNOT = object()
+_memo: dict[tuple, Any] = {}
 
 
-def _memoized(
-    kind: str,
-    compiler: Callable[[Expr, tuple[RowSchema, ...]], CompiledFn],
-    expr: Expr,
-    schemas: RowSchema | Sequence[RowSchema],
-) -> CompiledFn | None:
-    try:
-        chain = _normalize_chain(schemas)
-    except CannotCompile:
-        return None
-    key = (kind, expr, chain)
+def memoized(key: tuple, build: Callable[[], _F]) -> _F:
+    """``build()``, memoized process-wide under ``key`` (bounded LRU); a
+    key that does not hash (an unhashable literal) compiles fresh."""
     try:
         with _memo_lock:
-            cached = _memo.get(key)
+            cached = _memo.pop(key, None)
             if cached is not None:
-                # Reinsert for LRU recency (dicts preserve order).
-                _memo.pop(key, None)
-                _memo[key] = cached
+                _memo[key] = cached  # most recently used last
     except TypeError:
-        # Unhashable literal embedded in the expression; compile fresh.
-        try:
-            return compiler(expr, chain)
-        except CannotCompile:
-            return None
-    if cached is _CANNOT:
-        return None
+        return build()
     if cached is not None:
-        return cached  # type: ignore[return-value]
-    try:
-        compiled: object = compiler(expr, chain)
-    except CannotCompile:
-        compiled = _CANNOT
+        return cached
+    compiled = build()
     with _memo_lock:
         while len(_memo) >= _MEMO_CAPACITY:
             _memo.pop(next(iter(_memo)))
         _memo[key] = compiled
-    return None if compiled is _CANNOT else compiled  # type: ignore[return-value]
+    return compiled
 
 
-# -- fallible front door -----------------------------------------------------
+def _compiled(
+    kind: str,
+    compiler: Callable[
+        [Expr, tuple[RowSchema, ...], SubqueryHandler | None], CompiledFn
+    ],
+    expr: Expr,
+    schemas: RowSchema | Sequence[RowSchema],
+    handler: SubqueryHandler | None,
+) -> CompiledFn:
+    chain = (schemas,) if isinstance(schemas, RowSchema) else tuple(schemas)
+    if handler is not None and any(
+        isinstance(node, Select) for node in walk(expr, into_subqueries=False)
+    ):
+        return compiler(expr, chain, handler)
+    return memoized((kind, expr, chain), lambda: compiler(expr, chain, handler))
 
 
-def try_compile_scalar(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
-) -> CompiledFn | None:
-    """Compiled scalar, or None (fall back to the interpreter)."""
-    if not _COMPILE_ENABLED:
-        return None
-    return _memoized("s", _scalar, expr, schemas)
+def compile_scalar(
+    expr: Expr,
+    schemas: RowSchema | Sequence[RowSchema],
+    handler: SubqueryHandler | None = None,
+) -> CompiledFn:
+    """Compile a scalar expression against a (non-empty) schema chain."""
+    return _compiled("s", _scalar, expr, schemas, handler)
 
 
-def try_compile_predicate(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
-) -> CompiledFn | None:
-    """Compiled predicate, or None (fall back to the interpreter)."""
-    if not _COMPILE_ENABLED:
-        return None
-    return _memoized("p", _predicate, expr, schemas)
+def compile_predicate(
+    expr: Expr,
+    schemas: RowSchema | Sequence[RowSchema],
+    handler: SubqueryHandler | None = None,
+) -> CompiledFn:
+    """Compile a predicate to a three-valued closure."""
+    return _compiled("p", _predicate, expr, schemas, handler)

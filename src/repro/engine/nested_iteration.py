@@ -30,13 +30,8 @@ from functools import partial
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.engine.aggregate import compute_aggregate
-from repro.engine.compile import try_compile_predicate, try_compile_scalar
-from repro.engine.expression import (
-    EvalContext,
-    SubqueryHandler,
-    eval_predicate,
-    eval_scalar,
-)
+from repro.engine.compile import CompiledFn, compile_predicate, compile_scalar
+from repro.engine.expression import EvalContext, SubqueryHandler
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import column_profile, order_key, orderable
@@ -48,7 +43,8 @@ from repro.sql.ast import (
     FuncCall,
     Select,
     Star,
-    conjuncts,
+    TableRef,
+    map_children,
 )
 from repro.sql.printer import to_sql
 from repro.storage.locks import make_lock
@@ -103,7 +99,7 @@ class NestedIterationExecutor(SubqueryHandler):
       while later threads block on it — each inner block still runs
       exactly once per key, same as serial.
     * the plan caches (``_where_plans``, ``_item_plans``,
-      ``_scalar_plans``, ``_outer_ref_plans``, ``_index_plans``) map
+      ``_group_plans``, ``_outer_ref_plans``, ``_index_plans``) map
       AST node ids to pure, idempotent derivations.  Two threads may
       race to compute the same plan; both results are identical, the
       dict store is atomic under the GIL, and no I/O is involved — so
@@ -124,11 +120,11 @@ class NestedIterationExecutor(SubqueryHandler):
         self._scalar_cache: dict[int, object] = {}
         self._column_cache: dict[int, Relation] = {}
         self._index_plans: dict[int, object] = {}
-        # Compiled-evaluation plans, keyed on AST node identity (the
-        # plan lists hold the nodes, keeping their ids stable).
-        self._where_plans: dict[int, list] = {}
+        # Compiled-evaluation plans, keyed on the block's identity (the
+        # query being executed holds its blocks, keeping the ids stable).
+        self._where_plans: dict[int, CompiledFn | None] = {}
         self._item_plans: dict[int, list] = {}
-        self._scalar_plans: dict[int, object] = {}
+        self._group_plans: dict[int, _GroupPlan] = {}
         # Correlated-subquery memo: (kind, id(query), outer values) →
         # result, plus the per-query list of referenced outer columns.
         self._outer_ref_plans: dict[int, object] = {}
@@ -178,7 +174,7 @@ class NestedIterationExecutor(SubqueryHandler):
         self._index_plans.clear()
         self._where_plans.clear()
         self._item_plans.clear()
-        self._scalar_plans.clear()
+        self._group_plans.clear()
         self._outer_ref_plans.clear()
         self._corr_memo.clear()
         try:
@@ -337,8 +333,9 @@ class NestedIterationExecutor(SubqueryHandler):
     def _execute_block(
         self, select: Select, outer: EvalContext | None
     ) -> tuple[RowSchema, list[tuple]]:
-        schema = self._from_schema(select)
-        qualifying = self._qualifying_rows(select, schema, outer)
+        tables = sorted(select.from_tables, key=lambda ref: ref.semi)
+        schema = self._from_schema(tables)
+        qualifying = self._qualifying_rows(select, tables, schema, outer)
 
         if select.group_by or select.has_aggregate_select():
             rows = self._aggregate_rows(select, schema, qualifying, outer)
@@ -353,9 +350,9 @@ class NestedIterationExecutor(SubqueryHandler):
             rows = self._order_rows(select, schema, qualifying, rows, outer)
         return schema, rows
 
-    def _from_schema(self, select: Select) -> RowSchema:
+    def _from_schema(self, tables: list[TableRef]) -> RowSchema:
         fields: list[tuple[str | None, str]] = []
-        for ref in select.from_tables:
+        for ref in tables:
             table_schema = self.catalog.schema_of(ref.name)
             fields.extend(
                 (ref.binding, column) for column in table_schema.column_names
@@ -363,54 +360,45 @@ class NestedIterationExecutor(SubqueryHandler):
         return RowSchema(fields)
 
     def _qualifying_rows(
-        self, select: Select, schema: RowSchema, outer: EvalContext | None
+        self,
+        select: Select,
+        tables: list[TableRef],
+        schema: RowSchema,
+        outer: EvalContext | None,
     ) -> list[tuple]:
+        """The FROM rows the WHERE keeps.  Semi-joined tables (plan
+        syntax, ``SEMI`` in a transformed block) scan last, and their
+        rescan stops at the first extension that qualifies: each
+        combination of the other tables comes out at most once, as
+        from a semi join."""
         indexed = self._indexed_rows(select, schema, outer)
         if indexed is not None:
             return indexed
-        plan = self._where_plan(select, schema, outer)
-        parallel = self._parallel_qualifying_rows(select, schema, outer, plan)
+        keep = self._where_plan(select, schema, outer)
+        parallel = self._parallel_qualifying_rows(select, schema, outer, keep)
         if parallel is not None:
             return parallel
+        plain = [ref.name for ref in tables if not ref.semi]
+        semi = [ref.name for ref in tables if ref.semi]
         rows: list[tuple] = []
-        for combined in self._from_rows(select, 0, ()):
-            if self._row_qualifies(plan, combined, schema, outer):
-                rows.append(combined)
+        if not semi:
+            for combined in self._from_rows(plain, ()):
+                if keep is None or keep(combined, outer) is True:
+                    rows.append(combined)
+            return rows
+        for prefix in self._from_rows(plain, ()):
+            for combined in self._from_rows(semi, prefix):
+                if keep is None or keep(combined, outer) is True:
+                    rows.append(combined)
+                    break
         return rows
-
-    def _row_qualifies(
-        self,
-        plan: list,
-        combined: tuple,
-        schema: RowSchema,
-        outer: EvalContext | None,
-    ) -> bool:
-        context: EvalContext | None = None
-        keep = True
-        # Conjuncts evaluated in predicate order, stopping on the
-        # first False — exactly the interpreter's AND semantics, so
-        # mixing compiled and interpreted conjuncts changes nothing.
-        for conjunct, compiled in plan:
-            if compiled is not None:
-                value = compiled(combined, outer)
-            else:
-                if context is None:
-                    context = EvalContext(
-                        combined, schema, outer, subquery_handler=self
-                    )
-                value = eval_predicate(conjunct, context)
-            if value is False:
-                return False
-            if value is not True:
-                keep = False
-        return keep
 
     def _parallel_qualifying_rows(
         self,
         select: Select,
         schema: RowSchema,
         outer: EvalContext | None,
-        plan: list,
+        keep: CompiledFn | None,
     ) -> list[tuple] | None:
         """Shard the outermost loop across the exchange pool, or None.
 
@@ -450,7 +438,7 @@ class NestedIterationExecutor(SubqueryHandler):
             rows: list[tuple] = []
             for _page_index, batch in heap.scan_pages_partition(shards[index]):
                 for combined in batch:
-                    if self._row_qualifies(plan, combined, schema, None):
+                    if keep is None or keep(combined, None) is True:
                         rows.append(combined)
             return rows
 
@@ -462,20 +450,19 @@ class NestedIterationExecutor(SubqueryHandler):
 
     def _where_plan(
         self, select: Select, schema: RowSchema, outer: EvalContext | None
-    ) -> list:
-        """Per-conjunct evaluators for a block's WHERE clause: a
-        compiled closure where possible, the AST (interpreted per row)
-        where not.  Cached per block — a correlated block keeps its
-        plan across the per-outer-tuple rescans."""
-        plan = self._where_plans.get(id(select))
-        if plan is None:
-            parts = conjuncts(select.where) if select.where is not None else []
-            chain = _schema_chain(schema, outer)
-            plan = [
-                (part, try_compile_predicate(part, chain)) for part in parts
-            ]
-            self._where_plans[id(select)] = plan
-        return plan
+    ) -> CompiledFn | None:
+        """The block's WHERE clause, compiled once per block — a
+        correlated block keeps it across the per-outer-tuple rescans."""
+        key = id(select)
+        if key not in self._where_plans:
+            self._where_plans[key] = (
+                None
+                if select.where is None
+                else compile_predicate(
+                    select.where, _schema_chain(schema, outer), self
+                )
+            )
+        return self._where_plans[key]
 
     # -- index fast path ------------------------------------------------------
 
@@ -495,26 +482,22 @@ class NestedIterationExecutor(SubqueryHandler):
             return None
         plan = self._index_plans.get(id(select))
         if plan is None:
-            plan = self._make_index_plan(select, schema)
+            plan = self._make_index_plan(select, schema, outer)
             self._index_plans[id(select)] = plan
         if plan is False:
             return None
-        index, key_expr, residual = plan
+        index, key, residual = plan
+        # The probe key reads the *outer* context only (the expression
+        # has no local references by construction).
+        return [
+            row
+            for row in index.lookup(key((), outer))
+            if residual is None or residual(row, outer) is True
+        ]
 
-        # The probe key is evaluated in the *outer* context only (the
-        # expression has no local references by construction).
-        probe_context = EvalContext(
-            (), RowSchema(()), outer, subquery_handler=self
-        )
-        value = eval_scalar(key_expr, probe_context)
-        rows: list[tuple] = []
-        for row in index.lookup(value):
-            context = EvalContext(row, schema, outer, subquery_handler=self)
-            if residual is None or eval_predicate(residual, context) is True:
-                rows.append(row)
-        return rows
-
-    def _make_index_plan(self, select: Select, schema: RowSchema):
+    def _make_index_plan(
+        self, select: Select, schema: RowSchema, outer: EvalContext | None
+    ):
         from repro.sql.ast import Comparison, conjuncts, make_and, walk
 
         if len(select.from_tables) != 1 or select.where is None:
@@ -554,21 +537,31 @@ class NestedIterationExecutor(SubqueryHandler):
                 residual = make_and(
                     parts[:position] + parts[position + 1 :]
                 )
-                return (index, other_side, residual)
+                return (
+                    index,
+                    compile_scalar(
+                        other_side, _schema_chain(RowSchema(()), outer), self
+                    ),
+                    None
+                    if residual is None
+                    else compile_predicate(
+                        residual, _schema_chain(schema, outer), self
+                    ),
+                )
         return False
 
-    def _from_rows(self, select: Select, index: int, prefix: tuple):
-        """Cartesian product of the FROM tables by nested rescans.
+    def _from_rows(self, tables: list[str], prefix: tuple, index: int = 0):
+        """Cartesian product of ``tables[index:]`` by nested rescans,
+        each row extending ``prefix``.
 
         Inner tables are rescanned per outer tuple through the buffer
         pool — the join method System R's nested iteration uses.
         """
-        if index == len(select.from_tables):
+        if index == len(tables):
             yield prefix
             return
-        heap = self.catalog.heap_of(select.from_tables[index].name)
-        for row in heap.scan():
-            yield from self._from_rows(select, index + 1, prefix + row)
+        for row in self.catalog.heap_of(tables[index]).scan():
+            yield from self._from_rows(tables, prefix + row, index + 1)
 
     # -- projection and aggregation ---------------------------------------
 
@@ -583,23 +576,18 @@ class NestedIterationExecutor(SubqueryHandler):
         if plan is None:
             chain = _schema_chain(schema, outer)
             plan = [
-                (item.expr, None)
+                None
                 if isinstance(item.expr, Star)
-                else (item.expr, try_compile_scalar(item.expr, chain))
+                else compile_scalar(item.expr, chain, self)
                 for item in select.items
             ]
             self._item_plans[id(select)] = plan
-        context: EvalContext | None = None
         values: list[object] = []
-        for expr, compiled in plan:
-            if isinstance(expr, Star):
-                values.extend(self._star_values(expr, schema, row))
-            elif compiled is not None:
-                values.append(compiled(row, outer))
+        for item, compiled in zip(select.items, plan):
+            if isinstance(item.expr, Star):
+                values.extend(self._star_values(item.expr, schema, row))
             else:
-                if context is None:
-                    context = EvalContext(row, schema, outer, subquery_handler=self)
-                values.append(eval_scalar(expr, context))
+                values.append(compiled(row, outer))
         return tuple(values)
 
     def _star_values(self, star: Star, schema: RowSchema, row: tuple) -> list[object]:
@@ -618,112 +606,22 @@ class NestedIterationExecutor(SubqueryHandler):
         qualifying: list[tuple],
         outer: EvalContext | None,
     ) -> list[tuple]:
+        plan = self._group_plans.get(id(select))
+        if plan is None:
+            plan = _GroupPlan(select, _schema_chain(schema, outer), self)
+            self._group_plans[id(select)] = plan
         if select.group_by:
-            key_plans = [
-                (expr, self._scalar_plan(expr, schema, outer))
-                for expr in select.group_by
-            ]
             groups: dict[tuple, list[tuple]] = {}
-            order: list[tuple] = []
             for row in qualifying:
-                context = EvalContext(row, schema, outer, subquery_handler=self)
-                key = tuple(
-                    orderable(
-                        compiled(row, outer)
-                        if compiled is not None
-                        else eval_scalar(expr, context)
-                    )
-                    for expr, compiled in key_plans
-                )
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(row)
-            result: list[tuple] = []
-            for key in order:
-                group = groups[key]
-                if select.having is not None:
-                    keep = self._eval_group_predicate(
-                        select.having, schema, group, outer
-                    )
-                    if keep is not True:
-                        continue
-                result.append(
-                    tuple(
-                        self._eval_group_expr(item.expr, schema, group, outer)
-                        for item in select.items
-                    )
-                )
-            return result
-
-        # Scalar aggregation: the whole input is one group, and SQL
-        # returns exactly one row even for an empty input.
-        group = qualifying
-        if select.having is not None:
-            keep = self._eval_group_predicate(select.having, schema, group, outer)
-            if keep is not True:
-                return []
-        return [
-            tuple(
-                self._eval_group_expr(item.expr, schema, group, outer)
-                for item in select.items
-            )
-        ]
-
-    def _eval_group_expr(
-        self,
-        expr: Expr,
-        schema: RowSchema,
-        group: list[tuple],
-        outer: EvalContext | None,
-    ) -> object:
-        if isinstance(expr, FuncCall) and expr.is_aggregate:
-            if isinstance(expr.arg, Star):
-                values: list[object] = [1] * len(group)
-            else:
-                compiled = self._scalar_plan(expr.arg, schema, outer)
-                if compiled is not None:
-                    values = [compiled(row, outer) for row in group]
-                else:
-                    values = [
-                        eval_scalar(
-                            expr.arg,
-                            EvalContext(row, schema, outer, subquery_handler=self),
-                        )
-                        for row in group
-                    ]
-            return compute_aggregate(expr.name, values, expr.distinct)
-        if not group:
-            return None
-        context = EvalContext(group[0], schema, outer, subquery_handler=self)
-        return eval_scalar(expr, context)
-
-    def _eval_group_predicate(
-        self,
-        predicate: Expr,
-        schema: RowSchema,
-        group: list[tuple],
-        outer: EvalContext | None,
-    ) -> bool | None:
-        """Evaluate a HAVING predicate over one group.
-
-        Aggregates inside the predicate are computed over the group by
-        substituting their values first (structurally, via a wrapper
-        context on a representative row would not see them).
-        """
-        from repro.sql import ast as A
-
-        def rewrite(node: Expr) -> Expr:
-            if isinstance(node, FuncCall) and node.is_aggregate:
-                return A.Literal(self._eval_group_expr(node, schema, group, outer))
-            if isinstance(node, Select):
-                return node  # its aggregates are its own
-            return A.map_children(node, rewrite)
-
-        rewritten = rewrite(predicate)
-        representative = group[0] if group else tuple(None for _ in schema.fields)
-        context = EvalContext(representative, schema, outer, subquery_handler=self)
-        return eval_predicate(rewritten, context)
+                key = tuple(orderable(fn(row, outer)) for fn in plan.keys)
+                groups.setdefault(key, []).append(row)
+            grouped = list(groups.values())
+        else:
+            # Scalar aggregation: the whole input is one group, and SQL
+            # returns exactly one row even for an empty input.
+            grouped = [qualifying]
+        results = (plan.result(group, outer) for group in grouped)
+        return [row for row in results if row is not None]
 
     def _order_rows(
         self,
@@ -756,16 +654,6 @@ class NestedIterationExecutor(SubqueryHandler):
         return sorted(rows, key=key, reverse=descending_flags == {True})
 
     # -- helpers -----------------------------------------------------------
-
-    def _scalar_plan(self, expr: Expr, schema: RowSchema, outer: EvalContext | None):
-        """Compiled closure for a scalar expression, or None; cached on
-        the AST node's identity (the cache holds the node alive)."""
-        if id(expr) in self._scalar_plans:
-            cached_expr, compiled = self._scalar_plans[id(expr)]
-            return compiled
-        compiled = try_compile_scalar(expr, _schema_chain(schema, outer))
-        self._scalar_plans[id(expr)] = (expr, compiled)
-        return compiled
 
     def _is_correlated(self, query: Select) -> bool:
         """Correlation test used to decide caching.
@@ -816,6 +704,78 @@ class NestedIterationExecutor(SubqueryHandler):
                 cached.drop()
         self._column_cache.clear()
         self._scalar_cache.clear()
+
+
+class _GroupPlan:
+    """An aggregated block, compiled once: its group keys, its items as
+    functions of a group, and its HAVING over a per-group row that is
+    the group's aggregate values (one slot per aggregate call) followed
+    by a representative row."""
+
+    def __init__(
+        self,
+        select: Select,
+        chain: tuple[RowSchema, ...],
+        handler: SubqueryHandler,
+    ) -> None:
+        self.keys = [compile_scalar(e, chain, handler) for e in select.group_by]
+        self.items = [_group_item(i.expr, chain, handler) for i in select.items]
+        self.nulls = (None,) * len(chain[0])
+        self.aggregates: list = []
+        self.having: CompiledFn | None = None
+        if select.having is None:
+            return
+        slots: list[ColumnRef] = []
+
+        def slot(node):
+            if isinstance(node, FuncCall) and node.is_aggregate:
+                self.aggregates.append(_aggregator(node, chain, handler))
+                # No SQL identifier can spell the qualifier.
+                slots.append(ColumnRef("#AGG", str(len(slots) + 1)))
+                return slots[-1]
+            if isinstance(node, Select):
+                return node  # its aggregates are its own
+            return map_children(node, slot)
+
+        having = slot(select.having)
+        prefix = RowSchema((ref.table, ref.column) for ref in slots)
+        self.having = compile_predicate(
+            having, (prefix + chain[0],) + chain[1:], handler
+        )
+
+    def result(
+        self, group: list[tuple], outer: EvalContext | None
+    ) -> tuple | None:
+        """The group's output row, or None when HAVING rejects it."""
+        if self.having is not None:
+            values = tuple(aggregate(group, outer) for aggregate in self.aggregates)
+            representative = group[0] if group else self.nulls
+            if self.having(values + representative, outer) is not True:
+                return None
+        return tuple(item(group, outer) for item in self.items)
+
+
+def _aggregator(call: FuncCall, chain: tuple[RowSchema, ...], handler):
+    """``fn(group, outer)``: the aggregate's value over the group."""
+    name, distinct = call.name, call.distinct
+    if isinstance(call.arg, Star):
+        return lambda group, outer: compute_aggregate(
+            name, [1] * len(group), distinct
+        )
+    arg = compile_scalar(call.arg, chain, handler)
+    return lambda group, outer: compute_aggregate(
+        name, [arg(row, outer) for row in group], distinct
+    )
+
+
+def _group_item(expr: Expr, chain: tuple[RowSchema, ...], handler):
+    """``fn(group, outer)`` for one SELECT item of an aggregated block:
+    an aggregate over the group, anything else over its first row (NULL
+    for an empty group)."""
+    if isinstance(expr, FuncCall) and expr.is_aggregate:
+        return _aggregator(expr, chain, handler)
+    compiled = compile_scalar(expr, chain, handler)
+    return lambda group, outer: compiled(group[0], outer) if group else None
 
 
 def _schema_chain(

@@ -42,10 +42,7 @@ their input through :meth:`Relation.iter_batches` — one batch per heap
 page, so page I/O is exactly a row scan's — transpose each batch to
 columns, run expressions as the batch kernels of
 :mod:`repro.engine.vector_compile`, and write through
-:meth:`Relation.materialize_batches`.  An expression with no kernel
-(compilation disabled by :func:`~repro.engine.compile.interpreted_only`,
-an unsupported node) falls back, alone, to its scalar closure or the
-interpreter over the selected rows.
+:meth:`Relation.materialize_batches`.
 
 Restrict/project and the hash-join probe are each one pure
 ``batch -> output rows`` body (:func:`restrict_project_body`,
@@ -74,19 +71,14 @@ from operator import itemgetter
 
 from repro.catalog.catalog import TableEntry
 from repro.engine.aggregate import AggSpec, apply_specs
-from repro.engine.compile import (
-    compile_enabled,
-    try_compile_predicate,
-    try_compile_scalar,
-)
-from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
+from repro.engine.compile import compile_predicate
 from repro.engine.relation import NO_ORDER, Order, Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import compares_raw, orderable, value_types
 from repro.engine.vector_compile import (
+    compile_batch_predicate,
+    compile_batch_scalar,
     referenced_indexes,
-    try_compile_batch_predicate,
-    try_compile_batch_scalar,
 )
 from repro.errors import ExecutionError
 from repro.sql.ast import And, ColumnRef, Comparison, Expr
@@ -134,43 +126,6 @@ def _rows(columns: list[list], count: int) -> list[tuple]:
     return list(zip(*columns))
 
 
-def _batch_scalar(
-    expr: Expr, schema: RowSchema
-) -> Callable[[list, list[tuple], "list[int] | None"], list]:
-    """A column evaluator ``fn(cols, batch, sel)`` for one scalar.
-
-    Uses the batch kernel when one compiles; otherwise evaluates the
-    scalar closure (or, failing that, the interpreter) row by row over
-    the selection — the per-expression fallback.
-    """
-    kernel = try_compile_batch_scalar(expr, schema)
-    if kernel is not None:
-        return lambda cols, batch, sel: kernel(cols, len(batch), sel)
-    compiled = try_compile_scalar(expr, schema)
-    if compiled is not None:
-        row_fn = lambda row: compiled(row, None)  # noqa: E731
-    else:
-        row_fn = lambda row: eval_scalar(expr, EvalContext(row, schema))  # noqa: E731
-
-    def fallback(cols, batch, sel):
-        if sel is None:
-            return [row_fn(row) for row in batch]
-        return [row_fn(batch[i]) for i in sel]
-
-    return fallback
-
-
-def _batch_mask(
-    predicate: Expr, schema: RowSchema
-) -> Callable[[list, list[tuple]], list]:
-    """A full-batch predicate mask evaluator ``fn(cols, batch)``."""
-    kernel = try_compile_batch_predicate(predicate, schema)
-    if kernel is not None:
-        return lambda cols, batch: kernel(cols, len(batch), None)
-    row_fn = _row_predicate(predicate, schema)
-    return lambda cols, batch: [row_fn(row) for row in batch]
-
-
 def restrict_project_body(
     schema: RowSchema,
     predicate: Expr | None,
@@ -186,26 +141,31 @@ def restrict_project_body(
         evaluators = None
     else:
         out_schema = RowSchema((qual, col) for _, qual, col in projections)
-        evaluators = [_batch_scalar(expr, schema) for expr, _, _ in projections]
-    mask_fn = None if predicate is None else _batch_mask(predicate, schema)
+        evaluators = [
+            compile_batch_scalar(expr, schema) for expr, _, _ in projections
+        ]
+    mask_fn = (
+        None if predicate is None else compile_batch_predicate(predicate, schema)
+    )
     width = len(schema)
 
     def process(batch: list[tuple]) -> list[tuple]:
         if not batch:
             return []
         cols = _columns(batch, width)
+        n = len(batch)
         if mask_fn is None:
             sel: list[int] | None = None
-            count = len(batch)
+            count = n
         else:
-            mask = mask_fn(cols, batch)
+            mask = mask_fn(cols, n, None)
             sel = [i for i, value in enumerate(mask) if value is True]
             if not sel:
                 return []
             count = len(sel)
         if evaluators is None:
             return batch if sel is None else [batch[i] for i in sel]
-        return _rows([fn(cols, batch, sel) for fn in evaluators], count)
+        return _rows([fn(cols, n, sel) for fn in evaluators], count)
 
     return out_schema, process
 
@@ -303,14 +263,11 @@ def _regimes(null_safe: "bool | Sequence[bool]", width: int) -> list[bool]:
 def _row_predicate(
     predicate: Expr | None, schema: RowSchema
 ) -> Callable[[tuple], object] | None:
-    """A per-row predicate callable: compiled when possible, interpreted
-    otherwise (None when there is no predicate at all)."""
+    """A per-row predicate callable (None when there is no predicate)."""
     if predicate is None:
         return None
-    compiled = try_compile_predicate(predicate, schema)
-    if compiled is not None:
-        return lambda row: compiled(row, None)
-    return lambda row: eval_predicate(predicate, EvalContext(row, schema))
+    compiled = compile_predicate(predicate, schema)
+    return lambda row: compiled(row, None)
 
 
 def merge_join(
@@ -590,14 +547,14 @@ def hash_probe_body(
       equivalent in every mode (a left row all of whose matches fail
       the residual pads with NULLs, or is dropped, either way), and far
       cheaper than materializing candidates;
-    * anything left over keeps the candidate-time check (kernel when it
-      compiles, per-row scalar fallback otherwise).
+    * anything left over keeps the candidate-time check, one kernel
+      call per probe batch.
 
     A pushed conjunct is therefore evaluated on non-candidate rows, and
     a folded equality cannot raise the mixed-type error (the module
-    docstring's error-surfacing contract).  Decomposition is off under
-    :func:`~repro.engine.compile.interpreted_only`, where the residual
-    is checked per candidate row exactly as written.
+    docstring's error-surfacing contract).  A plain callable residual
+    (no source expression) is checked per candidate row exactly as
+    written.
     """
     right_nulls = (None,) * len(right.schema)
     left_width = len(left_schema)
@@ -606,7 +563,7 @@ def hash_probe_body(
     eq_folds = [(l, r) for l, r, safe in keyed if not safe]  # '=' components
     ns_folds = [(l, r) for l, r, safe in keyed if safe]  # '<=>' components
     expr = getattr(residual, "expr", None)
-    if expr is not None and compile_enabled():
+    if expr is not None:
         schema = residual.schema
         left_parts: list = []
         right_parts: list = []
@@ -617,15 +574,12 @@ def hash_probe_body(
                 (ns_folds if conjunct.null_safe else eq_folds).append(pair)
                 continue
             refs = referenced_indexes(conjunct, schema)
-            kernel = (
-                None
-                if refs is None
-                else try_compile_batch_predicate(conjunct, schema)
-            )
-            if kernel is not None and refs and all(i >= left_width for i in refs):
-                right_parts.append(kernel)
-            elif kernel is not None and all(i < left_width for i in refs):
-                left_parts.append(kernel)
+            if refs is None:
+                leftover = True
+            elif refs and all(i >= left_width for i in refs):
+                right_parts.append(compile_batch_predicate(conjunct, schema))
+            elif all(i < left_width for i in refs):
+                left_parts.append(compile_batch_predicate(conjunct, schema))
             else:
                 leftover = True
         probe_residual = _and_kernels(left_parts)
@@ -636,7 +590,7 @@ def hash_probe_body(
             # Candidates were pre-filtered by any pushed conjuncts (all
             # True there), so re-checking the whole expression on them
             # is redundant but correct.
-            residual_kernel = try_compile_batch_predicate(expr, schema)
+            residual_kernel = compile_batch_predicate(expr, schema)
 
     # Leading ``nchecked`` key components never admit NULL (build rows
     # with NULL there are skipped); trailing components match NULL to
@@ -723,8 +677,7 @@ def hash_probe_body(
                 for right_row in bucket
             ]
         if residual_kernel is None:
-            # Residual with no batch kernel: per-candidate scalar
-            # check (compiled closure or interpreter).
+            # A plain callable residual: checked per candidate.
             for left_row, bucket in zip(batch, buckets):
                 matched = False
                 for right_row in bucket or ():

@@ -16,8 +16,7 @@ a value column, unknown is ``None`` in a predicate mask — the validity
 information rides with the data, and :func:`null_mask` recovers an
 explicit validity vector when a kernel needs one (``IS NULL``).
 
-Semantics match the row evaluators (:mod:`repro.engine.compile`, the
-interpreter) cell for cell:
+Semantics are the row closures' cell for cell:
 
 * AND/OR gate their later operands through **selection vectors** — the
   second conjunct is evaluated only at rows where the first is not
@@ -28,20 +27,17 @@ interpreter) cell for cell:
   evaluates column-at-a-time, so which of several erroneous cells
   reports first is unspecified — the operators' error-surfacing
   contract, :mod:`repro.engine.operators`.)
-* comparisons reproduce :func:`repro.engine.expression.compare_values`
-  exactly, including the mixed-type :class:`ExecutionError`;
-* NULL propagation, ``<=>``, BETWEEN's eager bounds, and IN's
-  membership scan all mirror the row compiler in
-  :mod:`repro.engine.compile`.
+* every value is computed by the cell rules of :mod:`repro.engine.compile`
+  (comparison with its mixed-type error, ``<=>``, arithmetic, BETWEEN,
+  IN-list membership); what a kernel adds is only its **same-type fast
+  paths**, where those rules' errors are impossible.
 
-Anything outside the batch repertoire — subqueries, references into an
-enclosing (correlated) scope, aggregates as scalars — raises
-:class:`~repro.engine.compile.CannotCompile`; the operators fall back
-**per expression** to the scalar closure path (or the interpreter), so
-one stubborn expression never forces a whole plan off the kernels.  The ``try_compile_batch_*`` helpers honour the same
-global toggle as the row compiler: under
-:func:`~repro.engine.compile.interpreted_only` they return None and the
-operators run every expression through the interpreter.
+Compilation never declines.  A kernel evaluates one row scope; a node
+outside the batch repertoire — a subquery, an aggregate or ``*`` as a
+scalar, a predicate used as a scalar, a column that does not resolve in
+that scope — runs as its row closure over the selected rows, so it
+raises exactly when a selected row is evaluated and an empty selection
+stays silent.
 """
 
 from __future__ import annotations
@@ -50,13 +46,22 @@ import operator
 from collections.abc import Callable, Sequence
 
 from repro.engine.compile import (
-    CannotCompile,
-    _memoized,
-    compile_enabled,
+    ARITHMETIC,
+    COMPARISON,
+    CompiledFn,
+    arithmetic,
+    between,
+    comparison,
+    compile_predicate,
+    compile_scalar,
+    membership,
+    memoized,
+    negation,
+    null_safe_equal,
 )
 from repro.engine.params import param_value
 from repro.engine.schema import RowSchema
-from repro.errors import ExecutionError
+from repro.errors import BindError, ExecutionError
 from repro.sql.ast import (
     And,
     Between,
@@ -76,25 +81,6 @@ from repro.sql.ast import (
 #: A batch kernel: ``fn(cols, n, sel) -> column`` (dense over ``sel``).
 BatchFn = Callable[[list, int, "list[int] | None"], list]
 
-_ARITH_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
-
-_CMP_OPS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
 
 def null_mask(column: Sequence) -> list[bool]:
     """Explicit validity vector for a value column (True = NULL)."""
@@ -105,15 +91,20 @@ def null_mask(column: Sequence) -> list[bool]:
 # when both operand columns are homogeneous (all numbers, or all
 # strings, optionally with NULLs) the kernel can dispatch to a
 # ``map``/comprehension with no per-element type checking, because the
-# row evaluators' mixed-type :class:`ExecutionError` is impossible within
+# cell rules' mixed-type :class:`ExecutionError` is impossible within
 # the domain.  Note ``bool`` is deliberately NOT numeric (it falls to
-# the general path, which raises on bool-vs-number like
-# ``compare_values``).
+# the cell rule, which raises on bool-vs-number).
 _NONE = type(None)
 _NUM = frozenset((int, float))
 _NUM_N = frozenset((int, float, _NONE))
 _STR = frozenset((str,))
 _STR_N = frozenset((str, _NONE))
+
+
+def _same_domain(lk: set, rk: set, nulls: bool) -> bool:
+    """Both columns numbers, or both strings (NULLs admitted when asked)."""
+    num, text = (_NUM_N, _STR_N) if nulls else (_NUM, _STR)
+    return (lk <= num and rk <= num) or (lk <= text and rk <= text)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -123,19 +114,30 @@ def _out_length(n: int, sel: list[int] | None) -> int:
     return n if sel is None else len(sel)
 
 
-def _single_schema(chain: tuple[RowSchema, ...]) -> RowSchema:
-    """Batch kernels evaluate one row scope; deeper chains are the
-    correlated case and take the row-at-a-time path."""
-    if len(chain) != 1:
-        raise CannotCompile("batch kernels support a single row scope")
-    return chain[0]
+def _lifted(fn: CompiledFn) -> BatchFn:
+    """A row closure evaluated at each selected row of the batch."""
+
+    def lifted(cols, n, sel):
+        rows = list(zip(*cols)) if cols else [()] * n
+        if sel is None:
+            return [fn(row, None) for row in rows]
+        return [fn(rows[i], None) for i in sel]
+
+    return lifted
+
+
+def _position(ref: ColumnRef, schema: RowSchema) -> int | None:
+    """The column's index, or None when it does not resolve uniquely."""
+    try:
+        return schema.try_index_of(ref)
+    except BindError:
+        return None
 
 
 # -- scalar kernels ----------------------------------------------------------
 
 
-def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
-    schema = _single_schema(chain)
+def _scalar(expr: Expr, schema: RowSchema) -> BatchFn:
     if isinstance(expr, Literal):
         value = expr.value
 
@@ -150,8 +152,8 @@ def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
             return [param_value(index, name)] * _out_length(n, sel)
 
         return parameter
-    if isinstance(expr, ColumnRef):
-        position = _resolve(expr, schema)
+    position = _position(expr, schema) if isinstance(expr, ColumnRef) else None
+    if position is not None:
 
         def column(cols, n, sel):
             source = cols[position]
@@ -161,7 +163,7 @@ def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
 
         return column
     if isinstance(expr, UnaryMinus):
-        operand = _scalar(expr.operand, chain)
+        operand = _scalar(expr.operand, schema)
 
         def negate(cols, n, sel):
             values = operand(cols, n, sel)
@@ -170,144 +172,72 @@ def _scalar(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
                 return list(map(operator.neg, values))
             if kinds <= _NUM_N:
                 return [None if v is None else -v for v in values]
-            out = []
-            append = out.append
-            for value in values:
-                if value is None:
-                    append(None)
-                elif not _is_number(value):
-                    raise ExecutionError(f"expected a number, got {value!r}")
-                else:
-                    append(-value)
-            return out
+            return list(map(negation, values))
 
         return negate
-    if isinstance(expr, BinaryArith):
-        left = _scalar(expr.left, chain)
-        right = _scalar(expr.right, chain)
-        if expr.op == "/":
-
-            def divide(cols, n, sel):
-                lv = left(cols, n, sel)
-                rv = right(cols, n, sel)
-                lk = set(map(type, lv))
-                rk = set(map(type, rv))
-                if lk <= _NUM_N and rk <= _NUM_N:
-                    try:
-                        if lk <= _NUM and rk <= _NUM:
-                            return list(map(operator.truediv, lv, rv))
-                        return [
-                            None if a is None or b is None else a / b
-                            for a, b in zip(lv, rv)
-                        ]
-                    except ZeroDivisionError:
-                        raise ExecutionError("division by zero") from None
-                out = []
-                append = out.append
-                for l, r in zip(lv, rv):
-                    if l is None or r is None:
-                        append(None)
-                        continue
-                    if not _is_number(l):
-                        raise ExecutionError(f"expected a number, got {l!r}")
-                    if not _is_number(r):
-                        raise ExecutionError(f"expected a number, got {r!r}")
-                    if r == 0:
-                        raise ExecutionError("division by zero")
-                    append(l / r)
-                return out
-
-            return divide
-        py_op = _ARITH_OPS.get(expr.op)
-        if py_op is None:
-            raise CannotCompile(f"unknown arithmetic operator {expr.op!r}")
+    if isinstance(expr, BinaryArith) and expr.op in ARITHMETIC:
+        left = _scalar(expr.left, schema)
+        right = _scalar(expr.right, schema)
+        py_op, cell = ARITHMETIC[expr.op], arithmetic(expr.op)
 
         def arith(cols, n, sel):
             lv = left(cols, n, sel)
             rv = right(cols, n, sel)
             lk = set(map(type, lv))
             rk = set(map(type, rv))
-            if lk <= _NUM and rk <= _NUM:
-                return list(map(py_op, lv, rv))
             if lk <= _NUM_N and rk <= _NUM_N:
-                return [
-                    None if a is None or b is None else py_op(a, b)
-                    for a, b in zip(lv, rv)
-                ]
-            out = []
-            append = out.append
-            for l, r in zip(lv, rv):
-                if l is None or r is None:
-                    append(None)
-                    continue
-                if not _is_number(l):
-                    raise ExecutionError(f"expected a number, got {l!r}")
-                if not _is_number(r):
-                    raise ExecutionError(f"expected a number, got {r!r}")
-                append(py_op(l, r))
-            return out
+                try:
+                    if lk <= _NUM and rk <= _NUM:
+                        return list(map(py_op, lv, rv))
+                    return [
+                        None if a is None or b is None else py_op(a, b)
+                        for a, b in zip(lv, rv)
+                    ]
+                except ZeroDivisionError:
+                    raise ExecutionError("division by zero") from None
+            return list(map(cell, lv, rv))
 
         return arith
-    # ScalarSubquery, FuncCall, Star, predicates-as-scalars: row path.
-    raise CannotCompile(f"cannot batch-compile scalar {type(expr).__name__}")
-
-
-def _resolve(ref: ColumnRef, schema: RowSchema) -> int:
-    from repro.errors import BindError
-
-    try:
-        index = schema.try_index_of(ref)
-    except BindError as error:
-        raise CannotCompile(str(error)) from error
-    if index is None:
-        raise CannotCompile(f"cannot resolve column {ref.qualified()}")
-    return index
+    return _lifted(compile_scalar(expr, schema))
 
 
 # -- predicate kernels -------------------------------------------------------
 
 
-def _compare_kernel(op: str, left: BatchFn, right: BatchFn) -> BatchFn:
-    py_op = _CMP_OPS[op]
+def _compare_kernel(
+    op: str, left: BatchFn, right: BatchFn, null_safe: bool = False
+) -> BatchFn:
+    py_op = COMPARISON[op]
+    cell = null_safe_equal if null_safe else comparison(op)
 
     def compare(cols, n, sel):
         lv = left(cols, n, sel)
         rv = right(cols, n, sel)
         lk = set(map(type, lv))
         rk = set(map(type, rv))
-        if (lk <= _NUM and rk <= _NUM) or (lk <= _STR and rk <= _STR):
+        if _same_domain(lk, rk, nulls=False):
             return list(map(py_op, lv, rv))
-        if (lk <= _NUM_N and rk <= _NUM_N) or (lk <= _STR_N and rk <= _STR_N):
+        if _same_domain(lk, rk, nulls=True):
             return [
-                None if a is None or b is None else py_op(a, b)
+                (a is None and b is None if null_safe else None)
+                if a is None or b is None
+                else py_op(a, b)
                 for a, b in zip(lv, rv)
             ]
-        out = []
-        append = out.append
-        for l, r in zip(lv, rv):
-            if l is None or r is None:
-                append(None)
-            elif _is_number(l) != _is_number(r):
-                raise ExecutionError(
-                    f"cannot compare {l!r} with {r!r} (type mismatch)"
-                )
-            else:
-                append(py_op(l, r))
-        return out
+        return list(map(cell, lv, rv))
 
     return compare
 
 
-def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
-    _single_schema(chain)
+def _predicate(expr: Expr, schema: RowSchema) -> BatchFn:
     if isinstance(expr, And):
-        parts = [_predicate(operand, chain) for operand in expr.operands]
+        parts = [_predicate(operand, schema) for operand in expr.operands]
         return _gated_connective(parts, short_circuit=False)
     if isinstance(expr, Or):
-        parts = [_predicate(operand, chain) for operand in expr.operands]
+        parts = [_predicate(operand, schema) for operand in expr.operands]
         return _gated_connective(parts, short_circuit=True)
     if isinstance(expr, Not):
-        operand = _predicate(expr.operand, chain)
+        operand = _predicate(expr.operand, schema)
 
         def negate(cols, n, sel):
             return [
@@ -317,43 +247,14 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
 
         return negate
     if isinstance(expr, Comparison):
-        left = _scalar(expr.left, chain)
-        right = _scalar(expr.right, chain)
-        if expr.null_safe:
-
-            def null_safe(cols, n, sel):
-                lv = left(cols, n, sel)
-                rv = right(cols, n, sel)
-                lk = set(map(type, lv))
-                rk = set(map(type, rv))
-                if (lk <= _NUM and rk <= _NUM) or (lk <= _STR and rk <= _STR):
-                    return list(map(operator.eq, lv, rv))
-                if (lk <= _NUM_N and rk <= _NUM_N) or (
-                    lk <= _STR_N and rk <= _STR_N
-                ):
-                    return [
-                        (a is None and b is None)
-                        if (a is None or b is None)
-                        else a == b
-                        for a, b in zip(lv, rv)
-                    ]
-                out = []
-                append = out.append
-                for l, r in zip(lv, rv):
-                    if l is None or r is None:
-                        append(l is None and r is None)
-                    elif _is_number(l) != _is_number(r):
-                        raise ExecutionError(
-                            f"cannot compare {l!r} with {r!r} (type mismatch)"
-                        )
-                    else:
-                        append(l == r)
-                return out
-
-            return null_safe
-        return _compare_kernel(expr.op, left, right)
+        return _compare_kernel(
+            expr.op,
+            _scalar(expr.left, schema),
+            _scalar(expr.right, schema),
+            null_safe=expr.null_safe,
+        )
     if isinstance(expr, IsNull):
-        operand = _scalar(expr.operand, chain)
+        operand = _scalar(expr.operand, schema)
         negated = expr.negated
 
         def is_null(cols, n, sel):
@@ -364,70 +265,33 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> BatchFn:
 
         return is_null
     if isinstance(expr, Between):
-        value_fn = _scalar(expr.operand, chain)
-        low_fn = _scalar(expr.low, chain)
-        high_fn = _scalar(expr.high, chain)
-        ge = _compare_kernel(">=", value_fn, low_fn)
-        le = _compare_kernel("<=", value_fn, high_fn)
+        value_fn = _scalar(expr.operand, schema)
+        ge = _compare_kernel(">=", value_fn, _scalar(expr.low, schema))
+        le = _compare_kernel("<=", value_fn, _scalar(expr.high, schema))
         negated = expr.negated
 
-        def between(cols, n, sel):
-            # Both bounds compared eagerly, like the row evaluators.
+        def within(cols, n, sel):
+            # Both bounds compared eagerly, like the row closures.
             above = ge(cols, n, sel)
             below = le(cols, n, sel)
-            out = []
-            append = out.append
-            for a, b in zip(above, below):
-                if a is False or b is False:
-                    inside: bool | None = False
-                elif a is None or b is None:
-                    inside = None
-                else:
-                    inside = True
-                if inside is None:
-                    append(None)
-                else:
-                    append((not inside) if negated else inside)
-            return out
+            return [between(a, b, negated) for a, b in zip(above, below)]
 
-        return between
+        return within
     if isinstance(expr, InList):
-        value_fn = _scalar(expr.operand, chain)
-        item_fns = [_scalar(item, chain) for item in expr.items]
+        value_fn = _scalar(expr.operand, schema)
+        item_fns = [_scalar(item, schema) for item in expr.items]
         negated = expr.negated
 
-        def membership(cols, n, sel):
+        def in_list(cols, n, sel):
             values = value_fn(cols, n, sel)
             items = [fn(cols, n, sel) for fn in item_fns]
-            out = []
-            append = out.append
-            for position, value in enumerate(values):
-                result: bool | None = False
-                for item_column in items:
-                    item = item_column[position]
-                    if value is None or item is None:
-                        matched: bool | None = None
-                    elif _is_number(value) != _is_number(item):
-                        raise ExecutionError(
-                            f"cannot compare {value!r} with {item!r} "
-                            "(type mismatch)"
-                        )
-                    else:
-                        matched = value == item
-                    if matched is True:
-                        result = True
-                        break
-                    if matched is None:
-                        result = None
-                if result is None:
-                    append(None)
-                else:
-                    append((not result) if negated else result)
-            return out
+            return [
+                membership(value, row_items, negated)
+                for value, *row_items in zip(values, *items)
+            ]
 
-        return membership
-    # InSubquery, Exists, Quantified, bare scalars: row path.
-    raise CannotCompile(f"cannot batch-compile predicate {type(expr).__name__}")
+        return in_list
+    return _lifted(compile_predicate(expr, schema))
 
 
 def _gated_connective(parts: list[BatchFn], short_circuit: bool) -> BatchFn:
@@ -467,13 +331,13 @@ def _gated_connective(parts: list[BatchFn], short_circuit: bool) -> BatchFn:
 def referenced_indexes(
     expr: Expr, schema: RowSchema
 ) -> frozenset[int] | None:
-    """Schema positions a batch-compilable expression reads.
+    """Schema positions an expression of the batch repertoire reads.
 
-    Returns None when the expression contains anything outside the
-    batch repertoire (subquery, unresolvable reference, unsupported
-    node) — callers must then draw no sidedness conclusions.  Used by
-    the hash join to push a one-sided residual to the side it reads
-    (see :func:`repro.engine.operators.hash_probe_body`).
+    Returns None when the expression contains anything outside that
+    repertoire (subquery, unresolvable reference, unsupported node) —
+    callers must then draw no sidedness conclusions.  Used by the hash
+    join to push a one-sided residual to the side it reads (see
+    :func:`repro.engine.operators.hash_probe_body`).
     """
     found: set[int] = set()
 
@@ -481,10 +345,10 @@ def referenced_indexes(
         if isinstance(node, (Literal, Parameter)):
             return True
         if isinstance(node, ColumnRef):
-            try:
-                found.add(_resolve(node, schema))
-            except CannotCompile:
+            position = _position(node, schema)
+            if position is None:
                 return False
+            found.add(position)
             return True
         if isinstance(node, (UnaryMinus, Not, IsNull)):
             return walk(node.operand)
@@ -503,22 +367,14 @@ def referenced_indexes(
     return frozenset(found) if walk(expr) else None
 
 
-# -- fallible front door -----------------------------------------------------
+# -- front door ----------------------------------------------------------------
 
 
-def try_compile_batch_scalar(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
-) -> BatchFn | None:
-    """Batch scalar kernel, or None (fall back to the row path)."""
-    if not compile_enabled():
-        return None
-    return _memoized("vs", _scalar, expr, schemas)
+def compile_batch_scalar(expr: Expr, schema: RowSchema) -> BatchFn:
+    """Batch scalar kernel over one row scope."""
+    return memoized(("vs", expr, schema), lambda: _scalar(expr, schema))
 
 
-def try_compile_batch_predicate(
-    expr: Expr, schemas: RowSchema | Sequence[RowSchema]
-) -> BatchFn | None:
-    """Batch predicate kernel, or None (fall back to the row path)."""
-    if not compile_enabled():
-        return None
-    return _memoized("vp", _predicate, expr, schemas)
+def compile_batch_predicate(expr: Expr, schema: RowSchema) -> BatchFn:
+    """Batch predicate kernel over one row scope."""
+    return memoized(("vp", expr, schema), lambda: _predicate(expr, schema))

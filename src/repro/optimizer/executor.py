@@ -508,16 +508,12 @@ class SingleLevelExecutor:
             return None
         self._log(f"join residual: {to_sql(predicate)}")
 
-        from repro.engine.compile import try_compile_predicate
+        from repro.engine.compile import compile_predicate
 
-        compiled = try_compile_predicate(predicate, schema)
-        if compiled is not None:
-            check = lambda combined: compiled(combined, None)  # noqa: E731
-        else:
-            from repro.engine.expression import EvalContext, eval_predicate
+        compiled = compile_predicate(predicate, schema)
 
-            def check(combined: tuple):
-                return eval_predicate(predicate, EvalContext(combined, schema))
+        def check(combined: tuple):
+            return compiled(combined, None)
 
         check.expr = predicate
         check.schema = schema

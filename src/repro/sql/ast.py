@@ -70,11 +70,28 @@ class ColumnRef(Expr):
         return f"{self.table}.{self.column}" if self.table else self.column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
-    """A constant: int, float, string, or None (the SQL NULL)."""
+    """A constant: int, float, string, or None (the SQL NULL).
+
+    Two literals are equal only when their values have the same type:
+    ``1``, ``1.0`` and ``TRUE`` are different constants, so a memo keyed
+    on an expression tree never hands one's closure to another.
+    """
 
     value: object
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, Literal)
+            and type(self.value) is type(other.value)
+            and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        # Not hash(type(value)): a type hashes by address, which would
+        # make set orders, and with them plans, differ between processes.
+        return hash((self.value,))
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,6 @@ class TestCompareMethods:
         assert Counter(literal) != Counter(baseline.rows)
         compare_methods(catalog, TYPE_J_QUERY, check="bag")
 
-    def test_set_check_accepts_type_j(self):
-        catalog = load_supplier_parts()
-        ni, tr = compare_methods(catalog, TYPE_J_QUERY, check="set")
-        assert set(ni.rows) == set(tr.rows)
-
     def test_kim_algorithm_disables_checking(self):
         catalog = load_kiessling_instance()
         ni, tr = compare_methods(catalog, KIESSLING_Q2, ja_algorithm="kim")

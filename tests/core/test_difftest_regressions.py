@@ -329,6 +329,57 @@ class TestHavingNodeRepertoire:
         assert db.cache_stats().hits == 1
 
 
+class TestTypeABlockOverASemiTable:
+    """NEST-A evaluates a type-A block by nested iteration, after NEST-G
+    merged the block's own correlated ``IN`` as a ``SEMI`` table.
+    Nested iteration joined that table plainly, so the duplicate-free
+    ``JTEMP(J1, C1)`` fanned out below COUNT: transform answered 10
+    where SQLite answers 7.  A semi table now scans last and its rescan
+    stops at the first extension that qualifies."""
+
+    ROWS_T = [(i, i) for i in range(20)]
+    ROWS_U = [
+        (6, 3), (0, 2), (8, 3), (6, 2), (7, 2), (9, 1),
+        (8, 1), (4, 1), (1, 4), (4, 4), (9, 1), (4, 0),
+    ]
+    COUNT = (
+        "(SELECT COUNT(U.C) FROM U WHERE U.C IN "
+        "(SELECT U2.C FROM U U2 WHERE U2.A {op} U.A))"
+    )
+
+    @pytest.mark.parametrize(
+        "op, expected", [("<", [(7,)]), ("<=>", [(12,)]), ("<=", [(12,)])]
+    )
+    def test_one_outer_table(self, op, expected):
+        check(
+            case(
+                self.ROWS_T,
+                self.ROWS_U,
+                "SELECT T.A FROM T WHERE T.B = " + self.COUNT.format(op=op),
+            ),
+            expected=expected,
+        )
+
+    def test_two_outer_tables(self):
+        check(
+            case(
+                self.ROWS_T,
+                self.ROWS_U,
+                "SELECT T.A, X.C FROM T, U X WHERE T.A = X.A AND T.B < "
+                + self.COUNT.format(op="<"),
+            ),
+            expected=[(0, 2), (1, 4), (4, 0), (4, 1), (4, 4), (6, 2), (6, 3)],
+        )
+
+    @pytest.mark.parametrize("method", ["nested_iteration", "transform"])
+    def test_a_user_statement_may_not_carry_semi(self, method):
+        from repro.errors import ReproError
+
+        engine = Engine(case(self.ROWS_T, self.ROWS_U, "").build_catalog())
+        with pytest.raises(ReproError, match="cannot mark a table"):
+            engine.run("SELECT T.A FROM T, SEMI U WHERE T.A = U.A", method=method)
+
+
 class TestKnownDivergences:
     """Correctness gaps, tracked as strict xfails so tier-1 notices
     when one closes; a closed one stays as an ordinary regression.

@@ -120,7 +120,7 @@ def test_answers_and_derived_fix_up(shape, rows_t, rows_u):
     merge; a semi-join leaves nothing to fix up.)"""
     sql, definitions, semi_tables = SHAPES[shape]
     case = Case(rows={"T": rows_t, "U": rows_u}, sql=sql)
-    outcome = run_case(case, engines=("compiled",), parallelisms=(1, 4))
+    outcome = run_case(case, parallelisms=(1, 4))
     assert outcome.status == "ok", f"{outcome.detail}\n{case.describe()}"
     assert not outcome.transform_skipped
 
@@ -150,6 +150,6 @@ def test_scalar_type_j_and_correlated_not_in_take_the_old_path(rows_t, rows_u):
     assert plan.canonical_sql.startswith("SELECT T.A, T.B FROM T, U WHERE")
     not_in = ROOT + "T.B NOT IN (SELECT U.C FROM U WHERE U.A = T.A)"
     case = Case(rows={"T": rows_t, "U": rows_u}, sql=not_in)
-    outcome = run_case(case, engines=("compiled",))
+    outcome = run_case(case)
     assert outcome.status == "ok" and outcome.transform_skipped
     assert engine.plan(parse(not_in), "auto").kind == "nested_iteration"

@@ -55,20 +55,6 @@ class TestRunCase:
             "transform[hash]",
         }
 
-    def test_engine_legs_are_selectable(self):
-        outcome = run_case(
-            make_case([(1, 2)], [], "SELECT T.A, T.B FROM T"),
-            join_methods=("hash",),
-            engines=("compiled", "interpreted"),
-        )
-        assert outcome.status == "ok"
-        assert set(outcome.results) == {
-            "sqlite",
-            "nested_iteration",
-            "transform[hash]",
-            "transform[hash|interpreted]",
-        }
-
 
 class TestGenerator:
     def test_same_seed_same_cases(self):
@@ -103,6 +89,8 @@ class TestGenerator:
             "FROM T, U X WHERE",
             ") FROM T, U X WHERE",
             "X.A GROUP BY T.A",
+            # A type-A block over an IN correlated to that block.
+            "FROM U WHERE U.C IN (SELECT U2.C FROM U U2 WHERE",
         ):
             assert marker in sqls, f"grammar never produced {marker}"
         assert any(

@@ -1,20 +1,16 @@
 """The compiled expression layer must be indistinguishable from the
-interpreter: same values, same three-valued logic, same errors."""
+tree-walking oracle: same values, same three-valued logic, same errors
+— and it compiles every expression the parser can produce."""
 
 import pytest
 
-from repro.engine.compile import (
-    CannotCompile,
-    compile_predicate,
-    compile_scalar,
-    interpreted_only,
-    try_compile_predicate,
-    try_compile_scalar,
-)
-from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
+from repro.engine.compile import compile_predicate, compile_scalar
+from repro.engine.expression import EvalContext, SubqueryHandler
 from repro.engine.schema import RowSchema
-from repro.errors import ExecutionError
+from repro.errors import BindError, ExecutionError
+from repro.sql import ast
 from repro.sql.parser import parse_expression
+from tests.expression_oracle import eval_predicate, eval_scalar
 
 
 SCHEMA = RowSchema([("T", "A"), ("T", "B"), ("T", "C")])
@@ -57,33 +53,32 @@ ROWS = [
 ]
 
 
+def outcomes(*evaluations):
+    """Each evaluation's value, or its error's type name and message."""
+    results = []
+    for evaluate in evaluations:
+        try:
+            results.append(("ok", evaluate()))
+        except Exception as error:
+            results.append(("error", type(error).__name__, str(error)))
+    return results
+
+
 def both_scalar(source, row):
-    """(compiled value/error, interpreted value/error) for one row."""
+    """(compiled value/error, oracle value/error) for one row."""
     expr = parse_expression(source)
-    outcomes = []
-    for evaluate in (
+    return outcomes(
         lambda: compile_scalar(expr, SCHEMA)(row, None),
         lambda: eval_scalar(expr, EvalContext(row, SCHEMA)),
-    ):
-        try:
-            outcomes.append(("ok", evaluate()))
-        except Exception as error:
-            outcomes.append(("error", type(error).__name__, str(error)))
-    return outcomes
+    )
 
 
 def both_predicate(source, row):
     expr = parse_expression(source)
-    outcomes = []
-    for evaluate in (
+    return outcomes(
         lambda: compile_predicate(expr, SCHEMA)(row, None),
         lambda: eval_predicate(expr, EvalContext(row, SCHEMA)),
-    ):
-        try:
-            outcomes.append(("ok", evaluate()))
-        except Exception as error:
-            outcomes.append(("error", type(error).__name__, str(error)))
-    return outcomes
+    )
 
 
 class TestScalarAgreement:
@@ -148,24 +143,94 @@ class TestCorrelatedReferences:
         chain = EvalContext((10,), mid, outer=EvalContext((100,), top))
         assert fn((1,), chain) == 111
 
-    def test_unresolvable_reference_cannot_compile(self):
-        with pytest.raises(CannotCompile):
-            compile_scalar(parse_expression("Q.MISSING"), SCHEMA)
+    def test_unresolvable_reference_raises_when_evaluated(self):
+        fn = compile_scalar(parse_expression("Q.MISSING"), SCHEMA)
+        with pytest.raises(BindError, match="cannot resolve column Q.MISSING"):
+            fn((1, 2, 3), None)
+
+    def test_ambiguous_reference_raises_when_evaluated(self):
+        doubled = RowSchema([("T", "A"), ("U", "A")])
+        fn = compile_scalar(parse_expression("A"), doubled)
+        compiled, oracle = outcomes(
+            lambda: fn((1, 2), None),
+            lambda: eval_scalar(parse_expression("A"), EvalContext((1, 2), doubled)),
+        )
+        assert compiled == oracle and compiled[1] == "BindError"
 
 
-class TestFallback:
-    def test_subquery_predicate_cannot_compile(self):
+#: One source per AST expression class the parser produces.
+EVERY_NODE = [
+    "1", "?", "A", "COUNT(*)", "MAX(A)", "-A", "A + 1",
+    "(SELECT X FROM T2)", "A = 1", "A IS NULL", "A IN (1, 2)",
+    "A IN (SELECT X FROM T2)", "EXISTS (SELECT X FROM T2)",
+    "A > ALL (SELECT X FROM T2)", "A BETWEEN 1 AND 2",
+    "A = 1 AND B = 2", "A = 1 OR B = 2", "NOT A = 1",
+]
+
+
+class TestNeverDeclines:
+    def test_every_parser_node_compiles_both_ways(self):
+        seen = set()
+        for source in EVERY_NODE:
+            for node in ast.walk(parse_expression(source), into_subqueries=False):
+                if isinstance(node, ast.Expr):
+                    seen.add(type(node))
+                    assert callable(compile_scalar(node, SCHEMA))
+                    assert callable(compile_predicate(node, SCHEMA))
+        assert seen == set(_expression_classes())
+
+    def test_subquery_predicate_compiles_to_a_handler_call(self):
+        class Values(SubqueryHandler):
+            def column(self, query, context):
+                assert context.row == (1, 2, 3) and context.schema == SCHEMA
+                return [2, None]
+
         expr = parse_expression("A IN (SELECT X FROM T2)")
-        with pytest.raises(CannotCompile):
-            compile_predicate(expr, SCHEMA)
-        assert try_compile_predicate(expr, SCHEMA) is None
+        fn = compile_predicate(expr, SCHEMA, Values())
+        compiled, oracle = outcomes(
+            lambda: fn((1, 2, 3), None),
+            lambda: eval_predicate(
+                expr, EvalContext((1, 2, 3), SCHEMA, subquery_handler=Values())
+            ),
+        )
+        assert compiled == oracle == ("ok", None)  # no match, a NULL item
 
-    def test_try_compile_returns_closure_for_simple_exprs(self):
-        assert try_compile_scalar(parse_expression("A + 1"), SCHEMA) is not None
-        assert try_compile_predicate(parse_expression("A = 1"), SCHEMA) is not None
+    @pytest.mark.parametrize(
+        "source, kind",
+        [
+            ("COUNT(A)", "scalar"),
+            ("(SELECT X FROM T2)", "scalar"),
+            ("A = 1", "scalar"),
+            ("A", "predicate"),
+            ("EXISTS (SELECT X FROM T2)", "predicate"),
+        ],
+    )
+    def test_raising_nodes_raise_the_oracles_error_per_row(self, source, kind):
+        expr = parse_expression(source)
+        compile_fn, oracle = (
+            (compile_scalar, eval_scalar)
+            if kind == "scalar"
+            else (compile_predicate, eval_predicate)
+        )
+        fn = compile_fn(expr, SCHEMA)  # compiling never raises
+        compiled, expected = outcomes(
+            lambda: fn((1, 2, 3), None),
+            lambda: oracle(expr, EvalContext((1, 2, 3), SCHEMA)),
+        )
+        assert compiled == expected and compiled[0] == "error"
 
-    def test_interpreted_only_disables_compilation(self):
-        expr = parse_expression("A = 1")
-        with interpreted_only():
-            assert try_compile_predicate(expr, SCHEMA) is None
-        assert try_compile_predicate(expr, SCHEMA) is not None
+    def test_star_raises_as_a_scalar(self):
+        fn = compile_scalar(ast.Star(), SCHEMA)
+        with pytest.raises(ExecutionError, match=r"\* is not a scalar"):
+            fn((1, 2, 3), None)
+
+
+def _expression_classes():
+    pending, found = [ast.Expr], []
+    while pending:
+        cls = pending.pop()
+        subclasses = cls.__subclasses__()
+        if cls is not ast.Expr and not subclasses:
+            found.append(cls)
+        pending.extend(subclasses)
+    return found

@@ -1,9 +1,13 @@
-"""Unit tests for scalar/predicate evaluation and three-valued logic."""
+"""Unit tests for the expression oracle: scalar/predicate evaluation and
+three-valued logic."""
 
 import pytest
 
-from repro.engine.expression import (
-    EvalContext,
+from repro.engine.expression import EvalContext
+from repro.engine.schema import RowSchema
+from repro.errors import BindError, ExecutionError
+from repro.sql.parser import parse_expression
+from tests.expression_oracle import (
     compare_values,
     eval_predicate,
     eval_scalar,
@@ -11,9 +15,6 @@ from repro.engine.expression import (
     sql_not,
     sql_or,
 )
-from repro.engine.schema import RowSchema
-from repro.errors import BindError, ExecutionError
-from repro.sql.parser import parse_expression
 
 
 def ctx(values=(), fields=(), outer=None):

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.expression import EvalContext, eval_predicate
+from repro.engine.expression import EvalContext
 from repro.engine.operators import hash_join, merge_join, nested_loop_join
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
@@ -45,6 +45,7 @@ from repro.sql.parser import parse_expression
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heap import HeapFile
+from tests.expression_oracle import eval_predicate
 
 
 def make_env(buffer_pages):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import schema
 from repro.config import ExecConfig
-from repro.engine.compile import try_compile_predicate
+from repro.engine.compile import compile_predicate
 from repro.engine.operators import hash_join, merge_join, nested_loop_join
 from repro.engine.parallel import parallel_hash_join
 from repro.engine.relation import Relation
@@ -62,7 +62,7 @@ def residual_holds(left_row, right_row):
 def in_join_callable(expr):
     """What the executor hands a join: a combined-row callable that
     carries its expression (the hash join decomposes it)."""
-    compiled = try_compile_predicate(expr, LEFT + RIGHT)
+    compiled = compile_predicate(expr, LEFT + RIGHT)
 
     def check(combined):
         return compiled(combined, None)

@@ -1,14 +1,13 @@
 """The batch operators: equivalence with independent oracles, residual
-decomposition, 3VL edge cases, and the evaluator seam.
+decomposition, 3VL edge cases, and the batch-width seam.
 
 Nothing here compares an operator with a copy of itself.  The oracles
-stay in the product and share no code with the operator under test:
-``nested_loop_join`` with key equality AND the full residual (same rows
-in the same order), ``merge_join`` over sorted inputs, the sorted
-aggregate against the hash aggregate, the operator itself under
-``interpreted_only()`` (every expression through the interpreter, no
-residual decomposition), literal expected rows, and SQLite for whole
-queries.
+share no code with the operator under test: ``nested_loop_join`` with
+key equality AND the full residual (same rows in the same order),
+``merge_join`` over sorted inputs, the sorted aggregate against the
+hash aggregate, the hash join with a plain callable residual (checked
+per candidate, no decomposition), the tree-walking expression oracle
+under ``tests/``, literal expected rows, and SQLite for whole queries.
 """
 
 from collections import Counter
@@ -20,7 +19,6 @@ from repro.core.pipeline import Engine
 from repro.difftest.normalize import normalize_rows
 from repro.difftest.oracle import SQLiteOracle
 from repro.engine.aggregate import AggSpec
-from repro.engine.compile import interpreted_only
 from repro.engine.operators import (
     _row_predicate,
     group_aggregate,
@@ -31,6 +29,7 @@ from repro.engine.operators import (
     nested_loop_join,
     restrict_project,
 )
+from repro.engine.expression import EvalContext
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import external_sort
@@ -40,6 +39,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.workloads.paper_data import fresh_catalog
 from tests.evaluation import MODES, evaluation
+from tests.expression_oracle import eval_predicate
 
 
 def make_buffer(capacity=16):
@@ -81,6 +81,15 @@ def loop_join_oracle(left, right, buffer, mode, null_safe, residual_expr=None):
     )
 
 
+def oracle_restrict(predicate, rows):
+    """The rows of ``T(A, B)`` the tree-walking oracle keeps."""
+    schema = RowSchema([("T", "A"), ("T", "B")])
+    return [
+        row for row in rows
+        if eval_predicate(predicate, EvalContext(row, schema)) is True
+    ]
+
+
 class TestOperatorEquivalence:
     """Each batch operator against an independent oracle, NULLs included."""
 
@@ -98,28 +107,19 @@ class TestOperatorEquivalence:
         # NULL < 5 is unknown: the NULL-keyed rows are filtered out.
         assert got.to_list() == [(10, 1), (None, 2), (21, 2)]
         assert list(got.schema.fields) == [("T", "B"), ("T", "A")]
-        with interpreted_only():
-            interpreted = restrict_project(
-                rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
-                predicate=predicate, projections=projections,
-            )
-        same_relation(got, interpreted)
+        kept = oracle_restrict(predicate, LEFT_ROWS)
+        assert got.to_list() == [(b, a) for a, b in kept]
 
-    def test_restrict_project_interpreted_fallback(self):
-        """Under interpreted_only every expression takes the scalar path."""
+    def test_restrict_project_matches_the_oracle(self):
+        """The kernels keep exactly the rows the oracle keeps, in order."""
         buffer = make_buffer()
         predicate = parse("SELECT T.A FROM T WHERE T.B >= 10").where
-        with interpreted_only():
-            interpreted = restrict_project(
-                rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
-                predicate=predicate,
-            )
-        assert interpreted.to_list() == [(1, 10), (None, 30), (2, 21)]
         kernels = restrict_project(
             rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
             predicate=predicate,
         )
-        same_relation(kernels, interpreted)
+        assert kernels.to_list() == oracle_restrict(predicate, LEFT_ROWS)
+        assert kernels.to_list() == [(1, 10), (None, 30), (2, 21)]
 
     @pytest.mark.parametrize("mode", ["inner", "left"])
     @pytest.mark.parametrize("null_safe", [False, True])
@@ -214,11 +214,17 @@ class _Residual:
         return self._check(combined)
 
 
+def plain(residual):
+    """The residual as a bare callable: no ``expr`` to decompose."""
+    return lambda combined: residual(combined)
+
+
 class TestResidualDecomposition:
     """The hash join's conjunct classification: every decomposed form
     must match the nested-loop join evaluating key equality AND the
     full residual on every pair — same rows, same order — and the hash
-    join itself with decomposition off (``interpreted_only``)."""
+    join itself with decomposition off (a plain callable residual,
+    checked per candidate exactly as written)."""
 
     def setup_method(self):
         self.buffer = make_buffer()
@@ -237,11 +243,10 @@ class TestResidualDecomposition:
         loop = loop_join_oracle(left, right, self.buffer, mode, null_safe, expr)
         assert got.to_list() == loop.to_list()
         assert got.num_pages == loop.num_pages
-        with interpreted_only():
-            undecomposed = hash_join(
-                left, right, self.buffer, [0], [0],
-                mode=mode, null_safe=null_safe, residual=residual,
-            )
+        undecomposed = hash_join(
+            left, right, self.buffer, [0], [0],
+            mode=mode, null_safe=null_safe, residual=plain(residual),
+        )
         assert got.to_list() == undecomposed.to_list()
         return got
 
@@ -302,14 +307,21 @@ class TestResidualDecomposition:
         padded = [r for r in got.to_list() if r[2] is None and r[3] is None]
         assert padded  # unmatched lefts survive with NULL right side
 
-    def test_interpreted_mode_skips_decomposition(self):
-        # Same answers with the compiler (and decomposition) disabled.
+    def test_plain_callable_residual_skips_decomposition(self):
+        # A residual without its expression is checked per candidate:
+        # nothing folds into the key, nothing is pushed to a side.
         expr = And((
             Comparison(column(self.schema, 1), "=", column(self.schema, 3)),
             Comparison(column(self.schema, 1), ">", Literal(0)),
         ))
-        with interpreted_only():
-            self._check(expr)
+        got = hash_join(
+            self.left, self.right, self.buffer, [0], [0],
+            residual=plain(_Residual(expr, self.schema)),
+        )
+        loop = loop_join_oracle(
+            self.left, self.right, self.buffer, "inner", False, expr
+        )
+        assert got.to_list() == loop.to_list()
 
 
 def _catalog_with_nulls():
@@ -346,8 +358,8 @@ THREE_VL_QUERIES = [
 
 
 class TestThreeValuedLogic:
-    """The interpreter, the batch kernels, and SQLite must agree on
-    every 3VL edge (the difftest evaluator-leg contract, pinned)."""
+    """Both batch widths and SQLite must agree on every 3VL edge, at
+    the same page I/O."""
 
     @pytest.mark.parametrize("sql", THREE_VL_QUERIES)
     def test_engines_agree_with_sqlite(self, sql):
@@ -366,7 +378,7 @@ class TestThreeValuedLogic:
                 f"{mode} evaluation disagrees with sqlite: {sql}"
             )
             pages.add(report.io.page_ios)
-        # How expressions are evaluated is not part of the plan.
+        # How many rows a batch holds is not part of the plan.
         assert len(pages) == 1
 
     def test_sum_empty_group_is_null_count_is_zero(self):
@@ -387,9 +399,9 @@ class TestThreeValuedLogic:
 
 
 class TestEngineToggle:
-    """The evaluator seam (``interpreted_only``) reaches every surface —
-    Engine, the plan cache, prepared statements — and changes neither
-    rows nor page I/O."""
+    """The batch-width seam reaches every surface — Engine, the plan
+    cache, prepared statements — and changes neither rows nor page
+    I/O."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_database_facade_and_prepared_statements(self, mode):
@@ -480,8 +492,7 @@ class TestErrorSurfacingContract:
         with pytest.raises(ExecutionError):
             hash_join(left, right, buffer, [0], [0], residual=residual)
         # Without decomposition only candidates are checked: no error.
-        with interpreted_only():
-            got = hash_join(left, right, buffer, [0], [0], residual=residual)
+        got = hash_join(left, right, buffer, [0], [0], residual=plain(residual))
         assert got.to_list() == [(1, 1, 1, 2)]
 
     def test_folded_equality_cannot_raise_the_mixed_type_error(self):
@@ -497,5 +508,5 @@ class TestErrorSurfacingContract:
         got = hash_join(left, right, buffer, [0], [0], residual=residual)
         assert got.to_list() == []
         # Evaluated as a comparison, int = text is an error.
-        with interpreted_only(), pytest.raises(ExecutionError):
-            hash_join(left, right, buffer, [0], [0], residual=residual)
+        with pytest.raises(ExecutionError):
+            hash_join(left, right, buffer, [0], [0], residual=plain(residual))

@@ -1,27 +1,51 @@
-"""The evaluator axis of the test matrices.
+"""The batch-width axis of the test matrices.
 
-There is one set of physical operators; what still varies is how an
-operator evaluates its expressions:
+There is one set of physical operators and one way each evaluates its
+expressions — batch kernels over a page's rows.  What still varies is
+how many rows a batch holds:
 
-* ``"vectorized"`` — the product path: batch kernels, with compiled
-  closures for anything that has no kernel;
-* ``"row"`` — every expression evaluated one row at a time by the
-  tree-walking interpreter (:func:`repro.engine.compile.interpreted_only`),
-  inside the same operators.  Hash-join residual decomposition is off
-  there too, so this is also the "residual exactly as written" mode.
+* ``"vectorized"`` — the product path: one batch per heap page;
+* ``"row"`` — every batch split into one-row batches, so each kernel
+  runs its one-row case: every AND/OR selection vector, every
+  type-domain fast path and every error is decided a row at a time,
+  inside the same operators.
 
-Both must produce the same rows and the same page I/O.
+Both must produce the same rows and the same page I/O: a batch is a
+page's rows handed over at once, never a unit of I/O of its own.
 """
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
-from repro.engine.compile import interpreted_only
+from repro.engine.relation import Relation
 
 MODES = ("row", "vectorized")
 
 
+@contextmanager
+def one_row_batches():
+    """Split every batch a relation yields into one-row batches."""
+    whole = Relation.iter_batches
+    shard = Relation.iter_partition_batches
+
+    def iter_batches(self):
+        for batch in whole(self):
+            yield from ([row] for row in batch)
+
+    def iter_partition_batches(self, *args, **kwargs):
+        for batch in shard(self, *args, **kwargs):
+            yield from ([row] for row in batch)
+
+    Relation.iter_batches = iter_batches
+    Relation.iter_partition_batches = iter_partition_batches
+    try:
+        yield
+    finally:
+        Relation.iter_batches = whole
+        Relation.iter_partition_batches = shard
+
+
 def evaluation(mode: str):
-    """Context manager running its body under evaluator ``mode``."""
+    """Context manager running its body at batch width ``mode``."""
     if mode not in MODES:
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    return interpreted_only() if mode == "row" else nullcontext()
+    return one_row_batches() if mode == "row" else nullcontext()

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.engine.expression import (
-    EvalContext,
-    eval_predicate,
-    null_safe_equal,
-)
+from repro.engine.expression import EvalContext
 from repro.engine.schema import RowSchema
 from repro.sql.ast import Comparison
 from repro.sql.parser import parse, parse_expression
 from repro.sql.printer import to_sql
+from tests.expression_oracle import eval_predicate, null_safe_equal
 
 
 class TestParsing:
