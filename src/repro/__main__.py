@@ -26,7 +26,7 @@ the session::
     \\cache                 plan-cache counters (hits/misses/...,
                             snapshot-pin hits, memo flushes, shared
                             materializations / cross-query hits /
-                            shared purges)
+                            shared purges / maintained)
     \\txn                   transaction/WAL status (commits, aborts,
                             versions, pinned reads, log size)
     \\txn begin             open a transaction: INSERTs buffer in it,

@@ -45,6 +45,7 @@ from repro.sql.ast import (
     MIRRORED_OPS,
     ScalarSubquery,
     Select,
+    TableRef,
     column_refs,
     conjuncts,
     make_and,
@@ -64,17 +65,21 @@ class GeneralTransform:
         built: how many of ``setup`` were already materialized during
             transformation (to evaluate type-A blocks that referenced
             earlier temps); the pipeline builds the rest.
-        folded: True when NEST-A evaluated a block (building the
-            ``built`` prefix first) and folded its value into ``query``
-            or ``setup``: the result then describes the data it was
-            transformed over, not only the schema.
+        folded_tables: the base tables read by the blocks NEST-A
+            evaluated (and by the ``built`` prefix it built first) to
+            fold their values into ``query`` or ``setup``: the result
+            then describes those tables' data, not only the schema.
     """
 
     setup: list[TempTableDef]
     query: Select
     trace: list[str]
     built: int = 0
-    folded: bool = False
+    folded_tables: frozenset[str] = frozenset()
+
+    @property
+    def folded(self) -> bool:
+        return bool(self.folded_tables)
 
 
 def nest_g(
@@ -100,7 +105,7 @@ def nest_g(
         query=canonical,
         trace=driver.trace,
         built=driver.built,
-        folded=driver.folded,
+        folded_tables=frozenset(driver.folded_tables),
     )
 
 
@@ -111,7 +116,7 @@ class _NestG:
         self.setup: list[TempTableDef] = []
         self.trace: list[str] = []
         self.built = 0
-        self.folded = False
+        self.folded_tables: set[str] = set()
         self._has_column = catalog_resolver(catalog)
 
     # -- recursion ---------------------------------------------------------
@@ -286,8 +291,18 @@ class _NestG:
                 "the plan must be built per parameter vector: "
                 + to_sql(inner)
             )
-        self.folded = True
         self._build_pending_setup()
+        # The base tables the block reads, through the temps it reads.
+        definitions = {d.name: d.query for d in self.setup}
+        blocks, seen = [inner], set()
+        while blocks:
+            for node in walk(blocks.pop()):
+                if isinstance(node, TableRef) and node.name not in seen:
+                    seen.add(node.name)
+                    if node.name in definitions:
+                        blocks.append(definitions[node.name])
+                    else:
+                        self.folded_tables.add(node.name)
         from repro.engine.nested_iteration import NestedIterationExecutor
 
         return NestedIterationExecutor(self.catalog, self.config).execute(inner).rows

@@ -224,6 +224,7 @@ class Engine:
         """
         from repro.errors import BindError
         from repro.serve.normalize import fingerprint, parameterize, user_param_count
+        from repro.serve.plan import StalePlan
 
         if self.plan_cache is None:
             raise ReproError("engine has no plan cache; pass plan_cache=")
@@ -235,10 +236,14 @@ class Engine:
                 f"statement takes {declared} parameter(s), got {len(vector)}"
             )
         normalized, extracted = parameterize(select)
-        plan, values = self.plan_cache.resolve(
-            self, normalized, fingerprint(normalized), method, vector + extracted
-        )
-        return plan.replay(self.catalog, values)
+        while True:
+            plan, values = self.plan_cache.resolve(
+                self, normalized, fingerprint(normalized), method, vector + extracted
+            )
+            try:
+                return plan.replay(self.catalog, values)
+            except StalePlan:
+                continue  # a commit made the plan stale after resolve
 
     def transform(self, query: str | Select) -> GeneralTransform:
         """Transform without executing the final query.

@@ -4,9 +4,11 @@ The classic difftest (:mod:`repro.difftest.runner`) checks read-only
 queries over frozen instances.  This leg drives a live
 :class:`~repro.api.Database` through an interleaved history of
 
-* committed transactions (single- and multi-table inserts),
+* committed transactions (single- and multi-table inserts, SUPPLY-only
+  ones among them, with NULLs in SUPPLY's PNUM / QUAN / SHIPDATE),
 * aborted transactions (rolled back explicitly), and
-* Figure-1 reads through the **cached-plan** path,
+* Figure-1 reads through the **cached-plan** path, and the serving
+  shapes as prepared statements at two cutoffs,
 
 while a shadow SQLite database is fed exactly the committed batches —
 never the aborted ones.  After every step the read queries must agree
@@ -18,22 +20,33 @@ with the shadow:
   it);
 * a read after an abort must match the shadow unchanged.
 
-Because reads go through ``Database.execute_cached``, the leg also
-difftests the snapshot-pinned plan cache: cached plans built before a
-commit must replay correctly after it (fresh horizons, memoized temps
-flushed), which is precisely the machinery a pure unit test is most
-likely to miss under interleaving.
+Because reads go through ``Database.execute_cached`` and prepared
+statements, the leg also difftests the snapshot-pinned plan cache:
+cached plans built before a commit must replay correctly after it
+(fresh horizons, shared temps purged or brought forward over the
+commit's delta), which is precisely the machinery a pure unit test is
+most likely to miss under interleaving.  After every commit each
+shared temp is also compared with a rebuild from scratch at the
+horizons it claims (:func:`shared_temp_mismatches`): the same row bag,
+the same claimed order, and rows really in that order.
 """
 
 from __future__ import annotations
 
 import random
 import sqlite3
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.api import Database
 from repro.difftest.leaks import leaked_pages
 from repro.difftest.normalize import normalize_rows
+from repro.engine.params import bound_params
+from repro.engine.sort import orderable
+from repro.optimizer.executor import SingleLevelExecutor
+from repro.serve.plan import CachedPlan
+from repro.serve.session import SessionCatalog
+from repro.txn.mvcc import Snapshot
 
 #: Figure-1 read shapes over the live PARTS/SUPPLY schema.  All three
 #: run verbatim on SQLite (no dialect translation needed).
@@ -54,6 +67,28 @@ READ_QUERIES = {
     ),
 }
 
+#: The serving shapes of ``benchmarks/suite``, prepared: each runs at
+#: every cutoff of :data:`CUTOFFS`.
+SERVING_QUERIES = {
+    "j": (
+        "SELECT PNUM FROM PARTS WHERE QOH IN (SELECT QUAN FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)"
+    ),
+    "ja_max": (
+        "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)"
+    ),
+    "exists": (
+        "SELECT PNUM FROM PARTS WHERE EXISTS (SELECT * FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)"
+    ),
+    "not_exists": (
+        "SELECT PNUM FROM PARTS WHERE NOT EXISTS (SELECT * FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < ?)"
+    ),
+}
+CUTOFFS = (CUTOFF, "1982-01-01")
+
 _DATES = ["1975-03-01", "1979-12-30", "1981-08-10", "1985-01-15"]
 
 
@@ -65,6 +100,10 @@ class MixedReport:
     commits: int = 0
     aborts: int = 0
     reads: int = 0
+    #: Shared temps brought forward over a commit's delta, and shared
+    #: temps compared with their rebuilds.
+    maintained: int = 0
+    temp_checks: int = 0
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -75,6 +114,8 @@ class MixedReport:
         return (
             f"mixed: {self.steps} steps, {self.commits} commit(s), "
             f"{self.aborts} abort(s), {self.reads} read-check(s), "
+            f"{self.maintained} maintained temp(s), "
+            f"{self.temp_checks} temp check(s), "
             f"{len(self.failures)} failure(s)"
         )
 
@@ -112,17 +153,108 @@ def _make_db() -> Database:
 
 
 def _check_reads(
-    db: Database, shadow: _Shadow, report: MixedReport, when: str
+    db: Database, shadow: _Shadow, report: MixedReport, when: str, prepared
 ) -> None:
-    for name, sql in READ_QUERIES.items():
-        ours = db.execute_cached(sql, method="transform").result.rows
+    reads = [
+        (name, sql, lambda sql=sql: db.execute_cached(sql, method="transform"))
+        for name, sql in READ_QUERIES.items()
+    ] + [
+        (
+            f"{name}@{cutoff}",
+            SERVING_QUERIES[name].replace("?", f"'{cutoff}'"),
+            lambda statement=statement, cutoff=cutoff: statement.execute((cutoff,)),
+        )
+        for name, statement in prepared.items()
+        for cutoff in CUTOFFS
+    ]
+    for name, sql, run in reads:
+        ours = run().result.rows
         theirs = shadow.run(sql)
         report.reads += 1
         if normalize_rows(ours) != normalize_rows(theirs):
             report.failures.append(
                 f"step {report.steps} [{when}] {name}: "
-                f"{sorted(ours)!r} != shadow {sorted(theirs)!r}"
+                f"{sorted(ours, key=repr)!r} != shadow {sorted(theirs, key=repr)!r}"
             )
+
+
+def _in_order(rows: list[tuple], order) -> bool:
+    columns, unique = order
+    keys = [tuple(orderable(row[c]) for c in columns) for row in rows]
+    return all(a < b if unique else a <= b for a, b in zip(keys, keys[1:]))
+
+
+def _rebuild(db: Database, plan: CachedPlan, name: str, values, snapshot):
+    """Temp ``name`` of ``plan`` built from scratch under ``snapshot``:
+    its rows and the order its builder claims."""
+    session = SessionCatalog(db.catalog)
+    with (
+        db.catalog.read_lock(),
+        db.catalog.snapshots.pinned(snapshot),
+        bound_params(values),
+    ):
+        executor = SingleLevelExecutor(session, plan.config, verify=False)
+        try:
+            for definition in plan.setup:
+                executor.materialize(definition.name, definition.query)
+                if definition.name == name:
+                    temp = session.get(name)
+                    return list(temp.heap.scan()), temp.order
+        finally:
+            session.drop_temp_tables()
+    raise AssertionError(f"{name} is not a temp of its plan")
+
+
+def shared_temp_mismatches(db: Database, plans=None) -> tuple[int, list[str]]:
+    """Every registered shared temp against a rebuild from scratch at
+    the horizons it claims: the same row bag and claimed order, and its
+    rows really in that order.  ``plans`` are where the definitions come
+    from (default: every plan in the cache).  Returns how many entries
+    were checked and a line per mismatch."""
+    if plans is None:
+        plans = [
+            plan
+            for plan in db.plan_cache._entries.values()
+            if isinstance(plan, CachedPlan)
+        ]
+    definitions = {
+        spec.fingerprint: (plan, spec, definition.name)
+        for plan in plans
+        for spec, definition in zip(plan.share_specs, plan.setup)
+    }
+    registry = db.plan_cache.sharing
+    with registry._lock:
+        entries = list(registry._entries.items())
+    checked, mismatches = 0, []
+    for key, entry in entries:
+        identity, _config, _schema_version, bound = key
+        snapshot = Snapshot(0, dict(entry.horizons))
+        rows = list(entry.heap.scan())
+        if isinstance(identity, tuple):  # ("sorted", table, column order)
+            _sorted, table, columns = identity
+            with db.catalog.snapshots.pinned(snapshot):
+                base = list(db.catalog.heap_of(table).scan())
+            expected, order = base, (columns, False)
+            label = f"sorted {table}"
+        elif identity in definitions:
+            plan, spec, name = definitions[identity]
+            values: list[object] = [None] * plan.param_count
+            for slot, value in zip(spec.param_slots, bound):
+                values[slot] = value
+            expected, order = _rebuild(db, plan, name, tuple(values), snapshot)
+            label = f"{name} of {plan.fingerprint[:40]!r}"
+        else:
+            continue
+        checked += 1
+        if Counter(rows) != Counter(expected):
+            mismatches.append(f"{label} at {entry.horizons}: rows differ")
+        elif entry.order != order:
+            mismatches.append(
+                f"{label}: claims {entry.order}, a rebuild claims {order}"
+            )
+        elif not _in_order(rows, entry.order):
+            mismatches.append(f"{label}: rows not in {entry.order}")
+    return checked, mismatches
 
 
 def run_mixed(steps: int = 200, seed: int = 0) -> MixedReport:
@@ -143,6 +275,10 @@ def run_mixed(steps: int = 200, seed: int = 0) -> MixedReport:
     db.insert("PARTS", base_parts)
     db.insert("SUPPLY", base_supply)
     shadow.apply({"PARTS": base_parts, "SUPPLY": base_supply})
+    prepared = {name: db.prepare(sql) for name, sql in SERVING_QUERIES.items()}
+
+    def nullable(value: object) -> object:
+        return None if rng.random() < 0.1 else value
 
     try:
         for _ in range(steps):
@@ -150,26 +286,32 @@ def run_mixed(steps: int = 200, seed: int = 0) -> MixedReport:
             roll = rng.random()
             if roll < 0.5:
                 # Plain read step against the committed state.
-                _check_reads(db, shadow, report, "steady")
+                _check_reads(db, shadow, report, "steady", prepared)
             else:
                 # Transactional write step: build a batch, read while
                 # the transaction is still open (must be invisible),
                 # then commit or abort.
+                # A SUPPLY-only commit is what maintenance absorbs; one
+                # that also writes PARTS rebuilds what reads both.
                 batches: dict[str, list[tuple]] = {}
-                parts = [
-                    (next_pnum + i, rng.randint(0, 3))
-                    for i in range(rng.randint(1, 3))
-                ]
-                next_pnum += len(parts)
-                batches["PARTS"] = parts
-                if rng.random() < 0.7:
+                parts: list[tuple] = []
+                if rng.random() < 0.6:
+                    parts = [
+                        (next_pnum + i, rng.randint(0, 3))
+                        for i in range(rng.randint(1, 3))
+                    ]
+                    next_pnum += len(parts)
+                    batches["PARTS"] = parts
+                if not parts or rng.random() < 0.7:
                     batches["SUPPLY"] = [
                         (
-                            rng.choice(parts)[0]
-                            if rng.random() < 0.6
-                            else rng.randint(1, next_pnum),
-                            rng.randint(1, 5),
-                            rng.choice(_DATES),
+                            nullable(
+                                rng.choice(parts)[0]
+                                if parts and rng.random() < 0.6
+                                else rng.randint(1, next_pnum)
+                            ),
+                            nullable(rng.randint(1, 5)),
+                            nullable(rng.choice(_DATES)),
                         )
                         for _ in range(rng.randint(1, 4))
                     ]
@@ -177,22 +319,29 @@ def run_mixed(steps: int = 200, seed: int = 0) -> MixedReport:
                 try:
                     for table, rows in batches.items():
                         txn.insert(table, rows)
-                    _check_reads(db, shadow, report, "open-txn")
+                    _check_reads(db, shadow, report, "open-txn", prepared)
                     if rng.random() < 0.3:
                         txn.rollback()
                         report.aborts += 1
-                        _check_reads(db, shadow, report, "post-abort")
+                        _check_reads(db, shadow, report, "post-abort", prepared)
                     else:
                         txn.commit()
                         report.commits += 1
                         shadow.apply(batches)
-                        _check_reads(db, shadow, report, "post-commit")
+                        _check_reads(db, shadow, report, "post-commit", prepared)
+                        checked, mismatches = shared_temp_mismatches(db)
+                        report.temp_checks += checked
+                        report.failures.extend(
+                            f"step {report.steps} [maintained] {line}"
+                            for line in mismatches
+                        )
                 except Exception:
                     if txn.state == "open":
                         txn.rollback()
                     raise
             if report.failures:
                 break
+        report.maintained = db.plan_cache.sharing.maintenances
         # Cross-check the txn layer's own accounting.
         if db.txn.aborts < report.aborts or db.txn.commits < report.commits:
             report.failures.append(

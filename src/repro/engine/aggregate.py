@@ -15,6 +15,7 @@ The semantics the paper leans on (sections 5.1 and 5.3):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from repro.errors import ExecutionError
 from repro.sql.ast import AGGREGATE_FUNCTIONS
@@ -77,6 +78,58 @@ def apply_specs(rows: list[tuple], specs: list[AggSpec]) -> list[object]:
             values = [row[spec.column] for row in rows]
         results.append(compute_aggregate(spec.func, values, spec.distinct))
     return results
+
+
+class NotCombinable(Exception):
+    """Two partial aggregates whose combination is not the aggregate of
+    the union: a floating-point SUM (``S_old + S_delta`` rounds
+    differently from the scan-order sum) or a NaN extreme."""
+
+
+def _nonnull(combine):
+    """Lift a combine over the empty partial NULL (MIN / MAX / SUM of
+    no non-NULL value)."""
+
+    def lifted(old: object, new: object) -> object:
+        if old is None:
+            return new
+        if new is None:
+            return old
+        return combine(old, new)
+
+    return lifted
+
+
+_add = _nonnull(add)
+
+
+def _sum(old: object, new: object) -> object:
+    if isinstance(old, float) or isinstance(new, float):
+        raise NotCombinable("SUM partial holds a float")
+    return _add(old, new)
+
+
+def _extreme(pick):
+    def combine(old: object, new: object) -> object:
+        if old != old or new != new:
+            raise NotCombinable("MIN/MAX partial is NaN")
+        return pick(old, new)
+
+    return combine
+
+
+#: How the aggregate of a row set combines from the aggregates of two
+#: disjoint parts of it — what insert-only maintenance of a grouped temp
+#: needs.  Only the non-DISTINCT aggregates below combine; AVG (a SUM
+#: over a COUNT) and DISTINCT aggregates do not, and neither does a
+#: COUNT(*) over an outer join (the padded row of an unmatched group
+#: counts 1 and then vanishes once the group matches).
+COMBINE = {
+    "COUNT": add,
+    "SUM": _sum,
+    "MIN": _nonnull(_extreme(min)),
+    "MAX": _nonnull(_extreme(max)),
+}
 
 
 def _numeric_sum(values: list[object]) -> object:

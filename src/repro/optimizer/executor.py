@@ -115,9 +115,10 @@ class SingleLevelExecutor:
         self.config = config
         self.verify = verify
         self.steps: list[str] = []
-        #: ``sorted_runs(scan, keys, sort) -> (run, leased)``: set by a
+        #: ``sorted_runs(scan, keys, sort) -> (run, how)``: set by a
         #: replay with a sharing registry, which leases the sorted run of
-        #: a base table or publishes what ``sort()`` builds.
+        #: a base table (``how``: "shared"), brings an older one forward
+        #: ("maintained") or publishes what ``sort()`` builds (None).
         self.sorted_runs = None
 
     # -- public API --------------------------------------------------------
@@ -851,11 +852,11 @@ class SingleLevelExecutor:
             and relation.heap is not None
             and relation.heap.versioned
         ):
-            run, leased = self.sorted_runs(relation, keys, sort)
+            run, how = self.sorted_runs(relation, keys, sort)
         else:
-            run, leased = sort(), False
+            run, how = sort(), None
         self._log(
-            ("shared sorted " if leased else "sort ")
+            (f"{how} sorted " if how else "sort ")
             + f"{relation.name} on {describe_order((keys, False), names)}"
         )
         return run

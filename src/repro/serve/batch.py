@@ -41,6 +41,7 @@ from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError
 from repro.optimizer.executor import SingleLevelExecutor
+from repro.serve.plan import StalePlan
 from repro.serve.session import SessionCatalog
 from repro.sql.ast import (
     ColumnRef,
@@ -376,6 +377,9 @@ def execute_batch_plan(
     session overlay that also holds the binding relation, leasing and
     publishing nothing; unbatched definitions are built once and serve
     every vector.
+
+    Raises :class:`~repro.serve.plan.StalePlan` when the plan is not
+    valid under that snapshot, as :meth:`CachedPlan.replay` does.
     """
     from repro.engine.params import bound_params
 
@@ -383,9 +387,11 @@ def execute_batch_plan(
     before = session.buffer.stats()
     with (
         catalog.read_lock(),
-        catalog.snapshots.pinned(),
+        catalog.snapshots.pinned() as snapshot,
         bound_params(()),
     ):
+        if not plan.valid_at(catalog.schema_version, snapshot):
+            raise StalePlan(plan.fingerprint)
         schema = TableSchema(
             batch_plan.binding_name,
             tuple(

@@ -14,8 +14,11 @@ other's plans.
 Versions are *not* part of the key; each entry records the versions it
 was built under and a lookup it is no longer valid at
 (:meth:`~repro.serve.plan.CachedPlan.valid_at`: another schema version,
-or another data version for a plan that folded data in) is treated as
-an invalidation (the entry is dropped and rebuilt).
+or — for a plan that folded data in — another row count of a table a
+folded block read) is treated as an invalidation (the entry is dropped
+and rebuilt).  Validity is judged at the snapshot the replay will pin,
+and the replay judges it again under that pin: a commit that lands
+between the two makes the caller resolve once more.
 
 Invalidation is event-class aware (see
 :func:`repro.catalog.catalog.event_class`):
@@ -25,11 +28,13 @@ Invalidation is event-class aware (see
   than leaving stale entries to age out of the LRU;
 * **data** events (inserts) change only which rows exist — cached
   plans re-read base tables on every replay, so the entries survive
-  (all but the folded ones, dropped at their next lookup); only the
-  shared temp materializations are purged (they were built from the
-  pre-insert data).  A hit on a plan that outlived a data change is
-  counted as a *snapshot-pin hit*: the replay pins the current MVCC
-  snapshot instead of re-planning.
+  (all but those that folded the written table, dropped at their next
+  lookup).  Of the shared temp materializations, only those that read
+  the written table and cannot absorb an insert into it are purged; the
+  rest are brought forward by the next replay that needs them (see
+  :mod:`repro.serve.sharing`).  A hit on a plan that outlived a data
+  change is counted as a *snapshot-pin hit*: the replay pins the
+  current MVCC snapshot instead of re-planning.
 
 All operations are lock-protected; worker threads share one cache.
 Planning itself runs outside the lock.
@@ -48,6 +53,7 @@ from repro.serve.plan import CachedPlan
 from repro.serve.sharing import SharedSubplanRegistry
 from repro.sql.ast import Select
 from repro.storage.locks import make_lock
+from repro.storage.visibility import SnapshotLike, active_snapshot
 
 #: Default maximum number of cached plans.
 DEFAULT_CAPACITY = 128
@@ -67,8 +73,9 @@ class CacheStats:
     #: pinning the current snapshot rather than re-planning.
     snapshot_pin_hits: int = 0
     #: Temp materializations flushed by data events: the registry's
-    #: data purges (there is no other memo any more; the name is what
-    #: ``benchmarks/suite`` reads).
+    #: data purges — entries that read the written table and cannot
+    #: absorb an insert into it (there is no other memo any more; the
+    #: name is what ``benchmarks/suite`` reads).
     memo_flushes: int = 0
     #: Temp materializations published to the cross-plan sharing
     #: registry (each built exactly once for all consuming plans).
@@ -76,10 +83,13 @@ class CacheStats:
     #: Registry hits by a plan other than the publisher — work one
     #: cached query materialized that another query then reused.
     shared_hits: int = 0
-    #: Shared materializations dropped by eager invalidation (schema
-    #: and data events both purge: every registry key embeds the
-    #: version pair, so stale entries are purely reclaimable pages).
+    #: Shared materializations dropped by eager invalidation: every
+    #: entry on a schema event, and on a data event only the entries
+    #: that read the written table and cannot absorb an insert into it.
     shared_purges: int = 0
+    #: Shared materializations brought forward over a commit's delta
+    #: instead of being rebuilt.
+    shared_maintenances: int = 0
 
     def format(self) -> str:
         total = self.hits + self.misses
@@ -94,7 +104,8 @@ class CacheStats:
             f"{self.memo_flushes} memo flush(es), "
             f"{self.shared_materializations} shared materialization(s), "
             f"{self.shared_hits} cross-query hit(s), "
-            f"{self.shared_purges} shared purge(s)"
+            f"{self.shared_purges} shared purge(s), "
+            f"{self.shared_maintenances} maintained"
         )
 
 
@@ -133,14 +144,14 @@ class PlanCache:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, catalog: Catalog) -> None:
-        """Invalidate on schema changes; purge shared temps on any."""
+        """Invalidate on schema changes; purge the shared temps a change
+        leaves stale for good."""
+        self.sharing.snapshots = catalog.snapshots
         catalog.add_change_hook(self._on_catalog_change)
 
     def _on_catalog_change(self, event: str, table: str) -> None:
         if event_class(event) == "data":
-            # Every registry key embeds the data version, so the
-            # entries can never be hit again; reclaim their pages.
-            self.sharing.purge_all("data")
+            self.sharing.purge_written(table)
             return
         with self._lock:
             if self._entries:
@@ -148,7 +159,7 @@ class PlanCache:
                 for plan in self._entries.values():
                     plan.release()
                 self._entries.clear()
-        self.sharing.purge_all("schema")
+        self.sharing.purge_all()
 
     # -- access ------------------------------------------------------------
 
@@ -177,7 +188,9 @@ class PlanCache:
         """
         key = (fingerprint, method, engine.config)
         catalog = engine.catalog
-        versions = (catalog.schema_version, catalog.data_version)
+        # What the replay will pin: the caller's snapshot, or the latest.
+        snapshot = active_snapshot() or catalog.snapshots.current()
+        versions = (catalog.schema_version, snapshot)
 
         def plan_for(key: tuple, tree: Select) -> CachedPlan | _CustomShaped:
             plan = self.lookup(key, *versions)
@@ -204,17 +217,17 @@ class PlanCache:
                 self._entries.pop(key).release()
 
     def lookup(
-        self, key: tuple, schema_version: int, data_version: int
+        self, key: tuple, schema_version: int, snapshot: SnapshotLike
     ) -> CachedPlan | _CustomShaped | None:
-        """The cached plan for ``key`` valid at these versions, or None
-        (or ``CUSTOM_SHAPED``, neither hit nor miss: the plan is under
-        ``key + (values,)``).
+        """The cached plan for ``key`` valid at this schema version and
+        ``snapshot``, or None (or ``CUSTOM_SHAPED``, neither hit nor
+        miss: the plan is under ``key + (values,)``).
 
         An entry that is no longer valid counts as an invalidation
-        *and* a miss: it is dropped and the caller rebuilds.  For a
-        plan that folded no data in, a *data*-version difference is a
-        hit — the plan survives inserts by construction — recorded in
-        ``snapshot_pin_hits``.
+        *and* a miss: it is dropped and the caller rebuilds.  A plan
+        that folded none of the tables written since it was built is a
+        hit — it survives those inserts by construction — recorded in
+        ``snapshot_pin_hits`` when the data version moved.
         """
         with self._lock:
             plan = self._entries.get(key)
@@ -224,7 +237,7 @@ class PlanCache:
             if plan is CUSTOM_SHAPED:
                 self._entries.move_to_end(key)
                 return plan
-            if not plan.valid_at(schema_version, data_version):
+            if not plan.valid_at(schema_version, snapshot):
                 del self._entries[key]
                 plan.release()
                 self.invalidations += 1
@@ -232,7 +245,7 @@ class PlanCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            if plan.data_version != data_version:
+            if plan.data_version != snapshot.data_version:
                 self.snapshot_pin_hits += 1
             return plan
 
@@ -272,6 +285,7 @@ class PlanCache:
                 shared_materializations=registry.materializations,
                 shared_hits=registry.cross_hits,
                 shared_purges=registry.purges,
+                shared_maintenances=registry.maintenances,
             )
 
     def reset_stats(self) -> None:

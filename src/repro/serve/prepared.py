@@ -48,7 +48,7 @@ from repro.serve.batch import (
 from repro.serve.binding import check_binding, derive_param_specs
 from repro.serve.cache import PlanCache
 from repro.serve.normalize import fingerprint, user_param_count
-from repro.serve.plan import CachedPlan
+from repro.serve.plan import CachedPlan, StalePlan
 from repro.sql.ast import Parameter, Select, walk
 from repro.sql.parser import parse
 
@@ -160,8 +160,12 @@ class PreparedStatement:
         """Bind ``values`` and run; returns the full run report."""
         vector = self._vector(values)
         self._check(vector)
-        plan, bind = self._resolve(vector)
-        return plan.replay(self.engine.catalog, bind)
+        while True:
+            plan, bind = self._resolve(vector)
+            try:
+                return plan.replay(self.engine.catalog, bind)
+            except StalePlan:
+                continue  # a commit made the plan stale after resolve
 
     def executemany(
         self, vectors: Sequence[Sequence[object] | Mapping[str, object]]
@@ -204,6 +208,10 @@ class PreparedStatement:
             return self._loop_batch(bound)
         try:
             reports = execute_batch_plan(plan, batch_plan, catalog, bound)
+        except StalePlan:
+            # A commit made the plan stale after resolve: the loop
+            # resolves again.
+            return self._loop_batch(bound)
         except ReproError:
             # A shape the structural guards missed surfaced at run
             # time; remember the plan does not batch and fall back.

@@ -364,6 +364,21 @@ class HeapFile:
             remaining -= len(rows)
             yield rows
 
+    def scan_range(self, start: int, stop: int) -> Iterator[tuple]:
+        """Yield rows ``[start, stop)`` in file order, reading only the
+        pages that hold them.
+
+        Rows never move once appended, so the rows a commit added — the
+        difference of two snapshot horizons — are exactly such a range:
+        a reader reads the delta of a commit without reading what the
+        table held before it.
+        """
+        first = start // self.rows_per_page
+        for page_index in range(first, -(-stop // self.rows_per_page)):
+            offset = page_index * self.rows_per_page
+            rows = self.buffer.get_page(self.page_ids[page_index]).rows
+            yield from rows[max(start - offset, 0) : stop - offset]
+
     def scan_with_positions(self) -> Iterator[tuple[tuple[int, int], tuple]]:
         """Yield ``((page_id, slot), row)`` pairs — used by index builds."""
         limit = self._scan_limit()

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import repro.serve.plan as plan_module
 from repro.difftest.leaks import leaked_pages
+from repro.serve.cache import PlanCache
 from repro.difftest.normalize import normalize_rows
 from repro.difftest.oracle import SQLiteOracle
 from tests.serve.test_statement_path import make_db
@@ -129,17 +130,79 @@ def test_close_discards_the_statements_plans(monkeypatch):
 
 def test_a_released_plan_holds_nothing_again():
     """The window the threaded test below hits by chance: a thread
-    resolved the plan, DDL released it, then the thread replays it.
-    What it builds stays its own — no cached plan would ever free it."""
+    resolved the plan, the cache released it, then the thread replays
+    it.  What it builds stays its own — no cached plan would ever free
+    it."""
     db = make_db()
     db.prepare(JA.format("?"))
     (plan,) = db.plan_cache._entries.values()
-    db.create_index("SUPPLY", "PNUM")
+    db.plan_cache.clear()
     report = plan.replay(db.catalog, ("1980-06-01",))
     assert [step.split()[0] for step in report.steps[:-1]] == ["built"] * 3
     assert len(db.plan_cache.sharing) == 0
     db.plan_cache.clear()
     assert leaked_pages(db.catalog) == 0
+
+
+def test_a_commit_between_resolve_and_replay_is_not_answered_stale(monkeypatch):
+    """The window the threaded test below can only hit by chance, made
+    to happen: the plan folded MAX(QUAN) < 5 — 1 — and is resolved,
+    then a commit moves it to 4 before the replay pins its snapshot.
+    The replay sees the plan is stale under that snapshot and the
+    statement resolves again, so its answer is SQLite's after the
+    insert (at the parent commit it was the old folded value, once)."""
+    db = make_db()
+    sql = TYPE_A.format(5)
+    assert Counter(db.execute_cached(sql).result.rows) == Counter([(3,), (10,)])
+    real = PlanCache.resolve
+    landed: list[bool] = []
+
+    def resolve_then_commit(self, *args):
+        resolved = real(self, *args)
+        if not landed:
+            landed.append(True)
+            db.insert("SUPPLY", [(8, 4, "1980-03-01")])
+        return resolved
+
+    monkeypatch.setattr(PlanCache, "resolve", resolve_then_commit)
+    rows = db.execute_cached(sql).result.rows
+    with SQLiteOracle(db.catalog) as oracle:
+        assert normalize_rows(rows) == normalize_rows(oracle.run(sql))
+    assert Counter(rows) == Counter([(3,)])
+    # Resolved twice: the stale plan, then the one planned after the
+    # insert.
+    assert db.cache_stats().invalidations == 1
+
+
+def test_a_commit_before_a_batch_pins_its_snapshot_is_not_answered_stale(
+    monkeypatch,
+):
+    """The same window on the batched ``executemany`` path: a generic
+    plan that folded MAX(QUAN) is resolved, a commit moves the MAX, and
+    the batch falls back to the per-vector loop, which resolves again."""
+    import repro.serve.prepared as prepared_module
+
+    db = make_db()
+    sql = (
+        "SELECT PNUM FROM PARTS WHERE PNUM > ? AND QOH >= "
+        "(SELECT MAX(QUAN) FROM SUPPLY WHERE QUAN < 5)"
+    )
+    statement = db.prepare(sql)
+    assert statement.mode == "generic"
+    real = prepared_module.execute_batch_plan
+
+    def commit_then_run(*args):
+        monkeypatch.setattr(prepared_module, "execute_batch_plan", real)
+        db.insert("SUPPLY", [(8, 4, "1980-03-01")])
+        return real(*args)
+
+    monkeypatch.setattr(prepared_module, "execute_batch_plan", commit_then_run)
+    batch = statement.execute_batch([(0,), (5,)])
+    with SQLiteOracle(db.catalog) as oracle:
+        for bound, report in zip((0, 5), batch.reports):
+            expected = oracle.run(sql.replace("?", str(bound)))
+            assert normalize_rows(report.result.rows) == normalize_rows(expected)
+    assert batch.strategy == "loop"
 
 
 def test_two_threads_one_statement_across_insert_and_ddl():

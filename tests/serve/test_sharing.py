@@ -1,11 +1,14 @@
 """Cross-query shared subplans: fingerprints, refcounts, invalidation."""
 
+import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
 
 from repro.api import Database
+from repro.difftest.leaks import leaked_pages
 from repro.serve.sharing import SharedSubplanRegistry, compute_share_specs
 from repro.sql.parser import parse
 
@@ -102,10 +105,11 @@ class TestCrossQuerySharing:
             [(3, 6), (10, 1), (8, 0)]
         )
         stats = db.cache_stats()
-        # Three temps and the sorted PARTS run of the final merge join;
-        # the sibling leases the two it reads (the last temp, the run),
-        # not all four.
-        assert stats.shared_materializations == 4
+        # Two temps (the interior link reads the cutoff's parameter slot
+        # and is swept with the statement) and the sorted PARTS run of
+        # the final merge join; the sibling leases the two it reads (the
+        # last temp, the run), not all three.
+        assert stats.shared_materializations == 3
         assert stats.shared_hits == 2
 
     def test_replay_of_same_plan_is_not_a_cross_hit(self):
@@ -113,18 +117,39 @@ class TestCrossQuerySharing:
         db.execute_cached(JA_QUERY)
         db.execute_cached(JA_QUERY)
         stats = db.cache_stats()
-        assert stats.shared_materializations == 4
+        assert stats.shared_materializations == 3
         assert stats.shared_hits == 0
 
     def test_insert_purges_and_results_stay_fresh(self):
+        """An insert purges only what reads the written table and
+        cannot absorb it; what can is brought forward on demand, and
+        every answer is fresh either way."""
         db = make_db()
         db.execute_cached(JA_QUERY)
         db.execute_cached(JA_SIBLING)
+        registry = db.plan_cache.sharing
         db.insert("SUPPLY", [(8, 1, "1979-01-01")])
+        # DISTINCT PNUM and the sorted run do not read SUPPLY; the COUNT
+        # over the outer join absorbs rows on its null-supplying side.
         stats = db.cache_stats()
-        assert stats.shared_purges == 4
+        assert stats.shared_purges == 0 and len(registry) == 3
         after = db.execute_cached(JA_QUERY)
         assert Counter(after.result.rows) == Counter([(10,)])
+        # The delta reads the DISTINCT keys in full and the interior
+        # link only as the delta of its own.
+        assert [step.split()[0] for step in after.steps[:2]] == [
+            "shared", "maintained"
+        ]
+        assert db.cache_stats().shared_maintenances == 1
+        # An insert into PARTS reaches that COUNT on its preserved side:
+        # it is purged, and rebuilt by the next replay.
+        db.insert("PARTS", [(4, 0)])
+        assert db.cache_stats().shared_purges == 1 and len(registry) == 2
+        after = db.execute_cached(JA_SIBLING)
+        assert Counter(after.result.rows) == Counter([(3, 6), (10, 1), (4, 0)])
+        assert [step.split()[0] for step in after.steps[:-1]] == [
+            "maintained", "built", "built"
+        ]
 
     def test_sharing_disabled_keeps_registry_off(self):
         """An engine with no registry (no plan cache) shares nothing:
@@ -151,7 +176,7 @@ class TestRefcountedLifecycle:
         db = make_db()
         db.execute_cached(JA_QUERY)
         registry = db.plan_cache.sharing
-        assert len(registry) == 4  # three temps + the sorted PARTS run
+        assert len(registry) == 3  # two temps + the sorted PARTS run
         heaps = [entry.heap for entry in registry._entries.values()]
         db.plan_cache.clear()  # releases every plan -> drops holders
         assert len(registry) == 0
@@ -181,7 +206,14 @@ class TestRefcountedLifecycle:
         assert len(registry) == 0
 
     def test_publish_rejects_stale_data_version(self):
+        """A version is published only at the committed horizons of the
+        tables it read: a reader pinned before a commit into one of them
+        keeps what it built, while a commit elsewhere does not matter."""
+        from repro.txn.mvcc import SnapshotManager
+
         registry = SharedSubplanRegistry()
+        registry.snapshots = SnapshotManager()
+        registry.snapshots.publish({"PARTS": 3, "SUPPLY": 4})
 
         class _Heap:
             num_rows = 1
@@ -192,10 +224,18 @@ class TestRefcountedLifecycle:
         class _Plan:
             fingerprint = "F"
 
-        key = ("fp", (), 1, 7, ())
-        entry = registry.publish(key, _Heap(), ["C"], _Plan(), 8)
-        assert entry is None  # a commit landed after the snapshot pin
+        plan = _Plan()
+        plan.registry = registry
+        key = ("fp", (), 1, ())
+        stale = (("SUPPLY", 3),)  # a commit landed after the snapshot pin
+        assert registry.publish(key, stale, _Heap(), ["C"], plan) is None
         assert len(registry) == 0
+        registry.snapshots.publish({"PARTS": 5})
+        first = registry.publish(key, (("SUPPLY", 4),), _Heap(), ["C"], plan)
+        assert first is not None and len(registry) == 1
+        # One version per identity: the same horizons again lose.
+        assert registry.publish(key, (("SUPPLY", 4),), _Heap(), ["C"], plan) is None
+        registry.release_lease(first)
 
     def test_capacity_eviction_skips_active_leases(self):
         registry = SharedSubplanRegistry(capacity=1)
@@ -212,11 +252,11 @@ class TestRefcountedLifecycle:
 
         plan = _Plan()
         plan.registry = registry  # held by the cache: may publish
-        keys = [("fp%d" % i, (), 1, 1, ()) for i in range(3)]
-        first = registry.publish(keys[0], _Heap(), ["C"], plan, 1)
+        keys = [("fp%d" % i, (), 1, ()) for i in range(3)]
+        first = registry.publish(keys[0], (), _Heap(), ["C"], plan)
         assert first is not None  # lease held: pinned against eviction
-        registry.publish(keys[1], _Heap(), ["C"], plan, 1)
-        registry.publish(keys[2], _Heap(), ["C"], plan, 1)
+        registry.publish(keys[1], (), _Heap(), ["C"], plan)
+        registry.publish(keys[2], (), _Heap(), ["C"], plan)
         assert keys[0] in registry._entries  # active: survived the cap
         registry.release_lease(first)
 
@@ -227,7 +267,10 @@ class TestConcurrentSharing:
     ROUNDS = 25
 
     def test_concurrent_release_vs_eager_invalidation(self):
-        """Replays race inserts: no reader may lose pages under it."""
+        """Replays race inserts: no reader may lose pages under it.  The
+        inserts are absorbed by maintenance, so readers race each other
+        (and the writer) to bring the same entries forward; every version
+        that loses, or is superseded, must still be freed exactly once."""
         db = make_db()
         expected = {
             JA_QUERY: Counter(db.run(JA_QUERY, method="nested_iteration").result.rows),
@@ -249,9 +292,12 @@ class TestConcurrentSharing:
         def writer():
             try:
                 for _ in range(self.ROUNDS):
-                    # A dangling PNUM: purges shared temps eagerly but
-                    # never changes any answer the readers check.
+                    # A dangling PNUM: every shared temp must take it in
+                    # (or be rebuilt), but no answer the readers check
+                    # changes.  The pause lets replays publish versions
+                    # between commits, and supersede each other's.
                     db.insert("SUPPLY", [(999, 1, "1980-01-01")])
+                    time.sleep(0.002)
             except BaseException as error:
                 failures.append(error)
 
@@ -260,12 +306,18 @@ class TestConcurrentSharing:
             for sql in (JA_QUERY, JA_SIBLING)
             for _ in range(self.THREADS // 2)
         ] + [threading.Thread(target=writer)]
-        for thread in threads:
-            thread.start()
-        threads[-1].join()
-        stop.set()
-        for thread in threads[:-1]:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            threads[-1].join(timeout=120)
+            stop.set()
+            for thread in threads[:-1]:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         if failures:
             raise failures[0]
         registry = db.plan_cache.sharing
@@ -273,3 +325,5 @@ class TestConcurrentSharing:
         assert all(
             entry.active == 0 for entry in registry._entries.values()
         )
+        db.plan_cache.clear()
+        assert leaked_pages(db.catalog) == 0

@@ -1,6 +1,7 @@
-"""The sort of ``Ri`` for the final merge join is paid once per data
-version: a sorted run of a base table is one more registry entry,
-leased by every replay until a commit purges it with the temps."""
+"""The sort of ``Ri`` for the final merge join is paid once: a sorted
+run of a base table is one more registry entry, leased by every replay
+while its table is unchanged and brought forward by an ordered merge of
+what a commit added to it."""
 
 from collections import Counter
 
@@ -79,21 +80,32 @@ def test_one_run_serves_every_key_list_it_starts_with(sorts):
     assert len(sorted_run_keys(db)) == 1
 
 
-def test_insert_purges_the_run_with_the_temps(sorts):
+def test_inserts_keep_the_run_and_merge_into_it(sorts):
     db = make_db()
     sql = SHAPES["ja_count"].format(c=f"'{CUTOFF}'")
     db.execute_cached(sql)
     registry = db.plan_cache.sharing
-    heaps = [entry.heap for entry in registry._entries.values()]
-    assert len(heaps) == 4
+    run = registry._entries[next(iter(
+        key for key in registry._entries if key[0][0] == "sorted"
+    ))]
     # One more shipment before the cutoff moves a COUNT, so a stale temp
-    # would show as a wrong answer below.
+    # would show as a wrong answer below; the run of PARTS is untouched.
     db.insert("SUPPLY", [(200, 1, "1979-01-01")])
-    assert len(registry) == 0
-    assert all(heap.num_rows == 0 for heap in heaps)
+    assert len(registry) == 3 and run.heap.num_rows == len(PARTS)
     del sorts[:]
     after = db.execute_cached(sql)
-    assert sorts.count("PARTS") == 1  # re-sorted at the new data version
+    assert "PARTS" not in sorts and "shared sorted PARTS" in after.steps[-1]
+    oracle = db.run(sql, method="nested_iteration")
+    assert Counter(after.result.rows) == Counter(oracle.result.rows)
+    # An insert into PARTS: the next replay merges the new part into the
+    # run instead of sorting PARTS again, and the old run is freed.
+    db.insert("PARTS", [(0, 0)])
+    after = db.execute_cached(sql)
+    assert "PARTS" not in sorts
+    assert "maintained sorted PARTS" in after.steps[-1]
+    assert run.heap.num_rows == 0
+    (merged,) = [e for k, e in registry._entries.items() if k[0][0] == "sorted"]
+    assert list(merged.heap.scan()) == sorted(PARTS + [(0, 0)])
     oracle = db.run(sql, method="nested_iteration")
     assert Counter(after.result.rows) == Counter(oracle.result.rows)
 

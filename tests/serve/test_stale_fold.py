@@ -2,9 +2,9 @@
 
 NEST-A evaluates a type-A block at plan time and folds its value into
 the plan as a constant (or an IN-list).  Such a plan describes the data
-version it was planned under; an insert into the inner table must
-re-plan it, exactly as DDL re-plans every plan.  (At the parent commit a
-cached plan survived the insert and kept answering with the old MAX.)
+of the tables the folded block read; an insert into one of them must
+re-plan it, exactly as DDL re-plans every plan, while an insert into any
+other table leaves it valid.
 """
 
 from collections import Counter
@@ -83,3 +83,27 @@ def test_folded_cached_plan_is_invalidated_unfolded_one_survives():
     stats = db.cache_stats()
     assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 1)
     assert "folded" in db.prepare(folded).describe()
+
+
+def test_folded_plan_is_valid_per_table():
+    """A plan that folded ``MAX(QUAN) FROM SUPPLY`` outlives an insert
+    into PARTS — a snapshot-pin hit, PARTS re-read under the new
+    snapshot — and is re-planned by an insert into SUPPLY."""
+    db = make_db()
+    folded = "SELECT PNUM FROM PARTS WHERE QOH > (SELECT MAX(QUAN) FROM SUPPLY)"
+    db.execute_cached(folded)
+    db.insert("PARTS", [(5, 9)])
+    db.plan_cache.reset_stats()
+    after = db.execute_cached(folded)
+    stats = db.cache_stats()
+    assert (stats.hits, stats.snapshot_pin_hits, stats.invalidations) == (1, 1, 0)
+    assert Counter(after.result.rows) == Counter(
+        db.query(folded, method="nested_iteration").rows
+    )
+    assert (5,) in after.result.rows
+    db.insert("SUPPLY", [(9, 8)])
+    after = db.execute_cached(folded)
+    stats = db.cache_stats()
+    assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 1)
+    assert Counter(after.result.rows) == Counter([(5,)])
+    assert "SUPPLY at 3 rows" in db.prepare(folded).describe()
