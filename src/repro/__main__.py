@@ -297,7 +297,10 @@ class Shell:
     # -- statements ------------------------------------------------------------
 
     def _execute(self, sql: str):
-        """Run one statement, via the plan cache in serve mode.
+        """Run one statement.  A SELECT resolves through the plan cache
+        either way: ``Database.execute`` replays it as ``Database.query``
+        does (private temps), serve mode through ``execute_cached``
+        (temps shared across statements).
 
         While a ``\\txn begin`` transaction is open, INSERTs buffer in
         it and SELECTs run against its read-your-writes snapshot; DDL

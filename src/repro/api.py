@@ -221,8 +221,9 @@ class Database:
     def execute(self, sql: str, method: str = "auto") -> QueryResult | str:
         """Execute any statement: SELECT, CREATE TABLE, INSERT, DROP.
 
-        SELECT returns a :class:`QueryResult`; DDL/DML statements return
-        a short status message.
+        SELECT returns a :class:`QueryResult` by the route of
+        :meth:`query` (a kept plan, private temps); DDL/DML statements
+        return a short status message.
         """
         from repro.sql.ast import Select
         from repro.sql.statements import (
@@ -234,7 +235,7 @@ class Database:
 
         statement = parse_statement(sql)
         if isinstance(statement, Select):
-            return self.engine.run(statement, method=method).result
+            return self.query(sql, method=method)
         if isinstance(statement, CreateTable):
             self.create_table(
                 statement.name,
@@ -253,11 +254,26 @@ class Database:
     # -- queries -----------------------------------------------------------
 
     def query(self, sql: str, method: str = "auto") -> QueryResult:
-        """Run a query, returning just the result rows."""
-        return self.engine.run(sql, method=method).result
+        """Run a query, returning just the result rows.
+
+        Resolves through the plan cache as :meth:`execute_cached` does
+        — the text's predicate literals are parameterized, so a repeated
+        shape replays a kept, already-verified plan and only a miss
+        plans — but replays it ad hoc: every temp is built privately and
+        freed at the end, nothing is leased from or published to the
+        shared registry.  Hits and misses count in :meth:`cache_stats`.
+        Inside a transaction (``txn.query``) the statement is planned
+        and discarded instead, as :meth:`run` does.
+        """
+        return self.engine.run_cached(sql, method=method, adhoc=True).result
 
     def run(self, sql: str, method: str = "transform") -> RunReport:
-        """Run a query, returning the full report (rows, I/O, trace)."""
+        """Run a query, returning the full report (rows, I/O, trace).
+
+        Plans and discards (:meth:`Engine.run
+        <repro.core.pipeline.Engine.run>`): no plan cache, and the I/O
+        includes what planning read (type-A blocks NEST-A evaluates).
+        """
         return self.engine.run(sql, method=method)
 
     def explain(self, sql: str) -> str:
@@ -291,7 +307,9 @@ class Database:
         return self.engine.run_cached(sql, params=params, method=method)
 
     def cache_stats(self):
-        """Hit/miss/invalidation/eviction counters of the plan cache."""
+        """Hit/miss/invalidation/eviction counters of the plan cache:
+        :meth:`query`, :meth:`execute_cached` and prepared statements
+        all resolve through it, so all three are counted."""
         return self.plan_cache.stats()
 
     def txn_stats(self) -> str:

@@ -15,8 +15,9 @@ It offers the two evaluation strategies the paper compares:
 Every statement takes one path: :func:`repro.serve.plan.build_plan`
 plans it and :meth:`repro.serve.plan.CachedPlan.replay` executes the
 plan.  :meth:`Engine.run` does both once in a private session and
-throws the plan away; :meth:`Engine.run_cached` and prepared statements
-keep it in the plan cache.  Every run returns a :class:`RunReport` with
+throws the plan away; :meth:`Engine.run_cached` (``Database.query``
+and ``execute_cached``) and prepared statements keep it in the plan
+cache.  Every run returns a :class:`RunReport` with
 the result rows, the page I/O consumed (the paper's cost measure), and
 the transformation trace.
 """
@@ -177,8 +178,12 @@ class Engine:
     def run(self, query: str | Select, method: str = "transform") -> RunReport:
         """Execute a query and report rows plus page I/O.
 
-        The cached path with no cache: the statement is planned
-        (:func:`repro.serve.plan.build_plan`) and replayed once in one
+        Plan and discard: ``Database.run``'s route, and that of every
+        :meth:`run_cached` call under a transaction's snapshot
+        (``txn.query``).  The
+        §7 page counts are this path's.  The cached path with no cache:
+        the statement is planned (:func:`repro.serve.plan.build_plan`)
+        and replayed once in one
         private session, under one catalog read lock and one MVCC
         snapshot, and the session's temps are dropped on the way out.
         Temps NEST-A built while planning are read by the replay, not
@@ -211,7 +216,7 @@ class Engine:
         return PreparedStatement(self, sql, method=method)
 
     def run_cached(
-        self, sql: str, params: tuple = (), method: str = "auto"
+        self, sql: str, params: tuple = (), method: str = "auto", adhoc: bool = False
     ) -> RunReport:
         """Execute through the plan cache (requires ``plan_cache``).
 
@@ -221,10 +226,27 @@ class Engine:
         statement's is): on a hit the stored plan replays without
         re-planning or re-verification.  Queries whose plan shape
         depends on the literal values get per-vector ("custom") entries.
+
+        ``adhoc`` is ``Database.query``'s replay: the same kept plans,
+        with private temps and no bind contract on the text's literals
+        (:meth:`~repro.serve.plan.CachedPlan.replay`).  The report's
+        I/O is the replay's alone; a miss plans first.
+
+        Under a transaction's read-your-writes snapshot the statement is
+        planned and discarded (:meth:`run`), never kept: a block folded
+        over the transaction's own rows records no row count, so its
+        plan would look valid to any later reader who also wrote there.
         """
         from repro.errors import BindError
-        from repro.serve.normalize import fingerprint, parameterize, user_param_count
+        from repro.serve.normalize import (
+            fingerprint,
+            parameterize,
+            substitute_params,
+            user_param_count,
+        )
         from repro.serve.plan import StalePlan
+        from repro.storage.visibility import active_snapshot
+        from repro.txn.mvcc import TransactionSnapshot
 
         if self.plan_cache is None:
             raise ReproError("engine has no plan cache; pass plan_cache=")
@@ -235,13 +257,15 @@ class Engine:
             raise BindError(
                 f"statement takes {declared} parameter(s), got {len(vector)}"
             )
-        normalized, extracted = parameterize(select)
+        if isinstance(active_snapshot(), TransactionSnapshot):
+            return self.run(substitute_params(select, vector), method)
+        normalized, extracted = parameterize(select, declared)
         while True:
             plan, values = self.plan_cache.resolve(
                 self, normalized, fingerprint(normalized), method, vector + extracted
             )
             try:
-                return plan.replay(self.catalog, values)
+                return plan.replay(self.catalog, values, adhoc=adhoc)
             except StalePlan:
                 continue  # a commit made the plan stale after resolve
 

@@ -10,11 +10,13 @@ temp chains, interleaved with committed inserts — through
    leasing and publishing shared temps),
 2. a prepared handle of the same shape with the cutoff as ``?`` (the
    same plan store, resolved from the statement's side),
-3. ``Database.run`` on the same instance (the same statement path with
+3. ``Database.query`` of the same text (the same kept plans, replayed
+   ad hoc: every temp built privately and dropped, nothing leased),
+4. ``Database.run`` on the same instance (the same statement path with
    no cache: planned afresh, every temp built and dropped), and
-4. a SQLite shadow fed the same rows,
+5. a SQLite shadow fed the same rows,
 
-and demands every result agree across all four after every event.
+and demands every result agree across all five after every event.
 The inserts exercise eager invalidation mid-replay: a purged shared
 temp must never leak a stale row into a later answer, and a plan that
 folded a type-A block's value in must be re-planned.  The handles stay
@@ -223,6 +225,7 @@ def run_replay(
             if template not in handles:
                 handles[template] = db.prepare(template.format("?"))
             prepared_run = handles[template].execute(values)
+            adhoc_rows = db.query(sql).rows
             plain_run = db.run(sql, method="auto")
             oracle_rows = [
                 tuple(row) for row in shadow.execute(sql).fetchall()
@@ -251,6 +254,11 @@ def run_replay(
                 report.failures.append(
                     f"{leg} step {step}: execute_cached diverged from "
                     f"the prepared statement\n  {sql}"
+                )
+            if ours != normalize_rows(adhoc_rows):
+                report.failures.append(
+                    f"{leg} step {step}: execute_cached diverged from "
+                    f"Database.query\n  {sql}"
                 )
         registry = db.plan_cache.sharing
         if any(entry.active != 0 for entry in registry._entries.values()):

@@ -111,15 +111,6 @@ class ParamSpec:
                 )
 
 
-def _binding_tables(select: Select) -> dict[str, str]:
-    """binding (alias or name) → table name, across all blocks."""
-    out: dict[str, str] = {}
-    for node in walk(select):
-        if isinstance(node, TableRef):
-            out[node.binding] = node.name
-    return out
-
-
 def _column_type(
     ref: ColumnRef, bindings: dict[str, str], catalog: Catalog
 ) -> ColumnType | None:
@@ -148,7 +139,11 @@ def derive_param_specs(
             spec.name = param.name
         return spec
 
-    bindings = _binding_tables(select)
+    nodes = list(walk(select))
+    #: binding (alias or name) → table name, across all blocks.
+    bindings = {
+        node.binding: node.name for node in nodes if isinstance(node, TableRef)
+    }
 
     def constrain_pair(param: Parameter, other: Expr, nullable: bool) -> None:
         spec = spec_for(param)
@@ -163,7 +158,7 @@ def derive_param_specs(
                 return
         spec.constrain(None, nullable, "comparison")
 
-    for node in walk(select):
+    for node in nodes:
         if isinstance(node, Comparison):
             nullable = node.null_safe
             if isinstance(node.left, Parameter):

@@ -4,12 +4,14 @@ Keys are ``(fingerprint, method, config)`` — the normalized SQL text of
 the parameterized tree, the evaluation method asked for and the engine's
 :class:`~repro.config.ExecConfig` *as it is when the statement runs*, so
 a reconfigured engine never replays a plan built for another value.
-:meth:`PlanCache.resolve` is the one rule by which ``execute_cached``
-and prepared statements get from a statement to the plan they replay —
-look up, re-plan what is no longer valid, fall over to a per-vector
-("custom") plan where the values shape the plan — so both are counted
-in one set of statistics, bounded by one capacity and share each
-other's plans.
+:meth:`PlanCache.resolve` is the one rule by which ``Database.query``,
+``execute_cached`` and prepared statements get from a statement to the
+plan they replay — look up, re-plan what is no longer valid, fall over
+to a per-vector ("custom") plan where the values shape the plan — so
+all three are counted in one set of statistics, bounded by one capacity
+and share each other's plans.  Whether a replay shares temps is the
+replay's business (:meth:`~repro.serve.plan.CachedPlan.replay`), not
+the plan's.
 
 Versions are *not* part of the key; each entry records the versions it
 was built under and a lookup it is no longer valid at
@@ -172,8 +174,8 @@ class PlanCache:
         values: tuple[object, ...] | None,
     ) -> tuple[CachedPlan | None, tuple[object, ...] | None]:
         """The plan to replay for a statement, and the values left to
-        bind into it — how ``execute_cached`` and prepared statements
-        alike get from a statement to its plan.
+        bind into it — how ``Database.query``, ``execute_cached`` and
+        prepared statements alike get from a statement to its plan.
 
         ``select`` is the parameterized tree ``fingerprint`` was taken
         from.  The key is read now: the engine's config of the moment

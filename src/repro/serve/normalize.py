@@ -47,14 +47,19 @@ def user_param_count(select: Select) -> int:
     return highest + 1
 
 
-def parameterize(select: Select) -> tuple[Select, tuple[object, ...]]:
+def parameterize(
+    select: Select, declared: int | None = None
+) -> tuple[Select, tuple[object, ...]]:
     """Extract predicate literals into parameters.
 
     Returns ``(normalized_select, extracted_values)``.  Extracted
-    literal slots are numbered after any user-declared parameters, so a
-    caller binds ``user_values + extracted_values``.
+    literal slots are numbered after any user-declared parameters
+    (``declared``, counted when not given), so a caller binds
+    ``user_values + extracted_values``.
     """
-    counter = itertools.count(user_param_count(select))
+    if declared is None:
+        declared = user_param_count(select)
+    counter = itertools.count(declared)
     extracted: list[object] = []
 
     def leaf(expr: Expr) -> Expr:

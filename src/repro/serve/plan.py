@@ -111,13 +111,13 @@ class CachedPlan:
     trace: list[str] = field(default_factory=list)
     #: The plan cache's SharedSubplanRegistry, or None when the engine
     #: serves no plan cache: then every replay rebuilds its temps and
-    #: frees them at the end.
+    #: frees them at the end, as an ad-hoc replay does with one.
     registry: SharedSubplanRegistry | None = field(
         default=None, repr=False, compare=False
     )
     #: Per-definition structural fingerprints + parameter slots (see
-    #: :mod:`repro.serve.sharing`); computed only when there is a
-    #: registry.
+    #: :mod:`repro.serve.sharing`); computed by the first replay that
+    #: shares, so a plan only ever replayed privately never pays for it.
     share_specs: tuple[ShareSpec, ...] = ()
     #: What the verifier found at plan time (None: not verified, or a
     #: nested-iteration plan).
@@ -193,7 +193,7 @@ class CachedPlan:
     # -- execution ---------------------------------------------------------
 
     def replay(
-        self, catalog: Catalog, values: tuple[object, ...] = ()
+        self, catalog: Catalog, values: tuple[object, ...] = (), adhoc: bool = False
     ) -> RunReport:
         """Execute the plan with ``values`` bound, result + I/O report.
 
@@ -205,13 +205,20 @@ class CachedPlan:
         or an enclosing transaction), so every scan in the plan sees
         one committed state even while writers commit concurrently.
 
+        ``adhoc`` replays for ``Database.query``: the values are the
+        literals of the statement's own text, so no bind contract is
+        checked (they evaluate as the literal would), and the registry
+        is neither leased from nor published to — every temp is built
+        privately and freed in the sweep, as a plan-and-discard run's.
+
         Raises :class:`StalePlan` when the plan is not valid under that
         snapshot (a commit into a table it folded landed after it was
         resolved): the caller resolves again.
         """
         from repro.engine.params import bound_params
 
-        check_binding(self.param_specs, values)
+        if not adhoc:
+            check_binding(self.param_specs, values)
         session = SessionCatalog.over(catalog)
         before = session.buffer.stats()
         with (
@@ -235,11 +242,14 @@ class CachedPlan:
             # verify=False: every block was verified at plan time.
             executor = SingleLevelExecutor(session, self.config, verify=False)
             registry = self.registry
-            if isinstance(snapshot, TransactionSnapshot):
-                # A transaction's read-your-writes overlay leases and
-                # publishes nothing: its temps may hold uncommitted
-                # rows no other reader must ever see.
+            if adhoc or isinstance(snapshot, TransactionSnapshot):
+                # Neither leases nor publishes: an ad-hoc replay keeps
+                # its temps private, and a transaction's read-your-writes
+                # temps may hold uncommitted rows no other reader must
+                # ever see.
                 registry = None
+            if registry is not None and not self.share_specs:
+                self.share_specs = compute_share_specs(self.setup)
 
             def key_of(identity, slots: tuple[int, ...] = ()) -> tuple:
                 return (
@@ -676,9 +686,6 @@ def build_plan(
                 columns=output_names(transform.query),
                 canonical_sql=to_sql(transform.query),
                 setup_sql=[d.describe() for d in transform.setup],
-                share_specs=()
-                if registry is None
-                else compute_share_specs(transform.setup),
                 findings=findings,
             )
         finally:

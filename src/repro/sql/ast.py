@@ -412,14 +412,16 @@ def _child_fields(node: Node) -> tuple[str, ...]:
         raise TypeError(f"not an AST node: {node!r}") from None
 
 
-def children(node: Node) -> Iterator[Node]:
-    """Yield the direct AST children of ``node`` (excluding None)."""
+def children(node: Node) -> list[Node]:
+    """The direct AST children of ``node`` (excluding None), in order."""
+    found: list[Node] = []
     for name in _child_fields(node):
         value = getattr(node, name)
         if isinstance(value, tuple):
-            yield from value
+            found.extend(value)
         elif value is not None:
-            yield value
+            found.append(value)
+    return found
 
 
 def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
@@ -469,12 +471,18 @@ def walk(node: Node, *, into_subqueries: bool = True) -> Iterator[Node]:
             :class:`Select` blocks (their node is still yielded).  The
             classification code uses this to examine one block at a time.
     """
-    yield node
-    for child in children(node):
-        if not into_subqueries and isinstance(child, Select):
-            yield child
+    # An explicit stack: a recursive generator pays one frame per level
+    # for every node it yields, and planning walks each tree many times.
+    root = node
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not into_subqueries and node is not root and isinstance(node, Select):
             continue
-        yield from walk(child, into_subqueries=into_subqueries)
+        below = children(node)
+        below.reverse()
+        stack.extend(below)
 
 
 def column_refs(node: Node, *, into_subqueries: bool = False) -> Iterator[ColumnRef]:
