@@ -105,8 +105,6 @@ def check_query(
     except ReproError as error:
         lines.append(f"  transform not applicable: {error}")
         return findings, lines
-    finally:
-        catalog.drop_temp_tables()
 
     plan_findings, temps = verify_transform(
         transform, catalog, join_method=join_method

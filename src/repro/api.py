@@ -260,10 +260,10 @@ class Database:
         — the text's predicate literals are parameterized, so a repeated
         shape replays a kept, already-verified plan and only a miss
         plans — but replays it ad hoc: every temp is built privately and
-        freed at the end, nothing is leased from or published to the
-        shared registry.  Hits and misses count in :meth:`cache_stats`.
-        Inside a transaction (``txn.query``) the statement is planned
-        and discarded instead, as :meth:`run` does.
+        freed at the end; of the shared registry only the one-row
+        entries of type-A values are leased and published.  Hits and
+        misses count in :meth:`cache_stats`.  Inside a transaction
+        (``txn.query``) the replay shares nothing.
         """
         return self.engine.run_cached(sql, method=method, adhoc=True).result
 
@@ -271,8 +271,8 @@ class Database:
         """Run a query, returning the full report (rows, I/O, trace).
 
         Plans and discards (:meth:`Engine.run
-        <repro.core.pipeline.Engine.run>`): no plan cache, and the I/O
-        includes what planning read (type-A blocks NEST-A evaluates).
+        <repro.core.pipeline.Engine.run>`): no plan cache, nothing
+        shared; the I/O is the replay's, type-A blocks included.
         """
         return self.engine.run(sql, method=method)
 

@@ -27,9 +27,9 @@ SCHEMA_EVENTS = frozenset(
 )
 
 #: Change events that alter only which *rows* exist.  Cached plans
-#: survive these — they re-read the base tables on every replay —
-#: unless planning itself folded data in; shared temp materializations
-#: go stale.
+#: survive these — they re-read the base tables and re-evaluate their
+#: type-A blocks on every replay; shared temp materializations go
+#: stale.
 DATA_EVENTS = frozenset({"insert"})
 
 
@@ -77,8 +77,8 @@ class Catalog:
         #: plan can never match after a schema change.
         self.schema_version = 0
         #: Monotone counter bumped by row-only changes (inserts into
-        #: non-temp tables).  Cached plans that folded no data in stay
-        #: valid across data bumps; only shared temp tables are purged.
+        #: non-temp tables).  Cached plans stay valid across data
+        #: bumps; only shared temp tables are purged.
         self.data_version = 0
         self._change_hooks: list[Callable[[str, str], None]] = []
         #: MVCC commit timestamps + per-table row horizons; readers pin

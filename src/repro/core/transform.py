@@ -17,13 +17,23 @@ from repro.sql.printer import to_sql
 
 @dataclass(frozen=True)
 class TempTableDef:
-    """One temporary relation: a name bound to a single-level query."""
+    """One link of a temp chain: a name bound to a single-level query.
+
+    Most links are temporary relations.  A *value link* (``slot`` set)
+    is NEST-A's type-A block: replay evaluates it once per execution
+    and binds its value — a scalar, or with ``is_list`` the value list
+    of an ``IN`` — into parameter slot ``slot``, which the predicate
+    that held the block reads.
+    """
 
     name: str
     query: Select
+    slot: int | None = None
+    is_list: bool = False
 
     def describe(self) -> str:
-        return f"{self.name} = ({to_sql(self.query)})"
+        text = f"{self.name} = ({to_sql(self.query)})"
+        return text if self.slot is None else f"{text} → ?{self.slot + 1}"
 
 
 @dataclass

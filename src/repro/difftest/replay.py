@@ -18,8 +18,9 @@ temp chains, interleaved with committed inserts — through
 
 and demands every result agree across all five after every event.
 The inserts exercise eager invalidation mid-replay: a purged shared
-temp must never leak a stale row into a later answer, and a plan that
-folded a type-A block's value in must be re-planned.  The handles stay
+temp must never leak a stale row into a later answer, and a kept plan's
+type-A values — value links, one-row registry entries, brought forward
+or evaluated again — must follow the data.  The handles stay
 open to the end, so the closing ``plan_cache.clear()`` and page-leak
 check cover what prepared statements kept too.
 
@@ -61,8 +62,9 @@ def query_pool() -> list[tuple[str, tuple[str, ...]]]:
     (same correlated COUNT), so a healthy replay leases far more temps
     than it builds; the trailing type-N/type-J shapes keep the mix
     honest (different chains, no sharing), and the uncorrelated
-    aggregate is the shape NEST-A folds into the plan — half the write
-    batches move its value, which a cached plan must not carry across.
+    aggregates are NEST-A's type-A blocks — value links, one with the
+    cutoff inside the block — whose values half the write batches move,
+    which a kept plan or a shared entry must not carry across.
     The type-J block reaching past its type-JA parent to the root was a
     tracked wrong answer until its inner relation became a
     duplicate-free temp: a fan-out before the COUNT would show here.
@@ -81,6 +83,8 @@ def query_pool() -> list[tuple[str, tuple[str, ...]]]:
                 f"SELECT QOH FROM PARTS WHERE QOH < {inner}",
                 "SELECT PNUM FROM PARTS WHERE PNUM IN "
                 "(SELECT PNUM FROM SUPPLY WHERE SHIPDATE < {})",
+                "SELECT PNUM FROM PARTS WHERE QOH < "
+                "(SELECT MAX(QUAN) FROM SUPPLY WHERE SHIPDATE < {})",
             )
         )
     pool.append(

@@ -58,6 +58,7 @@ from repro.engine.compile import (
     memoized,
     negation,
     null_safe_equal,
+    slot_membership,
 )
 from repro.engine.params import param_value
 from repro.engine.schema import RowSchema
@@ -76,6 +77,7 @@ from repro.sql.ast import (
     Or,
     Parameter,
     UnaryMinus,
+    list_slot,
 )
 
 #: A batch kernel: ``fn(cols, n, sel) -> column`` (dense over ``sel``).
@@ -277,6 +279,18 @@ def _predicate(expr: Expr, schema: RowSchema) -> BatchFn:
             return [between(a, b, negated) for a, b in zip(above, below)]
 
         return within
+    if isinstance(expr, InList) and (slot := list_slot(expr)) is not None:
+        value_fn = _scalar(expr.operand, schema)
+        index, name, negated = slot.index, slot.name, expr.negated
+
+        def in_slot(cols, n, sel):
+            items = param_value(index, name)
+            return [
+                slot_membership(value, items, negated)
+                for value in value_fn(cols, n, sel)
+            ]
+
+        return in_slot
     if isinstance(expr, InList):
         value_fn = _scalar(expr.operand, schema)
         item_fns = [_scalar(item, schema) for item in expr.items]

@@ -65,17 +65,6 @@ class TransformError(ReproError):
     """Raised when a nested-query transformation cannot be applied."""
 
 
-class ParameterizedPlanError(TransformError):
-    """Raised when a plan's shape depends on bind-parameter *values*.
-
-    Type-A subquery blocks are evaluated during transformation and baked
-    into the plan as constants; a bind parameter inside such a block
-    makes the plan value-dependent, so a single parameterized plan would
-    be wrong.  The serving layer catches this and plans per parameter
-    vector instead (the "custom plan" fallback).
-    """
-
-
 class PlanError(ReproError):
     """Raised when the planner cannot produce a plan for a query."""
 

@@ -150,8 +150,8 @@ class SingleLevelExecutor:
         """Build one temp-table definition and register it as ``name``.
 
         The one place a transform temp (``Rt``, ``TEMP1..3``, a staging
-        temp) comes into being: NEST-G's plan-time prefix, the replay
-        loop and the batched chain all call it.  The catalog this
+        temp) comes into being: the replay loop and the batched chain
+        both call it.  The catalog this
         executor reads from owns the heap from here on.  Returns the
         step text.
         """

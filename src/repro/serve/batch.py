@@ -13,6 +13,10 @@ executes the whole batch set-at-a-time:
   through an upstream temp) is rewritten to *join* ``B``: parameter
   markers become ``B.Pi`` column references and a ``BSEQ`` column is
   appended so downstream consumers can tell the sub-results apart;
+* a value link (a type-A block, see :mod:`repro.core.nest_g`) that
+  reads no parameter is evaluated once for the whole batch, and its
+  hidden slot stays a parameter, bound per batch; one that reads a
+  parameter would need one value per vector;
 * the paper's outer-join COUNT discipline survives batching: when the
   padded side of an outer comparison is batched, the preserved side is
   force-batched too and ``preserved.BSEQ =+ padded.BSEQ`` joins the
@@ -24,7 +28,7 @@ executes the whole batch set-at-a-time:
 The rewrite is purely structural — no data access — so it is derived
 once per plan and rides on it (``CachedPlan.batch_plan``).  Shapes
 the rewrite cannot prove correct (grouped/aggregated final queries,
-ORDER BY, full outer joins, custom statements) raise
+ORDER BY, full outer joins, value links that read a parameter) raise
 :class:`BatchIneligible` and the statement falls back to the per-vector
 loop — under one pinned MVCC snapshot either way, so
 a batch can never straddle a concurrent commit.
@@ -41,7 +45,6 @@ from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError
 from repro.optimizer.executor import SingleLevelExecutor
-from repro.serve.plan import StalePlan
 from repro.serve.session import SessionCatalog
 from repro.sql.ast import (
     ColumnRef,
@@ -111,8 +114,12 @@ class BatchReport:
         )
 
 
-def _uses_parameter(query: Select) -> bool:
-    return any(isinstance(node, Parameter) for node in walk(query))
+def _uses_parameter(query: Select, count: int) -> bool:
+    """Whether ``query`` reads one of the statement's ``count`` slots
+    (a value link's hidden slot is bound per batch, not per vector)."""
+    return any(
+        isinstance(node, Parameter) and node.index < count for node in walk(query)
+    )
 
 
 def _require_batchable_block(query: Select, label: str) -> None:
@@ -131,9 +138,9 @@ def _outer_comparisons(query: Select) -> list[Comparison]:
     ]
 
 
-def _rewrite_parameters(query: Select, binding_name: str) -> Select:
+def _rewrite_parameters(query: Select, binding_name: str, count: int) -> Select:
     def leaf(expr):
-        if isinstance(expr, Parameter):
+        if isinstance(expr, Parameter) and expr.index < count:
             return ColumnRef(binding_name, f"P{expr.index}")
         return expr
 
@@ -141,7 +148,11 @@ def _rewrite_parameters(query: Select, binding_name: str) -> Select:
 
 
 def _seq_sources(
-    query: Select, batched_names: set[str], binding_name: str, required: bool
+    query: Select,
+    batched_names: set[str],
+    binding_name: str,
+    count: int,
+    required: bool,
 ) -> tuple[list[ColumnRef], tuple[TableRef, ...]]:
     """The batch-sequence columns a block can read — the one it puts
     out first — and its FROM clause, with the binding relation crossed
@@ -160,7 +171,7 @@ def _seq_sources(
     sources = [ColumnRef(ref.binding, SEQ_COLUMN) for ref in batched]
     from_tables = query.from_tables
     if (
-        _uses_parameter(query)
+        _uses_parameter(query, count)
         or any(ref.semi for ref in batched)
         or (required and not batched)
     ):
@@ -175,7 +186,7 @@ def _seq_sources(
 
 
 def _rewrite_definition(
-    query: Select, batched_names: set[str], binding_name: str
+    query: Select, batched_names: set[str], binding_name: str, count: int
 ) -> Select:
     """Thread the binding relation through one temp-table definition.
 
@@ -191,7 +202,7 @@ def _rewrite_definition(
             "scalar aggregate without GROUP BY collapses across the batch"
         )
     name_of = {ref.binding: ref.name for ref in query.from_tables}
-    rewritten = _rewrite_parameters(query, binding_name)
+    rewritten = _rewrite_parameters(query, binding_name, count)
 
     # Outer comparisons: when the padded side is batched, its seq column
     # is NULL on padded rows, so the seq join must ride *inside* the
@@ -233,7 +244,7 @@ def _rewrite_definition(
             )
 
     sources, from_tables = _seq_sources(
-        query, batched_names, binding_name, required=True
+        query, batched_names, binding_name, count, required=True
     )
     sources = [source for source in sources if source.table not in covered]
     seq_predicates.extend(
@@ -252,7 +263,7 @@ def _rewrite_definition(
 
 
 def _rewrite_final(
-    query: Select, batched_names: set[str], binding_name: str
+    query: Select, batched_names: set[str], binding_name: str, count: int
 ) -> Select:
     """Prepend the demux ``BSEQ`` column to the final query."""
     _require_batchable_block(query, "final query")
@@ -261,11 +272,11 @@ def _rewrite_final(
     if _outer_comparisons(query):
         raise BatchIneligible("final query contains an outer join")
     sources, from_tables = _seq_sources(
-        query, batched_names, binding_name, required=False
+        query, batched_names, binding_name, count, required=False
     )
     if not sources:
         raise BatchIneligible("final query is batch-invariant")
-    rewritten = _rewrite_parameters(query, binding_name)
+    rewritten = _rewrite_parameters(query, binding_name, count)
     seq_predicates = [
         Comparison(sources[0], "=", source) for source in sources[1:]
     ]
@@ -277,19 +288,21 @@ def _rewrite_final(
     )
 
 
-def classify_definitions(definitions) -> set[str]:
+def classify_definitions(definitions, count: int) -> set[str]:
     """Names of temp definitions that must be batched, to a fixpoint.
 
-    A definition is batched when it reads a parameter or a batched
-    upstream temp; the *preserved* side of an outer join whose padded
-    side is batched is force-batched too (every preserved row needs a
-    per-vector copy for the padding to be per-vector).
+    A definition is batched when it reads one of the statement's
+    ``count`` parameter slots or a batched upstream temp; the
+    *preserved* side of an outer join whose padded side is batched is
+    force-batched too (every preserved row needs a per-vector copy for
+    the padding to be per-vector).  A value link that would be batched
+    raises :class:`BatchIneligible`: its value is one per vector.
     """
     temp_names = {definition.name for definition in definitions}
     batched = {
         definition.name
         for definition in definitions
-        if _uses_parameter(definition.query)
+        if _uses_parameter(definition.query, count)
     }
     changed = True
     while changed:
@@ -330,6 +343,12 @@ def classify_definitions(definitions) -> set[str]:
                     )
                 batched.add(preserved_name)
                 changed = True
+    for definition in definitions:
+        if definition.slot is not None and definition.name in batched:
+            raise BatchIneligible(
+                f"value link {definition.name} reads a parameter: "
+                "its value is one per vector"
+            )
     return batched
 
 
@@ -343,18 +362,19 @@ def build_batch_plan(plan, catalog) -> BatchPlan:
         raise BatchIneligible("only transform plans batch")
     if plan.param_count < 1:
         raise BatchIneligible("statement has no parameters")
-    batched = classify_definitions(plan.setup)
+    count = plan.param_count
+    batched = classify_definitions(plan.setup, count)
     binding_name = catalog.create_temp_name("BIND")
     setup = [
         TempTableDef(
             definition.name,
-            _rewrite_definition(definition.query, batched, binding_name),
+            _rewrite_definition(definition.query, batched, binding_name, count),
         )
         if definition.name in batched
         else definition
         for definition in plan.setup
     ]
-    final_query = _rewrite_final(plan.final_query, batched, binding_name)
+    final_query = _rewrite_final(plan.final_query, batched, binding_name, count)
     columns = ("SEQ",) + tuple(f"P{i}" for i in range(plan.param_count))
     return BatchPlan(
         binding_name=binding_name,
@@ -375,23 +395,14 @@ def execute_batch_plan(
     chain runs through the plan's own driver
     (:meth:`~repro.serve.plan.CachedPlan.run_chain`) in a private
     session overlay that also holds the binding relation, leasing and
-    publishing nothing; unbatched definitions are built once and serve
-    every vector.
-
-    Raises :class:`~repro.serve.plan.StalePlan` when the plan is not
-    valid under that snapshot, as :meth:`CachedPlan.replay` does.
+    publishing nothing; unbatched definitions are built once, and value
+    links evaluated once, for every vector.
     """
     from repro.engine.params import bound_params
 
     session = SessionCatalog(catalog)
     before = session.buffer.stats()
-    with (
-        catalog.read_lock(),
-        catalog.snapshots.pinned() as snapshot,
-        bound_params(()),
-    ):
-        if not plan.valid_at(catalog.schema_version, snapshot):
-            raise StalePlan(plan.fingerprint)
+    with catalog.read_lock(), catalog.snapshots.pinned(), bound_params(()):
         schema = TableSchema(
             batch_plan.binding_name,
             tuple(

@@ -6,21 +6,17 @@ the parameterized tree, the evaluation method asked for and the engine's
 a reconfigured engine never replays a plan built for another value.
 :meth:`PlanCache.resolve` is the one rule by which ``Database.query``,
 ``execute_cached`` and prepared statements get from a statement to the
-plan they replay — look up, re-plan what is no longer valid, fall over
-to a per-vector ("custom") plan where the values shape the plan — so
-all three are counted in one set of statistics, bounded by one capacity
-and share each other's plans.  Whether a replay shares temps is the
-replay's business (:meth:`~repro.serve.plan.CachedPlan.replay`), not
-the plan's.
+plan they replay — look up, re-plan what is no longer valid — so all
+three are counted in one set of statistics, bounded by one capacity and
+share each other's plans.  One entry serves every parameter vector: a
+plan reads no data, so no value — not even one inside a type-A block —
+shapes it.  Whether a replay shares temps is the replay's business
+(:meth:`~repro.serve.plan.CachedPlan.replay`), not the plan's.
 
 Versions are *not* part of the key; each entry records the versions it
-was built under and a lookup it is no longer valid at
-(:meth:`~repro.serve.plan.CachedPlan.valid_at`: another schema version,
-or — for a plan that folded data in — another row count of a table a
-folded block read) is treated as an invalidation (the entry is dropped
-and rebuilt).  Validity is judged at the snapshot the replay will pin,
-and the replay judges it again under that pin: a commit that lands
-between the two makes the caller resolve once more.
+was built under and a lookup at another schema version
+(:meth:`~repro.serve.plan.CachedPlan.valid_at`) is treated as an
+invalidation (the entry is dropped and rebuilt).
 
 Invalidation is event-class aware (see
 :func:`repro.catalog.catalog.event_class`):
@@ -29,14 +25,14 @@ Invalidation is event-class aware (see
   the cache purges eagerly, freeing shared temps immediately rather
   than leaving stale entries to age out of the LRU;
 * **data** events (inserts) change only which rows exist — cached
-  plans re-read base tables on every replay, so the entries survive
-  (all but those that folded the written table, dropped at their next
-  lookup).  Of the shared temp materializations, only those that read
-  the written table and cannot absorb an insert into it are purged; the
-  rest are brought forward by the next replay that needs them (see
-  :mod:`repro.serve.sharing`).  A hit on a plan that outlived a data
-  change is counted as a *snapshot-pin hit*: the replay pins the
-  current MVCC snapshot instead of re-planning.
+  plans re-read base tables and re-evaluate their type-A blocks on
+  every replay, so every entry survives.  Of the shared temp
+  materializations, only those that read the written table and cannot
+  absorb an insert into it are purged; the rest are brought forward by
+  the next replay that needs them (see :mod:`repro.serve.sharing`).  A
+  hit on a plan that outlived a data change is counted as a
+  *snapshot-pin hit*: the replay pins the current MVCC snapshot instead
+  of re-planning.
 
 All operations are lock-protected; worker threads share one cache.
 Planning itself runs outside the lock.
@@ -49,13 +45,10 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog, event_class
 from repro.core.pipeline import Engine
-from repro.errors import ParameterizedPlanError
-from repro.serve.normalize import substitute_params
 from repro.serve.plan import CachedPlan
 from repro.serve.sharing import SharedSubplanRegistry
 from repro.sql.ast import Select
 from repro.storage.locks import make_lock
-from repro.storage.visibility import SnapshotLike, active_snapshot
 
 #: Default maximum number of cached plans.
 DEFAULT_CAPACITY = 128
@@ -111,20 +104,6 @@ class CacheStats:
         )
 
 
-class _CustomShaped:
-    """The entry under a key whose plan shape depends on the bound values
-    (a parameter inside a type-A block, folded into the plan): the plans
-    are under ``key + (values,)``, this only remembers not to plan the
-    parameterized tree again.  It quacks like a plan that holds nothing,
-    so it ages out, is purged and is counted like any other entry."""
-
-    def release(self) -> None:
-        pass
-
-
-CUSTOM_SHAPED = _CustomShaped()
-
-
 class PlanCache:
     """Bounded LRU of :class:`~repro.serve.plan.CachedPlan` objects."""
 
@@ -132,7 +111,7 @@ class PlanCache:
         if capacity < 1:
             raise ValueError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, CachedPlan | _CustomShaped] = OrderedDict()
+        self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._lock = make_lock("serve.plan_cache")
         #: The shared temp materializations of the plans served here
         #: (see repro.serve.sharing).
@@ -166,80 +145,51 @@ class PlanCache:
     # -- access ------------------------------------------------------------
 
     def resolve(
-        self,
-        engine: Engine,
-        select: Select,
-        fingerprint: str,
-        method: str,
-        values: tuple[object, ...] | None,
-    ) -> tuple[CachedPlan | None, tuple[object, ...] | None]:
-        """The plan to replay for a statement, and the values left to
-        bind into it — how ``Database.query``, ``execute_cached`` and
-        prepared statements alike get from a statement to its plan.
+        self, engine: Engine, select: Select, fingerprint: str, method: str
+    ) -> CachedPlan:
+        """The plan to replay for a statement — how ``Database.query``,
+        ``execute_cached`` and prepared statements alike get from a
+        statement to its plan.
 
         ``select`` is the parameterized tree ``fingerprint`` was taken
         from.  The key is read now: the engine's config of the moment
         and the catalog's versions.  A valid entry is a hit; otherwise
-        ``engine`` plans (outside every lock — two threads missing at
-        once both plan, the later ``store`` wins) and the plan is kept.
-        Where the values shape the plan the key is remembered as
-        custom-shaped and the plan is that of the literal tree under
-        ``key + (values,)``, with nothing left to bind.  ``values=None``
-        asks for the generic plan only (prepare time): ``(None, None)``
-        comes back for a custom-shaped statement.
+        ``engine`` plans (outside the cache's lock — two threads missing
+        at once both plan, the later ``store`` wins) and the plan is
+        kept.
         """
         key = (fingerprint, method, engine.config)
         catalog = engine.catalog
-        # What the replay will pin: the caller's snapshot, or the latest.
-        snapshot = active_snapshot() or catalog.snapshots.current()
-        versions = (catalog.schema_version, snapshot)
-
-        def plan_for(key: tuple, tree: Select) -> CachedPlan | _CustomShaped:
-            plan = self.lookup(key, *versions)
-            if plan is None:
-                try:
-                    plan = engine.plan(tree, method, fingerprint)
-                except ParameterizedPlanError:
-                    plan = CUSTOM_SHAPED
-                self.store(key, plan)
-            return plan
-
-        plan = plan_for(key, select)
-        if plan is not CUSTOM_SHAPED:
-            return plan, values
-        if values is None:
-            return None, None
-        return plan_for(key + (values,), substitute_params(select, values)), ()
+        plan = self.lookup(key, catalog.schema_version, catalog.data_version)
+        if plan is None:
+            plan = engine.plan(select, method, fingerprint)
+            self.store(key, plan)
+        return plan
 
     def discard(self, fingerprint: str, method: str) -> None:
-        """Drop every entry of one statement — whatever the config or
-        the values it was planned for (``PreparedStatement.close``)."""
+        """Drop every entry of one statement — whatever the config it
+        was planned under (``PreparedStatement.close``)."""
         with self._lock:
             for key in [k for k in self._entries if k[:2] == (fingerprint, method)]:
                 self._entries.pop(key).release()
 
     def lookup(
-        self, key: tuple, schema_version: int, snapshot: SnapshotLike
-    ) -> CachedPlan | _CustomShaped | None:
-        """The cached plan for ``key`` valid at this schema version and
-        ``snapshot``, or None (or ``CUSTOM_SHAPED``, neither hit nor
-        miss: the plan is under ``key + (values,)``).
+        self, key: tuple, schema_version: int, data_version: int
+    ) -> CachedPlan | None:
+        """The cached plan for ``key`` valid at this schema version, or
+        None.
 
         An entry that is no longer valid counts as an invalidation
-        *and* a miss: it is dropped and the caller rebuilds.  A plan
-        that folded none of the tables written since it was built is a
-        hit — it survives those inserts by construction — recorded in
-        ``snapshot_pin_hits`` when the data version moved.
+        *and* a miss: it is dropped and the caller rebuilds.  A hit at
+        another data version than the plan was built at is recorded in
+        ``snapshot_pin_hits``: the plan outlived those inserts.
         """
         with self._lock:
             plan = self._entries.get(key)
             if plan is None:
                 self.misses += 1
                 return None
-            if plan is CUSTOM_SHAPED:
-                self._entries.move_to_end(key)
-                return plan
-            if not plan.valid_at(schema_version, snapshot):
+            if not plan.valid_at(schema_version):
                 del self._entries[key]
                 plan.release()
                 self.invalidations += 1
@@ -247,11 +197,11 @@ class PlanCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            if plan.data_version != snapshot.data_version:
+            if plan.data_version != data_version:
                 self.snapshot_pin_hits += 1
             return plan
 
-    def store(self, key: tuple, plan: CachedPlan | _CustomShaped) -> None:
+    def store(self, key: tuple, plan: CachedPlan) -> None:
         with self._lock:
             replaced = self._entries.pop(key, None)
             if replaced is not None and replaced is not plan:

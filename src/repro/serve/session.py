@@ -35,13 +35,6 @@ class SessionCatalog(Catalog):
         #: truncates.
         self._shared: set[str] = set()
 
-    @classmethod
-    def over(cls, catalog: Catalog) -> "SessionCatalog":
-        """The session a statement on ``catalog`` runs in: ``catalog``
-        itself when it already is an overlay (``Engine.run`` plans and
-        replays in one), a fresh overlay of it otherwise."""
-        return catalog if isinstance(catalog, cls) else cls(catalog)
-
     # -- delegated shared state ------------------------------------------
 
     @property

@@ -34,6 +34,7 @@ from repro.sql.ast import (
     Star,
     TableRef,
     UnaryMinus,
+    list_slot,
 )
 
 
@@ -187,6 +188,8 @@ def _expr(expr: Expr) -> str:
     if isinstance(expr, InList):
         items = ", ".join(_expr(item) for item in expr.items)
         keyword = "NOT IN" if expr.negated else "IN"
+        if list_slot(expr):
+            return f"{_operand(expr.operand)} {keyword} {items}"
         return f"{_operand(expr.operand)} {keyword} ({items})"
     if isinstance(expr, InSubquery):
         keyword = "NOT IN" if expr.negated else "IN"

@@ -17,6 +17,7 @@ from repro.core.nest_g import nest_g
 from repro.core.pipeline import Engine
 from repro.errors import TransformError
 from repro.sql.parser import parse
+from repro.sql.printer import to_sql
 from repro.workloads.paper_data import fresh_catalog, load_supplier_parts
 
 from tests.core.helpers import assert_equivalent
@@ -99,13 +100,19 @@ class TestFigure2:
 
 class TestTypeAEvaluation:
     def test_type_a_replaced_by_constant(self):
+        """NEST-A at replay: the block is a value link binding a hidden
+        slot, and the run substitutes the constant it evaluates to."""
         catalog = load_supplier_parts()
         engine = Engine(catalog)
-        transform = engine.transform(
-            "SELECT SNO FROM SP WHERE PNO = (SELECT MAX(PNO) FROM P)"
-        )
-        assert "constant 'P6'" in " ".join(transform.trace)
-        assert transform.setup == []
+        sql = "SELECT SNO FROM SP WHERE PNO = (SELECT MAX(PNO) FROM P)"
+        transform = engine.transform(sql)
+        (link,) = transform.setup
+        assert (link.slot, link.is_list) == (0, False)
+        assert to_sql(transform.query).endswith("WHERE SP.PNO = ?")
+        report = engine.run(sql)
+        assert report.steps[0].startswith("evaluated ATEMP_")
+        expected = engine.run(sql.replace("(SELECT MAX(PNO) FROM P)", "'P6'"))
+        assert Counter(report.result.rows) == Counter(expected.result.rows)
 
     def test_type_a_empty_inner_becomes_null(self):
         catalog = load_supplier_parts()
@@ -134,8 +141,9 @@ class TestTypeAEvaluation:
             )
 
     def test_type_a_depending_on_descendant_temps(self):
-        """A type-A block that itself contained type-JA nesting needs
-        its temp tables built before evaluation (GeneralTransform.built)."""
+        """A type-A block that itself contained type-JA nesting reads
+        temp tables: its value link comes after them in the chain, and
+        transforming builds none of them."""
         catalog = fresh_catalog()
         catalog.create_table(schema("T", "K", "V"))
         catalog.create_table(schema("U", "K", "V"))
@@ -153,9 +161,13 @@ class TestTypeAEvaluation:
                                     WHERE W.K = U.K))
         """
         engine = Engine(catalog)
+        tables = set(catalog.table_names())
         transform = engine.transform(sql)
-        assert transform.built == len(transform.setup) > 0
-        catalog.drop_temp_tables()
+        *temps, link = transform.setup
+        assert temps and all(temp.slot is None for temp in temps)
+        assert link.slot is not None
+        assert {ref.name for ref in link.query.from_tables} & {t.name for t in temps}
+        assert set(catalog.table_names()) == tables
         assert_equivalent(catalog, sql)
 
     def test_in_with_aggregate_inner_degenerates_to_equality(self):

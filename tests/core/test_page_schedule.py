@@ -27,6 +27,14 @@ and retired the two flags that used to ask for the inner temp and the
 rowid fix-up.  The 24 cells of the four shapes that merge an ``IN`` were
 regenerated; ``test_semi_join_only_saved_pages`` holds them to the old
 ones.  The other 48 are bit-identical.
+
+Since a type-A block became a value link of the chain, planning reads no
+data: ``Engine.run`` evaluates the block at replay, where NEST-A used to
+evaluate it while transforming, and keeps its value in memory.  The 12
+``a`` / ``not_in`` cells each gained one step (``evaluated ATEMP_n``)
+and one set-up definition (the link itself);
+``test_value_links_moved_no_page`` holds their reads and writes, temp
+pages and rows to the old ones.
 """
 
 from __future__ import annotations
@@ -147,12 +155,12 @@ EXPECTED: dict[tuple[str, str, int], tuple] = {
     ('ja_max', 'nested', 4): (210, 33, (2, 7, 1), 'transform', 4, 3, 1),
     ('ja_max', 'hash', 1): (145, 33, (2, 7, 1), 'transform', 4, 3, 1),
     ('ja_max', 'hash', 4): (141, 33, (2, 7, 1), 'transform', 4, 3, 1),
-    ('a', 'merge', 1): (102, 6, (), 'transform', 1, 0, 200),
-    ('a', 'merge', 4): (100, 6, (), 'transform', 1, 0, 200),
-    ('a', 'nested', 1): (102, 6, (), 'transform', 1, 0, 200),
-    ('a', 'nested', 4): (100, 6, (), 'transform', 1, 0, 200),
-    ('a', 'hash', 1): (102, 6, (), 'transform', 1, 0, 200),
-    ('a', 'hash', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('a', 'merge', 1): (102, 6, (), 'transform', 2, 1, 200),
+    ('a', 'merge', 4): (100, 6, (), 'transform', 2, 1, 200),
+    ('a', 'nested', 1): (102, 6, (), 'transform', 2, 1, 200),
+    ('a', 'nested', 4): (100, 6, (), 'transform', 2, 1, 200),
+    ('a', 'hash', 1): (102, 6, (), 'transform', 2, 1, 200),
+    ('a', 'hash', 4): (100, 6, (), 'transform', 2, 1, 200),
     ('exists', 'merge', 1): (185, 78, (2, 4, 4), 'transform', 4, 3, 60),
     ('exists', 'merge', 4): (179, 78, (2, 4, 4), 'transform', 4, 3, 60),
     ('exists', 'nested', 1): (144, 34, (2, 4, 4), 'transform', 4, 3, 60),
@@ -171,12 +179,12 @@ EXPECTED: dict[tuple[str, str, int], tuple] = {
     ('ja_neq', 'nested', 4): (2346, 918, (2, 7, 4), 'transform', 4, 3, 0),
     ('ja_neq', 'hash', 1): (1038, 927, (2, 7, 4), 'transform', 4, 3, 0),
     ('ja_neq', 'hash', 4): (1034, 927, (2, 7, 4), 'transform', 4, 3, 0),
-    ('not_in', 'merge', 1): (101, 5, (), 'transform', 1, 0, 140),
-    ('not_in', 'merge', 4): (100, 5, (), 'transform', 1, 0, 140),
-    ('not_in', 'nested', 1): (101, 5, (), 'transform', 1, 0, 140),
-    ('not_in', 'nested', 4): (100, 5, (), 'transform', 1, 0, 140),
-    ('not_in', 'hash', 1): (101, 5, (), 'transform', 1, 0, 140),
-    ('not_in', 'hash', 4): (100, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'merge', 1): (101, 5, (), 'transform', 2, 1, 140),
+    ('not_in', 'merge', 4): (100, 5, (), 'transform', 2, 1, 140),
+    ('not_in', 'nested', 1): (101, 5, (), 'transform', 2, 1, 140),
+    ('not_in', 'nested', 4): (100, 5, (), 'transform', 2, 1, 140),
+    ('not_in', 'hash', 1): (101, 5, (), 'transform', 2, 1, 140),
+    ('not_in', 'hash', 4): (100, 5, (), 'transform', 2, 1, 140),
     ('two_preds', 'merge', 1): (289, 103, (1, 2, 7, 4), 'transform', 5, 4, 5),
     ('two_preds', 'merge', 4): (284, 103, (1, 2, 7, 4), 'transform', 5, 4, 5),
     ('two_preds', 'nested', 1): (340, 56, (1, 2, 7, 4), 'transform', 5, 4, 5),
@@ -278,6 +286,25 @@ BEFORE_SEMI: dict[tuple[str, str, int], tuple[int, int]] = {
 }
 
 
+#: The ``a`` / ``not_in`` cells as pinned while NEST-A evaluated a
+#: type-A block at plan time and folded its value into the plan: no
+#: set-up definition, one step.
+BEFORE_VALUE_LINKS: dict[tuple[str, str, int], tuple] = {
+    ('a', 'merge', 1): (102, 6, (), 'transform', 1, 0, 200),
+    ('a', 'merge', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('a', 'nested', 1): (102, 6, (), 'transform', 1, 0, 200),
+    ('a', 'nested', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('a', 'hash', 1): (102, 6, (), 'transform', 1, 0, 200),
+    ('a', 'hash', 4): (100, 6, (), 'transform', 1, 0, 200),
+    ('not_in', 'merge', 1): (101, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'merge', 4): (100, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'nested', 1): (101, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'nested', 4): (100, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'hash', 1): (101, 5, (), 'transform', 1, 0, 140),
+    ('not_in', 'hash', 4): (100, 5, (), 'transform', 1, 0, 140),
+}
+
+
 @pytest.mark.parametrize("parallelism", WIDTHS)
 @pytest.mark.parametrize("join_method", JOINS)
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -324,6 +351,20 @@ def test_semi_join_only_saved_pages():
     for key, (reads, writes) in BEFORE_SEMI.items():
         now = EXPECTED[key]
         assert now[0] <= reads and now[1] < writes, key
+
+
+def test_value_links_moved_no_page():
+    """The block is evaluated at replay instead of while planning, by
+    the same nested-iteration run, in memory: every page read and write
+    is where it was, and only the value link's own definition and step
+    were added."""
+    assert {key[0] for key in BEFORE_VALUE_LINKS} == {"a", "not_in"}
+    assert len(BEFORE_VALUE_LINKS) == 12
+    for key, before in BEFORE_VALUE_LINKS.items():
+        now = EXPECTED[key]
+        assert now[:4] == before[:4], key
+        assert now[4:6] == (before[4] + 1, before[5] + 1), key
+        assert now[6] == before[6], key
 
 
 def test_type_j_temp_costs_its_pages():

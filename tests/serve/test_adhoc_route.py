@@ -3,11 +3,12 @@ private temps.
 
 The text's predicate literals are parameterized as for
 ``execute_cached``, so a repeated shape replays a kept, already-verified
-plan: planning and verification run only on a miss.  The replay leases
-and publishes nothing in the shared registry, so every temp is built
-privately and freed at the end, as a planned-and-discarded run's.  Under
-a transaction's read-your-writes snapshot the statement is planned and
-discarded instead, and nothing planned there is kept.
+plan: planning and verification run only on a miss — one plan per
+shape, literals inside type-A blocks included.  Of the shared registry
+the replay leases and publishes only the one-row entries of value links
+(the type-A blocks), so every temp is built privately and freed at the
+end, as a planned-and-discarded run's.  Under a transaction's
+read-your-writes snapshot the kept plan replays with nothing shared.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from tests.core.test_page_schedule import JOINS, SHAPES
 PARTS = schedule.PARTS[:60]
 SUPPLY = schedule.SUPPLY[:240]
 CUTOFFS = ("'1979-03-15'", "'1980-07-15'", "'1982-01-15'")
-#: The shapes whose plan NEST-A folds a value of the literal into: the
-#: plan is kept per literal (custom-shaped), not per shape.
+#: The shapes whose type-A block is a value link: a hit leases its
+#: one-row entry instead of evaluating the block.
 FOLDED = {"a", "not_in"}
 VERIFIERS = ("verify_nested", "verify_transform", "lint_transform")
 
@@ -100,7 +101,7 @@ def test_rows_equal_a_planned_run_and_sqlite(shape, join_method):
             assert Counter(db.query(sql).rows) == expected
     stats = db.cache_stats()
     assert stats.hits >= len(CUTOFFS)
-    assert stats.misses == (len(CUTOFFS) + 1 if shape in FOLDED else 1)
+    assert stats.misses == 1
 
 
 @pytest.mark.parametrize("join_method", JOINS)
@@ -111,16 +112,10 @@ def test_a_kept_plan_is_neither_planned_nor_verified_again(
     db = make_db(join_method)
     first, *others = (SHAPES[shape].format(c=cutoff) for cutoff in CUTOFFS)
     db.query(first)
-    assert calls["build_plan"] == (2 if shape in FOLDED else 1)
+    assert calls["build_plan"] == 1
     for sql in others:
         calls.clear()
         db.query(sql)
-        if shape in FOLDED:
-            # A new literal is a new plan, but the shape is known to be
-            # custom: the parameterized tree is not planned again.
-            assert calls["build_plan"] == 1
-            calls.clear()
-            db.query(sql)
         assert not calls, dict(calls)
 
 
@@ -129,9 +124,9 @@ def test_a_kept_plan_is_neither_planned_nor_verified_again(
 def test_a_hit_reads_and_writes_no_more_pages_than_a_planned_run(
     shape, join_method
 ):
-    """Equal where the plan folded nothing: the kept plan is the planned
-    run's plan.  A folded plan's hit skips the type-A block that a
-    planned run evaluates while planning."""
+    """Equal where the plan has no value link: the kept plan is the
+    planned run's plan.  A hit on a value-link shape leases the block's
+    one-row value, which the planned run evaluates."""
     db = make_db(join_method)
     for cutoff in CUTOFFS:
         sql = SHAPES[shape].format(c=cutoff)
@@ -146,12 +141,23 @@ def test_a_hit_reads_and_writes_no_more_pages_than_a_planned_run(
 
 @pytest.mark.parametrize("join_method", JOINS)
 def test_adhoc_traffic_publishes_nothing_and_leaks_nothing(join_method):
+    """Nothing but the one-row entries of value links: one per type-A
+    shape and cutoff."""
     db = make_db(join_method)
     for shape in SHAPES:
         for cutoff in CUTOFFS:
             db.query(SHAPES[shape].format(c=cutoff))
-    assert len(db.plan_cache.sharing) == 0
-    assert db.cache_stats().shared_materializations == 0
+    entries = list(db.plan_cache.sharing._entries.values())
+    assert len(entries) == len(FOLDED) * len(CUTOFFS)
+    assert db.cache_stats().shared_materializations == len(entries)
+    assert all(entry.heap.num_rows == 1 for entry in entries)
+    links = {
+        spec.fingerprint
+        for plan in db.plan_cache._entries.values()
+        for spec, link in zip(plan.share_specs, plan.setup)
+        if link.slot is not None
+    }
+    assert {entry.key[0] for entry in entries} <= links
     db.plan_cache.clear()
     assert leaked_pages(db.catalog) == 0
 
@@ -195,8 +201,9 @@ def test_create_index_replans(calls):
 
 
 def test_an_insert_into_a_folded_table_replans(calls):
-    """``not_in`` folds SUPPLY's part numbers into an IN-list: an insert
-    into PARTS leaves the plan valid, one into SUPPLY re-plans it."""
+    """``not_in`` binds SUPPLY's part numbers into a list slot at
+    replay: after an insert into PARTS, and one into SUPPLY, the kept
+    plan answers with no re-plan."""
     db = make_db()
     sql = SHAPES["not_in"].format(c=CUTOFFS[1])
     db.query(sql)
@@ -210,15 +217,16 @@ def test_an_insert_into_a_folded_table_replans(calls):
     rows = Counter(db.query(sql).rows)
     assert rows == sqlite_rows(sql, PARTS + parts, SUPPLY + supply)
     assert (2,) not in rows
-    assert calls["build_plan"] == 1
+    assert calls["build_plan"] == 0
+    assert db.cache_stats().invalidations == 0
 
 
 class TestTransactionGuard:
-    """A type-A block folded over a transaction's own rows records no
-    row count for the table it read (the snapshot says None there).
-    Kept, such a plan would look valid to every later reader whose
-    snapshot also says None: the same transaction after more inserts,
-    or another transaction that wrote the table."""
+    """A type-A block read over a transaction's own rows: the kept plan
+    replays inside the transaction, evaluates the block under its
+    read-your-writes snapshot and shares nothing, so the same
+    transaction after more inserts, another transaction that wrote the
+    table and a later plain reader each see their own rows."""
 
     PARTS = [(1, 0), (2, 3), (3, 5), (4, 7)]
     SUPPLY = [(1, 2, "1979-01-01"), (2, 4, "1981-01-01")]
@@ -242,6 +250,7 @@ class TestTransactionGuard:
         db = self.make_db()
         assert Counter(db.query(self.SQL).rows) == self.expected()
         kept = len(db.plan_cache)
+        shared = len(db.plan_cache.sharing)
 
         first = db.begin()
         own = (9, 6, "1979-05-05")
@@ -259,4 +268,5 @@ class TestTransactionGuard:
         second.rollback()
 
         assert len(db.plan_cache) == kept
+        assert len(db.plan_cache.sharing) == shared
         assert Counter(db.query(self.SQL).rows) == self.expected()

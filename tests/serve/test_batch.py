@@ -150,6 +150,52 @@ class TestSemiTables:
             ) == Counter(nested.result.rows), vector
 
 
+class TestValueLinks:
+    """A type-A block is a value link: evaluated once per batch when it
+    reads no parameter, per vector (the loop) when it reads one."""
+
+    def test_a_link_without_parameters_is_evaluated_once_per_batch(self):
+        db = make_db()
+        sql = (
+            "SELECT PNUM FROM PARTS WHERE QOH < ? AND QOH >= "
+            "(SELECT MAX(QUAN) FROM SUPPLY WHERE SHIPDATE < '1980-01-01') "
+            "AND PNUM NOT IN (SELECT PNUM FROM SUPPLY WHERE QUAN = 0)"
+        )
+        stmt = db.prepare(sql)
+        vecs = [(k,) for k in range(8)]
+        batch = stmt.execute_batch(vecs)
+        assert batch.strategy == "batched"
+        steps = batch.reports[0].steps
+        assert sum(step.startswith("evaluated ATEMP_") for step in steps) == 2
+        for vector, report in zip(vecs, batch.reports):
+            nested = db.run(
+                sql.replace("?", str(vector[0])), method="nested_iteration"
+            )
+            assert Counter(report.result.rows) == Counter(
+                nested.result.rows
+            ), vector
+
+    def test_a_link_reading_a_parameter_loops(self):
+        db = make_db()
+        sql = (
+            "SELECT PNUM FROM PARTS WHERE QOH >= "
+            "(SELECT MAX(QUAN) FROM SUPPLY WHERE SHIPDATE < ?)"
+        )
+        stmt = db.prepare(sql)
+        with pytest.raises(BatchIneligible, match="value link"):
+            build_batch_plan(stmt._resolve(), db.catalog)
+        vecs = vectors(4)
+        batch = stmt.execute_batch(vecs)
+        assert batch.strategy == "loop"
+        for vector, report in zip(vecs, batch.reports):
+            nested = db.run(
+                sql.replace("?", repr(vector[0])), method="nested_iteration"
+            )
+            assert Counter(report.result.rows) == Counter(
+                nested.result.rows
+            ), vector
+
+
 class TestStrategySelection:
     def test_small_batches_loop(self):
         db = make_db()
@@ -168,7 +214,7 @@ class TestStrategySelection:
         db = make_db()
         stmt = db.prepare("SELECT COUNT(PNUM) FROM PARTS WHERE QOH > ?")
         with pytest.raises(BatchIneligible):
-            build_batch_plan(stmt._resolve(None)[0], db.catalog)
+            build_batch_plan(stmt._resolve(), db.catalog)
         batch = stmt.execute_batch([(0,), (3,)])
         assert batch.strategy == "loop"
         for threshold, report in zip((0, 3), batch.reports):
@@ -183,24 +229,22 @@ class TestStrategySelection:
         stmt = db.prepare(
             "SELECT PNUM FROM PARTS WHERE QOH = ? ORDER BY PNUM"
         )
-        if stmt.mode != "generic":
-            pytest.skip("shape not served by a generic plan")
         with pytest.raises(BatchIneligible):
-            build_batch_plan(stmt._resolve(None)[0], db.catalog)
+            build_batch_plan(stmt._resolve(), db.catalog)
 
     def test_derived_batch_plan_is_cached_per_plan(self):
         db = make_db()
         stmt = db.prepare(JA_PARAM)
         stmt.execute_batch(vectors(3))
-        first = stmt._resolve(None)[0].batch_plan
+        first = stmt._resolve().batch_plan
         assert first
         stmt.execute_batch(vectors(3))
-        assert stmt._resolve(None)[0].batch_plan is first
+        assert stmt._resolve().batch_plan is first
         # DDL re-plans; the stale derived plan must be rebuilt too.
         db.create_index("SUPPLY", "PNUM")
         batch = stmt.execute_batch(vectors(3))
         assert batch.strategy == "batched"
-        assert stmt._resolve(None)[0].batch_plan is not first
+        assert stmt._resolve().batch_plan is not first
 
 
 class TestSnapshotPinning:

@@ -119,7 +119,7 @@ def test_leased_last_link_leaves_upstream_entries_alone(monkeypatch):
     statement = db.prepare(JA)
     first = statement.execute((CUTOFF,))
     registry = db.plan_cache.sharing
-    plan = statement._resolve(None)[0]
+    plan = statement._resolve()
     upstream = link_keys(registry, plan)[:1]
     assert list(registry._entries)[:1] == upstream  # built first: oldest
 
@@ -161,7 +161,7 @@ def test_rebuilding_the_last_link_leases_what_it_reads(monkeypatch):
     statement = db.prepare(JA)
     first = statement.execute((CUTOFF,))
     registry = db.plan_cache.sharing
-    keys = link_keys(registry, statement._resolve(None)[0])
+    keys = link_keys(registry, statement._resolve())
     evict(registry, keys[1:])
     blocks: list[str] = []
     real = SingleLevelExecutor.execute
@@ -188,10 +188,12 @@ def test_rebuilding_the_last_link_leases_what_it_reads(monkeypatch):
 def test_present_links_are_read_and_transactions_stay_private():
     db = make_db()
     sql = SHAPES["ja_count"].format(c=f"'{CUTOFF}'")
-    # NEST-A builds the chain at plan time to fold MAX(QUAN) in: the
-    # replay finds every link present in its session.
+    # Planning builds nothing: the replay builds the chain and then
+    # evaluates the type-A block's value link, in chain order.
     folded = db.run(sql + " AND QOH <= (SELECT MAX(QUAN) FROM SUPPLY)")
-    assert [step.split(":")[0] for step in folded.steps] == ["final"]
+    assert [step.split()[0] for step in folded.steps] == [
+        "built", "built", "built", "evaluated", "final:"
+    ]
     assert len(folded.temp_pages) == 3
     registry = db.plan_cache.sharing
     assert len(registry) == 0

@@ -1,8 +1,8 @@
 """One plan store: every kept plan is a ``PlanCache`` entry, and
 ``execute_cached`` and prepared statements resolve it through
-``PlanCache.resolve`` — so a statement follows ``engine.config``, the
-cache remembers which shapes are custom, and one capacity bounds and
-one set of statistics counts them all."""
+``PlanCache.resolve`` — so a statement follows ``engine.config``, one
+entry serves every parameter vector, and one capacity bounds and one
+set of statistics counts them all."""
 
 import sys
 import threading
@@ -11,7 +11,9 @@ from dataclasses import replace
 
 import repro.serve.plan as plan_module
 from repro.difftest.leaks import leaked_pages
-from repro.serve.cache import PlanCache
+from repro.serve.batch import build_batch_plan, execute_batch_plan
+from repro.serve.normalize import fingerprint, parameterize
+from repro.sql.parser import parse
 from repro.difftest.normalize import normalize_rows
 from repro.difftest.oracle import SQLiteOracle
 from tests.serve.test_statement_path import make_db
@@ -21,7 +23,8 @@ JA = (
     "(SELECT COUNT(SHIPDATE) FROM SUPPLY "
     "WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < {})"
 )
-#: A value under a type-A block is folded into the plan: custom-shaped.
+#: A value under a type-A block: bound when the block's value link is
+#: evaluated at replay, like any other.
 TYPE_A = (
     "SELECT PNUM FROM PARTS WHERE QOH >= "
     "(SELECT MAX(QUAN) FROM SUPPLY WHERE QUAN < {})"
@@ -73,26 +76,24 @@ def test_warm_custom_shaped_execute_cached_plans_nothing(monkeypatch):
     assert calls == []
     assert after.misses == before.misses
     assert after.hits == before.hits + 20
-    # Another literal is another custom plan: planned once, not probed
-    # for a generic shape again.
+    # Another literal replays the same plan.
     assert db.execute_cached(TYPE_A.format(7)).result.rows == [(3,)]
-    assert len(calls) == 1 and db.cache_stats().misses == before.misses + 1
+    assert calls == [] and db.cache_stats().misses == before.misses
 
 
 def test_prepared_custom_plans_are_bounded_cache_entries():
     db = make_db(plan_cache_size=4)
     statement = db.prepare(TYPE_A.format("?"))
-    assert statement.mode == "custom"
     for value in range(1, 4):
         statement.execute((value,))
-    assert db.cache_stats().size == 4  # the shape's marker + three plans
-    assert db.cache_stats().misses >= 3  # prepared traffic is counted
+    assert db.cache_stats().size == 1  # one entry serves every vector
+    assert db.cache_stats().hits >= 3  # prepared traffic is counted
     for value in range(1, 12):
         assert statement.execute((value,)).result.rows == db.run(
             TYPE_A.format(value), method="nested_iteration"
         ).result.rows
-        assert db.cache_stats().size <= 4
-    assert db.cache_stats().evictions > 0
+        assert db.cache_stats().size == 1
+    assert db.cache_stats().evictions == 0
     # A prepared and an ad-hoc statement of one shape share the entry.
     hits = db.cache_stats().hits
     db.execute_cached(TYPE_A.format(11))
@@ -123,7 +124,8 @@ def test_close_discards_the_statements_plans(monkeypatch):
     )
     assert len(calls) == 1
     assert custom.execute((7,)).result.rows == [(3,)]
-    assert custom.mode == "custom"
+    assert Counter(custom.execute((5,)).result.rows) == Counter([(3,), (10,)])
+    assert len(calls) == 2 and db.cache_stats().size == 2
     db.plan_cache.clear()
     assert leaked_pages(db.catalog) == 0
 
@@ -144,72 +146,51 @@ def test_a_released_plan_holds_nothing_again():
     assert leaked_pages(db.catalog) == 0
 
 
-def test_a_commit_between_resolve_and_replay_is_not_answered_stale(monkeypatch):
-    """The window the threaded test below can only hit by chance, made
-    to happen: the plan folded MAX(QUAN) < 5 — 1 — and is resolved,
-    then a commit moves it to 4 before the replay pins its snapshot.
-    The replay sees the plan is stale under that snapshot and the
-    statement resolves again, so its answer is SQLite's after the
-    insert (at the parent commit it was the old folded value, once)."""
+def test_a_commit_between_resolve_and_replay_is_not_answered_stale():
+    """The plan is resolved, then a commit moves MAX(QUAN) < 5 from 1 to
+    4 before the replay pins its snapshot.  The plan holds no value: the
+    replay evaluates the block after the insert, so its answer is
+    SQLite's after it, and nothing was re-planned."""
     db = make_db()
     sql = TYPE_A.format(5)
     assert Counter(db.execute_cached(sql).result.rows) == Counter([(3,), (10,)])
-    real = PlanCache.resolve
-    landed: list[bool] = []
-
-    def resolve_then_commit(self, *args):
-        resolved = real(self, *args)
-        if not landed:
-            landed.append(True)
-            db.insert("SUPPLY", [(8, 4, "1980-03-01")])
-        return resolved
-
-    monkeypatch.setattr(PlanCache, "resolve", resolve_then_commit)
-    rows = db.execute_cached(sql).result.rows
+    select, values = parameterize(parse(sql))
+    plan = db.plan_cache.resolve(db.engine, select, fingerprint(select), "auto")
+    db.insert("SUPPLY", [(8, 4, "1980-03-01")])
+    rows = plan.replay(db.catalog, values).result.rows
     with SQLiteOracle(db.catalog) as oracle:
         assert normalize_rows(rows) == normalize_rows(oracle.run(sql))
     assert Counter(rows) == Counter([(3,)])
-    # Resolved twice: the stale plan, then the one planned after the
-    # insert.
-    assert db.cache_stats().invalidations == 1
+    assert db.cache_stats().invalidations == 0
 
 
-def test_a_commit_before_a_batch_pins_its_snapshot_is_not_answered_stale(
-    monkeypatch,
-):
-    """The same window on the batched ``executemany`` path: a generic
-    plan that folded MAX(QUAN) is resolved, a commit moves the MAX, and
-    the batch falls back to the per-vector loop, which resolves again."""
-    import repro.serve.prepared as prepared_module
-
+def test_a_commit_before_a_batch_pins_its_snapshot_is_not_answered_stale():
+    """The same window on the batched ``executemany`` path: the plan
+    and its set-oriented form are resolved, a commit moves the MAX, and
+    the batch evaluates the block once, under its own snapshot."""
     db = make_db()
     sql = (
         "SELECT PNUM FROM PARTS WHERE PNUM > ? AND QOH >= "
         "(SELECT MAX(QUAN) FROM SUPPLY WHERE QUAN < 5)"
     )
     statement = db.prepare(sql)
-    assert statement.mode == "generic"
-    real = prepared_module.execute_batch_plan
-
-    def commit_then_run(*args):
-        monkeypatch.setattr(prepared_module, "execute_batch_plan", real)
-        db.insert("SUPPLY", [(8, 4, "1980-03-01")])
-        return real(*args)
-
-    monkeypatch.setattr(prepared_module, "execute_batch_plan", commit_then_run)
-    batch = statement.execute_batch([(0,), (5,)])
+    plan = statement._resolve()
+    batch_plan = build_batch_plan(plan, db.catalog)
+    db.insert("SUPPLY", [(8, 4, "1980-03-01")])
+    reports = execute_batch_plan(plan, batch_plan, db.catalog, [(0,), (5,)])
     with SQLiteOracle(db.catalog) as oracle:
-        for bound, report in zip((0, 5), batch.reports):
+        for bound, report in zip((0, 5), reports):
             expected = oracle.run(sql.replace("?", str(bound)))
             assert normalize_rows(report.result.rows) == normalize_rows(expected)
-    assert batch.strategy == "loop"
+    assert statement.execute_batch([(0,), (5,)]).strategy == "batched"
 
 
 def test_two_threads_one_statement_across_insert_and_ddl():
-    """Both threads resolve through the cache while a commit (custom
-    plans fold data in: re-planned) and DDL (everything re-planned)
-    land; every answer is SQLite's for the state before or after the
-    insert, and the traffic is all in the cache's statistics."""
+    """Both threads resolve through the cache while a commit (every
+    plan survives it, the type-A block is evaluated again) and DDL
+    (everything re-planned) land; every answer is SQLite's for the state
+    before or after the insert, and the traffic is all in the cache's
+    statistics."""
     db = make_db()
     generic = db.prepare(JA.format("?"))
     custom = db.prepare(TYPE_A.format("?"))

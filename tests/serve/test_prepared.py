@@ -106,24 +106,32 @@ class TestBinding:
 
 
 class TestModes:
+    """One plan serves every vector: there are no modes left."""
+
     def test_generic_mode_for_plain_predicates(self):
-        stmt = make_db().prepare("SELECT PNUM FROM PARTS WHERE QOH >= ?")
-        assert stmt.mode == "generic"
+        db = make_db()
+        stmt = db.prepare("SELECT PNUM FROM PARTS WHERE QOH >= ?")
+        for bound in (0, 1, 6):
+            stmt.execute((bound,))
+        assert db.cache_stats().size == 1
+        assert not hasattr(stmt, "mode")
 
     def test_custom_mode_for_parameter_under_type_a(self):
-        stmt = make_db().prepare(
+        db = make_db()
+        stmt = db.prepare(
             "SELECT PNUM FROM PARTS WHERE QOH > "
             "(SELECT AVG(QOH) FROM PARTS WHERE QOH < ?)"
         )
-        assert stmt.mode == "custom"
         assert Counter(stmt.execute((5,)).result.rows) == Counter(
             [(3,), (10,)]
         )
         assert Counter(stmt.execute((100,)).result.rows) == Counter([(3,)])
-        # Same vector again: the per-vector plan replays.
+        # Same vector again: the one plan replays.
         assert Counter(stmt.execute((5,)).result.rows) == Counter(
             [(3,), (10,)]
         )
+        stats = db.cache_stats()
+        assert (stats.size, stats.misses) == (1, 1)
 
     def test_replan_after_catalog_change(self):
         db = make_db()

@@ -1,10 +1,10 @@
-"""Plans that read data while being planned go stale with the data.
+"""Plans read no data, so no insert makes one stale.
 
-NEST-A evaluates a type-A block at plan time and folds its value into
-the plan as a constant (or an IN-list).  Such a plan describes the data
-of the tables the folded block read; an insert into one of them must
-re-plan it, exactly as DDL re-plans every plan, while an insert into any
-other table leaves it valid.
+A type-A block is a value link the replay evaluates under its pinned
+snapshot, never a constant folded into the plan: a kept plan answers
+after an insert into the table the block reads with no re-plan, and
+one plan serves every parameter vector, markers inside the block
+included.
 """
 
 from collections import Counter
@@ -31,17 +31,21 @@ def make_db() -> Database:
 def runner(db: Database, kind: str, fold: str):
     """(execute, equivalent literal SQL) for one serving path."""
     if kind == "custom":
-        # The marker sits inside the type-A block: per-vector plans.
+        # The marker sits inside the type-A block: one entry still
+        # serves every vector.
         predicate = FOLDS[fold].format(inner=" WHERE QUAN < ?")
         sql = f"SELECT PNUM FROM PARTS WHERE {predicate}"
         statement = db.prepare(sql)
-        assert statement.mode == "custom"
+        for bound in (3, 5, 100):
+            statement.execute((bound,))
+        assert db.cache_stats().size == 1
         return lambda: statement.execute((100,)), sql.replace("?", "100")
     predicate = FOLDS[fold].format(inner="")
     if kind == "generic":
         sql = f"SELECT PNUM FROM PARTS WHERE PNUM > ? AND {predicate}"
         statement = db.prepare(sql)
-        assert statement.mode == "generic"
+        statement.execute((2,))
+        assert db.cache_stats().size == 1
         return lambda: statement.execute((0,)), sql.replace("?", "0")
     sql = f"SELECT PNUM FROM PARTS WHERE {predicate}"
     return lambda: db.execute_cached(sql), sql
@@ -57,15 +61,19 @@ def test_insert_into_folded_inner_table_replans(kind, fold):
         return Counter(db.query(literal_sql, method="nested_iteration").rows)
 
     assert Counter(execute().result.rows) == oracle()
-    # Twice, so the second insert meets a plan that was itself re-planned.
+    misses = db.cache_stats().misses
     for quan in (5, 7):
         db.insert("SUPPLY", [(9, quan)])
         assert Counter(execute().result.rows) == oracle(), (
-            f"stale fold after MAX(QUAN) moved to {quan}"
+            f"stale value after MAX(QUAN) moved to {quan}"
         )
+    stats = db.cache_stats()
+    assert (stats.misses, stats.invalidations) == (misses, 0)
 
 
 def test_folded_cached_plan_is_invalidated_unfolded_one_survives():
+    """Both plans survive an insert into the table the type-A block
+    reads: snapshot-pin hits, no invalidation."""
     db = make_db()
     folded = "SELECT PNUM FROM PARTS WHERE QOH > (SELECT MAX(QUAN) FROM SUPPLY)"
     plain = (
@@ -79,16 +87,19 @@ def test_folded_cached_plan_is_invalidated_unfolded_one_survives():
     db.execute_cached(plain)
     stats = db.cache_stats()
     assert (stats.hits, stats.snapshot_pin_hits, stats.invalidations) == (1, 1, 0)
-    db.execute_cached(folded)
+    after = db.execute_cached(folded)
     stats = db.cache_stats()
-    assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 1)
-    assert "folded" in db.prepare(folded).describe()
+    assert (stats.hits, stats.misses, stats.invalidations) == (2, 0, 0)
+    assert Counter(after.result.rows) == Counter(
+        db.run(folded, method="nested_iteration").result.rows
+    )
+    assert "folded" not in db.prepare(folded).describe()
 
 
 def test_folded_plan_is_valid_per_table():
-    """A plan that folded ``MAX(QUAN) FROM SUPPLY`` outlives an insert
-    into PARTS — a snapshot-pin hit, PARTS re-read under the new
-    snapshot — and is re-planned by an insert into SUPPLY."""
+    """A plan over ``MAX(QUAN) FROM SUPPLY`` outlives an insert into
+    PARTS and one into SUPPLY alike — snapshot-pin hits, both tables
+    re-read under the new snapshot."""
     db = make_db()
     folded = "SELECT PNUM FROM PARTS WHERE QOH > (SELECT MAX(QUAN) FROM SUPPLY)"
     db.execute_cached(folded)
@@ -105,6 +116,6 @@ def test_folded_plan_is_valid_per_table():
     db.insert("SUPPLY", [(9, 8)])
     after = db.execute_cached(folded)
     stats = db.cache_stats()
-    assert (stats.hits, stats.misses, stats.invalidations) == (1, 1, 1)
+    assert (stats.hits, stats.misses, stats.invalidations) == (2, 0, 0)
     assert Counter(after.result.rows) == Counter([(5,)])
-    assert "SUPPLY at 3 rows" in db.prepare(folded).describe()
+    assert "binding" not in db.prepare(folded).describe()

@@ -43,8 +43,9 @@ def bag(db: Database, sql: str) -> Counter:
 
 class TestSingleShot:
     def test_plan_time_temps_are_read_not_rebuilt(self, monkeypatch):
-        """NEST-A builds the pending chain to evaluate the type-A block;
-        the replay finds those temps present in its session."""
+        """Planning builds nothing: the replay builds each temp of the
+        chain once and evaluates the type-A block's value link after
+        them."""
         db = make_db()
         blocks: list[str] = []
         real = SingleLevelExecutor.execute
@@ -56,10 +57,11 @@ class TestSingleShot:
         monkeypatch.setattr(SingleLevelExecutor, "execute", counting)
         report = db.run(JA_THEN_A, method="transform")
         assert len(blocks) == 4  # TEMP1..3 once each, and the final block
-        assert len(report.setup_sql) == 3 and len(report.temp_pages) == 3
-        assert [s.split(":")[0] for s in report.steps] == ["final"]
-        built = [t for t in report.trace if "needed for NEST-A" in t]
-        assert len(built) == 3
+        assert len(report.setup_sql) == 4 and len(report.temp_pages) == 3
+        assert [s.split()[0] for s in report.steps] == [
+            "built", "built", "built", "evaluated", "final:"
+        ]
+        assert not [t for t in report.trace if "needed for NEST-A" in t]
         assert Counter(report.result.rows) == bag(db, JA_THEN_A)
         assert db.tables() == ["PARTS", "SUPPLY"]
 
@@ -105,7 +107,6 @@ class TestNoSecondClassStatements:
         assert Counter(second.result.rows) == expected
         assert db.cache_stats().hits == 1
         statement = db.prepare(AGGREGATED_ROOT.replace("QOH IN", "QOH >= ? AND QOH IN"))
-        assert statement.mode == "generic"
         assert Counter(statement.execute((0,)).result.rows) == expected
 
     def test_cost_plan_prepares_once_and_costs_the_tree_it_runs(
@@ -173,5 +174,4 @@ class TestNoSecondClassStatements:
         db.execute_cached(sql, method="cost")
         assert len(asked) == 2
         statement = db.prepare(sql.replace("'1980-06-01'", "?"), method="cost")
-        assert statement.mode == "generic"
         assert Counter(statement.execute(("1980-06-01",)).result.rows) == bag(db, sql)
