@@ -13,7 +13,8 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.harness import compare_methods, measure
+from repro.bench.harness import compare_methods, measure, measure_transform
+from repro.core.nest_ja import kim_nest_g
 from repro.bench.reporting import format_table, savings_percent
 from repro.workloads.generators import (
     GENERATED_JA_QUERY,
@@ -57,8 +58,8 @@ def test_bug_scenario(name, benchmark, write_report):
     def run():
         catalog = loader()
         oracle = measure(catalog, sql, "nested_iteration")
-        fixed = measure(catalog, sql, "transform", ja_algorithm="ja2")
-        buggy = measure(catalog, sql, "transform", ja_algorithm="kim")
+        fixed = measure(catalog, sql, "transform")
+        buggy = measure_transform(catalog, sql, kim_nest_g)
         return oracle, fixed, buggy
 
     oracle, fixed, buggy = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,7 +13,8 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.harness import compare_methods
+from repro.bench.harness import compare_methods, measure_transform
+from repro.core.nest_ja import kim_nest_g
 from repro.bench.reporting import format_table, savings_percent
 from repro.workloads.generators import CUTOFF, PartsSupplySpec, build_parts_supply
 
@@ -46,28 +47,15 @@ EXTENSION_QUERIES = {
     """,
 }
 
-#: ALL over an empty correlated group is vacuously true under nested
-#: iteration but unknown after the MIN/MAX rewrite (section 8.2's
-#: caveat, pinned in tests/core/test_predicates.py).  Benchmarked
-#: groups are compared on the agreement region only.
-DIVERGENT_ON_EMPTY_GROUPS = {"ge_all"}
-
-
 @pytest.mark.parametrize("name", sorted(EXTENSION_QUERIES))
 def test_extension(name, benchmark, write_report):
     catalog = build_parts_supply(SPEC)
     sql = EXTENSION_QUERIES[name]
 
     def run():
-        return compare_methods(catalog, sql, check=None)
+        return compare_methods(catalog, sql)
 
     ni, tr = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    if name in DIVERGENT_ON_EMPTY_GROUPS:
-        # Transformed result may only drop empty-group tuples.
-        assert set(tr.rows) <= set(ni.rows)
-    else:
-        assert Counter(tr.rows) == Counter(ni.rows)
 
     write_report(
         f"extensions_{name}",
@@ -93,7 +81,7 @@ def test_not_exists_needs_outer_join(benchmark):
 
     def run():
         ni, fixed = compare_methods(catalog, sql)
-        _, buggy = compare_methods(catalog, sql, ja_algorithm="kim")
+        buggy = measure_transform(catalog, sql, kim_nest_g)
         return ni, fixed, buggy
 
     ni, fixed, buggy = benchmark.pedantic(run, rounds=1, iterations=1)

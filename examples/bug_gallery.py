@@ -11,10 +11,13 @@ Run with::
 """
 
 from repro.bench.reporting import format_table
-from repro.core.pipeline import Engine
+from repro.core.nest_g import nest_g
+from repro.core.nest_ja import kim_nest_g
+from repro.core.pipeline import Engine, prepare_query
 from repro.engine.params import bound_params
 from repro.optimizer.executor import SingleLevelExecutor
-from repro.serve.plan import install_link
+from repro.serve.plan import install_link, run_transform
+from repro.sql.parser import parse
 from repro.workloads.paper_data import (
     KIESSLING_Q2,
     QUERY_Q5,
@@ -56,8 +59,13 @@ def dump_table(catalog, name: str) -> str:
     return format_table(headers, rows, title=name)
 
 
-def show_temp_tables(catalog, engine: Engine, sql: str) -> None:
-    transform = engine.transform(sql)
+def transform_with(catalog, sql: str, algorithm):
+    """NEST-G, or a section 5 demonstrator, over the prepared query."""
+    return algorithm(prepare_query(parse(sql), catalog), catalog)
+
+
+def show_temp_tables(catalog, algorithm, sql: str) -> None:
+    transform = transform_with(catalog, sql, algorithm)
     with bound_params(()):
         for definition in transform.setup:
             install_link(SingleLevelExecutor(catalog), definition)
@@ -85,7 +93,7 @@ def main() -> None:
         truth = Engine(catalog).run(sql, method="nested_iteration")
         print("nested iteration (truth):", sorted(truth.result.rows))
 
-        buggy = Engine(catalog, ja_algorithm="kim").run(sql, method="transform")
+        buggy = run_transform(catalog, transform_with(catalog, sql, kim_nest_g))
         print("Kim NEST-JA (buggy):     ", sorted(buggy.result.rows))
 
         fixed = Engine(catalog).run(sql, method="transform")
@@ -93,9 +101,9 @@ def main() -> None:
         print()
 
         print("-- Kim's temporary table --")
-        show_temp_tables(catalog, Engine(catalog, ja_algorithm="kim"), sql)
+        show_temp_tables(catalog, kim_nest_g, sql)
         print("-- NEST-JA2's temporary tables --")
-        show_temp_tables(catalog, Engine(catalog), sql)
+        show_temp_tables(catalog, nest_g, sql)
         print()
 
 

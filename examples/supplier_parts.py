@@ -23,14 +23,14 @@ from repro.workloads.paper_data import (
 )
 
 EXAMPLES = [
-    ("(1) suppliers of part P2", INTRO_QUERY_1, "bag"),
-    ("(2) type-A nesting", TYPE_A_QUERY, "bag"),
-    ("(3) type-N nesting", TYPE_N_QUERY, "bag"),
+    ("(1) suppliers of part P2", INTRO_QUERY_1),
+    ("(2) type-A nesting", TYPE_A_QUERY),
+    ("(3) type-N nesting", TYPE_N_QUERY),
     # Kim's literal NEST-N-J would duplicate outer rows here (DESIGN.md,
     # "NEST-N-J and duplicates"); NEST-G merges the inner temp as a
     # semi-join, so the bags agree.
-    ("(4) type-J nesting", TYPE_J_QUERY, "bag"),
-    ("(5) type-JA nesting", TYPE_JA_QUERY, "bag"),
+    ("(4) type-J nesting", TYPE_J_QUERY),
+    ("(5) type-JA nesting", TYPE_JA_QUERY),
 ]
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     engine = Engine(catalog)
     resolver = catalog_resolver(catalog)
 
-    for title, sql, check in EXAMPLES:
+    for title, sql in EXAMPLES:
         print("=" * 72)
         print(title)
         print(sql.strip())
@@ -50,7 +50,7 @@ def main() -> None:
         else:
             print("classification: unnested")
 
-        ni, tr = compare_methods(catalog, sql, check=check)
+        ni, tr = compare_methods(catalog, sql)
         print(f"nested iteration : {sorted(set(ni.rows))}  [{ni.page_ios} page I/Os]")
         print(f"transformed      : {sorted(set(tr.rows))}  [{tr.page_ios} page I/Os]")
 

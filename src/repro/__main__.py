@@ -7,7 +7,7 @@ verifier + Kim-bug lint::
 
     python -m repro difftest --examples 500 --seed 0
     python -m repro check --figure1
-    python -m repro check --instance kiessling --ja kim "SELECT ..."
+    python -m repro check --instance kiessling "SELECT ..."
     python -m repro serve                 # REPL with the plan cache on
     python -m repro bench-throughput --smoke
 
@@ -244,7 +244,7 @@ class Shell:
         from repro.optimizer.planner import Planner
 
         try:
-            planner = Planner(self.db.catalog, self.db.engine.config)
+            planner = Planner(self.db.catalog)
             choice = planner.choose(argument.rstrip(";"))
         except ReproError as error:
             self.say(f"error: {error}")

@@ -5,19 +5,21 @@ built-in ``--figure1`` paper workload) the command:
 
 1. parses and qualifies the query, running the nested-scope verifier
    over the original AST (diagnostics carry source spans);
-2. runs NEST-G with the chosen JA algorithm and verifies the resulting
-   plan — schema chaining through the temp chain, join shape, rejoin
-   coverage;
+2. runs NEST-G and verifies the resulting plan — schema chaining
+   through the temp chain, join shape, rejoin coverage;
 3. runs the Kim-bug lint (KB001–KB003) over the transformed plan;
 4. prints the inferred type + nullability of every output column.
 
 Exit status 0 when no error-severity diagnostics were found, 1
-otherwise.  ``--ja kim`` / ``--ja kim-outer`` analyze the deliberately
-buggy algorithms — the expected outcome there *is* a finding::
+otherwise::
 
     python -m repro check --figure1
-    python -m repro check --instance kiessling --ja kim "SELECT ..."
+    python -m repro check --instance kiessling "SELECT ..."
     python -m repro check queries/q2.sql
+
+The lint's own teeth are tested on the plans of the section 5
+demonstrators (:func:`repro.core.nest_ja.kim_nest_g`,
+:func:`~repro.core.nest_ja.naive_outer_nest_g`), which no engine builds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from repro.analysis.nullability import infer_query_nullability
 from repro.analysis.spans import SourceMap
 from repro.analysis.verifier import verify_nested, verify_transform
 from repro.config import CHOICES
-from repro.core.pipeline import Engine, prepare_query
+from repro.core.nest_g import nest_g
+from repro.core.pipeline import prepare_query
 from repro.errors import ReproError
 from repro.sql.parser import parse
 from repro.workloads import paper_data
@@ -66,7 +69,6 @@ FIGURE1_WORKLOAD: tuple[tuple[str, str, str], ...] = (
 def check_query(
     sql: str,
     instance: str = "kiessling",
-    ja_algorithm: str = "ja2",
     join_method: str = "merge",
 ) -> tuple[Findings, list[str]]:
     """Statically analyze one query; returns (findings, report lines)."""
@@ -94,14 +96,9 @@ def check_query(
     for name, inferred in infer_query_nullability(prepared, catalog):
         lines.append(f"  output {name}: {inferred.describe()}")
 
-    engine = Engine(
-        catalog,
-        join_method=join_method,
-        ja_algorithm=ja_algorithm,
-        verify=False,  # we verify explicitly below, reporting all findings
-    )
     try:
-        transform = engine.transform(prepared)
+        # Verified below, reporting every finding instead of raising.
+        transform = nest_g(prepared, catalog)
     except ReproError as error:
         lines.append(f"  transform not applicable: {error}")
         return findings, lines
@@ -136,12 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         default="kiessling",
         choices=sorted(INSTANCES),
         help="schema/data instance to resolve against (default: kiessling)",
-    )
-    parser.add_argument(
-        "--ja",
-        default="ja2",
-        choices=CHOICES["ja_algorithm"],
-        help="JA algorithm for the transformed plan (default: ja2)",
     )
     parser.add_argument(
         "--join",
@@ -198,12 +189,11 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     for title, instance, sql in jobs:
-        print(f"== {title} [{instance}, ja={args.ja}] ==")
+        print(f"== {title} [{instance}] ==")
         try:
             findings, lines = check_query(
                 sql,
                 instance=instance,
-                ja_algorithm=args.ja,
                 join_method=args.join,
             )
         except ReproError as error:

@@ -37,9 +37,7 @@ them), so each is a lint rule with a stable id:
     projects the outer join column ``DISTINCT``, which cuts the chain.
 
 All three are reported as errors: a plan with these shapes computes
-wrong answers.  The pipeline downgrades them to warnings when the user
-explicitly asked for a bug-reproducing algorithm (``ja_algorithm`` of
-``"kim"`` or ``"kim-outer"``) — the bug gallery must still run.
+wrong answers, and the pipeline refuses to run it.
 """
 
 from __future__ import annotations

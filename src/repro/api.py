@@ -51,9 +51,6 @@ class Database:
             ``"nested"`` (nested loops) or ``"hash"`` (build/probe
             joins, hash GROUP BY and DISTINCT — no sorted inputs) for
             transformed plans.
-        ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2), or
-            ``"kim"`` / ``"kim-outer"`` to reproduce the original buggy
-            NEST-JA and its naive outer-join repair.
         plan_cache_size: capacity of the serving-layer plan cache used
             by :meth:`execute_cached` / :meth:`prepare` (default 128).
         io_delay: simulated per-page-read latency in seconds (sleeps
@@ -73,9 +70,9 @@ class Database:
 
     The plan-shaping arguments become one frozen, validated
     :class:`~repro.config.ExecConfig` (``db.engine.config``): a misspelt
-    ``join_method`` / ``ja_algorithm`` or a ``parallelism`` below 1
-    raises :class:`~repro.errors.ReproError` here, not at the first
-    query.  Reconfigure a live database by assigning
+    ``join_method`` or a ``parallelism`` below 1 raises
+    :class:`~repro.errors.ReproError` here, not at the first query.
+    Reconfigure a live database by assigning
     ``db.engine.config = dataclasses.replace(db.engine.config, ...)``.
     """
 
@@ -83,7 +80,6 @@ class Database:
         self,
         buffer_pages: int = 32,
         join_method: str = "merge",
-        ja_algorithm: str = "ja2",
         plan_cache_size: int = 128,
         io_delay: float = 0.0,
         parallelism: int = 1,
@@ -103,7 +99,6 @@ class Database:
         self.engine = Engine(
             self.catalog,
             join_method=join_method,
-            ja_algorithm=ja_algorithm,
             plan_cache=self.plan_cache,
             parallelism=parallelism,
             parallel_threshold=parallel_threshold,

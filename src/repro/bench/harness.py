@@ -13,7 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
-from repro.core.pipeline import Engine
+from repro.core.pipeline import Engine, prepare_query
+from repro.serve.plan import run_transform
+from repro.sql.parser import parse
 from repro.storage.stats import IOStats
 
 
@@ -35,10 +37,28 @@ def measure(catalog: Catalog, sql: str, method: str, **settings) -> MeasuredRun:
     """Run one query cold and return rows + page I/O + wall time;
     ``settings`` are the engine's (:class:`~repro.config.ExecConfig`)."""
     engine = Engine(catalog, **settings)
+    return _cold(catalog, method, lambda: engine.run(sql, method=method))
+
+
+def measure_transform(
+    catalog: Catalog, sql: str, algorithm, join_method: str = "merge"
+) -> MeasuredRun:
+    """:func:`measure` for a plan no engine builds: ``algorithm`` — a
+    section 5 demonstrator such as
+    :func:`~repro.core.nest_ja.kim_nest_g` — transforms the prepared
+    ``sql`` and :func:`~repro.serve.plan.run_transform` runs the
+    result, unverified."""
+    transform = algorithm(prepare_query(parse(sql), catalog), catalog)
+    return _cold(
+        catalog, "transform", lambda: run_transform(catalog, transform, join_method)
+    )
+
+
+def _cold(catalog: Catalog, method: str, run) -> MeasuredRun:
     catalog.buffer.evict_all()
     catalog.buffer.reset_stats()
     start = time.perf_counter()
-    report = engine.run(sql, method=method)
+    report = run()
     elapsed = time.perf_counter() - start
     return MeasuredRun(
         method=method, io=report.io, rows=report.result.rows, seconds=elapsed
@@ -46,21 +66,17 @@ def measure(catalog: Catalog, sql: str, method: str, **settings) -> MeasuredRun:
 
 
 def compare_methods(
-    catalog: Catalog, sql: str, check: str | None = "bag", **settings
+    catalog: Catalog, sql: str, **settings
 ) -> tuple[MeasuredRun, MeasuredRun]:
     """Measure nested iteration and transformation (under the engine
     ``settings`` given) on the same query.
 
-    ``check`` verifies the transformed result against the baseline:
-    ``"bag"`` (multiset equality, the default) or None (for deliberately
-    buggy algorithms such as ``ja_algorithm="kim"``).  A benchmark must
-    never silently time a wrong answer.
+    The transformed result must equal the baseline as a multiset, or
+    this raises: a benchmark must never silently time a wrong answer.
     """
     baseline = measure(catalog, sql, "nested_iteration")
     transformed = measure(catalog, sql, "transform", **settings)
-    if settings.get("ja_algorithm") == "kim":
-        check = None
-    if check == "bag" and Counter(baseline.rows) != Counter(transformed.rows):
+    if Counter(baseline.rows) != Counter(transformed.rows):
         raise AssertionError(
             "methods disagree (bag): "
             f"nested_iteration={sorted(baseline.rows, key=str)} "

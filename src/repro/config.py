@@ -1,6 +1,6 @@
 """The physical configuration of a plan, as one value.
 
-:class:`ExecConfig` is the only way the six plan-shaping settings
+:class:`ExecConfig` is the only way the three plan-shaping settings
 travel below ``Database.__init__`` / ``Engine.__init__``: planning and
 both executors read it, the plan cache keys on it, and a
 :class:`~repro.serve.plan.CachedPlan` stores the one it runs under.
@@ -21,14 +21,10 @@ from repro.errors import ReproError
 DEFAULT_PARALLEL_THRESHOLD = 2048
 
 #: Accepted values of the enumerated settings — the one place each is
-#: defined and checked (a typo must not reach NEST-G, where
-#: ``method="auto"`` would read the resulting TransformError as "cannot
-#: be unnested").
+#: defined and checked (a typo fails at construction, not at the first
+#: query).
 CHOICES: dict[str, tuple[str, ...]] = {
     "join_method": ("merge", "nested", "hash"),
-    "ja_algorithm": ("ja2", "kim", "kim-outer"),
-    "exists_count_mode": ("star", "paper"),
-    "quantifier_mode": ("exact", "paper"),
 }
 
 
@@ -48,18 +44,16 @@ class ExecConfig:
         parallel_threshold: inputs below this row count stay serial
             even when ``parallelism > 1``.  ``None`` on the way in
             means the default and is resolved here, once.
-        ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2), or
-            ``"kim"`` / ``"kim-outer"`` (the bug-reproducing originals).
-        exists_count_mode: ``"star"`` | ``"paper"`` (section 8.1).
-        quantifier_mode: ``"exact"`` | ``"paper"`` (section 8.2).
+
+    Nothing here picks an algorithm: NEST-G always runs NEST-JA2 and
+    the exact section-8 rewrites.  The paper's wrong answers are
+    functions (:func:`repro.core.nest_ja.kim_nest_g`,
+    :func:`repro.core.predicates.paper_section8`), not settings.
     """
 
     join_method: str = "merge"
     parallelism: int = 1
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    ja_algorithm: str = "ja2"
-    exists_count_mode: str = "star"
-    quantifier_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if self.parallel_threshold is None:

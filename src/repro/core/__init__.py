@@ -11,11 +11,11 @@ from repro.core.classify import (
     classify_nested_predicate,
 )
 from repro.core.nest_g import GeneralTransform, nest_g
-from repro.core.nest_ja import apply_nest_ja
+from repro.core.nest_ja import apply_nest_ja, kim_nest_g, naive_outer_nest_g
 from repro.core.nest_ja2 import apply_nest_ja2
 from repro.core.nest_nj import apply_nest_nj
 from repro.core.pipeline import Engine, RunReport
-from repro.core.predicates import rewrite_extended_predicates
+from repro.core.predicates import paper_section8, rewrite_extended_predicates
 from repro.core.transform import TempTableDef, TransformResult
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
     "catalog_resolver",
     "classify_block",
     "classify_nested_predicate",
+    "kim_nest_g",
+    "naive_outer_nest_g",
     "nest_g",
+    "paper_section8",
     "rewrite_extended_predicates",
 ]

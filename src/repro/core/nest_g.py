@@ -28,16 +28,15 @@ resolution of Kiessling's "correlation level greater than 1" concern.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.catalog.catalog import Catalog
-from repro.config import ExecConfig
 from repro.core.classify import catalog_resolver, ensure_transformable
-from repro.core.nest_ja import apply_nest_ja, apply_nest_ja_outer_naive
 from repro.core.nest_ja2 import apply_nest_ja2
 from repro.core._ja_common import side_of
 from repro.core.nest_nj import apply_nest_nj, inner_temp_setup, joined_plainly
-from repro.core.transform import TempTableDef
+from repro.core.transform import TempTableDef, TransformResult
 from repro.errors import TransformError
 from repro.sql.analysis import is_correlated
 from repro.sql.ast import (
@@ -74,11 +73,13 @@ class GeneralTransform:
     trace: list[str]
 
 
-def nest_g(
-    select: Select,
-    catalog: Catalog,
-    config: ExecConfig = ExecConfig(),
-) -> GeneralTransform:
+#: The step a type-JA block gets: ``(inner, has_column, fresh_name,
+#: outer_tables, outer_block)`` → the rewritten, type-J inner block and
+#: the temps it reads (:func:`~repro.core.nest_ja2.apply_nest_ja2`).
+JaStep = Callable[..., TransformResult]
+
+
+def nest_g(select: Select, catalog: Catalog) -> GeneralTransform:
     """Transform an arbitrarily nested query to canonical form.
 
     Reads no data: a type-A block becomes a value link, evaluated when
@@ -88,25 +89,26 @@ def nest_g(
         select: the (possibly nested) query; extended predicates
             (EXISTS/ANY/ALL) must already be rewritten.
         catalog: resolves schemas and hands out temp names.
-        config: ``ja_algorithm`` picks NEST-JA2 or a bug-reproducing
-            original.
 
     Value links bind the slots after the statement's own.
     """
-    driver = _NestG(catalog, config, user_param_count(select))
-    canonical = driver.transform(select, env={})
-    _check_canonical(canonical)
-    return GeneralTransform(setup=driver.setup, query=canonical, trace=driver.trace)
+    return _NestG(catalog, apply_nest_ja2).run(select)
 
 
 class _NestG:
-    def __init__(self, catalog: Catalog, config: ExecConfig, first_slot: int) -> None:
+    def __init__(self, catalog: Catalog, ja_step: JaStep) -> None:
         self.catalog = catalog
-        self.config = config
+        self.ja_step = ja_step
         self.setup: list[TempTableDef] = []
         self.trace: list[str] = []
-        self.next_slot = first_slot
+        self.next_slot = 0
         self._has_column = catalog_resolver(catalog)
+
+    def run(self, select: Select) -> GeneralTransform:
+        self.next_slot = user_param_count(select)
+        canonical = self.transform(select, env={})
+        _check_canonical(canonical)
+        return GeneralTransform(setup=self.setup, query=canonical, trace=self.trace)
 
     # -- recursion ---------------------------------------------------------
 
@@ -212,25 +214,13 @@ class _NestG:
         inner = joined_plainly(
             inner, {ref.table for c in correlated for ref in column_refs(c)}
         )
-        fresh = lambda: self.catalog.create_temp_name("TEMP")
-        if self.config.ja_algorithm == "ja2":
-            result = apply_nest_ja2(
-                inner,
-                has_column,
-                fresh,
-                outer_tables=inner_env,
-                outer_block=block,
-            )
-        elif self.config.ja_algorithm == "kim-outer":
-            result = apply_nest_ja_outer_naive(
-                inner,
-                has_column,
-                fresh,
-                outer_tables=inner_env,
-                outer_block=block,
-            )
-        else:
-            result = apply_nest_ja(inner, has_column, fresh())
+        result = self.ja_step(
+            inner,
+            has_column,
+            lambda: self.catalog.create_temp_name("TEMP"),
+            inner_env,
+            block,
+        )
         self.setup.extend(result.setup)
         self.trace.extend(result.trace)
 

@@ -22,14 +22,20 @@ paper's three bugs reproduce exactly:
   aggregates per inner value instead of over the operator's range;
 * **duplicates bug** (section 5.4): not applicable here (Kim's temp
   never joins the outer relation), but the corresponding bug appears in
-  a naive outer-join fix and is demonstrated in the tests for NEST-JA2.
+  the naive outer-join fix, :func:`apply_nest_ja_outer_naive`.
 
+:func:`kim_nest_g` and :func:`naive_outer_nest_g` run NEST-G with one
+of these in place of NEST-JA2.  They are the only way to get a plan
+with the bugs: no engine setting selects them, and
+:func:`repro.serve.plan.run_transform` executes what they return.
 Use :mod:`repro.core.nest_ja2` for the corrected algorithm.
 """
 
 from __future__ import annotations
 
+from repro.catalog.catalog import Catalog
 from repro.core._ja_common import decompose_inner_block
+from repro.core.nest_g import GeneralTransform, _NestG
 from repro.core.transform import TempTableDef, TransformResult
 from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
@@ -140,3 +146,21 @@ def apply_nest_ja_outer_naive(
         "duplicates flow into the aggregate (section 5.4 bug)",
     )
     return result
+
+
+def kim_nest_g(select: Select, catalog: Catalog) -> GeneralTransform:
+    """NEST-G with Kim's NEST-JA in place of NEST-JA2 — the COUNT bug
+    (section 5.1) and the operator bug (section 5.3) as a plan.  Takes
+    what :func:`~repro.core.nest_g.nest_g` takes."""
+    return _NestG(
+        catalog,
+        lambda inner, has_column, fresh_name, *_outer: apply_nest_ja(
+            inner, has_column, fresh_name()
+        ),
+    ).run(select)
+
+
+def naive_outer_nest_g(select: Select, catalog: Catalog) -> GeneralTransform:
+    """NEST-G with the naive outer-join fix in place of NEST-JA2 — the
+    duplicates bug (section 5.4) as a plan."""
+    return _NestG(catalog, apply_nest_ja_outer_naive).run(select)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.diagnostics import Findings
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.classify import catalog_resolver
@@ -67,11 +66,8 @@ class RunReport:
         return "\n".join(lines)
 
 
-def prepare_query(
-    select: Select, catalog: Catalog, config: ExecConfig = ExecConfig()
-) -> Select:
-    """Qualify all column references and rewrite extended predicates
-    (by ``config``'s predicate modes).
+def prepare_query(select: Select, catalog: Catalog) -> Select:
+    """Qualify all column references and rewrite extended predicates.
 
     Run once per plan: the planner, NEST-G and the verifier all reason
     about the tree this returns.
@@ -113,7 +109,7 @@ def prepare_query(
         return None
 
     qualified = qualify(select, has_column, list_columns=list_columns)
-    return rewrite_extended_predicates(qualified, config)
+    return rewrite_extended_predicates(qualified)
 
 
 class Engine:
@@ -121,48 +117,35 @@ class Engine:
 
     A thin facade over the one statement path: it holds the catalog,
     the :class:`~repro.config.ExecConfig` every plan it builds runs
-    under, the ``verify`` switch and an optional plan cache.  The
-    settings are accepted as keyword arguments and forwarded once into
-    ``ExecConfig(**settings)``; reconfiguring a live engine is
-    ``engine.config = dataclasses.replace(engine.config, ...)``.
+    under and an optional plan cache.  The settings are accepted as
+    keyword arguments and forwarded once into ``ExecConfig(**settings)``
+    (an unknown one raises ``TypeError``); reconfiguring a live engine
+    is ``engine.config = dataclasses.replace(engine.config, ...)``.
     """
 
-    def __init__(
-        self, catalog: Catalog, *, verify: bool = True, plan_cache=None, **settings
-    ) -> None:
+    def __init__(self, catalog: Catalog, *, plan_cache=None, **settings) -> None:
         self.catalog = catalog
         self.config = ExecConfig(**settings)
         #: Optional repro.serve.PlanCache: where run_cached() and this
         #: engine's prepared statements keep their plans.
         self.plan_cache = plan_cache
-        #: Run the static plan verifier + Kim-bug lint after NEST-G.
-        #: With the paper-correct ``ja_algorithm="ja2"`` any error
-        #: finding aborts the run; with the deliberately buggy
-        #: algorithms ("kim", "kim-outer") findings are collected as
-        #: warnings in ``last_findings`` so the bug gallery still runs.
-        self.verify = verify
-        #: The verifier's findings for the last plan this engine built.
-        self.last_findings = None
 
     # -- public API ----------------------------------------------------------
 
     def plan(self, select: Select, method: str, fingerprint: str = ""):
         """Build a statement's :class:`~repro.serve.plan.CachedPlan`
         under this engine's config, sharing temps through the plan
-        cache's registry when there is a cache; every entry point plans
-        through here, so ``last_findings`` is assigned in this one
-        place.
+        cache's registry when there is a cache.  Every transform plan
+        is verified: an error finding raises.
         """
         # Function-level: repro.serve.plan imports this module.
         from repro.serve.plan import build_plan
 
         registry = None if self.plan_cache is None else self.plan_cache.sharing
-        plan = build_plan(
+        return build_plan(
             self.catalog, self.config, select, method, fingerprint,
-            verify=self.verify, registry=registry,
+            registry=registry,
         )
-        self.last_findings = plan.findings
-        return plan
 
     def run(self, query: str | Select, method: str = "transform") -> RunReport:
         """Execute a query and report rows plus page I/O.
@@ -239,8 +222,7 @@ class Engine:
         """
         select = parse(query) if isinstance(query, str) else query
         with self.catalog.read_lock():
-            rewritten = prepare_query(select, self.catalog, self.config)
-            return nest_g(rewritten, self.catalog, self.config)
+            return nest_g(prepare_query(select, self.catalog), self.catalog)
 
     def explain(self, query: str | Select) -> str:
         """Human-readable transformation plan for a query.
@@ -253,8 +235,8 @@ class Engine:
 
         select = parse(query) if isinstance(query, str) else query
         with self.catalog.read_lock():
-            rewritten = prepare_query(select, self.catalog, self.config)
-            transform = nest_g(rewritten, self.catalog, self.config)
+            rewritten = prepare_query(select, self.catalog)
+            transform = nest_g(rewritten, self.catalog)
         lines = ["-- original query", to_sql_pretty(rewritten), ""]
         lines.append("-- transformation trace")
         lines.extend(f"--   {line}" for line in transform.trace)
@@ -274,13 +256,12 @@ def verify_plan(
     rewritten: Select,
     transform: GeneralTransform,
     catalog: Catalog,
-    config: ExecConfig,
-) -> tuple[Findings, list[str]]:
-    """Mandatory post-transform static checks (``Engine.verify``).
+    join_method: str,
+) -> str:
+    """Mandatory post-transform static checks: an error finding raises,
+    carrying its diagnostics; else returns the outcome's trace line.
 
-    Returns the findings and the trace lines describing the outcome;
-    an error finding raises instead, carrying its diagnostics.  The
-    scope check on the *qualified* input AST runs first (PV003
+    The scope check on the *qualified* input AST runs first (PV003
     enforces that qualification really qualified everything), then
     the plan verifier walks the temp chain and canonical query, and
     the Kim-bug lint looks for the paper's section 5 shapes.  Once per
@@ -290,24 +271,11 @@ def verify_plan(
 
     findings = verify_nested(rewritten, catalog, require_qualified=True)
     plan_findings, temps = verify_transform(
-        transform, catalog, join_method=config.join_method
+        transform, catalog, join_method=join_method
     )
     findings.extend(plan_findings)
     findings.extend(lint_transform(transform, catalog, temps))
-
-    if config.ja_algorithm == "ja2":
-        findings.raise_errors("static verification of transformed plan")
-        trace = [
-            f"verifier: {len(findings)} finding(s), no errors"
-            if findings
-            else "verifier: plan ok"
-        ]
-    else:
-        # Deliberately buggy algorithm: keep the findings as warnings
-        # so the section 5 bug gallery can still execute the plan.
-        trace = [
-            f"verifier (not enforced for ja={config.ja_algorithm}): "
-            f"[{d.rule}] {d.message}"
-            for d in findings
-        ] or ["verifier: plan ok"]
-    return findings, trace
+    findings.raise_errors("static verification of transformed plan")
+    if findings:
+        return f"verifier: {len(findings)} finding(s), no errors"
+    return "verifier: plan ok"

@@ -9,13 +9,11 @@ regular algorithms apply:
 * ``x = ANY (Q)`` → ``x IN (Q)`` and ``x <> ALL (Q)`` → ``x NOT IN (Q)``
   (normalized by the parser already).
 
-For ANY/ALL two rewrite strategies are offered
-(``quantifier_mode``):
+The rewrites are exact — they preserve SQL semantics for every
+comparison operator, including the empty-set and NULL-item edge cases
+the paper's own table gets wrong:
 
-``"exact"`` (the default) — counting rewrites that preserve SQL
-semantics for every comparison operator, including the empty-set and
-NULL-item edge cases the paper's MIN/MAX table gets wrong:
-
+* ``EXISTS`` counts ``COUNT(*)``;
 * ``x op ANY (Q)``  →  ``0 < (SELECT COUNT(*) FROM ... WHERE ... AND
   x op item)`` — some inner row compares True;
 * ``x op ALL (Q)``  →  ``(SELECT COUNT(*) FROM ... WHERE ...) =
@@ -29,33 +27,33 @@ transformation pipeline accepts subqueries (``ensure_transformable``
 rejects subqueries under OR/NOT).  They also cover ``= ALL`` and
 ``<> ANY``, which have no MIN/MAX form.
 
-``"paper"`` — the paper's section 8.2 table:
+:func:`paper_section8` is the section as printed, a demonstration no
+engine runs by itself — ``EXISTS`` counts ``COUNT(selected column)``
+(section 8.1) and ANY/ALL follow the section 8.2 table:
 
 * ``x < ANY (Q)``     →  ``x < (SELECT MAX(item) ...)``   (also ``<=``)
 * ``x < ALL (Q)``     →  ``x < (SELECT MIN(item) ...)``   (also ``<=``)
 * ``x > ANY (Q)``     →  ``x > (SELECT MIN(item) ...)``   (also ``>=``)
 * ``x > ALL (Q)``     →  ``x > (SELECT MAX(item) ...)``   (also ``>=``)
 
-Semantic caveats of the paper mode (the paper itself says "logically
-(but not necessarily semantically) equivalent", section 8.2) — all
-demonstrated in the test suite:
+The paper itself calls these "logically (but not necessarily
+semantically) equivalent" (section 8.2); the divergences, all pinned in
+the test suite:
 
 * with an **empty** inner result, ``x < ALL (∅)`` is *true* while the
   rewritten ``x < (SELECT MIN(...))`` compares against NULL and is
   unknown (rejects the tuple);
 * **NULLs in the inner column** are ignored by MIN/MAX but participate
   in ANY/ALL comparisons as unknowns;
-* for EXISTS the paper counts ``COUNT(selitems)``, which undercounts
-  when the selected column is NULL; the default here is the always-
-  correct ``COUNT(*)`` (pass ``exists_count_mode="paper"`` for the
-  literal behaviour).
+* ``COUNT(selected column)`` undercounts when the selected column is
+  NULL, so EXISTS misses rows whose only matches are NULL there.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import replace
 
-from repro.config import ExecConfig
 from repro.errors import TransformError
 from repro.sql.ast import (
     ColumnRef,
@@ -74,7 +72,7 @@ from repro.sql.ast import (
     map_children,
 )
 
-#: op, quantifier → aggregate for the section 8.2 table (paper mode).
+#: op, quantifier → aggregate for the section 8.2 table.
 _QUANTIFIER_AGG = {
     ("<", "ANY"): "MAX",
     ("<=", "ANY"): "MAX",
@@ -86,66 +84,54 @@ _QUANTIFIER_AGG = {
     (">=", "ALL"): "MAX",
 }
 
-
-def rewrite_extended_predicates(
-    select: Select, config: ExecConfig = ExecConfig()
-) -> Select:
-    """Rewrite every EXISTS / NOT EXISTS / ANY / ALL in a query tree,
-    by ``config.exists_count_mode`` and ``config.quantifier_mode``."""
-    return _rewrite_select(
-        select, config.exists_count_mode, config.quantifier_mode
-    )
+#: One extended predicate, with its inner block already rewritten →
+#: the predicate that replaces it.
+Rule = Callable[[Exists | Quantified, Select], Expr]
 
 
-def _rewrite_select(select: Select, mode: str, qmode: str) -> Select:
-    where = (
-        _rewrite_expr(select.where, mode, qmode)
-        if select.where is not None
-        else None
-    )
-    having = (
-        _rewrite_expr(select.having, mode, qmode)
-        if select.having is not None
-        else None
-    )
+def rewrite_extended_predicates(select: Select) -> Select:
+    """Rewrite every EXISTS / NOT EXISTS / ANY / ALL in a query tree by
+    the exact counting rewrites (see module doc)."""
+    return _rewrite_select(select, _exact)
+
+
+def paper_section8(select: Select) -> Select:
+    """Section 8 as printed: ``COUNT(selected column)`` for EXISTS and
+    the MIN/MAX table for ANY / ALL; ``= ALL`` and ``<> ANY`` have no
+    entry and raise :class:`TransformError`.
+
+    The result is plain SQL over scalar subqueries, so
+    ``Engine(catalog).run(paper_section8(parse(sql)))`` runs the
+    paper's rewrite and shows each divergence the module doc lists.
+    """
+    return _rewrite_select(select, _paper)
+
+
+def _rewrite_select(select: Select, rule: Rule) -> Select:
+    where = None if select.where is None else _rewrite_expr(select.where, rule)
+    having = None if select.having is None else _rewrite_expr(select.having, rule)
     return replace(select, where=where, having=having)
 
 
-def _rewrite_expr(expr: Expr, mode: str, qmode: str) -> Expr:
+def _rewrite_expr(expr: Expr, rule: Rule) -> Expr:
     if isinstance(expr, Not) and isinstance(expr.operand, Exists):
-        inner = expr.operand
-        return _exists_to_count(
-            inner.query, negated=not inner.negated, mode=mode, qmode=qmode
-        )
-    if isinstance(expr, Exists):
-        return _exists_to_count(
-            expr.query, negated=expr.negated, mode=mode, qmode=qmode
-        )
-    if isinstance(expr, Quantified):
-        if qmode == "exact":
-            return _quantified_to_count(expr, mode, qmode)
-        return _quantified_to_aggregate(expr, mode, qmode)
+        expr = replace(expr.operand, negated=not expr.operand.negated)
+    if isinstance(expr, (Exists, Quantified)):
+        return rule(expr, _rewrite_select(expr.query, rule))
     if isinstance(expr, Select):
-        return _rewrite_select(expr, mode, qmode)
-    return map_children(expr, lambda child: _rewrite_expr(child, mode, qmode))
+        return _rewrite_select(expr, rule)
+    return map_children(expr, lambda child: _rewrite_expr(child, rule))
 
 
-def _exists_to_count(
-    query: Select, negated: bool, mode: str, qmode: str
-) -> Comparison:
-    """``[NOT] EXISTS (Q)`` → ``0 < COUNT`` / ``0 = COUNT`` (section 8.1)."""
-    inner = _rewrite_select(query, mode, qmode)
-    count_arg: Expr = Star()
-    if mode == "paper" and len(inner.items) == 1 and isinstance(
-        inner.items[0].expr, ColumnRef
-    ):
-        count_arg = inner.items[0].expr
-    counting = replace(
-        inner,
-        items=(SelectItem(FuncCall("COUNT", count_arg), alias="CNT"),),
+def _count(inner: Select, arg: Expr) -> ScalarSubquery:
+    return ScalarSubquery(
+        replace(inner, items=(SelectItem(FuncCall("COUNT", arg), alias="CNT"),))
     )
-    op = "=" if negated else "<"
-    return Comparison(Literal(0), op, ScalarSubquery(counting))
+
+
+def _exists_to_count(pred: Exists, inner: Select, arg: Expr) -> Comparison:
+    """``[NOT] EXISTS (Q)`` → ``0 < COUNT`` / ``0 = COUNT`` (section 8.1)."""
+    return Comparison(Literal(0), "=" if pred.negated else "<", _count(inner, arg))
 
 
 def _quantified_item(inner: Select) -> Expr:
@@ -157,36 +143,36 @@ def _quantified_item(inner: Select) -> Expr:
     return item
 
 
-def _quantified_to_count(pred: Quantified, mode: str, qmode: str) -> Expr:
-    """Exact counting rewrite of ``x op ANY|ALL (Q)`` (see module doc)."""
-    inner = _rewrite_select(pred.query, mode, qmode)
+def _exact(pred: Exists | Quantified, inner: Select) -> Expr:
+    if isinstance(pred, Exists):
+        return _exists_to_count(pred, inner, Star())
     item = _quantified_item(inner)
-    matches = replace(
-        inner,
-        items=(SelectItem(FuncCall("COUNT", Star()), alias="CNT"),),
-        where=make_and([inner.where, Comparison(pred.operand, pred.op, item)]),
+    matches = _count(
+        replace(
+            inner,
+            where=make_and([inner.where, Comparison(pred.operand, pred.op, item)]),
+        ),
+        Star(),
     )
     if pred.quantifier == "ANY":
-        return Comparison(Literal(0), "<", ScalarSubquery(matches))
-    total = replace(
-        inner,
-        items=(SelectItem(FuncCall("COUNT", Star()), alias="CNT"),),
-    )
-    return Comparison(ScalarSubquery(total), "=", ScalarSubquery(matches))
+        return Comparison(Literal(0), "<", matches)
+    return Comparison(_count(inner, Star()), "=", matches)
 
 
-def _quantified_to_aggregate(pred: Quantified, mode: str, qmode: str) -> Comparison:
-    """``x op ANY|ALL (Q)`` → scalar comparison with MIN/MAX (section 8.2)."""
+def _paper(pred: Exists | Quantified, inner: Select) -> Expr:
+    if isinstance(pred, Exists):
+        counted: Expr = Star()
+        if len(inner.items) == 1 and isinstance(inner.items[0].expr, ColumnRef):
+            counted = inner.items[0].expr
+        return _exists_to_count(pred, inner, counted)
     agg = _QUANTIFIER_AGG.get((pred.op, pred.quantifier))
     if agg is None:
         raise TransformError(
             f"no section-8 transformation for {pred.op} {pred.quantifier} "
             "(only =ANY and <>ALL have IN forms, handled by the parser)"
         )
-    inner = _rewrite_select(pred.query, mode, qmode)
-    item = _quantified_item(inner)
     aggregated = replace(
         inner,
-        items=(SelectItem(FuncCall(agg, item), alias="AGG"),),
+        items=(SelectItem(FuncCall(agg, _quantified_item(inner)), alias="AGG"),),
     )
     return Comparison(pred.operand, pred.op, ScalarSubquery(aggregated))

@@ -17,9 +17,8 @@ parallel — must report **identical page I/O**: over how many shards an
 operator evaluates its tuples is not part of the plan, so a difference
 in page counts is a divergence even when the rows agree.
 
-Static analysis rides along on every leg: the engine's default
-``verify=True`` runs the plan verifier + Kim-bug lint
-(:mod:`repro.analysis`) over each transformed plan before execution,
+Static analysis rides along on every leg: every transformed plan is
+verified and linted (:mod:`repro.analysis`) before it executes,
 and the nested-iteration executor verifies scope well-formedness over
 the raw AST — so every generated query also regression-tests the
 static analyses against the oracle-checked runtime behavior.

@@ -110,12 +110,10 @@ class NestedIterationExecutor(SubqueryHandler):
         self,
         catalog: Catalog,
         config: ExecConfig = ExecConfig(),
-        use_indexes: bool = True,
         verify: bool = True,
     ) -> None:
         self.catalog = catalog
         self.config = config
-        self.use_indexes = use_indexes
         self.verify = verify
         self._scalar_cache: dict[int, object] = {}
         self._column_cache: dict[int, Relation] = {}
@@ -478,8 +476,6 @@ class NestedIterationExecutor(SubqueryHandler):
         expression's value and filter the survivors with the remaining
         predicate.  Returns None when no index plan applies.
         """
-        if not self.use_indexes:
-            return None
         plan = self._index_plans.get(id(select))
         if plan is None:
             plan = self._make_index_plan(select, schema, outer)

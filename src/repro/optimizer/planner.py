@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.config import ExecConfig
 from repro.core.classify import (
     NestedPredicate,
     NestingType,
@@ -100,24 +99,20 @@ class Planner:
     with merge joins), which is also what ``method="auto"`` does.
     """
 
-    def __init__(
-        self, catalog: Catalog, config: ExecConfig = ExecConfig()
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        #: The predicate modes :meth:`choose` prepares statement text under.
-        self.config = config
 
     # -- public API --------------------------------------------------------
 
     def choose(self, query: str | Select) -> PlanChoice:
         """Estimate all strategies and pick the cheapest.
 
-        Text is parsed and prepared here, under ``config``; a tree is
+        Text is parsed and prepared here; a tree is
         taken as what ``prepare_query`` returned — ``build_plan``
         prepares a statement once and costs the very tree it runs.
         """
         if isinstance(query, str):
-            query = prepare_query(parse(query), self.catalog, self.config)
+            query = prepare_query(parse(query), self.catalog)
         try:
             return self._choose_analyzed(query)
         except PlanError:

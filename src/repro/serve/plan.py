@@ -7,7 +7,9 @@ it, builds the :class:`~repro.core.pipeline.RunReport` and sweeps.
 ``Engine.run`` plans, replays once privately and drops the plan;
 ``Engine.run_cached`` and prepared statements keep it — in the
 :class:`~repro.serve.cache.PlanCache`, the only object that holds a
-plan across calls.
+plan across calls.  :func:`run_transform` replays a NEST-G result it is
+handed, unverified: the way the paper's wrong answers
+(:mod:`repro.core.nest_ja`'s demonstrators) run.
 
 A :class:`CachedPlan` records everything the pipeline produces up to —
 but not including — the data access of its chain: the ordered links
@@ -31,11 +33,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.diagnostics import Findings
 from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
-from repro.core.nest_g import nest_g
+from repro.core.nest_g import GeneralTransform, nest_g
 from repro.core.pipeline import RunReport, prepare_query, verify_plan
 from repro.core.transform import TempTableDef
 from repro.engine.aggregate import NotCombinable
@@ -71,7 +72,7 @@ METHODS = ("transform", "auto", "nested_iteration", "cost")
 
 @dataclass
 class CachedPlan:
-    """A transformed, verified, replayable plan."""
+    """A replayable plan; verified, unless :func:`run_transform` made it."""
 
     fingerprint: str
     #: catalog.schema_version when the plan was built; any other schema
@@ -109,9 +110,6 @@ class CachedPlan:
     #: :mod:`repro.serve.sharing`); computed by the first replay that
     #: shares, so a plan only ever replayed privately never pays for it.
     share_specs: tuple[ShareSpec, ...] = ()
-    #: What the verifier found at plan time (None: not verified, or a
-    #: nested-iteration plan).
-    findings: Findings | None = field(default=None, repr=False, compare=False)
     #: Temp name -> the order its definition delivered, as the replays
     #: so far saw it: the operators that ran claim it, nobody plans it.
     delivered: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
@@ -660,7 +658,6 @@ def build_plan(
     method: str,
     fingerprint: str = "",
     *,
-    verify: bool = True,
     registry: SharedSubplanRegistry | None = None,
 ) -> CachedPlan:
     """Run the full pipeline up to (not including) the chain.
@@ -671,38 +668,16 @@ def build_plan(
 
     The plan runs under ``config`` with the join method decided here
     (``method="cost"``: the planner's), and that one value is what its
-    temps are shared under in ``registry``.  ``verify`` runs the static
-    verifier + lint once, at plan time; its findings ride on the plan.
+    temps are shared under in ``registry``.  A transform plan is
+    verified and linted once, here: an error finding raises.
     """
     if method not in METHODS:
         raise ReproError(f"unknown method {method!r}")
     slots = user_param_count(select)
-
-    def plan_of(
-        kind: str, rewritten: Select, trace: list[str], **chain
-    ) -> CachedPlan:
-        return CachedPlan(
-            fingerprint=fingerprint,
-            catalog_version=schema_version,
-            data_version=data_version,
-            kind=kind,
-            select=select,
-            param_specs=derive_param_specs(rewritten, catalog, slots)
-            if slots
-            else [],
-            config=config,
-            trace=trace,
-            registry=registry,
-            **chain,
-        )
-
     with catalog.read_lock():
-        schema_version = catalog.schema_version
-        # For the snapshot-pin hit count.
-        data_version = catalog.data_version
-        # Once per plan, under the plan's own predicate modes: what the
-        # planner costs is the tree the plan runs.
-        rewritten = prepare_query(select, catalog, config)
+        # Once per plan: what the planner costs is the tree the plan runs.
+        rewritten = prepare_query(select, catalog)
+        specs = derive_param_specs(rewritten, catalog, slots) if slots else []
         choice: list[str] = []
         if method == "cost":
             # The section-7 cost model picks the strategy (SEL 79 style)
@@ -715,30 +690,73 @@ def build_plan(
                 method = "nested_iteration"
             elif chosen.join_method:
                 config = replace(config, join_method=chosen.join_method)
-        if method == "nested_iteration":
-            return plan_of("nested_iteration", rewritten, choice)
-        findings: Findings | None = None
-        verified: list[str] = []
-        try:
-            transform = nest_g(rewritten, catalog, config)
-            if verify:
-                findings, verified = verify_plan(
-                    rewritten, transform, catalog, config
-                )
-        except TransformError:
-            # Outside the algorithms' reach: under method="auto" the
-            # plan is nested iteration instead.
-            if method != "auto":
-                raise
-            return plan_of("nested_iteration", rewritten, choice)
+        transform = None
+        if method != "nested_iteration":
+            try:
+                transform = nest_g(rewritten, catalog)
+            except TransformError:
+                # Outside the algorithms' reach: under method="auto" the
+                # plan is nested iteration instead.
+                if method != "auto":
+                    raise
+            else:
+                choice += [
+                    *transform.trace,
+                    verify_plan(rewritten, transform, catalog, config.join_method),
+                ]
         return plan_of(
-            "transform",
-            rewritten,
-            [*choice, *transform.trace, *verified],
+            catalog, config, select, choice, transform, specs, fingerprint, registry
+        )
+
+
+def plan_of(
+    catalog: Catalog,
+    config: ExecConfig,
+    select: Select,
+    trace: list[str],
+    transform: GeneralTransform | None = None,
+    param_specs: list[ParamSpec] | None = None,
+    fingerprint: str = "",
+    registry: SharedSubplanRegistry | None = None,
+) -> CachedPlan:
+    """The plan of statement ``select`` under ``config`` at the
+    catalog's current versions: nested iteration, or — given NEST-G's
+    ``transform`` — the replay of its chain.  Verifies nothing."""
+    chain: dict = {}
+    if transform is not None:
+        chain = dict(
             setup=transform.setup,
             final_query=transform.query,
             columns=output_names(transform.query),
             canonical_sql=to_sql(transform.query),
             setup_sql=[d.describe() for d in transform.setup],
-            findings=findings,
         )
+    return CachedPlan(
+        fingerprint=fingerprint,
+        catalog_version=catalog.schema_version,
+        # For the snapshot-pin hit count.
+        data_version=catalog.data_version,
+        kind="nested_iteration" if transform is None else "transform",
+        select=select,
+        param_specs=param_specs or [],
+        config=config,
+        trace=trace,
+        registry=registry,
+        **chain,
+    )
+
+
+def run_transform(
+    catalog: Catalog, transform: GeneralTransform, join_method: str = "merge"
+) -> RunReport:
+    """Run a NEST-G result as :meth:`~repro.core.pipeline.Engine.run`
+    runs a plan — replayed once privately, page I/O counted — without
+    verifying it.  This is how a demonstrator's plan
+    (:func:`~repro.core.nest_ja.kim_nest_g`, …) executes: no engine
+    builds one.  The transform binds no values of its own."""
+    with catalog.read_lock():
+        plan = plan_of(
+            catalog, ExecConfig(join_method=join_method), transform.query,
+            list(transform.trace), transform,
+        )
+        return plan.replay(catalog)

@@ -77,7 +77,7 @@ class PreparedStatement:
     def _derive_specs(self):
         catalog = self.engine.catalog
         with catalog.read_lock():
-            rewritten = prepare_query(self.select, catalog, self.engine.config)
+            rewritten = prepare_query(self.select, catalog)
             self._specs_version = catalog.schema_version
             return derive_param_specs(rewritten, catalog, self.param_count)
 

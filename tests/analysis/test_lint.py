@@ -1,13 +1,16 @@
 """Unit tests for the Kim-bug lint (KB001–KB003).
 
-Each rule must fire on the transform algorithm that exhibits the
-paper's section 5 bug and stay silent on NEST-JA2's output.
+Each rule must fire on the plan of the section 5 demonstrator that
+exhibits the paper's bug (``kim_nest_g``, ``naive_outer_nest_g``) and
+stay silent on NEST-G's own output.
 """
 
 from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.analysis.lint import lint_transform
+from repro.core.nest_g import nest_g
+from repro.core.nest_ja import kim_nest_g, naive_outer_nest_g
 from repro.core.pipeline import Engine
 from repro.sql.ast import And, Comparison
 from repro.workloads.paper_data import (
@@ -18,16 +21,11 @@ from repro.workloads.paper_data import (
     load_operator_bug_instance,
 )
 
-
-def transform_with(catalog, sql, ja_algorithm):
-    engine = Engine(catalog, ja_algorithm=ja_algorithm, verify=False)
-    transform = engine.transform(sql)
-    catalog.drop_temp_tables()
-    return transform
+from tests.core.helpers import transform_with
 
 
-def lint_rules(catalog, sql, ja_algorithm):
-    transform = transform_with(catalog, sql, ja_algorithm)
+def lint_rules(catalog, sql, algorithm):
+    transform = transform_with(catalog, sql, algorithm)
     return lint_transform(transform, catalog).rules()
 
 
@@ -53,15 +51,15 @@ class TestKB001CountBug:
         # Section 5.1: the temp groups SUPPLY alone; parts with no
         # shipments have no group and Q2 loses them.
         catalog = load_kiessling_instance()
-        assert "KB001" in lint_rules(catalog, KIESSLING_Q2, "kim")
+        assert "KB001" in lint_rules(catalog, KIESSLING_Q2, kim_nest_g)
 
     def test_kim_count_star_fires(self):
         catalog = load_kiessling_instance()
-        assert "KB001" in lint_rules(catalog, KIESSLING_Q2_COUNT_STAR, "kim")
+        assert "KB001" in lint_rules(catalog, KIESSLING_Q2_COUNT_STAR, kim_nest_g)
 
     def test_ja2_is_silent(self):
         catalog = load_kiessling_instance()
-        assert "KB001" not in lint_rules(catalog, KIESSLING_Q2, "ja2")
+        assert "KB001" not in lint_rules(catalog, KIESSLING_Q2, nest_g)
 
     def test_plain_rejoin_on_nullable_key_fires(self):
         # Half-fixed shape: outer join built the COUNT=0 groups, but a
@@ -73,7 +71,7 @@ class TestKB001CountBug:
             "SELECT PNUM FROM PARTS WHERE QOH = "
             "(SELECT COUNT(*) FROM SUPPLY WHERE SUPPLY.QUAN = PARTS.QOH)"
         )
-        transform = transform_with(catalog, sql, "ja2")
+        transform = transform_with(catalog, sql, nest_g)
         findings = lint_transform(with_plain_rejoin(transform), catalog)
         assert "KB001" in findings.rules()
 
@@ -82,7 +80,7 @@ class TestKB001CountBug:
         # a primary-key column the inference proves NOT NULL — plain
         # `=` is safe there and the rule must hold its fire.
         catalog = load_kiessling_instance()
-        transform = transform_with(catalog, KIESSLING_Q2, "ja2")
+        transform = transform_with(catalog, KIESSLING_Q2, nest_g)
         findings = lint_transform(with_plain_rejoin(transform), catalog)
         assert "KB001" not in findings.rules()
 
@@ -92,15 +90,15 @@ class TestKB002OperatorBug:
         # Section 5.3: Q5 correlates with `<`; Kim's rejoin keeps the
         # operator against the temp's group key.
         catalog = load_operator_bug_instance()
-        assert "KB002" in lint_rules(catalog, QUERY_Q5, "kim")
+        assert "KB002" in lint_rules(catalog, QUERY_Q5, kim_nest_g)
 
     def test_ja2_moves_the_operator_into_the_temp(self):
         catalog = load_operator_bug_instance()
-        assert "KB002" not in lint_rules(catalog, QUERY_Q5, "ja2")
+        assert "KB002" not in lint_rules(catalog, QUERY_Q5, nest_g)
 
     def test_equality_correlation_never_fires(self):
         catalog = load_kiessling_instance()
-        assert "KB002" not in lint_rules(catalog, KIESSLING_Q2, "kim")
+        assert "KB002" not in lint_rules(catalog, KIESSLING_Q2, kim_nest_g)
 
 
 class TestKB003DuplicatesBug:
@@ -108,17 +106,17 @@ class TestKB003DuplicatesBug:
         # Section 5.4: joining the raw outer projection (duplicates
         # intact) into the aggregating temp inflates COUNT.
         catalog = load_kiessling_instance()
-        assert "KB003" in lint_rules(catalog, KIESSLING_Q2, "kim-outer")
+        assert "KB003" in lint_rules(catalog, KIESSLING_Q2, naive_outer_nest_g)
 
     def test_ja2_distinct_projection_cuts_the_chain(self):
         catalog = load_kiessling_instance()
-        assert "KB003" not in lint_rules(catalog, KIESSLING_Q2, "ja2")
+        assert "KB003" not in lint_rules(catalog, KIESSLING_Q2, nest_g)
 
     def test_plain_kim_single_source_temp_is_exempt(self):
         # Kim's original temp groups the inner relation alone; its
         # duplicates are the data being aggregated, not inflation.
         catalog = load_kiessling_instance()
-        assert "KB003" not in lint_rules(catalog, KIESSLING_Q2, "kim")
+        assert "KB003" not in lint_rules(catalog, KIESSLING_Q2, kim_nest_g)
 
 
 class TestJa2CleanAcrossJoinMethods:
@@ -127,11 +125,8 @@ class TestJa2CleanAcrossJoinMethods:
 
         for join_method in ("merge", "nested", "hash"):
             catalog = load_kiessling_instance()
-            engine = Engine(
-                catalog, join_method=join_method, verify=False
-            )
+            engine = Engine(catalog, join_method=join_method)
             transform = engine.transform(KIESSLING_Q2)
-            catalog.drop_temp_tables()
             findings, temps = verify_transform(
                 transform, catalog, join_method=join_method
             )

@@ -9,6 +9,7 @@ from repro.analysis.verifier import (
     verify_single_level,
     verify_transform,
 )
+from repro.core.nest_ja import kim_nest_g
 from repro.core.pipeline import Engine, prepare_query
 from repro.errors import (
     BindError,
@@ -25,6 +26,8 @@ from repro.workloads.paper_data import (
     load_operator_bug_instance,
     load_supplier_parts,
 )
+
+from tests.core.helpers import transform_with
 
 
 class TestVerifyNested:
@@ -131,9 +134,7 @@ class TestRaiseErrors:
 
     def test_plan_errors_raise_verification_error(self):
         catalog = load_operator_bug_instance()
-        engine = Engine(catalog, ja_algorithm="kim", verify=False)
-        transform = engine.transform(QUERY_Q5)
-        catalog.drop_temp_tables()
+        transform = transform_with(catalog, QUERY_Q5, kim_nest_g)
         findings, _ = verify_transform(transform, catalog)
         with pytest.raises(VerificationError) as excinfo:
             findings.raise_errors()
@@ -223,9 +224,7 @@ class TestVerifySingleLevel:
 class TestVerifyTransform:
     def test_ja2_transform_is_clean(self):
         catalog = load_kiessling_instance()
-        engine = Engine(catalog, verify=False)
-        transform = engine.transform(KIESSLING_Q2)
-        catalog.drop_temp_tables()
+        transform = Engine(catalog).transform(KIESSLING_Q2)
         findings, temps = verify_transform(transform, catalog)
         assert not findings.errors
         assert temps  # the temp chain was inferred
@@ -234,17 +233,13 @@ class TestVerifyTransform:
         # Kim keeps `<` in the rejoin, so the grouped temp's key is
         # never equated: one outer row matches several groups.
         catalog = load_operator_bug_instance()
-        engine = Engine(catalog, ja_algorithm="kim", verify=False)
-        transform = engine.transform(QUERY_Q5)
-        catalog.drop_temp_tables()
+        transform = transform_with(catalog, QUERY_Q5, kim_nest_g)
         findings, _ = verify_transform(transform, catalog)
         assert "PV007" in findings.rules()
 
     def test_temp_chain_nullability_reaches_the_rejoin(self):
         catalog = load_kiessling_instance()
-        engine = Engine(catalog, verify=False)
-        transform = engine.transform(KIESSLING_Q2)
-        catalog.drop_temp_tables()
+        transform = Engine(catalog).transform(KIESSLING_Q2)
         temps = collect_temp_infos(transform.setup, catalog)
         agg = temps[transform.setup[-1].name]
         assert agg.grouped
@@ -273,20 +268,17 @@ class TestExecutorIntegration:
         report = engine.run(KIESSLING_Q2, method="transform")
         assert any("verifier: plan ok" in line for line in report.trace)
 
-    def test_buggy_algorithm_still_executes_with_warnings(self):
-        # The bug gallery must run: findings demote to trace warnings.
-        catalog = load_kiessling_instance()
-        engine = Engine(catalog, ja_algorithm="kim")
-        report = engine.run(KIESSLING_Q2, method="transform")
-        assert any("not enforced" in line for line in report.trace)
-        assert engine.last_findings is not None
-        assert "KB001" in engine.last_findings.rules()
+    def test_a_plan_with_an_error_finding_raises(self, monkeypatch):
+        """Every transform plan is verified, and an error always raises —
+        also under ``method="auto"``, which must not fall back to nested
+        iteration.  Kim's plan stands in for a NEST-G bug."""
+        import repro.serve.plan as plan_module
 
-    def test_verify_false_disables_the_check(self):
+        monkeypatch.setattr(plan_module, "nest_g", kim_nest_g)
         catalog = load_kiessling_instance()
-        engine = Engine(catalog, ja_algorithm="kim", verify=False)
-        report = engine.run(KIESSLING_Q2, method="transform")
-        assert not any("verifier" in line for line in report.trace)
+        for method in ("transform", "auto"):
+            with pytest.raises(VerificationError, match="KB001"):
+                Engine(catalog).run(KIESSLING_Q2, method=method)
 
 
 class TestSupplierWorkload:

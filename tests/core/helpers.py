@@ -3,11 +3,12 @@
 from collections import Counter
 
 from repro.config import ExecConfig
+from repro.core.nest_g import nest_g
 from repro.core.nest_nj import apply_nest_nj
 from repro.core.pipeline import Engine, prepare_query
 from repro.engine.params import bound_params
 from repro.optimizer.executor import SingleLevelExecutor
-from repro.serve.plan import install_link, link_contents
+from repro.serve.plan import install_link, link_contents, run_transform
 from repro.sql.ast import Select, column_refs, conjuncts, walk
 from repro.sql.parser import parse
 
@@ -27,6 +28,19 @@ def assert_equivalent(catalog, sql, **engine_kwargs):
         f"transform={sorted(tr.result.rows)} oracle={sorted(ni.result.rows)}"
     )
     return ni, tr
+
+
+def transform_with(catalog, sql, algorithm=nest_g):
+    """``algorithm`` — NEST-G or a section 5 demonstrator
+    (``kim_nest_g``, ``naive_outer_nest_g``) — over the prepared
+    ``sql``.  Builds nothing."""
+    return algorithm(prepare_query(parse(sql), catalog), catalog)
+
+
+def run_with(catalog, sql, algorithm, join_method="merge"):
+    """The report of ``algorithm``'s plan for ``sql``, replayed once as
+    ``Engine.run`` replays a plan (``run_transform``)."""
+    return run_transform(catalog, transform_with(catalog, sql, algorithm), join_method)
 
 
 def literal_nest_nj(catalog, sql, join_method="merge"):

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from repro.core.classify import catalog_resolver
-from repro.core.nest_ja import apply_nest_ja
+from repro.core.nest_ja import apply_nest_ja, kim_nest_g, naive_outer_nest_g
 from repro.core.pipeline import Engine
 from repro.errors import TransformError
 from repro.sql.parser import parse
@@ -18,11 +18,12 @@ from repro.sql.printer import to_sql
 from repro.workloads.paper_data import (
     KIESSLING_Q2,
     QUERY_Q5,
+    load_duplicates_instance,
     load_kiessling_instance,
     load_operator_bug_instance,
 )
 
-from tests.core.helpers import build_temps
+from tests.core.helpers import build_temps, run_with, transform_with
 
 
 def inner_block(sql):
@@ -74,8 +75,7 @@ class TestCountBug:
     def test_kim_temp_table_contents(self):
         """TEMP': {(3, 2), (10, 1)} — CT can never be 0."""
         catalog = load_kiessling_instance()
-        engine = Engine(catalog, ja_algorithm="kim")
-        transform = engine.transform(KIESSLING_Q2)
+        transform = transform_with(catalog, KIESSLING_Q2, kim_nest_g)
         contents = build_temps(catalog, transform)
         temp_name = transform.setup[0].name
         assert Counter(contents[temp_name]) == Counter([(3, 2), (10, 1)])
@@ -84,8 +84,7 @@ class TestCountBug:
     def test_kim_result_loses_part_8(self):
         """Kim's transformed Q2 misses PNUM 8 (whose count is 0)."""
         catalog = load_kiessling_instance()
-        engine = Engine(catalog, ja_algorithm="kim")
-        wrong = engine.run(KIESSLING_Q2, method="transform")
+        wrong = run_with(catalog, KIESSLING_Q2, kim_nest_g)
         assert Counter(wrong.result.rows) == Counter([(10,)])
 
     def test_nested_iteration_is_the_oracle(self):
@@ -96,10 +95,9 @@ class TestCountBug:
 
     def test_bug_is_exactly_the_zero_count_rows(self):
         catalog = load_kiessling_instance()
-        engine_kim = Engine(catalog, ja_algorithm="kim")
-        wrong = set(engine_kim.run(KIESSLING_Q2, method="transform").result.rows)
+        wrong = set(run_with(catalog, KIESSLING_Q2, kim_nest_g).result.rows)
         right = set(
-            engine_kim.run(KIESSLING_Q2, method="nested_iteration").result.rows
+            Engine(catalog).run(KIESSLING_Q2, method="nested_iteration").result.rows
         )
         assert right - wrong == {(8,)}  # the zero-count part
         assert wrong <= right  # Kim loses rows, never invents them (COUNT case)
@@ -111,8 +109,7 @@ class TestOperatorBug:
     def test_kim_temp5_contents(self):
         """TEMP5: {(3, 4), (10, 1), (9, 5)} — grouped by the inner value."""
         catalog = load_operator_bug_instance()
-        engine = Engine(catalog, ja_algorithm="kim")
-        transform = engine.transform(QUERY_Q5)
+        transform = transform_with(catalog, QUERY_Q5, kim_nest_g)
         contents = build_temps(catalog, transform)
         temp_name = transform.setup[0].name
         assert Counter(contents[temp_name]) == Counter(
@@ -123,8 +120,7 @@ class TestOperatorBug:
     def test_kim_result_is_wrong(self):
         """Kim's transform yields {10, 8}; nested iteration yields {8}."""
         catalog = load_operator_bug_instance()
-        engine = Engine(catalog, ja_algorithm="kim")
-        wrong = engine.run(QUERY_Q5, method="transform")
+        wrong = run_with(catalog, QUERY_Q5, kim_nest_g)
         assert Counter(wrong.result.rows) == Counter([(10,), (8,)])
 
     def test_nested_iteration_result(self):
@@ -136,9 +132,10 @@ class TestOperatorBug:
     def test_this_bug_invents_rows(self):
         """Unlike the COUNT bug, the operator bug *adds* wrong rows."""
         catalog = load_operator_bug_instance()
-        engine = Engine(catalog, ja_algorithm="kim")
-        wrong = set(engine.run(QUERY_Q5, method="transform").result.rows)
-        right = set(engine.run(QUERY_Q5, method="nested_iteration").result.rows)
+        wrong = set(run_with(catalog, QUERY_Q5, kim_nest_g).result.rows)
+        right = set(
+            Engine(catalog).run(QUERY_Q5, method="nested_iteration").result.rows
+        )
         assert wrong - right == {(10,)}
 
     def test_kim_is_correct_for_equality_non_count(self):
@@ -151,7 +148,22 @@ class TestOperatorBug:
                          WHERE SUPPLY.PNUM = PARTS.PNUM AND
                                SHIPDATE < '1980-01-01')
         """
-        engine = Engine(catalog, ja_algorithm="kim")
-        wrong = engine.run(sql, method="transform")
-        right = engine.run(sql, method="nested_iteration")
+        wrong = run_with(catalog, sql, kim_nest_g)
+        right = Engine(catalog).run(sql, method="nested_iteration")
         assert Counter(wrong.result.rows) == Counter(right.result.rows)
+
+
+class TestDuplicatesBug:
+    """Section 5.4 — the naive outer-join fix without DISTINCT."""
+
+    def test_naive_outer_fix_doubles_the_counts(self):
+        """PARTS lists 3 and 10 twice, so the un-deduplicated outer join
+        doubles their shipment counts: only part 8 (count 0) survives."""
+        catalog = load_duplicates_instance()
+        wrong = run_with(catalog, KIESSLING_Q2, naive_outer_nest_g)
+        right = Engine(catalog).run(KIESSLING_Q2, method="nested_iteration")
+        assert Counter(right.result.rows) == Counter([(3,), (10,), (8,)])
+        assert Counter(wrong.result.rows) == Counter([(8,)])
+        assert Counter(
+            Engine(catalog).run(KIESSLING_Q2, method="transform").result.rows
+        ) == Counter(right.result.rows)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import Database
 from repro.config import DEFAULT_PARALLEL_THRESHOLD, ExecConfig
+from repro.core.nest_ja import kim_nest_g
 from repro.core.pipeline import Engine
 from repro.errors import CatalogError, ReproError, TransformError
 from repro.sql.parser import parse
@@ -15,6 +16,12 @@ from repro.workloads.paper_data import (
     KIESSLING_Q2,
     load_kiessling_instance,
 )
+
+from tests.core.helpers import run_with
+
+#: Keywords Engine no longer takes: the paper's wrong answers are
+#: functions (kim_nest_g, paper_section8), and every plan is verified.
+REMOVED = ("ja_algorithm", "exists_count_mode", "quantifier_mode", "verify")
 
 
 class TestEngineMethods:
@@ -141,12 +148,15 @@ class TestSettingsValidation:
             ("ja_algorithm", "nope"),
             ("exists_count_mode", "count"),
             ("quantifier_mode", "fuzzy"),
+            ("verify", False),
             ("parallelism", 0),
             ("parallelism", 2.5),
         ],
     )
     def test_engine_rejects_unknown_value(self, setting, value):
-        with pytest.raises(ReproError, match=setting):
+        # A removed setting is an unknown keyword.
+        error = TypeError if setting in REMOVED else ReproError
+        with pytest.raises(error, match=setting):
             Engine(load_kiessling_instance(), **{setting: value})
 
     @pytest.mark.parametrize(
@@ -154,23 +164,22 @@ class TestSettingsValidation:
         [("join_method", "bogus"), ("ja_algorithm", "nope"), ("parallelism", 0)],
     )
     def test_database_rejects_unknown_value(self, setting, value):
-        with pytest.raises(ReproError, match=setting):
+        error = TypeError if setting in REMOVED else ReproError
+        with pytest.raises(error, match=setting):
             Database(**{setting: value})
 
     def test_every_documented_value_is_accepted(self):
         catalog = load_kiessling_instance()
         for join_method in ("merge", "nested", "hash"):
             Engine(catalog, join_method=join_method)
-        for ja_algorithm in ("ja2", "kim", "kim-outer"):
-            Engine(catalog, ja_algorithm=ja_algorithm)
-        Engine(catalog, exists_count_mode="paper", quantifier_mode="paper")
 
     def test_typo_cannot_turn_auto_into_nested_iteration(self):
         # The bug: ja_algorithm="nope" constructed fine, NEST-G raised
         # TransformError, and method="auto" read that as "outside the
         # algorithms' reach" — every query quietly ran nested iteration.
+        # NEST-G reads no setting now; a misspelt one still fails here.
         with pytest.raises(ReproError):
-            Database(ja_algorithm="nope").query(KIESSLING_Q2, method="auto")
+            Database(join_method="nope").query(KIESSLING_Q2, method="auto")
 
 
 #: A second legal value for every ExecConfig field.
@@ -178,9 +187,6 @@ OTHER_VALUE = {
     "join_method": "hash",
     "parallelism": 2,
     "parallel_threshold": 0,
-    "ja_algorithm": "kim-outer",
-    "exists_count_mode": "paper",
-    "quantifier_mode": "paper",
 }
 
 
@@ -202,15 +208,14 @@ class TestExecConfig:
         assert config == ExecConfig(join_method="hash")
         assert len({config, ExecConfig(join_method="hash"), ExecConfig()}) == 2
         assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(ExecConfig)}
-        assert len(OTHER_VALUE) == 6  # dedupe_inner / dedupe_outer are derived now
+        # dedupe_inner / dedupe_outer are derived; the paper modes are
+        # functions.
+        assert len(OTHER_VALUE) == 3
 
     @pytest.mark.parametrize(
         "setting,value",
         [
             ("join_method", "nope"),
-            ("ja_algorithm", "nope"),
-            ("exists_count_mode", "count"),
-            ("quantifier_mode", "fuzzy"),
             ("parallelism", 0),
             ("parallelism", 1.5),
         ],
@@ -224,9 +229,8 @@ class TestExecConfig:
             replace(ExecConfig(), **{setting: value})
 
     def test_engine_forwards_settings_and_rejects_unknown_keyword(self):
-        engine = Engine(load_kiessling_instance(), join_method="hash", verify=False)
+        engine = Engine(load_kiessling_instance(), join_method="hash")
         assert engine.config == ExecConfig(join_method="hash")
-        assert engine.verify is False
         with pytest.raises(TypeError):
             Engine(load_kiessling_instance(), join_methd="hash")
 
@@ -368,7 +372,9 @@ class TestDatabaseFacade:
         assert "NEST-JA2" in db.explain(KIESSLING_Q2)
 
     def test_buggy_algorithm_selectable(self):
-        db = Database(ja_algorithm="kim")
+        """Kim's NEST-JA is a function over the catalog, not a setting:
+        the database itself answers correctly."""
+        db = Database()
         db.create_table("PARTS", ["PNUM", "QOH"])
         db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")])
         db.insert("PARTS", [(3, 6), (10, 1), (8, 0)])
@@ -382,8 +388,11 @@ class TestDatabaseFacade:
                 (8, 5, "1983-05-07"),
             ],
         )
+        assert Counter(
+            run_with(db.catalog, KIESSLING_Q2, kim_nest_g).result.rows
+        ) == Counter([(10,)])
         assert Counter(db.query(KIESSLING_Q2, method="transform").rows) == Counter(
-            [(10,)]
+            [(10,), (8,)]
         )
 
     def test_drop_table(self):

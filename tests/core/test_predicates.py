@@ -9,10 +9,9 @@ from collections import Counter
 
 import pytest
 
-from repro.config import ExecConfig
 from repro.core.pipeline import Engine
-from repro.core.predicates import rewrite_extended_predicates
-from repro.errors import ReproError, TransformError
+from repro.core.predicates import paper_section8, rewrite_extended_predicates
+from repro.errors import TransformError
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 from repro.workloads.paper_data import (
@@ -25,8 +24,9 @@ from repro.catalog.schema import schema
 from tests.core.helpers import assert_equivalent
 
 
-def rewrite(sql, **modes):
-    return to_sql(rewrite_extended_predicates(parse(sql), ExecConfig(**modes)))
+def rewrite(sql, paper=False):
+    rule = paper_section8 if paper else rewrite_extended_predicates
+    return to_sql(rule(parse(sql)))
 
 
 class TestRewriteShapes:
@@ -47,8 +47,7 @@ class TestRewriteShapes:
 
     def test_exists_paper_mode_counts_the_selected_column(self):
         out = rewrite(
-            "SELECT A FROM T WHERE EXISTS (SELECT B FROM U)",
-            exists_count_mode="paper",
+            "SELECT A FROM T WHERE EXISTS (SELECT B FROM U)", paper=True
         )
         assert "COUNT(B)" in out
 
@@ -67,8 +66,7 @@ class TestRewriteShapes:
     )
     def test_quantifier_table(self, op, quant, agg):
         out = rewrite(
-            f"SELECT A FROM T WHERE A {op} {quant} (SELECT B FROM U)",
-            quantifier_mode="paper",
+            f"SELECT A FROM T WHERE A {op} {quant} (SELECT B FROM U)", paper=True
         )
         assert f"A {op} (SELECT {agg}(B) AS AGG FROM U)" in out
 
@@ -106,8 +104,7 @@ class TestRewriteShapes:
         """= ALL has no MIN/MAX form; the exact counting rewrite covers it."""
         with pytest.raises(TransformError):
             rewrite(
-                "SELECT A FROM T WHERE A = ALL (SELECT B FROM U)",
-                quantifier_mode="paper",
+                "SELECT A FROM T WHERE A = ALL (SELECT B FROM U)", paper=True
             )
         out = rewrite("SELECT A FROM T WHERE A = ALL (SELECT B FROM U)")
         assert "COUNT(*)" in out
@@ -121,21 +118,19 @@ class TestRewriteShapes:
 
     def test_archaic_negated_operators(self):
         out = rewrite(
-            "SELECT A FROM T WHERE A !> ALL (SELECT B FROM U)",
-            quantifier_mode="paper",
+            "SELECT A FROM T WHERE A !> ALL (SELECT B FROM U)", paper=True
         )
         # !> normalizes to <=; <= ALL → MIN.
         assert "A <= (SELECT MIN(B) AS AGG FROM U)" in out
 
     def test_unknown_quantifier_mode_rejected(self):
-        # Rejected where the config is built, as a configuration error —
-        # not a TransformError, which method="auto" reads as "cannot be
+        # There is no mode to get wrong: the engine rewrites exactly,
+        # and the paper's table is the function paper_section8.  A mode
+        # keyword is rejected where the config is built — not as a
+        # TransformError, which method="auto" reads as "cannot be
         # unnested".
-        with pytest.raises(ReproError, match="quantifier_mode"):
-            rewrite(
-                "SELECT A FROM T WHERE A < ALL (SELECT B FROM U)",
-                quantifier_mode="bogus",
-            )
+        with pytest.raises(TypeError, match="quantifier_mode"):
+            Engine(fresh_catalog(), quantifier_mode="paper")
 
 
 class TestEndToEndEquivalence:
@@ -185,8 +180,9 @@ class TestEndToEndEquivalence:
 class TestDocumentedDivergences:
     """Where the paper's rewrites change semantics — asserted, not hidden.
 
-    Each paper-mode divergence is paired with the exact-mode (default)
-    counting rewrite, which must agree with nested iteration.
+    Each divergence of the paper's rewrite (``paper_section8``, run by
+    a plain engine) is paired with the engine's own counting rewrite,
+    which must agree with nested iteration.
     """
 
     def setup_method(self):
@@ -194,13 +190,18 @@ class TestDocumentedDivergences:
         self.catalog.create_table(schema("T", "A"))
         self.catalog.create_table(schema("U", "B"))
 
+    def paper(self, sql):
+        """The paper's section 8 rewrite, transformed and run."""
+        return Engine(self.catalog).run(
+            paper_section8(parse(sql)), method="transform"
+        )
+
     def test_all_over_empty_set_diverges(self):
         """x < ALL (∅) is true; x < MIN(∅)=NULL is unknown."""
         self.catalog.insert("T", [(1,)])
         sql = "SELECT A FROM T WHERE A < ALL (SELECT B FROM U)"
-        paper = Engine(self.catalog, quantifier_mode="paper")
-        ni = paper.run(sql, method="nested_iteration")
-        tr = paper.run(sql, method="transform")
+        ni = Engine(self.catalog).run(sql, method="nested_iteration")
+        tr = self.paper(sql)
         assert ni.result.rows == [(1,)]  # vacuous truth
         assert tr.result.rows == []      # NULL comparison: unknown
         exact = Engine(self.catalog)
@@ -212,22 +213,18 @@ class TestDocumentedDivergences:
         values differ."""
         self.catalog.insert("T", [(1,)])
         sql = "SELECT A FROM T WHERE A < ANY (SELECT B FROM U)"
-        for engine in (
-            Engine(self.catalog, quantifier_mode="paper"),
-            Engine(self.catalog),
-        ):
-            ni = engine.run(sql, method="nested_iteration")
-            tr = engine.run(sql, method="transform")
-            assert ni.result.rows == tr.result.rows == []
+        engine = Engine(self.catalog)
+        ni = engine.run(sql, method="nested_iteration")
+        tr = engine.run(sql, method="transform")
+        assert ni.result.rows == tr.result.rows == self.paper(sql).result.rows == []
 
     def test_null_in_inner_column_diverges_for_all(self):
         """ALL over a set containing NULL is unknown; MIN ignores NULLs."""
         self.catalog.insert("T", [(1,)])
         self.catalog.insert("U", [(5,), (None,)])
         sql = "SELECT A FROM T WHERE A < ALL (SELECT B FROM U)"
-        paper = Engine(self.catalog, quantifier_mode="paper")
-        ni = paper.run(sql, method="nested_iteration")
-        tr = paper.run(sql, method="transform")
+        ni = Engine(self.catalog).run(sql, method="nested_iteration")
+        tr = self.paper(sql)
         assert ni.result.rows == []      # 1 < NULL is unknown → reject
         assert tr.result.rows == [(1,)]  # MIN ignores the NULL: 1 < 5
         exact = Engine(self.catalog)
@@ -255,9 +252,8 @@ class TestDocumentedDivergences:
         self.catalog.insert("T", [(1,)])
         self.catalog.insert("U", [(None,)])
         sql = "SELECT A FROM T WHERE EXISTS (SELECT B FROM U)"
-        star = Engine(self.catalog, exists_count_mode="star")
-        paper = Engine(self.catalog, exists_count_mode="paper")
+        star = Engine(self.catalog)
         ni = star.run(sql, method="nested_iteration")
         assert ni.result.rows == [(1,)]
         assert star.run(sql, method="transform").result.rows == [(1,)]
-        assert paper.run(sql, method="transform").result.rows == []
+        assert self.paper(sql).result.rows == []

@@ -61,21 +61,13 @@ class TestCorrectness:
         assert Counter(result.rows) == Counter([(4,), (2,)])
 
     def test_use_indexes_false_disables_fast_path(self):
+        """Without an index nested iteration scans; with one it probes."""
         catalog = big_catalog()
+        scans = measure(catalog, GENERATED_JA_QUERY, "nested_iteration")
         catalog.create_index("SUPPLY", "PNUM")
-        catalog.buffer.evict_all()
-        catalog.buffer.reset_stats()
-        NestedIterationExecutor(catalog, use_indexes=False).execute(
-            parse(GENERATED_JA_QUERY)
-        )
-        scans = catalog.buffer.stats().page_reads
-        catalog.buffer.evict_all()
-        catalog.buffer.reset_stats()
-        NestedIterationExecutor(catalog, use_indexes=True).execute(
-            parse(GENERATED_JA_QUERY)
-        )
-        probes = catalog.buffer.stats().page_reads
-        assert probes < scans / 4
+        probes = measure(catalog, GENERATED_JA_QUERY, "nested_iteration")
+        assert Counter(probes.rows) == Counter(scans.rows)
+        assert probes.io.page_reads < scans.io.page_reads / 4
 
     def test_index_survives_inserts_via_rebuild(self):
         db = Database()

@@ -2,7 +2,6 @@
 and no statement is second-class on the kept-plan routes."""
 
 from collections import Counter
-from dataclasses import replace
 
 from repro.api import Database
 from repro.optimizer.executor import SingleLevelExecutor
@@ -113,8 +112,9 @@ class TestNoSecondClassStatements:
         self, monkeypatch
     ):
         """The planner used to prepare its own copy under the *default*
-        predicate modes: under quantifier_mode="paper" it costed the
-        counting rewrite of > ALL while the engine ran the MAX rewrite."""
+        predicate modes: under a paper mode it costed the counting
+        rewrite of > ALL while the engine ran the MAX rewrite.  There is
+        one rewrite now, and still one prepare per plan."""
         import repro.optimizer.planner as planner_module
         import repro.serve.plan as plan_module
         from repro.sql.printer import to_sql
@@ -123,8 +123,8 @@ class TestNoSecondClassStatements:
         real_prepare = plan_module.prepare_query
         real_choose = planner_module.Planner.choose
 
-        def prepare(select, catalog, config):
-            prepared.append(real_prepare(select, catalog, config))
+        def prepare(select, catalog):
+            prepared.append(real_prepare(select, catalog))
             return prepared[-1]
 
         def choose(self, query):
@@ -135,9 +135,6 @@ class TestNoSecondClassStatements:
         monkeypatch.setattr(planner_module, "prepare_query", prepare)
         monkeypatch.setattr(planner_module.Planner, "choose", choose)
         db = make_db()
-        db.engine.config = replace(
-            db.engine.config, quantifier_mode="paper", exists_count_mode="paper"
-        )
         sql = (
             "SELECT PNUM FROM PARTS WHERE QOH > ALL "
             "(SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)"
@@ -145,9 +142,9 @@ class TestNoSecondClassStatements:
         plan = db.engine.plan(parse(sql), "cost")
         # One qualify + rewrite per plan, and its result is what is costed.
         assert len(prepared) == 1 and costed[0] is prepared[0]
-        assert "MAX(" in to_sql(costed[0]) and "COUNT(" not in to_sql(costed[0])
+        assert "COUNT(*)" in to_sql(costed[0]) and "MAX(" not in to_sql(costed[0])
         if plan.kind == "transform":
-            assert any("MAX(" in definition for definition in plan.setup_sql)
+            assert any("COUNT(*)" in definition for definition in plan.setup_sql)
 
     def test_cost_based_choice_is_stored_with_the_plan(self, monkeypatch):
         from repro.optimizer.planner import PlanChoice, Planner
