@@ -68,9 +68,6 @@ def test_figure2_transformation(benchmark, write_report):
 
     oracle, transformed = benchmark.pedantic(run, rounds=1, iterations=1)
     assert Counter(transformed.rows) == Counter(oracle.rows)
-    # The multi-level nested iteration re-evaluates three levels of
-    # inner blocks; the canonical plan must be far cheaper.
-    assert transformed.page_ios < oracle.page_ios / 5
 
     report = engine.run(FIGURE2_QUERY, method="transform")
     lines = [
@@ -88,6 +85,9 @@ def test_figure2_transformation(benchmark, write_report):
         ),
     ]
     write_report("figure2_nest_g", "\n".join(lines))
+    # The multi-level nested iteration re-evaluates three levels of
+    # inner blocks; the canonical plan must be far cheaper.
+    assert transformed.page_ios < oracle.page_ios / 5
 
 
 def test_figure2_trace_order(benchmark):

@@ -1,8 +1,8 @@
 """Concurrency correctness toolkit.
 
 Three cooperating layers over the concurrent parts of the codebase
-(the serving read path, the buffer pool, the exchange pool, and the
-WAL/MVCC commit path):
+(the serving read path, the buffer pool and the WAL/MVCC commit
+path):
 
 * :mod:`repro.analysis.concurrency.lockgraph` — a **static lock-order
   lint** (rules ``CC001``–``CC004``): an AST pass over ``src/repro``

@@ -3,11 +3,11 @@
 An opt-in instrumentation shim for the engine's recognized locks (the
 catalog :class:`~repro.storage.locks.RWLock`, the buffer pool's pool
 lock and stripe latches, the disk lock, the WAL/snapshot/commit locks,
-the exchange pool lock, the plan-cache locks).  When enabled — via the
-``REPRO_WITNESS=1`` environment variable or :func:`LockWitness.enable`
-— every lock created through :func:`repro.storage.locks.make_lock` is
-wrapped in a :class:`WitnessLock`, and the ``RWLock`` notifies the
-witness from its acquire/release paths.
+the plan-cache locks).  When enabled — via the ``REPRO_WITNESS=1``
+environment variable or :func:`LockWitness.enable` — every lock
+created through :func:`repro.storage.locks.make_lock` is wrapped in a
+:class:`WitnessLock`, and the ``RWLock`` notifies the witness from its
+acquire/release paths.
 
 The witness maintains, per thread, the stack of currently held locks,
 and process-wide, a directed **order graph** over lock *names*: an edge

@@ -56,22 +56,15 @@ class Database:
         io_delay: simulated per-page-read latency in seconds (sleeps
             outside all locks, so concurrent reads overlap — used by
             the throughput benchmark to model I/O-bound workloads).
-        parallelism: number of worker shards for partitioned scans,
-            hash joins, and partial aggregation (default 1 = serial).
-            Parallel plans read and write exactly the same pages as
-            serial ones — only wall-clock changes.
-        parallel_threshold: minimum input row count before an operator
-            goes parallel (default 2048); smaller inputs run serial
-            even when ``parallelism > 1``.
         wal_path: file path for the write-ahead log.  Default None
             keeps the log in memory (same format, no files); pass a
             path to make commits durable and recoverable via
             :func:`repro.txn.recover`.
 
-    The plan-shaping arguments become one frozen, validated
+    The plan-shaping argument becomes one frozen, validated
     :class:`~repro.config.ExecConfig` (``db.engine.config``): a misspelt
-    ``join_method`` or a ``parallelism`` below 1 raises
-    :class:`~repro.errors.ReproError` here, not at the first query.
+    ``join_method`` raises :class:`~repro.errors.ReproError` here, not
+    at the first query.
     Reconfigure a live database by assigning
     ``db.engine.config = dataclasses.replace(db.engine.config, ...)``.
     """
@@ -82,8 +75,6 @@ class Database:
         join_method: str = "merge",
         plan_cache_size: int = 128,
         io_delay: float = 0.0,
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
         wal_path: str | None = None,
     ) -> None:
         from repro.serve.cache import PlanCache
@@ -100,8 +91,6 @@ class Database:
             self.catalog,
             join_method=join_method,
             plan_cache=self.plan_cache,
-            parallelism=parallelism,
-            parallel_threshold=parallel_threshold,
         )
 
     # -- DDL / DML -------------------------------------------------------
@@ -204,12 +193,11 @@ class Database:
         """
         from repro.catalog.statistics import analyze_all, analyze_table
 
-        degree = self.engine.config.parallelism
         with self.catalog.write_lock(), self.catalog.snapshots.pinned():
             if table is None:
-                analyze_all(self.catalog, parallelism=degree)
+                analyze_all(self.catalog)
             else:
-                analyze_table(self.catalog, table.upper(), parallelism=degree)
+                analyze_table(self.catalog, table.upper())
 
     # -- statements ----------------------------------------------------------
 

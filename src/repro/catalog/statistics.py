@@ -11,15 +11,6 @@ as a real ANALYZE would be) and records, per column:
   the outer join column);
 * min/max (drives range-predicate interpolation for numeric columns);
 * the NULL count.
-
-With ``parallelism > 1`` the scan is sharded over the heap's partition
-map and the per-partition partials are merged: value sets union,
-NULL counts sum, minima/maxima fold.  Every aggregate is a pure
-function of the multiset of rows, so the merged totals are *identical*
-to the serial scan's — the cost formulas downstream
-(``hash_join_cost``, ``ja2_hash_cost``) cannot tell the difference.
-Each page is still read exactly once, so the charged page I/O is
-identical too.
 """
 
 from __future__ import annotations
@@ -77,8 +68,8 @@ class TableStatistics:
     data_version: int = 0
 
 
-class _Partial:
-    """Mergeable per-partition accumulator for one ANALYZE scan."""
+class _Tally:
+    """The per-column accumulators of one ANALYZE scan."""
 
     __slots__ = ("values", "nulls", "minima", "maxima")
 
@@ -99,67 +90,23 @@ class _Partial:
             if self.maxima[index] is None or value > self.maxima[index]:
                 self.maxima[index] = value
 
-    def merge(self, other: "_Partial") -> None:
-        for index in range(len(self.values)):
-            self.values[index] |= other.values[index]
-            self.nulls[index] += other.nulls[index]
-            for candidate in (other.minima[index],):
-                if candidate is not None and (
-                    self.minima[index] is None
-                    or candidate < self.minima[index]
-                ):
-                    self.minima[index] = candidate
-            for candidate in (other.maxima[index],):
-                if candidate is not None and (
-                    self.maxima[index] is None
-                    or candidate > self.maxima[index]
-                ):
-                    self.maxima[index] = candidate
 
-
-def analyze_table(
-    catalog: Catalog, name: str, parallelism: int = 1
-) -> TableStatistics:
+def analyze_table(catalog: Catalog, name: str) -> TableStatistics:
     """Scan a table and compute its statistics (charged page I/O).
 
     The result is also stored in ``catalog.statistics[name]`` so the
-    planner finds it.  ``parallelism > 1`` shards the scan across the
-    heap's partition map; merged totals are identical to a serial scan.
+    planner finds it.
     """
     entry = catalog.get(name)
     column_names = entry.schema.column_names
-    width = len(column_names)
     heap = entry.heap
 
     # Scan under the active snapshot (if any): the counts below must
     # describe the same row set the scans observed, not whatever the
     # heap tail holds by the time the scan finishes.
-    nparts = max(1, min(parallelism, heap.visible_pages()))
-    if nparts > 1:
-        from repro.engine.exchange import in_worker, run_tasks
-
-        if in_worker():
-            nparts = 1
-    if nparts > 1:
-        shards = heap.partition_pages(nparts)
-
-        def scan_shard(shard):
-            partial = _Partial(width)
-            for _page_index, rows in heap.scan_pages_partition(shard):
-                for row in rows:
-                    partial.observe(row)
-            return partial
-
-        partials = run_tasks(
-            [lambda shard=shard: scan_shard(shard) for shard in shards]
-        )
-        total = partials[0]
-        for partial in partials[1:]:
-            total.merge(partial)
-    else:
-        total = _Partial(width)
-        for row in heap.scan():
-            total.observe(row)
+    total = _Tally(len(column_names))
+    for row in heap.scan():
+        total.observe(row)
 
     stats = TableStatistics(
         num_rows=heap.visible_rows(),
@@ -179,12 +126,10 @@ def analyze_table(
     return stats
 
 
-def analyze_all(
-    catalog: Catalog, parallelism: int = 1
-) -> dict[str, TableStatistics]:
+def analyze_all(catalog: Catalog) -> dict[str, TableStatistics]:
     """ANALYZE every (non-temp) table."""
     return {
-        name: analyze_table(catalog, name, parallelism=parallelism)
+        name: analyze_table(catalog, name)
         for name in catalog.table_names()
         if not catalog.get(name).is_temp
     }

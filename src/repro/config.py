@@ -1,11 +1,13 @@
 """The physical configuration of a plan, as one value.
 
-:class:`ExecConfig` is the only way the three plan-shaping settings
-travel below ``Database.__init__`` / ``Engine.__init__``: planning and
-both executors read it, the plan cache keys on it, and a
+:class:`ExecConfig` is the only way the plan-shaping setting travels
+below ``Database.__init__`` / ``Engine.__init__``: planning and the
+single-level executor read it, the plan cache keys on it, and a
 :class:`~repro.serve.plan.CachedPlan` stores the one it runs under.
 Frozen and validated by construction; reconfiguring an engine is
 ``engine.config = dataclasses.replace(engine.config, join_method="hash")``.
+No setting splits a query across threads: a query runs on the thread
+that issued it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-
-#: Inputs below this row count run the serial operator even under
-#: ``parallelism > 1``: the exchange's dispatch overhead exceeds any
-#: I/O overlap on small inputs, and correctness is identical either
-#: way.  Benchmarks and the difftest's parallel legs override it.
-DEFAULT_PARALLEL_THRESHOLD = 2048
 
 #: Accepted values of the enumerated settings — the one place each is
 #: defined and checked (a typo fails at construction, not at the first
@@ -38,12 +34,6 @@ class ExecConfig:
             joins of a transformed plan (section 7 decides it per plan:
             ``method="cost"`` stores the planner's pick in the plan's
             own config, never in the engine's).
-        parallelism: intra-query fan-out — partition-parallel scans,
-            probes and aggregations over the shared exchange pool.
-            1 = serial.  Same plans, same page I/O totals at any degree.
-        parallel_threshold: inputs below this row count stay serial
-            even when ``parallelism > 1``.  ``None`` on the way in
-            means the default and is resolved here, once.
 
     Nothing here picks an algorithm: NEST-G always runs NEST-JA2 and
     the exact section-8 rewrites.  The paper's wrong answers are
@@ -52,14 +42,8 @@ class ExecConfig:
     """
 
     join_method: str = "merge"
-    parallelism: int = 1
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.parallel_threshold is None:
-            object.__setattr__(
-                self, "parallel_threshold", DEFAULT_PARALLEL_THRESHOLD
-            )
         for setting, allowed in CHOICES.items():
             value = getattr(self, setting)
             if value not in allowed:
@@ -67,7 +51,3 @@ class ExecConfig:
                     f"unknown {setting} {value!r} "
                     f"(choose from {', '.join(allowed)})"
                 )
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
-            raise ReproError(
-                f"parallelism must be an integer >= 1, got {self.parallelism!r}"
-            )

@@ -28,8 +28,7 @@ The leg fails if less than :data:`MIN_SHARED_FRACTION` of the temp
 installations were served from the registry — a replay that does not
 actually share is not testing the machinery it claims to.
 
-One leg runs per parallelism degree; the CLI entry point
-(``python -m repro difftest --replay N``) runs worker degrees 1 and 4.
+The CLI entry point is ``python -m repro difftest --replay N``.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ def query_pool() -> list[tuple[str, tuple[str, ...]]]:
 class ReplayReport:
     """Aggregate statistics of one multi-query replay run."""
 
-    legs: int = 0
     queries: int = 0
     writes: int = 0
     shared_installs: int = 0
@@ -135,7 +133,7 @@ class ReplayReport:
 
     def summary(self) -> str:
         return (
-            f"replay: {self.legs} leg(s), {self.queries} quer(ies), "
+            f"replay: {self.queries} quer(ies), "
             f"{self.writes} write(s), {self.shared_installs} shared / "
             f"{self.built_installs} built temp install(s) "
             f"({100.0 * self.shared_fraction:.1f}% shared), "
@@ -170,12 +168,8 @@ def _write_batch(rng: random.Random) -> tuple[str, list[tuple]]:
     ]
 
 
-def _make_database(parallelism: int) -> Database:
-    db = Database(
-        buffer_pages=128,
-        parallelism=parallelism,
-        parallel_threshold=0 if parallelism > 1 else None,
-    )
+def _make_database() -> Database:
+    db = Database(buffer_pages=128)
     db.create_table("PARTS", ["PNUM", "QOH"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "text")])
     return db
@@ -191,86 +185,78 @@ def _make_shadow() -> sqlite3.Connection:
 def run_replay(
     queries: int,
     seed: int = 0,
-    parallelisms: tuple[int, ...] = (1, 4),
     write_every: int = 25,
 ) -> ReplayReport:
-    """Replay ``queries`` events per parallelism leg."""
+    """Replay ``queries`` events through one database and its shadow."""
     report = ReplayReport()
     pool = query_pool()
-    for parallelism in parallelisms:
-        leg = f"replay[p{parallelism}]"
-        report.legs += 1
-        rng = random.Random(seed)
-        db = _make_database(parallelism)
-        shadow = _make_shadow()
-        parts, supply = _seed_rows(rng)
-        for table, rows in (("PARTS", parts), ("SUPPLY", supply)):
+    rng = random.Random(seed)
+    db = _make_database()
+    shadow = _make_shadow()
+    parts, supply = _seed_rows(rng)
+    for table, rows in (("PARTS", parts), ("SUPPLY", supply)):
+        db.insert(table, rows)
+        marks = ", ".join("?" for _ in rows[0])
+        shadow.executemany(f'INSERT INTO "{table}" VALUES ({marks})', rows)
+    shadow.commit()
+    handles: dict[str, PreparedStatement] = {}
+    for step in range(queries):
+        if write_every and step % write_every == write_every - 1:
+            table, rows = _write_batch(rng)
             db.insert(table, rows)
             marks = ", ".join("?" for _ in rows[0])
             shadow.executemany(
                 f'INSERT INTO "{table}" VALUES ({marks})', rows
             )
-        shadow.commit()
-        handles: dict[str, PreparedStatement] = {}
-        for step in range(queries):
-            if write_every and step % write_every == write_every - 1:
-                table, rows = _write_batch(rng)
-                db.insert(table, rows)
-                marks = ", ".join("?" for _ in rows[0])
-                shadow.executemany(
-                    f'INSERT INTO "{table}" VALUES ({marks})', rows
-                )
-                shadow.commit()
-                report.writes += 1
-                continue
-            template, values = rng.choice(pool)
-            sql = template.format(*(f"'{value}'" for value in values))
-            shared_run = db.execute_cached(sql)
-            if template not in handles:
-                handles[template] = db.prepare(template.format("?"))
-            prepared_run = handles[template].execute(values)
-            adhoc_rows = db.query(sql).rows
-            plain_run = db.run(sql, method="auto")
-            oracle_rows = [
-                tuple(row) for row in shadow.execute(sql).fetchall()
-            ]
-            report.queries += 1
-            for step_label in shared_run.steps:
-                if step_label.startswith("shared "):
-                    report.shared_installs += 1
-                elif step_label.startswith("built "):
-                    report.built_installs += 1
-            ours = normalize_rows(shared_run.result.rows)
-            unshared = normalize_rows(plain_run.result.rows)
-            oracle = normalize_rows(oracle_rows)
-            if ours != oracle:
-                report.failures.append(
-                    f"{leg} step {step}: execute_cached diverged from "
-                    f"SQLite\n  {sql}\n  ours:   {sorted(ours.items())[:5]}"
-                    f"\n  oracle: {sorted(oracle.items())[:5]}"
-                )
-            if ours != unshared:
-                report.failures.append(
-                    f"{leg} step {step}: execute_cached diverged from "
-                    f"Database.run\n  {sql}"
-                )
-            if ours != normalize_rows(prepared_run.result.rows):
-                report.failures.append(
-                    f"{leg} step {step}: execute_cached diverged from "
-                    f"the prepared statement\n  {sql}"
-                )
-            if ours != normalize_rows(adhoc_rows):
-                report.failures.append(
-                    f"{leg} step {step}: execute_cached diverged from "
-                    f"Database.query\n  {sql}"
-                )
-        registry = db.plan_cache.sharing
-        if any(entry.active != 0 for entry in registry._entries.values()):
-            report.failures.append(f"{leg}: leaked registry lease")
-        db.plan_cache.clear()
-        leaked = leaked_pages(db.catalog)
-        if leaked:
-            report.failures.append(f"{leg}: leaked {leaked} page(s)")
+            shadow.commit()
+            report.writes += 1
+            continue
+        template, values = rng.choice(pool)
+        sql = template.format(*(f"'{value}'" for value in values))
+        shared_run = db.execute_cached(sql)
+        if template not in handles:
+            handles[template] = db.prepare(template.format("?"))
+        prepared_run = handles[template].execute(values)
+        adhoc_rows = db.query(sql).rows
+        plain_run = db.run(sql, method="auto")
+        oracle_rows = [tuple(row) for row in shadow.execute(sql).fetchall()]
+        report.queries += 1
+        for step_label in shared_run.steps:
+            if step_label.startswith("shared "):
+                report.shared_installs += 1
+            elif step_label.startswith("built "):
+                report.built_installs += 1
+        ours = normalize_rows(shared_run.result.rows)
+        unshared = normalize_rows(plain_run.result.rows)
+        oracle = normalize_rows(oracle_rows)
+        if ours != oracle:
+            report.failures.append(
+                f"step {step}: execute_cached diverged from "
+                f"SQLite\n  {sql}\n  ours:   {sorted(ours.items())[:5]}"
+                f"\n  oracle: {sorted(oracle.items())[:5]}"
+            )
+        if ours != unshared:
+            report.failures.append(
+                f"step {step}: execute_cached diverged from "
+                f"Database.run\n  {sql}"
+            )
+        if ours != normalize_rows(prepared_run.result.rows):
+            report.failures.append(
+                f"step {step}: execute_cached diverged from "
+                f"the prepared statement\n  {sql}"
+            )
+        if ours != normalize_rows(adhoc_rows):
+            report.failures.append(
+                f"step {step}: execute_cached diverged from "
+                f"Database.query\n  {sql}"
+            )
+    registry = db.plan_cache.sharing
+    if any(entry.active != 0 for entry in registry._entries.values()):
+        report.failures.append("leaked registry lease")
+    db.plan_cache.clear()
+    leaked = leaked_pages(db.catalog)
+    if leaked:
+        report.failures.append(f"leaked {leaked} page(s)")
     if report.clean and report.shared_fraction < MIN_SHARED_FRACTION:
         report.failures.append(
             f"replay shared only {100.0 * report.shared_fraction:.1f}% of "

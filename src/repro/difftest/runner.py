@@ -4,18 +4,13 @@ For every generated case the runner executes the query several ways —
 
 1. ``nested_iteration`` (System R semantics, the repo's baseline),
 2. ``transform``        (NEST-G with the paper's algorithms), once per
-   join method (merge, nested, hash by default) and worker width, and
+   join method (merge, nested, hash by default), and
 3. SQLite               (the external reference oracle)
 
 — normalizes each result to a multiset, and demands agreement.  The
 transform legs are skipped (not failed) when the query is outside the
 algorithms' documented reach (``TransformError``, e.g. correlated
 NOT IN); the other legs must still agree.
-
-On top of bag-equal rows, every width of one join method — serial or
-parallel — must report **identical page I/O**: over how many shards an
-operator evaluates its tuples is not part of the plan, so a difference
-in page counts is a divergence even when the rows agree.
 
 Static analysis rides along on every leg: every transformed plan is
 verified and linted (:mod:`repro.analysis`) before it executes,
@@ -59,11 +54,6 @@ from repro.sql.parser import parse
 #: The transform leg runs once per join method by default.
 JOIN_METHODS = CHOICES["join_method"]
 
-#: Default parallelism matrix: serial only (cross in degrees with
-#: --parallelism; parallel legs run with ``parallel_threshold=0`` so
-#: the grammar's small cases exercise the exchange operators at all).
-PARALLELISMS = (1,)
-
 
 @dataclass
 class CaseOutcome:
@@ -83,7 +73,6 @@ class CaseOutcome:
 def run_case(
     case: Case,
     join_methods: tuple[str, ...] = JOIN_METHODS,
-    parallelisms: tuple[int, ...] = PARALLELISMS,
 ) -> CaseOutcome:
     """Execute one case every way and compare normalized bags."""
     catalog = case.build_catalog()
@@ -115,51 +104,29 @@ def run_case(
     transform_skipped = False
     detail_skip = ""
     for join_method in join_methods:
-        page_ios: dict[str, int] = {}
-        for degree in parallelisms:
-            executor = Engine(
-                catalog,
-                join_method=join_method,
-                parallelism=degree,
-                # The grammar's cases are tiny; without a zero threshold
-                # a parallel leg would silently run the serial operators.
-                parallel_threshold=0 if degree > 1 else None,
+        leg = f"transform[{join_method}]"
+        # Cold cache per leg (the bench protocol): a leg runs against
+        # no buffer state a previous leg happened to leave behind.
+        catalog.buffer.evict_all()
+        try:
+            tr = Engine(catalog, join_method=join_method).run(
+                select, method="transform"
             )
-            suffix = f"|p{degree}" if degree > 1 else ""
-            leg = f"transform[{join_method}{suffix}]"
-            # Cold cache per leg (the bench protocol): page I/O must
-            # reflect the plan, not the buffer state a previous leg
-            # happened to leave behind.
-            catalog.buffer.evict_all()
-            try:
-                tr = executor.run(select, method="transform")
-                results[leg] = normalize_rows(tr.result.rows)
-                page_ios[leg] = tr.io.page_ios
-            except TransformError as exc:
-                # The rewrite itself is independent of join method and
-                # width: one skip means they all skip.
-                transform_skipped = True
-                detail_skip = str(exc)
-            except Exception as exc:
-                return CaseOutcome(
-                    case, "error", detail=f"{leg}: {exc}", results=results
-                )
-            leaked = leaked_pages(catalog)
-            if leaked:
-                return _leak_outcome(case, leg, leaked, results)
-            if transform_skipped:
-                break
+            results[leg] = normalize_rows(tr.result.rows)
+        except TransformError as exc:
+            # The rewrite itself is independent of join method: one
+            # skip means they all skip.
+            transform_skipped = True
+            detail_skip = str(exc)
+        except Exception as exc:
+            return CaseOutcome(
+                case, "error", detail=f"{leg}: {exc}", results=results
+            )
+        leaked = leaked_pages(catalog)
+        if leaked:
+            return _leak_outcome(case, leg, leaked, results)
         if transform_skipped:
             break
-        # Every width of one join method must charge the same page
-        # I/O — the exchange operators may not change the cost model.
-        if len(set(page_ios.values())) > 1:
-            return CaseOutcome(
-                case,
-                "divergence",
-                detail=f"page I/O differs across legs: {page_ios}",
-                results=results,
-            )
 
     reference = results["sqlite"]
     for leg, bag in results.items():
@@ -220,7 +187,6 @@ def run_difftest(
     stop_on_failure: bool = True,
     minimize: bool = True,
     join_methods: tuple[str, ...] = JOIN_METHODS,
-    parallelisms: tuple[int, ...] = PARALLELISMS,
 ) -> Report:
     """Generate and check ``examples`` cases; minimize any failure."""
     from repro.difftest.minimize import minimize_case
@@ -229,7 +195,7 @@ def run_difftest(
     report = Report()
     for index in range(examples):
         case = generator.case(index)
-        outcome = run_case(case, join_methods, parallelisms)
+        outcome = run_case(case, join_methods)
         report.examples += 1
         if outcome.status == "ok":
             report.ok += 1
@@ -239,11 +205,11 @@ def run_difftest(
         if minimize:
             shrunk = minimize_case(
                 case,
-                lambda c: run_case(c, join_methods, parallelisms).failed,
+                lambda c: run_case(c, join_methods).failed,
             )
-            outcome = run_case(shrunk, join_methods, parallelisms)
+            outcome = run_case(shrunk, join_methods)
             if not outcome.failed:  # pragma: no cover - shrinker invariant
-                outcome = run_case(case, join_methods, parallelisms)
+                outcome = run_case(case, join_methods)
         report.failures.append(outcome)
         if stop_on_failure:
             break
@@ -297,12 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(default: {','.join(JOIN_METHODS)})",
     )
     parser.add_argument(
-        "--parallelism",
-        default=",".join(str(p) for p in PARALLELISMS),
-        help="comma-separated worker-shard degrees for the transform "
-        "legs; degrees > 1 run with parallel_threshold=0 (default: 1)",
-    )
-    parser.add_argument(
         "--mixed",
         type=int,
         default=0,
@@ -315,9 +275,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         metavar="N",
-        help="also replay N mixed multi-query events per parallelism "
-        "leg (1 and 4) through the shared-subplan cache, checked "
-        "against SQLite and the sharing-disabled path "
+        help="also replay N mixed multi-query events through the "
+        "shared-subplan cache, checked against SQLite and the "
+        "sharing-disabled path "
         "(see repro.difftest.replay; default 0)",
     )
     args = parser.parse_args(argv)
@@ -327,22 +287,11 @@ def main(argv: list[str] | None = None) -> int:
         for method in args.join_methods.split(",")
         if method.strip()
     )
-    try:
-        parallelisms = tuple(
-            int(token.strip())
-            for token in args.parallelism.split(",")
-            if token.strip()
-        )
-    except ValueError:
-        parser.error(f"--parallelism must be integers: {args.parallelism!r}")
-    if any(degree < 1 for degree in parallelisms):
-        parser.error("--parallelism degrees must be >= 1")
     report = run_difftest(
         examples=args.examples,
         seed=args.seed,
         stop_on_failure=not args.keep_going,
         join_methods=join_methods,
-        parallelisms=parallelisms,
     )
     for outcome in report.failures:
         print(format_outcome(outcome))

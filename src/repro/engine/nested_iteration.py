@@ -22,13 +22,11 @@ compare every rewritten plan's result against it (multiset equality).
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 from repro.catalog.catalog import Catalog
-from repro.config import ExecConfig
 from repro.engine.aggregate import compute_aggregate
 from repro.engine.compile import CompiledFn, compile_predicate, compile_scalar
 from repro.engine.expression import EvalContext, SubqueryHandler
@@ -47,7 +45,6 @@ from repro.sql.ast import (
     map_children,
 )
 from repro.sql.printer import to_sql
-from repro.storage.locks import make_lock
 
 
 @dataclass
@@ -68,52 +65,18 @@ class QueryResult:
         return len(self.rows)
 
 
-class _Pending:
-    """Single-flight cache placeholder: the owner thread is computing
-    this entry; waiters block on the event, then re-read the cache."""
-
-    __slots__ = ("event",)
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-
-
 _MISSING = object()
 
 
 class NestedIterationExecutor(SubqueryHandler):
     """Evaluates nested queries by (cached) nested iteration.
 
-    Concurrency.  With ``parallelism > 1`` the *outermost* loop of a
-    single-table top-level block is sharded across the exchange pool
-    (each worker evaluates the WHERE plan — correlated subqueries and
-    all — over its own page shard of the outer table).  The result
-    caches are then shared mutable state:
-
-    * ``_scalar_cache`` / ``_column_cache`` / ``_corr_memo`` hold
-      *computed results*, where a lost-update race would change
-      observable I/O (recomputing an inner block re-reads its pages;
-      recomputing the materialized ``X`` writes a second temp).  They
-      are single-flight: one lock guards the maps, and the first
-      thread to miss installs a :class:`_Pending` entry and computes
-      while later threads block on it — each inner block still runs
-      exactly once per key, same as serial.
-    * the plan caches (``_where_plans``, ``_item_plans``,
-      ``_group_plans``, ``_outer_ref_plans``, ``_index_plans``) map
-      AST node ids to pure, idempotent derivations.  Two threads may
-      race to compute the same plan; both results are identical, the
-      dict store is atomic under the GIL, and no I/O is involved — so
-      these stay lock-free.
+    One executor runs one query at a time on the calling thread; its
+    result caches and plan caches are plain dicts.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        config: ExecConfig = ExecConfig(),
-        verify: bool = True,
-    ) -> None:
+    def __init__(self, catalog: Catalog, verify: bool = True) -> None:
         self.catalog = catalog
-        self.config = config
         self.verify = verify
         self._scalar_cache: dict[int, object] = {}
         self._column_cache: dict[int, Relation] = {}
@@ -127,38 +90,14 @@ class NestedIterationExecutor(SubqueryHandler):
         # result, plus the per-query list of referenced outer columns.
         self._outer_ref_plans: dict[int, object] = {}
         self._corr_memo: dict[tuple, object] = {}
-        self._cache_lock = make_lock("engine.subquery_memo")
 
-    def _single_flight(self, cache: dict, key, compute):
-        """Return ``cache[key]``, computing it exactly once.
-
-        The first thread to miss installs a :class:`_Pending` marker
-        and computes outside the lock (the computation reads pages and
-        may evaluate further subqueries — holding the lock across it
-        would serialize all workers).  Waiters block on the marker's
-        event and re-read.  On failure the marker is removed so a
-        waiter retries the computation rather than caching an error.
-        """
-        while True:
-            with self._cache_lock:
-                entry = cache.get(key, _MISSING)
-                if entry is _MISSING:
-                    pending = _Pending()
-                    cache[key] = pending
-                    break
-            if not isinstance(entry, _Pending):
-                return entry
-            entry.event.wait()
-        try:
-            value = compute()
-        except BaseException:
-            with self._cache_lock:
-                cache.pop(key, None)
-            pending.event.set()
-            raise
-        with self._cache_lock:
-            cache[key] = value
-        pending.event.set()
+    @staticmethod
+    def _cached(cache: dict, key, compute):
+        """Return ``cache[key]``, computing it on a miss.  A computation
+        that raises caches nothing, so the next lookup retries it."""
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = compute()
         return value
 
     # -- public API ------------------------------------------------------
@@ -203,7 +142,7 @@ class NestedIterationExecutor(SubqueryHandler):
     def scalar(self, query: Select, context: EvalContext | None) -> object:
         correlated = self._is_correlated(query)
         if not correlated:
-            return self._single_flight(
+            return self._cached(
                 self._scalar_cache,
                 id(query),
                 partial(self._scalar_value, query, None),
@@ -211,7 +150,7 @@ class NestedIterationExecutor(SubqueryHandler):
         memo_key = self._memo_key("scalar", query, context)
         if memo_key is None:
             return self._scalar_value(query, context)
-        return self._single_flight(
+        return self._cached(
             self._corr_memo, memo_key, partial(self._scalar_value, query, context)
         )
 
@@ -228,7 +167,7 @@ class NestedIterationExecutor(SubqueryHandler):
     def column(self, query: Select, context: EvalContext | None) -> list[object]:
         correlated = self._is_correlated(query)
         if not correlated:
-            cached = self._single_flight(
+            cached = self._cached(
                 self._column_cache,
                 id(query),
                 partial(self._column_store, query),
@@ -237,7 +176,7 @@ class NestedIterationExecutor(SubqueryHandler):
         memo_key = self._memo_key("column", query, context)
         if memo_key is None:
             return self._column_values(query, context)
-        return self._single_flight(
+        return self._cached(
             self._corr_memo, memo_key, partial(self._column_values, query, context)
         )
 
@@ -245,9 +184,6 @@ class NestedIterationExecutor(SubqueryHandler):
         values = self._column_values(query, None)
         # System R's X: the inner result lives on disk and is
         # rescanned per outer tuple (cheap only if it fits in B).
-        # Single-flight matters doubly here: a duplicated computation
-        # would not just waste work, it would *write a second temp* —
-        # extra page I/O and a leaked heap.
         return Relation.materialize(
             RowSchema([(None, "X")]),
             [(v,) for v in values],
@@ -273,7 +209,7 @@ class NestedIterationExecutor(SubqueryHandler):
                 query, outer=context if correlated else None
             )
             return bool(rows)
-        return self._single_flight(
+        return self._cached(
             self._corr_memo, memo_key, partial(self._exists_value, query, context)
         )
 
@@ -373,9 +309,6 @@ class NestedIterationExecutor(SubqueryHandler):
         if indexed is not None:
             return indexed
         keep = self._where_plan(select, schema, outer)
-        parallel = self._parallel_qualifying_rows(select, schema, outer, keep)
-        if parallel is not None:
-            return parallel
         plain = [ref.name for ref in tables if not ref.semi]
         semi = [ref.name for ref in tables if ref.semi]
         rows: list[tuple] = []
@@ -390,61 +323,6 @@ class NestedIterationExecutor(SubqueryHandler):
                     rows.append(combined)
                     break
         return rows
-
-    def _parallel_qualifying_rows(
-        self,
-        select: Select,
-        schema: RowSchema,
-        outer: EvalContext | None,
-        keep: CompiledFn | None,
-    ) -> list[tuple] | None:
-        """Shard the outermost loop across the exchange pool, or None.
-
-        Only the *top-level* block of a *single-table* FROM clause
-        fans out: workers evaluate the full WHERE plan — correlated
-        subqueries included — over disjoint page shards of the outer
-        table, and the ordered gather restores scan order, so the
-        qualifying rows come back exactly as the serial loop would
-        produce them.  Inner blocks (``outer is not None``) stay serial
-        on whichever thread reached them, and multi-table blocks stay
-        serial because their nested inner rescans are re-read-sensitive
-        under concurrent eviction.  Page-I/O identity for the sharded
-        loop itself holds by the single-pass argument (disjoint shards,
-        each page read once); the subqueries a worker triggers are
-        deduplicated by the single-flight caches, so inner blocks run
-        once per memo key — the serial schedule — and their reads are
-        identical whenever the buffer keeps the working set resident,
-        which the serial executor requires for its own costs anyway.
-        """
-        if (
-            outer is not None
-            or self.config.parallelism <= 1
-            or len(select.from_tables) != 1
-        ):
-            return None
-        heap = self.catalog.heap_of(select.from_tables[0].name)
-        if heap.num_rows < self.config.parallel_threshold:
-            return None
-        from repro.engine.exchange import in_worker, run_tasks
-
-        if in_worker():
-            return None
-        nparts = max(1, min(self.config.parallelism, heap.num_pages))
-        shards = heap.partition_pages(nparts)
-
-        def work(index: int) -> list[tuple]:
-            rows: list[tuple] = []
-            for _page_index, batch in heap.scan_pages_partition(shards[index]):
-                for combined in batch:
-                    if keep is None or keep(combined, None) is True:
-                        rows.append(combined)
-            return rows
-
-        gathered = run_tasks(
-            [partial(work, index) for index in range(nparts)],
-            width=self.config.parallelism,
-        )
-        return [row for shard in gathered for row in shard]
 
     def _where_plan(
         self, select: Select, schema: RowSchema, outer: EvalContext | None

@@ -46,9 +46,8 @@ columns, run expressions as the batch kernels of
 
 Restrict/project and the hash-join probe are each one pure
 ``batch -> output rows`` body (:func:`restrict_project_body`,
-:func:`hash_probe_body`): the serial operators here drive it over
-``iter_batches()``, the exchange operators of
-:mod:`repro.engine.parallel` drive the same body over page shards.
+:func:`hash_probe_body`), which the operators here drive over
+``iter_batches()``.
 
 **Error surfacing** (the contract, DESIGN §4b).  Kernels evaluate a
 batch column at a time, so when several cells of one batch would each
@@ -133,8 +132,7 @@ def restrict_project_body(
 ) -> tuple[RowSchema, Callable[[list[tuple]], list[tuple]]]:
     """Selection + projection as ``(output schema, batch -> output rows)``.
 
-    The returned function is pure and stateless, so the serial operator
-    and every exchange worker share one instance.
+    The returned function is pure and stateless.
     """
     if projections is None:
         out_schema = schema
@@ -527,8 +525,7 @@ def hash_probe_body(
     """Build the hash table on ``right``; return ``probe batch -> rows``.
 
     The build reads ``right`` once, here, on the calling thread; the
-    table is read-only afterwards, so the returned function is pure and
-    one instance serves the serial probe and every exchange worker.
+    table is read-only afterwards, so the returned function is pure.
     Output rows follow probe order (each left row's matches in build
     insertion order), so any ordering of the probe input survives.
 

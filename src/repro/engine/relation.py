@@ -200,52 +200,6 @@ class Relation:
         for start in range(0, len(rows), _MEMORY_BATCH_ROWS):
             yield rows[start : start + _MEMORY_BATCH_ROWS]
 
-    def partition_count(self, partitions: int) -> int:
-        """Clamp a requested partition count to something useful.
-
-        At most one partition per heap page (or per memory batch): a
-        partition can't be finer than the unit of I/O, and empty tail
-        shards would only add dispatch overhead.  Always at least 1.
-        """
-        if self.heap is not None:
-            units = self.heap.num_pages
-        else:
-            units = -(-len(self._rows) // _MEMORY_BATCH_ROWS)
-        return max(1, min(partitions, max(units, 1)))
-
-    def iter_partition_batches(
-        self, index: int, partitions: int, scheme: str = "range"
-    ) -> Iterator[list[tuple]]:
-        """Yield the batches belonging to shard ``index`` of ``partitions``.
-
-        The shards are disjoint and their union is exactly the batch
-        stream :meth:`iter_batches` yields: for heap relations each
-        shard reads its own pages through the buffer pool (so the page
-        reads across all shards sum to the serial scan's reads), and
-        under the default ``"range"`` scheme concatenating shards
-        ``0..partitions-1`` reproduces the serial batch order — which
-        is what lets a scatter-gather exchange preserve row order.
-        Shards may be empty.
-        """
-        if self.heap is not None:
-            shard = self.heap.partition_pages(partitions, scheme)[index]
-            for _page_index, rows in self.heap.scan_pages_partition(shard):
-                yield rows
-            return
-        rows = self._rows
-        starts = list(range(0, len(rows), _MEMORY_BATCH_ROWS))
-        if scheme == "range":
-            base, extra = divmod(len(starts), partitions)
-            lo = index * base + min(index, extra)
-            hi = lo + base + (1 if index < extra else 0)
-            mine = starts[lo:hi]
-        elif scheme == "hash":
-            mine = starts[index::partitions]
-        else:
-            raise ValueError(f"unknown partition scheme {scheme!r}")
-        for start in mine:
-            yield rows[start : start + _MEMORY_BATCH_ROWS]
-
     def to_list(self) -> list[tuple]:
         return list(self)
 

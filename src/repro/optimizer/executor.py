@@ -28,13 +28,9 @@ Design points lifted straight from the paper:
 
 How a step evaluates its tuples is not part of the plan: the
 single-pass operators (restrict/project, hash join, hash DISTINCT,
-both aggregates) run a batch at a time, and under ``parallelism > 1``
-an input of at least ``parallel_threshold`` rows runs the same
-operator over page shards in the exchange pool — same rows, same page
-I/O totals.  Merge and nested-loop joins and external sorts re-read
-pages, where thread interleaving under eviction pressure could
-perturb the re-read counts, so they always run serially (see
-:mod:`repro.engine.parallel`).
+both aggregates) run a batch at a time, on the thread that issued the
+query.  Every operator runs serially, so a plan's page I/O is one
+schedule — the one section 7 costs.
 """
 
 from __future__ import annotations
@@ -55,12 +51,6 @@ from repro.engine.operators import (
     nested_loop_join,
     restrict_project,
     scan_table,
-)
-from repro.engine.parallel import (
-    parallel_distinct,
-    parallel_group_aggregate,
-    parallel_hash_join,
-    parallel_restrict_project,
 )
 from repro.engine.relation import Relation, describe_order
 from repro.engine.schema import RowSchema
@@ -88,17 +78,6 @@ def _join_step(method: str, mode: str, on: str) -> str:
         f"{method} {'semi-join' if mode == 'semi' else 'join'} on {on}"
         + (" (left outer)" if mode == "left" else "")
     )
-
-
-#: The single-pass operators and their exchange counterparts; the
-#: input that is sharded is the first argument of each.
-_PARALLEL = {
-    restrict_project: parallel_restrict_project,
-    hash_join: parallel_hash_join,
-    hash_distinct: parallel_distinct,
-    group_aggregate: parallel_group_aggregate,
-    hash_group_aggregate: parallel_group_aggregate,
-}
 
 
 class SingleLevelExecutor:
@@ -168,22 +147,7 @@ class SingleLevelExecutor:
         block materializes is on the scratch list :meth:`execute`
         sweeps.  (An operator that raises has no output to record; a
         half-built heap is freed by ``Relation.materialize`` itself.)
-
-        It is also where width is decided, per input: a single-pass
-        operator whose input has at least ``parallel_threshold`` rows
-        runs over ``parallelism`` page shards; anything smaller runs
-        serially — fan-out overhead would swamp any I/O overlap there —
-        so one plan freely mixes wide big-input steps with serial
-        small ones.
         """
-        wide = _PARALLEL.get(operator)
-        if (
-            wide is not None
-            and self.config.parallelism > 1
-            and args[0].num_rows >= self.config.parallel_threshold
-        ):
-            operator = wide
-            kwargs["parallelism"] = self.config.parallelism
         relation = operator(*args, **kwargs)
         self._scratch.append(relation)
         return relation

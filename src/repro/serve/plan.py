@@ -200,9 +200,7 @@ class CachedPlan:
             bound_params(values),
         ):
             if self.kind == "nested_iteration":
-                result = NestedIterationExecutor(session, self.config).execute(
-                    self.select
-                )
+                result = NestedIterationExecutor(session).execute(self.select)
                 return RunReport(
                     result=result,
                     io=session.buffer.stats() - before,
@@ -627,9 +625,7 @@ def install_link(executor: SingleLevelExecutor, link: TempTableDef) -> str:
     text."""
     if link.slot is None:
         return executor.materialize(link.name, link.query)
-    rows = NestedIterationExecutor(executor.catalog, executor.config).execute(
-        link.query
-    ).rows
+    rows = NestedIterationExecutor(executor.catalog).execute(link.query).rows
     if link.is_list:
         value: object = ValueList(row[0] for row in rows)
     elif len(rows) > 1:

@@ -43,9 +43,8 @@ from repro.storage.stats import IOStats
 #: Default buffer size in pages; benchmarks override it per experiment.
 DEFAULT_BUFFER_PAGES = 8
 
-#: Default number of per-page fault latches (modulo-mapped).  Parallel
-#: partitioned scans may raise this per pool so workers faulting on
-#: disjoint page shards rarely share a latch.
+#: Default number of per-page fault latches (modulo-mapped), so
+#: serving threads faulting on different pages rarely share a latch.
 _STRIPE_COUNT = 16
 
 

@@ -215,88 +215,6 @@ class HeapFile:
             self.buffer.unpin(self._tail_page.page_id)
             self._tail_page = None
 
-    # -- partitioning ----------------------------------------------------
-
-    def partition_pages(
-        self, partitions: int, scheme: str = "range"
-    ) -> list[list[tuple[int, int]]]:
-        """Split the page list into ``partitions`` disjoint shards.
-
-        Returns one list of ``(page_index, page_id)`` pairs per
-        partition (the index is the page's position in the file, which
-        fixes the global row offset of every tuple on it — see
-        :meth:`rows_before`).  The shards partition the *page list*,
-        never individual pages: a page is the unit of I/O, so any
-        schedule that reads each shard once reads exactly the pages a
-        serial scan reads — the paper's cost model is preserved by
-        construction, not by accounting tricks.
-
-        Schemes:
-
-        * ``"range"`` — contiguous runs of nearly equal length; shard
-          order concatenates back to scan order, so an ordered gather
-          over range shards reproduces the serial scan's row order.
-        * ``"hash"`` — page index modulo ``partitions`` (round-robin);
-          balances shard sizes when page fill correlates with position.
-
-        Partitions may be empty (``partitions`` > page count is legal).
-        The split is computed over a snapshot of the page list, like
-        every scan.
-        """
-        if partitions < 1:
-            raise ValueError(f"partition count must be >= 1, got {partitions}")
-        pages = list(enumerate(self.page_ids))
-        shards: list[list[tuple[int, int]]] = [[] for _ in range(partitions)]
-        if scheme == "range":
-            base, extra = divmod(len(pages), partitions)
-            start = 0
-            for index in range(partitions):
-                size = base + (1 if index < extra else 0)
-                shards[index] = pages[start : start + size]
-                start += size
-        elif scheme == "hash":
-            for position, pair in enumerate(pages):
-                shards[position % partitions].append(pair)
-        else:
-            raise ValueError(f"unknown partition scheme {scheme!r}")
-        return shards
-
-    def rows_before(self, page_index: int) -> int:
-        """Global row offset of the first tuple on page ``page_index``.
-
-        Computable without I/O thanks to the append path's fill
-        invariant: every page except the last is filled to
-        ``rows_per_page`` before a new page is allocated, so page ``k``
-        starts at row ``k * rows_per_page``.  Partitioned scans use
-        this to enumerate stable rowids per shard without a serial
-        prefix scan.
-        """
-        return page_index * self.rows_per_page
-
-    def scan_pages_partition(
-        self, shard: list[tuple[int, int]]
-    ) -> Iterator[tuple[int, list[tuple]]]:
-        """Yield ``(page_index, rows)`` for one shard of a partition map.
-
-        Reads go through the buffer pool like any other scan; a shard
-        reads exactly its own pages, so the union over one partition
-        map's shards performs the serial scan's reads, just possibly
-        interleaved across workers.  Under a pinned snapshot, pages
-        wholly past the horizon are skipped without I/O and the
-        boundary page is trimmed — exactly what a serial snapshot scan
-        reads, sharded.
-        """
-        limit = self._scan_limit()
-        for page_index, page_id in shard:
-            if limit is None:
-                yield page_index, list(self.buffer.get_page(page_id).rows)
-                continue
-            visible = limit - self.rows_before(page_index)
-            if visible <= 0:
-                continue
-            rows = self.buffer.get_page(page_id).rows
-            yield page_index, list(rows[:visible])
-
     # -- reading ---------------------------------------------------------
 
     # Scans iterate a snapshot of the page list: a concurrent truncate

@@ -16,9 +16,8 @@ activated, which is also what lets :mod:`repro.txn.mvcc` layer
 transaction-private read-your-writes overlays on top without the
 storage layer caring.
 
-The context variable propagates into exchange-pool workers the same way
-bound query parameters do (the pool copies ``contextvars`` per task),
-so partitioned parallel scans observe the pinning thread's snapshot.
+A query runs on the thread that pinned its snapshot, so the context
+variable is per thread (and per serving client) by construction.
 """
 
 from __future__ import annotations

@@ -45,14 +45,13 @@ class PartsSupplySpec:
             append to PARTS (the section 5.4 scenario).
         seed: RNG seed.
         io_delay: simulated per-page-read latency in seconds, passed to
-            the instance's :class:`DiskManager` (used by the parallel
-            benchmark to model I/O-bound scans — reads sleep outside
-            all locks, so concurrent shards overlap their waits).
+            the instance's :class:`DiskManager` (models I/O-bound
+            scans — reads sleep outside all locks, so concurrent
+            readers overlap their waits).
         skew: when > 0, draw SUPPLY's matching PNUMs from a zipf-ish
             distribution instead of uniformly (see :func:`skewed_keys`);
             higher values concentrate shipments on a few hot parts,
-            which stresses partition balance and hash-join build
-            chains.
+            which stresses hash-join build chains.
     """
 
     num_parts: int = 50

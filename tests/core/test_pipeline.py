@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro import Database
-from repro.config import DEFAULT_PARALLEL_THRESHOLD, ExecConfig
+from repro.config import ExecConfig
 from repro.core.nest_ja import kim_nest_g
 from repro.core.pipeline import Engine
 from repro.errors import CatalogError, ReproError, TransformError
@@ -20,8 +20,16 @@ from repro.workloads.paper_data import (
 from tests.core.helpers import run_with
 
 #: Keywords Engine no longer takes: the paper's wrong answers are
-#: functions (kim_nest_g, paper_section8), and every plan is verified.
-REMOVED = ("ja_algorithm", "exists_count_mode", "quantifier_mode", "verify")
+#: functions (kim_nest_g, paper_section8), every plan is verified, and
+#: a query runs on the thread that issued it.
+REMOVED = (
+    "ja_algorithm",
+    "exists_count_mode",
+    "quantifier_mode",
+    "verify",
+    "parallelism",
+    "parallel_threshold",
+)
 
 
 class TestEngineMethods:
@@ -151,6 +159,8 @@ class TestSettingsValidation:
             ("verify", False),
             ("parallelism", 0),
             ("parallelism", 2.5),
+            ("parallelism", 4),
+            ("parallel_threshold", 0),
         ],
     )
     def test_engine_rejects_unknown_value(self, setting, value):
@@ -161,7 +171,13 @@ class TestSettingsValidation:
 
     @pytest.mark.parametrize(
         "setting,value",
-        [("join_method", "bogus"), ("ja_algorithm", "nope"), ("parallelism", 0)],
+        [
+            ("join_method", "bogus"),
+            ("ja_algorithm", "nope"),
+            ("parallelism", 0),
+            ("parallelism", 2),
+            ("parallel_threshold", 0),
+        ],
     )
     def test_database_rejects_unknown_value(self, setting, value):
         error = TypeError if setting in REMOVED else ReproError
@@ -183,11 +199,7 @@ class TestSettingsValidation:
 
 
 #: A second legal value for every ExecConfig field.
-OTHER_VALUE = {
-    "join_method": "hash",
-    "parallelism": 2,
-    "parallel_threshold": 0,
-}
+OTHER_VALUE = {"join_method": "hash"}
 
 
 def kiessling_db(**settings) -> Database:
@@ -201,24 +213,20 @@ def kiessling_db(**settings) -> Database:
 
 class TestExecConfig:
     def test_frozen_hashable_and_resolved_once(self):
-        config = ExecConfig(join_method="hash", parallel_threshold=None)
+        config = ExecConfig(join_method="hash")
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.join_method = "merge"
-        assert config.parallel_threshold == DEFAULT_PARALLEL_THRESHOLD
         assert config == ExecConfig(join_method="hash")
         assert len({config, ExecConfig(join_method="hash"), ExecConfig()}) == 2
         assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(ExecConfig)}
         # dedupe_inner / dedupe_outer are derived; the paper modes are
-        # functions.
-        assert len(OTHER_VALUE) == 3
+        # functions; a query runs on the thread that issued it.
+        assert len(OTHER_VALUE) == 1
+        assert [f.name for f in dataclasses.fields(ExecConfig)] == ["join_method"]
 
     @pytest.mark.parametrize(
         "setting,value",
-        [
-            ("join_method", "nope"),
-            ("parallelism", 0),
-            ("parallelism", 1.5),
-        ],
+        [("join_method", "nope")],
     )
     def test_bad_value_rejected_at_construction_and_through_replace(
         self, setting, value

@@ -11,8 +11,7 @@ block that becomes the DISTINCT inner temp of an enclosing ``IN``, and
 where an enclosing NEST-JA2 step must project the temp's column.
 
 Every shape below runs through the difftest harness (nested iteration ≡
-SQLite ≡ transform under merge / nested / hash at parallelism 1 and 4,
-no leaked page) over generated instances with duplicates and NULLs in
+SQLite ≡ transform under merge / nested / hash, no leaked page) over generated instances with duplicates and NULLs in
 the item, the correlation columns and the outer columns; the plan is
 then checked for the semi tables being exactly where the rule puts them.
 """
@@ -120,7 +119,7 @@ def test_answers_and_derived_fix_up(shape, rows_t, rows_u):
     merge; a semi-join leaves nothing to fix up.)"""
     sql, definitions, semi_tables = SHAPES[shape]
     case = Case(rows={"T": rows_t, "U": rows_u}, sql=sql)
-    outcome = run_case(case, parallelisms=(1, 4))
+    outcome = run_case(case)
     assert outcome.status == "ok", f"{outcome.detail}\n{case.describe()}"
     assert not outcome.transform_skipped
 

@@ -1,18 +1,21 @@
-"""Parallel exchange operators against their serial counterparts.
+"""The physical operators run by concurrent clients.
 
-Every parallel operator's contract is *indistinguishability*: same
-rows, same row order (or bag where the serial operator only promises a
-bag), same output page geometry, and — the paper-facing invariant —
-the same total page I/O.  The tests run each operator side by side
-with its serial twin on a cold pool and compare both the results and
-the ``IOStats`` deltas.  Restrict/project and the hash-join probe share
-their per-batch body with the serial operator, so for those the
-side-by-side run checks the *driver* (sharding, gather order, I/O
-identity) and the rows are additionally checked against something that
-shares no code with either: literal expected rows, the nested-loop
-join.  3VL corners (SUM over an empty group is NULL, COUNT is 0) are
-checked explicitly because the parallel aggregate's merge step is
-exactly where a naive implementation would lose them.
+A query runs on the thread that issued it, but serving threads run
+their queries at once over one buffer pool, and so over the same heap
+relations, compiled kernels and build tables.  Each test runs one
+operator alone on a cold pool, then on several client threads at once
+over the same inputs, and demands:
+
+* every client's rows equal the lone run's — order included, not just
+  the bag — and a reference that shares no code with the operator
+  (literal rows, the nested-loop join) where one exists;
+* every client's output has the lone run's page geometry;
+* the clients together read from disk exactly the pages the lone run
+  read: the pool holds the working set, and concurrent misses on one
+  page fault it in once.
+
+3VL corners (SUM over an empty group is NULL, COUNT is 0) are checked
+explicitly.
 """
 
 from collections import Counter
@@ -20,19 +23,13 @@ from collections import Counter
 import pytest
 
 from repro.engine.aggregate import AggSpec
-from repro.engine.exchange import in_worker, run_tasks
 from repro.engine.operators import (
+    group_aggregate,
     hash_distinct,
     hash_group_aggregate,
     hash_join,
     nested_loop_join,
     restrict_project,
-)
-from repro.engine.parallel import (
-    parallel_distinct,
-    parallel_group_aggregate,
-    parallel_hash_join,
-    parallel_restrict_project,
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
@@ -40,6 +37,7 @@ from repro.sql.ast import ColumnRef, Comparison
 from repro.sql.parser import parse_expression
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
+from tests.clients import run_clients
 from tests.evaluation import MODES, evaluation
 
 
@@ -59,68 +57,30 @@ def cold(buffer):
     buffer.reset_stats()
 
 
+def alone_and_together(buffer, clients, operator):
+    """Run ``operator()`` alone, then on ``clients`` threads at once,
+    each from a cold pool; check geometry and page reads, and return
+    the lone rows and every client's rows."""
+    cold(buffer)
+    alone = operator()
+    alone_rows = alone.to_list()
+    alone_reads = buffer.stats().page_reads
+
+    cold(buffer)
+    outputs = run_clients(clients, operator)
+    together_reads = buffer.stats().page_reads
+    assert [out.num_pages for out in outputs] == [alone.num_pages] * clients
+    assert together_reads == alone_reads
+    return alone_rows, [out.to_list() for out in outputs]
+
+
 ROWS = [(i % 7, i, None if i % 5 == 0 else i * 2) for i in range(200)]
-
-
-class TestExchange:
-    def test_ordered_gather(self):
-        assert run_tasks([lambda i=i: i * i for i in range(20)]) == [
-            i * i for i in range(20)
-        ]
-
-    def test_empty_and_single(self):
-        assert run_tasks([]) == []
-        assert run_tasks([lambda: 41]) == [41]
-
-    def test_first_exception_wins_and_all_settle(self):
-        settled = []
-
-        def ok(i):
-            settled.append(i)
-            return i
-
-        def boom():
-            raise ValueError("shard failed")
-
-        with pytest.raises(ValueError, match="shard failed"):
-            run_tasks([lambda: ok(0), boom, lambda: ok(2)])
-        assert sorted(settled) == [0, 2]
-
-    def test_nested_calls_run_inline(self):
-        """A task that itself fans out must not deadlock the fixed pool:
-        nested run_tasks calls execute inline on the worker thread."""
-
-        def outer():
-            assert in_worker()
-            return run_tasks([lambda: in_worker() for _ in range(4)])
-
-        results = run_tasks([outer, outer])
-        assert results == [[True] * 4, [True] * 4]
-        assert not in_worker()
-
-    def test_bound_params_visible_in_workers(self):
-        """Bind-parameter values live in a ContextVar; the exchange must
-        copy the submitting context into every pool task or cached
-        parameterized plans break under parallelism."""
-        from repro.engine.params import bound_params, param_value
-
-        with bound_params((7, "x")):
-            assert run_tasks(
-                [lambda: param_value(0) for _ in range(4)]
-            ) == [7] * 4
-
-    def test_width_one_is_serial(self):
-        assert run_tasks([lambda: in_worker() for _ in range(3)], width=1) == [
-            False,
-            False,
-            False,
-        ]
 
 
 class TestParallelRestrictProject:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("parallelism", [2, 3, 8])
-    def test_matches_serial_rows_and_io(self, mode, parallelism):
+    @pytest.mark.parametrize("clients", [2, 3, 8])
+    def test_matches_serial_rows_and_io(self, mode, clients):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A", "B", "C"], ROWS)
         predicate = parse_expression("A < 5")
@@ -130,40 +90,28 @@ class TestParallelRestrictProject:
         ]
 
         with evaluation(mode):
-            cold(buffer)
-            serial = restrict_project(
-                source, buffer, predicate=predicate, projections=projections
-            )
-            serial_rows = serial.to_list()
-            serial_io = buffer.stats()
-
-            cold(buffer)
-            parallel = parallel_restrict_project(
-                source,
+            alone, together = alone_and_together(
                 buffer,
-                predicate=predicate,
-                projections=projections,
-                parallelism=parallelism,
+                clients,
+                lambda: restrict_project(
+                    source, buffer, predicate=predicate, projections=projections
+                ),
             )
-            parallel_rows = parallel.to_list()
-            parallel_io = buffer.stats()
 
-        assert parallel_rows == [(b, c) for a, b, c in ROWS if a < 5]
-        assert parallel_rows == serial_rows  # order preserved, not just bag
-        assert parallel.num_pages == serial.num_pages
-        assert parallel_io.page_ios == serial_io.page_ios
+        assert alone == [(b, c) for a, b, c in ROWS if a < 5]
+        assert together == [alone] * clients  # order preserved, not just bag
 
     def test_empty_source(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [])
-        out = parallel_restrict_project(source, buffer, parallelism=4)
-        assert out.to_list() == []
+        outputs = run_clients(4, lambda: restrict_project(source, buffer))
+        assert [out.to_list() for out in outputs] == [[]] * 4
 
     def test_single_row(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [(1,)])
-        out = parallel_restrict_project(source, buffer, parallelism=4)
-        assert out.to_list() == [(1,)]
+        outputs = run_clients(4, lambda: restrict_project(source, buffer))
+        assert [out.to_list() for out in outputs] == [[(1,)]] * 4
 
 
 class TestParallelHashJoin:
@@ -177,34 +125,20 @@ class TestParallelHashJoin:
         left = rel(buffer, "L", ["K", "V"], self.LEFT)
         right = rel(buffer, "R", ["K", "W"], self.RIGHT)
 
-        cold(buffer)
-        serial = hash_join(
-            left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
-        )
-        serial_rows = serial.to_list()
-        serial_io = buffer.stats()
-
-        cold(buffer)
-        parallel = parallel_hash_join(
-            left,
-            right,
+        alone, together = alone_and_together(
             buffer,
-            [0],
-            [0],
-            mode=mode,
-            null_safe=null_safe,
-            parallelism=4,
+            4,
+            lambda: hash_join(
+                left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
+            ),
         )
-        parallel_rows = parallel.to_list()
-        parallel_io = buffer.stats()
 
-        assert parallel_rows == serial_rows
-        assert parallel_io.page_ios == serial_io.page_ios
+        assert together == [alone] * 4
         key = Comparison(
             ColumnRef("L", "K"), "=", ColumnRef("R", "K"), null_safe=null_safe
         )
         loop = nested_loop_join(left, right, buffer, predicate=key, mode=mode)
-        assert parallel_rows == loop.to_list()
+        assert alone == loop.to_list()
 
     def test_residual_is_part_of_join_condition(self):
         buffer = make_buffer()
@@ -214,37 +148,30 @@ class TestParallelHashJoin:
         def residual(row):
             return row[1] % 2 == 0
 
-        cold(buffer)
-        serial = hash_join(
-            left, right, buffer, [0], [0], mode="left", residual=residual
-        ).to_list()
-        cold(buffer)
-        parallel = parallel_hash_join(
-            left,
-            right,
+        alone, together = alone_and_together(
             buffer,
-            [0],
-            [0],
-            mode="left",
-            residual=residual,
-            parallelism=3,
-        ).to_list()
-        assert parallel == serial
+            3,
+            lambda: hash_join(
+                left, right, buffer, [0], [0], mode="left", residual=residual
+            ),
+        )
+        assert together == [alone] * 3
+        unmatched = [row for row in alone if row[2:] == (None, None)]
+        assert {row[:2] for row in unmatched} >= {
+            row for row in self.LEFT if row[1] % 2
+        }
 
     def test_skewed_probe_side(self):
-        """Every probe row carries the same hot key: one shard does all
-        the matching, the others pad/drop — output must not change."""
+        """Every probe row carries the same hot key: one build chain
+        does all the matching for every client."""
         buffer = make_buffer()
         left = rel(buffer, "L", ["K", "V"], [(1, i) for i in range(120)])
         right = rel(buffer, "R", ["K", "W"], [(1, 10), (2, 20)])
-        cold(buffer)
-        serial = hash_join(left, right, buffer, [0], [0]).to_list()
-        cold(buffer)
-        parallel = parallel_hash_join(
-            left, right, buffer, [0], [0], parallelism=5
-        ).to_list()
-        assert parallel == serial
-        assert len(parallel) == 120
+        alone, together = alone_and_together(
+            buffer, 5, lambda: hash_join(left, right, buffer, [0], [0])
+        )
+        assert together == [alone] * 5
+        assert alone == [(1, i, 1, 10) for i in range(120)]
 
 
 class TestParallelAggregate:
@@ -259,60 +186,69 @@ class TestParallelAggregate:
         ]
         names = [(None, n) for n in ("G", "CNT", "S", "M", "C2")]
 
-        cold(buffer)
-        serial = hash_group_aggregate(source, buffer, [0], specs, names)
-        serial_rows = serial.to_list()
-        serial_io = buffer.stats()
-
-        cold(buffer)
-        parallel = parallel_group_aggregate(
-            source, buffer, [0], specs, names, parallelism=4
+        alone, together = alone_and_together(
+            buffer,
+            4,
+            lambda: hash_group_aggregate(source, buffer, [0], specs, names),
         )
-        parallel_rows = parallel.to_list()
-        parallel_io = buffer.stats()
 
-        # First-appearance group order, exactly like the hash aggregate.
-        assert parallel_rows == serial_rows
-        assert parallel_io.page_ios == serial_io.page_ios
+        # First-appearance group order, for every client.
+        assert together == [alone] * 4
+        assert [row[0] for row in alone] == list(range(7))
+        assert alone[0] == (
+            0,
+            29,
+            sum(c for a, b, c in ROWS if a == 0 and c is not None),
+            max(b for a, b, c in ROWS if a == 0),
+            sum(1 for a, b, c in ROWS if a == 0 and c is not None),
+        )
 
     def test_sum_of_empty_group_is_null_count_is_zero(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["G", "A"], [])
         specs = [AggSpec("SUM", 1), AggSpec("COUNT", 1)]
         names = [(None, "S"), (None, "C")]
-        out = parallel_group_aggregate(
-            source, buffer, [], specs, names, always_emit=True, parallelism=4
+        outputs = run_clients(
+            4,
+            lambda: group_aggregate(
+                source, buffer, [], specs, names, always_emit=True
+            ),
         )
-        assert out.to_list() == [(None, 0)]
+        assert [out.to_list() for out in outputs] == [[(None, 0)]] * 4
 
     def test_all_null_inputs(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["G", "A"], [(1, None), (1, None)])
-        out = parallel_group_aggregate(
-            source,
-            buffer,
-            [0],
-            [AggSpec("SUM", 1), AggSpec("COUNT", 1), AggSpec("COUNT", None)],
-            [(None, "G"), (None, "S"), (None, "C"), (None, "STAR")],
-            parallelism=2,
+        outputs = run_clients(
+            2,
+            lambda: hash_group_aggregate(
+                source,
+                buffer,
+                [0],
+                [AggSpec("SUM", 1), AggSpec("COUNT", 1), AggSpec("COUNT", None)],
+                [(None, "G"), (None, "S"), (None, "C"), (None, "STAR")],
+            ),
         )
-        assert out.to_list() == [(1, None, 0, 2)]
+        assert [out.to_list() for out in outputs] == [[(1, None, 0, 2)]] * 2
 
     def test_group_spanning_all_shards(self):
-        """One group's rows are scattered over every shard; the merge
-        must concatenate them in scan order before finalizing."""
+        """One group's rows span every page of the input."""
         buffer = make_buffer()
         rows = [(0, i) for i in range(97)]
         source = rel(buffer, "T", ["G", "A"], rows)
-        out = parallel_group_aggregate(
-            source,
+        alone, together = alone_and_together(
             buffer,
-            [0],
-            [AggSpec("COUNT", None), AggSpec("SUM", 1)],
-            [(None, "G"), (None, "C"), (None, "S")],
-            parallelism=8,
+            8,
+            lambda: hash_group_aggregate(
+                source,
+                buffer,
+                [0],
+                [AggSpec("COUNT", None), AggSpec("SUM", 1)],
+                [(None, "G"), (None, "C"), (None, "S")],
+            ),
         )
-        assert out.to_list() == [(0, 97, sum(range(97)))]
+        assert together == [alone] * 8
+        assert alone == [(0, 97, sum(range(97)))]
 
 
 class TestParallelDistinct:
@@ -321,33 +257,28 @@ class TestParallelDistinct:
         rows = [(i % 9, i % 3) for i in range(150)] + [(None, None)] * 4
         source = rel(buffer, "T", ["A", "B"], rows)
 
-        cold(buffer)
-        serial = hash_distinct(source, buffer)
-        serial_rows = serial.to_list()
-        serial_io = buffer.stats()
+        alone, together = alone_and_together(
+            buffer, 4, lambda: hash_distinct(source, buffer)
+        )
 
-        cold(buffer)
-        parallel = parallel_distinct(source, buffer, parallelism=4)
-        parallel_rows = parallel.to_list()
-        parallel_io = buffer.stats()
-
-        assert parallel_rows == serial_rows  # first-appearance order
-        assert parallel_io.page_ios == serial_io.page_ios
+        assert together == [alone] * 4
+        assert alone == list(dict.fromkeys(rows))  # first-appearance order
 
     def test_all_duplicates(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [(7,)] * 100)
-        out = parallel_distinct(source, buffer, parallelism=6)
-        assert out.to_list() == [(7,)]
+        outputs = run_clients(6, lambda: hash_distinct(source, buffer))
+        assert [out.to_list() for out in outputs] == [[(7,)]] * 6
 
 
 class TestEngineLevelEquivalence:
-    """End-to-end: a parallel engine with threshold 0 must agree with
-    the serial engine on rows *and* page I/O for the transformed plans."""
+    """End-to-end: four clients running the transformed plans of the
+    figure-1 queries at once over one catalog get the lone run's bag,
+    and read its pages once between them."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_figure1_queries(self, mode):
-        from repro.bench.harness import measure
+        from repro.core.pipeline import Engine
         from repro.workloads.generators import (
             GENERATED_J_QUERY,
             GENERATED_JA_QUERY,
@@ -363,14 +294,17 @@ class TestEngineLevelEquivalence:
             buffer_pages=512,
             seed=9,
         )
+        catalog = build_parts_supply(spec)
+        engine = Engine(catalog, join_method="hash")
         for query in (GENERATED_N_QUERY, GENERATED_J_QUERY, GENERATED_JA_QUERY):
             with evaluation(mode):
-                catalog = build_parts_supply(spec)
-                serial = measure(catalog, query, "transform", join_method="hash")
-                catalog = build_parts_supply(spec)
-                parallel = measure(
-                    catalog, query, "transform", join_method="hash",
-                    parallelism=4, parallel_threshold=0,
+                cold(catalog.buffer)
+                alone = engine.run(query, method="transform")
+                cold(catalog.buffer)
+                together = run_clients(
+                    4, lambda: engine.run(query, method="transform")
                 )
-            assert Counter(parallel.rows) == Counter(serial.rows)
-            assert parallel.page_ios == serial.page_ios
+                reads = catalog.buffer.stats().page_reads
+            for report in together:
+                assert Counter(report.result.rows) == Counter(alone.result.rows)
+            assert reads == alone.io.page_reads

@@ -2,8 +2,8 @@
 
 ``semi(L, R)`` is ``[l for l in L if any(cond(l, r) for r in R)]``: the
 left rows that have a match, each once, in ``L``'s order — whatever the
-join method, the NULL regime of the key columns, the residual, or the
-width.  The output is a subsequence of the left input, so it has the
+join method, the NULL regime of the key columns, the residual, or how
+many clients run it at once.  The output is a subsequence of the left input, so it has the
 left schema (no right column is written) and the left order claim,
 uniqueness included.
 """
@@ -17,7 +17,6 @@ from repro.catalog.schema import schema
 from repro.config import ExecConfig
 from repro.engine.compile import compile_predicate
 from repro.engine.operators import hash_join, merge_join, nested_loop_join
-from repro.engine.parallel import parallel_hash_join
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import external_sort
@@ -27,6 +26,7 @@ from repro.sql.ast import ColumnRef, Comparison, make_and
 from repro.sql.parser import parse
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
+from tests.clients import run_clients
 
 # A tiny domain forces duplicates and key collisions; NULL everywhere.
 values = st.one_of(st.none(), st.integers(0, 2))
@@ -36,7 +36,9 @@ rows = st.lists(st.tuples(values, values, values), max_size=7)
 #: ``<=>`` matches NULL to NULL.
 REGIMES = {"eq": (False, False), "null_safe": (True, True), "mixed": (False, True)}
 
-#: The three operators, the hash join at both widths.
+#: The three operators; ``hash_width_4`` is the hash join run by four
+#: clients at once over the same inputs (the id is the one the
+#: four-thread exchange had), each of which must get the filter.
 OPERATORS = ("merge", "hash", "hash_width_4", "nested")
 
 LEFT = RowSchema([("L", "K1"), ("L", "K2"), ("L", "V")])
@@ -91,12 +93,17 @@ def run_semi(operator, left, right, buffer, regimes, residual):
             left, external_sort(right, keys, buffer), buffer, keys, keys,
             mode="semi", null_safe=regimes, residual=in_join,
         )
-    join = hash_join if operator == "hash" else parallel_hash_join
-    width = {"parallelism": 4} if operator == "hash_width_4" else {}
-    return join(
-        left, right, buffer, keys, keys,
-        mode="semi", null_safe=regimes, residual=in_join, **width,
-    )
+    def join():
+        return hash_join(
+            left, right, buffer, keys, keys,
+            mode="semi", null_safe=regimes, residual=in_join,
+        )
+
+    if operator == "hash":
+        return join()
+    outputs = run_clients(4, join)
+    assert [out.to_list() for out in outputs[1:]] == [outputs[0].to_list()] * 3
+    return outputs[0]
 
 
 @pytest.mark.parametrize("residual", [False, True], ids=["keys_only", "residual"])
@@ -169,7 +176,8 @@ def test_theta_semi_merge_join(op, residual, left_rows, right_rows):
 
 class TestExecutorPicksTheMode:
     """``SingleLevelExecutor._join_pair`` reads the mode off the FROM
-    clause (``SEMI R``), under every join method and both widths."""
+    clause (``SEMI R``), under every join method, for one client and
+    for four at once."""
 
     @staticmethod
     def catalog():
@@ -180,7 +188,7 @@ class TestExecutorPicksTheMode:
         catalog.insert("R", [(1, 1), (1, 2), (2, 0), (None, 9), (3, 9), (3, 9)])
         return catalog
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("clients", [1, 4])
     @pytest.mark.parametrize("join_method", ["merge", "hash", "nested"])
     @pytest.mark.parametrize(
         "condition,expected",
@@ -192,15 +200,15 @@ class TestExecutorPicksTheMode:
             ("L.K + 0 = R.K AND R.V > 1", [(1, 0), (1, 0), (3, 1)]),
         ],
     )
-    def test_semi_table(self, condition, expected, join_method, parallelism):
-        config = ExecConfig(
-            join_method=join_method, parallelism=parallelism, parallel_threshold=0
-        )
-        executor = SingleLevelExecutor(self.catalog(), config)
+    def test_semi_table(self, condition, expected, join_method, clients):
+        catalog = self.catalog()
         block = parse(f"SELECT L.K, L.V FROM L, SEMI R WHERE {condition}")
-        assert sorted(executor.execute(block).drain(), key=repr) == sorted(
-            expected, key=repr
-        )
+
+        def client():
+            executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
+            return sorted(executor.execute(block).drain(), key=repr)
+
+        assert run_clients(clients, client) == [sorted(expected, key=repr)] * clients
 
     @pytest.mark.parametrize(
         "join_method,text",

@@ -25,23 +25,16 @@ MODES = ("row", "vectorized")
 def one_row_batches():
     """Split every batch a relation yields into one-row batches."""
     whole = Relation.iter_batches
-    shard = Relation.iter_partition_batches
 
     def iter_batches(self):
         for batch in whole(self):
             yield from ([row] for row in batch)
 
-    def iter_partition_batches(self, *args, **kwargs):
-        for batch in shard(self, *args, **kwargs):
-            yield from ([row] for row in batch)
-
     Relation.iter_batches = iter_batches
-    Relation.iter_partition_batches = iter_partition_batches
     try:
         yield
     finally:
         Relation.iter_batches = whole
-        Relation.iter_partition_batches = shard
 
 
 def evaluation(mode: str):

@@ -3,9 +3,9 @@
 The executor frees its own scratch, callers drop the results they read,
 temps belong to the catalog/session that registered them, memoized and
 shared temps to the plan cache.  So, whatever the API and configuration
-(join method x evaluator mode x width), repeating a statement must not
-grow the simulated disk, and emptying the plan cache must leave tables
-and index leaves only.
+(join method x evaluator mode), repeating a statement must not grow the
+simulated disk, and emptying the plan cache must leave tables and index
+leaves only — also after four clients ran every statement at once.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.optimizer.executor import SingleLevelExecutor
 from repro.serve.normalize import parameterize
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
+from tests.clients import run_clients
 from tests.evaluation import MODES, evaluation
 
 QUERY_DIR = Path(__file__).resolve().parents[2] / "examples" / "queries"
@@ -61,16 +62,9 @@ def assert_no_page_growth(db: Database, call, reps: int = 5) -> None:
         assert not db.buffer._pinned
 
 
-def load(instance: str, join_method: str, parallelism: int) -> Database:
+def load(instance: str, join_method: str) -> Database:
     """A Database holding one of the paper's instances, indexed."""
-    db = Database(
-        buffer_pages=16,
-        join_method=join_method,
-        parallelism=parallelism,
-        # The instances are tiny: without a zero threshold the parallel
-        # configurations would run the serial operators.
-        parallel_threshold=0 if parallelism > 1 else None,
-    )
+    db = Database(buffer_pages=16, join_method=join_method)
     source = INSTANCES[instance]()
     for name in source.table_names():
         schema = source.schema_of(name)
@@ -83,17 +77,28 @@ def load(instance: str, join_method: str, parallelism: int) -> Database:
 
 
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
-@pytest.mark.parametrize("join_method,mode,parallelism", CONFIGS)
-def test_no_api_leaks_pages(instance, join_method, mode, parallelism):
-    db = load(instance, join_method, parallelism)
+@pytest.mark.parametrize("join_method,mode,clients", CONFIGS)
+def test_no_api_leaks_pages(instance, join_method, mode, clients):
+    db = load(instance, join_method)
     assert leaked_pages(db.catalog) == 0
     with evaluation(mode):
-        _exercise_every_api(db, instance)
+        run_clients(clients, lambda: _exercise_every_api(db, instance, clients))
     db.plan_cache.clear()
     assert leaked_pages(db.catalog) == 0
+    assert not db.buffer._pinned
 
 
-def _exercise_every_api(db: Database, instance: str) -> None:
+def exercise(db: Database, call, clients: int, reps: int = 5) -> None:
+    """A lone client checks ``call`` for page growth; among several,
+    the disk also holds the others' statements in flight, so each
+    client makes the call once and the test checks what is left."""
+    if clients == 1:
+        assert_no_page_growth(db, call, reps)
+    else:
+        call()
+
+
+def _exercise_every_api(db: Database, instance: str, clients: int) -> None:
     for sql, method in itertools.product(BY_INSTANCE[instance], METHODS):
         normalized, values = parameterize(parse(sql))
         statement = db.prepare(to_sql(normalized), method=method)
@@ -107,22 +112,25 @@ def _exercise_every_api(db: Database, instance: str) -> None:
         }
         for api, call in calls.items():
             try:
-                assert_no_page_growth(db, call, reps=2)
+                exercise(db, call, clients, reps=2)
             except AssertionError as error:
                 raise AssertionError(f"{api} [{method}] leaks: {sql}") from error
         statement.close()
 
 
-@pytest.mark.parametrize("join_method,mode,parallelism", CONFIGS)
-def test_query_inside_open_transaction_leaks_nothing(
-    join_method, mode, parallelism
-):
-    db = load("kiessling", join_method, parallelism)
-    with evaluation(mode), db.begin() as txn:
-        txn.insert("SUPPLY", [(8, 1, "1979-01-01"), (3, 9, "1975-05-05")])
-        for sql, method in itertools.product(BY_INSTANCE["kiessling"], METHODS):
-            assert_no_page_growth(db, lambda: txn.query(sql, method=method))
-        txn.rollback()
+@pytest.mark.parametrize("join_method,mode,clients", CONFIGS)
+def test_query_inside_open_transaction_leaks_nothing(join_method, mode, clients):
+    db = load("kiessling", join_method)
+
+    def client():
+        with db.begin() as txn:
+            txn.insert("SUPPLY", [(8, 1, "1979-01-01"), (3, 9, "1975-05-05")])
+            for sql, method in itertools.product(BY_INSTANCE["kiessling"], METHODS):
+                exercise(db, lambda: txn.query(sql, method=method), clients)
+            txn.rollback()
+
+    with evaluation(mode):
+        run_clients(clients, client)
     db.plan_cache.clear()
     assert leaked_pages(db.catalog) == 0
 
@@ -133,7 +141,7 @@ class TestViewsOwnNothing:
     def test_dropping_a_scan_keeps_the_table(self):
         from repro.engine.operators import scan_table
 
-        db = load("kiessling", "merge", 1)
+        db = load("kiessling", "merge")
         entry = db.catalog.get("PARTS")
         rows = list(entry.heap.scan())
         scan_table(entry).drop()
@@ -143,7 +151,7 @@ class TestViewsOwnNothing:
     def test_drain_of_a_scan_keeps_the_table(self):
         from repro.engine.operators import scan_table
 
-        db = load("kiessling", "merge", 1)
+        db = load("kiessling", "merge")
         entry = db.catalog.get("SUPPLY")
         assert scan_table(entry).drain() == list(entry.heap.scan())
         assert entry.heap.num_rows == 5

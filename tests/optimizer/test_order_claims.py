@@ -4,9 +4,9 @@ An operator's output, and every temp the catalog registers, carries
 ``(column positions, unique)``.  Downstream blocks skip sorts on the
 strength of it, so a false claim is a wrong answer waiting for the
 right data.  Here every claim made while the 12 suite shapes run —
-three join methods, serial and four-wide — is checked against the rows:
-non-decreasing under ``sort.order_key`` on the claimed columns, strictly
-increasing when the claim says they are a key.
+three join methods, one client and four at once — is checked against
+the rows: non-decreasing under ``sort.order_key`` on the claimed
+columns, strictly increasing when the claim says they are a key.
 
 The second half holds the machine to section 7.3's cost for the final
 merge join of NEST-JA2: ``sort(Ri) + Pi + Pt`` — the temp is already in
@@ -28,7 +28,8 @@ from repro.optimizer.cost import sort_cost
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.workloads.generators import CUTOFF as DATE_CUTOFF
 from repro.workloads.generators import PartsSupplySpec, build_parts_supply
-from tests.core.test_page_schedule import CUTOFF, JOINS, PARTS, SHAPES, SUPPLY, WIDTHS
+from tests.clients import run_clients
+from tests.core.test_page_schedule import CUTOFF, JOINS, PARTS, SHAPES, SUPPLY
 
 
 def assert_ordered(rows: list[tuple], order, what: str) -> None:
@@ -67,23 +68,25 @@ def claims(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("parallelism", WIDTHS)
+@pytest.mark.parametrize("clients", [1, 4])
 @pytest.mark.parametrize("join_method", JOINS)
-def test_every_claimed_order_is_true(claims, join_method, parallelism):
-    db = Database(
-        buffer_pages=8,
-        join_method=join_method,
-        parallelism=parallelism,
-        parallel_threshold=64,
-    )
+def test_every_claimed_order_is_true(claims, join_method, clients):
+    db = Database(buffer_pages=8, join_method=join_method)
     db.create_table("PARTS", ["PNUM", "QOH"], primary_key=["PNUM"], rows_per_page=10)
     db.create_table(
         "SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "date")], rows_per_page=10
     )
     db.insert("PARTS", PARTS)
     db.insert("SUPPLY", SUPPLY)
-    for shape, sql in SHAPES.items():
-        db.engine.run(sql.format(c=CUTOFF), method="auto")
+    # Each client takes every ``clients``-th shape: all twelve run once,
+    # on ``clients`` threads at once.
+    shares = iter(range(clients))
+
+    def client():
+        for sql in list(SHAPES.values())[next(shares) :: clients]:
+            db.engine.run(sql.format(c=CUTOFF), method="auto")
+
+    run_clients(clients, client)
     temps = {name for name, _ in claims if "TEMP" in name}
     if join_method == "hash":
         # Hash operators need no order and sort nothing; only the theta

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Database
 from repro.serve.batch import BatchIneligible, build_batch_plan
+from tests.clients import run_clients
 from tests.evaluation import MODES, evaluation
 
 JA_PARAM = (
@@ -15,8 +16,8 @@ JA_PARAM = (
 )
 
 
-def make_db(**kwargs) -> Database:
-    db = Database(buffer_pages=64, **kwargs)
+def make_db() -> Database:
+    db = Database(buffer_pages=64)
     db.create_table("PARTS", ["PNUM", "QOH"])
     db.create_table("SUPPLY", ["PNUM", "QUAN", ("SHIPDATE", "text")])
     db.insert("PARTS", [(i, i % 7) for i in range(1, 40)])
@@ -36,15 +37,22 @@ def vectors(n):
 
 class TestEquivalence:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_batched_matches_looped_and_nested(self, mode, parallelism):
-        db = make_db(parallelism=parallelism, parallel_threshold=1)
+    @pytest.mark.parametrize("clients", [1, 4])
+    def test_batched_matches_looped_and_nested(self, mode, clients):
+        """Each of ``clients`` clients batches the same vectors at once."""
+        db = make_db()
         stmt = db.prepare(JA_PARAM)
         vecs = vectors(10)
         with evaluation(mode):
-            batch = stmt.execute_batch(vecs)
+            batches = run_clients(clients, lambda: stmt.execute_batch(vecs))
             looped = [stmt.execute(vector) for vector in vecs]
-        assert batch.strategy == "batched"
+        assert [batch.strategy for batch in batches] == ["batched"] * clients
+        reports = [
+            [Counter(report.result.rows) for report in batch.reports]
+            for batch in batches
+        ]
+        assert reports[1:] == reports[:1] * (clients - 1)
+        batch = batches[0]
         for vector, report, loop in zip(vecs, batch.reports, looped):
             nested = db.run(
                 JA_PARAM.replace("?", repr(vector[0])),

@@ -5,6 +5,8 @@ on: a relation that fits in the buffer is read from disk once no matter
 how many times it is rescanned, while a larger relation is re-fetched.
 """
 
+import threading
+
 import pytest
 
 from repro.errors import StorageError
@@ -246,3 +248,43 @@ class TestFreePages:
         assert (pool._lock.acquisitions, disk._lock.acquisitions) == (1, 1)
         assert heap.num_pages == 0 and heap.num_rows == 0
         assert disk.num_pages == 0 and pool.resident_pages == 0
+
+
+class TestBufferCounterAtomicity:
+    @pytest.mark.stress
+    def test_hits_plus_reads_account_for_every_access(self):
+        """8 threads x 2000 get_page calls with no eviction pressure:
+        every access is exactly one hit or one disk read, so the
+        counters must sum to the access count (no lost updates)."""
+        buffer = BufferPool(DiskManager(), capacity=64)
+        pages = [buffer.new_page(4).page_id for _ in range(16)]
+        for page_id in pages:
+            buffer.flush_page(page_id)
+        buffer.evict_all()
+        buffer.reset_stats()
+
+        per_thread = 2000
+        start = threading.Barrier(8, timeout=30)
+        failures: list[BaseException] = []
+
+        def worker(seed):
+            try:
+                start.wait()
+                for i in range(per_thread):
+                    buffer.get_page(pages[(seed + i) % len(pages)])
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if failures:
+            raise failures[0]
+        stats = buffer.stats()
+        assert stats.buffer_hits + stats.page_reads == 8 * per_thread
+        # All 16 pages stayed resident, so reads happened once per page.
+        assert stats.page_reads == len(pages)

@@ -136,59 +136,54 @@ class TestDropVsScan:
         assert buffer.disk.num_pages == survivor.num_pages
 
     def test_parallel_partition_scan_racing_drop(self):
-        """A sharded scan (the exchange operators' access pattern) racing
-        a drop: each worker either reads its shard's true pages or fails
-        with StorageError — a successfully read page always carries its
-        full, consistent rows, never a torn or resurrected frame."""
-        from repro.engine.exchange import run_tasks
-
+        """Four page-by-page readers racing a drop: each either reads
+        the relation's true pages or fails with StorageError — a page
+        it did read always carries its full, consistent rows, never a
+        torn or resurrected frame."""
+        chunks = [ROWS[start : start + 4] for start in range(0, len(ROWS), 4)]
         for _ in range(20):
             buffer = BufferPool(DiskManager(), capacity=8)
             relation = make_relation(buffer)
             heap = relation.heap
-            shards = heap.partition_pages(4)
-            expected_by_page = {
-                page_index: ROWS[page_index * 4 : page_index * 4 + 4]
-                for page_index in range(heap.num_pages)
-            }
-            start = threading.Barrier(2, timeout=10)
+            start = threading.Barrier(5, timeout=10)
+            outcomes: list[tuple[str, list]] = []
+            failures: list[BaseException] = []
 
-            def scan_all():
-                def scan_shard(shard):
-                    got = []
+            def reader():
+                pages = []
+                try:
+                    start.wait()
                     try:
-                        for page_index, rows in heap.scan_pages_partition(
-                            shard
-                        ):
-                            assert rows == expected_by_page[page_index], (
-                                "torn page read"
-                            )
-                            got.extend(rows)
+                        for rows in heap.scan_pages():
+                            assert rows == chunks[len(pages)], "torn page read"
+                            pages.append(rows)
                     except StorageError:
-                        return ("error", got)
-                    return ("complete", got)
-
-                start.wait()
-                return run_tasks([
-                    lambda shard=shard: scan_shard(shard) for shard in shards
-                ])
+                        outcomes.append(("error", pages))
+                        return
+                    outcomes.append(("complete", pages))
+                except BaseException as error:  # noqa: BLE001 - surfaced below
+                    failures.append(error)
 
             def dropper():
                 start.wait()
                 relation.drop()
 
-            drop_thread = threading.Thread(target=dropper)
-            drop_thread.start()
-            outcomes = scan_all()
-            drop_thread.join()
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=dropper))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "a reader or the dropper hung"
+            if failures:
+                raise failures[0]
             assert len(outcomes) == 4
-            complete = [
-                rows for status, rows in outcomes if status == "complete"
-            ]
-            if len(complete) == 4:  # scan won the race outright
-                assert Counter(
-                    row for rows in complete for row in rows
-                ) == Counter(ROWS)
+            for status, pages in outcomes:
+                # A reader whose page-list snapshot came after the drop
+                # completes with no pages; one that began before reads
+                # them all unless it touched a freed page first.
+                if status == "complete":
+                    assert pages in ([], chunks)
             assert buffer.disk.num_pages == 0
             assert relation.num_pages == 0
 

@@ -167,28 +167,6 @@ class TestSnapshotVisibility:
         finally:
             visibility.deactivate(token)
 
-    def test_partition_scan_respects_horizon(self):
-        from repro.storage import visibility
-
-        heap, _, _ = make_heap(rows_per_page=4)
-        heap.versioned = True
-        fill(heap, 16)  # 4 pages
-
-        class Limit:
-            def limit_for(self, name):
-                return 9  # 2 whole pages + 1 row of page 3
-
-        token = visibility.activate(Limit())
-        try:
-            shards = heap.partition_pages(2)
-            seen = []
-            for shard in shards:
-                for _index, rows in heap.scan_pages_partition(shard):
-                    seen.extend(rows)
-            assert sorted(seen) == [(i, i * 10) for i in range(9)]
-        finally:
-            visibility.deactivate(token)
-
     def test_horizon_at_count_still_bounds_the_scan(self):
         """Even a horizon equal to the row count must stay in force:
         degenerating to the untrimmed path would leak a concurrent

@@ -12,6 +12,7 @@ from repro.workloads.generators import (
     SupplierSpec,
     build_parts_supply,
     build_supplier_parts,
+    skewed_keys,
 )
 from repro.workloads.paper_data import (
     DUPLICATES_PARTS,
@@ -130,3 +131,32 @@ class TestSupplierGenerator:
         a = build_supplier_parts(SupplierSpec(seed=11))
         b = build_supplier_parts(SupplierSpec(seed=11))
         assert list(a.heap_of("SP").scan()) == list(b.heap_of("SP").scan())
+
+
+class TestSkewedKeys:
+    def test_zero_skew_is_uniformish_and_deterministic(self):
+        import random
+
+        universe = list(range(100))
+        a = skewed_keys(random.Random(7), universe, 1000, 0.0)
+        b = skewed_keys(random.Random(7), universe, 1000, 0.0)
+        assert a == b
+        assert len(a) == 1000
+        assert set(a) <= set(universe)
+
+    def test_skew_concentrates_mass_on_head_keys(self):
+        import random
+
+        universe = list(range(1, 201))
+        draws = skewed_keys(random.Random(3), universe, 5000, 1.2)
+        counts = Counter(draws)
+        head = sum(counts[k] for k in universe[:10])
+        # Zipf s=1.2 over 200 keys puts well over a third of the mass
+        # on the first 10 ranks; uniform would put 5% there.
+        assert head > 0.35 * 5000
+        assert counts[universe[0]] == max(counts.values())
+
+    def test_empty_universe(self):
+        import random
+
+        assert skewed_keys(random.Random(0), [], 10, 1.0) == []
