@@ -4,6 +4,11 @@ Regenerates the Figure 2 walk-through: a four-level query tree whose
 trans-aggregate join predicate spans from the innermost block to the
 outermost relation, transformed to canonical form and executed, with
 the transformation trace as the report artifact.
+
+Two baselines: System R's nested iteration as the paper states it (a
+correlated block evaluated once per outer tuple), which the paper's
+claim is made against, and the engine's executor, which memoizes a
+correlated block on its correlation values.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from repro.catalog.schema import schema
 from repro.core.pipeline import Engine
 from repro.workloads.paper_data import fresh_catalog
 
-from repro.bench.harness import measure
+from repro.bench.harness import block_evaluations, measure, measure_system_r
 
 
 def figure2_catalog(scale: int = 14, buffer_pages: int = 6):
@@ -62,12 +67,16 @@ def test_figure2_transformation(benchmark, write_report):
     engine = Engine(catalog)
 
     def run():
+        system_r = measure_system_r(catalog, FIGURE2_QUERY)
         oracle = measure(catalog, FIGURE2_QUERY, "nested_iteration")
         transformed = measure(catalog, FIGURE2_QUERY, "transform")
-        return oracle, transformed
+        return system_r, oracle, transformed
 
-    oracle, transformed = benchmark.pedantic(run, rounds=1, iterations=1)
+    system_r, oracle, transformed = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
     assert Counter(transformed.rows) == Counter(oracle.rows)
+    assert Counter(system_r.rows) == Counter(oracle.rows)
 
     report = engine.run(FIGURE2_QUERY, method="transform")
     lines = [
@@ -79,15 +88,21 @@ def test_figure2_transformation(benchmark, write_report):
         format_table(
             ["method", "page I/Os"],
             [
-                ["nested iteration", oracle.page_ios],
+                ["nested iteration, System R (per outer tuple)", system_r.page_ios],
+                ["nested iteration, memoized (per distinct TA.K)", oracle.page_ios],
                 ["NEST-G canonical plan", transformed.page_ios],
             ],
         ),
     ]
     write_report("figure2_nest_g", "\n".join(lines))
-    # The multi-level nested iteration re-evaluates three levels of
-    # inner blocks; the canonical plan must be far cheaper.
-    assert transformed.page_ios < oracle.page_ios / 5
+    # System R's nested iteration re-evaluates three levels of inner
+    # blocks per outer tuple; the canonical plan must be far cheaper.
+    assert transformed.page_ios < system_r.page_ios / 5
+    # The memo runs each correlated block once per distinct value of
+    # the one correlation column, TA.K.
+    evaluations = block_evaluations(catalog, FIGURE2_QUERY)
+    distinct = len({key for key, _ in catalog.heap_of("TA").scan()})
+    assert [evaluations[t] for t in ("TB", "TC", "TE")] == [distinct] * 3
 
 
 def test_figure2_trace_order(benchmark):

@@ -13,7 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
-from repro.core.pipeline import Engine, prepare_query
+from repro.core.pipeline import Engine, RunReport, prepare_query
+from repro.engine.nested_iteration import (
+    NestedIterationExecutor,
+    system_r_nested_iteration,
+)
 from repro.serve.plan import run_transform
 from repro.sql.parser import parse
 from repro.storage.stats import IOStats
@@ -52,6 +56,38 @@ def measure_transform(
     return _cold(
         catalog, "transform", lambda: run_transform(catalog, transform, join_method)
     )
+
+
+def measure_system_r(catalog: Catalog, sql: str) -> MeasuredRun:
+    """:func:`measure` for the paper's own baseline:
+    :func:`~repro.engine.nested_iteration.system_r_nested_iteration`,
+    one inner evaluation per outer tuple, over the prepared ``sql``."""
+    select = prepare_query(parse(sql), catalog)
+
+    def run() -> RunReport:
+        with catalog.read_lock():
+            before = catalog.buffer.stats()
+            result = system_r_nested_iteration(select, catalog)
+            io = catalog.buffer.stats() - before
+        return RunReport(result=result, io=io, method="nested_iteration")
+
+    return _cold(catalog, "nested_iteration", run)
+
+
+def block_evaluations(catalog: Catalog, sql: str) -> Counter:
+    """How often the engine's nested-iteration executor evaluates each
+    block of ``sql``, keyed by the block's first FROM table: a
+    correlated block runs once per distinct correlation value."""
+    evaluations: Counter = Counter()
+
+    class Counting(NestedIterationExecutor):
+        def _execute_block(self, select, outer):
+            evaluations[select.from_tables[0].name] += 1
+            return super()._execute_block(select, outer)
+
+    with catalog.read_lock():
+        Counting(catalog).execute(prepare_query(parse(sql), catalog))
+    return evaluations
 
 
 def _cold(catalog: Catalog, method: str, run) -> MeasuredRun:

@@ -17,6 +17,7 @@ from repro.core.nest_nj import apply_nest_nj
 from repro.core.pipeline import Engine, RunReport
 from repro.core.predicates import paper_section8, rewrite_extended_predicates
 from repro.core.transform import TempTableDef, TransformResult
+from repro.engine.nested_iteration import system_r_nested_iteration
 
 __all__ = [
     "Engine",
@@ -37,4 +38,5 @@ __all__ = [
     "nest_g",
     "paper_section8",
     "rewrite_extended_predicates",
+    "system_r_nested_iteration",
 ]

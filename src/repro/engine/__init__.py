@@ -5,8 +5,10 @@ Two evaluation paths share this package:
 
 * the **nested-iteration executor**
   (:mod:`repro.engine.nested_iteration`) interprets a nested query AST
-  directly, re-evaluating correlated inner blocks once per outer tuple —
-  System R's strategy, the paper's baseline and its semantic oracle;
+  directly, re-evaluating a correlated inner block once per distinct
+  correlation value — System R's strategy with a memo, and the semantic
+  oracle (``system_r_nested_iteration`` is the paper's memo-free
+  baseline);
 * the **physical operators** (:mod:`repro.engine.operators`,
   :mod:`repro.engine.sort`) execute the *transformed* plans: temp-table
   builds, external sorts, merge joins, hash joins, outer joins, and

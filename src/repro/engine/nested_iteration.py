@@ -12,6 +12,13 @@ System R did (section 2.4, quoting [SEL 79:33]):
   why "the inner relation may have to be retrieved once for each tuple
   of the outer relation", the inefficiency the transformations attack.
 
+:class:`NestedIterationExecutor` goes one step past System R: it
+memoizes a correlated block on the values of the outer columns it
+reads, so the block runs once per *distinct* correlation value.
+:func:`system_r_nested_iteration` is the paper's baseline as stated,
+with no memo — a demonstrator, like
+:func:`~repro.core.nest_ja.kim_nest_g`, not an engine setting.
+
 Because every table scan goes through the buffer pool, running this
 executor *measures* the nested-iteration page-I/O cost that the paper's
 Figure 1 and section 7.4 model analytically.
@@ -244,7 +251,12 @@ class NestedIterationExecutor(SubqueryHandler):
         return (kind, id(query), values)
 
     def _outer_ref_plan(self, query: Select):
-        """The distinct outer columns a correlated block references."""
+        """The distinct outer columns a correlated block references.
+
+        A block nested in ``query`` may read ``query``'s own columns
+        (``outer_references`` reports those too): they are not outer to
+        ``query``, and keying on them would leave the memo unused.
+        """
 
         def has_column(binding: str, column: str) -> bool:
             if self.catalog.has_table(binding):
@@ -258,7 +270,7 @@ class NestedIterationExecutor(SubqueryHandler):
             return False
         distinct: list[ColumnRef] = []
         for ref in refs:
-            if ref not in distinct:
+            if ref not in distinct and ref.table not in query.table_bindings:
                 distinct.append(ref)
         return distinct
 
@@ -578,6 +590,24 @@ class NestedIterationExecutor(SubqueryHandler):
                 cached.drop()
         self._column_cache.clear()
         self._scalar_cache.clear()
+
+
+class _SystemRExecutor(NestedIterationExecutor):
+    """Nested iteration with no correlated memo."""
+
+    def _memo_key(self, kind, query, context):
+        return None
+
+
+def system_r_nested_iteration(select: Select, catalog: Catalog) -> QueryResult:
+    """Run ``select`` (prepared: qualified, extended predicates
+    rewritten) by System R's nested iteration as the paper describes it:
+    a correlated block is evaluated once for every outer tuple that
+    reaches it, whether or not an earlier tuple had the same correlation
+    values.  Uncorrelated blocks are still evaluated once.  This is the
+    baseline the paper's Figure 2 and nesting-depth claims are stated
+    against; the engine's own executor memoizes."""
+    return _SystemRExecutor(catalog).execute(select)
 
 
 class _GroupPlan:

@@ -3,15 +3,21 @@
 These are the building blocks of the *transformed* plans: the paper
 evaluates a rewritten query as a sequence of temp-table builds
 (restrict/project → sort → join → group) followed by a final join.
-Each operator reads its inputs through the buffer pool and materializes
-its output into a fresh heap file, so the page I/O of an entire plan is
-measured end to end.
+Every operator here returns a one-shot *stream*
+(:meth:`Relation.stream`): it reads its inputs through the buffer pool
+as the stream is pulled, a batch at a time, and writes nothing.  Only
+:func:`~repro.engine.sort.external_sort` writes (its runs and its
+output); what else a block keeps — its result, a nested-loop inner —
+the executor writes (:class:`~repro.optimizer.executor.SingleLevelExecutor`).
+So the page I/O of an entire plan is still measured end to end, and a
+restriction, a projection and the joins between them cost one pass.
 
 Join methods provided (section 7 considers both at each join step):
 
 * :func:`nested_loop_join` — the "nested iteration" join: the right
-  input is rescanned once per left tuple; cheap when it fits in the
-  buffer, quadratic in I/O when it does not.
+  input is rescanned once per left tuple, so it must be a stored
+  relation (a stream raises on its second read); cheap when it fits in
+  the buffer, quadratic in I/O when it does not.
 * :func:`merge_join` — sort-merge join over inputs sorted on the join
   key; supports the non-equality operators of section 5.3 and the
   left-outer mode of section 5.2 ("the outer join includes all values
@@ -36,13 +42,12 @@ Hash-based grouping (:func:`hash_group_aggregate`) and duplicate
 elimination (:func:`hash_distinct`) likewise avoid the sort their
 merge-based counterparts require.
 
-**Batch at a time.**  The single-pass operators (:func:`restrict_project`,
-:func:`hash_join`, :func:`hash_distinct` and both aggregates) consume
-their input through :meth:`Relation.iter_batches` — one batch per heap
-page, so page I/O is exactly a row scan's — transpose each batch to
-columns, run expressions as the batch kernels of
-:mod:`repro.engine.vector_compile`, and write through
-:meth:`Relation.materialize_batches`.
+**Batch at a time.**  The operators consume their input through
+:meth:`Relation.iter_batches` — one batch per heap page, so page I/O is
+exactly a row scan's — and emit one output batch per input batch.
+:func:`restrict_project` and the hash join transpose each batch to
+columns and run expressions as the batch kernels of
+:mod:`repro.engine.vector_compile`.
 
 Restrict/project and the hash-join probe are each one pure
 ``batch -> output rows`` body (:func:`restrict_project_body`,
@@ -79,9 +84,8 @@ from repro.engine.vector_compile import (
     compile_batch_scalar,
     referenced_indexes,
 )
-from repro.errors import ExecutionError
+from repro.errors import BindError, ExecutionError
 from repro.sql.ast import And, ColumnRef, Comparison, Expr
-from repro.storage.buffer import BufferPool
 
 JoinMode = str  # "inner" | "left" | "semi"
 
@@ -111,6 +115,17 @@ def scan_table(entry: TableEntry, binding: str | None = None) -> Relation:
     )
 
 
+def project_order(order: Order, columns: Sequence[int | None]) -> Order:
+    """The order a projection keeps: ``columns`` are the source
+    positions the output columns copy (None: computed).  The source's
+    order survives as far as its leading columns are projected, and
+    stays a key only when all of them are."""
+    cols = list(columns)
+    ordered, unique = order
+    kept = list(takewhile(cols.__contains__, ordered))
+    return (tuple(map(cols.index, kept)), unique and len(kept) == len(ordered))
+
+
 def _columns(batch: list[tuple], width: int) -> list[tuple]:
     """Transpose a row batch to columns (width needed for empty batches)."""
     if not batch:
@@ -132,16 +147,20 @@ def restrict_project_body(
 ) -> tuple[RowSchema, Callable[[list[tuple]], list[tuple]]]:
     """Selection + projection as ``(output schema, batch -> output rows)``.
 
-    The returned function is pure and stateless.
+    The returned function is pure and stateless.  A batch is transposed
+    to columns only for the kernels that need them: a projection of
+    plain columns picks them from the selected rows.
     """
+    evaluators = pick = None
     if projections is None:
         out_schema = schema
-        evaluators = None
     else:
         out_schema = RowSchema((qual, col) for _, qual, col in projections)
-        evaluators = [
-            compile_batch_scalar(expr, schema) for expr, _, _ in projections
-        ]
+        pick = _column_picker(_column_positions(schema, projections))
+        if pick is None:
+            evaluators = [
+                compile_batch_scalar(expr, schema) for expr, _, _ in projections
+            ]
     mask_fn = (
         None if predicate is None else compile_batch_predicate(predicate, schema)
     )
@@ -150,22 +169,57 @@ def restrict_project_body(
     def process(batch: list[tuple]) -> list[tuple]:
         if not batch:
             return []
-        cols = _columns(batch, width)
         n = len(batch)
-        if mask_fn is None:
-            sel: list[int] | None = None
-            count = n
-        else:
+        sel: list[int] | None = None
+        cols = None
+        if mask_fn is not None:
+            cols = _columns(batch, width)
             mask = mask_fn(cols, n, None)
             sel = [i for i, value in enumerate(mask) if value is True]
             if not sel:
                 return []
-            count = len(sel)
         if evaluators is None:
-            return batch if sel is None else [batch[i] for i in sel]
+            rows = batch if sel is None else [batch[i] for i in sel]
+            return rows if pick is None else pick(rows)
+        if cols is None:
+            cols = _columns(batch, width)
+        count = n if sel is None else len(sel)
         return _rows([fn(cols, n, sel) for fn in evaluators], count)
 
     return out_schema, process
+
+
+def _column_positions(
+    schema: RowSchema, projections: Sequence[tuple[Expr, str | None, str]]
+) -> list[int | None]:
+    """The ``schema`` column each projection copies; None where it
+    computes a value or names no one column."""
+    positions: list[int | None] = []
+    for expr, _, _ in projections:
+        try:
+            positions.append(
+                schema.try_index_of(expr) if isinstance(expr, ColumnRef) else None
+            )
+        except BindError:
+            positions.append(None)
+    return positions
+
+
+def _column_picker(
+    positions: list[int | None],
+) -> Callable[[list[tuple]], list[tuple]] | None:
+    """``rows -> projected rows`` when every projection copies a column
+    (None otherwise: the kernels evaluate them, and an unresolvable
+    column raises only on a row, as they do)."""
+    if None in positions:
+        return None
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda rows: [(row[only],) for row in rows]
+    if not positions:
+        return lambda rows: [()] * len(rows)
+    getter = itemgetter(*positions)
+    return lambda rows: list(map(getter, rows))
 
 
 def _nonempty(
@@ -181,39 +235,37 @@ def _nonempty(
 
 def restrict_project(
     source: Relation,
-    buffer: BufferPool,
     predicate: Expr | None = None,
     projections: Sequence[tuple[Expr, str | None, str]] | None = None,
     name: str | None = None,
-    rows_per_page: int | None = None,
 ) -> Relation:
-    """One-pass selection + projection, materialized to a new heap.
+    """One-pass selection + projection, as a stream.
 
     This is the paper's "restriction and projection of the inner table"
-    (building ``Rt3``/``TEMP2``): cost = read input + write output.
+    (building ``Rt3``/``TEMP2``): cost = read input + write output —
+    the read is this stream's, the write whoever stores it.
 
     Args:
         predicate: WHERE predicate over the source schema (no subqueries).
         projections: output columns as ``(expr, qualifier, name)``
-            triples; None keeps the source schema unchanged.
+            triples; None keeps the source schema unchanged.  A column
+            reference carries the source's order through
+            (:func:`project_order`).
     """
     out_schema, process = restrict_project_body(
         source.schema, predicate, projections
     )
-    return Relation.materialize_batches(
-        out_schema,
-        _nonempty(process, source.iter_batches()),
-        buffer,
-        rows_per_page=rows_per_page,
-        name=name,
-        order=source.order if projections is None else NO_ORDER,
+    order = source.order
+    if projections is not None:
+        order = project_order(order, _column_positions(source.schema, projections))
+    return Relation.stream(
+        out_schema, _nonempty(process, source.iter_batches()), name, order
     )
 
 
 def nested_loop_join(
     left: Relation,
     right: Relation,
-    buffer: BufferPool,
     predicate: Expr | None = None,
     mode: JoinMode = "inner",
     name: str | None = None,
@@ -223,31 +275,40 @@ def nested_loop_join(
     The rescans go through the buffer pool, so when ``right`` fits in
     ``B - 1`` pages the measured cost collapses to one read of each
     input — exactly the distinction the paper's section 7.2 draws.
+    ``right`` must be stored (a heap or a list): a stream is read once.
     """
+    if right.is_stream:
+        raise ExecutionError(
+            f"nested_loop_join rescans its right input; {right.name} is a "
+            "stream (store it first)"
+        )
     right_nulls = (None,) * len(right.schema)
     keep = _row_predicate(predicate, left.schema + right.schema)
     semi = mode == "semi"
+    left_batches = left.iter_batches()
 
-    def generate() -> Iterator[tuple]:
-        for left_row in left:
-            matched = False
-            for right_row in right:
-                combined = left_row + right_row
-                if keep is None or keep(combined) is True:
-                    matched = True
-                    if semi:
-                        break  # the rest of this rescan is not read
-                    yield combined
-            if semi:
-                if matched:
-                    yield left_row
-            elif mode == "left" and not matched:
-                yield left_row + right_nulls
+    def batches() -> Iterator[list[tuple]]:
+        for batch in left_batches:
+            out: list[tuple] = []
+            for left_row in batch:
+                matched = False
+                for right_row in right:
+                    combined = left_row + right_row
+                    if keep is None or keep(combined) is True:
+                        matched = True
+                        if semi:
+                            break  # the rest of this rescan is not read
+                        out.append(combined)
+                if semi:
+                    if matched:
+                        out.append(left_row)
+                elif mode == "left" and not matched:
+                    out.append(left_row + right_nulls)
+            if out:
+                yield out
 
     out_schema, order = _join_output(left, right, mode, left.order[0])
-    return Relation.materialize(
-        out_schema, generate(), buffer, name=name, order=order
-    )
+    return Relation.stream(out_schema, batches(), name, order)
 
 
 def _regimes(null_safe: "bool | Sequence[bool]", width: int) -> list[bool]:
@@ -271,7 +332,6 @@ def _row_predicate(
 def merge_join(
     left: Relation,
     right: Relation,
-    buffer: BufferPool,
     left_key: Sequence[int],
     right_key: Sequence[int],
     op: str = "=",
@@ -286,7 +346,8 @@ def merge_join(
     keys supported).  For the non-equality operators of section 5.3
     (single-column keys) the right side is kept as a sorted array and
     binary-searched, which costs the same page I/O the paper's model
-    charges: one read of each input plus the output write.
+    charges: one read of each input (the output write is whoever
+    stores the stream's).
 
     ``mode="left"`` is the outer join of section 5.2: left tuples with
     no match appear once, NULL-padded on the right — the fix that lets
@@ -306,9 +367,12 @@ def merge_join(
     for ``mode="semi"``, whose output has no right columns to filter on.
     """
     regimes = _regimes(null_safe, len(left_key))
+    outer_pad = (None,) * len(right.schema) if mode == "left" else None
+    left_batches, right_batches = left.iter_batches(), right.iter_batches()
     if op == "=":
-        matches = _merge_equi_join(
-            left, right, list(left_key), list(right_key), mode, regimes, residual
+        batches = _merge_equi_join(
+            left_batches, right_batches, list(left_key), list(right_key),
+            outer_pad, mode == "semi", regimes, residual,
         )
     else:
         if len(left_key) != 1 or len(right_key) != 1:
@@ -317,17 +381,12 @@ def merge_join(
             )
         if any(regimes):
             raise ExecutionError("null-safe merge join requires the = operator")
-        matches = _merge_theta_join(
-            left, right, left_key[0], right_key[0], op, mode, residual
+        batches = _merge_theta_join(
+            left_batches, right_batches, left_key[0], right_key[0], op,
+            outer_pad, mode == "semi", residual,
         )
-
-    # One list per left row, flattened at C speed; the writer still
-    # pulls row by row, so output pages are allocated between the same
-    # input reads as ever.
     out_schema, order = _join_output(left, right, mode, tuple(left_key))
-    return Relation.materialize(
-        out_schema, chain.from_iterable(matches), buffer, name=name, order=order
-    )
+    return Relation.stream(out_schema, batches, name, order)
 
 
 def _joined(
@@ -355,15 +414,16 @@ def _joined(
 
 
 def _merge_equi_join(
-    left: Relation,
-    right: Relation,
+    left_batches: Iterator[list[tuple]],
+    right_batches: Iterator[list[tuple]],
     left_key: list[int],
     right_key: list[int],
-    mode: JoinMode,
+    outer_pad: tuple | None,
+    semi: bool,
     null_safe: Sequence[bool],
     residual: Callable[[tuple], object] | None = None,
 ) -> Iterator[list[tuple]]:
-    """Each left row's output rows, one list per left row that has any.
+    """The output rows of each left batch that has any.
 
     Keys are compared raw.  Both inputs arrive in the total order of
     :func:`repro.engine.sort.orderable`, which raw comparison agrees
@@ -375,8 +435,6 @@ def _merge_equi_join(
     only equal a left key that was skipped, so their groups are stepped
     over like any other non-match.
     """
-    outer_pad = (None,) * len(right.schema) if mode == "left" else None
-    semi = mode == "semi"
     # Raw keys: the bare value for one column, a tuple otherwise.
     left_of = itemgetter(*left_key)
     single = len(left_key) == 1
@@ -387,18 +445,17 @@ def _merge_equi_join(
         strict_null = lambda key: bool(strict)  # noqa: E731
     else:
         strict_null = lambda key: any(key[i] is None for i in strict)  # noqa: E731
-    groups = groupby(
-        chain.from_iterable(right.iter_batches()), itemgetter(*right_key)
-    )
+    groups = groupby(chain.from_iterable(right_batches), itemgetter(*right_key))
     current: object = None
     group: list[tuple] | None = None  # None until the right side is read
     exhausted = False
 
-    for batch in left.iter_batches():
+    for batch in left_batches:
+        out: list[tuple] = []
         for left_row, key in zip(batch, map(left_of, batch)):
             if (key is None if single else None in key) and strict_null(key):
                 if outer_pad is not None:
-                    yield [left_row + outer_pad]
+                    out.append(left_row + outer_pad)
                 continue
             # Advance the right side to the first group not before key.
             while not exhausted:
@@ -415,32 +472,31 @@ def _merge_equi_join(
                 else:
                     current, group = step[0], list(step[1])
             matches = group if not exhausted and current == key else ()
-            out = _joined(left_row, matches, residual, outer_pad, semi)
-            if out:
-                yield out
+            out += _joined(left_row, matches, residual, outer_pad, semi)
+        if out:
+            yield out
 
 
 def _merge_theta_join(
-    left: Relation,
-    right: Relation,
+    left_batches: Iterator[list[tuple]],
+    right_batches: Iterator[list[tuple]],
     left_key: int,
     right_key: int,
     op: str,
-    mode: JoinMode,
+    outer_pad: tuple | None,
+    semi: bool,
     residual: Callable[[tuple], object] | None = None,
 ) -> Iterator[list[tuple]]:
-    """Each left row's output rows (see :func:`_merge_equi_join`).
+    """The output rows of each left batch (see :func:`_merge_equi_join`).
 
     One sequential read of the right input, kept sorted in memory and
     bisected: on its raw keys when the column compares raw, wrapped
     otherwise — or from the first left value that raises ``TypeError``
     against them.
     """
-    outer_pad = (None,) * len(right.schema) if mode == "left" else None
-    semi = mode == "semi"
     right_rows = [
         row
-        for row in chain.from_iterable(right.iter_batches())
+        for row in chain.from_iterable(right_batches)
         if row[right_key] is not None
     ]
     right_keys = [row[right_key] for row in right_rows]
@@ -448,12 +504,13 @@ def _merge_theta_join(
     if not raw:
         right_keys = list(map(orderable, right_keys))
 
-    for batch in left.iter_batches():
+    for batch in left_batches:
+        out: list[tuple] = []
         for left_row in batch:
             value = left_row[left_key]
             if value is None:
                 if outer_pad is not None:
-                    yield [left_row + outer_pad]
+                    out.append(left_row + outer_pad)
                 continue
             if raw:
                 try:
@@ -465,9 +522,9 @@ def _merge_theta_join(
                 matches = _theta_range(
                     right_rows, right_keys, orderable(value), op
                 )
-            out = _joined(left_row, matches, residual, outer_pad, semi)
-            if out:
-                yield out
+            out += _joined(left_row, matches, residual, outer_pad, semi)
+        if out:
+            yield out
 
 
 def _theta_range(
@@ -524,8 +581,9 @@ def hash_probe_body(
 ) -> Callable[[list[tuple]], list[tuple]]:
     """Build the hash table on ``right``; return ``probe batch -> rows``.
 
-    The build reads ``right`` once, here, on the calling thread; the
-    table is read-only afterwards, so the returned function is pure.
+    The build reads ``right`` once, here, straight into the table (a
+    build side is never written); the table is read-only afterwards, so
+    the returned function is pure.
     Output rows follow probe order (each left row's matches in build
     insertion order), so any ordering of the probe input survives.
 
@@ -745,7 +803,6 @@ def _cross_side_equality(
 def hash_join(
     left: Relation,
     right: Relation,
-    buffer: BufferPool,
     left_key: Sequence[int],
     right_key: Sequence[int],
     mode: JoinMode = "inner",
@@ -771,18 +828,20 @@ def hash_join(
     join condition*, exactly as in :func:`merge_join`: under
     ``mode="left"`` a left row whose only key matches flunk the
     residual is NULL-padded rather than dropped.
+
+    The build runs when the stream is first pulled, then the probe
+    streams ``left`` through the table.
     """
-    probe = hash_probe_body(
-        left.schema, right, left_key, right_key, mode, null_safe, residual
-    )
+    left_batches = left.iter_batches()
+
+    def batches() -> Iterator[list[tuple]]:
+        probe = hash_probe_body(
+            left.schema, right, left_key, right_key, mode, null_safe, residual
+        )
+        yield from _nonempty(probe, left_batches)
+
     out_schema, order = _join_output(left, right, mode, left.order[0])
-    return Relation.materialize_batches(
-        out_schema,
-        _nonempty(probe, left.iter_batches()),
-        buffer,
-        name=name,
-        order=order,
-    )
+    return Relation.stream(out_schema, batches(), name, order)
 
 
 def group_order(order: Order, group_cols: Sequence[int]) -> Order:
@@ -824,7 +883,6 @@ def _scalar_aggregate(
 
 def hash_group_aggregate(
     source: Relation,
-    buffer: BufferPool,
     group_columns: Sequence[int],
     specs: Sequence[AggSpec],
     out_names: Sequence[tuple[str | None, str]],
@@ -842,10 +900,12 @@ def hash_group_aggregate(
     out_schema, group_cols, agg_specs, order = _aggregate_plan(
         source, group_columns, specs, out_names
     )
+    source_batches = source.iter_batches()
 
     def batches() -> Iterator[list[tuple]]:
         if not group_cols:
-            yield from _scalar_aggregate(source.to_list(), agg_specs, always_emit)
+            rows = list(chain.from_iterable(source_batches))
+            yield from _scalar_aggregate(rows, agg_specs, always_emit)
             return
         groups: dict = {}
         setdefault = groups.setdefault
@@ -853,7 +913,7 @@ def hash_group_aggregate(
         # tuple construction); the key is re-wrapped on output.
         single = len(group_cols) == 1
         key_of = itemgetter(*group_cols)
-        for batch in source.iter_batches():
+        for batch in source_batches:
             for row in batch:
                 setdefault(key_of(row), []).append(row)
         out = [
@@ -863,20 +923,17 @@ def hash_group_aggregate(
         if out:
             yield out
 
-    return Relation.materialize_batches(
-        out_schema, batches(), buffer, name=name, order=order
-    )
+    return Relation.stream(out_schema, batches(), name, order)
 
 
-def hash_distinct(
-    source: Relation, buffer: BufferPool, name: str | None = None
-) -> Relation:
+def hash_distinct(source: Relation, name: str | None = None) -> Relation:
     """Duplicate elimination by hashing (first occurrence kept, input
     order preserved) — the hash counterpart of sort-unique."""
+    source_batches = source.iter_batches()
 
     def batches() -> Iterator[list[tuple]]:
         seen: set[tuple] = set()
-        for batch in source.iter_batches():
+        for batch in source_batches:
             # dict.fromkeys dedupes within the batch preserving first
             # occurrence at C speed; the comprehension then drops rows
             # already seen in earlier batches.
@@ -885,14 +942,11 @@ def hash_distinct(
             if out:
                 yield out
 
-    return Relation.materialize_batches(
-        source.schema, batches(), buffer, name=name
-    )
+    return Relation.stream(source.schema, batches(), name)
 
 
 def group_aggregate(
     source: Relation,
-    buffer: BufferPool,
     group_columns: Sequence[int],
     specs: Sequence[AggSpec],
     out_names: Sequence[tuple[str | None, str]],
@@ -906,19 +960,20 @@ def group_aggregate(
     group; ``always_emit`` controls whether an empty ungrouped input
     yields the SQL scalar-aggregate row (COUNT = 0, others NULL).
 
-    Streaming: groups completed within a batch are written with that
+    Streaming: groups completed within a batch are emitted with that
     batch, and the group straddling a batch boundary is carried to the
-    batch that closes it — so output pages interleave with source reads
-    and the buffer footprint is a streaming scan's, not an accumulate-
-    then-emit one's.
+    batch that closes it — so the memory held is one group's, not an
+    accumulate-then-emit one's.
     """
     out_schema, group_cols, agg_specs, order = _aggregate_plan(
         source, group_columns, specs, out_names
     )
+    source_batches = source.iter_batches()
 
     def batches() -> Iterator[list[tuple]]:
         if not group_cols:
-            yield from _scalar_aggregate(source.to_list(), agg_specs, always_emit)
+            rows = list(chain.from_iterable(source_batches))
+            yield from _scalar_aggregate(rows, agg_specs, always_emit)
             return
         # A single group column keys on the bare value, as in
         # hash_group_aggregate; groupby finds the boundaries within a
@@ -931,7 +986,7 @@ def group_aggregate(
 
         current_key = None
         group: list[tuple] = []  # never empty once the first row is in
-        for batch in source.iter_batches():
+        for batch in source_batches:
             out: list[tuple] = []
             for key, members in groupby(batch, key_of):
                 if group and key == current_key:
@@ -946,16 +1001,13 @@ def group_aggregate(
         if group:
             yield [finish(current_key, group)]
 
-    return Relation.materialize_batches(
-        out_schema, batches(), buffer, name=name, order=order
-    )
+    return Relation.stream(out_schema, batches(), name, order)
 
 
 def index_nested_loop_join(
     left: Relation,
     index,
     right_schema: RowSchema,
-    buffer: BufferPool,
     left_key: int,
     mode: JoinMode = "inner",
     name: str | None = None,
@@ -978,41 +1030,43 @@ def index_nested_loop_join(
     """
     out_schema = left.schema + right_schema
     right_nulls = (None,) * len(right_schema)
+    left_batches = left.iter_batches()
 
-    def generate() -> Iterator[tuple]:
-        for left_row in left:
-            value = left_row[left_key]
-            matched = False
-            if value is not None:
-                for right_row in index.lookup(value):
-                    matched = True
-                    yield left_row + right_row
-            if mode == "left" and not matched:
-                yield left_row + right_nulls
+    def batches() -> Iterator[list[tuple]]:
+        for batch in left_batches:
+            out: list[tuple] = []
+            for left_row in batch:
+                value = left_row[left_key]
+                matched = False
+                if value is not None:
+                    for right_row in index.lookup(value):
+                        matched = True
+                        out.append(left_row + right_row)
+                if mode == "left" and not matched:
+                    out.append(left_row + right_nulls)
+            if out:
+                yield out
 
-    return Relation.materialize(out_schema, generate(), buffer, name=name)
+    return Relation.stream(out_schema, batches(), name)
 
 
 def project_columns(
     source: Relation,
-    buffer: BufferPool,
     columns: Sequence[int],
     out_names: Sequence[tuple[str | None, str]],
     name: str | None = None,
 ) -> Relation:
-    """Positional projection, materialized (a cheap restrict_project).
-    The source's order survives as far as its leading columns are
-    projected, and stays a key only when all of them are."""
-    out_schema = RowSchema(out_names)
+    """Positional projection, as a stream (a cheap restrict_project);
+    the order survives as :func:`project_order` says."""
     cols = list(columns)
-    ordered, unique = source.order
-    kept = list(takewhile(cols.__contains__, ordered))
-    order = (tuple(map(cols.index, kept)), unique and len(kept) == len(ordered))
+    pick = itemgetter(*cols) if len(cols) > 1 else None
 
-    def generate() -> Iterator[tuple]:
-        for row in source:
-            yield tuple(row[i] for i in cols)
+    def process(batch: list[tuple]) -> list[tuple]:
+        if pick is None:
+            return [tuple(row[i] for i in cols) for row in batch]
+        return list(map(pick, batch))
 
-    return Relation.materialize(
-        out_schema, generate(), buffer, name=name, order=order
+    return Relation.stream(
+        RowSchema(out_names), map(process, source.iter_batches()), name,
+        project_order(source.order, cols),
     )

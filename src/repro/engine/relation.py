@@ -1,12 +1,23 @@
-"""Relations: schema-tagged, re-iterable row collections.
+"""Relations: schema-tagged row collections, stored or streamed.
 
-A :class:`Relation` is either *heap-backed* (pages on the simulated
-disk, read through the buffer pool — every temp table the transforms
-build) or *in-memory* (small derived lists, e.g. a cached type-N inner
-result before System R materializes it).  Physical operators consume
-and produce Relations.
+A :class:`Relation` takes one of three forms:
 
-Batch access.  The single-pass operators consume relations through
+* *heap-backed* — pages on the simulated disk, read through the buffer
+  pool (a stored table, a registered temp, a sort's output, a block's
+  result); re-iterable, every scan charged its page reads;
+* *in-memory* — a small list (e.g. System R's cached type-N inner
+  result); re-iterable, no I/O;
+* a *stream* — what a physical operator returns: a schema, a one-shot
+  batch iterator and an order claim.  Nothing happens until it is
+  read, it occupies no page, and reading it a second time raises
+  :class:`~repro.errors.ExecutionError`: a consumer that must rescan
+  its input (the nested-loop inner, a sort's runs) is handed a stored
+  relation instead.  The paper's "restriction and projection ... cost
+  = read input + write output" is then one pass: the operators of a
+  block read their inputs once, and only what the block must keep is
+  written (:meth:`Relation.materialize_batches`).
+
+Batch access.  Operators consume relations through
 :meth:`Relation.iter_batches`, which yields **page-sized** row batches
 for heap-backed relations: each batch is exactly one page's tuples and
 costs exactly one page read through the buffer pool, so batch execution
@@ -16,14 +27,17 @@ pages per batch would amortize kernel dispatch, but reading ahead
 perturbs the LRU state under eviction pressure and the re-read counts
 drift from a row scan's — tried and rejected; page-sized batches
 keep the I/O schedule bit-identical.)  In-memory relations are chunked
-into fixed-size batches (they cost no I/O either way).
+into fixed-size batches (they cost no I/O either way); a stream's
+batches are whatever its operator emits per input batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 from repro.engine.schema import RowSchema
+from repro.errors import ExecutionError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 
@@ -76,7 +90,8 @@ def temp_rows_per_page(num_columns: int) -> int:
 
 
 class Relation:
-    """A named, schema-tagged collection of tuples."""
+    """A named, schema-tagged collection of tuples (module docstring:
+    stored on a heap, held in memory, or streamed once)."""
 
     #: Claimed by the producing operator or the catalog entry scanned.
     order: Order = NO_ORDER
@@ -89,12 +104,16 @@ class Relation:
         name: str | None = None,
         owns_heap: bool = True,
         order: Order = NO_ORDER,
+        batches: Iterator[list[tuple]] | None = None,
     ) -> None:
-        if (heap is None) == (rows is None):
-            raise ValueError("exactly one of heap/rows must be given")
+        if [heap, rows, batches].count(None) != 2:
+            raise ValueError("exactly one of heap/rows/batches must be given")
         self.schema = schema
         self.heap = heap
         self._rows = rows
+        #: A stream's batch iterator; None once handed out (or never).
+        self._batches = batches
+        self.is_stream = batches is not None
         #: False for a view over a heap some catalog, session or
         #: registry owns (``scan_table``): dropping it frees nothing.
         self.owns_heap = owns_heap
@@ -109,6 +128,17 @@ class Relation:
     ) -> "Relation":
         """An in-memory relation (no page I/O when scanned)."""
         return cls(schema, rows=list(rows), name=name)
+
+    @classmethod
+    def stream(
+        cls,
+        schema: RowSchema,
+        batches: Iterable[list[tuple]],
+        name: str | None = None,
+        order: Order = NO_ORDER,
+    ) -> "Relation":
+        """A one-shot stream of row batches (an operator's output)."""
+        return cls(schema, name=name, order=order, batches=iter(batches))
 
     @classmethod
     def _build(
@@ -178,11 +208,21 @@ class Relation:
 
         return cls._build(schema, fill, buffer, rows_per_page, name, order)
 
+    def store(self, buffer: BufferPool) -> "Relation":
+        """This relation written to a fresh heap (a stream's one read):
+        what a consumer that rescans its input, or keeps it, is given."""
+        return Relation.materialize_batches(
+            self.schema, self.iter_batches(), buffer, name=self.name,
+            order=self.order,
+        )
+
     # -- access --------------------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple]:
         if self.heap is not None:
             return self.heap.scan()
+        if self.is_stream:
+            return chain.from_iterable(self.iter_batches())
         return iter(self._rows)
 
     def iter_batches(self) -> Iterator[list[tuple]]:
@@ -194,8 +234,18 @@ class Relation:
         coalesced into larger batches).
         """
         if self.heap is not None:
-            yield from self.heap.scan_pages()
-            return
+            return self.heap.scan_pages()
+        if self.is_stream:
+            batches, self._batches = self._batches, None
+            if batches is None:
+                raise ExecutionError(
+                    f"stream {self.name or '?'} was already read: a stream "
+                    "is read once (store it to scan it again)"
+                )
+            return batches
+        return self._memory_batches()
+
+    def _memory_batches(self) -> Iterator[list[tuple]]:
         rows = self._rows
         for start in range(0, len(rows), _MEMORY_BATCH_ROWS):
             yield rows[start : start + _MEMORY_BATCH_ROWS]
@@ -211,11 +261,14 @@ class Relation:
     def num_rows(self) -> int:
         if self.heap is not None:
             return self.heap.num_rows
+        if self.is_stream:
+            raise ExecutionError(f"stream {self.name or '?'} has no row count")
         return len(self._rows)
 
     @property
     def num_pages(self) -> int:
-        """Page count (``Pk``); in-memory relations occupy zero pages."""
+        """Page count (``Pk``); in-memory relations and streams occupy
+        zero pages."""
         if self.heap is not None:
             return self.heap.num_pages
         return 0
@@ -223,7 +276,7 @@ class Relation:
     def drop(self) -> None:
         """Free the backing pages, if this relation owns any.
 
-        A no-op for in-memory relations and for views over a heap that
+        A no-op for in-memory relations, streams and views over a heap that
         belongs to a catalog (a stored table, a registered temp): only
         the owner of a heap may free it.
         """
@@ -239,6 +292,8 @@ class Relation:
             self.drop()
 
     def __repr__(self) -> str:
+        if self.is_stream:
+            return f"Relation({self.name or '?'}, stream)"
         backing = "heap" if self.is_heap_backed else "memory"
         return (
             f"Relation({self.name or '?'}, {backing}, rows={self.num_rows},"

@@ -26,11 +26,21 @@ Design points lifted straight from the paper:
   on the join column, and a temp table created in GROUP BY order needs
   no sort before the final merge join.
 
-How a step evaluates its tuples is not part of the plan: the
-single-pass operators (restrict/project, hash join, hash DISTINCT,
-both aggregates) run a batch at a time, on the thread that issued the
-query.  Every operator runs serially, so a plan's page I/O is one
-schedule — the one section 7 costs.
+* **One pass per block.**  Every operator but the sort returns a
+  one-shot stream of batches, so a restriction, a projection, a join
+  and a GROUP BY read their input once and write nothing — the paper's
+  "restriction and projection ... cost = read input + write output" is
+  one pass.  A block writes pages in three places only: its result
+  (:meth:`SingleLevelExecutor.execute` — a temp definition or the final
+  answer), the inner of a nested-loop join, which is rescanned once per
+  outer tuple (section 7.2's cost), and the runs of a sort.  A hash
+  build side is read straight into the join's table.  Each table's
+  restriction keeps only the columns the rest of the block reads, so
+  what is still written (a sort's runs, a nested-loop inner) is as
+  narrow as it can be.
+
+Every operator runs serially, on the thread that issued the query, so
+a plan's page I/O is one schedule — the one section 7 costs.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from repro.engine.operators import (
     hash_join,
     merge_join,
     nested_loop_join,
+    project_columns,
     restrict_project,
     scan_table,
 )
@@ -103,23 +114,26 @@ class SingleLevelExecutor:
     # -- public API --------------------------------------------------------
 
     def execute(self, select: Select) -> Relation:
-        """Run a single-level query, returning a materialized relation.
+        """Run a single-level query, returning its result on a heap.
 
-        The returned relation belongs to the caller, who registers its
+        The block's operators stream into this one write (unless the
+        last of them is a sort, whose output already is a heap).  The
+        returned relation belongs to the caller, who registers its
         heap somewhere that will free it (``register_temp``, a shared
         registry) or drops it once read (:meth:`Relation.drain`).
-        Every other relation built on the way is this call's scratch
-        and is freed before it returns — on the error path too.
+        Every other heap written on the way (a sort's output, a
+        nested-loop inner) is this call's scratch and is freed before
+        it returns — on the error path too.
         """
         self.steps = []
         self._scratch: list[Relation] = []
         result: Relation | None = None
         try:
-            result = self._execute_block(select)
+            result = self._stored(self._execute_block(select))
             return result
         finally:
-            # Compare heaps, not relations: a relabelled result shares
-            # its heap with the operator output it relabels.
+            # The result is on the list too (written by ``_stored``, or
+            # a sort's output): keep its heap.
             kept = None if result is None else result.heap
             for relation in self._scratch:
                 if relation.heap is not kept:
@@ -143,14 +157,23 @@ class SingleLevelExecutor:
     def _run(self, operator, *args, **kwargs) -> Relation:
         """Run one physical operator: the ownership choke point.
 
-        Operators are invoked only through here, so every relation a
-        block materializes is on the scratch list :meth:`execute`
-        sweeps.  (An operator that raises has no output to record; a
-        half-built heap is freed by ``Relation.materialize`` itself.)
+        Operators are invoked only through here, so every heap a block
+        writes is on the scratch list :meth:`execute` sweeps; a stream
+        owns no page.  (A write that raises has no output to record: a
+        half-built heap is freed by ``Relation.materialize_batches``,
+        a sort's runs by ``external_sort``.)
         """
         relation = operator(*args, **kwargs)
-        self._scratch.append(relation)
+        if relation.heap is not None:
+            self._scratch.append(relation)
         return relation
+
+    def _stored(self, relation: Relation) -> Relation:
+        """``relation`` on a heap, written now unless it already is one:
+        a block's result, or a nested-loop inner that is rescanned."""
+        if relation.heap is not None:
+            return relation
+        return self._run(relation.store, self.buffer)
 
     def _execute_block(self, select: Select) -> Relation:
         self._reject_subqueries(select)
@@ -169,9 +192,7 @@ class SingleLevelExecutor:
 
         if select.distinct:
             if self.config.join_method == "hash":
-                result = self._run(
-                    hash_distinct, result, self.buffer, name="distinct"
-                )
+                result = self._run(hash_distinct, result, name="distinct")
                 self._log("hash dedup for DISTINCT (no sort)")
             else:
                 result = self._run(
@@ -222,6 +243,7 @@ class SingleLevelExecutor:
                 f"semi table {tables[0].binding} has no table before it to restrict"
             )
 
+        read_later = self._columns_read_later(select, all_conjuncts)
         relations: list[Relation] = []
         for ref in tables:
             relation = scan_table(self.catalog.get(ref.name), binding=ref.binding)
@@ -230,8 +252,11 @@ class SingleLevelExecutor:
             )
             if local is not None:
                 relation = self._run(
-                    restrict_project, relation, self.buffer,
-                    predicate=local, name=f"restrict({ref.binding})",
+                    restrict_project, relation, predicate=local,
+                    projections=self._pushed_projection(
+                        relation.schema, read_later
+                    ),
+                    name=f"restrict({ref.binding})",
                 )
                 self._log(f"restrict {ref.binding}: {to_sql(local)}")
             relations.append(relation)
@@ -240,6 +265,46 @@ class SingleLevelExecutor:
         for ref, relation in zip(tables[1:], relations[1:]):
             joined = self._join_pair(all_conjuncts, joined, relation, ref.semi)
         return joined
+
+    def _columns_read_later(
+        self, select: Select, all_conjuncts: list[Expr]
+    ) -> set[tuple[str, str]] | None:
+        """``(binding, column)`` of every column the block reads after
+        the per-table restrictions: the join and residual conjuncts,
+        the SELECT items, GROUP BY and HAVING (ORDER BY names output
+        columns).  None — keep every column — when a ``*`` item reads
+        them all, or an unqualified name has no single owner (the
+        operator that reads it reports that, as it always did)."""
+        if any(isinstance(item.expr, Star) for item in select.items):
+            return None
+        exprs: list[Expr] = [item.expr for item in select.items]
+        exprs += select.group_by
+        if select.having is not None:
+            exprs.append(select.having)
+        exprs += [c for c in all_conjuncts if len(self._bindings_used(c)) != 1]
+        try:
+            return {
+                (ref.table or self._owner_of(ref.column), ref.column)
+                for expr in exprs
+                for ref in column_refs(expr)
+            }
+        except PlanError:
+            return None
+
+    def _pushed_projection(
+        self, schema: RowSchema, read_later: set[tuple[str, str]] | None
+    ) -> list[tuple[Expr, str | None, str]] | None:
+        """A restriction's projection onto the columns read after it
+        (projection pushdown); None when it would keep them all."""
+        if read_later is None:
+            return None
+        kept = [field for field in schema.fields if field in read_later]
+        if len(kept) == len(schema):
+            return None
+        return [
+            (ColumnRef(binding, column), binding, column)
+            for binding, column in kept
+        ]
 
     def _table_local_predicate(
         self, all_conjuncts: list[Expr], schema: RowSchema, binding: str
@@ -343,7 +408,7 @@ class SingleLevelExecutor:
                 f"({to_sql(predicate) if predicate else 'cross'})"
             )
             return self._run(
-                nested_loop_join, left, right, self.buffer,
+                nested_loop_join, left, self._stored(right),
                 predicate=predicate, mode=mode, name="nl-join",
             )
 
@@ -359,7 +424,7 @@ class SingleLevelExecutor:
         # No join predicate: cross product by nested loops.
         self._log("cross product (no join predicate)")
         return self._run(
-            nested_loop_join, left, right, self.buffer,
+            nested_loop_join, left, self._stored(right),
             predicate=make_and(other), mode=mode, name="cross",
         )
 
@@ -402,7 +467,7 @@ class SingleLevelExecutor:
         left = self._ensure_sorted(left, tuple(left_keys))
         right = self._ensure_sorted(right, tuple(right_keys))
         joined = self._run(
-            merge_join, left, right, self.buffer,
+            merge_join, left, right,
             left_keys, right_keys, op="=", mode=mode, name="merge-join",
             null_safe=regimes,
             residual=self._residual_callable(
@@ -422,7 +487,7 @@ class SingleLevelExecutor:
         # applied in-join (required for the outer and semi modes, free
         # otherwise).
         joined = self._run(
-            hash_join, left, right, self.buffer,
+            hash_join, left, right,
             left_keys, right_keys, mode=mode, name="hash-join",
             null_safe=regimes,
             residual=self._residual_callable(
@@ -444,7 +509,7 @@ class SingleLevelExecutor:
         # our normalized predicate is "left.col mirror-op right.col",
         # i.e. right.col op left.col, which is exactly that direction.
         joined = self._run(
-            merge_join, left, right, self.buffer,
+            merge_join, left, right,
             [left_key], [right_key], op=op, mode=mode, name="theta-join",
             residual=self._residual_callable(
                 make_and(residual_preds) if mode != "inner" else None,
@@ -570,8 +635,7 @@ class SingleLevelExecutor:
             return relation
         self._log(f"filter: {to_sql(predicate)}")
         return self._run(
-            restrict_project, relation, self.buffer,
-            predicate=predicate, name="filter",
+            restrict_project, relation, predicate=predicate, name="filter"
         )
 
     def _grouped_output(self, select: Select, relation: Relation) -> Relation:
@@ -647,15 +711,14 @@ class SingleLevelExecutor:
         agg_fields = [(None, f"A{i}") for i in range(len(specs))]
         having_fields = [(None, f"H{i}") for i in range(len(having_specs))]
         grouped = self._run(
-            aggregate_op, relation, self.buffer, group_positions,
+            aggregate_op, relation, group_positions,
             specs + having_specs,
             group_fields + agg_fields + having_fields,
             name="group", always_emit=not group_positions,
         )
         if having_pred is not None:
             grouped = self._run(
-                restrict_project, grouped, self.buffer,
-                predicate=having_pred, name="having",
+                restrict_project, grouped, predicate=having_pred, name="having"
             )
             self._log(f"HAVING filter: {to_sql(having_pred)}")
 
@@ -668,16 +731,12 @@ class SingleLevelExecutor:
                 out_positions.append(len(group_positions) + index)
         out_fields = [(None, name) for name in out_names]
         if out_positions == list(range(len(grouped.schema))):
-            # Just relabel.
-            return Relation(
-                RowSchema(out_fields), heap=grouped.heap, name="result",
-                order=grouped.order,
+            return Relation.stream(
+                RowSchema(out_fields), grouped.iter_batches(), "result",
+                grouped.order,
             )
-        from repro.engine.operators import project_columns
-
         return self._run(
-            project_columns, grouped, self.buffer, out_positions, out_fields,
-            name="result",
+            project_columns, grouped, out_positions, out_fields, name="result"
         )
 
     def _rewrite_having(
@@ -733,8 +792,7 @@ class SingleLevelExecutor:
                 raise PlanError("SELECT * is not supported in canonical queries")
             projections.append((item.expr, None, name))
         result = self._run(
-            restrict_project, relation, self.buffer,
-            projections=projections, name="result",
+            restrict_project, relation, projections=projections, name="result"
         )
         self._log(
             "project " + ", ".join(to_sql(item.expr) for item in select.items)
@@ -755,10 +813,8 @@ class SingleLevelExecutor:
             external_sort, result, positions, self.buffer, name="ordered"
         )
         if descending_flags == {True}:
-            reversed_rows = list(ordered)[::-1]
-            ordered = self._run(
-                Relation.materialize, ordered.schema, reversed_rows,
-                self.buffer, name="ordered-desc",
+            ordered = Relation.from_rows(
+                ordered.schema, list(ordered)[::-1], name="ordered-desc"
             )
             self._log("reverse for ORDER BY DESC")
         return ordered

@@ -42,6 +42,16 @@ table is gone (33 of its cells read 1–11 pages fewer than their width-1
 twins, the three ``or_fallback`` ones a different count on each run),
 and the width-1 cells did not move.  Each cell runs one
 or four times on one database, and every run must match it.
+
+Then a block became one pass: every operator but the sort returns a
+stream, a block writes only its result, a nested-loop inner and its
+sort runs, and each restriction keeps only the columns the rest of the
+block reads.  33 of the 36 cells fell (reads 12 556 → 7 715, writes
+4 312 → 961 over the table); the three ``or_fallback`` cells run by
+nested iteration and did not move.  ``BEFORE_ONE_PASS`` keeps the old
+table, ``test_one_pass_only_saved_pages`` holds the new one to it, and
+the tests of the earlier moves compare their ``BEFORE_*`` tables with
+it — the table as it stood when they were pinned.
 """
 
 from __future__ import annotations
@@ -138,6 +148,48 @@ def measure(shape: str, join_method: str, runs: int = 1) -> list[tuple]:
 
 # (reads, writes, temp pages, method, steps, set-up definitions, rows).
 EXPECTED: dict[tuple[str, str], tuple] = {
+    ('n', 'merge'): (140, 42, (1,), 'transform', 2, 1, 60),
+    ('n', 'nested'): (100, 2, (1,), 'transform', 2, 1, 60),
+    ('n', 'hash'): (100, 2, (1,), 'transform', 2, 1, 60),
+    ('j', 'merge'): (145, 48, (7,), 'transform', 2, 1, 52),
+    ('j', 'nested'): (233, 8, (7,), 'transform', 2, 1, 52),
+    ('j', 'hash'): (106, 8, (7,), 'transform', 2, 1, 52),
+    ('ja_count', 'merge'): (173, 61, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'nested'): (136, 14, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'hash'): (128, 14, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_max', 'merge'): (170, 58, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'nested'): (135, 11, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'hash'): (128, 11, (2, 7, 1), 'transform', 4, 3, 1),
+    ('a', 'merge'): (101, 2, (), 'transform', 2, 1, 200),
+    ('a', 'nested'): (101, 2, (), 'transform', 2, 1, 200),
+    ('a', 'hash'): (101, 2, (), 'transform', 2, 1, 200),
+    ('exists', 'merge'): (167, 55, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'nested'): (125, 12, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'hash'): (124, 11, (2, 4, 4), 'transform', 4, 3, 60),
+    ('not_exists', 'merge'): (167, 56, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'nested'): (125, 14, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'hash'): (124, 12, (2, 4, 4), 'transform', 4, 3, 140),
+    ('ja_neq', 'merge'): (171, 60, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'nested'): (136, 13, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'hash'): (131, 22, (2, 7, 4), 'transform', 4, 3, 0),
+    ('not_in', 'merge'): (100, 2, (), 'transform', 2, 1, 140),
+    ('not_in', 'nested'): (100, 2, (), 'transform', 2, 1, 140),
+    ('not_in', 'hash'): (100, 2, (), 'transform', 2, 1, 140),
+    ('two_preds', 'merge'): (254, 62, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'nested'): (217, 15, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'hash'): (209, 15, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('depth2', 'merge'): (549, 299, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'nested'): (267, 12, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'hash'): (267, 12, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('or_fallback', 'merge'): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'nested'): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'hash'): (795, 0, (), 'nested_iteration', 0, 0, 55),
+}
+
+#: The whole table as pinned before a block's operators streamed: every
+#: operator wrote its output to a heap and the next one read it back,
+#: each restriction kept every column, and a build side was a temp.
+BEFORE_ONE_PASS: dict[tuple[str, str], tuple] = {
     ('n', 'merge'): (151, 57, (1,), 'transform', 2, 1, 60),
     ('n', 'nested'): (111, 17, (1,), 'transform', 2, 1, 60),
     ('n', 'hash'): (111, 17, (1,), 'transform', 2, 1, 60),
@@ -270,7 +322,7 @@ def test_default_database_returns_the_nested_iteration_bag(shape):
 def test_order_tracking_only_saved_pages():
     assert not [key for key in BEFORE_ORDERS if key[1] == "hash"]
     for key, (reads, writes) in BEFORE_ORDERS.items():
-        now = EXPECTED[key]
+        now = BEFORE_ONE_PASS[key]
         assert now[0] <= reads and now[1] <= writes, key
         assert (now[0], now[1]) != (reads, writes), key
 
@@ -283,7 +335,7 @@ def test_semi_join_only_saved_pages():
     assert {key[0] for key in BEFORE_SEMI} == {"n", "j", "two_preds", "depth2"}
     assert len(BEFORE_SEMI) == 12
     for key, (reads, writes) in BEFORE_SEMI.items():
-        now = EXPECTED[key]
+        now = BEFORE_ONE_PASS[key]
         assert now[0] <= reads and now[1] < writes, key
 
 
@@ -295,7 +347,7 @@ def test_value_links_moved_no_page():
     assert {key[0] for key in BEFORE_VALUE_LINKS} == {"a", "not_in"}
     assert len(BEFORE_VALUE_LINKS) == 6
     for key, before in BEFORE_VALUE_LINKS.items():
-        now = EXPECTED[key]
+        now = BEFORE_ONE_PASS[key]
         assert now[:4] == before[:4], key
         assert now[4:6] == (before[4] + 1, before[5] + 1), key
         assert now[6] == before[6], key
@@ -307,9 +359,9 @@ def test_type_j_temp_costs_its_pages():
     projected and duplicate-free; no rowid sort, no sort-unique on
     top) — nested loops eight times less.  The hash join never sorted,
     so it only pays for the temp: written once, read back once."""
-    assert {key for key in EXPECTED if key[0] == "j"} == set(BEFORE_JTEMP)
+    assert {key for key in BEFORE_ONE_PASS if key[0] == "j"} == set(BEFORE_JTEMP)
     for key, before in BEFORE_JTEMP.items():
-        now = EXPECTED[key]
+        now = BEFORE_ONE_PASS[key]
         (jtemp,) = now[2]
         assert now[3:] == ("transform", before[4] + 1, before[5] + 1, before[6])
         if key[1] == "hash":
@@ -317,8 +369,28 @@ def test_type_j_temp_costs_its_pages():
             assert before[1] < now[1] <= before[1] + 2 * jtemp, key
         else:
             assert now[0] < before[0], key
-    assert EXPECTED['j', 'merge'][1] < BEFORE_JTEMP['j', 'merge'][1]
-    assert EXPECTED['j', 'nested'][0] * 8 < BEFORE_JTEMP['j', 'nested'][0]
+    assert BEFORE_ONE_PASS['j', 'merge'][1] < BEFORE_JTEMP['j', 'merge'][1]
+    assert BEFORE_ONE_PASS['j', 'nested'][0] * 8 < BEFORE_JTEMP['j', 'nested'][0]
+
+
+def test_one_pass_only_saved_pages():
+    """Streaming moves no temp, no step and no row: each cell reads and
+    writes at most what it did when every operator wrote its output,
+    its temps are as large as they were (a temp is a block's result,
+    written once), and only nested iteration — which runs no block
+    operator — did not move at all."""
+    assert set(EXPECTED) == set(BEFORE_ONE_PASS)
+    for key, before in BEFORE_ONE_PASS.items():
+        now = EXPECTED[key]
+        assert now[0] <= before[0] and now[1] <= before[1], key
+        assert now[2:] == before[2:], key
+        moved = now[:2] != before[:2]
+        assert moved == (now[3] == "transform"), key
+    # The writes that are left are results, nested-loop inners and sort
+    # runs: under a quarter of what every operator's output cost.
+    assert 4 * sum(cell[1] for cell in EXPECTED.values()) < sum(
+        cell[1] for cell in BEFORE_ONE_PASS.values()
+    )
 
 
 if __name__ == "__main__":

@@ -49,47 +49,47 @@ class TestInnerHashJoin:
         buffer = make_buffer()
         left = rel(buffer, "L", ["K", "V"], LEFT_ROWS)
         right = rel(buffer, "R", ["K", "W"], RIGHT_ROWS)
-        hashed = hash_join(left, right, buffer, [0], [0])
+        hashed = hash_join(left, right, [0], [0])
         sorted_left = external_sort(left, [0], buffer)
         sorted_right = external_sort(right, [0], buffer)
-        merged = merge_join(sorted_left, sorted_right, buffer, [0], [0])
+        merged = merge_join(sorted_left, sorted_right, [0], [0])
         assert Counter(hashed.to_list()) == Counter(merged.to_list())
 
     def test_null_keys_never_match_under_equals(self):
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(None,), (1,)])
         right = rel(buffer, "R", ["K"], [(None,), (1,)])
-        out = hash_join(left, right, buffer, [0], [0])
+        out = hash_join(left, right, [0], [0])
         assert out.to_list() == [(1, 1)]
 
     def test_null_keys_match_under_null_safe(self):
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(None,), (1,)])
         right = rel(buffer, "R", ["K"], [(None,), (1,)])
-        out = hash_join(left, right, buffer, [0], [0], null_safe=True)
+        out = hash_join(left, right, [0], [0], null_safe=True)
         assert Counter(out.to_list()) == Counter([(None, None), (1, 1)])
 
     def test_duplicate_heavy_build_side_cross_products(self):
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(1,), (1,)])
         right = rel(buffer, "R", ["K", "W"], [(1, i) for i in range(5)])
-        out = hash_join(left, right, buffer, [0], [0])
-        assert len(out.to_list()) == 10
+        rows = hash_join(left, right, [0], [0]).to_list()
+        assert len(rows) == 10
         # Each probe row streams its matches in build insertion order.
-        assert [row[-1] for row in out.to_list()[:5]] == [0, 1, 2, 3, 4]
+        assert [row[-1] for row in rows[:5]] == [0, 1, 2, 3, 4]
 
     def test_probe_side_order_is_preserved(self):
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(3,), (1,), (2,)])
         right = rel(buffer, "R", ["K"], [(1,), (2,), (3,)])
-        out = hash_join(left, right, buffer, [0], [0])
+        out = hash_join(left, right, [0], [0])
         assert [k for k, _ in out.to_list()] == [3, 1, 2]
 
     def test_composite_keys(self):
         buffer = make_buffer()
         left = rel(buffer, "L", ["A", "B"], [(1, 1), (1, 2), (2, 1)])
         right = rel(buffer, "R", ["A", "B"], [(1, 2), (2, 1), (2, 2)])
-        out = hash_join(left, right, buffer, [0, 1], [0, 1])
+        out = hash_join(left, right, [0, 1], [0, 1])
         assert Counter(out.to_list()) == Counter(
             [(1, 2, 1, 2), (2, 1, 2, 1)]
         )
@@ -99,7 +99,7 @@ class TestInnerHashJoin:
         left = rel(buffer, "L", ["K", "V"], [(1, 5), (1, 50)])
         right = rel(buffer, "R", ["K", "W"], [(1, 10)])
         out = hash_join(
-            left, right, buffer, [0], [0],
+            left, right, [0], [0],
             residual=lambda combined: combined[1] < combined[3],
         )
         assert out.to_list() == [(1, 5, 1, 10)]
@@ -110,7 +110,7 @@ class TestOuterHashJoin:
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(1,), (9,), (None,)])
         right = rel(buffer, "R", ["K", "W"], [(1, 10)])
-        out = hash_join(left, right, buffer, [0], [0], mode="left")
+        out = hash_join(left, right, [0], [0], mode="left")
         assert Counter(out.to_list()) == Counter(
             [(1, 1, 10), (9, None, None), (None, None, None)]
         )
@@ -122,7 +122,7 @@ class TestOuterHashJoin:
         left = rel(buffer, "L", ["K", "V"], [(1, 5), (1, 50)])
         right = rel(buffer, "R", ["K", "W"], [(1, 10)])
         out = hash_join(
-            left, right, buffer, [0], [0], mode="left",
+            left, right, [0], [0], mode="left",
             residual=lambda combined: combined[1] < combined[3],
         )
         assert Counter(out.to_list()) == Counter(
@@ -133,11 +133,11 @@ class TestOuterHashJoin:
         buffer = make_buffer()
         left = rel(buffer, "L", ["K", "V"], LEFT_ROWS)
         right = rel(buffer, "R", ["K", "W"], RIGHT_ROWS)
-        hashed = hash_join(left, right, buffer, [0], [0], mode="left")
+        hashed = hash_join(left, right, [0], [0], mode="left")
         sorted_left = external_sort(left, [0], buffer)
         sorted_right = external_sort(right, [0], buffer)
         merged = merge_join(
-            sorted_left, sorted_right, buffer, [0], [0], mode="left"
+            sorted_left, sorted_right, [0], [0], mode="left"
         )
         assert Counter(hashed.to_list()) == Counter(merged.to_list())
 
@@ -162,7 +162,7 @@ class TestAgainstSQLite:
         left = scan_table(catalog.get("L"))
         right = scan_table(catalog.get("R"))
         return hash_join(
-            left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
+            left, right, [0], [0], mode=mode, null_safe=null_safe
         )
 
     def test_inner_equality_matches_sqlite(self):
@@ -201,16 +201,16 @@ class TestHashAggregation:
         source = rel(buffer, "T", ["G", "V"], rows)
         out_names = [(None, "G"), (None, "S")]
         specs = [AggSpec("SUM", 1, False)]
-        hashed = hash_group_aggregate(source, buffer, [0], specs, out_names)
+        hashed = hash_group_aggregate(source, [0], specs, out_names)
         sorted_src = external_sort(source, [0], buffer)
-        merged = group_aggregate(sorted_src, buffer, [0], specs, out_names)
+        merged = group_aggregate(sorted_src, [0], specs, out_names)
         assert Counter(hashed.to_list()) == Counter(merged.to_list())
 
     def test_groups_emerge_in_first_appearance_order(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["G"], [(3,), (1,), (3,), (2,)])
         out = hash_group_aggregate(
-            source, buffer, [0], [AggSpec("COUNT", None, False)],
+            source, [0], [AggSpec("COUNT", None, False)],
             [(None, "G"), (None, "C")],
         )
         assert out.to_list() == [(3, 2), (1, 1), (2, 1)]
@@ -219,7 +219,7 @@ class TestHashAggregation:
         buffer = make_buffer()
         source = rel(buffer, "T", ["G"], [(None,), (None,), (1,)])
         out = hash_group_aggregate(
-            source, buffer, [0], [AggSpec("COUNT", None, False)],
+            source, [0], [AggSpec("COUNT", None, False)],
             [(None, "G"), (None, "C")],
         )
         assert Counter(out.to_list()) == Counter([(None, 2), (1, 1)])
@@ -228,7 +228,7 @@ class TestHashAggregation:
         buffer = make_buffer()
         source = rel(buffer, "T", ["V"], [])
         out = hash_group_aggregate(
-            source, buffer, [], [AggSpec("COUNT", None, False)],
+            source, [], [AggSpec("COUNT", None, False)],
             [(None, "C")], always_emit=True,
         )
         assert out.to_list() == [(0,)]
@@ -236,7 +236,7 @@ class TestHashAggregation:
     def test_hash_distinct_keeps_first_occurrence(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [(2,), (1,), (2,), (1,), (3,)])
-        out = hash_distinct(source, buffer)
+        out = hash_distinct(source)
         assert out.to_list() == [(2,), (1,), (3,)]
 
 

@@ -38,10 +38,10 @@ class TestIndexNestedLoopJoin:
         supply_schema = RowSchema.for_table("SUPPLY", supply.schema.column_names)
 
         via_index = index_nested_loop_join(
-            parts, index, supply_schema, catalog.buffer, left_key=0
+            parts, index, supply_schema, left_key=0
         )
         via_loop = nested_loop_join(
-            parts, scan_table(supply), catalog.buffer,
+            parts, scan_table(supply),
             predicate=parse_expression("PARTS.PNUM = SUPPLY.PNUM"),
         )
         assert Counter(via_index.to_list()) == Counter(via_loop.to_list())
@@ -53,7 +53,7 @@ class TestIndexNestedLoopJoin:
         supply_schema = RowSchema.for_table("SUPPLY", supply.schema.column_names)
 
         out = index_nested_loop_join(
-            parts, index, supply_schema, catalog.buffer, left_key=0, mode="left"
+            parts, index, supply_schema, left_key=0, mode="left"
         )
         # Every part has at least one shipment in this instance, so the
         # outer mode matches the inner result here.
@@ -68,16 +68,16 @@ class TestIndexNestedLoopJoin:
         catalog.buffer.evict_all()
         catalog.buffer.reset_stats()
         index_nested_loop_join(
-            parts, index, supply_schema, catalog.buffer, left_key=0
-        )
+            parts, index, supply_schema, left_key=0
+        ).to_list()
         probe_reads = catalog.buffer.stats().page_reads
 
         catalog.buffer.evict_all()
         catalog.buffer.reset_stats()
         nested_loop_join(
-            parts, scan_table(supply), catalog.buffer,
+            parts, scan_table(supply),
             predicate=parse_expression("PARTS.PNUM = SUPPLY.PNUM"),
-        )
+        ).to_list()
         rescan_reads = catalog.buffer.stats().page_reads
         assert probe_reads < rescan_reads
 
@@ -99,23 +99,23 @@ class TestSection52IndexTrap:
         supply = scan_table(catalog.get("SUPPLY"))
         temp1 = external_sort(
             restrict_project(
-                parts, buffer,
+                parts,
                 projections=[(parse_expression("PARTS.PNUM"), "T1", "PNUM")],
             ),
             [0], buffer, unique=True,
         )
         temp2 = external_sort(
             restrict_project(
-                supply, buffer,
+                supply,
                 predicate=parse_expression("SHIPDATE < '1980-01-01'"),
                 projections=[(parse_expression("SUPPLY.PNUM"), "T2", "PNUM"),
                              (parse_expression("SUPPLY.SHIPDATE"), "T2", "VAL")],
             ),
             [0], buffer,
         )
-        joined = merge_join(temp1, temp2, buffer, [0], [0], mode="left")
+        joined = merge_join(temp1, temp2, [0], [0], mode="left")
         return group_aggregate(
-            joined, buffer, [0], [AggSpec("COUNT", 2)],
+            joined, [0], [AggSpec("COUNT", 2)],
             [("G", "PNUM"), ("G", "CT")],
         )
 
@@ -129,21 +129,21 @@ class TestSection52IndexTrap:
         )
         temp1 = external_sort(
             restrict_project(
-                parts, buffer,
+                parts,
                 projections=[(parse_expression("PARTS.PNUM"), "T1", "PNUM")],
             ),
             [0], buffer, unique=True,
         )
         joined = index_nested_loop_join(
-            temp1, index, supply_schema, buffer, left_key=0, mode="left"
+            temp1, index, supply_schema, left_key=0, mode="left"
         )
         filtered = restrict_project(
-            joined, buffer,
+            joined,
             predicate=parse_expression("SHIPDATE < '1980-01-01'"),
         )
         sorted_rel = external_sort(filtered, [0], buffer)
         return group_aggregate(
-            sorted_rel, buffer, [0], [AggSpec("COUNT", 3)],
+            sorted_rel, [0], [AggSpec("COUNT", 3)],
             [("G", "PNUM"), ("G", "CT")],
         )
 
@@ -157,5 +157,6 @@ class TestSection52IndexTrap:
         temp3 = self.trap_temp3(catalog)
         # Part 8's NULL-padded row fails SHIPDATE < cutoff (unknown)
         # and is filtered out — exactly the failure the paper warns of.
-        assert Counter(temp3.to_list()) == Counter([(3, 2), (10, 1)])
-        assert (8, 0) not in temp3.to_list()
+        rows = temp3.to_list()
+        assert Counter(rows) == Counter([(3, 2), (10, 1)])
+        assert (8, 0) not in rows

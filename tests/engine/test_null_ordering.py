@@ -64,7 +64,7 @@ class TestNullsFirstOrdering:
                      [(None, 1), (None, 2), (1, 3)])
         ordered = external_sort(source, [0], buffer)
         out = group_aggregate(
-            ordered, buffer, [0],
+            ordered, [0],
             [AggSpec("COUNT", 1)],
             [("T", "A"), (None, "CNT")],
         )
@@ -81,7 +81,7 @@ class TestMergeJoinWithNulls:
             rel(buffer, "R", ["K", "W"], right_rows), [0], buffer
         )
         return merge_join(
-            left, right, buffer, [0], [0], **kwargs
+            left, right, [0], [0], **kwargs
         ).to_list()
 
     def test_plain_equi_join_drops_null_keys(self):

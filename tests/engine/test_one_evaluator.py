@@ -214,7 +214,7 @@ def test_raising_nodes_raise_only_when_a_row_is_evaluated(predicate, error):
 
     def restrict(rows):
         source = Relation.materialize(schema, rows, buffer)
-        return restrict_project(source, buffer, predicate=where).to_list()
+        return restrict_project(source, predicate=where).to_list()
 
     assert restrict([]) == []
     with pytest.raises(error):

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from repro.engine.aggregate import AggSpec
 from repro.engine.operators import (
     group_aggregate,
+    hash_distinct,
+    hash_group_aggregate,
+    hash_join,
     merge_join,
     nested_loop_join,
     project_columns,
@@ -50,7 +53,7 @@ class TestRestrictProject:
     def test_identity(self):
         _, buffer = make_env()
         source = rel(buffer, "T", ["A"], [(1,), (2,)])
-        out = restrict_project(source, buffer)
+        out = restrict_project(source)
         assert out.to_list() == [(1,), (2,)]
         assert out.schema == source.schema
 
@@ -59,30 +62,34 @@ class TestRestrictProject:
         source = rel(buffer, "SUPPLY", ["PNUM", "SHIPDATE"],
                      [(3, "1979-07-03"), (10, "1981-08-10")])
         predicate = parse_expression("SHIPDATE < '1980-01-01'")
-        out = restrict_project(source, buffer, predicate=predicate)
+        out = restrict_project(source, predicate=predicate)
         assert out.to_list() == [(3, "1979-07-03")]
 
     def test_projection_renames(self):
         _, buffer = make_env()
         source = rel(buffer, "SUPPLY", ["PNUM", "QUAN"], [(3, 4), (10, 1)])
         projections = [(parse_expression("SUPPLY.PNUM"), "TEMP2", "PNUM")]
-        out = restrict_project(source, buffer, projections=projections, name="TEMP2")
+        out = restrict_project(source, projections=projections, name="TEMP2")
         assert out.schema.qualified_names() == ["TEMP2.PNUM"]
         assert out.to_list() == [(3,), (10,)]
 
     def test_unknown_predicate_value_rejects_row(self):
         _, buffer = make_env()
         source = rel(buffer, "T", ["A"], [(None,), (1,)])
-        out = restrict_project(source, buffer, predicate=parse_expression("A = 1"))
+        out = restrict_project(source, predicate=parse_expression("A = 1"))
         assert out.to_list() == [(1,)]
 
-    def test_output_is_heap_backed(self):
+    def test_output_is_a_stream_written_only_when_stored(self):
         disk, buffer = make_env()
         source = rel(buffer, "T", ["A"], [(i,) for i in range(20)])
         disk.reset_stats()
-        out = restrict_project(source, buffer)
-        assert out.is_heap_backed
-        assert disk.stats().page_writes >= out.num_pages
+        out = restrict_project(source)
+        assert out.is_stream and not out.is_heap_backed
+        assert out.num_pages == 0
+        stored = out.store(buffer)
+        assert stored.is_heap_backed
+        assert disk.stats().page_writes >= stored.num_pages > 0
+        assert stored.to_list() == [(i,) for i in range(20)]
 
 
 class TestNestedLoopJoin:
@@ -91,7 +98,7 @@ class TestNestedLoopJoin:
         left = rel(buffer, "L", ["A"], [(1,), (2,)])
         right = rel(buffer, "R", ["B"], [(2,), (3,)])
         predicate = parse_expression("L.A = R.B")
-        out = nested_loop_join(left, right, buffer, predicate=predicate)
+        out = nested_loop_join(left, right, predicate=predicate)
         assert out.to_list() == [(2, 2)]
         assert out.schema.qualified_names() == ["L.A", "R.B"]
 
@@ -99,7 +106,7 @@ class TestNestedLoopJoin:
         _, buffer = make_env()
         left = rel(buffer, "L", ["A"], [(1,), (2,)])
         right = rel(buffer, "R", ["B"], [(7,), (8,)])
-        out = nested_loop_join(left, right, buffer)
+        out = nested_loop_join(left, right)
         assert sorted(out.to_list()) == [(1, 7), (1, 8), (2, 7), (2, 8)]
 
     def test_left_outer(self):
@@ -107,7 +114,7 @@ class TestNestedLoopJoin:
         left = rel(buffer, "L", ["A"], [(1,), (2,)])
         right = rel(buffer, "R", ["B"], [(2,)])
         predicate = parse_expression("L.A = R.B")
-        out = nested_loop_join(left, right, buffer, predicate=predicate, mode="left")
+        out = nested_loop_join(left, right, predicate=predicate, mode="left")
         assert sorted(out.to_list(), key=str) == [(1, None), (2, 2)]
 
     def test_small_inner_rescans_hit_buffer(self):
@@ -116,7 +123,9 @@ class TestNestedLoopJoin:
         right = rel(buffer, "R", ["B"], [(1,), (2,)], rows_per_page=4)  # 1 page
         buffer.evict_all()
         disk.reset_stats()
-        nested_loop_join(left, right, buffer, predicate=parse_expression("L.A = R.B"))
+        nested_loop_join(
+            left, right, predicate=parse_expression("L.A = R.B")
+        ).to_list()
         stats = disk.stats()
         # Right (1 page) is read once and then hit in the buffer;
         # total reads ≈ left pages + right pages.
@@ -128,7 +137,9 @@ class TestNestedLoopJoin:
         right = rel(buffer, "R", ["B"], [(i,) for i in range(12)], rows_per_page=1)
         buffer.evict_all()
         disk.reset_stats()
-        nested_loop_join(left, right, buffer, predicate=parse_expression("L.A = R.B"))
+        nested_loop_join(
+            left, right, predicate=parse_expression("L.A = R.B")
+        ).to_list()
         # 10 outer tuples × 12 inner pages: far beyond one read of each.
         assert disk.stats().page_reads >= 10 * 12
 
@@ -142,7 +153,7 @@ class TestMergeJoin:
         _, buffer = make_env()
         left = self.sorted_rel(buffer, "L", ["A"], [(3,), (1,), (2,)])
         right = self.sorted_rel(buffer, "R", ["B"], [(2,), (4,), (2,)])
-        out = merge_join(left, right, buffer, [0], [0])
+        out = merge_join(left, right, [0], [0])
         assert out.to_list() == [(2, 2), (2, 2)]
 
     def test_equi_join_agrees_with_nested_loop(self):
@@ -151,11 +162,10 @@ class TestMergeJoin:
         rrows = [(i % 4, -i) for i in range(13)]
         left = self.sorted_rel(buffer, "L", ["K", "V"], lrows)
         right = self.sorted_rel(buffer, "R", ["K", "W"], rrows)
-        merged = merge_join(left, right, buffer, [0], [0])
+        merged = merge_join(left, right, [0], [0])
         loop = nested_loop_join(
             rel(buffer, "L", ["K", "V"], lrows),
             rel(buffer, "R", ["K", "W"], rrows),
-            buffer,
             predicate=parse_expression("L.K = R.K"),
         )
         assert sorted(merged.to_list()) == sorted(loop.to_list())
@@ -168,7 +178,7 @@ class TestMergeJoin:
         right = self.sorted_rel(
             buffer, "R", ["A", "B"], [(1, 2), (2, 2)], key=(0, 1)
         )
-        out = merge_join(left, right, buffer, [0, 1], [0, 1])
+        out = merge_join(left, right, [0, 1], [0, 1])
         assert out.to_list() == [(1, 2, 1, 2)]
 
     def test_left_outer_pads_with_nulls(self):
@@ -176,16 +186,16 @@ class TestMergeJoin:
         _, buffer = make_env()
         left = self.sorted_rel(buffer, "R", ["X"], [("A",), ("B",)])
         right = self.sorted_rel(buffer, "S", ["Y"], [("B",), ("C",), ("E",)])
-        out = merge_join(left, right, buffer, [0], [0], mode="left")
+        out = merge_join(left, right, [0], [0], mode="left")
         assert out.to_list() == [("A", None), ("B", "B")]
 
     def test_null_keys_never_match(self):
         _, buffer = make_env()
         left = self.sorted_rel(buffer, "L", ["A"], [(None,), (1,)])
         right = self.sorted_rel(buffer, "R", ["B"], [(None,), (1,)])
-        inner = merge_join(left, right, buffer, [0], [0])
+        inner = merge_join(left, right, [0], [0])
         assert inner.to_list() == [(1, 1)]
-        outer = merge_join(left, right, buffer, [0], [0], mode="left")
+        outer = merge_join(left, right, [0], [0], mode="left")
         assert outer.to_list() == [(None, None), (1, 1)]
 
     def test_theta_join_less_than(self):
@@ -195,7 +205,7 @@ class TestMergeJoin:
         inner = self.sorted_rel(buffer, "SUPPLY", ["PNUM", "QUAN"],
                                 [(3, 4), (3, 2), (9, 5), (10, 1)])
         # SUPPLY.PNUM < PARTS.PNUM  →  right rows with key < probe.
-        out = merge_join(outer, inner, buffer, [0], [0], op="<")
+        out = merge_join(outer, inner, [0], [0], op="<")
         assert sorted(out.to_list()) == [
             (8, 3, 2), (8, 3, 4),
             (10, 3, 2), (10, 3, 4), (10, 9, 5),
@@ -208,11 +218,10 @@ class TestMergeJoin:
         rrows = [(i % 4, i) for i in range(9)]
         left = self.sorted_rel(buffer, "L", ["K"], lrows)
         right = self.sorted_rel(buffer, "R", ["K", "V"], rrows)
-        theta = merge_join(left, right, buffer, [0], [0], op=op)
+        theta = merge_join(left, right, [0], [0], op=op)
         loop = nested_loop_join(
             rel(buffer, "L", ["K"], lrows),
             rel(buffer, "R", ["K", "V"], rrows),
-            buffer,
             predicate=parse_expression(f"R.K {op} L.K"),
         )
         assert sorted(theta.to_list()) == sorted(loop.to_list())
@@ -221,7 +230,7 @@ class TestMergeJoin:
         _, buffer = make_env()
         left = self.sorted_rel(buffer, "L", ["K"], [(0,), (5,)])
         right = self.sorted_rel(buffer, "R", ["K"], [(2,), (3,)])
-        out = merge_join(left, right, buffer, [0], [0], op="<", mode="left")
+        out = merge_join(left, right, [0], [0], op="<", mode="left")
         assert sorted(out.to_list(), key=str) == [(0, None), (5, 2), (5, 3)]
 
     def test_theta_multi_column_rejected(self):
@@ -229,7 +238,7 @@ class TestMergeJoin:
         left = self.sorted_rel(buffer, "L", ["A", "B"], [(1, 1)])
         right = self.sorted_rel(buffer, "R", ["A", "B"], [(1, 1)])
         with pytest.raises(ExecutionError):
-            merge_join(left, right, buffer, [0, 1], [0, 1], op="<")
+            merge_join(left, right, [0, 1], [0, 1], op="<")
 
 
 class TestGroupAggregate:
@@ -238,7 +247,7 @@ class TestGroupAggregate:
         source = rel(buffer, "T", ["K", "V"],
                      [(1, 10), (1, None), (2, 30)])
         out = group_aggregate(
-            source, buffer, [0],
+            source, [0],
             [AggSpec("COUNT", 1)],
             [("G", "K"), ("G", "CT")],
         )
@@ -248,7 +257,7 @@ class TestGroupAggregate:
         _, buffer = make_env()
         source = rel(buffer, "T", ["K", "V"], [(1, 10), (1, None), (2, 30)])
         out = group_aggregate(
-            source, buffer, [0],
+            source, [0],
             [AggSpec("COUNT", None)],
             [("G", "K"), ("G", "CT")],
         )
@@ -258,7 +267,7 @@ class TestGroupAggregate:
         _, buffer = make_env()
         source = rel(buffer, "T", ["K", "V"], [(1, 5), (1, 7), (2, 2)])
         out = group_aggregate(
-            source, buffer, [0],
+            source, [0],
             [AggSpec("MAX", 1), AggSpec("SUM", 1)],
             [("G", "K"), ("G", "MX"), ("G", "SM")],
         )
@@ -269,7 +278,7 @@ class TestGroupAggregate:
         _, buffer = make_env()
         source = rel(buffer, "T", ["K"], [(1,), (2,), (1,)])
         out = group_aggregate(
-            source, buffer, [0],
+            source, [0],
             [AggSpec("COUNT", None)],
             [("G", "K"), ("G", "CT")],
         )
@@ -280,11 +289,11 @@ class TestGroupAggregate:
         _, buffer = make_env()
         source = rel(buffer, "T", ["V"], [])
         silent = group_aggregate(
-            source, buffer, [], [AggSpec("COUNT", 0)], [("G", "CT")]
+            source, [], [AggSpec("COUNT", 0)], [("G", "CT")]
         )
         assert silent.to_list() == []
         emitted = group_aggregate(
-            source, buffer, [], [AggSpec("COUNT", 0)], [("G", "CT")],
+            source, [], [AggSpec("COUNT", 0)], [("G", "CT")],
             always_emit=True,
         )
         assert emitted.to_list() == [(0,)]
@@ -293,14 +302,14 @@ class TestGroupAggregate:
         _, buffer = make_env()
         source = rel(buffer, "T", ["K"], [(1,)])
         with pytest.raises(ExecutionError):
-            group_aggregate(source, buffer, [0], [AggSpec("COUNT", None)],
+            group_aggregate(source, [0], [AggSpec("COUNT", None)],
                             [("G", "K")])
 
     def test_group_key_with_nulls_forms_groups(self):
         _, buffer = make_env()
         source = rel(buffer, "T", ["K", "V"], [(None, 1), (None, 2), (1, 3)])
         out = group_aggregate(
-            source, buffer, [0],
+            source, [0],
             [AggSpec("COUNT", 1)],
             [("G", "K"), ("G", "CT")],
         )
@@ -311,9 +320,80 @@ class TestProjectColumns:
     def test_positional_projection(self):
         _, buffer = make_env()
         source = rel(buffer, "T", ["A", "B", "C"], [(1, 2, 3)])
-        out = project_columns(source, buffer, [2, 0], [(None, "C"), (None, "A")])
+        out = project_columns(source, [2, 0], [(None, "C"), (None, "A")])
         assert out.to_list() == [(3, 1)]
         assert out.schema.qualified_names() == ["C", "A"]
+
+
+#: Every operator that returns a stream, over a left and a right input.
+STREAMING = {
+    "restrict_project": lambda left, right: restrict_project(
+        left, predicate=parse_expression("L.K > 0")
+    ),
+    "project_columns": lambda left, right: project_columns(
+        left, [0], [(None, "K")]
+    ),
+    "nested_loop_join": lambda left, right: nested_loop_join(
+        left, right, predicate=parse_expression("L.K = R.K")
+    ),
+    "merge_join": lambda left, right: merge_join(left, right, [0], [0]),
+    "hash_join": lambda left, right: hash_join(left, right, [0], [0]),
+    "group_aggregate": lambda left, right: group_aggregate(
+        left, [0], [AggSpec("COUNT", None)], [(None, "K"), (None, "C")]
+    ),
+    "hash_group_aggregate": lambda left, right: hash_group_aggregate(
+        left, [0], [AggSpec("COUNT", None)], [(None, "K"), (None, "C")]
+    ),
+    "hash_distinct": lambda left, right: hash_distinct(left),
+}
+
+
+class TestStreams:
+    """Every operator but the sort returns a one-shot stream: it reads
+    nothing until pulled, writes nothing, and cannot be read twice."""
+
+    def inputs(self):
+        disk, buffer = make_env()
+        left = rel(buffer, "L", ["K"], [(1,), (2,), (2,), (3,)])
+        right = rel(buffer, "R", ["K"], [(2,), (3,), (4,)])
+        return disk, left, right
+
+    @pytest.mark.parametrize("operator", list(STREAMING))
+    def test_read_once(self, operator):
+        disk, left, right = self.inputs()
+        buffer_stats = disk.stats()
+        out = STREAMING[operator](left, right)
+        assert out.is_stream and out.num_pages == 0
+        assert disk.stats() == buffer_stats  # nothing read or written yet
+        rows = out.to_list()
+        assert rows
+        assert disk.stats().page_writes == buffer_stats.page_writes
+        with pytest.raises(ExecutionError, match="already read"):
+            out.to_list()
+
+    def test_nested_loop_refuses_a_stream_inner(self):
+        _, left, right = self.inputs()
+        with pytest.raises(ExecutionError, match="rescans its right input"):
+            nested_loop_join(left, restrict_project(right))
+
+    def test_a_stream_feeds_exactly_one_consumer(self):
+        _, left, right = self.inputs()
+        shared = restrict_project(right)
+        hash_join(left, shared, [0], [0]).to_list()
+        with pytest.raises(ExecutionError, match="already read"):
+            hash_join(left, shared, [0], [0]).to_list()
+
+    def test_projection_keeps_the_order_it_copies(self):
+        _, left, _ = self.inputs()
+        left.order = ((0,), False)
+        kept = restrict_project(
+            left, projections=[(parse_expression("L.K"), "T", "K")]
+        )
+        assert kept.order == ((0,), False)
+        computed = restrict_project(
+            left, projections=[(parse_expression("L.K + 1"), "T", "K")]
+        )
+        assert computed.order == ((), False)
 
 
 class TestJoinEquivalenceProperty:
@@ -329,9 +409,9 @@ class TestJoinEquivalenceProperty:
         right_rel = rel(buffer, "R", ["K"], [(v,) for v in rrows])
         left_sorted = external_sort(left_rel, [0], buffer)
         right_sorted = external_sort(right_rel, [0], buffer)
-        merged = merge_join(left_sorted, right_sorted, buffer, [0], [0], mode=mode)
+        merged = merge_join(left_sorted, right_sorted, [0], [0], mode=mode)
         loop = nested_loop_join(
-            left_rel, right_rel, buffer,
+            left_rel, right_rel,
             predicate=parse_expression("L.K = R.K"), mode=mode,
         )
         assert sorted(merged.to_list(), key=str) == sorted(loop.to_list(), key=str)

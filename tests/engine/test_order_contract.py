@@ -359,7 +359,7 @@ class TestMergeJoinEqualsNestedLoop:
         right = sorted_input(buffer, "R", ["K", "W"], rrows, [0])
         residual_text = "L.V <= R.W" if with_residual else None
         merged = merge_join(
-            left, right, buffer, [0], [0], mode=mode, null_safe=null_safe,
+            left, right, [0], [0], mode=mode, null_safe=null_safe,
             residual=residual_callable(residual_text, left.schema + right.schema)
             if with_residual
             else None,
@@ -368,7 +368,7 @@ class TestMergeJoinEqualsNestedLoop:
         if with_residual:
             predicate += f" AND {residual_text}"
         loop = nested_loop_join(
-            left, right, buffer, predicate=parse_expression(predicate), mode=mode
+            left, right, predicate=parse_expression(predicate), mode=mode
         )
         assert exact(merged.to_list()) == exact(loop.to_list())
 
@@ -394,7 +394,7 @@ class TestMergeJoinEqualsNestedLoop:
             else None
         )
         merged = merge_join(
-            left, right, buffer, [0, 1], [0, 1], mode=mode,
+            left, right, [0, 1], [0, 1], mode=mode,
             null_safe=null_safe, residual=residual,
         )
         k_eq, t_eq = ("<=>" if safe else "=" for safe in null_safe)
@@ -402,14 +402,15 @@ class TestMergeJoinEqualsNestedLoop:
         if with_residual:
             predicate += f" AND {residual_text}"
         loop = nested_loop_join(
-            left, right, buffer, mode=mode, predicate=parse_expression(predicate)
+            left, right, mode=mode, predicate=parse_expression(predicate)
         )
-        assert exact(merged.to_list()) == exact(loop.to_list())
+        merged_rows = merged.to_list()
+        assert exact(merged_rows) == exact(loop.to_list())
         hashed = hash_join(
-            left, right, buffer, [0, 1], [0, 1], mode=mode,
+            left, right, [0, 1], [0, 1], mode=mode,
             null_safe=null_safe, residual=residual,
         )
-        assert exact(hashed.to_list()) == exact(merged.to_list())
+        assert exact(hashed.to_list()) == exact(merged_rows)
 
     @given(
         keys=st.sampled_from([NUMBER_KEYS, TEXT_KEYS]).flatmap(
@@ -430,7 +431,7 @@ class TestMergeJoinEqualsNestedLoop:
         right = sorted_input(buffer, "R", ["K", "W"], rrows, [0])
         residual_text = "L.V <= R.W" if with_residual else None
         merged = merge_join(
-            left, right, buffer, [0], [0], op=op, mode=mode,
+            left, right, [0], [0], op=op, mode=mode,
             residual=residual_callable(residual_text, left.schema + right.schema)
             if with_residual
             else None,
@@ -439,7 +440,7 @@ class TestMergeJoinEqualsNestedLoop:
         if with_residual:
             predicate += f" AND {residual_text}"
         loop = nested_loop_join(
-            left, right, buffer, predicate=parse_expression(predicate), mode=mode
+            left, right, predicate=parse_expression(predicate), mode=mode
         )
         assert exact(merged.to_list()) == exact(loop.to_list())
 
@@ -453,16 +454,16 @@ class TestMergeJoinFallbacks:
         _, buffer = make_env(8)
         left = sorted_input(buffer, "L", ["K"], [(1,), (True,), (2.0,), (None,)], [0])
         right = sorted_input(buffer, "R", ["K"], [(1.0,), (2,), (None,), (0,)], [0])
-        out = merge_join(left, right, buffer, [0], [0]).to_list()
+        out = merge_join(left, right, [0], [0]).to_list()
         assert exact(out) == exact([(1, 1.0), (True, 1.0), (2.0, 2)])
-        safe = merge_join(left, right, buffer, [0], [0], null_safe=True).to_list()
+        safe = merge_join(left, right, [0], [0], null_safe=True).to_list()
         assert exact(safe) == exact([(None, None), (1, 1.0), (True, 1.0), (2.0, 2)])
 
     def test_mixed_type_keys_step_over_each_other(self):
         _, buffer = make_env(8)
         left = sorted_input(buffer, "L", ["K"], [("a",), (2,), (None,), ("b",)], [0])
         right = sorted_input(buffer, "R", ["K"], [(1,), ("b",), (None,), (2,), ("a",)], [0])
-        out = merge_join(left, right, buffer, [0], [0], mode="left").to_list()
+        out = merge_join(left, right, [0], [0], mode="left").to_list()
         assert out == [(None, None), (2, 2), ("a", "a"), ("b", "b")]
 
     def test_null_in_a_two_column_key(self):
@@ -471,16 +472,16 @@ class TestMergeJoinFallbacks:
         rrows = [(1, 2), (None, 2), (1, None)]
         left = sorted_input(buffer, "L", ["A", "B"], lrows, [0, 1])
         right = sorted_input(buffer, "R", ["A", "B"], rrows, [0, 1])
-        plain = merge_join(left, right, buffer, [0, 1], [0, 1]).to_list()
+        plain = merge_join(left, right, [0, 1], [0, 1]).to_list()
         assert plain == [(1, 2, 1, 2)]
-        safe = merge_join(left, right, buffer, [0, 1], [0, 1], null_safe=True)
+        safe = merge_join(left, right, [0, 1], [0, 1], null_safe=True)
         assert safe.to_list() == [
             (None, 2, None, 2), (1, None, 1, None), (1, 2, 1, 2)
         ]
         # One regime per column: a NULL joins only where its column says so.
-        a_safe = merge_join(left, right, buffer, [0, 1], [0, 1], null_safe=[True, False])
+        a_safe = merge_join(left, right, [0, 1], [0, 1], null_safe=[True, False])
         assert a_safe.to_list() == [(None, 2, None, 2), (1, 2, 1, 2)]
-        b_safe = merge_join(left, right, buffer, [0, 1], [0, 1], null_safe=[False, True])
+        b_safe = merge_join(left, right, [0, 1], [0, 1], null_safe=[False, True])
         assert b_safe.to_list() == [(1, None, 1, None), (1, 2, 1, 2)]
 
     @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "<>"])
@@ -489,7 +490,7 @@ class TestMergeJoinFallbacks:
         _, buffer = make_env(8)
         left = sorted_input(buffer, "L", ["K"], [(2,), ("x",), (True,)], [0])
         right = sorted_input(buffer, "R", ["K"], [(1,), (2,), (3,)], [0])
-        out = merge_join(left, right, buffer, [0], [0], op=op).to_list()
+        out = merge_join(left, right, [0], [0], op=op).to_list()
 
         def holds(right_key, left_key):
             a, b = orderable(right_key), orderable(left_key)
@@ -503,11 +504,11 @@ class TestMergeJoinFallbacks:
         _, buffer = make_env(8)
         some = sorted_input(buffer, "L", ["K"], [(1,), (2,)], [0])
         none = sorted_input(buffer, "R", ["K"], [], [0])
-        assert merge_join(some, none, buffer, [0], [0]).to_list() == []
-        assert merge_join(some, none, buffer, [0], [0], mode="left").to_list() == [
+        assert merge_join(some, none, [0], [0]).to_list() == []
+        assert merge_join(some, none, [0], [0], mode="left").to_list() == [
             (1, None), (2, None)
         ]
-        assert merge_join(none, some, buffer, [0], [0], mode="left").to_list() == []
-        assert merge_join(some, none, buffer, [0], [0], op="<", mode="left").to_list() == [
+        assert merge_join(none, some, [0], [0], mode="left").to_list() == []
+        assert merge_join(some, none, [0], [0], op="<", mode="left").to_list() == [
             (1, None), (2, None)
         ]

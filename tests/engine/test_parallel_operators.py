@@ -59,8 +59,11 @@ def cold(buffer):
 
 def alone_and_together(buffer, clients, operator):
     """Run ``operator()`` alone, then on ``clients`` threads at once,
-    each from a cold pool; check geometry and page reads, and return
-    the lone rows and every client's rows."""
+    each from a cold pool and each storing the stream it returns (an
+    operator reads nothing until pulled); check geometry and page
+    reads, and return the lone rows and every client's rows."""
+    stream = operator
+    operator = lambda: stream().store(buffer)  # noqa: E731
     cold(buffer)
     alone = operator()
     alone_rows = alone.to_list()
@@ -94,7 +97,7 @@ class TestParallelRestrictProject:
                 buffer,
                 clients,
                 lambda: restrict_project(
-                    source, buffer, predicate=predicate, projections=projections
+                    source, predicate=predicate, projections=projections
                 ),
             )
 
@@ -104,13 +107,13 @@ class TestParallelRestrictProject:
     def test_empty_source(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [])
-        outputs = run_clients(4, lambda: restrict_project(source, buffer))
+        outputs = run_clients(4, lambda: restrict_project(source))
         assert [out.to_list() for out in outputs] == [[]] * 4
 
     def test_single_row(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [(1,)])
-        outputs = run_clients(4, lambda: restrict_project(source, buffer))
+        outputs = run_clients(4, lambda: restrict_project(source))
         assert [out.to_list() for out in outputs] == [[(1,)]] * 4
 
 
@@ -129,7 +132,7 @@ class TestParallelHashJoin:
             buffer,
             4,
             lambda: hash_join(
-                left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
+                left, right, [0], [0], mode=mode, null_safe=null_safe
             ),
         )
 
@@ -137,7 +140,7 @@ class TestParallelHashJoin:
         key = Comparison(
             ColumnRef("L", "K"), "=", ColumnRef("R", "K"), null_safe=null_safe
         )
-        loop = nested_loop_join(left, right, buffer, predicate=key, mode=mode)
+        loop = nested_loop_join(left, right, predicate=key, mode=mode)
         assert alone == loop.to_list()
 
     def test_residual_is_part_of_join_condition(self):
@@ -152,7 +155,7 @@ class TestParallelHashJoin:
             buffer,
             3,
             lambda: hash_join(
-                left, right, buffer, [0], [0], mode="left", residual=residual
+                left, right, [0], [0], mode="left", residual=residual
             ),
         )
         assert together == [alone] * 3
@@ -168,7 +171,7 @@ class TestParallelHashJoin:
         left = rel(buffer, "L", ["K", "V"], [(1, i) for i in range(120)])
         right = rel(buffer, "R", ["K", "W"], [(1, 10), (2, 20)])
         alone, together = alone_and_together(
-            buffer, 5, lambda: hash_join(left, right, buffer, [0], [0])
+            buffer, 5, lambda: hash_join(left, right, [0], [0])
         )
         assert together == [alone] * 5
         assert alone == [(1, i, 1, 10) for i in range(120)]
@@ -189,7 +192,7 @@ class TestParallelAggregate:
         alone, together = alone_and_together(
             buffer,
             4,
-            lambda: hash_group_aggregate(source, buffer, [0], specs, names),
+            lambda: hash_group_aggregate(source, [0], specs, names),
         )
 
         # First-appearance group order, for every client.
@@ -211,7 +214,7 @@ class TestParallelAggregate:
         outputs = run_clients(
             4,
             lambda: group_aggregate(
-                source, buffer, [], specs, names, always_emit=True
+                source, [], specs, names, always_emit=True
             ),
         )
         assert [out.to_list() for out in outputs] == [[(None, 0)]] * 4
@@ -223,7 +226,6 @@ class TestParallelAggregate:
             2,
             lambda: hash_group_aggregate(
                 source,
-                buffer,
                 [0],
                 [AggSpec("SUM", 1), AggSpec("COUNT", 1), AggSpec("COUNT", None)],
                 [(None, "G"), (None, "S"), (None, "C"), (None, "STAR")],
@@ -241,7 +243,6 @@ class TestParallelAggregate:
             8,
             lambda: hash_group_aggregate(
                 source,
-                buffer,
                 [0],
                 [AggSpec("COUNT", None), AggSpec("SUM", 1)],
                 [(None, "G"), (None, "C"), (None, "S")],
@@ -258,7 +259,7 @@ class TestParallelDistinct:
         source = rel(buffer, "T", ["A", "B"], rows)
 
         alone, together = alone_and_together(
-            buffer, 4, lambda: hash_distinct(source, buffer)
+            buffer, 4, lambda: hash_distinct(source)
         )
 
         assert together == [alone] * 4
@@ -267,7 +268,7 @@ class TestParallelDistinct:
     def test_all_duplicates(self):
         buffer = make_buffer()
         source = rel(buffer, "T", ["A"], [(7,)] * 100)
-        outputs = run_clients(6, lambda: hash_distinct(source, buffer))
+        outputs = run_clients(6, lambda: hash_distinct(source))
         assert [out.to_list() for out in outputs] == [[(7,)]] * 6
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.relation import Relation, temp_rows_per_page
 from repro.engine.schema import RowSchema
-from repro.errors import BindError
+from repro.errors import BindError, ExecutionError
 from repro.sql.ast import ColumnRef
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
@@ -105,10 +105,56 @@ class TestRelation:
         schema = RowSchema([(None, "A")])
         memory = Relation.from_rows(schema, [], name="M")
         assert "memory" in repr(memory)
+        assert "stream" in repr(Relation.stream(schema, [], name="S"))
 
     def test_temp_rows_per_page_scales_with_width(self):
         assert temp_rows_per_page(1) > temp_rows_per_page(4) >= 1
         assert temp_rows_per_page(1000) == 1
+
+
+class TestStream:
+    """An operator's output: read once, no pages, no row count."""
+
+    def schema(self):
+        return RowSchema([(None, "A")])
+
+    def test_reads_once_then_raises(self):
+        stream = Relation.stream(self.schema(), [[(1,), (2,)], [(3,)]], "S")
+        assert stream.is_stream and not stream.is_heap_backed
+        assert stream.to_list() == [(1,), (2,), (3,)]
+        with pytest.raises(ExecutionError, match="already read"):
+            stream.to_list()
+        with pytest.raises(ExecutionError, match="already read"):
+            stream.iter_batches()
+
+    def test_handing_out_the_batches_counts_as_the_read(self):
+        stream = Relation.stream(self.schema(), [[(1,)]])
+        batches = stream.iter_batches()
+        with pytest.raises(ExecutionError):
+            list(stream)
+        assert list(batches) == [[(1,)]]
+
+    def test_occupies_no_page_and_has_no_row_count(self):
+        stream = Relation.stream(self.schema(), [[(1,)]])
+        assert stream.num_pages == 0
+        with pytest.raises(ExecutionError):
+            stream.num_rows
+        stream.drop()  # owns nothing
+        assert stream.to_list() == [(1,)]
+
+    def test_store_writes_it_once(self):
+        buffer = make_buffer()
+        order = ((0,), True)
+        stream = Relation.stream(
+            self.schema(), [[(i,)] for i in range(300)], "S", order
+        )
+        stored = stream.store(buffer)
+        assert stored.is_heap_backed and stored.name == "S"
+        assert stored.order == order
+        assert stored.num_pages == 3  # 128 one-column rows a page
+        assert stored.to_list() == stored.to_list() == [(i,) for i in range(300)]
+        with pytest.raises(ExecutionError):
+            stream.store(buffer)
 
 
 class TestTempRowsPerPage:

@@ -86,22 +86,22 @@ def run_semi(operator, left, right, buffer, regimes, residual):
             ]
             + ([RESIDUAL] if residual else [])
         )
-        return nested_loop_join(left, right, buffer, predicate, mode="semi")
+        return nested_loop_join(left, right, predicate, mode="semi")
     in_join = in_join_callable(RESIDUAL) if residual else None
     if operator == "merge":
         return merge_join(
-            left, external_sort(right, keys, buffer), buffer, keys, keys,
+            left, external_sort(right, keys, buffer), keys, keys,
             mode="semi", null_safe=regimes, residual=in_join,
         )
     def join():
         return hash_join(
-            left, right, buffer, keys, keys,
+            left, right, keys, keys,
             mode="semi", null_safe=regimes, residual=in_join,
         )
 
     if operator == "hash":
         return join()
-    outputs = run_clients(4, join)
+    outputs = run_clients(4, lambda: join().store(buffer))
     assert [out.to_list() for out in outputs[1:]] == [outputs[0].to_list()] * 3
     return outputs[0]
 
@@ -157,7 +157,7 @@ def test_theta_semi_merge_join(op, residual, left_rows, right_rows):
         Relation.materialize(RIGHT, right_rows, buffer, rows_per_page=2), [0], buffer
     )
     out = merge_join(
-        left, right, buffer, [0], [0], op=op, mode="semi",
+        left, right, [0], [0], op=op, mode="semi",
         residual=in_join_callable(RESIDUAL) if residual else None,
     )
     expected = [

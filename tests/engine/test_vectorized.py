@@ -75,7 +75,7 @@ def loop_join_oracle(left, right, buffer, mode, null_safe, residual_expr=None):
         null_safe=null_safe,
     )
     return nested_loop_join(
-        left, right, buffer,
+        left, right,
         predicate=make_and([key] + ([residual_expr] if residual_expr else [])),
         mode=mode,
     )
@@ -101,25 +101,27 @@ class TestOperatorEquivalence:
             (ColumnRef("T", "A"), "T", "A"),
         ]
         got = restrict_project(
-            rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
+            rel(buffer, "T", ["A", "B"], LEFT_ROWS),
             predicate=predicate, projections=projections,
         )
+        rows = got.to_list()
         # NULL < 5 is unknown: the NULL-keyed rows are filtered out.
-        assert got.to_list() == [(10, 1), (None, 2), (21, 2)]
+        assert rows == [(10, 1), (None, 2), (21, 2)]
         assert list(got.schema.fields) == [("T", "B"), ("T", "A")]
         kept = oracle_restrict(predicate, LEFT_ROWS)
-        assert got.to_list() == [(b, a) for a, b in kept]
+        assert rows == [(b, a) for a, b in kept]
 
     def test_restrict_project_matches_the_oracle(self):
         """The kernels keep exactly the rows the oracle keeps, in order."""
         buffer = make_buffer()
         predicate = parse("SELECT T.A FROM T WHERE T.B >= 10").where
         kernels = restrict_project(
-            rel(buffer, "T", ["A", "B"], LEFT_ROWS), buffer,
+            rel(buffer, "T", ["A", "B"], LEFT_ROWS),
             predicate=predicate,
         )
-        assert kernels.to_list() == oracle_restrict(predicate, LEFT_ROWS)
-        assert kernels.to_list() == [(1, 10), (None, 30), (2, 21)]
+        rows = kernels.to_list()
+        assert rows == oracle_restrict(predicate, LEFT_ROWS)
+        assert rows == [(1, 10), (None, 30), (2, 21)]
 
     @pytest.mark.parametrize("mode", ["inner", "left"])
     @pytest.mark.parametrize("null_safe", [False, True])
@@ -128,15 +130,15 @@ class TestOperatorEquivalence:
         left = rel(buffer, "L", ["K", "V"], LEFT_ROWS)
         right = rel(buffer, "R", ["K", "W"], RIGHT_ROWS)
         got = hash_join(
-            left, right, buffer, [0], [0], mode=mode, null_safe=null_safe
-        )
-        loop = loop_join_oracle(left, right, buffer, mode, null_safe)
+            left, right, [0], [0], mode=mode, null_safe=null_safe
+        ).store(buffer)
+        loop = loop_join_oracle(left, right, buffer, mode, null_safe).store(buffer)
         assert got.to_list() == loop.to_list()  # same rows, same order
         assert got.num_pages == loop.num_pages
         merged = merge_join(
             external_sort(left, [0], buffer), external_sort(right, [0], buffer),
-            buffer, [0], [0], mode=mode, null_safe=null_safe,
-        )
+            [0], [0], mode=mode, null_safe=null_safe,
+        ).store(buffer)
         same_relation(got, merged)
 
     def test_hash_join_null_key_matches_only_null_safe(self):
@@ -144,15 +146,15 @@ class TestOperatorEquivalence:
         buffer = make_buffer()
         left = rel(buffer, "L", ["K"], [(None,), (1,)])
         right = rel(buffer, "R", ["K"], [(None,), (1,)])
-        plain = hash_join(left, right, buffer, [0], [0])
+        plain = hash_join(left, right, [0], [0])
         assert plain.to_list() == [(1, 1)]
-        safe = hash_join(left, right, buffer, [0], [0], null_safe=True)
+        safe = hash_join(left, right, [0], [0], null_safe=True)
         assert Counter(safe.to_list()) == Counter([(None, None), (1, 1)])
 
     def test_distinct(self):
         buffer = make_buffer()
         rows = [(1, 1), (2, 2), (1, 1), (None, None), (2, 2), (None, None)]
-        got = hash_distinct(rel(buffer, "T", ["A", "B"], rows), buffer)
+        got = hash_distinct(rel(buffer, "T", ["A", "B"], rows)).store(buffer)
         # First occurrence kept, input order preserved.
         assert got.to_list() == [(1, 1), (2, 2), (None, None)]
         sort_unique = external_sort(
@@ -173,8 +175,8 @@ class TestOperatorEquivalence:
         ]
         names = [(None, c) for c in ["K", "C", "CD", "S", "M", "A"]]
         hashed = hash_group_aggregate(
-            rel(buffer, "T", ["K", "V"], rows), buffer, [0], specs, names
-        )
+            rel(buffer, "T", ["K", "V"], rows), [0], specs, names
+        ).store(buffer)
         # Emission order is first appearance; NULL keys form one group.
         assert [r[0] for r in hashed.to_list()] == [1, 2, None]
         assert hashed.to_list()[0] == (
@@ -184,8 +186,8 @@ class TestOperatorEquivalence:
         # different algorithm (no hash table) sharing only apply_specs.
         streamed = group_aggregate(
             external_sort(rel(buffer, "T", ["K", "V"], rows), [0], buffer),
-            buffer, [0], specs, names,
-        )
+            [0], specs, names,
+        ).store(buffer)
         same_relation(hashed, streamed)
 
     def test_ungrouped_aggregate_of_empty_input(self):
@@ -195,8 +197,7 @@ class TestOperatorEquivalence:
         names = [(None, c) for c in ["C", "S", "M"]]
         for aggregate in (hash_group_aggregate, group_aggregate):
             got = aggregate(
-                rel(buffer, "T", ["V"], []), buffer, [], specs, names,
-                always_emit=True,
+                rel(buffer, "T", ["V"], []), [], specs, names, always_emit=True
             )
             assert got.to_list() == [(0, None, None)]
 
@@ -237,14 +238,16 @@ class TestResidualDecomposition:
         right = right or self.right
         residual = _Residual(expr, self.schema)
         got = hash_join(
-            left, right, self.buffer, [0], [0],
+            left, right, [0], [0],
             mode=mode, null_safe=null_safe, residual=residual,
-        )
-        loop = loop_join_oracle(left, right, self.buffer, mode, null_safe, expr)
+        ).store(self.buffer)
+        loop = loop_join_oracle(
+            left, right, self.buffer, mode, null_safe, expr
+        ).store(self.buffer)
         assert got.to_list() == loop.to_list()
         assert got.num_pages == loop.num_pages
         undecomposed = hash_join(
-            left, right, self.buffer, [0], [0],
+            left, right, [0], [0],
             mode=mode, null_safe=null_safe, residual=plain(residual),
         )
         assert got.to_list() == undecomposed.to_list()
@@ -315,7 +318,7 @@ class TestResidualDecomposition:
             Comparison(column(self.schema, 1), ">", Literal(0)),
         ))
         got = hash_join(
-            self.left, self.right, self.buffer, [0], [0],
+            self.left, self.right, [0], [0],
             residual=plain(_Residual(expr, self.schema)),
         )
         loop = loop_join_oracle(
@@ -460,9 +463,9 @@ class TestErrorSurfacingContract:
         for mode in MODES:
             with evaluation(mode), pytest.raises(ExecutionError):
                 restrict_project(
-                    rel(buffer, "T", ["A"], [(5,), (0,), (2,)]), buffer,
+                    rel(buffer, "T", ["A"], [(5,), (0,), (2,)]),
                     predicate=predicate,
-                )
+                ).to_list()
 
     def test_and_gates_the_cells_its_first_operand_rejects(self):
         buffer = make_buffer()
@@ -473,7 +476,7 @@ class TestErrorSurfacingContract:
             with evaluation(mode):
                 got = restrict_project(
                     rel(buffer, "T", ["A"], [(5,), (0,), (20,), (None,)]),
-                    buffer, predicate=predicate,
+                    predicate=predicate,
                 )
             assert got.to_list() == [(5,)]
 
@@ -490,9 +493,9 @@ class TestErrorSurfacingContract:
         # Chosen behaviour: the conjunct is pushed to the build, where it
         # is evaluated on every build row — the non-candidate raises.
         with pytest.raises(ExecutionError):
-            hash_join(left, right, buffer, [0], [0], residual=residual)
+            hash_join(left, right, [0], [0], residual=residual).to_list()
         # Without decomposition only candidates are checked: no error.
-        got = hash_join(left, right, buffer, [0], [0], residual=plain(residual))
+        got = hash_join(left, right, [0], [0], residual=plain(residual))
         assert got.to_list() == [(1, 1, 1, 2)]
 
     def test_folded_equality_cannot_raise_the_mixed_type_error(self):
@@ -505,8 +508,8 @@ class TestErrorSurfacingContract:
         expr = Comparison(column(combined, 1), "=", column(combined, 3))
         residual = _Residual(expr, combined)
         # Folded into the hash key: 7 and "seven" simply do not collide.
-        got = hash_join(left, right, buffer, [0], [0], residual=residual)
+        got = hash_join(left, right, [0], [0], residual=residual)
         assert got.to_list() == []
         # Evaluated as a comparison, int = text is an error.
         with pytest.raises(ExecutionError):
-            hash_join(left, right, buffer, [0], [0], residual=plain(residual))
+            hash_join(left, right, [0], [0], residual=plain(residual)).to_list()

@@ -233,6 +233,81 @@ class TestErrorPathsFreeTheirScratch:
         assert self.db.disk.num_pages == self.base_pages - 1
 
 
+class TestMidStreamFailures:
+    """A join residual that raises on the last batch of a stream, after
+    the block has begun writing: its half-written result, or the runs a
+    sort has already formed, are freed with everything else."""
+
+    N = 400
+
+    def setup_method(self):
+        self.db = Database(buffer_pages=4)
+        self.db.create_table("A", ["K", "X"], rows_per_page=8)
+        self.db.create_table("B", ["K", "Y"], rows_per_page=8)
+        self.db.insert("A", [(i, i + 1) for i in range(self.N)])
+        # B.Y is 0 for the last key only: A.X / B.Y raises on A's last page.
+        self.db.insert("B", [(i, int(i < self.N - 1)) for i in range(self.N)])
+        self.db.cold_cache()
+        self.base_pages = self.db.disk.num_pages
+
+    def freed_heaps(self, monkeypatch) -> list[tuple[str | None, int]]:
+        """``(heap name, pages)`` of every heap freed, in order, with a
+        ``("<sort>", 0)`` mark where each of the executor's sorts began."""
+        import repro.optimizer.executor as executor_module
+        from repro.storage.heap import HeapFile
+
+        freed = []
+        truncate = HeapFile.truncate
+        external_sort = executor_module.external_sort
+
+        def spy(heap):
+            freed.append((heap.name, heap.num_pages))
+            return truncate(heap)
+
+        def marked_sort(*args, **kwargs):
+            freed.append(("<sort>", 0))
+            return external_sort(*args, **kwargs)
+
+        monkeypatch.setattr(HeapFile, "truncate", spy)
+        monkeypatch.setattr(executor_module, "external_sort", marked_sort)
+        return freed
+
+    def fail(self, join_method: str, order_by: str = "") -> None:
+        executor = SingleLevelExecutor(self.db.catalog, ExecConfig(join_method))
+        with pytest.raises(ExecutionError):
+            executor.execute(
+                parse(
+                    "SELECT A.K, A.X, B.K, B.Y FROM A, B "
+                    f"WHERE A.K = B.K AND A.X / B.Y > 0{order_by}"
+                )
+            )
+        assert self.db.disk.num_pages == self.base_pages
+        assert leaked_pages(self.db.catalog) == 0
+        assert not self.db.buffer._pinned
+
+    @pytest.mark.parametrize("join_method", ["merge", "nested", "hash"])
+    def test_half_written_result_is_freed(self, monkeypatch, join_method):
+        freed = self.freed_heaps(monkeypatch)
+        self.fail(join_method)
+        # 399 joined rows of four columns, 32 a page, were on disk.
+        assert ("result", -(-(self.N - 1) // 32)) in freed
+        names = [name for name, _ in freed]
+        if join_method == "merge":  # the sorted inputs, freed in the sweep
+            assert names.count("<sort>") == names.count("sorted") == 2
+
+    @pytest.mark.parametrize("join_method", ["merge", "nested", "hash"])
+    def test_formed_sort_runs_are_freed(self, monkeypatch, join_method):
+        freed = self.freed_heaps(monkeypatch)
+        self.fail(join_method, " ORDER BY A.X")
+        # The ORDER BY sort's runs hold B x 32 = 128 rows: three were
+        # formed before the fourth run's input raised.
+        names = [name for name, _ in freed]
+        last_sort = len(names) - names[::-1].index("<sort>")
+        runs = [pages for name, pages in freed[last_sort:] if name == "sort-run"]
+        assert runs == [4, 4, 4]
+        assert "result" not in names
+
+
 def test_thousand_mixed_operations_stay_bounded():
     """disk.num_pages after 1 000 mixed_rw-style operations: base tables
     plus the plan cache's bounded temp population, not one page per

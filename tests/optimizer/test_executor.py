@@ -214,3 +214,81 @@ class TestPaperTempTables:
             join_method,
         )
         assert Counter(result.to_list()) == Counter([(3, 2), (10, 1), (8, 0)])
+
+
+class TestOnePassPerBlock:
+    """A block's operators stream; it writes its result, a nested-loop
+    inner and its sort runs, and nothing else."""
+
+    SQL = (
+        "SELECT A.K, COUNT(B.Z) FROM A, B "
+        "WHERE A.K = B.K AND A.X > 1 AND B.Y > 2 GROUP BY A.K"
+    )
+
+    def catalog(self):
+        from repro.catalog.schema import schema
+        from repro.workloads.paper_data import fresh_catalog
+
+        catalog = fresh_catalog(4)
+        catalog.create_table(schema("A", "K", "X"), rows_per_page=4)
+        catalog.create_table(schema("B", "K", "Y", "Z", "W"), rows_per_page=4)
+        catalog.insert("A", [(k % 10, k % 5) for k in range(40)])
+        catalog.insert("B", [(k % 12, k % 7, k, -k) for k in range(60)])
+        return catalog
+
+    def stores(self, monkeypatch):
+        """Every relation the executor writes through ``Relation.store``:
+        ``(name, fields, rows)``."""
+        from repro.engine.relation import Relation
+
+        written = []
+        store = Relation.store
+
+        def spy(self, buffer):
+            stored = store(self, buffer)
+            written.append((self.name, stored.schema.fields, stored.num_rows))
+            return stored
+
+        monkeypatch.setattr(Relation, "store", spy)
+        return written
+
+    def expected(self):
+        a = [(k % 10, k % 5) for k in range(40)]
+        b = [(k % 12, k % 7, k, -k) for k in range(60)]
+        counts = Counter(
+            ak for ak, x in a if x > 1 for bk, y, _, _ in b if bk == ak and y > 2
+        )
+        return Counter(counts.items())
+
+    @pytest.mark.parametrize("method", ["merge", "hash"])
+    def test_only_the_result_is_written(self, monkeypatch, method):
+        written = self.stores(monkeypatch)
+        result = run(self.catalog(), self.SQL, method)
+        assert Counter(result.to_list()) == self.expected()
+        assert [name for name, _, _ in written] == ["result"]
+
+    def test_nested_loop_inner_written_once_at_its_projected_width(
+        self, monkeypatch
+    ):
+        written = self.stores(monkeypatch)
+        result = run(self.catalog(), self.SQL, "nested")
+        assert Counter(result.to_list()) == self.expected()
+        # B.Y is read only by B's own restriction, B.W by nobody.
+        inner = sum(1 for k in range(60) if k % 7 > 2)
+        assert [name for name, _, _ in written] == ["restrict(B)", "result"]
+        assert written[0] == ("restrict(B)", (("B", "K"), ("B", "Z")), inner)
+
+    def test_an_unrestricted_inner_is_rescanned_where_it_is_stored(
+        self, monkeypatch
+    ):
+        written = self.stores(monkeypatch)
+        result = run(
+            self.catalog(),
+            "SELECT A.K, B.Z FROM A, B WHERE A.K = B.K AND A.X > 3",
+            "nested",
+        )
+        assert len(result.to_list()) == sum(
+            1 for k in range(40) if k % 5 > 3 for j in range(60)
+            if j % 12 == k % 10
+        )
+        assert [name for name, _, _ in written] == ["result"]

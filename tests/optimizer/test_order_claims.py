@@ -23,6 +23,7 @@ import repro.optimizer.executor as executor_module
 from repro import Database
 from repro.catalog.catalog import Catalog
 from repro.core.pipeline import Engine
+from repro.engine.relation import Relation
 from repro.engine.sort import column_profile, external_sort, order_key
 from repro.optimizer.cost import sort_cost
 from repro.optimizer.executor import SingleLevelExecutor
@@ -45,7 +46,8 @@ def assert_ordered(rows: list[tuple], order, what: str) -> None:
 @pytest.fixture
 def claims(monkeypatch):
     """Check every order claimed by an operator or a registered temp;
-    yields the list of non-empty ones."""
+    yields the list of non-empty ones.  A stream is read here, checked,
+    and handed on as a stream of the rows read."""
     seen: list[tuple[str, tuple]] = []
     run = SingleLevelExecutor._run
     register = Catalog.register_temp
@@ -53,8 +55,13 @@ def claims(monkeypatch):
     def checked_run(self, operator, *args, **kwargs):
         relation = run(self, operator, *args, **kwargs)
         if relation.order[0]:
-            assert_ordered(relation.to_list(), relation.order, operator.__name__)
+            rows = relation.to_list()
+            assert_ordered(rows, relation.order, operator.__name__)
             seen.append((operator.__name__, relation.order))
+            if relation.is_stream:
+                return Relation.stream(
+                    relation.schema, [rows], relation.name, relation.order
+                )
         return relation
 
     def checked_register(self, name, heap, column_names, order=((), False)):
