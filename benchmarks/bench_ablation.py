@@ -18,6 +18,7 @@ from repro.bench.harness import compare_methods, measure
 from repro.bench.reporting import format_table
 from repro.core.nest_nj import apply_nest_nj
 from repro.core.pipeline import prepare_query
+from repro.engine.relation import Relation
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
 from repro.workloads.generators import (
@@ -71,7 +72,7 @@ def literal_nest_nj(catalog, sql):
     flat = apply_nest_nj(block, block.where)
     catalog.buffer.evict_all()
     before = catalog.buffer.stats()
-    rows = SingleLevelExecutor(catalog).execute(flat).drain()
+    rows = SingleLevelExecutor(catalog).execute(flat, Relation.to_list)
     return rows, (catalog.buffer.stats() - before).page_ios
 
 

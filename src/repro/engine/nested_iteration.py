@@ -251,12 +251,7 @@ class NestedIterationExecutor(SubqueryHandler):
         return (kind, id(query), values)
 
     def _outer_ref_plan(self, query: Select):
-        """The distinct outer columns a correlated block references.
-
-        A block nested in ``query`` may read ``query``'s own columns
-        (``outer_references`` reports those too): they are not outer to
-        ``query``, and keying on them would leave the memo unused.
-        """
+        """The distinct outer columns a correlated block references."""
 
         def has_column(binding: str, column: str) -> bool:
             if self.catalog.has_table(binding):
@@ -270,7 +265,7 @@ class NestedIterationExecutor(SubqueryHandler):
             return False
         distinct: list[ColumnRef] = []
         for ref in refs:
-            if ref not in distinct and ref.table not in query.table_bindings:
+            if ref not in distinct:
                 distinct.append(ref)
         return distinct
 

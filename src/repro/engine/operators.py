@@ -7,8 +7,9 @@ Every operator here returns a one-shot *stream*
 (:meth:`Relation.stream`): it reads its inputs through the buffer pool
 as the stream is pulled, a batch at a time, and writes nothing.  Only
 :func:`~repro.engine.sort.external_sort` writes (its runs and its
-output); what else a block keeps — its result, a nested-loop inner —
-the executor writes (:class:`~repro.optimizer.executor.SingleLevelExecutor`).
+output); what else a block keeps — a temp's result, a nested-loop
+inner — the executor writes
+(:class:`~repro.optimizer.executor.SingleLevelExecutor`).
 So the page I/O of an entire plan is still measured end to end, and a
 restriction, a projection and the joins between them cost one pass.
 

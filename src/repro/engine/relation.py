@@ -3,8 +3,8 @@
 A :class:`Relation` takes one of three forms:
 
 * *heap-backed* — pages on the simulated disk, read through the buffer
-  pool (a stored table, a registered temp, a sort's output, a block's
-  result); re-iterable, every scan charged its page reads;
+  pool (a stored table, a registered temp, a sort's output); re-iterable,
+  every scan charged its page reads;
 * *in-memory* — a small list (e.g. System R's cached type-N inner
   result); re-iterable, no I/O;
 * a *stream* — what a physical operator returns: a schema, a one-shot
@@ -15,7 +15,10 @@ A :class:`Relation` takes one of three forms:
   relation instead.  The paper's "restriction and projection ... cost
   = read input + write output" is then one pass: the operators of a
   block read their inputs once, and only what the block must keep is
-  written (:meth:`Relation.materialize_batches`).
+  written (:meth:`Relation.materialize_batches`).  A block's result is
+  written only when it is a temp; a statement's final block is read
+  by its caller straight off the stream (:meth:`Relation.to_list`),
+  and no page is written for the answer.
 
 Batch access.  Operators consume relations through
 :meth:`Relation.iter_batches`, which yields **page-sized** row batches
@@ -282,14 +285,6 @@ class Relation:
         """
         if self.heap is not None and self.owns_heap:
             self.heap.truncate()
-
-    def drain(self) -> list[tuple]:
-        """Read every row, then free the pages: the last use of a
-        result whose caller keeps only the rows."""
-        try:
-            return self.to_list()
-        finally:
-            self.drop()
 
     def __repr__(self) -> str:
         if self.is_stream:

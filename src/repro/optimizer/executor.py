@@ -31,13 +31,15 @@ Design points lifted straight from the paper:
   and a GROUP BY read their input once and write nothing — the paper's
   "restriction and projection ... cost = read input + write output" is
   one pass.  A block writes pages in three places only: its result
-  (:meth:`SingleLevelExecutor.execute` — a temp definition or the final
-  answer), the inner of a nested-loop join, which is rescanned once per
-  outer tuple (section 7.2's cost), and the runs of a sort.  A hash
-  build side is read straight into the join's table.  Each table's
-  restriction keeps only the columns the rest of the block reads, so
-  what is still written (a sort's runs, a nested-loop inner) is as
-  narrow as it can be.
+  when the result is a temp (:meth:`SingleLevelExecutor.materialize`),
+  the inner of a nested-loop join, which is rescanned once per outer
+  tuple (section 7.2's cost), and the runs of a sort.  A statement's
+  final block hands its rows to the caller and writes no result —
+  section 7.3 prices the final join at ``sort(Ri) + Pi + Pt``, nothing
+  for the answer.  A hash build side is read straight into the join's
+  table.  Each table's restriction keeps only the columns the rest of
+  the block reads, so what is still written (a sort's runs, a
+  nested-loop inner) is as narrow as it can be.
 
 Every operator runs serially, on the thread that issued the query, so
 a plan's page I/O is one schedule — the one section 7 costs.
@@ -45,7 +47,9 @@ a plan's page I/O is one schedule — the one section 7 costs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import partial
+from typing import TypeVar
 
 from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
@@ -83,6 +87,9 @@ from repro.sql.ast import (
 from repro.sql.printer import to_sql
 
 
+T = TypeVar("T")
+
+
 def _join_step(method: str, mode: str, on: str) -> str:
     """A join's step text: ``merge semi-join on ...``."""
     return (
@@ -113,45 +120,44 @@ class SingleLevelExecutor:
 
     # -- public API --------------------------------------------------------
 
-    def execute(self, select: Select) -> Relation:
-        """Run a single-level query, returning its result on a heap.
+    def execute(self, select: Select, consume: Callable[[Relation], T]) -> T:
+        """Run a single-level query and hand its output to ``consume``.
 
-        The block's operators stream into this one write (unless the
-        last of them is a sort, whose output already is a heap).  The
-        returned relation belongs to the caller, who registers its
-        heap somewhere that will free it (``register_temp``, a shared
-        registry) or drops it once read (:meth:`Relation.drain`).
-        Every other heap written on the way (a sort's output, a
-        nested-loop inner) is this call's scratch and is freed before
-        it returns — on the error path too.
+        The block's operators stream into ``consume``, which reads the
+        output once, inside this call: :meth:`materialize` stores it as
+        a temp, a chain's final block collects its rows
+        (:meth:`Relation.to_list`) and writes nothing.  Every heap
+        written on the way (a sort's output, a nested-loop inner) is
+        this call's scratch and is freed once ``consume`` returns — on
+        the error path too — unless ``consume`` gave it an owner.
+        Returns what ``consume`` returns.
         """
         self.steps = []
         self._scratch: list[Relation] = []
-        result: Relation | None = None
         try:
-            result = self._stored(self._execute_block(select))
-            return result
+            return consume(self._execute_block(select))
         finally:
-            # The result is on the list too (written by ``_stored``, or
-            # a sort's output): keep its heap.
-            kept = None if result is None else result.heap
             for relation in self._scratch:
-                if relation.heap is not kept:
-                    relation.drop()
+                relation.drop()
 
     def materialize(self, name: str, select: Select) -> str:
         """Build one temp-table definition and register it as ``name``.
 
         The one place a transform temp (``Rt``, ``TEMP1..3``, a staging
-        temp) comes into being: the replay loop and the batched chain
-        both call it.  The catalog this
-        executor reads from owns the heap from here on.  Returns the
-        step text.
+        temp) comes into being, and the one place a block's result is
+        written: the replay loop and the batched chain both call it.
+        The catalog this executor reads from owns the heap from here
+        on.  Returns the step text.
         """
-        relation = self.execute(select)
-        self.catalog.register_temp(
-            name, relation.heap, self.output_names(select), relation.order
-        )
+
+        def register(output: Relation) -> None:
+            relation = self._stored(output)
+            self.catalog.register_temp(
+                name, relation.heap, self.output_names(select), relation.order
+            )
+            self._scratch.remove(relation)  # the catalog owns it now
+
+        self.execute(select, register)
         return f"built {name}: " + "; ".join(self.steps)
 
     def _run(self, operator, *args, **kwargs) -> Relation:
@@ -170,7 +176,7 @@ class SingleLevelExecutor:
 
     def _stored(self, relation: Relation) -> Relation:
         """``relation`` on a heap, written now unless it already is one:
-        a block's result, or a nested-loop inner that is rescanned."""
+        a temp's result, or a nested-loop inner that is rescanned."""
         if relation.heap is not None:
             return relation
         return self._run(relation.store, self.buffer)

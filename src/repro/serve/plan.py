@@ -255,7 +255,8 @@ class CachedPlan:
         share_temps: bool = True,
     ) -> tuple[list[tuple], list[str], dict[str, int]]:
         """The chain driver: install ``setup`` in ``session``, run
-        ``final_query`` over it, drain the rows, sweep the session.
+        ``final_query`` over it and collect its rows — the answer is
+        handed to the caller, never written — then sweep the session.
 
         Temp contents and link values depend only on the committed base
         data (pinned by the active snapshot) and the parameter slots
@@ -489,7 +490,7 @@ class CachedPlan:
             query = delta_query(
                 definition.query, inputs(definition.query, table, old, new)
             )
-            delta = delta_executor.execute(query).drain()
+            delta = delta_executor.execute(query, Relation.to_list)
             merged = merge_delta(
                 entry.heap.scan_pages(), delta, entry.order,
                 row_combiner(definition.query),
@@ -601,9 +602,9 @@ class CachedPlan:
             if idle:
                 steps.append(", ".join(idle) + " not read")
             self.last_links = fate
-            relation = executor.execute(final_query)
+            rows = executor.execute(final_query, Relation.to_list)
             steps.append("final: " + "; ".join(executor.steps))
-            return relation.drain(), steps, temp_pages
+            return rows, steps, temp_pages
         finally:
             session.drop_temp_tables()
             for run in private:

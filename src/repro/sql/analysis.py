@@ -72,8 +72,12 @@ def outer_references(
                         f"cannot resolve column {ref.qualified()} in block"
                     )
             elif isinstance(item, Select):
+                # What a nested block reads of this block's own tables
+                # is not outer to this block.
                 refs.extend(
-                    outer_references(item, has_column, enclosing + local)
+                    ref
+                    for ref in outer_references(item, has_column, enclosing + local)
+                    if not _binds_locally(ref, local, has_column)
                 )
     return refs
 

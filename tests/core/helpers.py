@@ -7,6 +7,7 @@ from repro.core.nest_g import nest_g
 from repro.core.nest_nj import apply_nest_nj
 from repro.core.pipeline import Engine, prepare_query
 from repro.engine.params import bound_params
+from repro.engine.relation import Relation
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.serve.plan import install_link, link_contents, run_transform
 from repro.sql.ast import Select, column_refs, conjuncts, walk
@@ -55,7 +56,7 @@ def literal_nest_nj(catalog, sql, join_method="merge"):
         if any(isinstance(n, Select) for n in walk(conjunct))
     ]
     executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-    return executor.execute(apply_nest_nj(block, node)).drain()
+    return executor.execute(apply_nest_nj(block, node), Relation.to_list)
 
 
 def assert_in_merges_are_semi(plan):

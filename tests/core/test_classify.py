@@ -103,6 +103,25 @@ class TestClassifyBlock:
         found = classify_block(block, catalog_resolver(catalog))
         assert found[0].nesting is NestingType.TYPE_J
 
+    def test_inner_block_correlated_only_with_itself_is_type_n(self):
+        """The benchmark's ``depth2`` shape: the innermost block reads
+        ``S1``, a table of the ``IN`` block's own FROM clause, so the
+        ``IN`` block is uncorrelated with ``PARTS`` — type N, not J."""
+        from repro.core.pipeline import prepare_query
+
+        catalog = load_kiessling_instance()
+        block = prepare_query(
+            parse(
+                "SELECT PNUM FROM PARTS WHERE PNUM IN "
+                "(SELECT PNUM FROM SUPPLY S1 WHERE QUAN = "
+                "(SELECT MAX(QUAN) FROM SUPPLY S2 "
+                "WHERE S2.PNUM = S1.PNUM AND S2.SHIPDATE < '1980-07-15'))"
+            ),
+            catalog,
+        )
+        found = classify_block(block, catalog_resolver(catalog))
+        assert [p.nesting for p in found] == [NestingType.TYPE_N]
+
     def test_alias_correlation(self):
         catalog = load_supplier_parts()
         block = parse(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.nest_nj import apply_nest_nj, inner_temp_setup
 from repro.core.pipeline import Engine, prepare_query
+from repro.engine.relation import Relation
 from repro.errors import TransformError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.analysis import resolver_from_columns
@@ -249,5 +250,5 @@ class TestSemantics:
         flat = apply_nest_nj(
             replace(outer, where=over_flat_middle), over_flat_middle
         )
-        rows = SingleLevelExecutor(catalog).execute(flat).drain()
+        rows = SingleLevelExecutor(catalog).execute(flat, Relation.to_list)
         assert set(rows) == set(ni.result.rows)

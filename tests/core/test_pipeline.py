@@ -300,11 +300,11 @@ class TestCostBasedRunLeavesEngineAlone:
         used: list[str] = []
         real_execute = SingleLevelExecutor.execute
 
-        def gated(self, select):
+        def gated(self, select, consume):
             used.append(self.config.join_method)
             entered.set()
             assert release.wait(timeout=30)
-            return real_execute(self, select)
+            return real_execute(self, select, consume)
 
         monkeypatch.setattr(SingleLevelExecutor, "execute", gated)
         reports = []

@@ -253,11 +253,13 @@ class TestExecutorIntegration:
         query = parse(
             "SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND R.W > 5"
         )
-        merge_result = SingleLevelExecutor(catalog, ExecConfig("merge")).execute(query)
-        hash_result = SingleLevelExecutor(catalog, ExecConfig("hash")).execute(query)
-        assert Counter(hash_result.to_list()) == Counter(
-            merge_result.to_list()
+        merge_rows = SingleLevelExecutor(catalog, ExecConfig("merge")).execute(
+            query, Relation.to_list
         )
+        hash_rows = SingleLevelExecutor(catalog, ExecConfig("hash")).execute(
+            query, Relation.to_list
+        )
+        assert Counter(hash_rows) == Counter(merge_rows)
 
     def test_hash_method_skips_sorts(self):
         from repro.optimizer.executor import SingleLevelExecutor
@@ -269,6 +271,8 @@ class TestExecutorIntegration:
         catalog.insert("L", [(3,), (1,), (2,)])
         catalog.insert("R", [(2,), (3,), (4,)])
         executor = SingleLevelExecutor(catalog, ExecConfig("hash"))
-        executor.execute(parse("SELECT L.K FROM L, R WHERE L.K = R.K"))
+        executor.execute(
+            parse("SELECT L.K FROM L, R WHERE L.K = R.K"), Relation.to_list
+        )
         assert not any(step.startswith("sort") for step in executor.steps)
         assert any(step.startswith("hash join") for step in executor.steps)

@@ -206,7 +206,7 @@ class TestExecutorPicksTheMode:
 
         def client():
             executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-            return sorted(executor.execute(block).drain(), key=repr)
+            return sorted(executor.execute(block, Relation.to_list), key=repr)
 
         assert run_clients(clients, client) == [sorted(expected, key=repr)] * clients
 
@@ -220,13 +220,17 @@ class TestExecutorPicksTheMode:
     )
     def test_step_text_says_semi_join(self, join_method, text):
         executor = SingleLevelExecutor(self.catalog(), ExecConfig(join_method))
-        executor.execute(parse("SELECT L.K FROM L, SEMI R WHERE L.K = R.K")).drop()
+        executor.execute(
+            parse("SELECT L.K FROM L, SEMI R WHERE L.K = R.K"), Relation.to_list
+        )
         assert any(step.startswith(text) for step in executor.steps), executor.steps
 
     def test_semi_table_columns_do_not_come_out(self):
         executor = SingleLevelExecutor(self.catalog())
         with pytest.raises(PlanError):  # PV012, before the first page is read
-            executor.execute(parse("SELECT R.V FROM L, SEMI R WHERE L.K = R.K"))
+            executor.execute(
+                parse("SELECT R.V FROM L, SEMI R WHERE L.K = R.K"), Relation.to_list
+            )
 
     def test_every_conjunct_on_a_semi_table_belongs_to_its_join(self):
         """``R.V = X.V`` reads the semi table and a table joined after
@@ -236,6 +240,6 @@ class TestExecutorPicksTheMode:
             "SELECT L.K FROM L, SEMI R, L X WHERE L.K = R.K AND R.V = X.V"
         )
         with pytest.raises(PlanError, match="semi table R"):
-            executor.execute(block)
+            executor.execute(block, Relation.to_list)
         with pytest.raises(PlanError, match="semi table L"):
-            executor.execute(parse("SELECT R.K FROM SEMI L, R"))
+            executor.execute(parse("SELECT R.K FROM SEMI L, R"), Relation.to_list)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.config import ExecConfig
+from repro.engine.relation import Relation
 from repro.errors import PlanError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
@@ -16,8 +17,10 @@ from repro.workloads.paper_data import (
 
 
 def run(catalog, sql, join_method="merge"):
+    """The block's rows, collected as a chain collects its final
+    block's: nothing is written for them."""
     executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-    return executor.execute(parse(sql))
+    return executor.execute(parse(sql), Relation.to_list)
 
 
 @pytest.fixture(params=["merge", "nested"])
@@ -29,17 +32,17 @@ class TestScanAndFilter:
     def test_projection(self, join_method):
         catalog = load_kiessling_instance()
         result = run(catalog, "SELECT PNUM FROM PARTS", join_method)
-        assert result.to_list() == [(3,), (10,), (8,)]
+        assert result == [(3,), (10,), (8,)]
 
     def test_restriction(self, join_method):
         catalog = load_kiessling_instance()
         result = run(catalog, "SELECT PNUM FROM PARTS WHERE QOH > 0", join_method)
-        assert result.to_list() == [(3,), (10,)]
+        assert result == [(3,), (10,)]
 
     def test_distinct(self, join_method):
         catalog = load_duplicates_instance()
         result = run(catalog, "SELECT DISTINCT PNUM FROM PARTS", join_method)
-        assert result.to_list() == [(3,), (8,), (10,)]
+        assert result == [(3,), (8,), (10,)]
 
     def test_output_names_respect_aliases(self):
         catalog = load_kiessling_instance()
@@ -62,7 +65,7 @@ class TestJoins:
             "WHERE PARTS.PNUM = SUPPLY.PNUM AND SHIPDATE < '1980-01-01'",
             join_method,
         )
-        assert Counter(result.to_list()) == Counter([(3, 4), (3, 2), (10, 1)])
+        assert Counter(result) == Counter([(3, 4), (3, 2), (10, 1)])
 
     def test_theta_join(self, join_method):
         catalog = load_kiessling_instance()
@@ -75,7 +78,7 @@ class TestJoins:
         expected = Counter(
             [(10, 3), (10, 3), (10, 8), (8, 3), (8, 3)]
         )
-        assert Counter(result.to_list()) == expected
+        assert Counter(result) == expected
 
     def test_left_outer_join(self, join_method):
         catalog = load_kiessling_instance()
@@ -86,7 +89,7 @@ class TestJoins:
             join_method,
         )
         # Part 8 has no pre-1980 shipments: padded with NULL.
-        assert Counter(result.to_list()) == Counter(
+        assert Counter(result) == Counter(
             [(3, 4), (3, 2), (10, 1), (8, None)]
         )
 
@@ -100,7 +103,7 @@ class TestJoins:
             "WHERE PARTS.PNUM =+ SUPPLY.PNUM AND SHIPDATE < '1980-01-01'",
             join_method,
         )
-        assert (8, None) in result.to_list()
+        assert (8, None) in result
 
     def test_three_table_join(self, join_method):
         catalog = load_supplier_parts()
@@ -110,7 +113,7 @@ class TestJoins:
             "WHERE S.SNO = SP.SNO AND SP.PNO = P.PNO AND P.WEIGHT > 18",
             join_method,
         )
-        assert Counter(result.to_list()) == Counter([("Smith", "Cog")])
+        assert Counter(result) == Counter([("Smith", "Cog")])
 
     def test_cross_product(self, join_method):
         catalog = load_kiessling_instance()
@@ -119,7 +122,7 @@ class TestJoins:
             "SELECT PARTS.PNUM, X.PNUM FROM PARTS, PARTS X",
             join_method,
         )
-        assert len(result.to_list()) == 9
+        assert len(result) == 9
 
 
 class TestGrouping:
@@ -131,7 +134,7 @@ class TestGrouping:
             "WHERE SHIPDATE < '1980-01-01' GROUP BY PNUM",
             join_method,
         )
-        assert Counter(result.to_list()) == Counter([(3, 2), (10, 1)])
+        assert Counter(result) == Counter([(3, 2), (10, 1)])
 
     def test_group_by_join_column_after_merge_join_skips_sort(self):
         catalog = load_kiessling_instance()
@@ -140,15 +143,16 @@ class TestGrouping:
             parse(
                 "SELECT PARTS.PNUM, COUNT(SUPPLY.SHIPDATE) FROM PARTS, SUPPLY "
                 "WHERE PARTS.PNUM = SUPPLY.PNUM GROUP BY PARTS.PNUM"
-            )
+            ),
+            Relation.to_list,
         )
-        assert Counter(result.to_list()) == Counter([(3, 2), (8, 1), (10, 2)])
+        assert Counter(result) == Counter([(3, 2), (8, 1), (10, 2)])
         assert any("no sort" in step for step in executor.steps)
 
     def test_scalar_aggregate(self, join_method):
         catalog = load_kiessling_instance()
         result = run(catalog, "SELECT COUNT(*) FROM SUPPLY", join_method)
-        assert result.to_list() == [(5,)]
+        assert result == [(5,)]
 
     def test_scalar_aggregate_empty_input(self, join_method):
         catalog = load_kiessling_instance()
@@ -156,7 +160,7 @@ class TestGrouping:
             catalog, "SELECT COUNT(*), MAX(QUAN) FROM SUPPLY WHERE QUAN > 99",
             join_method,
         )
-        assert result.to_list() == [(0, None)]
+        assert result == [(0, None)]
 
     def test_aggregate_order_mixed_with_group_column(self, join_method):
         catalog = load_kiessling_instance()
@@ -165,7 +169,7 @@ class TestGrouping:
             "SELECT COUNT(QUAN), PNUM FROM SUPPLY GROUP BY PNUM",
             join_method,
         )
-        assert Counter(result.to_list()) == Counter([(2, 3), (2, 10), (1, 8)])
+        assert Counter(result) == Counter([(2, 3), (2, 10), (1, 8)])
 
     def test_non_grouped_column_raises(self, join_method):
         catalog = load_kiessling_instance()
@@ -179,7 +183,7 @@ class TestPaperTempTables:
     def test_temp1(self, join_method):
         catalog = load_duplicates_instance()
         result = run(catalog, "SELECT DISTINCT PNUM FROM PARTS", join_method)
-        assert result.to_list() == [(3,), (8,), (10,)]
+        assert result == [(3,), (8,), (10,)]
 
     def test_temp2(self, join_method):
         catalog = load_kiessling_instance()
@@ -188,7 +192,7 @@ class TestPaperTempTables:
             "SELECT PNUM, SHIPDATE FROM SUPPLY WHERE SHIPDATE < '1980-01-01'",
             join_method,
         )
-        assert Counter(result.to_list()) == Counter(
+        assert Counter(result) == Counter(
             [(3, "1979-07-03"), (3, "1978-10-01"), (10, "1978-06-08")]
         )
 
@@ -213,12 +217,13 @@ class TestPaperTempTables:
             "WHERE TEMP1.PNUM =+ TEMP2.PNUM GROUP BY TEMP1.PNUM",
             join_method,
         )
-        assert Counter(result.to_list()) == Counter([(3, 2), (10, 1), (8, 0)])
+        assert Counter(result) == Counter([(3, 2), (10, 1), (8, 0)])
 
 
 class TestOnePassPerBlock:
-    """A block's operators stream; it writes its result, a nested-loop
-    inner and its sort runs, and nothing else."""
+    """A block's operators stream; it writes a nested-loop inner, its
+    sort runs and — when it builds a temp — its result, and nothing
+    else.  A final block's rows go to the caller unwritten."""
 
     SQL = (
         "SELECT A.K, COUNT(B.Z) FROM A, B "
@@ -239,8 +244,6 @@ class TestOnePassPerBlock:
     def stores(self, monkeypatch):
         """Every relation the executor writes through ``Relation.store``:
         ``(name, fields, rows)``."""
-        from repro.engine.relation import Relation
-
         written = []
         store = Relation.store
 
@@ -251,6 +254,13 @@ class TestOnePassPerBlock:
 
         monkeypatch.setattr(Relation, "store", spy)
         return written
+
+    def built(self, sql, join_method):
+        """The block's rows, built as the temp ``T``."""
+        catalog = self.catalog()
+        executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
+        executor.materialize("T", parse(sql))
+        return catalog.heap_of("T").scan()
 
     def expected(self):
         a = [(k % 10, k % 5) for k in range(40)]
@@ -263,20 +273,23 @@ class TestOnePassPerBlock:
     @pytest.mark.parametrize("method", ["merge", "hash"])
     def test_only_the_result_is_written(self, monkeypatch, method):
         written = self.stores(monkeypatch)
-        result = run(self.catalog(), self.SQL, method)
-        assert Counter(result.to_list()) == self.expected()
+        assert Counter(run(self.catalog(), self.SQL, method)) == self.expected()
+        assert written == []
+        assert Counter(self.built(self.SQL, method)) == self.expected()
         assert [name for name, _, _ in written] == ["result"]
 
     def test_nested_loop_inner_written_once_at_its_projected_width(
         self, monkeypatch
     ):
         written = self.stores(monkeypatch)
-        result = run(self.catalog(), self.SQL, "nested")
-        assert Counter(result.to_list()) == self.expected()
+        assert Counter(run(self.catalog(), self.SQL, "nested")) == self.expected()
         # B.Y is read only by B's own restriction, B.W by nobody.
         inner = sum(1 for k in range(60) if k % 7 > 2)
-        assert [name for name, _, _ in written] == ["restrict(B)", "result"]
-        assert written[0] == ("restrict(B)", (("B", "K"), ("B", "Z")), inner)
+        assert written == [("restrict(B)", (("B", "K"), ("B", "Z")), inner)]
+        assert Counter(self.built(self.SQL, "nested")) == self.expected()
+        assert [name for name, _, _ in written] == [
+            "restrict(B)", "restrict(B)", "result",
+        ]
 
     def test_an_unrestricted_inner_is_rescanned_where_it_is_stored(
         self, monkeypatch
@@ -287,8 +300,8 @@ class TestOnePassPerBlock:
             "SELECT A.K, B.Z FROM A, B WHERE A.K = B.K AND A.X > 3",
             "nested",
         )
-        assert len(result.to_list()) == sum(
+        assert len(result) == sum(
             1 for k in range(40) if k % 5 > 3 for j in range(60)
             if j % 12 == k % 10
         )
-        assert [name for name, _, _ in written] == ["result"]
+        assert written == []

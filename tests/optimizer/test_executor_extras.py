@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.config import ExecConfig
+from repro.engine.relation import Relation
 from repro.core.pipeline import Engine
 from repro.errors import PlanError
 from repro.optimizer.executor import SingleLevelExecutor
@@ -17,8 +18,10 @@ from repro.workloads.paper_data import (
 
 
 def run(catalog, sql, join_method="merge"):
+    """The block's rows, collected as a chain collects its final
+    block's: nothing is written for them."""
     executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-    return executor.execute(parse(sql))
+    return executor.execute(parse(sql), Relation.to_list)
 
 
 class TestHaving:
@@ -28,7 +31,7 @@ class TestHaving:
             catalog,
             "SELECT PNUM FROM SUPPLY GROUP BY PNUM HAVING COUNT(*) > 1",
         )
-        assert Counter(result.to_list()) == Counter([(3,), (10,)])
+        assert Counter(result) == Counter([(3,), (10,)])
 
     def test_having_aggregate_not_in_select(self):
         catalog = load_kiessling_instance()
@@ -37,7 +40,7 @@ class TestHaving:
             "SELECT PNUM, COUNT(*) FROM SUPPLY GROUP BY PNUM "
             "HAVING MAX(QUAN) >= 5",
         )
-        assert Counter(result.to_list()) == Counter([(8, 1)])
+        assert Counter(result) == Counter([(8, 1)])
 
     def test_having_references_group_column(self):
         catalog = load_kiessling_instance()
@@ -46,7 +49,7 @@ class TestHaving:
             "SELECT PNUM FROM SUPPLY GROUP BY PNUM "
             "HAVING PNUM > 3 AND COUNT(*) > 1",
         )
-        assert result.to_list() == [(10,)]
+        assert result == [(10,)]
 
     def test_having_on_non_grouped_column_raises(self):
         catalog = load_kiessling_instance()
@@ -66,19 +69,19 @@ class TestHaving:
         )
         oracle = NestedIterationExecutor(catalog).execute(parse(sql))
         physical = run(catalog, sql)
-        assert Counter(physical.to_list()) == Counter(oracle.rows)
+        assert Counter(physical) == Counter(oracle.rows)
 
 
 class TestOrderBy:
     def test_order_by_desc(self):
         catalog = load_kiessling_instance()
         result = run(catalog, "SELECT PNUM FROM PARTS ORDER BY PNUM DESC")
-        assert result.to_list() == [(10,), (8,), (3,)]
+        assert result == [(10,), (8,), (3,)]
 
     def test_order_by_asc(self):
         catalog = load_kiessling_instance()
         result = run(catalog, "SELECT PNUM FROM PARTS ORDER BY PNUM")
-        assert result.to_list() == [(3,), (8,), (10,)]
+        assert result == [(3,), (8,), (10,)]
 
     def test_mixed_order_raises(self):
         catalog = load_kiessling_instance()

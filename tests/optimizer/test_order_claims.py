@@ -126,10 +126,12 @@ def test_final_merge_join_costs_what_section_7_3_charges(monkeypatch):
     COUNT query, merge joins at both steps.  Section 7.3 prices the
     final join at ``sort(Ri) + Pi + Pt`` because "Rt is already in
     join-column order, only Ri must be sorted"; section 7.1 has Rt2
-    "emerge in join-column order".  The machine now does exactly that —
-    what it adds is only what the paper never counts, writing the join's
-    result out.  (At the parent the same block cost 5 605 page I/Os: Rt
-    was sorted, and ``PNUM <=> C1`` filtered 27 000 joined rows.)"""
+    "emerge in join-column order".  The machine does exactly that, and
+    nothing more: the answer goes to the caller unwritten, so the block
+    costs the model's three terms with equality.  (Before order claims
+    the same block cost 5 605 page I/Os: Rt was sorted, and
+    ``PNUM <=> C1`` filtered 27 000 joined rows; while the answer was
+    still written it cost the three terms plus the result's pages.)"""
     catalog = build_parts_supply(
         PartsSupplySpec(
             num_parts=500, num_supply=300, rows_per_page=10, buffer_pages=6,
@@ -137,15 +139,15 @@ def test_final_merge_join_costs_what_section_7_3_charges(monkeypatch):
         )
     )
     buffer = catalog.buffer
-    blocks, sorts, joins = [], [], []
+    blocks, sorts = [], []
 
     def timed(record, function):
         def wrapper(*args, **kwargs):
             before = buffer.stats()
-            relation = function(*args, **kwargs)
+            result = function(*args, **kwargs)
             io = buffer.stats() - before
-            record.append((args, io.page_reads + io.page_writes, relation.num_pages))
-            return relation
+            record.append((args, io.page_reads + io.page_writes))
+            return result
 
         return wrapper
 
@@ -153,9 +155,6 @@ def test_final_merge_join_costs_what_section_7_3_charges(monkeypatch):
         SingleLevelExecutor, "execute", timed(blocks, SingleLevelExecutor.execute)
     )
     monkeypatch.setattr(executor_module, "external_sort", timed(sorts, external_sort))
-    monkeypatch.setattr(
-        executor_module, "merge_join", timed(joins, executor_module.merge_join)
-    )
     buffer.evict_all()
     report = Engine(catalog, join_method="merge").run(
         "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) FROM SUPPLY "
@@ -167,14 +166,12 @@ def test_final_merge_join_costs_what_section_7_3_charges(monkeypatch):
     assert f"{rt} already ordered on ({rt}.C1) (unique) (no sort)" in report.steps[3]
     # DISTINCT's own sort-unique, Rt3 for the temp's merge join, Ri for
     # the final one: no temp that is in order by construction is sorted.
-    assert [args[0].name for args, _, _ in sorts] == ["result", _rt3, "PARTS"]
+    assert [args[0].name for args, _ in sorts] == ["result", _rt3, "PARTS"]
 
     pi = catalog.heap_of("PARTS").num_pages
     pt = report.temp_pages[rt]
     sort_ri = sorts[-1][1]
     passes = sort_ri / (2 * pi)  # run formation + merge passes, whole
     assert passes == int(passes) and sort_ri >= sort_cost(pi, buffer.capacity)
-    _, final_io, result_pages = blocks[-1]
-    _, _, joined_pages = joins[-1]
-    written_out = 2 * joined_pages + result_pages  # join output, then projection
-    assert final_io == sort_ri + pi + pt + written_out
+    _, final_io = blocks[-1]
+    assert final_io == sort_ri + pi + pt

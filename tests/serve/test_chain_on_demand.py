@@ -126,9 +126,9 @@ def test_leased_last_link_leaves_upstream_entries_alone(monkeypatch):
     pinned: list[list[int]] = []
     real = SingleLevelExecutor.execute
 
-    def watching(self, select):
+    def watching(self, select, consume):
         pinned.append([registry._entries[key].active for key in upstream])
-        return real(self, select)
+        return real(self, select, consume)
 
     with monkeypatch.context() as patch:
         patch.setattr(SingleLevelExecutor, "execute", watching)
@@ -166,9 +166,9 @@ def test_rebuilding_the_last_link_leases_what_it_reads(monkeypatch):
     blocks: list[str] = []
     real = SingleLevelExecutor.execute
 
-    def counting(self, select):
+    def counting(self, select, consume):
         blocks.append(select.from_tables[0].name)
-        return real(self, select)
+        return real(self, select, consume)
 
     monkeypatch.setattr(SingleLevelExecutor, "execute", counting)
     published = registry.materializations

@@ -77,6 +77,33 @@ class TestOuterReferences:
         assert [r.qualified() for r in refs] == ["S.CITY"]
 
 
+    def test_deeper_block_reading_this_blocks_own_table_is_not_outer(self):
+        """The innermost block reads ``SP`` — a table of the middle
+        block, not of anything enclosing it — so the middle block has no
+        outer reference."""
+        inner = inner_of(
+            """
+            SELECT SNO FROM S WHERE SNO IN
+              (SELECT SNO FROM SP WHERE QTY =
+                (SELECT MAX(QTY) FROM SP X WHERE X.PNO = SP.PNO))
+            """
+        )
+        assert outer_references(inner, RESOLVER, ("S",)) == []
+        assert not is_correlated(inner, RESOLVER, ("S",))
+
+    def test_deeper_block_keeps_its_references_past_this_block(self):
+        inner = inner_of(
+            """
+            SELECT SNO FROM S WHERE SNO IN
+              (SELECT SNO FROM SP WHERE QTY =
+                (SELECT MAX(QTY) FROM SP X
+                 WHERE X.PNO = SP.PNO AND X.ORIGIN = S.CITY))
+            """
+        )
+        refs = outer_references(inner, RESOLVER, ("S",))
+        assert [r.qualified() for r in refs] == ["S.CITY"]
+
+
 class TestIsCorrelated:
     def test_correlated(self):
         inner = inner_of(
