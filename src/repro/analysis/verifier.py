@@ -44,9 +44,9 @@ from repro.sql.ast import (
     Expr,
     FuncCall,
     Select,
+    Star,
     column_refs,
     conjuncts,
-    contains_aggregate,
     walk,
 )
 from repro.sql.printer import to_sql
@@ -477,46 +477,33 @@ def _verify_grouped_output(
                 )
             )
             return
-    for item in select.items:
-        expr = item.expr
-        if isinstance(expr, FuncCall) and expr.is_aggregate:
-            continue
-        if contains_aggregate(expr):
-            continue
-        if isinstance(expr, ColumnRef):
-            if any(_same_column(expr, g) for g in group_exprs):
+    outputs = [item.expr for item in select.items]
+    if select.having is not None:
+        outputs.append(select.having)
+    for expr in outputs:
+        if isinstance(expr, Star):
+            findings.add(
+                Diagnostic(
+                    "PV008",
+                    "SELECT * is not supported in a grouped block",
+                    subject=subject,
+                )
+            )
+        for ref in column_refs(expr):
+            if any(_same_column(ref, g) for g in group_exprs):
+                continue
+            # Aggregate arguments are exempt: COUNT(X) reads X per
+            # group, not per output row.
+            if _inside_aggregate(expr, ref):
                 continue
             findings.add(
                 Diagnostic(
                     "PV008",
-                    f"non-aggregated column {expr.qualified()} must "
+                    f"non-aggregated column {ref.qualified()} must "
                     "appear in GROUP BY",
                     subject=subject,
                 )
             )
-        else:
-            findings.add(
-                Diagnostic(
-                    "PV008",
-                    "grouped SELECT items must be columns or aggregates",
-                    subject=subject,
-                )
-            )
-    if select.having is not None:
-        for ref in column_refs(select.having):
-            if not any(_same_column(ref, g) for g in group_exprs):
-                # Aggregate arguments are exempt: COUNT(X) in HAVING
-                # references X per group, not per output row.
-                if _inside_aggregate(select.having, ref):
-                    continue
-                findings.add(
-                    Diagnostic(
-                        "PV008",
-                        f"HAVING references non-grouped column "
-                        f"{ref.qualified()}",
-                        subject=subject,
-                    )
-                )
 
 
 def _same_column(a: ColumnRef, b: Expr) -> bool:

@@ -13,6 +13,9 @@ The grammar deliberately concentrates on the paper's hard spots:
 * correlated aggregates over every aggregate function, COUNT(*) and
   DISTINCT variants, with *non-equality* correlation operators
   (section 5.3's operator bug);
+* expressions over an aggregate (``COUNT(*) + 1``, ``-SUM(x)``) in
+  flat and type-A blocks: an empty group's value is then the
+  expression applied to COUNT = 0 or to a NULL;
 * EXISTS / NOT EXISTS / ANY / ALL with every comparison operator
   (section 8), including over empty inner sets;
 * uncorrelated NOT IN (NEST-A territory) and plain type-N/J nesting;
@@ -116,6 +119,18 @@ class CaseGenerator:
             return f"{column} IS{negated} NULL"
         return f"{column} {self.op()} {self.rng.randint(0, 3)}"
 
+    def maybe_arith(self, agg: str) -> str:
+        """``agg``, sometimes under arithmetic: ``+ k``, ``* k`` or
+        negated."""
+        roll = self.rng.random()
+        if roll < 0.15:
+            return f"{agg} + {self.rng.randint(1, 3)}"
+        if roll < 0.25:
+            return f"{agg} * {self.rng.randint(2, 3)}"
+        if roll < 0.3:
+            return f"-{agg}"
+        return agg
+
     def maybe_and_simple(self, binding: str, columns: tuple[str, ...]) -> str:
         if self.rng.random() < 0.4:
             return f" AND {self.simple_predicate(binding, columns)}"
@@ -181,7 +196,7 @@ class CaseGenerator:
         )
 
     def _type_a(self) -> str:
-        agg = self.rng.choice(_AGGS).format(col="U.C")
+        agg = self.maybe_arith(self.rng.choice(_AGGS).format(col="U.C"))
         return (
             f"T.B {self.op()} (SELECT {agg} FROM U{self._inner_where(False)})"
         )
@@ -240,10 +255,10 @@ class CaseGenerator:
         if self.rng.random() < 0.5:
             where = f" WHERE {self.simple_predicate('T', TABLES['T'])}"
         if roll < 0.4:
-            agg = self.rng.choice(_AGGS).format(col="T.B")
+            agg = self.maybe_arith(self.rng.choice(_AGGS).format(col="T.B"))
             return f"SELECT T.A, {agg} FROM T{where} GROUP BY T.A"
         if roll < 0.7:
-            agg = self.rng.choice(_AGGS).format(col="T.B")
+            agg = self.maybe_arith(self.rng.choice(_AGGS).format(col="T.B"))
             return f"SELECT {agg} FROM T{where}"
         distinct = "DISTINCT " if self.rng.random() < 0.5 else ""
         return f"SELECT {distinct}T.A, T.B FROM T{where}"

@@ -44,7 +44,6 @@ from repro.errors import BindError, CardinalityError, ExecutionError
 from repro.sql.analysis import is_correlated, outer_references
 from repro.sql.ast import (
     ColumnRef,
-    Expr,
     FuncCall,
     Select,
     Star,
@@ -606,10 +605,10 @@ def system_r_nested_iteration(select: Select, catalog: Catalog) -> QueryResult:
 
 
 class _GroupPlan:
-    """An aggregated block, compiled once: its group keys, its items as
-    functions of a group, and its HAVING over a per-group row that is
-    the group's aggregate values (one slot per aggregate call) followed
-    by a representative row."""
+    """An aggregated block, compiled once: its group keys, and its
+    HAVING and items over a per-group row that is the group's aggregate
+    values — one slot per distinct aggregate call — followed by a
+    representative row (NULLs for an empty group)."""
 
     def __init__(
         self,
@@ -618,40 +617,38 @@ class _GroupPlan:
         handler: SubqueryHandler,
     ) -> None:
         self.keys = [compile_scalar(e, chain, handler) for e in select.group_by]
-        self.items = [_group_item(i.expr, chain, handler) for i in select.items]
         self.nulls = (None,) * len(chain[0])
-        self.aggregates: list = []
-        self.having: CompiledFn | None = None
-        if select.having is None:
-            return
-        slots: list[ColumnRef] = []
+        calls: list[FuncCall] = []
 
         def slot(node):
             if isinstance(node, FuncCall) and node.is_aggregate:
-                self.aggregates.append(_aggregator(node, chain, handler))
+                if node not in calls:
+                    calls.append(node)
                 # No SQL identifier can spell the qualifier.
-                slots.append(ColumnRef("#AGG", str(len(slots) + 1)))
-                return slots[-1]
+                return ColumnRef("#AGG", str(calls.index(node) + 1))
             if isinstance(node, Select):
                 return node  # its aggregates are its own
             return map_children(node, slot)
 
-        having = slot(select.having)
-        prefix = RowSchema((ref.table, ref.column) for ref in slots)
-        self.having = compile_predicate(
-            having, (prefix + chain[0],) + chain[1:], handler
+        items = [slot(item.expr) for item in select.items]
+        having = None if select.having is None else slot(select.having)
+        prefix = RowSchema(("#AGG", str(i + 1)) for i in range(len(calls)))
+        over = (prefix + chain[0],) + chain[1:]
+        self.aggregates = [_aggregator(call, chain, handler) for call in calls]
+        self.items = [compile_scalar(item, over, handler) for item in items]
+        self.having: CompiledFn | None = (
+            None if having is None else compile_predicate(having, over, handler)
         )
 
     def result(
         self, group: list[tuple], outer: EvalContext | None
     ) -> tuple | None:
         """The group's output row, or None when HAVING rejects it."""
-        if self.having is not None:
-            values = tuple(aggregate(group, outer) for aggregate in self.aggregates)
-            representative = group[0] if group else self.nulls
-            if self.having(values + representative, outer) is not True:
-                return None
-        return tuple(item(group, outer) for item in self.items)
+        values = tuple(aggregate(group, outer) for aggregate in self.aggregates)
+        row = values + (group[0] if group else self.nulls)
+        if self.having is not None and self.having(row, outer) is not True:
+            return None
+        return tuple(item(row, outer) for item in self.items)
 
 
 def _aggregator(call: FuncCall, chain: tuple[RowSchema, ...], handler):
@@ -665,16 +662,6 @@ def _aggregator(call: FuncCall, chain: tuple[RowSchema, ...], handler):
     return lambda group, outer: compute_aggregate(
         name, [arg(row, outer) for row in group], distinct
     )
-
-
-def _group_item(expr: Expr, chain: tuple[RowSchema, ...], handler):
-    """``fn(group, outer)`` for one SELECT item of an aggregated block:
-    an aggregate over the group, anything else over its first row (NULL
-    for an empty group)."""
-    if isinstance(expr, FuncCall) and expr.is_aggregate:
-        return _aggregator(expr, chain, handler)
-    compiled = compile_scalar(expr, chain, handler)
-    return lambda group, outer: compiled(group[0], outer) if group else None
 
 
 def _schema_chain(

@@ -251,17 +251,21 @@ def restrict_project(
         projections: output columns as ``(expr, qualifier, name)``
             triples; None keeps the source schema unchanged.  A column
             reference carries the source's order through
-            (:func:`project_order`).
+            (:func:`project_order`).  With no predicate, a projection
+            that copies every column in place is a relabel: the
+            batches pass through untouched.
     """
     out_schema, process = restrict_project_body(
         source.schema, predicate, projections
     )
     order = source.order
+    batches = source.iter_batches()
     if projections is not None:
-        order = project_order(order, _column_positions(source.schema, projections))
-    return Relation.stream(
-        out_schema, _nonempty(process, source.iter_batches()), name, order
-    )
+        positions = _column_positions(source.schema, projections)
+        order = project_order(order, positions)
+        if predicate is None and positions == list(range(len(source.schema))):
+            return Relation.stream(out_schema, filter(None, batches), name, order)
+    return Relation.stream(out_schema, _nonempty(process, batches), name, order)
 
 
 def nested_loop_join(
@@ -1049,25 +1053,3 @@ def index_nested_loop_join(
                 yield out
 
     return Relation.stream(out_schema, batches(), name)
-
-
-def project_columns(
-    source: Relation,
-    columns: Sequence[int],
-    out_names: Sequence[tuple[str | None, str]],
-    name: str | None = None,
-) -> Relation:
-    """Positional projection, as a stream (a cheap restrict_project);
-    the order survives as :func:`project_order` says."""
-    cols = list(columns)
-    pick = itemgetter(*cols) if len(cols) > 1 else None
-
-    def process(batch: list[tuple]) -> list[tuple]:
-        if pick is None:
-            return [tuple(row[i] for i in cols) for row in batch]
-        return list(map(pick, batch))
-
-    return Relation.stream(
-        RowSchema(out_names), map(process, source.iter_batches()), name,
-        project_order(source.order, cols),
-    )

@@ -63,7 +63,6 @@ from repro.engine.operators import (
     hash_join,
     merge_join,
     nested_loop_join,
-    project_columns,
     restrict_project,
     scan_table,
 )
@@ -82,6 +81,7 @@ from repro.sql.ast import (
     column_refs,
     conjuncts,
     make_and,
+    map_children,
     walk,
 )
 from repro.sql.printer import to_sql
@@ -645,6 +645,10 @@ class SingleLevelExecutor:
         )
 
     def _grouped_output(self, select: Select, relation: Relation) -> Relation:
+        """Aggregate into group columns ``G0..`` and aggregate slots
+        ``A0..``, then run HAVING and the SELECT items — rewritten by
+        :meth:`_over_groups` — as one restriction + projection over the
+        grouped stream."""
         schema = relation.schema
         group_positions = []
         for expr in select.group_by:
@@ -653,41 +657,9 @@ class SingleLevelExecutor:
             group_positions.append(schema.index_of(expr))
 
         specs: list[AggSpec] = []
-        out_names = self.output_names(select)
-        item_kinds: list[tuple[str, int]] = []  # ("group", pos) | ("agg", idx)
-
-        for item in select.items:
-            expr = item.expr
-            if isinstance(expr, FuncCall) and expr.is_aggregate:
-                if isinstance(expr.arg, Star):
-                    column: int | None = None
-                elif isinstance(expr.arg, ColumnRef):
-                    column = schema.index_of(expr.arg)
-                else:
-                    raise PlanError("aggregate argument must be a column or *")
-                item_kinds.append(("agg", len(specs)))
-                specs.append(AggSpec(expr.name, column, expr.distinct))
-            elif isinstance(expr, ColumnRef):
-                position = schema.index_of(expr)
-                if position not in group_positions:
-                    raise PlanError(
-                        f"non-aggregated column {expr.qualified()} "
-                        "must appear in GROUP BY"
-                    )
-                item_kinds.append(("group", group_positions.index(position)))
-            else:
-                raise PlanError(
-                    "grouped SELECT items must be columns or aggregates"
-                )
-
-        # HAVING: compute its aggregates as hidden output columns, then
-        # filter the grouped rows and project the hidden columns away.
-        having_specs: list[AggSpec] = []
-        having_pred: Expr | None = None
-        if select.having is not None:
-            having_pred = self._rewrite_having(
-                select.having, schema, group_positions, having_specs
-            )
+        over = partial(self._over_groups, schema, group_positions, specs)
+        items = [over(item.expr) for item in select.items]
+        having = None if select.having is None else over(select.having)
 
         aggregate_op = group_aggregate
         names = schema.qualified_names()
@@ -711,84 +683,61 @@ class SingleLevelExecutor:
                 + " (no sort)"
             )
 
-        group_fields = [
-            (None, f"G{i}") for i in range(len(group_positions))
-        ]
-        agg_fields = [(None, f"A{i}") for i in range(len(specs))]
-        having_fields = [(None, f"H{i}") for i in range(len(having_specs))]
         grouped = self._run(
-            aggregate_op, relation, group_positions,
-            specs + having_specs,
-            group_fields + agg_fields + having_fields,
+            aggregate_op, relation, group_positions, specs,
+            [(None, f"G{i}") for i in range(len(group_positions))]
+            + [(None, f"A{i}") for i in range(len(specs))],
             name="group", always_emit=not group_positions,
         )
-        if having_pred is not None:
-            grouped = self._run(
-                restrict_project, grouped, predicate=having_pred, name="having"
-            )
-            self._log(f"HAVING filter: {to_sql(having_pred)}")
-
-        # Re-order the grouped output into the SELECT-item order.
-        out_positions: list[int] = []
-        for kind, index in item_kinds:
-            if kind == "group":
-                out_positions.append(index)
-            else:
-                out_positions.append(len(group_positions) + index)
-        out_fields = [(None, name) for name in out_names]
-        if out_positions == list(range(len(grouped.schema))):
-            return Relation.stream(
-                RowSchema(out_fields), grouped.iter_batches(), "result",
-                grouped.order,
-            )
+        if having is not None:
+            self._log(f"HAVING filter: {to_sql(having)}")
         return self._run(
-            project_columns, grouped, out_positions, out_fields, name="result"
+            restrict_project, grouped, predicate=having,
+            projections=[
+                (item, None, name)
+                for item, name in zip(items, self.output_names(select))
+            ],
+            name="result",
         )
 
-    def _rewrite_having(
-        self,
-        predicate: Expr,
+    @staticmethod
+    def _over_groups(
         schema: RowSchema,
         group_positions: list[int],
-        having_specs: list[AggSpec],
+        specs: list[AggSpec],
+        expr: Expr,
     ) -> Expr:
-        """Rewrite a HAVING predicate against the grouped output schema.
+        """A SELECT item or the HAVING predicate of a grouped block,
+        rewritten over the grouped output: an aggregate call becomes
+        its slot ``A<i>`` (one slot per distinct call, its spec
+        appended to ``specs``), a grouped column its ``G<i>``; a column
+        outside an aggregate must be grouped."""
 
-        Aggregate calls become references to hidden columns ``H0..``
-        (appending their specs to ``having_specs``); grouped column
-        references become ``G0..`` references.
-        """
-        from repro.sql import ast as A
-
-        def spec_for(call: FuncCall) -> ColumnRef:
-            if isinstance(call.arg, Star):
-                column: int | None = None
-            elif isinstance(call.arg, ColumnRef):
-                column = schema.index_of(call.arg)
-            else:
-                raise PlanError("HAVING aggregate argument must be a column or *")
-            spec = AggSpec(call.name, column, call.distinct)
-            if spec not in having_specs:
-                having_specs.append(spec)
-            return ColumnRef(None, f"H{having_specs.index(spec)}")
-
-        def rewrite(expr: Expr) -> Expr:
-            if isinstance(expr, FuncCall) and expr.is_aggregate:
-                return spec_for(expr)
-            if isinstance(expr, ColumnRef):
-                position = schema.index_of(expr)
+        def rewrite(node: Expr) -> Expr:
+            if isinstance(node, FuncCall) and node.is_aggregate:
+                if isinstance(node.arg, Star):
+                    column: int | None = None
+                elif isinstance(node.arg, ColumnRef):
+                    column = schema.index_of(node.arg)
+                else:
+                    raise PlanError("aggregate argument must be a column or *")
+                spec = AggSpec(node.name, column, node.distinct)
+                if spec not in specs:
+                    specs.append(spec)
+                return ColumnRef(None, f"A{specs.index(spec)}")
+            if isinstance(node, ColumnRef):
+                position = schema.index_of(node)
                 if position not in group_positions:
                     raise PlanError(
-                        f"HAVING references non-grouped column {expr.qualified()}"
+                        f"non-aggregated column {node.qualified()} "
+                        "must appear in GROUP BY"
                     )
                 return ColumnRef(None, f"G{group_positions.index(position)}")
-            if isinstance(
-                expr, (A.ScalarSubquery, A.InSubquery, A.Exists, A.Quantified)
-            ):
-                raise PlanError(f"unsupported HAVING expression: {to_sql(expr)}")
-            return A.map_children(expr, rewrite)
+            if isinstance(node, Star):
+                raise PlanError("SELECT * is not supported in a grouped block")
+            return map_children(node, rewrite)
 
-        return rewrite(predicate)
+        return rewrite(expr)
 
     def _plain_output(self, select: Select, relation: Relation) -> Relation:
         names = self.output_names(select)

@@ -23,8 +23,8 @@ Layers:
   plans and the rule that resolves a statement to its plan, with
   hit/miss/invalidation counters, wired to
   :class:`~repro.catalog.catalog.Catalog` change hooks;
-* :mod:`repro.serve.prepared` — prepared statements: the text and its
-  bind contracts; the plans are the cache's.
+* :mod:`repro.serve.prepared` — prepared statements: the text; the
+  plans, and the bind contracts with them, are the cache's.
 """
 
 from repro.serve.cache import CacheStats, PlanCache

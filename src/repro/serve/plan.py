@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.verifier import output_names
+from repro.analysis.verifier import output_names, verify_nested
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.nest_g import GeneralTransform, nest_g
@@ -200,7 +200,10 @@ class CachedPlan:
             bound_params(values),
         ):
             if self.kind == "nested_iteration":
-                result = NestedIterationExecutor(session).execute(self.select)
+                # verify=False: the statement was verified at plan time.
+                result = NestedIterationExecutor(session, verify=False).execute(
+                    self.select
+                )
                 return RunReport(
                     result=result,
                     io=session.buffer.stats() - before,
@@ -626,7 +629,12 @@ def install_link(executor: SingleLevelExecutor, link: TempTableDef) -> str:
     text."""
     if link.slot is None:
         return executor.materialize(link.name, link.query)
-    rows = NestedIterationExecutor(executor.catalog).execute(link.query).rows
+    # verify=False: verify_transform checked the block with the plan.
+    rows = (
+        NestedIterationExecutor(executor.catalog, verify=False)
+        .execute(link.query)
+        .rows
+    )
     if link.is_list:
         value: object = ValueList(row[0] for row in rows)
     elif len(rows) > 1:
@@ -665,8 +673,9 @@ def build_plan(
 
     The plan runs under ``config`` with the join method decided here
     (``method="cost"``: the planner's), and that one value is what its
-    temps are shared under in ``registry``.  A transform plan is
-    verified and linted once, here: an error finding raises.
+    temps are shared under in ``registry``.  Every plan is verified
+    once, here — a transform plan also linted — and an error finding
+    raises; a replay verifies nothing.
     """
     if method not in METHODS:
         raise ReproError(f"unknown method {method!r}")
@@ -701,6 +710,10 @@ def build_plan(
                     *transform.trace,
                     verify_plan(rewritten, transform, catalog, config.join_method),
                 ]
+        if transform is None:
+            verify_nested(select, catalog).raise_errors(
+                "static verification before nested iteration"
+            )
         return plan_of(
             catalog, config, select, choice, transform, specs, fingerprint, registry
         )

@@ -2,15 +2,17 @@
 
 ``Engine.prepare(sql)`` parses a statement with ``?`` or ``:name``
 markers once and keeps what belongs to the *text*: the tree, its
-fingerprint, the parameter names and the bind contracts.  The plan is
-not the statement's: each ``execute(values)`` resolves it through
+fingerprint and the parameter names.  The plan is not the
+statement's: each ``execute(values)`` resolves it through
 :meth:`repro.serve.cache.PlanCache.resolve` — the rule
 ``execute_cached`` resolves by — and binds the vector straight into it
 (closures read parameters through a context variable, so nothing is
 recompiled).  One plan serves every vector, a marker inside a type-A
 block included: the block is a value link the replay evaluates with the
 vector bound (what real systems call a generic plan, with no custom
-ones to fall back to).
+ones to fall back to).  The bind contracts are the plan's too
+(:attr:`~repro.serve.plan.CachedPlan.param_specs`, derived when it is
+built), and each vector is checked against them once.
 
 Because the cache key is read per execute, a statement follows
 ``engine.config`` when it is reassigned, and one staleness rule covers
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.core.pipeline import Engine, RunReport, prepare_query
+from repro.core.pipeline import Engine, RunReport
 from repro.errors import BindError, ReproError
 from repro.serve.batch import (
     BatchIneligible,
@@ -37,7 +39,7 @@ from repro.serve.batch import (
     execute_batch_plan,
     total_io,
 )
-from repro.serve.binding import check_binding, derive_param_specs
+from repro.serve.binding import check_binding
 from repro.serve.cache import PlanCache
 from repro.serve.normalize import fingerprint
 from repro.serve.plan import CachedPlan
@@ -66,20 +68,11 @@ class PreparedStatement:
         self._cache: PlanCache = (
             engine.plan_cache if engine.plan_cache is not None else PlanCache()
         )
-        self._specs_version: int | None = None
-        self.param_specs = self._derive_specs()
         # Plan now: what cannot be planned fails at prepare time, and
         # the first execute is a cache hit.
         self._resolve()
 
     # -- planning ----------------------------------------------------------
-
-    def _derive_specs(self):
-        catalog = self.engine.catalog
-        with catalog.read_lock():
-            rewritten = prepare_query(self.select, catalog)
-            self._specs_version = catalog.schema_version
-            return derive_param_specs(rewritten, catalog, self.param_count)
 
     def _resolve(self) -> CachedPlan:
         """The plan every vector replays."""
@@ -94,8 +87,9 @@ class PreparedStatement:
         self._cache.discard(self.fingerprint, self.method)
 
     def describe(self) -> str:
+        plan = self._resolve()
         lines = [f"parameters: {self.param_count}"]
-        for spec in self.param_specs:
+        for spec in plan.param_specs:
             wanted = (
                 " or ".join(t.__name__ for t in spec.allowed_types)
                 if spec.allowed_types
@@ -103,7 +97,7 @@ class PreparedStatement:
             )
             null = "nullable" if spec.allow_null else "not null"
             lines.append(f"  {spec.label()}: {wanted}, {null}")
-        lines.append(self._resolve().describe())
+        lines.append(plan.describe())
         return "\n".join(lines)
 
     # -- binding -----------------------------------------------------------
@@ -127,13 +121,6 @@ class PreparedStatement:
             return tuple(vector)
         return tuple(values)
 
-    def _check(self, vector: tuple[object, ...]) -> None:
-        if self._specs_version != self.engine.catalog.schema_version:
-            # Schema/stats moved: re-derive the bind contracts too (a
-            # column's type may have changed across drop/recreate).
-            self.param_specs = self._derive_specs()
-        check_binding(self.param_specs, vector)
-
     # -- execution ---------------------------------------------------------
 
     def execute(
@@ -141,9 +128,9 @@ class PreparedStatement:
     ) -> RunReport:
         """Bind ``values`` and run; returns the full run report."""
         vector = self._vector(values)
-        self._check(vector)
         catalog = self.engine.catalog
         # One read lock over resolve and replay: no DDL lands between.
+        # The replay checks the vector against the plan's contracts.
         with catalog.read_lock():
             return self._resolve().replay(catalog, vector)
 
@@ -171,8 +158,6 @@ class PreparedStatement:
         catalog = self.engine.catalog
         if len(bound) < 2 or self.param_count == 0:
             return self._loop_batch(bound)
-        for vector in bound:
-            self._check(vector)
         with catalog.read_lock():
             plan = self._resolve()
             # The set-oriented plan rides on the plan it was derived
@@ -186,6 +171,10 @@ class PreparedStatement:
             batch_plan = plan.batch_plan
             if not batch_plan:
                 return self._loop_batch(bound)
+            # The set-oriented plan checks nothing (a loop's replays
+            # do): every vector is checked here, before a page is read.
+            for vector in bound:
+                check_binding(plan.param_specs, vector)
             try:
                 reports = execute_batch_plan(plan, batch_plan, catalog, bound)
             except ReproError:

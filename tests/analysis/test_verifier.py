@@ -165,6 +165,28 @@ class TestVerifySingleLevel:
         findings = verify_single_level(parse(sql), catalog)
         assert "PV008" in findings.rules()
 
+    def test_expression_over_aggregates_is_a_grouped_item(self):
+        catalog = load_kiessling_instance()
+        for sql in (
+            "SELECT MAX(QUAN) - MIN(QUAN) FROM SUPPLY",
+            "SELECT PNUM + 1, COUNT(*) + 1 FROM SUPPLY GROUP BY PNUM",
+        ):
+            assert not verify_single_level(parse(sql), catalog), sql
+
+    def test_non_grouped_column_beside_an_aggregate_is_pv008(self):
+        """One rule for the SELECT items and HAVING: a column outside
+        an aggregate must be grouped, also inside an expression that
+        holds an aggregate."""
+        catalog = load_kiessling_instance()
+        for sql in (
+            "SELECT QUAN + COUNT(*) FROM SUPPLY GROUP BY PNUM",
+            "SELECT PNUM FROM SUPPLY GROUP BY PNUM HAVING QUAN + COUNT(*) > 1",
+        ):
+            findings = verify_single_level(parse(sql), catalog)
+            assert [d.message for d in findings.by_rule("PV008")] == [
+                "non-aggregated column QUAN must appear in GROUP BY"
+            ], sql
+
     def test_having_aggregate_argument_is_exempt(self):
         catalog = load_kiessling_instance()
         sql = (
@@ -261,6 +283,48 @@ class TestExecutorIntegration:
         engine = Engine(catalog)
         with pytest.raises(CatalogError):
             engine.run("SELECT A FROM NOPE", method="nested_iteration")
+
+    @pytest.mark.parametrize(
+        "method,sql",
+        [
+            # A nested-iteration plan.
+            (
+                "nested_iteration",
+                "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(*) "
+                "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
+            ),
+            # A transform plan whose type-A block is a value link.
+            (
+                "transform",
+                "SELECT PNUM FROM PARTS WHERE QOH < "
+                "(SELECT MAX(QUAN) FROM SUPPLY)",
+            ),
+        ],
+        ids=["nested_iteration_plan", "value_link"],
+    )
+    def test_a_kept_plan_is_verified_when_built_only(self, method, sql, monkeypatch):
+        import repro.analysis
+        import repro.analysis.verifier
+        import repro.serve.plan
+        from repro import Database
+
+        calls: list[object] = []
+        real = repro.analysis.verifier.verify_nested
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for module in (repro.analysis, repro.analysis.verifier, repro.serve.plan):
+            monkeypatch.setattr(module, "verify_nested", spy)
+        db = Database()
+        db.create_table("PARTS", ["PNUM", "QOH"])
+        db.create_table("SUPPLY", ["PNUM", "QUAN"])
+        db.insert("PARTS", [(1, 1), (2, 0)])
+        db.insert("SUPPLY", [(1, 1), (1, 2)])
+        for _ in range(3):
+            assert db.execute_cached(sql, method=method).result.rows
+        assert len(calls) == 1
 
     def test_transform_pipeline_traces_verifier_ok(self):
         catalog = load_kiessling_instance()

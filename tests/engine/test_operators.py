@@ -12,7 +12,6 @@ from repro.engine.operators import (
     hash_join,
     merge_join,
     nested_loop_join,
-    project_columns,
     restrict_project,
     scan_table,
 )
@@ -317,12 +316,38 @@ class TestGroupAggregate:
 
 
 class TestProjectColumns:
+    """A projection of plain columns picks them from each row."""
+
     def test_positional_projection(self):
         _, buffer = make_env()
         source = rel(buffer, "T", ["A", "B", "C"], [(1, 2, 3)])
-        out = project_columns(source, [2, 0], [(None, "C"), (None, "A")])
+        out = restrict_project(
+            source,
+            projections=[
+                (parse_expression("T.C"), None, "C"),
+                (parse_expression("T.A"), None, "A"),
+            ],
+        )
         assert out.to_list() == [(3, 1)]
         assert out.schema.qualified_names() == ["C", "A"]
+
+    def test_identity_projection_is_a_relabel(self):
+        """Every column copied in place, no predicate: the batches pass
+        through as they are, under the new names."""
+        batches = [[(1, 2)], [(3, 4)]]
+        source = Relation.stream(
+            RowSchema.for_table("T", ["A", "B"]), iter(batches), "T", ((0,), True)
+        )
+        out = restrict_project(
+            source,
+            projections=[
+                (parse_expression("T.A"), None, "X"),
+                (parse_expression("T.B"), None, "Y"),
+            ],
+        )
+        assert out.schema.qualified_names() == ["X", "Y"]
+        assert out.order == ((0,), True)
+        assert all(a is b for a, b in zip(out.iter_batches(), batches, strict=True))
 
 
 #: Every operator that returns a stream, over a left and a right input.
@@ -330,8 +355,13 @@ STREAMING = {
     "restrict_project": lambda left, right: restrict_project(
         left, predicate=parse_expression("L.K > 0")
     ),
-    "project_columns": lambda left, right: project_columns(
-        left, [0], [(None, "K")]
+    # The column-picking path of restrict_project.
+    "project_columns": lambda left, right: restrict_project(
+        left,
+        projections=[
+            (parse_expression("L.K"), None, "K"),
+            (parse_expression("L.K"), None, "K2"),
+        ],
     ),
     "nested_loop_join": lambda left, right: nested_loop_join(
         left, right, predicate=parse_expression("L.K = R.K")

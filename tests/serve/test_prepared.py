@@ -105,6 +105,68 @@ class TestBinding:
         assert [len(r.result.rows) for r in reports] == [3, 2, 1]
 
 
+class TestOneBindContract:
+    """The plan's parameter contracts are the statement's: derived once
+    when the plan is built, each vector checked once."""
+
+    SQL = (
+        "SELECT PNUM FROM PARTS WHERE QOH = "
+        "(SELECT MAX(QUAN) FROM SUPPLY WHERE SHIPDATE < ?)"
+    )
+
+    def spy(self, monkeypatch, name: str, *modules) -> list:
+        """Record every call of ``name`` through any of ``modules``."""
+        calls: list = []
+        for module in modules:
+            real = getattr(module, name)
+
+            def wrapper(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_prepare_rewrites_the_statement_once(self, monkeypatch):
+        import repro.core.pipeline
+
+        db = make_db()
+        # prepare_query's last step, once per call wherever it is called.
+        rewritten = self.spy(
+            monkeypatch, "rewrite_extended_predicates", repro.core.pipeline
+        )
+        stmt = db.prepare(self.SQL)
+        assert len(rewritten) == 1
+        assert "parameter 1: str, not null" in stmt.describe()
+
+    def test_each_vector_is_checked_once(self, monkeypatch):
+        import repro.serve.binding
+
+        stmt = make_db().prepare(self.SQL)
+        checked: list = []
+        real = repro.serve.binding.ParamSpec.check
+
+        def check(spec, value):
+            checked.append(value)
+            return real(spec, value)
+
+        monkeypatch.setattr(repro.serve.binding.ParamSpec, "check", check)
+        stmt.execute(("1981-01-01",))
+        assert checked == ["1981-01-01"]
+        with pytest.raises(BindError, match="expects str"):
+            stmt.execute((1980,))
+
+    def test_a_batch_checks_every_vector_before_it_runs(self, monkeypatch):
+        import repro.serve.prepared
+
+        stmt = make_db().prepare("SELECT PNUM FROM PARTS WHERE QOH >= ?")
+        ran = self.spy(monkeypatch, "execute_batch_plan", repro.serve.prepared)
+        with pytest.raises(BindError, match="expects int"):
+            stmt.executemany([(0,), ("one",)])
+        assert ran == []
+        assert stmt.execute_batch([(0,), (1,)]).strategy == "batched"
+
+
 class TestModes:
     """One plan serves every vector: there are no modes left."""
 

@@ -156,10 +156,9 @@ def test_a_cardinality_error_at_replay_publishes_nothing_and_leaks_no_page(
 
 #: Value-link blocks -> whether a SUPPLY commit is merged into the
 #: registered value rather than evaluated again.  Only a block of bare
-#: combinable aggregates without GROUP BY stays one row under a merge.
-#: (Neither executor evaluates an expression over an aggregate, such as
-#: ``MAX(QUAN) - 1``; the rule keeps such a block out of the merge for
-#: when one does.)
+#: combinable aggregates without GROUP BY stays one row under a merge;
+#: an expression over an aggregate, such as ``MAX(QUAN) - 1``, is
+#: evaluated again (end to end below).
 ONE_ROW = {
     "max": ("SELECT MAX(SUPPLY.QUAN) AS V FROM SUPPLY WHERE SUPPLY.SHIPDATE < ?", True),
     "count_star": ("SELECT COUNT(*) AS V FROM SUPPLY", True),
@@ -183,6 +182,27 @@ def test_a_value_link_is_maintained_only_while_it_stays_one_row(name):
         frozenset({"SUPPLY"}) if one_row else frozenset()
     )
     assert listed.maintainable_on == frozenset()
+
+
+def test_an_expression_over_an_aggregate_is_evaluated_again_never_maintained():
+    """The prepared ``MAX(QUAN) - 1`` value link after SUPPLY commits:
+    each replay evaluates the block again, and answers as SQLite does."""
+    db = make_db()
+    sql = (
+        "SELECT PNUM FROM PARTS WHERE QOH < "
+        "(SELECT MAX(QUAN) - 1 FROM SUPPLY WHERE SHIPDATE < {c})"
+    )
+    statement = db.prepare(sql.format(c="?"))
+    fates: Counter = Counter()
+    for rows in ([], NEW_SUPPLY, [(5, 9, "1977-01-01")]):
+        if rows:
+            db.insert("SUPPLY", rows)
+        report = statement.execute((CUTOFF.strip("'"),))
+        assert Counter(report.result.rows) == sqlite_rows(db, sql.format(c=CUTOFF))
+        fates.update(statement._resolve().last_links.values())
+    assert fates == Counter(evaluated=3)
+    statement.close()
+    assert leaked_pages(db.catalog) == 0
 
 
 def test_a_grouped_temp_outputs_only_group_columns_and_bare_aggregates():
