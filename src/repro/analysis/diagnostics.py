@@ -153,8 +153,10 @@ class Findings:
         errors = self.errors
         if not errors:
             return
+        # A statement's ORDER BY is checked in the statement and again
+        # in its plan's final block: say each finding once.
         message = f"{context}: " + "; ".join(
-            f"[{d.rule}] {d.message}" for d in errors
+            dict.fromkeys(f"[{d.rule}] {d.message}" for d in errors)
         )
         if all(d.rule in BIND_RULES for d in errors):
             raise ColumnVerificationError(message, tuple(errors))

@@ -48,6 +48,7 @@ from repro.sql.ast import (
     UnaryMinus,
     conjuncts,
 )
+from repro.sql.output import item_name
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,8 @@ class NullabilityInference:
         """``(output name, Inferred)`` per SELECT item of the block."""
         scope = self.scope_for(select, parent)
         outputs: list[tuple[str, Inferred]] = []
-        for index, item in enumerate(select.items):
-            if item.alias:
-                name = item.alias
-            elif isinstance(item.expr, ColumnRef):
-                name = item.expr.column
-            else:
-                name = f"C{index + 1}"
-            outputs.append((name, self.infer_expr(item.expr, scope)))
+        for item in select.items:
+            outputs.append((item_name(item), self.infer_expr(item.expr, scope)))
         return outputs
 
     # -- expressions -------------------------------------------------------

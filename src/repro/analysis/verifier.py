@@ -6,7 +6,7 @@ Three entry points, matched to the three places plans exist:
   nested-iteration executor receives it: every column reference must
   resolve against its own block's FROM bindings or an enclosing
   block's (correlation), innermost scope first, exactly mirroring
-  ``EvalContext.resolve``;
+  ``EvalContext.resolve``, and each block's ORDER BY must resolve;
 * :func:`verify_single_level` — one canonical/temp-table query, as the
   physical executor receives it: schema chaining (every reference
   resolves against its input row schema), grouped-output coverage,
@@ -38,6 +38,7 @@ from repro.analysis.nullability import (
     catalog_provider,
 )
 from repro.catalog.catalog import Catalog
+from repro.errors import PlanError
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -49,6 +50,7 @@ from repro.sql.ast import (
     conjuncts,
     walk,
 )
+from repro.sql.output import order_positions, output_names
 from repro.sql.printer import to_sql
 
 
@@ -81,19 +83,6 @@ class TempInfo:
         return bool(self.query.group_by)
 
 
-def output_names(select: Select) -> list[str]:
-    """Output column names, mirroring the physical executor's rule."""
-    names: list[str] = []
-    for item in select.items:
-        if item.alias:
-            names.append(item.alias)
-        elif isinstance(item.expr, ColumnRef):
-            names.append(item.expr.column)
-        else:
-            names.append(f"C{len(names) + 1}")
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Column resolution
 # ---------------------------------------------------------------------------
@@ -110,11 +99,12 @@ class _Columns:
         self.catalog = catalog
         self.temps = temps or {}
 
-    def columns_of(self, table: str) -> set[str] | None:
+    def columns_of(self, table: str) -> list[str] | None:
+        """The column names of ``table`` (a temp's outputs), in order."""
         if table in self.temps:
-            return set(self.temps[table].outputs)
+            return list(self.temps[table].outputs)
         if self.catalog.has_table(table):
-            return set(self.catalog.schema_of(table).column_names)
+            return list(self.catalog.schema_of(table).column_names)
         return None
 
 
@@ -133,8 +123,8 @@ def _block_bindings(
                     subject=to_sql(select),
                 )
             )
-            cols = set()
-        bindings[ref.binding] = cols
+            cols = []
+        bindings[ref.binding] = set(cols)
     return bindings
 
 
@@ -206,7 +196,7 @@ def _resolve_ref(
 # ---------------------------------------------------------------------------
 
 
-def _order_by_output_refs(select: Select) -> set[int]:
+def _order_by_output_refs(select: Select, columns: _Columns) -> set[int]:
     """Identities of the ORDER BY references that name output columns.
 
     Both executors resolve an unqualified ORDER BY name against the
@@ -214,7 +204,7 @@ def _order_by_output_refs(select: Select) -> set[int]:
     the same name), so such a reference is not a table column to
     resolve — ``qualify`` leaves it unqualified for the same reason.
     """
-    out_names = set(output_names(select))
+    out_names = set(output_names(select, columns.columns_of))
     return {
         id(ref)
         for item in select.order_by
@@ -263,7 +253,9 @@ def _verify_block_scopes(
     scopes = [local] + enclosing
     subject = to_sql(select)
 
-    output_refs = _order_by_output_refs(select)
+    output_refs = _order_by_output_refs(select, columns)
+    if select.order_by:
+        _verify_order_by(select, columns, findings, subject)
 
     for node in walk(select, into_subqueries=False):
         if isinstance(node, ColumnRef):
@@ -318,7 +310,7 @@ def verify_single_level(
     local = _block_bindings(select, columns, findings)
     scopes = [local]
     subject = to_sql(select)
-    output_refs = _order_by_output_refs(select)
+    output_refs = _order_by_output_refs(select, columns)
     for node in walk(select, into_subqueries=False):
         if isinstance(node, ColumnRef) and id(node) not in output_refs:
             _resolve_ref(node, scopes, findings, subject=subject)
@@ -328,7 +320,7 @@ def verify_single_level(
     if select.group_by or select.has_aggregate_select():
         _verify_grouped_output(select, findings, subject)
     if select.order_by:
-        _verify_order_by(select, findings, subject)
+        _verify_order_by(select, columns, findings, subject)
     return findings
 
 
@@ -523,38 +515,14 @@ def _inside_aggregate(root: Expr, ref: ColumnRef) -> bool:
 
 
 def _verify_order_by(
-    select: Select, findings: Findings, subject: str
+    select: Select, columns: _Columns, findings: Findings, subject: str
 ) -> None:
-    """ORDER BY references must land in the output (executor rules)."""
-    names = output_names(select)
-    for item in select.order_by:
-        expr = item.expr
-        if not isinstance(expr, ColumnRef):
-            findings.add(
-                Diagnostic(
-                    "PV011",
-                    "ORDER BY supports column references only",
-                    subject=subject,
-                )
-            )
-            continue
-        # Executor fallbacks, in order: output name match (alias or
-        # bare column), then a SELECT item spelling the same reference.
-        if expr.column in names:
-            continue
-        if any(
-            isinstance(si.expr, ColumnRef) and si.expr == expr
-            for si in select.items
-        ):
-            continue
-        findings.add(
-            Diagnostic(
-                "PV011",
-                f"ORDER BY column {expr.qualified()} is not in the "
-                "SELECT list",
-                subject=subject,
-            )
-        )
+    """PV011: the ORDER BY must resolve by the executors' rule
+    (:func:`~repro.sql.output.order_positions`)."""
+    try:
+        order_positions(select, columns.columns_of)
+    except PlanError as error:
+        findings.add(Diagnostic("PV011", str(error), subject=subject))
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,9 @@ class Catalog:
     def schema_of(self, name: str) -> TableSchema:
         return self._require(name).schema
 
+    def column_names(self, name: str) -> tuple[str, ...]:
+        return self._require(name).schema.column_names
+
     def heap_of(self, name: str) -> HeapFile:
         return self._require(name).heap
 

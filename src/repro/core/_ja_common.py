@@ -22,6 +22,7 @@ from repro.sql.ast import (
     Star,
     column_refs,
     conjuncts,
+    walk,
 )
 
 
@@ -56,10 +57,17 @@ def decompose_inner_block(
 
     Raises :class:`TransformError` for shapes the paper's algorithms do
     not define: non-aggregate SELECT, correlated predicates that are
-    not simple column comparisons, aggregates over expressions, etc.
+    not simple column comparisons, an aggregate whose argument reads an
+    outer column or a subquery, etc.  An argument over the block's own
+    columns is computed where the block's rows are restricted.
     """
     aggregate = _single_aggregate(inner)
     local = set(inner.table_bindings)
+    if not isinstance(aggregate.arg, Star) and any(
+        side_of(ref, local, has_column) == "outer"
+        for ref in column_refs(aggregate.arg)
+    ):
+        raise TransformError("aggregate argument reads an outer column")
 
     join_preds: list[JoinPredicate] = []
     simple_preds: list[Expr] = []
@@ -87,8 +95,8 @@ def _single_aggregate(inner: Select) -> FuncCall:
         raise TransformError(
             "type-JA inner block must select a single aggregate function"
         )
-    if not isinstance(expr.arg, (ColumnRef, Star)):
-        raise TransformError("aggregate argument must be a column or *")
+    if any(isinstance(node, Select) for node in walk(expr.arg)):
+        raise TransformError("aggregate argument holds a subquery")
     if isinstance(expr.arg, Star) and expr.name != "COUNT":
         raise TransformError(f"{expr.name}(*) is not valid SQL")
     if inner.group_by or inner.having or inner.distinct:

@@ -52,6 +52,7 @@ from repro.sql.ast import (
     FuncCall,
     Select,
     SelectItem,
+    Star,
     TableRef,
     column_refs,
     conjuncts,
@@ -127,7 +128,7 @@ def apply_nest_ja2(
         join_col_alias[i] = alias
         inner_proj.append(SelectItem(pred.inner_col, alias=alias))
     agg_arg_alias = None
-    if isinstance(parts.aggregate.arg, ColumnRef):
+    if not isinstance(parts.aggregate.arg, Star):
         agg_arg_alias = "VAL"
         inner_proj.append(SelectItem(parts.aggregate.arg, alias=agg_arg_alias))
     temp2 = TempTableDef(

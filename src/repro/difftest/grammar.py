@@ -16,6 +16,9 @@ The grammar deliberately concentrates on the paper's hard spots:
 * expressions over an aggregate (``COUNT(*) + 1``, ``-SUM(x)``) in
   flat and type-A blocks: an empty group's value is then the
   expression applied to COUNT = 0 or to a NULL;
+* aggregates over an expression (``SUM(x * 2)``, ``MAX(x + 1)``) in
+  flat, type-A and type-JA blocks, and an aliased flat item the ORDER
+  BY names;
 * EXISTS / NOT EXISTS / ANY / ALL with every comparison operator
   (section 8), including over empty inner sets;
 * uncorrelated NOT IN (NEST-A territory) and plain type-N/J nesting;
@@ -119,6 +122,16 @@ class CaseGenerator:
             return f"{column} IS{negated} NULL"
         return f"{column} {self.op()} {self.rng.randint(0, 3)}"
 
+    def aggregate(self, col: str) -> str:
+        """An aggregate call over ``col``, its argument sometimes an
+        expression: ``col * k`` or ``col + k``."""
+        roll = self.rng.random()
+        if roll < 0.15:
+            col = f"{col} * {self.rng.randint(2, 3)}"
+        elif roll < 0.3:
+            col = f"{col} + {self.rng.randint(1, 3)}"
+        return self.rng.choice(_AGGS).format(col=col)
+
     def maybe_arith(self, agg: str) -> str:
         """``agg``, sometimes under arithmetic: ``+ k``, ``* k`` or
         negated."""
@@ -196,7 +209,7 @@ class CaseGenerator:
         )
 
     def _type_a(self) -> str:
-        agg = self.maybe_arith(self.rng.choice(_AGGS).format(col="U.C"))
+        agg = self.maybe_arith(self.aggregate("U.C"))
         return (
             f"T.B {self.op()} (SELECT {agg} FROM U{self._inner_where(False)})"
         )
@@ -216,7 +229,7 @@ class CaseGenerator:
         )
 
     def _type_ja(self) -> str:
-        agg = self.rng.choice(_AGGS).format(col="U.C")
+        agg = self.aggregate("U.C")
         where = f" WHERE U.A {self.op()} T.A"
         where += self.maybe_and_simple("U", TABLES["U"])
         return f"T.B {self.op()} (SELECT {agg} FROM U{where})"
@@ -255,12 +268,14 @@ class CaseGenerator:
         if self.rng.random() < 0.5:
             where = f" WHERE {self.simple_predicate('T', TABLES['T'])}"
         if roll < 0.4:
-            agg = self.maybe_arith(self.rng.choice(_AGGS).format(col="T.B"))
+            agg = self.maybe_arith(self.aggregate("T.B"))
             return f"SELECT T.A, {agg} FROM T{where} GROUP BY T.A"
         if roll < 0.7:
-            agg = self.maybe_arith(self.rng.choice(_AGGS).format(col="T.B"))
+            agg = self.maybe_arith(self.aggregate("T.B"))
             return f"SELECT {agg} FROM T{where}"
         distinct = "DISTINCT " if self.rng.random() < 0.5 else ""
+        if roll < 0.85:
+            return f"SELECT {distinct}T.A AS X, T.B FROM T{where} ORDER BY X"
         return f"SELECT {distinct}T.A, T.B FROM T{where}"
 
     def case(self, index: int | None = None) -> Case:

@@ -1,6 +1,6 @@
 """The nested-iteration executor — System R's strategy and our oracle.
 
-This interprets a nested query AST directly, the way the paper says
+This interprets a nested statement directly, the way the paper says
 System R did (section 2.4, quoting [SEL 79:33]):
 
 * a **type-A/N** inner block (no correlation) is evaluated *once*; a
@@ -12,16 +12,20 @@ System R did (section 2.4, quoting [SEL 79:33]):
   why "the inner relation may have to be retrieved once for each tuple
   of the outer relation", the inefficiency the transformations attack.
 
-:class:`NestedIterationExecutor` goes one step past System R: it
-memoizes a correlated block on the values of the outer columns it
-reads, so the block runs once per *distinct* correlation value.
-:func:`system_r_nested_iteration` is the paper's baseline as stated,
-with no memo — a demonstrator, like
-:func:`~repro.core.nest_ja.kim_nest_g`, not an engine setting.
+:class:`NestedIterationExecutor` goes one step past System R with one
+memo for every kind of block (scalar, ``IN`` list, ``EXISTS``), keyed on
+the block and the values of the outer columns it reads: an
+uncorrelated block runs once per statement, a correlated one once per
+*distinct* correlation value.  :func:`system_r_nested_iteration` is the
+paper's baseline as stated, with no memo for a correlated block — a
+demonstrator, like :func:`~repro.core.nest_ja.kim_nest_g`, not an
+engine setting.
 
-Because every table scan goes through the buffer pool, running this
-executor *measures* the nested-iteration page-I/O cost that the paper's
-Figure 1 and section 7.4 model analytically.
+It runs statements only: a plan's blocks, value links included, run on
+the single-level executor, and a ``SEMI`` table (plan syntax) is an
+error here.  Because every table scan goes through the buffer pool,
+running this executor *measures* the nested-iteration page-I/O cost
+that the paper's Figure 1 and section 7.4 model analytically.
 
 Semantically this executor is the reference: the transformation tests
 compare every rewritten plan's result against it (multiset equality).
@@ -41,7 +45,7 @@ from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import column_profile, order_key, orderable
 from repro.errors import BindError, CardinalityError, ExecutionError
-from repro.sql.analysis import is_correlated, outer_references
+from repro.sql.analysis import outer_references
 from repro.sql.ast import (
     ColumnRef,
     FuncCall,
@@ -50,6 +54,7 @@ from repro.sql.ast import (
     TableRef,
     map_children,
 )
+from repro.sql.output import order_positions, output_names
 from repro.sql.printer import to_sql
 
 
@@ -75,27 +80,26 @@ _MISSING = object()
 
 
 class NestedIterationExecutor(SubqueryHandler):
-    """Evaluates nested queries by (cached) nested iteration.
+    """Evaluates nested statements by memoized nested iteration.
 
-    One executor runs one query at a time on the calling thread; its
-    result caches and plan caches are plain dicts.
+    One executor runs one statement at a time on the calling thread;
+    its memo and plan caches are plain dicts.
     """
 
     def __init__(self, catalog: Catalog, verify: bool = True) -> None:
         self.catalog = catalog
         self.verify = verify
-        self._scalar_cache: dict[int, object] = {}
-        self._column_cache: dict[int, Relation] = {}
         self._index_plans: dict[int, object] = {}
         # Compiled-evaluation plans, keyed on the block's identity (the
-        # query being executed holds its blocks, keeping the ids stable).
+        # statement being executed holds its blocks, keeping the ids
+        # stable).
         self._where_plans: dict[int, CompiledFn | None] = {}
         self._item_plans: dict[int, list] = {}
         self._group_plans: dict[int, _GroupPlan] = {}
-        # Correlated-subquery memo: (kind, id(query), outer values) →
-        # result, plus the per-query list of referenced outer columns.
-        self._outer_ref_plans: dict[int, object] = {}
-        self._corr_memo: dict[tuple, object] = {}
+        # The memo: (kind, id(block), outer values) -> result, and per
+        # block the outer columns it reads (None: not enumerable).
+        self._outer_refs: dict[int, tuple[ColumnRef, ...] | None] = {}
+        self._memo: dict[tuple, object] = {}
 
     @staticmethod
     def _cached(cache: dict, key, compute):
@@ -109,23 +113,24 @@ class NestedIterationExecutor(SubqueryHandler):
     # -- public API ------------------------------------------------------
 
     def execute(self, select: Select) -> QueryResult:
-        """Run a (possibly nested) query and return its result."""
+        """Run a (possibly nested) statement and return its result."""
         if self.verify:
             self._verify(select)
-        self._scalar_cache.clear()
-        self._column_cache.clear()
-        self._index_plans.clear()
-        self._where_plans.clear()
-        self._item_plans.clear()
-        self._group_plans.clear()
-        self._outer_ref_plans.clear()
-        self._corr_memo.clear()
+        for cache in (
+            self._index_plans, self._where_plans, self._item_plans,
+            self._group_plans, self._outer_refs, self._memo,
+        ):
+            cache.clear()
         try:
-            schema, rows = self._execute_block(select, outer=None)
+            _, rows = self._execute_block(select, outer=None)
         finally:
-            self._drop_materialized()
-        names = self._output_names(select)
-        return QueryResult(columns=names, rows=rows)
+            for value in self._memo.values():
+                if isinstance(value, Relation):
+                    value.drop()
+            self._memo.clear()
+        return QueryResult(
+            columns=output_names(select, self.catalog.column_names), rows=rows
+        )
 
     def _verify(self, select: Select) -> None:
         """Static scope check before any page is touched.
@@ -146,19 +151,7 @@ class NestedIterationExecutor(SubqueryHandler):
     # -- SubqueryHandler -------------------------------------------------
 
     def scalar(self, query: Select, context: EvalContext | None) -> object:
-        correlated = self._is_correlated(query)
-        if not correlated:
-            return self._cached(
-                self._scalar_cache,
-                id(query),
-                partial(self._scalar_value, query, None),
-            )
-        memo_key = self._memo_key("scalar", query, context)
-        if memo_key is None:
-            return self._scalar_value(query, context)
-        return self._cached(
-            self._corr_memo, memo_key, partial(self._scalar_value, query, context)
-        )
+        return self._memoized("scalar", query, context, self._scalar_value)
 
     def _scalar_value(self, query: Select, outer: EvalContext | None) -> object:
         _, rows = self._execute_block(query, outer=outer)
@@ -171,77 +164,54 @@ class NestedIterationExecutor(SubqueryHandler):
         return rows[0][0] if rows else None
 
     def column(self, query: Select, context: EvalContext | None) -> list[object]:
-        correlated = self._is_correlated(query)
-        if not correlated:
-            cached = self._cached(
-                self._column_cache,
-                id(query),
-                partial(self._column_store, query),
-            )
-            return [row[0] for row in cached]
-        memo_key = self._memo_key("column", query, context)
-        if memo_key is None:
-            return self._column_values(query, context)
-        return self._cached(
-            self._corr_memo, memo_key, partial(self._column_values, query, context)
-        )
+        rows = self._memoized("column", query, context, self._column_rows)
+        return [row[0] for row in rows]
 
-    def _column_store(self, query: Select) -> Relation:
-        values = self._column_values(query, None)
-        # System R's X: the inner result lives on disk and is
-        # rescanned per outer tuple (cheap only if it fits in B).
-        return Relation.materialize(
-            RowSchema([(None, "X")]),
-            [(v,) for v in values],
-            self.catalog.buffer,
-            name="X",
-        )
-
-    def _column_values(
+    def _column_rows(
         self, query: Select, outer: EvalContext | None
-    ) -> list[object]:
+    ) -> list[tuple] | Relation:
         _, rows = self._execute_block(query, outer=outer)
         if rows and len(rows[0]) != 1:
             raise ExecutionError("IN subquery must select one column")
-        return [row[0] for row in rows]
+        if outer is not None:
+            return rows
+        # System R's X: an uncorrelated block's result lives on disk and
+        # is rescanned per outer tuple (cheap only if it fits in B).
+        return Relation.materialize(
+            RowSchema([(None, "X")]), rows, self.catalog.buffer, name="X"
+        )
 
     def exists(self, query: Select, context: EvalContext | None) -> bool:
-        correlated = self._is_correlated(query)
-        memo_key = (
-            self._memo_key("exists", query, context) if correlated else None
-        )
-        if memo_key is None:
-            _, rows = self._execute_block(
-                query, outer=context if correlated else None
-            )
-            return bool(rows)
-        return self._cached(
-            self._corr_memo, memo_key, partial(self._exists_value, query, context)
-        )
+        return self._memoized("exists", query, context, self._exists_value)
 
-    def _exists_value(self, query: Select, context: EvalContext | None) -> bool:
-        _, rows = self._execute_block(query, outer=context)
+    def _exists_value(self, query: Select, outer: EvalContext | None) -> bool:
+        _, rows = self._execute_block(query, outer=outer)
         return bool(rows)
+
+    def _memoized(
+        self, kind: str, query: Select, context: EvalContext | None, compute
+    ):
+        """``compute(query, outer)`` once per memo key
+        (:meth:`_memo_key`).  An uncorrelated block runs with no outer
+        context; without a key the block runs every time."""
+        key = self._memo_key(kind, query, context)
+        if key is None:
+            return compute(query, context)
+        outer = context if key[2] else None
+        return self._cached(self._memo, key, partial(compute, query, outer))
 
     def _memo_key(
         self, kind: str, query: Select, context: EvalContext | None
     ) -> tuple | None:
-        """Memo key for a correlated block: the *values* of the outer
-        columns it references.  Two outer tuples that agree on those
-        columns get the same inner result, so the inner block runs once
-        per distinct combination instead of once per outer tuple.
-
-        Returns None (no memoization) when disabled, when the block's
-        outer references cannot be enumerated, or when one of them does
-        not resolve in the given context.
-        """
-        if context is None:
-            return None
-        refs = self._outer_ref_plans.get(id(query))
-        if refs is None:
-            refs = self._outer_ref_plan(query)
-            self._outer_ref_plans[id(query)] = refs
-        if refs is False:
+        """``(kind, block, values of the outer columns it reads)``: two
+        outer tuples that agree on those columns get the same result,
+        and an uncorrelated block has the empty tuple.  None when the
+        outer columns cannot be enumerated or one does not resolve in
+        ``context``."""
+        refs = self._outer_refs.get(id(query), _MISSING)
+        if refs is _MISSING:
+            refs = self._outer_refs[id(query)] = self._outer_references(query)
+        if refs is None or (refs and context is None):
             return None
         try:
             values = tuple(context.resolve(ref) for ref in refs)
@@ -249,33 +219,31 @@ class NestedIterationExecutor(SubqueryHandler):
             return None
         return (kind, id(query), values)
 
-    def _outer_ref_plan(self, query: Select):
-        """The distinct outer columns a correlated block references."""
+    def _outer_references(self, query: Select) -> tuple[ColumnRef, ...] | None:
+        """The distinct columns of enclosing blocks that ``query``'s
+        subtree reads, any catalog table being a candidate; None when a
+        reference resolves nowhere."""
 
         def has_column(binding: str, column: str) -> bool:
             if self.catalog.has_table(binding):
                 return self.catalog.schema_of(binding).has_column(column)
             return False
 
-        all_bindings = tuple(self.catalog.table_names())
         try:
-            refs = outer_references(query, has_column, all_bindings)
-        except Exception:
-            return False
-        distinct: list[ColumnRef] = []
-        for ref in refs:
-            if ref not in distinct:
-                distinct.append(ref)
-        return distinct
+            refs = outer_references(
+                query, has_column, tuple(self.catalog.table_names())
+            )
+        except BindError:
+            return None
+        return tuple(dict.fromkeys(refs))
 
     # -- block evaluation --------------------------------------------------
 
     def _execute_block(
         self, select: Select, outer: EvalContext | None
     ) -> tuple[RowSchema, list[tuple]]:
-        tables = sorted(select.from_tables, key=lambda ref: ref.semi)
-        schema = self._from_schema(tables)
-        qualifying = self._qualifying_rows(select, tables, schema, outer)
+        schema = self._from_schema(select.from_tables)
+        qualifying = self._qualifying_rows(select, schema, outer)
 
         if select.group_by or select.has_aggregate_select():
             rows = self._aggregate_rows(select, schema, qualifying, outer)
@@ -287,12 +255,20 @@ class NestedIterationExecutor(SubqueryHandler):
         if select.distinct:
             rows = _dedup(rows)
         if select.order_by:
-            rows = self._order_rows(select, schema, qualifying, rows, outer)
+            positions, descending = order_positions(select, self.catalog.column_names)
+            # Key columns only: the sort is stable, ties keep their order.
+            key = order_key(column_profile(rows), positions, tiebreak=False)
+            rows = sorted(rows, key=key, reverse=descending)
         return schema, rows
 
-    def _from_schema(self, tables: list[TableRef]) -> RowSchema:
+    def _from_schema(self, tables: tuple[TableRef, ...]) -> RowSchema:
         fields: list[tuple[str | None, str]] = []
         for ref in tables:
+            if ref.semi:
+                raise ExecutionError(
+                    f"SEMI {ref.name} is plan syntax; nested iteration "
+                    "runs statements"
+                )
             table_schema = self.catalog.schema_of(ref.name)
             fields.extend(
                 (ref.binding, column) for column in table_schema.column_names
@@ -300,35 +276,19 @@ class NestedIterationExecutor(SubqueryHandler):
         return RowSchema(fields)
 
     def _qualifying_rows(
-        self,
-        select: Select,
-        tables: list[TableRef],
-        schema: RowSchema,
-        outer: EvalContext | None,
+        self, select: Select, schema: RowSchema, outer: EvalContext | None
     ) -> list[tuple]:
-        """The FROM rows the WHERE keeps.  Semi-joined tables (plan
-        syntax, ``SEMI`` in a transformed block) scan last, and their
-        rescan stops at the first extension that qualifies: each
-        combination of the other tables comes out at most once, as
-        from a semi join."""
+        """The FROM rows the WHERE keeps."""
         indexed = self._indexed_rows(select, schema, outer)
         if indexed is not None:
             return indexed
         keep = self._where_plan(select, schema, outer)
-        plain = [ref.name for ref in tables if not ref.semi]
-        semi = [ref.name for ref in tables if ref.semi]
-        rows: list[tuple] = []
-        if not semi:
-            for combined in self._from_rows(plain, ()):
-                if keep is None or keep(combined, outer) is True:
-                    rows.append(combined)
-            return rows
-        for prefix in self._from_rows(plain, ()):
-            for combined in self._from_rows(semi, prefix):
-                if keep is None or keep(combined, outer) is True:
-                    rows.append(combined)
-                    break
-        return rows
+        tables = [ref.name for ref in select.from_tables]
+        return [
+            combined
+            for combined in self._from_rows(tables, ())
+            if keep is None or keep(combined, outer) is True
+        ]
 
     def _where_plan(
         self, select: Select, schema: RowSchema, outer: EvalContext | None
@@ -503,94 +463,14 @@ class NestedIterationExecutor(SubqueryHandler):
         results = (plan.result(group, outer) for group in grouped)
         return [row for row in results if row is not None]
 
-    def _order_rows(
-        self,
-        select: Select,
-        schema: RowSchema,
-        qualifying: list[tuple],
-        rows: list[tuple],
-        outer: EvalContext | None,
-    ) -> list[tuple]:
-        """Sort output rows by the ORDER BY items.
-
-        Supported when each ORDER BY expression references output
-        columns by name or position in the SELECT list.
-        """
-        out_names = self._output_names(select)
-        positions = []
-        for item in select.order_by:
-            expr = item.expr
-            if not (isinstance(expr, ColumnRef) and expr.column in out_names):
-                raise ExecutionError(
-                    "ORDER BY supports output-column references only"
-                )
-            positions.append(out_names.index(expr.column))
-        # Key columns only: the sort is stable, ties keep their order.
-        key = order_key(column_profile(rows), positions, tiebreak=False)
-
-        descending_flags = {item.descending for item in select.order_by}
-        if len(descending_flags) > 1:
-            raise ExecutionError("mixed ASC/DESC ORDER BY is not supported")
-        return sorted(rows, key=key, reverse=descending_flags == {True})
-
-    # -- helpers -----------------------------------------------------------
-
-    def _is_correlated(self, query: Select) -> bool:
-        """Correlation test used to decide caching.
-
-        The enclosing bindings are not tracked here; instead we ask
-        whether the block's subtree references *any* table binding that
-        is not introduced within the subtree itself.
-        """
-
-        def has_column(binding: str, column: str) -> bool:
-            if self.catalog.has_table(binding):
-                return self.catalog.schema_of(binding).has_column(column)
-            return False
-
-        all_bindings = tuple(
-            name for name in self.catalog.table_names()
-        )
-        try:
-            return is_correlated(query, has_column, all_bindings)
-        except Exception:
-            # Unresolvable references surface later as BindError during
-            # evaluation; treat as correlated (no caching) here.
-            return True
-
-    def _output_names(self, select: Select) -> list[str]:
-        names: list[str] = []
-        for item in select.items:
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                names.append(item.expr.column)
-            elif isinstance(item.expr, FuncCall):
-                names.append(to_sql(item.expr))
-            elif isinstance(item.expr, Star):
-                star = item.expr
-                for ref in select.from_tables:
-                    if star.table is None or star.table == ref.binding:
-                        names.extend(
-                            self.catalog.schema_of(ref.name).column_names
-                        )
-            else:
-                names.append(f"EXPR{len(names) + 1}")
-        return names
-
-    def _drop_materialized(self) -> None:
-        for cached in self._column_cache.values():
-            if isinstance(cached, Relation):
-                cached.drop()
-        self._column_cache.clear()
-        self._scalar_cache.clear()
-
 
 class _SystemRExecutor(NestedIterationExecutor):
-    """Nested iteration with no correlated memo."""
+    """Nested iteration with no correlated memo: only an uncorrelated
+    block's key is kept."""
 
     def _memo_key(self, kind, query, context):
-        return None
+        key = super()._memo_key(kind, query, context)
+        return None if key is None or key[2] else key
 
 
 def system_r_nested_iteration(select: Select, catalog: Catalog) -> QueryResult:

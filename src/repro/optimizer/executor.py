@@ -51,7 +51,6 @@ from collections.abc import Callable
 from functools import partial
 from typing import TypeVar
 
-from repro.analysis.verifier import output_names
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.engine.aggregate import AggSpec
@@ -84,6 +83,7 @@ from repro.sql.ast import (
     map_children,
     walk,
 )
+from repro.sql.output import order_positions, output_names
 from repro.sql.printer import to_sql
 
 
@@ -153,7 +153,7 @@ class SingleLevelExecutor:
         def register(output: Relation) -> None:
             relation = self._stored(output)
             self.catalog.register_temp(
-                name, relation.heap, self.output_names(select), relation.order
+                name, relation.heap, output_names(select), relation.order
             )
             self._scratch.remove(relation)  # the catalog owns it now
 
@@ -230,10 +230,6 @@ class SingleLevelExecutor:
         if findings.by_rule("PV004"):
             return
         findings.raise_errors("static verification of canonical query")
-
-    def output_names(self, select: Select) -> list[str]:
-        """Output column names for registering the result as a table."""
-        return output_names(select)
 
     # -- FROM clause ---------------------------------------------------------
 
@@ -648,7 +644,8 @@ class SingleLevelExecutor:
         """Aggregate into group columns ``G0..`` and aggregate slots
         ``A0..``, then run HAVING and the SELECT items — rewritten by
         :meth:`_over_groups` — as one restriction + projection over the
-        grouped stream."""
+        grouped stream.  An aggregate argument that is an expression is
+        computed first, as a column after the input's."""
         schema = relation.schema
         group_positions = []
         for expr in select.group_by:
@@ -657,9 +654,21 @@ class SingleLevelExecutor:
             group_positions.append(schema.index_of(expr))
 
         specs: list[AggSpec] = []
-        over = partial(self._over_groups, schema, group_positions, specs)
+        arguments: list[Expr] = []
+        over = partial(self._over_groups, schema, group_positions, specs, arguments)
         items = [over(item.expr) for item in select.items]
         having = None if select.having is None else over(select.having)
+        if arguments:
+            self._log(
+                "compute aggregate arguments "
+                + ", ".join(to_sql(argument) for argument in arguments)
+            )
+            relation = self._run(
+                restrict_project, relation,
+                projections=[(ColumnRef(*field), *field) for field in schema.fields]
+                + [(argument, None, f"X{i}") for i, argument in enumerate(arguments)],
+                name="arguments",
+            )
 
         aggregate_op = group_aggregate
         names = schema.qualified_names()
@@ -695,7 +704,7 @@ class SingleLevelExecutor:
             restrict_project, grouped, predicate=having,
             projections=[
                 (item, None, name)
-                for item, name in zip(items, self.output_names(select))
+                for item, name in zip(items, output_names(select))
             ],
             name="result",
         )
@@ -705,13 +714,16 @@ class SingleLevelExecutor:
         schema: RowSchema,
         group_positions: list[int],
         specs: list[AggSpec],
+        arguments: list[Expr],
         expr: Expr,
     ) -> Expr:
         """A SELECT item or the HAVING predicate of a grouped block,
         rewritten over the grouped output: an aggregate call becomes
         its slot ``A<i>`` (one slot per distinct call, its spec
         appended to ``specs``), a grouped column its ``G<i>``; a column
-        outside an aggregate must be grouped."""
+        outside an aggregate must be grouped.  An argument that is an
+        expression is appended to ``arguments`` and read as column
+        ``len(schema) + i``."""
 
         def rewrite(node: Expr) -> Expr:
             if isinstance(node, FuncCall) and node.is_aggregate:
@@ -720,7 +732,9 @@ class SingleLevelExecutor:
                 elif isinstance(node.arg, ColumnRef):
                     column = schema.index_of(node.arg)
                 else:
-                    raise PlanError("aggregate argument must be a column or *")
+                    if node.arg not in arguments:
+                        arguments.append(node.arg)
+                    column = len(schema) + arguments.index(node.arg)
                 spec = AggSpec(node.name, column, node.distinct)
                 if spec not in specs:
                     specs.append(spec)
@@ -740,7 +754,7 @@ class SingleLevelExecutor:
         return rewrite(expr)
 
     def _plain_output(self, select: Select, relation: Relation) -> Relation:
-        names = self.output_names(select)
+        names = output_names(select)
         projections = []
         for item, name in zip(select.items, names):
             if isinstance(item.expr, Star):
@@ -755,47 +769,16 @@ class SingleLevelExecutor:
         return result
 
     def _order_output(self, select: Select, result: Relation) -> Relation:
-        positions = []
-        descending_flags = set()
-        for item in select.order_by:
-            descending_flags.add(item.descending)
-            if not isinstance(item.expr, ColumnRef):
-                raise PlanError("ORDER BY supports column references only")
-            positions.append(self._output_position(select, result, item.expr))
-        if len(descending_flags) > 1:
-            raise PlanError("mixed ASC/DESC ORDER BY is not supported")
+        positions, descending = order_positions(select)
         ordered = self._run(
             external_sort, result, positions, self.buffer, name="ordered"
         )
-        if descending_flags == {True}:
+        if descending:
             ordered = Relation.from_rows(
                 ordered.schema, list(ordered)[::-1], name="ordered-desc"
             )
             self._log("reverse for ORDER BY DESC")
         return ordered
-
-    def _output_position(
-        self, select: Select, result: Relation, ref: ColumnRef
-    ) -> int:
-        """Resolve an ORDER BY reference against the result schema.
-
-        The result columns are labelled with output names (alias or bare
-        column name, qualifier None), so a qualified reference like
-        ``T.A`` does not bind directly; fall back to matching the SELECT
-        item it names, then to the bare output column name.
-        """
-        position = result.schema.try_index_of(ref)
-        if position is not None:
-            return position
-        for index, item in enumerate(select.items):
-            if isinstance(item.expr, ColumnRef) and item.expr == ref:
-                return index
-        position = result.schema.try_index_of(ColumnRef(None, ref.column))
-        if position is not None:
-            return position
-        raise PlanError(
-            f"ORDER BY column {ref.qualified()} is not in the SELECT list"
-        )
 
     # -- misc ------------------------------------------------------------------
 

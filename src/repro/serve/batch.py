@@ -46,6 +46,7 @@ from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.serve.session import SessionCatalog
+from repro.serve.sharing import outer_comparisons
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -130,14 +131,6 @@ def _require_batchable_block(query: Select, label: str) -> None:
         raise BatchIneligible(f"{label} already names {SEQ_COLUMN}")
 
 
-def _outer_comparisons(query: Select) -> list[Comparison]:
-    return [
-        node
-        for node in walk(query)
-        if isinstance(node, Comparison) and node.outer is not None
-    ]
-
-
 def _rewrite_parameters(query: Select, binding_name: str, count: int) -> Select:
     def leaf(expr):
         if isinstance(expr, Parameter) and expr.index < count:
@@ -210,7 +203,7 @@ def _rewrite_definition(
     # the COUNT bug fix of section 5.2 correct per vector.
     covered: set[str] = set()
     seq_predicates: list[Comparison] = []
-    for comparison in _outer_comparisons(rewritten):
+    for comparison in outer_comparisons(rewritten):
         if comparison.outer != "left":
             raise BatchIneligible(
                 f"unsupported outer-join orientation {comparison.outer!r}"
@@ -269,7 +262,7 @@ def _rewrite_final(
     _require_batchable_block(query, "final query")
     if query.group_by or query.has_aggregate_select():
         raise BatchIneligible("final query aggregates across the batch")
-    if _outer_comparisons(query):
+    if outer_comparisons(query):
         raise BatchIneligible("final query contains an outer join")
     sources, from_tables = _seq_sources(
         query, batched_names, binding_name, count, required=False
@@ -322,7 +315,7 @@ def classify_definitions(definitions, count: int) -> set[str]:
                 ref.binding: ref.name
                 for ref in definition.query.from_tables
             }
-            for comparison in _outer_comparisons(definition.query):
+            for comparison in outer_comparisons(definition.query):
                 left, right = comparison.left, comparison.right
                 if not (
                     isinstance(left, ColumnRef) and isinstance(right, ColumnRef)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.verifier import output_names, verify_nested
+from repro.analysis.verifier import verify_nested
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.nest_g import GeneralTransform, nest_g
@@ -62,6 +62,7 @@ from repro.serve.sharing import (
     row_combiner,
 )
 from repro.sql.ast import Parameter, Select, user_param_count, walk
+from repro.sql.output import output_names
 from repro.sql.printer import to_sql
 from repro.storage.visibility import active_snapshot
 from repro.txn.mvcc import TransactionSnapshot
@@ -95,6 +96,8 @@ class CachedPlan:
     #: and the canonical single-level query over it.
     setup: Sequence[TempTableDef] = ()
     final_query: Select | None = None
+    #: The result's column names, by the statement as given
+    #: (:func:`~repro.sql.output.output_names`), whatever the plan kind.
     columns: list[str] = field(default_factory=list)
     canonical_sql: str | None = None
     setup_sql: list[str] = field(default_factory=list)
@@ -621,20 +624,16 @@ def install_link(executor: SingleLevelExecutor, link: TempTableDef) -> str:
     """Install ``link`` of a chain privately, in ``executor``'s catalog
     — the one place that tells a temp from a value link.  A temp is
     materialized (:meth:`SingleLevelExecutor.materialize`).  A value
-    link is NEST-A, once per execution: one nested-iteration run of its
-    type-A block, bound into its slot of the active ``bound_params``
-    block and kept in memory, no page written.  Its value is the value
-    list for an ``IN``; else at most one row (more raise
+    link is NEST-A, once per execution: its type-A block is a
+    single-level plan block, run by ``executor`` like any other, its
+    rows collected and none written; the value is bound into its slot
+    of the active ``bound_params`` block and kept in memory.  It is the
+    value list for an ``IN``; else at most one row (more raise
     :class:`CardinalityError`), none being NULL.  Returns the step
     text."""
     if link.slot is None:
         return executor.materialize(link.name, link.query)
-    # verify=False: verify_transform checked the block with the plan.
-    rows = (
-        NestedIterationExecutor(executor.catalog, verify=False)
-        .execute(link.query)
-        .rows
-    )
+    rows = executor.execute(link.query, Relation.to_list)
     if link.is_list:
         value: object = ValueList(row[0] for row in rows)
     elif len(rows) > 1:
@@ -737,7 +736,6 @@ def plan_of(
         chain = dict(
             setup=transform.setup,
             final_query=transform.query,
-            columns=output_names(transform.query),
             canonical_sql=to_sql(transform.query),
             setup_sql=[d.describe() for d in transform.setup],
         )
@@ -748,6 +746,7 @@ def plan_of(
         data_version=catalog.data_version,
         kind="nested_iteration" if transform is None else "transform",
         select=select,
+        columns=output_names(select, catalog.column_names),
         param_specs=param_specs or [],
         config=config,
         trace=trace,

@@ -153,7 +153,8 @@ def _grouped(query: Select) -> bool:
     return bool(query.group_by) or query.has_aggregate_select()
 
 
-def _outer_comparisons(query: Select) -> list[Comparison]:
+def outer_comparisons(query: Select) -> list[Comparison]:
+    """The outer-join comparisons anywhere in ``query``."""
     return [
         node
         for node in walk(query)
@@ -170,7 +171,7 @@ def _is_linear(query: Select) -> bool:
         or _grouped(query)
         or query.having is not None
         or any(ref.semi for ref in query.from_tables)
-        or _outer_comparisons(query)
+        or outer_comparisons(query)
     )
 
 
@@ -194,7 +195,7 @@ def _absorbs(query: Select, delta: str) -> bool:
     """
     if query.having is not None or any(ref.semi for ref in query.from_tables):
         return False
-    outer = _outer_comparisons(query)
+    outer = outer_comparisons(query)
     if not _grouped(query):
         return not outer
     items = [item.expr for item in query.items]

@@ -330,12 +330,13 @@ class TestHavingNodeRepertoire:
 
 
 class TestTypeABlockOverASemiTable:
-    """NEST-A evaluates a type-A block by nested iteration, after NEST-G
-    merged the block's own correlated ``IN`` as a ``SEMI`` table.
-    Nested iteration joined that table plainly, so the duplicate-free
-    ``JTEMP(J1, C1)`` fanned out below COUNT: transform answered 10
-    where SQLite answers 7.  A semi table now scans last and its rescan
-    stops at the first extension that qualifies."""
+    """NEST-A evaluates a type-A block after NEST-G merged the block's
+    own correlated ``IN`` as a ``SEMI`` table.  Nested iteration, which
+    evaluated value links once, joined that table plainly, so the
+    duplicate-free ``JTEMP(J1, C1)`` fanned out below COUNT: transform
+    answered 10 where SQLite answers 7.  The block now runs on the
+    single-level executor, whose semi-join puts out each row of the
+    tables before it at most once."""
 
     ROWS_T = [(i, i) for i in range(20)]
     ROWS_U = [

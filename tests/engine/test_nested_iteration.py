@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from repro.engine.nested_iteration import NestedIterationExecutor
-from repro.errors import CardinalityError
+from repro.errors import CardinalityError, ExecutionError
 from repro.sql.parser import parse
 from repro.workloads.paper_data import (
     INTRO_QUERY_1,
@@ -116,6 +116,16 @@ class TestUnnestedQueries:
             "WHERE A.PNUM < B.PNUM",
         )
         assert result.multiset() == Counter([(3, 10), (3, 8), (8, 10)])
+
+
+    def test_a_semi_table_is_plan_syntax(self):
+        catalog = load_kiessling_instance()
+        with pytest.raises(ExecutionError, match="plan syntax"):
+            run(
+                catalog,
+                "SELECT PARTS.PNUM FROM PARTS, SEMI SUPPLY "
+                "WHERE PARTS.PNUM = SUPPLY.PNUM",
+            )
 
 
 class TestPaperIntroExamples:
@@ -319,3 +329,103 @@ class TestEmptyTables:
         )
         # COUNT over empty inner table is 0, matching V = 0.
         assert result.rows == [(1,)]
+
+
+class TestOneMemo:
+    """Scalar, ``IN`` and ``EXISTS`` blocks share one memo, keyed on the
+    block and the values of the outer columns it reads."""
+
+    #: 50 parts over five QOH values.
+    PARTS = [(pnum, pnum % 5) for pnum in range(50)]
+
+    @classmethod
+    def database(cls):
+        from repro import Database
+
+        db = Database()
+        db.create_table("PARTS", ["PNUM", "QOH"])
+        db.create_table("SUPPLY", ["PNUM", "QUAN"])
+        db.insert("PARTS", cls.PARTS)
+        db.insert("SUPPLY", [(1, 3), (2, 1), (7, 4)])
+        return db
+
+    @staticmethod
+    def count_blocks(monkeypatch) -> Counter:
+        """``NestedIterationExecutor._execute_block`` calls by the
+        block's first FROM table, as ``block_evaluations`` counts them."""
+        evaluations: Counter = Counter()
+        real = NestedIterationExecutor._execute_block
+
+        def counting(self, select, outer):
+            evaluations[select.from_tables[0].name] += 1
+            return real(self, select, outer)
+
+        monkeypatch.setattr(NestedIterationExecutor, "_execute_block", counting)
+        return evaluations
+
+    def test_an_uncorrelated_exists_is_evaluated_once(self, monkeypatch):
+        db = self.database()
+        evaluations = self.count_blocks(monkeypatch)
+        report = db.run(
+            "SELECT PNUM FROM PARTS WHERE EXISTS "
+            "(SELECT PNUM FROM SUPPLY WHERE QUAN > 2)",
+            method="nested_iteration",
+        )
+        assert len(report.result.rows) == 50
+        assert evaluations == Counter({"PARTS": 1, "SUPPLY": 1})
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            "QOH = (SELECT COUNT(*) FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH)",
+            "QOH IN (SELECT QUAN FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH)",
+            "EXISTS (SELECT PNUM FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH)",
+        ],
+    )
+    def test_a_correlated_block_runs_once_per_distinct_value(
+        self, predicate, monkeypatch
+    ):
+        db = self.database()
+        evaluations = self.count_blocks(monkeypatch)
+        sql = f"SELECT PNUM FROM PARTS WHERE {predicate}"
+        memoized = db.run(sql, method="nested_iteration").result.rows
+        assert evaluations["SUPPLY"] == 5  # QOH takes five values
+        evaluations.clear()
+        from repro.bench.harness import measure_system_r
+
+        baseline = measure_system_r(db.catalog, sql)
+        assert evaluations["SUPPLY"] == 50  # System R: once per outer tuple
+        assert Counter(baseline.rows) == Counter(memoized)
+
+    def test_system_r_evaluates_an_uncorrelated_block_once(self, monkeypatch):
+        from repro.bench.harness import measure_system_r
+
+        db = self.database()
+        evaluations = self.count_blocks(monkeypatch)
+        measure_system_r(
+            db.catalog,
+            "SELECT PNUM FROM PARTS WHERE QOH < (SELECT MAX(QUAN) FROM SUPPLY)",
+        )
+        assert evaluations["SUPPLY"] == 1
+
+    def test_outer_references_run_once_per_block(self, monkeypatch):
+        import repro.engine.nested_iteration as nested_iteration
+        import repro.sql.analysis as analysis
+
+        calls: list[str] = []
+        real = analysis.outer_references
+
+        def counting(select, *args):
+            calls.append(select.from_tables[0].name)
+            return real(select, *args)
+
+        for module in (analysis, nested_iteration):
+            monkeypatch.setattr(module, "outer_references", counting)
+        db = self.database()
+        db.run(
+            "SELECT PNUM FROM PARTS WHERE EXISTS "
+            "(SELECT PNUM FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH) "
+            "AND PNUM NOT IN (SELECT PNUM FROM SUPPLY WHERE QUAN > 3)",
+            method="nested_iteration",
+        )
+        assert sorted(calls) == ["SUPPLY", "SUPPLY"]

@@ -6,7 +6,8 @@ expressions over those slots, evaluated together.  So an item may be
 any expression over aggregates and grouped columns — ``MAX - MIN``,
 ``COUNT(*) + 1``, ``-SUM`` — in a flat block, in a type-A block and in
 a correlated one.  Every statement is checked against SQLite under
-nested iteration and under the transform with each join method.
+nested iteration and under the transform with each join method.  An
+aggregate's argument may itself be an expression (``SUM(QUAN * 2)``).
 """
 
 from __future__ import annotations
@@ -67,6 +68,21 @@ STATEMENTS = {
     ),
 }
 
+#: An aggregate over an expression: the single-level executor computes
+#: the argument before its group operator, NEST-JA2 in its TEMP2.  The
+#: flat and grouped statements raised ``PlanError`` under the transform.
+AGGREGATE_ARGUMENTS = {
+    "flat_sum_of_product": "SELECT SUM(QUAN * 2) FROM SUPPLY",
+    "grouped_sum_of_sum": "SELECT PNUM, SUM(QUAN + 1) FROM SUPPLY GROUP BY PNUM",
+    "type_a_max_of_product": (
+        "SELECT PNUM FROM PARTS WHERE QOH < (SELECT MAX(QUAN * 2) FROM SUPPLY)"
+    ),
+    "type_ja_sum_of_product": (
+        "SELECT PNUM FROM PARTS WHERE QOH < (SELECT SUM(QUAN * 2) FROM SUPPLY "
+        "WHERE SUPPLY.PNUM = PARTS.PNUM)"
+    ),
+}
+
 #: The COUNT bug in the shape of section 5.2.1: on an empty group the
 #: block's value is COUNT(*) + 1 = 1, so part 11 (QOH 1, no shipment)
 #: qualifies.
@@ -103,6 +119,17 @@ def test_statement_agrees_with_sqlite(name, method, join_method):
     sql = STATEMENTS[name]
     report = make_db(join_method).run(sql, method=method)
     assert Counter(report.result.rows) == sqlite_bag(sql)
+
+
+@pytest.mark.parametrize("join_method", ["merge", "nested", "hash"])
+@pytest.mark.parametrize("method", ["nested_iteration", "transform", "auto"])
+@pytest.mark.parametrize("name", list(AGGREGATE_ARGUMENTS))
+def test_aggregate_of_an_expression_agrees_with_sqlite(name, method, join_method):
+    sql = AGGREGATE_ARGUMENTS[name]
+    db = make_db(join_method)
+    expected = sqlite_bag(sql)
+    assert Counter(db.run(sql, method=method).result.rows) == expected
+    assert Counter(db.query(sql, method=method).rows) == expected
 
 
 @pytest.mark.parametrize("join_method", ["merge", "nested", "hash"])

@@ -48,7 +48,8 @@ class TestScanAndFilter:
         catalog = load_kiessling_instance()
         executor = SingleLevelExecutor(catalog)
         block = parse("SELECT PNUM AS SUPPNUM, COUNT(QUAN) AS CT FROM SUPPLY GROUP BY PNUM")
-        assert executor.output_names(block) == ["SUPPNUM", "CT"]
+        executor.materialize("T_NAMES", block)
+        assert list(catalog.column_names("T_NAMES")) == ["SUPPNUM", "CT"]
 
     def test_rejects_nested_queries(self):
         catalog = load_kiessling_instance()

@@ -55,7 +55,8 @@ class TestSingleShot:
 
         monkeypatch.setattr(SingleLevelExecutor, "execute", counting)
         report = db.run(JA_THEN_A, method="transform")
-        assert len(blocks) == 4  # TEMP1..3 once each, and the final block
+        # TEMP1..3 and the value link once each, and the final block.
+        assert blocks == ["PARTS", "SUPPLY", "TEMP_1", "SUPPLY", "PARTS"]
         assert len(report.setup_sql) == 4 and len(report.temp_pages) == 3
         assert [s.split()[0] for s in report.steps] == [
             "built", "built", "built", "evaluated", "final:"
