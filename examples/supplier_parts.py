@@ -10,8 +10,8 @@ Run with::
 """
 
 from repro.bench.harness import compare_methods
-from repro.core.classify import catalog_resolver, classify_block
-from repro.core.pipeline import Engine
+from repro.core.classify import classify_block
+from repro.core.pipeline import Engine, prepare_query
 from repro.sql.parser import parse
 from repro.workloads.paper_data import (
     INTRO_QUERY_1,
@@ -37,14 +37,13 @@ EXAMPLES = [
 def main() -> None:
     catalog = load_supplier_parts(buffer_pages=8)
     engine = Engine(catalog)
-    resolver = catalog_resolver(catalog)
 
     for title, sql in EXAMPLES:
         print("=" * 72)
         print(title)
         print(sql.strip())
 
-        nested = classify_block(parse(sql), resolver)
+        nested = classify_block(prepare_query(parse(sql), catalog))
         if nested:
             print(f"classification: type-{nested[0].nesting.value}")
         else:

@@ -8,11 +8,12 @@ Three entry points, matched to the three places plans exist:
   block's (correlation), innermost scope first, exactly mirroring
   ``EvalContext.resolve``, and each block's ORDER BY must resolve;
 * :func:`verify_single_level` — one canonical/temp-table query, as the
-  physical executor receives it: schema chaining (every reference
-  resolves against its input row schema), grouped-output coverage,
-  ORDER BY resolution, and join-shape invariants (outer joins must
-  preserve the accumulated left input, hash joins key on equality
-  only, a semi table's columns are read by WHERE only);
+  physical executor receives it: schema chaining (every reference is
+  qualified and resolves against its input row schema),
+  grouped-output coverage, ORDER BY resolution, and join-shape
+  invariants (outer joins must preserve the accumulated left input,
+  hash joins key on equality only, a semi table's columns are read by
+  WHERE only);
 * :func:`verify_transform` — a whole NEST-G result: each temp-table
   definition is verified in build order against the catalog plus the
   temps defined so far, the canonical query must be nest-free, and
@@ -137,19 +138,10 @@ def _resolve_ref(
     subject: str | None = None,
     source_map=None,
 ) -> None:
-    """Check one reference against a scope chain (innermost first)."""
+    """Check one reference against a scope chain (innermost first); with
+    ``require_qualified``, a name that resolves but carries no binding
+    is PV003."""
     span = source_map.column_span(ref) if source_map is not None else None
-    if ref.table is None and require_qualified:
-        findings.add(
-            Diagnostic(
-                "PV003",
-                f"column {ref.column!r} is unqualified after the "
-                "qualification pass",
-                subject=subject,
-                span=span,
-            )
-        )
-        return
     for scope in scopes:  # innermost first
         if ref.table is not None:
             if ref.table in scope:
@@ -180,6 +172,16 @@ def _resolve_ref(
             )
             return
         if owners:
+            if require_qualified:
+                findings.add(
+                    Diagnostic(
+                        "PV003",
+                        f"column {ref.column!r} is unqualified after the "
+                        "qualification pass",
+                        subject=subject,
+                        span=span,
+                    )
+                )
             return
     findings.add(
         Diagnostic(
@@ -313,7 +315,11 @@ def verify_single_level(
     output_refs = _order_by_output_refs(select, columns)
     for node in walk(select, into_subqueries=False):
         if isinstance(node, ColumnRef) and id(node) not in output_refs:
-            _resolve_ref(node, scopes, findings, subject=subject)
+            # A single-level block is bound: its executor attributes a
+            # reference to a table by the binding it carries.
+            _resolve_ref(
+                node, scopes, findings, subject=subject, require_qualified=True
+            )
 
     _verify_join_shape(select, local, findings, join_method, subject)
     _verify_semi_scope(select, local, findings, subject)

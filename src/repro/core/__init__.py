@@ -6,7 +6,6 @@ predicate extensions, and the recursive general algorithm NEST-G.
 from repro.core.classify import (
     NestedPredicate,
     NestingType,
-    catalog_resolver,
     classify_block,
     classify_nested_predicate,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "apply_nest_ja",
     "apply_nest_ja2",
     "apply_nest_nj",
-    "catalog_resolver",
     "classify_block",
     "classify_nested_predicate",
     "kim_nest_g",

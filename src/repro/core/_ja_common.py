@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import TransformError
-from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
     MIRRORED_OPS,
     ColumnRef,
@@ -50,9 +49,7 @@ class InnerBlockParts:
     simple_preds: list[Expr]
 
 
-def decompose_inner_block(
-    inner: Select, has_column: ColumnResolver
-) -> InnerBlockParts:
+def decompose_inner_block(inner: Select) -> InnerBlockParts:
     """Split a type-JA inner block into aggregate + join + simple parts.
 
     Raises :class:`TransformError` for shapes the paper's algorithms do
@@ -64,21 +61,17 @@ def decompose_inner_block(
     aggregate = _single_aggregate(inner)
     local = set(inner.table_bindings)
     if not isinstance(aggregate.arg, Star) and any(
-        side_of(ref, local, has_column) == "outer"
-        for ref in column_refs(aggregate.arg)
+        side_of(ref, local) == "outer" for ref in column_refs(aggregate.arg)
     ):
         raise TransformError("aggregate argument reads an outer column")
 
     join_preds: list[JoinPredicate] = []
     simple_preds: list[Expr] = []
     for conjunct in conjuncts(inner.where):
-        sides = {
-            side_of(ref, local, has_column) for ref in column_refs(conjunct)
-        }
-        if sides <= {"inner"}:
+        if all(side_of(ref, local) == "inner" for ref in column_refs(conjunct)):
             simple_preds.append(conjunct)
-            continue
-        join_preds.append(_as_join_predicate(conjunct, local, has_column))
+        else:
+            join_preds.append(_as_join_predicate(conjunct, local))
 
     if not join_preds:
         raise TransformError(
@@ -106,19 +99,14 @@ def _single_aggregate(inner: Select) -> FuncCall:
     return expr
 
 
-def side_of(ref: ColumnRef, local: set[str], has_column: ColumnResolver) -> str:
-    """``"inner"`` when ``ref`` binds to one of the block's own (``local``)
-    relations, ``"outer"`` when it reaches an enclosing block."""
-    if ref.table is not None:
-        return "inner" if ref.table in local else "outer"
-    if any(has_column(binding, ref.column) for binding in local):
-        return "inner"
-    return "outer"
+def side_of(ref: ColumnRef, local: set[str]) -> str:
+    """``"inner"`` when ``ref``'s binding is one of the block's own
+    (``local``) relations, ``"outer"`` when it reaches an enclosing
+    block."""
+    return "inner" if ref.table in local else "outer"
 
 
-def _as_join_predicate(
-    conjunct: Expr, local: set[str], has_column: ColumnResolver
-) -> JoinPredicate:
+def _as_join_predicate(conjunct: Expr, local: set[str]) -> JoinPredicate:
     if not (
         isinstance(conjunct, Comparison)
         and isinstance(conjunct.left, ColumnRef)
@@ -127,8 +115,8 @@ def _as_join_predicate(
         raise TransformError(
             f"correlated predicate is not a simple column comparison: {conjunct!r}"
         )
-    left_side = side_of(conjunct.left, local, has_column)
-    right_side = side_of(conjunct.right, local, has_column)
+    left_side = side_of(conjunct.left, local)
+    right_side = side_of(conjunct.right, local)
     if {left_side, right_side} != {"inner", "outer"}:
         raise TransformError(
             "join predicate must compare an inner column with an outer column"

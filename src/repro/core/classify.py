@@ -22,9 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.catalog.catalog import Catalog
 from repro.errors import TransformError
-from repro.sql.analysis import ColumnResolver, is_correlated
+from repro.sql.analysis import is_correlated
 from repro.sql.ast import (
     Comparison,
     Exists,
@@ -71,39 +70,12 @@ class NestedPredicate:
     nesting: NestingType
 
 
-def catalog_resolver(catalog: Catalog) -> ColumnResolver:
-    """A column resolver backed by the catalog's schemas.
-
-    Aliases are not resolvable by name alone; alias bindings resolve
-    through qualification, which the paper's examples always use.
-    """
-
-    def has_column(binding: str, column: str) -> bool:
-        if catalog.has_table(binding):
-            return catalog.schema_of(binding).has_column(column)
-        return False
-
-    return has_column
-
-
-def classify_nested_predicate(
-    node: Expr,
-    outer: Select,
-    has_column: ColumnResolver,
-    enclosing: tuple[str, ...] = (),
-) -> NestedPredicate:
-    """Classify one nested predicate of ``outer``'s WHERE clause.
-
-    Args:
-        node: the predicate containing the inner block.
-        outer: the block the predicate belongs to.
-        has_column: schema resolver (see :func:`catalog_resolver`).
-        enclosing: bindings of blocks enclosing ``outer`` (for
-            classification deep inside a multi-level query).
-    """
+def classify_nested_predicate(node: Expr) -> NestedPredicate:
+    """Classify one nested predicate of a bound block's WHERE clause
+    (:func:`~repro.core.pipeline.prepare_query`): the inner block is
+    correlated when it reads a binding of no block inside it."""
     query = _inner_block(node)
-    visible = enclosing + outer.table_bindings
-    correlated = is_correlated(query, has_column, visible)
+    correlated = is_correlated(query)
     aggregated = query.has_aggregate_select()
     if correlated:
         nesting = NestingType.TYPE_JA if aggregated else NestingType.TYPE_J
@@ -112,11 +84,7 @@ def classify_nested_predicate(
     return NestedPredicate(node=node, query=query, nesting=nesting)
 
 
-def classify_block(
-    block: Select,
-    has_column: ColumnResolver,
-    enclosing: tuple[str, ...] = (),
-) -> list[NestedPredicate]:
+def classify_block(block: Select) -> list[NestedPredicate]:
     """Classify every nested predicate among the block's WHERE conjuncts.
 
     Only top-level conjuncts are considered: the transformation
@@ -124,13 +92,11 @@ def classify_block(
     A nested predicate under OR/NOT is reported as an error by
     :func:`ensure_transformable`.
     """
-    found: list[NestedPredicate] = []
-    for conjunct in conjuncts(block.where):
-        if _embeds_block(conjunct):
-            found.append(
-                classify_nested_predicate(conjunct, block, has_column, enclosing)
-            )
-    return found
+    return [
+        classify_nested_predicate(conjunct)
+        for conjunct in conjuncts(block.where)
+        if _embeds_block(conjunct)
+    ]
 
 
 def ensure_transformable(block: Select) -> None:

@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.catalog.catalog import Catalog
-from repro.core.classify import catalog_resolver, ensure_transformable
+from repro.core.classify import ensure_transformable
 from repro.core.nest_ja2 import apply_nest_ja2
 from repro.core._ja_common import side_of
 from repro.core.nest_nj import apply_nest_nj, inner_temp_setup, joined_plainly
@@ -73,8 +73,8 @@ class GeneralTransform:
     trace: list[str]
 
 
-#: The step a type-JA block gets: ``(inner, has_column, fresh_name,
-#: outer_tables, outer_block)`` → the rewritten, type-J inner block and
+#: The step a type-JA block gets: ``(inner, fresh_name, outer_tables,
+#: outer_block)`` → the rewritten, type-J inner block and
 #: the temps it reads (:func:`~repro.core.nest_ja2.apply_nest_ja2`).
 JaStep = Callable[..., TransformResult]
 
@@ -86,8 +86,9 @@ def nest_g(select: Select, catalog: Catalog) -> GeneralTransform:
     the plan runs.
 
     Args:
-        select: the (possibly nested) query; extended predicates
-            (EXISTS/ANY/ALL) must already be rewritten.
+        select: the (possibly nested) query as
+            :func:`~repro.core.pipeline.prepare_query` returns it: bound,
+            extended predicates (EXISTS/ANY/ALL) rewritten.
         catalog: resolves schemas and hands out temp names.
 
     Value links bind the slots after the statement's own.
@@ -102,7 +103,6 @@ class _NestG:
         self.setup: list[TempTableDef] = []
         self.trace: list[str] = []
         self.next_slot = 0
-        self._has_column = catalog_resolver(catalog)
 
     def run(self, select: Select) -> GeneralTransform:
         self.next_slot = user_param_count(select)
@@ -147,13 +147,11 @@ class _NestG:
         inner: Select,
         inner_env: dict[str, str],
     ) -> Select:
-        visible = tuple(inner_env)
-        has_column = self._resolver_for(inner_env)
-        correlated = is_correlated(inner, has_column, visible)
+        correlated = is_correlated(inner)
         aggregated = inner.has_aggregate_select()
 
         if aggregated and correlated:
-            return self._apply_ja(block, node, inner, inner_env, has_column)
+            return self._apply_ja(block, node, inner, inner_env)
         if aggregated:
             return self._apply_a(block, node, inner)
         if isinstance(node, InSubquery) and node.negated:
@@ -169,9 +167,7 @@ class _NestG:
             # IN is a semi-join: merge the duplicate-free inner temp as a
             # SEMI table, so no outer row fans out (the Lemma-1 caveat).
             # A scalar comparison matches at most one row: merged flat.
-            temp, over_temp = inner_temp_setup(
-                node, self.catalog.create_temp_name, has_column
-            )
+            temp, over_temp = inner_temp_setup(node, self.catalog.create_temp_name)
             self.setup.append(temp)
             self.trace.append(f"NEST-{kind} inner temp: {temp.describe()}")
             block = _replace_conjunct(block, node, over_temp)
@@ -187,7 +183,6 @@ class _NestG:
         node: Expr,
         inner: Select,
         inner_env: dict[str, str],
-        has_column,
     ) -> Select:
         if isinstance(node, InSubquery) and not node.negated:
             # The aggregate yields a single row, so IN degenerates to =.
@@ -207,7 +202,7 @@ class _NestG:
             conjunct
             for conjunct in conjuncts(inner.where)
             if any(
-                side_of(ref, local, has_column) == "outer"
+                side_of(ref, local) == "outer"
                 for ref in column_refs(conjunct)
             )
         ]
@@ -216,7 +211,6 @@ class _NestG:
         )
         result = self.ja_step(
             inner,
-            has_column,
             lambda: self.catalog.create_temp_name("TEMP"),
             inner_env,
             block,
@@ -255,17 +249,6 @@ class _NestG:
             if _embeds(conjunct):
                 return conjunct
         return None
-
-    def _resolver_for(self, env: dict[str, str]):
-        base = self._has_column
-
-        def has_column(binding: str, column: str) -> bool:
-            table = env.get(binding)
-            if table is not None and self.catalog.has_table(table):
-                return self.catalog.schema_of(table).has_column(column)
-            return base(binding, column)
-
-        return has_column
 
 
 # ---------------------------------------------------------------------------

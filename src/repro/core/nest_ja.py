@@ -37,7 +37,6 @@ from repro.catalog.catalog import Catalog
 from repro.core._ja_common import decompose_inner_block
 from repro.core.nest_g import GeneralTransform, _NestG
 from repro.core.transform import TempTableDef, TransformResult
-from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -49,17 +48,12 @@ from repro.sql.ast import (
 )
 
 
-def apply_nest_ja(
-    inner: Select,
-    has_column: ColumnResolver,
-    temp_name: str,
-) -> TransformResult:
+def apply_nest_ja(inner: Select, temp_name: str) -> TransformResult:
     """Rewrite a type-JA inner block per Kim's (buggy) NEST-JA.
 
     Args:
-        inner: the inner query block (aggregate SELECT plus correlated
-            join predicates).
-        has_column: schema resolver for attributing column references.
+        inner: the bound inner query block (aggregate SELECT plus
+            correlated join predicates).
         temp_name: name for the temporary relation Rt.
 
     Returns:
@@ -69,7 +63,7 @@ def apply_nest_ja(
         the *original* operators (preserving Kim's bug for non-equality
         operators).
     """
-    parts = decompose_inner_block(inner, has_column)
+    parts = decompose_inner_block(inner)
 
     # Step 1 — Rt: group the inner relation by its own join columns,
     # applying only the simple predicates.  (This is where the COUNT
@@ -110,7 +104,6 @@ def apply_nest_ja(
 
 def apply_nest_ja_outer_naive(
     inner: Select,
-    has_column: ColumnResolver,
     fresh_name,
     outer_tables: dict[str, str],
     outer_block: Select | None = None,
@@ -133,9 +126,7 @@ def apply_nest_ja_outer_naive(
 
     from repro.core.nest_ja2 import apply_nest_ja2
 
-    result = apply_nest_ja2(
-        inner, has_column, fresh_name, outer_tables, outer_block
-    )
+    result = apply_nest_ja2(inner, fresh_name, outer_tables, outer_block)
     temp1 = result.setup[0]
     result.setup[0] = TempTableDef(
         temp1.name, replace(temp1.query, distinct=False)
@@ -154,9 +145,7 @@ def kim_nest_g(select: Select, catalog: Catalog) -> GeneralTransform:
     what :func:`~repro.core.nest_g.nest_g` takes."""
     return _NestG(
         catalog,
-        lambda inner, has_column, fresh_name, *_outer: apply_nest_ja(
-            inner, has_column, fresh_name()
-        ),
+        lambda inner, fresh_name, *_outer: apply_nest_ja(inner, fresh_name()),
     ).run(select)
 
 

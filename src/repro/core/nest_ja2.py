@@ -43,7 +43,6 @@ from __future__ import annotations
 from repro.core._ja_common import InnerBlockParts, decompose_inner_block
 from repro.core.transform import TempTableDef, TransformResult
 from repro.errors import TransformError
-from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
     MIRRORED_OPS,
     ColumnRef,
@@ -57,12 +56,12 @@ from repro.sql.ast import (
     column_refs,
     conjuncts,
     make_and,
+    walk,
 )
 
 
 def apply_nest_ja2(
     inner: Select,
-    has_column: ColumnResolver,
     fresh_name,
     outer_tables: dict[str, str],
     outer_block: Select | None = None,
@@ -70,8 +69,8 @@ def apply_nest_ja2(
     """Rewrite a type-JA inner block per algorithm NEST-JA2.
 
     Args:
-        inner: the inner query block.
-        has_column: schema resolver.
+        inner: the inner query block, bound (every reference's
+            ``table`` is its binding).
         fresh_name: zero-argument callable yielding fresh temp names.
         outer_tables: binding → catalog table name for every enclosing
             block's FROM entries (needed to project the outer relation).
@@ -84,7 +83,7 @@ def apply_nest_ja2(
         rewritten inner block — a type-J block over TEMP3 with equality
         join predicates, ready for NEST-N-J.
     """
-    parts = decompose_inner_block(inner, has_column)
+    parts = decompose_inner_block(inner)
     trace: list[str] = []
 
     outer_binding = _single_outer_binding(parts)
@@ -102,7 +101,7 @@ def apply_nest_ja2(
         SelectItem(ColumnRef(outer_binding, col.column), alias=f"C{i + 1}")
         for i, col in enumerate(outer_cols)
     )
-    temp1_where = _outer_simple_predicates(outer_block, outer_binding, has_column)
+    temp1_where = _outer_simple_predicates(outer_block, outer_binding)
     temp1 = TempTableDef(
         temp1_name,
         Select(
@@ -245,42 +244,20 @@ def _alias_for(binding: str, table: str) -> str | None:
 
 
 def _outer_simple_predicates(
-    outer_block: Select | None,
-    outer_binding: str,
-    has_column: ColumnResolver,
+    outer_block: Select | None, outer_binding: str
 ) -> Expr | None:
-    """Step 1's restriction: the outer block's predicates local to Ri.
-
-    An *unqualified* reference is attributed to ``outer_binding`` only
-    when no other FROM entry of the outer block exposes the same column
-    name — otherwise the reference may belong to a different table and
-    hoisting the conjunct into TEMP1 would restrict the wrong relation.
-    """
+    """Step 1's restriction: the outer block's predicates local to Ri,
+    those whose every reference binds to ``outer_binding``."""
     if outer_block is None:
         return None
 
-    def owned_by_outer(ref) -> bool:
-        if ref.table is not None:
-            return ref.table == outer_binding
-        if not has_column(outer_binding, ref.column):
-            return False
-        others = [
-            binding
-            for binding in outer_block.table_bindings
-            if binding != outer_binding and has_column(binding, ref.column)
-        ]
-        return not others
-
-    local: list[Expr] = []
-    for conjunct in conjuncts(outer_block.where):
+    def local(conjunct: Expr) -> bool:
         refs = list(column_refs(conjunct))
-        if not refs:
-            continue
-        if all(owned_by_outer(ref) for ref in refs):
-            # Exclude anything containing a subquery.
-            from repro.sql.ast import walk, Select as SelectNode
+        return (
+            bool(refs)
+            and all(ref.table == outer_binding for ref in refs)
+            # Nothing that holds a subquery.
+            and not any(isinstance(node, Select) for node in walk(conjunct))
+        )
 
-            if any(isinstance(n, SelectNode) for n in walk(conjunct)):
-                continue
-            local.append(conjunct)
-    return make_and(local)
+    return make_and(c for c in conjuncts(outer_block.where) if local(c))

@@ -27,7 +27,6 @@ from dataclasses import replace
 from repro.core._ja_common import side_of
 from repro.core.transform import TempTableDef
 from repro.errors import TransformError
-from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
@@ -90,9 +89,7 @@ def apply_nest_nj(outer: Select, node: Expr) -> Select:
 
 
 def inner_temp_setup(
-    node: InSubquery,
-    fresh_name: Callable[[str], str],
-    has_column: ColumnResolver,
+    node: InSubquery, fresh_name: Callable[[str], str]
 ) -> tuple[TempTableDef, InSubquery]:
     """The inner relation of ``x IN (SELECT item FROM inner WHERE ...)``
     restricted, projected and duplicate-free *before* the join
@@ -121,7 +118,7 @@ def inner_temp_setup(
     bindings = set(inner.table_bindings)
 
     def sides(expr: Expr) -> set[str]:
-        return {side_of(ref, bindings, has_column) for ref in column_refs(expr)}
+        return {side_of(ref, bindings) for ref in column_refs(expr)}
 
     local = [c for c in conjuncts(inner.where) if sides(c) <= {"inner"}]
     correlated = [c for c in conjuncts(inner.where) if sides(c) - {"inner"}]
@@ -157,6 +154,8 @@ def inner_temp_setup(
             SelectItem(expr, alias=column.column) for expr, column in projected
         ),
         where=make_and(local),
+        # A set: the block's ORDER BY, if any, orders nothing.
+        order_by=(),
         distinct=True,
     )
     new_inner = Select(

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
-from repro.core.classify import catalog_resolver
 from repro.core.nest_g import GeneralTransform, nest_g
 from repro.core.predicates import rewrite_extended_predicates
 from repro.engine.nested_iteration import QueryResult
-from repro.errors import ReproError, TransformError
-from repro.sql.ast import Select
+from repro.errors import CatalogError, ReproError, TransformError
+from repro.sql.ast import Select, TableRef, walk
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
+from repro.sql.qualify import qualify
 from repro.storage.stats import IOStats
 
 
@@ -66,18 +66,17 @@ class RunReport:
         return "\n".join(lines)
 
 
-def prepare_query(select: Select, catalog: Catalog) -> Select:
-    """Qualify all column references and rewrite extended predicates.
+def bind_columns(select: Select, catalog: Catalog) -> Select:
+    """``select`` with every column reference bound: qualified by the
+    binding it resolves to (:func:`~repro.sql.qualify.qualify`), every
+    ``*`` expanded.  What nested iteration runs; the extended predicates
+    are not rewritten (``x op ALL`` is not exact under NOT).
 
-    Run once per plan: the planner, NEST-G and the verifier all reason
-    about the tree this returns.
+    Raises for a ``SEMI`` mark, an unknown table, and one binding that
+    names different tables in different blocks, so ``ref.table`` names
+    one table wherever it appears.
     """
-    from repro.sql.ast import TableRef, walk
-    from repro.sql.qualify import qualify
-
-    from repro.errors import CatalogError
-
-    bindings: dict[str, str] = {}
+    tables: dict[str, str] = {}
     for node in walk(select):
         if isinstance(node, TableRef):
             if node.semi:
@@ -88,28 +87,24 @@ def prepare_query(select: Select, catalog: Catalog) -> Select:
                 )
             if not catalog.has_table(node.name):
                 raise CatalogError(f"no such table: {node.name}")
-            previous = bindings.setdefault(node.binding, node.name)
+            previous = tables.setdefault(node.binding, node.name)
             if previous != node.name:
                 raise TransformError(
                     f"binding {node.binding!r} refers to different tables "
                     "in different blocks; rename the aliases"
                 )
-    base = catalog_resolver(catalog)
+    columns = {binding: catalog.column_names(name) for binding, name in tables.items()}
+    return qualify(select, columns.get)
 
-    def has_column(binding: str, column: str) -> bool:
-        table = bindings.get(binding)
-        if table is not None and catalog.has_table(table):
-            return catalog.schema_of(table).has_column(column)
-        return base(binding, column)
 
-    def list_columns(binding: str) -> list[str] | None:
-        table = bindings.get(binding, binding)
-        if catalog.has_table(table):
-            return list(catalog.schema_of(table).column_names)
-        return None
+def prepare_query(select: Select, catalog: Catalog) -> Select:
+    """Bind all column references (:func:`bind_columns`) and rewrite
+    extended predicates.
 
-    qualified = qualify(select, has_column, list_columns=list_columns)
-    return rewrite_extended_predicates(qualified)
+    Run once per plan: the planner, NEST-G and the verifier all reason
+    about the tree this returns.
+    """
+    return rewrite_extended_predicates(bind_columns(select, catalog))
 
 
 class Engine:

@@ -124,9 +124,10 @@ def _rewrite_expr(expr: Expr, rule: Rule) -> Expr:
 
 
 def _count(inner: Select, arg: Expr) -> ScalarSubquery:
-    return ScalarSubquery(
-        replace(inner, items=(SelectItem(FuncCall("COUNT", arg), alias="CNT"),))
-    )
+    """``inner``'s rows counted: one row, so its ORDER BY (which may name
+    an output column the count replaces) goes."""
+    item = SelectItem(FuncCall("COUNT", arg), alias="CNT")
+    return ScalarSubquery(replace(inner, items=(item,), order_by=()))
 
 
 def _exists_to_count(pred: Exists, inner: Select, arg: Expr) -> Comparison:
@@ -174,5 +175,6 @@ def _paper(pred: Exists | Quantified, inner: Select) -> Expr:
     aggregated = replace(
         inner,
         items=(SelectItem(FuncCall(agg, _quantified_item(inner)), alias="AGG"),),
+        order_by=(),
     )
     return Comparison(pred.operand, pred.op, ScalarSubquery(aggregated))

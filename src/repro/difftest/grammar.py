@@ -25,7 +25,10 @@ The grammar deliberately concentrates on the paper's hard spots:
 * type-J ``IN`` the ways a semi-join must get right and a flat merge
   gets wrong: theta-, ``<=>``- and disjunction-correlated, an item that
   reads an outer column — under plain, aggregated and grouped roots,
-  over one outer table or two (``U`` again, as ``X``).
+  over one outer table or two (``U`` again, as ``X``);
+* aliased bindings: the outer table as ``T T1``, and the inner table
+  of a correlated type-J, type-JA, EXISTS or quantified block as
+  ``U U1``, so a correlation reads ``U1.A op T1.B``.
 
 Data is integer-only over a tiny domain: small domains force
 duplicates and join collisions, and they sidestep SQLite type-affinity
@@ -90,6 +93,8 @@ class CaseGenerator:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
+        #: The outer table's binding in the query being drawn.
+        self.t = "T"
 
     # -- data ------------------------------------------------------------
 
@@ -149,6 +154,15 @@ class CaseGenerator:
             return f" AND {self.simple_predicate(binding, columns)}"
         return ""
 
+    def inner_binding(self) -> str:
+        """The inner table's binding: ``U``, or sometimes the alias
+        ``U1``."""
+        return "U1" if self.rng.random() < 0.3 else "U"
+
+    @staticmethod
+    def from_u(u: str) -> str:
+        return "U" if u == "U" else f"U {u}"
+
     # -- nested predicates (inner block always over U) -------------------
 
     def nested_predicate(self) -> str:
@@ -166,52 +180,57 @@ class CaseGenerator:
         )
         return produce()
 
-    def _inner_where(self, correlated: bool) -> str:
+    def _inner_where(self, correlated: bool, u: str = "U") -> str:
         conjuncts = []
         if correlated:
-            conjuncts.append(f"U.A {self.op()} T.A")
+            conjuncts.append(f"{u}.A {self.op()} {self.t}.A")
         if self.rng.random() < 0.4:
-            conjuncts.append(self.simple_predicate("U", TABLES["U"]))
+            conjuncts.append(self.simple_predicate(u, TABLES["U"]))
         return " WHERE " + " AND ".join(conjuncts) if conjuncts else ""
 
     def _type_n(self) -> str:
-        return f"T.A IN (SELECT U.A FROM U{self._inner_where(False)})"
+        return f"{self.t}.A IN (SELECT U.A FROM U{self._inner_where(False)})"
 
     def _not_in(self) -> str:
         # Uncorrelated only: correlated NOT IN is documented untransformable.
-        return f"T.A NOT IN (SELECT U.A FROM U{self._inner_where(False)})"
+        return f"{self.t}.A NOT IN (SELECT U.A FROM U{self._inner_where(False)})"
 
     def _type_j(self) -> str:
+        t, u = self.t, self.inner_binding()
         correlation = self.rng.choice(
             (
-                f"U.C {self.op()} T.B",
-                f"U.C {self.op()} T.B",
-                "U.C <=> T.B",
-                f"(U.C = T.B OR U.A {self.op()} T.B)",
-                f"U.C {self.op()} T.B AND U.A {self.op()} T.A",
+                f"{u}.C {self.op()} {t}.B",
+                f"{u}.C {self.op()} {t}.B",
+                f"{u}.C <=> {t}.B",
+                f"({u}.C = {t}.B OR {u}.A {self.op()} {t}.B)",
+                f"{u}.C {self.op()} {t}.B AND {u}.A {self.op()} {t}.A",
             )
         )
         where = f" WHERE {correlation}"
-        where += self.maybe_and_simple("U", TABLES["U"])
-        item = self.rng.choice(("U.A", "U.A", "U.A", "U.A + T.B", "T.B"))
-        return f"T.A IN (SELECT {item} FROM U{where})"
+        where += self.maybe_and_simple(u, TABLES["U"])
+        item = self.rng.choice((f"{u}.A",) * 3 + (f"{u}.A + {t}.B", f"{t}.B"))
+        return f"{t}.A IN (SELECT {item} FROM {self.from_u(u)}{where})"
 
     def _exists(self) -> str:
+        u = self.inner_binding()
         keyword = "EXISTS" if self.rng.random() < 0.5 else "NOT EXISTS"
-        where = self._inner_where(self.rng.random() < 0.8)
-        return f"{keyword} (SELECT U.C FROM U{where})"
+        where = self._inner_where(self.rng.random() < 0.8, u)
+        return f"{keyword} (SELECT {u}.C FROM {self.from_u(u)}{where})"
 
     def _quantified(self) -> str:
+        u = self.inner_binding()
         quantifier = self.rng.choice(("ANY", "ALL"))
-        where = self._inner_where(self.rng.random() < 0.5)
+        where = self._inner_where(self.rng.random() < 0.5, u)
         return (
-            f"T.B {self.op()} {quantifier} (SELECT U.C FROM U{where})"
+            f"{self.t}.B {self.op()} {quantifier} "
+            f"(SELECT {u}.C FROM {self.from_u(u)}{where})"
         )
 
     def _type_a(self) -> str:
         agg = self.maybe_arith(self.aggregate("U.C"))
         return (
-            f"T.B {self.op()} (SELECT {agg} FROM U{self._inner_where(False)})"
+            f"{self.t}.B {self.op()} "
+            f"(SELECT {agg} FROM U{self._inner_where(False)})"
         )
 
     def _type_a_over_in(self) -> str:
@@ -224,38 +243,41 @@ class CaseGenerator:
             (f"U2.A {theta} U.A", "U2.A <=> U.A", f"U2.A {theta} U.A AND U2.C >= 1")
         )
         return (
-            f"T.B {self.op()} (SELECT {agg} FROM U WHERE U.C IN "
+            f"{self.t}.B {self.op()} (SELECT {agg} FROM U WHERE U.C IN "
             f"(SELECT U2.C FROM U U2 WHERE {correlation}))"
         )
 
     def _type_ja(self) -> str:
-        agg = self.aggregate("U.C")
-        where = f" WHERE U.A {self.op()} T.A"
-        where += self.maybe_and_simple("U", TABLES["U"])
-        return f"T.B {self.op()} (SELECT {agg} FROM U{where})"
+        u = self.inner_binding()
+        agg = self.aggregate(f"{u}.C")
+        where = f" WHERE {u}.A {self.op()} {self.t}.A"
+        where += self.maybe_and_simple(u, TABLES["U"])
+        return f"{self.t}.B {self.op()} (SELECT {agg} FROM {self.from_u(u)}{where})"
 
     # -- whole queries ---------------------------------------------------
 
     def query(self) -> str:
         roll = self.rng.random()
         if roll < 0.15:
+            self.t = "T"
             return self._flat_query()
+        self.t = t = "T1" if self.rng.random() < 0.3 else "T"
         conjuncts = [self.nested_predicate()]
         if self.rng.random() < 0.4:
-            conjuncts.append(self.simple_predicate("T", TABLES["T"]))
-        tables = "T"
+            conjuncts.append(self.simple_predicate(t, TABLES["T"]))
+        tables = "T" if t == "T" else f"T {t}"
         if self.rng.random() < 0.25:
             # A second outer table: every T row once per partner.
-            tables = "T, U X"
-            conjuncts.append(f"T.A {self.rng.choice(('=', '<='))} X.A")
+            tables += ", U X"
+            conjuncts.append(f"{t}.A {self.rng.choice(('=', '<='))} X.A")
         self.rng.shuffle(conjuncts)
         # What the root does with the rows the predicates let through.
-        select, tail = "T.A, T.B", ""
+        select, tail = f"{t}.A, {t}.B", ""
         roll = self.rng.random()
         if roll < 0.4:
-            select = self.rng.choice(_AGGS).format(col="T.B")
+            select = self.rng.choice(_AGGS).format(col=f"{t}.B")
             if roll < 0.2:
-                select, tail = f"T.A, {select}", " GROUP BY T.A"
+                select, tail = f"{t}.A, {select}", f" GROUP BY {t}.A"
         return (
             f"SELECT {select} FROM {tables} WHERE "
             + " AND ".join(conjuncts)

@@ -97,8 +97,8 @@ class NestedIterationExecutor(SubqueryHandler):
         self._item_plans: dict[int, list] = {}
         self._group_plans: dict[int, _GroupPlan] = {}
         # The memo: (kind, id(block), outer values) -> result, and per
-        # block the outer columns it reads (None: not enumerable).
-        self._outer_refs: dict[int, tuple[ColumnRef, ...] | None] = {}
+        # block the outer columns it reads.
+        self._outer_refs: dict[int, tuple[ColumnRef, ...]] = {}
         self._memo: dict[tuple, object] = {}
 
     @staticmethod
@@ -113,7 +113,13 @@ class NestedIterationExecutor(SubqueryHandler):
     # -- public API ------------------------------------------------------
 
     def execute(self, select: Select) -> QueryResult:
-        """Run a (possibly nested) statement and return its result."""
+        """Run a (possibly nested) statement and return its result.
+
+        The memo reads the bindings of a bound statement
+        (:func:`~repro.core.pipeline.bind_columns`): a block that reads
+        an unqualified name is memoized only when that name resolves
+        among the enclosing blocks' columns.
+        """
         if self.verify:
             self._verify(select)
         for cache in (
@@ -205,37 +211,22 @@ class NestedIterationExecutor(SubqueryHandler):
     ) -> tuple | None:
         """``(kind, block, values of the outer columns it reads)``: two
         outer tuples that agree on those columns get the same result,
-        and an uncorrelated block has the empty tuple.  None when the
-        outer columns cannot be enumerated or one does not resolve in
-        ``context``."""
-        refs = self._outer_refs.get(id(query), _MISSING)
-        if refs is _MISSING:
-            refs = self._outer_refs[id(query)] = self._outer_references(query)
-        if refs is None or (refs and context is None):
+        and an uncorrelated block has the empty tuple.  None when one
+        does not resolve in ``context``."""
+        refs = self._outer_refs.get(id(query))
+        if refs is None:
+            # The distinct columns of enclosing blocks the block reads,
+            # by the bindings the statement's references carry.
+            refs = self._outer_refs[id(query)] = tuple(
+                dict.fromkeys(outer_references(query))
+            )
+        if refs and context is None:
             return None
         try:
             values = tuple(context.resolve(ref) for ref in refs)
         except BindError:
             return None
         return (kind, id(query), values)
-
-    def _outer_references(self, query: Select) -> tuple[ColumnRef, ...] | None:
-        """The distinct columns of enclosing blocks that ``query``'s
-        subtree reads, any catalog table being a candidate; None when a
-        reference resolves nowhere."""
-
-        def has_column(binding: str, column: str) -> bool:
-            if self.catalog.has_table(binding):
-                return self.catalog.schema_of(binding).has_column(column)
-            return False
-
-        try:
-            refs = outer_references(
-                query, has_column, tuple(self.catalog.table_names())
-            )
-        except BindError:
-            return None
-        return tuple(dict.fromkeys(refs))
 
     # -- block evaluation --------------------------------------------------
 

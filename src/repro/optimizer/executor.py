@@ -185,10 +185,6 @@ class SingleLevelExecutor:
         self._reject_subqueries(select)
         if self.verify:
             self._verify(select)
-        self._binding_columns = {
-            ref.binding: set(self.catalog.schema_of(ref.name).column_names)
-            for ref in select.from_tables
-        }
         joined = self._apply_residual(select, self._join_from_tables(select))
 
         if select.group_by or select.has_aggregate_select():
@@ -275,8 +271,7 @@ class SingleLevelExecutor:
         the per-table restrictions: the join and residual conjuncts,
         the SELECT items, GROUP BY and HAVING (ORDER BY names output
         columns).  None — keep every column — when a ``*`` item reads
-        them all, or an unqualified name has no single owner (the
-        operator that reads it reports that, as it always did)."""
+        them all."""
         if any(isinstance(item.expr, Star) for item in select.items):
             return None
         exprs: list[Expr] = [item.expr for item in select.items]
@@ -284,14 +279,7 @@ class SingleLevelExecutor:
         if select.having is not None:
             exprs.append(select.having)
         exprs += [c for c in all_conjuncts if len(self._bindings_used(c)) != 1]
-        try:
-            return {
-                (ref.table or self._owner_of(ref.column), ref.column)
-                for expr in exprs
-                for ref in column_refs(expr)
-            }
-        except PlanError:
-            return None
+        return {(ref.table, ref.column) for expr in exprs for ref in column_refs(expr)}
 
     def _pushed_projection(
         self, schema: RowSchema, read_later: set[tuple[str, str]] | None
@@ -322,26 +310,7 @@ class SingleLevelExecutor:
         return make_and(local)
 
     def _bindings_used(self, conjunct: Expr) -> set[str]:
-        used: set[str] = set()
-        for ref in column_refs(conjunct):
-            if ref.table is not None:
-                used.add(ref.table)
-            else:
-                used.add(self._owner_of(ref.column))
-        return used
-
-    def _owner_of(self, column: str) -> str:
-        owners = [
-            binding
-            for binding, columns in self._binding_columns.items()
-            if column in columns
-        ]
-        if len(owners) != 1:
-            raise PlanError(
-                f"cannot attribute unqualified column {column!r} "
-                f"(candidates: {owners})"
-            )
-        return owners[0]
+        return {ref.table for ref in column_refs(conjunct)}
 
     # -- pairwise joins --------------------------------------------------------
 
@@ -587,8 +556,7 @@ class SingleLevelExecutor:
         return b, op, a, preserved, conjunct.null_safe
 
     def _side_of(self, ref: ColumnRef, left_quals: set[str]) -> str:
-        binding = ref.table if ref.table is not None else self._owner_of(ref.column)
-        return "left" if binding in left_quals else "right"
+        return "left" if ref.table in left_quals else "right"
 
     def _outer_mode(self, outer: str | None, marked_side: str) -> str | None:
         """Translate the AST's outer marker to a join mode.

@@ -24,12 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.core.classify import (
-    NestedPredicate,
-    NestingType,
-    catalog_resolver,
-    classify_block,
-)
+from repro.core.classify import NestedPredicate, NestingType, classify_block
 from repro.core.pipeline import prepare_query
 from repro.engine.relation import temp_rows_per_page
 from repro.errors import PlanError
@@ -49,6 +44,7 @@ from repro.sql.ast import (
     InList,
     Literal,
     Select,
+    binding_tables,
     column_refs,
     conjuncts,
 )
@@ -126,16 +122,18 @@ class Planner:
     # -- analysis ------------------------------------------------------------
 
     def _choose_analyzed(self, select: Select) -> PlanChoice:
-        nested = classify_block(select, catalog_resolver(self.catalog))
+        nested = classify_block(select)
         if len(nested) != 1:
             raise PlanError("planner estimates single-nested-predicate queries")
         predicate = nested[0]
-        params = self._parameters(select, predicate)
+        # Statistics are kept per table; a reference names its binding.
+        tables = binding_tables(select)
+        params = self._parameters(select, predicate, tables)
 
         alternatives: dict[str, float] = {
             "nested_iteration": nested_iteration_cost_auto(params)
         }
-        indexed = self._indexed_ni_cost(select, predicate, params)
+        indexed = self._indexed_ni_cost(predicate, params)
         if indexed is not None:
             alternatives["nested_iteration (index probes)"] = indexed
         if predicate.nesting in (NestingType.TYPE_N, NestingType.TYPE_J):
@@ -175,7 +173,7 @@ class Planner:
         )
 
     def _parameters(
-        self, select: Select, predicate: NestedPredicate
+        self, select: Select, predicate: NestedPredicate, tables: dict[str, str]
     ) -> CostParameters:
         outer = self._single_table(select, "outer")
         inner = self._single_table(predicate.query, "inner")
@@ -186,17 +184,17 @@ class Planner:
         pj = max(1, inner_entry.heap.num_pages)
         ni = outer_entry.heap.num_rows
 
-        selectivity = self._simple_selectivity(select, predicate)
+        selectivity = self._simple_selectivity(select, predicate, tables)
         fi_ni = max(1.0, selectivity * ni)
 
         # Temp-size estimates for the JA2 variants (section 7 notation).
         per_page_1col = temp_rows_per_page(1)
         per_page_2col = temp_rows_per_page(2)
         distinct_outer = max(
-            1.0, min(fi_ni, self._distinct_outer_join_values(predicate, outer, fi_ni))
+            1.0, min(fi_ni, self._distinct_outer_join_values(predicate, fi_ni, tables))
         )
         pt2 = max(1.0, distinct_outer / per_page_1col)
-        inner_sel = self._inner_selectivity(predicate.query)
+        inner_sel = self._inner_selectivity(predicate.query, tables)
         inner_kept = max(1.0, inner_sel * inner_entry.heap.num_rows)
         pt3 = max(1.0, inner_kept / per_page_2col)
         pt4 = max(pt2, pt3)
@@ -223,34 +221,32 @@ class Planner:
         return name
 
     def _simple_selectivity(
-        self, select: Select, predicate: NestedPredicate
+        self, select: Select, predicate: NestedPredicate, tables: dict[str, str]
     ) -> float:
         """Combined selectivity of the outer block's simple predicates."""
         selectivity = 1.0
         for conjunct in conjuncts(select.where):
             if conjunct is predicate.node:
                 continue
-            selectivity *= self._conjunct_selectivity(conjunct)
+            selectivity *= self._conjunct_selectivity(conjunct, tables)
         return selectivity
 
-    def _inner_selectivity(self, inner: Select) -> float:
+    def _inner_selectivity(self, inner: Select, tables: dict[str, str]) -> float:
         """Selectivity of the inner block's non-correlated predicates."""
         local = set(inner.table_bindings)
         selectivity = 1.0
         for conjunct in conjuncts(inner.where):
-            refs = list(column_refs(conjunct))
-            tables = {r.table for r in refs if r.table is not None}
-            if tables and not tables <= local:
+            if not {ref.table for ref in column_refs(conjunct)} <= local:
                 continue  # correlated join predicate
-            selectivity *= self._conjunct_selectivity(conjunct)
+            selectivity *= self._conjunct_selectivity(conjunct, tables)
         return selectivity
 
-    def _conjunct_selectivity(self, conjunct: Expr) -> float:
+    def _conjunct_selectivity(self, conjunct: Expr, tables: dict[str, str]) -> float:
         if isinstance(conjunct, Comparison):
             column, op, constant = self._column_op_constant(conjunct)
             if column is None:
                 return 1.0
-            stats = self._column_statistics(column)
+            stats = self._column_statistics(tables[column.table], column.column)
             if op == "=":
                 if stats is not None:
                     return stats.equality_selectivity()
@@ -290,26 +286,15 @@ class Planner:
             )
         return None, conjunct.op, None
 
-    def _column_statistics(self, ref: ColumnRef):
+    def _column_statistics(self, table: str, column: str):
         """Column statistics, when ANALYZE has been run on the table."""
-        if ref.table is None:
-            candidates = [
-                name
-                for name in self.catalog.statistics
-                if ref.column in self.catalog.statistics[name].columns
-            ]
-            if len(candidates) != 1:
-                return None
-            table = candidates[0]
-        else:
-            table = ref.table
         stats = self.catalog.statistics.get(table)
         if stats is None:
             return None
-        return stats.columns.get(ref.column)
+        return stats.columns.get(column)
 
     def _indexed_ni_cost(
-        self, select: Select, predicate: NestedPredicate, params: CostParameters
+        self, predicate: NestedPredicate, params: CostParameters
     ) -> float | None:
         """Cost of nested iteration via an index on the inner join
         column, when such an index is registered."""
@@ -320,24 +305,20 @@ class Planner:
         if not predicate.nesting.is_correlated:
             return None
         try:
-            parts = decompose_inner_block(
-                predicate.query, catalog_resolver(self.catalog)
-            )
+            parts = decompose_inner_block(predicate.query)
         except TransformError:
             return None
         if len(parts.join_preds) != 1 or parts.join_preds[0].op != "=":
             return None
+        # The inner block scans one table (_parameters), which the
+        # predicate's inner column binds to.
         inner_col = parts.join_preds[0].inner_col
         inner_table = predicate.query.from_tables[0].name
-        if inner_col.table not in (None, predicate.query.from_tables[0].binding):
-            return None
         if self.catalog.index_for(inner_table, inner_col.column) is None:
             return None
 
         inner_rows = self.catalog.get(inner_table).heap.num_rows
-        stats = self._column_statistics(
-            ColumnRef(inner_table, inner_col.column)
-        )
+        stats = self._column_statistics(inner_table, inner_col.column)
         if stats is not None and stats.distinct:
             matches = inner_rows / stats.distinct
         else:
@@ -345,7 +326,7 @@ class Planner:
         return nested_iteration_cost_indexed(params, matches)
 
     def _distinct_outer_join_values(
-        self, predicate: NestedPredicate, outer_table: str, fi_ni: float
+        self, predicate: NestedPredicate, fi_ni: float, tables: dict[str, str]
     ) -> float:
         """Distinct values of the outer join column — NEST-JA2's TEMP1
         cardinality.  Exact when statistics exist, else a mild
@@ -354,14 +335,13 @@ class Planner:
         from repro.errors import TransformError
 
         try:
-            parts = decompose_inner_block(
-                predicate.query, catalog_resolver(self.catalog)
-            )
+            parts = decompose_inner_block(predicate.query)
         except TransformError:
             return fi_ni * 0.9
         distinct = 0.0
         for pred in parts.join_preds:
-            stats = self._column_statistics(pred.outer_col)
+            outer_col = pred.outer_col
+            stats = self._column_statistics(tables[outer_col.table], outer_col.column)
             if stats is None:
                 return fi_ni * 0.9
             distinct = max(distinct, float(stats.distinct))

@@ -33,11 +33,10 @@ from repro.sql.ast import (
     Comparison,
     Expr,
     InList,
-    Node,
     Parameter,
     Select,
-    TableRef,
     UnaryMinus,
+    binding_tables,
     walk,
 )
 
@@ -118,7 +117,7 @@ def _column_type(
     if table is None or not catalog.has_table(table):
         return None
     schema = catalog.schema_of(table)
-    if not schema.has_column(ref.column):
+    if ref.column not in schema.column_names:
         return None
     return schema.column_type(ref.column)
 
@@ -140,10 +139,7 @@ def derive_param_specs(
         return spec
 
     nodes = list(walk(select))
-    #: binding (alias or name) → table name, across all blocks.
-    bindings = {
-        node.binding: node.name for node in nodes if isinstance(node, TableRef)
-    }
+    bindings = binding_tables(select)
 
     def constrain_pair(param: Parameter, other: Expr, nullable: bool) -> None:
         spec = spec_for(param)

@@ -37,7 +37,7 @@ from repro.analysis.verifier import verify_nested
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.nest_g import GeneralTransform, nest_g
-from repro.core.pipeline import RunReport, prepare_query, verify_plan
+from repro.core.pipeline import RunReport, bind_columns, prepare_query, verify_plan
 from repro.core.transform import TempTableDef
 from repro.engine.aggregate import NotCombinable
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
@@ -84,7 +84,8 @@ class CachedPlan:
     #: outlived an insert, as every plan does).
     data_version: int
     kind: str  # "transform" | "nested_iteration"
-    #: The statement as given: what a nested-iteration plan evaluates.
+    #: What a nested-iteration plan evaluates: the statement bound
+    #: (:func:`~repro.core.pipeline.bind_columns`), not rewritten.
     select: Select
     param_specs: list[ParamSpec]
     #: The configuration the plan was built under and runs under — the
@@ -208,7 +209,7 @@ class CachedPlan:
                     self.select
                 )
                 return RunReport(
-                    result=result,
+                    result=QueryResult(columns=self.columns, rows=result.rows),
                     io=session.buffer.stats() - before,
                     method="nested_iteration",
                     trace=list(self.trace),
@@ -729,11 +730,14 @@ def plan_of(
     registry: SharedSubplanRegistry | None = None,
 ) -> CachedPlan:
     """The plan of statement ``select`` under ``config`` at the
-    catalog's current versions: nested iteration, or — given NEST-G's
-    ``transform`` — the replay of its chain.  Verifies nothing."""
-    chain: dict = {}
-    if transform is not None:
+    catalog's current versions: nested iteration of the bound statement,
+    or — given NEST-G's ``transform`` — the replay of its chain.
+    Verifies nothing."""
+    if transform is None:
+        chain = dict(select=bind_columns(select, catalog))
+    else:
         chain = dict(
+            select=select,
             setup=transform.setup,
             final_query=transform.query,
             canonical_sql=to_sql(transform.query),
@@ -745,7 +749,6 @@ def plan_of(
         # For the snapshot-pin hit count.
         data_version=catalog.data_version,
         kind="nested_iteration" if transform is None else "transform",
-        select=select,
         columns=output_names(select, catalog.column_names),
         param_specs=param_specs or [],
         config=config,

@@ -1,18 +1,15 @@
 """Correlation analysis over query-block trees.
 
 The paper's classification (section 2) hinges on one question per inner
-block: *does it reference a relation of an outer query block?*  A
-qualified reference like ``PARTS.PNUM`` inside a block whose FROM
-clause does not mention PARTS is a correlated (join-predicate)
-reference.  Unqualified references need schema knowledge to attribute,
-which is why these functions take a resolver.
+block: *does it reference a relation of an outer query block?*  The
+binder (:mod:`repro.sql.qualify`) answers it for every reference when
+it writes ``ref.table``; these functions read that binding.  A qualified
+reference like ``PARTS.PNUM`` inside a block whose FROM clause does not
+mention PARTS is a correlated (join-predicate) reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-
-from repro.errors import BindError
 from repro.sql.ast import (
     ColumnRef,
     Exists,
@@ -24,36 +21,24 @@ from repro.sql.ast import (
     walk,
 )
 
-#: Maps a table binding to a "has column?" predicate.  The catalog
-#: provides the real implementation; tests can pass plain dicts of sets.
-ColumnResolver = Callable[[str, str], bool]
 
-
-def resolver_from_columns(columns: Mapping[str, set[str]]) -> ColumnResolver:
-    """Build a resolver from ``{binding: {column, ...}}`` (for tests)."""
-
-    def resolver(binding: str, column: str) -> bool:
-        return column in columns.get(binding, set())
-
-    return resolver
-
-
-def outer_references(
-    select: Select,
-    has_column: ColumnResolver,
-    enclosing: tuple[str, ...] = (),
-) -> list[ColumnRef]:
+def outer_references(select: Select) -> list[ColumnRef]:
     """Column references in ``select``'s subtree that bind to an
-    *enclosing* block's table rather than a local one.
-
-    ``enclosing`` lists the bindings visible from outer blocks,
-    outermost last; innermost-first resolution applies to unqualified
-    names (a column is local if any local table has it).
+    *enclosing* block's table: a reference is outer when its binding
+    (``ref.table``) is no table of ``select`` nor of the nested blocks
+    on the way down to it.  Takes a bound tree
+    (:func:`~repro.core.pipeline.prepare_query`); an unqualified ORDER
+    BY name is an output column of its block and is skipped.
     """
     local = select.table_bindings
     refs: list[ColumnRef] = []
 
-    own_nodes: list[Node] = [*select.items, *select.group_by, *select.order_by]
+    own_nodes: list[Node] = [*select.items, *select.group_by]
+    own_nodes += [
+        item
+        for item in select.order_by
+        if not (isinstance(item.expr, ColumnRef) and item.expr.table is None)
+    ]
     if select.where is not None:
         own_nodes.append(select.where)
     if select.having is not None:
@@ -62,50 +47,21 @@ def outer_references(
     for node in own_nodes:
         for item in walk(node, into_subqueries=False):
             if isinstance(item, ColumnRef):
-                ref = item
-                if _binds_locally(ref, local, has_column):
-                    continue
-                if _binds_to(ref, enclosing, has_column):
-                    refs.append(ref)
-                else:
-                    raise BindError(
-                        f"cannot resolve column {ref.qualified()} in block"
-                    )
+                if item.table not in local:
+                    refs.append(item)
             elif isinstance(item, Select):
                 # What a nested block reads of this block's own tables
                 # is not outer to this block.
                 refs.extend(
-                    ref
-                    for ref in outer_references(item, has_column, enclosing + local)
-                    if not _binds_locally(ref, local, has_column)
+                    ref for ref in outer_references(item) if ref.table not in local
                 )
     return refs
 
 
-def _binds_locally(
-    ref: ColumnRef, local: tuple[str, ...], has_column: ColumnResolver
-) -> bool:
-    if ref.table is not None:
-        return ref.table in local
-    return any(has_column(binding, ref.column) for binding in local)
-
-
-def _binds_to(
-    ref: ColumnRef, bindings: tuple[str, ...], has_column: ColumnResolver
-) -> bool:
-    if ref.table is not None:
-        return ref.table in bindings
-    return any(has_column(binding, ref.column) for binding in bindings)
-
-
-def is_correlated(
-    select: Select,
-    has_column: ColumnResolver,
-    enclosing: tuple[str, ...],
-) -> bool:
+def is_correlated(select: Select) -> bool:
     """True when the block (or any descendant) references an enclosing
     block's relation — the paper's type-J/JA condition."""
-    return bool(outer_references(select, has_column, enclosing))
+    return bool(outer_references(select))
 
 
 def direct_subqueries(select: Select) -> list[Select]:

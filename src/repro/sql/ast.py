@@ -502,6 +502,15 @@ def walk(node: Node, *, into_subqueries: bool = True) -> Iterator[Node]:
         stack.extend(below)
 
 
+def binding_tables(select: Select) -> dict[str, str]:
+    """Binding (alias or name) → table name, across every block of a
+    bound statement, where one binding names one table
+    (:func:`~repro.core.pipeline.bind_columns`)."""
+    return {
+        node.binding: node.name for node in walk(select) if isinstance(node, TableRef)
+    }
+
+
 def user_param_count(select: Select) -> int:
     """Number of parameter slots the user's SQL declares (0 if none):
     the highest ``?`` index + 1."""

@@ -1,20 +1,22 @@
-"""Qualification pass: make every column reference table-qualified.
+"""The binder: make every column reference table-qualified.
 
-NEST-N-J merges FROM clauses, so a column that was unambiguous inside
-its own block (``SELECT SNO FROM S``) can become ambiguous in the
-merged block (both S and SP have SNO).  Qualifying every reference
-*before* transformation — each against its own block's tables first,
-then the enclosing blocks', innermost first — makes all later AST
-surgery safe.
+The one place a column name is resolved.  Each reference binds against
+its own block's tables first, then the enclosing blocks', innermost
+first; afterwards ``ref.table`` *is* the binding, and every later pass
+reads it.  NEST-N-J merges FROM clauses, so a column that was
+unambiguous inside its own block (``SELECT SNO FROM S``) can become
+ambiguous in the merged block (both S and SP have SNO): binding before
+transformation makes all later AST surgery safe.
+
+The one reference left unqualified is an ORDER BY name of a SELECT
+alias: it names an output column, not a table's.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import replace
 
 from repro.errors import BindError
-from repro.sql.analysis import ColumnResolver
 from repro.sql.ast import (
     ColumnRef,
     Expr,
@@ -25,42 +27,37 @@ from repro.sql.ast import (
     Star,
     map_children,
 )
-
-#: Enumerates a binding's columns; enables ``SELECT *`` expansion.
-ColumnLister = Callable[[str], list[str] | None]
+from repro.sql.output import ColumnLister
 
 
 def qualify(
     select: Select,
-    has_column: ColumnResolver,
+    columns_of: ColumnLister,
     enclosing: tuple[tuple[str, ...], ...] = (),
-    list_columns: ColumnLister | None = None,
 ) -> Select:
-    """Return ``select`` with every column reference qualified.
+    """Return ``select`` with every column reference qualified and every
+    ``*`` (or ``T.*``) item expanded into qualified references.
 
     Args:
         select: the query block (descends into nested blocks).
-        has_column: schema resolver for table bindings.
+        columns_of: a binding's column names, or None for a binding it
+            does not know.
         enclosing: binding tuples of enclosing blocks, outermost first.
-        list_columns: optional column enumerator; when provided, a
-            ``SELECT *`` (or ``T.*``) item is expanded into explicit
-            qualified references — which lets the transformation
-            pipeline handle star queries.
     """
     local = select.table_bindings
     scopes = enclosing + (local,)
 
     def fix(node: Node) -> Node:
         if isinstance(node, ColumnRef):
-            return _qualify_ref(node, scopes, has_column)
+            return _qualify_ref(node, scopes, columns_of)
         if isinstance(node, Select):
-            return qualify(node, has_column, scopes, list_columns)
+            return qualify(node, columns_of, scopes)
         return map_children(node, fix)
 
     items: list[SelectItem] = []
     for item in select.items:
-        if isinstance(item.expr, Star) and list_columns is not None:
-            items.extend(_expand_star(item.expr, local, list_columns))
+        if isinstance(item.expr, Star):
+            items.extend(_expand_star(item.expr, local, columns_of))
         else:
             items.append(SelectItem(fix(item.expr), item.alias))
 
@@ -92,12 +89,12 @@ def qualify(
 
 
 def _expand_star(
-    star: Star, local: tuple[str, ...], list_columns: ColumnLister
+    star: Star, local: tuple[str, ...], columns_of: ColumnLister
 ) -> list[SelectItem]:
     bindings = local if star.table is None else (star.table,)
     expanded: list[SelectItem] = []
     for binding in bindings:
-        columns = list_columns(binding)
+        columns = columns_of(binding)
         if columns is None:
             raise BindError(f"cannot expand {binding}.* (unknown binding)")
         expanded.extend(
@@ -109,13 +106,13 @@ def _expand_star(
 def _qualify_ref(
     ref: ColumnRef,
     scopes: tuple[tuple[str, ...], ...],
-    has_column: ColumnResolver,
+    columns_of: ColumnLister,
 ) -> ColumnRef:
     if ref.table is not None:
         return ref
     # Innermost scope first.
     for scope in reversed(scopes):
-        owners = [b for b in scope if has_column(b, ref.column)]
+        owners = [b for b in scope if ref.column in (columns_of(b) or ())]
         if len(owners) == 1:
             return ColumnRef(owners[0], ref.column)
         if len(owners) > 1:
@@ -123,4 +120,3 @@ def _qualify_ref(
                 f"ambiguous column {ref.column!r} (candidates: {owners})"
             )
     raise BindError(f"cannot resolve column {ref.column!r}")
-

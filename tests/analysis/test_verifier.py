@@ -168,8 +168,9 @@ class TestVerifySingleLevel:
     def test_expression_over_aggregates_is_a_grouped_item(self):
         catalog = load_kiessling_instance()
         for sql in (
-            "SELECT MAX(QUAN) - MIN(QUAN) FROM SUPPLY",
-            "SELECT PNUM + 1, COUNT(*) + 1 FROM SUPPLY GROUP BY PNUM",
+            "SELECT MAX(SUPPLY.QUAN) - MIN(SUPPLY.QUAN) FROM SUPPLY",
+            "SELECT SUPPLY.PNUM + 1, COUNT(*) + 1 FROM SUPPLY "
+            "GROUP BY SUPPLY.PNUM",
         ):
             assert not verify_single_level(parse(sql), catalog), sql
 
@@ -190,8 +191,8 @@ class TestVerifySingleLevel:
     def test_having_aggregate_argument_is_exempt(self):
         catalog = load_kiessling_instance()
         sql = (
-            "SELECT PNUM FROM PARTS GROUP BY PNUM "
-            "HAVING COUNT(QOH) > 1"
+            "SELECT PARTS.PNUM FROM PARTS GROUP BY PARTS.PNUM "
+            "HAVING COUNT(PARTS.QOH) > 1"
         )
         assert not verify_single_level(parse(sql), catalog)
 

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.classify import (
     NestingType,
-    catalog_resolver,
     classify_block,
     classify_nested_predicate,
     ensure_transformable,
 )
+from repro.core.pipeline import prepare_query
 from repro.errors import TransformError
 from repro.sql.parser import parse
 from repro.workloads.paper_data import (
@@ -24,8 +24,7 @@ from repro.workloads.paper_data import (
 
 
 def classify_first(catalog, sql):
-    block = parse(sql)
-    found = classify_block(block, catalog_resolver(catalog))
+    found = classify_block(prepare_query(parse(sql), catalog))
     assert len(found) == 1
     return found[0]
 
@@ -79,7 +78,7 @@ class TestClassifyBlock:
             "PNO IN (SELECT PNO FROM P) AND "
             "QTY = (SELECT MAX(WEIGHT) FROM P)"
         )
-        found = classify_block(block, catalog_resolver(catalog))
+        found = classify_block(prepare_query(block, catalog))
         assert [p.nesting for p in found] == [
             NestingType.TYPE_N, NestingType.TYPE_A
         ]
@@ -87,7 +86,7 @@ class TestClassifyBlock:
     def test_no_nested_predicates(self):
         catalog = load_supplier_parts()
         block = parse("SELECT SNO FROM SP WHERE QTY > 100")
-        assert classify_block(block, catalog_resolver(catalog)) == []
+        assert classify_block(prepare_query(block, catalog)) == []
 
     def test_correlation_detected_through_depth(self):
         """A deep inner block referencing the outermost relation makes
@@ -100,26 +99,21 @@ class TestClassifyBlock:
                 (SELECT PNO FROM P WHERE P.CITY = S.CITY))
             """
         )
-        found = classify_block(block, catalog_resolver(catalog))
+        found = classify_block(prepare_query(block, catalog))
         assert found[0].nesting is NestingType.TYPE_J
 
     def test_inner_block_correlated_only_with_itself_is_type_n(self):
         """The benchmark's ``depth2`` shape: the innermost block reads
         ``S1``, a table of the ``IN`` block's own FROM clause, so the
         ``IN`` block is uncorrelated with ``PARTS`` — type N, not J."""
-        from repro.core.pipeline import prepare_query
-
         catalog = load_kiessling_instance()
-        block = prepare_query(
-            parse(
-                "SELECT PNUM FROM PARTS WHERE PNUM IN "
-                "(SELECT PNUM FROM SUPPLY S1 WHERE QUAN = "
-                "(SELECT MAX(QUAN) FROM SUPPLY S2 "
-                "WHERE S2.PNUM = S1.PNUM AND S2.SHIPDATE < '1980-07-15'))"
-            ),
-            catalog,
+        block = parse(
+            "SELECT PNUM FROM PARTS WHERE PNUM IN "
+            "(SELECT PNUM FROM SUPPLY S1 WHERE QUAN = "
+            "(SELECT MAX(QUAN) FROM SUPPLY S2 "
+            "WHERE S2.PNUM = S1.PNUM AND S2.SHIPDATE < '1980-07-15'))"
         )
-        found = classify_block(block, catalog_resolver(catalog))
+        found = classify_block(prepare_query(block, catalog))
         assert [p.nesting for p in found] == [NestingType.TYPE_N]
 
     def test_alias_correlation(self):
@@ -128,7 +122,7 @@ class TestClassifyBlock:
             "SELECT SNAME FROM S X WHERE SNO IN "
             "(SELECT SNO FROM SP WHERE SP.ORIGIN = X.CITY)"
         )
-        found = classify_block(block, catalog_resolver(catalog))
+        found = classify_block(prepare_query(block, catalog))
         assert found[0].nesting is NestingType.TYPE_J
 
 

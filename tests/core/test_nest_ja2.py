@@ -10,10 +10,9 @@ from collections import Counter
 
 import pytest
 
-from repro.core.classify import catalog_resolver
 from repro.core.nest_ja2 import apply_nest_ja2
-from repro.core.pipeline import Engine
-from repro.errors import TransformError
+from repro.core.pipeline import Engine, prepare_query
+from repro.errors import BindError, TransformError
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 from repro.workloads.paper_data import (
@@ -34,7 +33,7 @@ from tests.core.helpers import assert_equivalent, build_temps
 def transform_inner(catalog, sql, outer_tables=None):
     from repro.sql.ast import Comparison, ScalarSubquery, conjuncts
 
-    block = parse(sql)
+    block = prepare_query(parse(sql), catalog)
     inner = None
     for conjunct in conjuncts(block.where):
         if isinstance(conjunct, Comparison) and isinstance(
@@ -45,7 +44,6 @@ def transform_inner(catalog, sql, outer_tables=None):
     names = iter(["TEMP1", "TEMP2", "TEMP3"])
     return apply_nest_ja2(
         inner,
-        catalog_resolver(catalog),
         lambda: next(names),
         outer_tables=outer_tables or {"PARTS": "PARTS"},
         outer_block=block,
@@ -63,8 +61,8 @@ class TestAlgorithmShape:
         assert to_sql(temp1.query) == "SELECT DISTINCT PARTS.PNUM AS C1 FROM PARTS"
         # Step 2: restriction/projection of the inner relation...
         assert to_sql(temp2.query) == (
-            "SELECT SUPPLY.PNUM AS J1, SHIPDATE AS VAL FROM SUPPLY "
-            f"WHERE SHIPDATE < '{CUTOFF_1980}'"
+            "SELECT SUPPLY.PNUM AS J1, SUPPLY.SHIPDATE AS VAL FROM SUPPLY "
+            f"WHERE SUPPLY.SHIPDATE < '{CUTOFF_1980}'"
         )
         # ... then the outer join + GROUP BY.
         assert to_sql(temp3.query) == (
@@ -109,28 +107,29 @@ class TestAlgorithmShape:
             "FROM PARTS", "FROM PARTS"
         ).replace("WHERE QOH =", "WHERE QOH > -1 AND QOH =")
         result = transform_inner(catalog, sql)
-        assert "WHERE QOH > -1" in to_sql(result.setup[0].query)
+        assert "WHERE PARTS.QOH > -1" in to_sql(result.setup[0].query)
 
     def test_ambiguous_unqualified_predicates_are_not_hoisted(self):
-        """Step 1 mines only predicates provably local to the outer
-        relation: an unqualified column exposed by *another* FROM entry
-        of the outer block may belong to that other table, and hoisting
-        it would restrict the wrong relation."""
+        """Step 1 mines only predicates local to the outer relation: an
+        unqualified column exposed by *another* FROM entry of the outer
+        block may belong to that other table, and hoisting it would
+        restrict the wrong relation.  The binder refuses the ambiguous
+        name, and step 1 reads the binding it wrote for the others."""
         catalog = fresh_catalog()
         catalog.create_table(schema("T", "K", "V"))
         catalog.create_table(schema("W", "V", "X"))
         catalog.create_table(schema("U", "K2", "W2"))
-        sql = (
-            "SELECT T.K FROM T, W "
-            "WHERE V > 1 AND X > 0 AND K > 0 AND "
-            "T.V = (SELECT MAX(W2) FROM U WHERE U.K2 = T.K)"
-        )
+        subquery = "T.V = (SELECT MAX(W2) FROM U WHERE U.K2 = T.K)"
+        with pytest.raises(BindError):
+            transform_inner(
+                catalog, f"SELECT T.K FROM T, W WHERE V > 1 AND {subquery}"
+            )
+        sql = f"SELECT T.K FROM T, W WHERE X > 0 AND K > 0 AND {subquery}"
         result = transform_inner(catalog, sql, outer_tables={"T": "T", "W": "W"})
         temp1_sql = to_sql(result.setup[0].query)
-        # K resolves only on T → hoisted; V is ambiguous (T and W both
-        # expose it) and X belongs to W → neither may restrict TEMP1.
-        assert "K > 0" in temp1_sql
-        assert "V > 1" not in temp1_sql
+        # K resolves only on T → hoisted; X belongs to W → it may not
+        # restrict TEMP1.
+        assert "T.K > 0" in temp1_sql
         assert "X > 0" not in temp1_sql
 
     def test_qualified_outer_predicates_are_hoisted_despite_ambiguity(self):
@@ -162,7 +161,6 @@ class TestAlgorithmShape:
         with pytest.raises(TransformError):
             apply_nest_ja2(
                 inner,
-                catalog_resolver(catalog),
                 lambda: "X",
                 outer_tables={"T": "T"},
             )

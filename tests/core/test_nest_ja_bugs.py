@@ -9,9 +9,8 @@ from collections import Counter
 
 import pytest
 
-from repro.core.classify import catalog_resolver
 from repro.core.nest_ja import apply_nest_ja, kim_nest_g, naive_outer_nest_g
-from repro.core.pipeline import Engine
+from repro.core.pipeline import Engine, prepare_query
 from repro.errors import TransformError
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -26,27 +25,23 @@ from repro.workloads.paper_data import (
 from tests.core.helpers import build_temps, run_with, transform_with
 
 
-def inner_block(sql):
-    return parse(sql).where.right.query
+def inner_block(catalog, sql):
+    return prepare_query(parse(sql), catalog).where.right.query
 
 
 class TestNestJaAlgorithmShape:
     def test_temp_table_definition_matches_paper(self):
         """Kim's TEMP' for Q2 (section 5.1): group SUPPLY alone."""
         catalog = load_kiessling_instance()
-        result = apply_nest_ja(
-            inner_block(KIESSLING_Q2), catalog_resolver(catalog), "TEMPP"
-        )
+        result = apply_nest_ja(inner_block(catalog, KIESSLING_Q2), "TEMPP")
         assert to_sql(result.setup[0].query) == (
-            "SELECT SUPPLY.PNUM AS C1, COUNT(SHIPDATE) AS CAGG "
-            "FROM SUPPLY WHERE SHIPDATE < '1980-01-01' GROUP BY SUPPLY.PNUM"
+            "SELECT SUPPLY.PNUM AS C1, COUNT(SUPPLY.SHIPDATE) AS CAGG FROM "
+            "SUPPLY WHERE SUPPLY.SHIPDATE < '1980-01-01' GROUP BY SUPPLY.PNUM"
         )
 
     def test_rewritten_inner_block_is_type_j(self):
         catalog = load_kiessling_instance()
-        result = apply_nest_ja(
-            inner_block(KIESSLING_Q2), catalog_resolver(catalog), "TEMPP"
-        )
+        result = apply_nest_ja(inner_block(catalog, KIESSLING_Q2), "TEMPP")
         assert to_sql(result.query) == (
             "SELECT TEMPP.CAGG AS CAGG FROM TEMPP "
             "WHERE TEMPP.C1 = PARTS.PNUM"
@@ -55,18 +50,17 @@ class TestNestJaAlgorithmShape:
     def test_operator_preserved_for_q5(self):
         """Section 5.3: Kim keeps the ``<`` operator — the bug."""
         catalog = load_operator_bug_instance()
-        result = apply_nest_ja(
-            inner_block(QUERY_Q5), catalog_resolver(catalog), "TEMP5"
-        )
+        result = apply_nest_ja(inner_block(catalog, QUERY_Q5), "TEMP5")
         assert "TEMP5.C1 < PARTS.PNUM" in to_sql(result.query)
 
     def test_type_a_block_rejected(self):
         catalog = load_kiessling_instance()
         block = inner_block(
-            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY)"
+            catalog,
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT MAX(QUAN) FROM SUPPLY)",
         )
         with pytest.raises(TransformError):
-            apply_nest_ja(block, catalog_resolver(catalog), "T")
+            apply_nest_ja(block, "T")
 
 
 class TestCountBug:

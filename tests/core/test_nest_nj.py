@@ -10,7 +10,7 @@ from repro.core.pipeline import Engine, prepare_query
 from repro.engine.relation import Relation
 from repro.errors import TransformError
 from repro.optimizer.executor import SingleLevelExecutor
-from repro.sql.analysis import resolver_from_columns
+from repro.sql.qualify import qualify
 from repro.sql.ast import Comparison, TableRef
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -138,27 +138,25 @@ class TestSemantics:
         assert Counter(tr.result.rows) == Counter(ni.result.rows)
 
     def test_dedupe_inner_setup_shape(self):
-        block = parse("SELECT A FROM T WHERE A IN (SELECT B FROM U WHERE B > 0)")
-        temp, new_pred = inner_temp_setup(
-            block.where,
-            lambda prefix: f"{prefix}_1",
-            resolver_from_columns({"T": {"A"}, "U": {"B"}}),
+        block = qualify(
+            parse("SELECT A FROM T WHERE A IN (SELECT B FROM U WHERE B > 0)"),
+            {"T": ("A",), "U": ("B",)}.get,
         )
+        temp, new_pred = inner_temp_setup(block.where, lambda prefix: f"{prefix}_1")
         assert to_sql(temp.query) == (
-            "SELECT DISTINCT B AS C1 FROM U WHERE B > 0"
+            "SELECT DISTINCT U.B AS C1 FROM U WHERE U.B > 0"
         )
         assert to_sql(new_pred) == (
-            "A IN (SELECT NTEMP_1.C1 AS C1 FROM SEMI NTEMP_1)"
+            "T.A IN (SELECT NTEMP_1.C1 AS C1 FROM SEMI NTEMP_1)"
         )
 
     @staticmethod
     def _setup_of(inner_sql):
-        block = parse(f"SELECT A FROM T WHERE T.B IN ({inner_sql})")
-        return inner_temp_setup(
-            block.where,
-            lambda prefix: f"{prefix}_1",
-            resolver_from_columns({"T": {"A", "B"}, "U": {"A", "C"}}),
+        block = qualify(
+            parse(f"SELECT A FROM T WHERE T.B IN ({inner_sql})"),
+            {"T": ("A", "B"), "U": ("A", "C")}.get,
         )
+        return inner_temp_setup(block.where, lambda prefix: f"{prefix}_1")
 
     def test_dedupe_inner_setup_type_j_shape(self):
         """Correlation columns first, item last; the correlated conjunct

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.pipeline import bind_columns
 from repro.engine.nested_iteration import NestedIterationExecutor
 from repro.errors import CardinalityError, ExecutionError
 from repro.sql.parser import parse
@@ -31,7 +32,8 @@ from repro.catalog.schema import schema
 
 
 def run(catalog, sql):
-    return NestedIterationExecutor(catalog).execute(parse(sql))
+    """``sql`` by nested iteration, bound as a plan binds it."""
+    return NestedIterationExecutor(catalog).execute(bind_columns(parse(sql), catalog))
 
 
 class TestUnnestedQueries:
@@ -120,12 +122,12 @@ class TestUnnestedQueries:
 
     def test_a_semi_table_is_plan_syntax(self):
         catalog = load_kiessling_instance()
+        statement = parse(
+            "SELECT PARTS.PNUM FROM PARTS, SEMI SUPPLY "
+            "WHERE PARTS.PNUM = SUPPLY.PNUM"
+        )
         with pytest.raises(ExecutionError, match="plan syntax"):
-            run(
-                catalog,
-                "SELECT PARTS.PNUM FROM PARTS, SEMI SUPPLY "
-                "WHERE PARTS.PNUM = SUPPLY.PNUM",
-            )
+            NestedIterationExecutor(catalog).execute(statement)
 
 
 class TestPaperIntroExamples:
@@ -375,19 +377,27 @@ class TestOneMemo:
         assert evaluations == Counter({"PARTS": 1, "SUPPLY": 1})
 
     @pytest.mark.parametrize(
+        "outer, inner",
+        [("PARTS", "SUPPLY"), ("PARTS P", "SUPPLY"), ("PARTS P", "SUPPLY S")],
+        ids=["unaliased", "outer-aliased", "both-aliased"],
+    )
+    @pytest.mark.parametrize(
         "predicate",
         [
-            "QOH = (SELECT COUNT(*) FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH)",
-            "QOH IN (SELECT QUAN FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH)",
-            "EXISTS (SELECT PNUM FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH)",
+            "QOH = (SELECT COUNT(*) FROM {inner} WHERE {i}.QUAN > {o}.QOH)",
+            "QOH IN (SELECT QUAN FROM {inner} WHERE {i}.QUAN > {o}.QOH)",
+            "EXISTS (SELECT PNUM FROM {inner} WHERE {i}.QUAN > {o}.QOH)",
         ],
     )
     def test_a_correlated_block_runs_once_per_distinct_value(
-        self, predicate, monkeypatch
+        self, predicate, outer, inner, monkeypatch
     ):
+        """The memo key reads the outer columns by their bindings, so an
+        alias on either table keys the block as its table name does."""
         db = self.database()
         evaluations = self.count_blocks(monkeypatch)
-        sql = f"SELECT PNUM FROM PARTS WHERE {predicate}"
+        bindings = dict(o=outer.split()[-1], i=inner.split()[-1], inner=inner)
+        sql = f"SELECT PNUM FROM {outer} WHERE " + predicate.format(**bindings)
         memoized = db.run(sql, method="nested_iteration").result.rows
         assert evaluations["SUPPLY"] == 5  # QOH takes five values
         evaluations.clear()

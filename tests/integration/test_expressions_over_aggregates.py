@@ -20,6 +20,7 @@ import pytest
 import repro.engine.nested_iteration as nested_iteration
 import repro.optimizer.executor as executor_module
 from repro import Database
+from repro.core.pipeline import prepare_query
 from repro.engine.relation import Relation
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
@@ -160,7 +161,8 @@ class TestOneSlotPerAggregate:
             monkeypatch.setattr(executor_module, name, spy)
         db = make_db(join_method)
         executor = SingleLevelExecutor(db.catalog, db.engine.config)
-        rows = executor.execute(parse(self.SQL), Relation.to_list)
+        block = prepare_query(parse(self.SQL), db.catalog)
+        rows = executor.execute(block, Relation.to_list)
         assert Counter(rows) == sqlite_bag(self.SQL)
         (aggregates,) = specs
         assert [spec.func for spec in aggregates] == ["COUNT"]

@@ -7,6 +7,7 @@ import pytest
 from repro.config import ExecConfig
 from repro.engine.relation import Relation
 from repro.errors import PlanError
+from repro.core.pipeline import prepare_query
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
 from repro.workloads.paper_data import (
@@ -20,7 +21,7 @@ def run(catalog, sql, join_method="merge"):
     """The block's rows, collected as a chain collects its final
     block's: nothing is written for them."""
     executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-    return executor.execute(parse(sql), Relation.to_list)
+    return executor.execute(prepare_query(parse(sql), catalog), Relation.to_list)
 
 
 @pytest.fixture(params=["merge", "nested"])
@@ -47,7 +48,10 @@ class TestScanAndFilter:
     def test_output_names_respect_aliases(self):
         catalog = load_kiessling_instance()
         executor = SingleLevelExecutor(catalog)
-        block = parse("SELECT PNUM AS SUPPNUM, COUNT(QUAN) AS CT FROM SUPPLY GROUP BY PNUM")
+        block = prepare_query(
+            parse("SELECT PNUM AS SUPPNUM, COUNT(QUAN) AS CT FROM SUPPLY GROUP BY PNUM"),
+            catalog,
+        )
         executor.materialize("T_NAMES", block)
         assert list(catalog.column_names("T_NAMES")) == ["SUPPNUM", "CT"]
 
@@ -260,7 +264,7 @@ class TestOnePassPerBlock:
         """The block's rows, built as the temp ``T``."""
         catalog = self.catalog()
         executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-        executor.materialize("T", parse(sql))
+        executor.materialize("T", prepare_query(parse(sql), catalog))
         return catalog.heap_of("T").scan()
 
     def expected(self):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import ExecConfig
 from repro.engine.relation import Relation
-from repro.core.pipeline import Engine
+from repro.core.pipeline import Engine, prepare_query
 from repro.errors import PlanError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
@@ -21,7 +21,7 @@ def run(catalog, sql, join_method="merge"):
     """The block's rows, collected as a chain collects its final
     block's: nothing is written for them."""
     executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-    return executor.execute(parse(sql), Relation.to_list)
+    return executor.execute(prepare_query(parse(sql), catalog), Relation.to_list)
 
 
 class TestHaving:
@@ -67,7 +67,7 @@ class TestHaving:
             "SELECT PNUM, COUNT(SHIPDATE) FROM SUPPLY GROUP BY PNUM "
             "HAVING COUNT(SHIPDATE) >= 2"
         )
-        oracle = NestedIterationExecutor(catalog).execute(parse(sql))
+        oracle = NestedIterationExecutor(catalog).execute(prepare_query(parse(sql), catalog))
         physical = run(catalog, sql)
         assert Counter(physical) == Counter(oracle.rows)
 

@@ -147,3 +147,29 @@ class TestCostBasedExecution:
                 "nested_iteration" if ni.page_ios < tr.page_ios else "transform"
             )
             assert choice.method == measured_winner
+
+
+class TestStatisticsUnderAliases:
+    def test_an_aliased_statement_is_costed_as_its_unaliased_form(self):
+        """ANALYZE keeps statistics per table, and a reference names its
+        binding: the planner maps each binding to its table, so ``P``
+        finds PARTS's statistics."""
+        from repro.catalog.statistics import analyze_all
+
+        catalog = build_parts_supply(
+            PartsSupplySpec(
+                num_parts=500, num_supply=3000, rows_per_page=10,
+                buffer_pages=4, seed=51,
+            )
+        )
+        analyze_all(catalog)
+        plain = Planner(catalog).choose(
+            "SELECT PNUM FROM PARTS WHERE QOH = 1 AND QOH = "
+            "(SELECT COUNT(*) FROM SUPPLY "
+            "WHERE SUPPLY.PNUM = PARTS.PNUM AND SUPPLY.QUAN < 3)"
+        )
+        aliased = Planner(catalog).choose(
+            "SELECT P.PNUM FROM PARTS P WHERE P.QOH = 1 AND P.QOH = "
+            "(SELECT COUNT(*) FROM SUPPLY S WHERE S.PNUM = P.PNUM AND S.QUAN < 3)"
+        )
+        assert aliased.alternatives == plain.alternatives

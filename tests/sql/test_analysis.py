@@ -8,37 +8,38 @@ from repro.sql.analysis import (
     is_correlated,
     nesting_depth,
     outer_references,
-    resolver_from_columns,
 )
 from repro.sql.parser import parse
+from repro.sql.qualify import qualify
 
-RESOLVER = resolver_from_columns(
-    {
-        "PARTS": {"PNUM", "QOH"},
-        "SUPPLY": {"PNUM", "QUAN", "SHIPDATE"},
-        "P": {"PNO", "WEIGHT", "CITY"},
-        "S": {"SNO", "CITY"},
-        "SP": {"SNO", "PNO", "QTY", "ORIGIN"},
-    }
-)
+COLUMNS = {
+    "PARTS": ("PNUM", "QOH"),
+    "SUPPLY": ("PNUM", "QUAN", "SHIPDATE"),
+    "PA": ("PNUM", "QOH"),
+    "SU": ("PNUM", "QUAN", "SHIPDATE"),
+    "P": ("PNO", "WEIGHT", "CITY"),
+    "S": ("SNO", "CITY"),
+    "SP": ("SNO", "PNO", "QTY", "ORIGIN"),
+}
 
 
 def inner_of(sql):
-    block = parse(sql)
+    """The first inner block of ``sql``, bound as the pipeline binds it."""
+    block = qualify(parse(sql), COLUMNS.get)
     return direct_subqueries(block)[0]
 
 
 class TestOuterReferences:
     def test_uncorrelated_block_has_none(self):
         inner = inner_of("SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM P)")
-        assert outer_references(inner, RESOLVER, ("SP",)) == []
+        assert outer_references(inner) == []
 
     def test_qualified_outer_reference_found(self):
         inner = inner_of(
             "SELECT PNUM FROM PARTS WHERE QOH = "
             "(SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)"
         )
-        refs = outer_references(inner, RESOLVER, ("PARTS",))
+        refs = outer_references(inner)
         assert [r.qualified() for r in refs] == ["PARTS.PNUM"]
 
     def test_unqualified_reference_prefers_local(self):
@@ -47,23 +48,38 @@ class TestOuterReferences:
             "SELECT PNUM FROM PARTS WHERE QOH IN "
             "(SELECT QUAN FROM SUPPLY WHERE PNUM > 0)"
         )
-        assert outer_references(inner, RESOLVER, ("PARTS",)) == []
+        assert outer_references(inner) == []
 
     def test_unqualified_outer_only_column(self):
         inner = inner_of(
             "SELECT QOH FROM PARTS WHERE QOH IN "
             "(SELECT QUAN FROM SUPPLY WHERE QOH > 0)"
         )
-        refs = outer_references(inner, RESOLVER, ("PARTS",))
-        assert [r.column for r in refs] == ["QOH"]
+        refs = outer_references(inner)
+        assert [r.qualified() for r in refs] == ["PARTS.QOH"]
 
     def test_unresolvable_reference_raises(self):
-        inner = inner_of(
-            "SELECT QOH FROM PARTS WHERE QOH IN "
-            "(SELECT QUAN FROM SUPPLY WHERE NOPE > 0)"
-        )
+        """The binder refuses a name no block binds; nothing later
+        resolves names."""
         with pytest.raises(BindError):
-            outer_references(inner, RESOLVER, ("PARTS",))
+            inner_of(
+                "SELECT QOH FROM PARTS WHERE QOH IN "
+                "(SELECT QUAN FROM SUPPLY WHERE NOPE > 0)"
+            )
+
+    def test_an_aliased_outer_table_is_found_by_its_binding(self):
+        inner = inner_of(
+            "SELECT PA.PNUM FROM PARTS PA WHERE PA.QOH = "
+            "(SELECT COUNT(*) FROM SUPPLY SU WHERE SU.QUAN > QOH)"
+        )
+        assert [r.qualified() for r in outer_references(inner)] == ["PA.QOH"]
+
+    def test_an_order_by_output_name_is_not_an_outer_reference(self):
+        inner = inner_of(
+            "SELECT PNUM FROM PARTS WHERE QOH IN (SELECT QUAN AS X "
+            "FROM SUPPLY WHERE SUPPLY.QUAN > PARTS.QOH ORDER BY X)"
+        )
+        assert [r.qualified() for r in outer_references(inner)] == ["PARTS.QOH"]
 
     def test_reference_found_through_deeper_block(self):
         inner = inner_of(
@@ -73,7 +89,7 @@ class TestOuterReferences:
                 (SELECT PNO FROM P WHERE P.CITY = S.CITY))
             """
         )
-        refs = outer_references(inner, RESOLVER, ("S",))
+        refs = outer_references(inner)
         assert [r.qualified() for r in refs] == ["S.CITY"]
 
 
@@ -88,8 +104,8 @@ class TestOuterReferences:
                 (SELECT MAX(QTY) FROM SP X WHERE X.PNO = SP.PNO))
             """
         )
-        assert outer_references(inner, RESOLVER, ("S",)) == []
-        assert not is_correlated(inner, RESOLVER, ("S",))
+        assert outer_references(inner) == []
+        assert not is_correlated(inner)
 
     def test_deeper_block_keeps_its_references_past_this_block(self):
         inner = inner_of(
@@ -100,7 +116,7 @@ class TestOuterReferences:
                  WHERE X.PNO = SP.PNO AND X.ORIGIN = S.CITY))
             """
         )
-        refs = outer_references(inner, RESOLVER, ("S",))
+        refs = outer_references(inner)
         assert [r.qualified() for r in refs] == ["S.CITY"]
 
 
@@ -110,11 +126,11 @@ class TestIsCorrelated:
             "SELECT SNO FROM S WHERE SNO IN "
             "(SELECT SNO FROM SP WHERE SP.ORIGIN = S.CITY)"
         )
-        assert is_correlated(inner, RESOLVER, ("S",))
+        assert is_correlated(inner)
 
     def test_not_correlated(self):
         inner = inner_of("SELECT SNO FROM SP WHERE PNO IN (SELECT PNO FROM P)")
-        assert not is_correlated(inner, RESOLVER, ("SP",))
+        assert not is_correlated(inner)
 
 
 class TestStructure:

@@ -30,7 +30,7 @@ class TestParsing:
         from repro.sql.qualify import qualify
 
         select = parse("SELECT A FROM T WHERE A <=> B")
-        qualified = qualify(select, lambda table, column: table == "T")
+        qualified = qualify(select, {"T": ("A", "B")}.get)
         assert qualified.where.null_safe
 
     def test_ast_rejects_null_safe_on_other_operators(self):

@@ -3,25 +3,22 @@
 import pytest
 
 from repro.errors import BindError
-from repro.sql.analysis import resolver_from_columns
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 from repro.sql.qualify import qualify
 
-RESOLVER = resolver_from_columns(
-    {
-        "PARTS": {"PNUM", "QOH"},
-        "SUPPLY": {"PNUM", "QUAN", "SHIPDATE"},
-        "S": {"SNO", "SNAME", "CITY"},
-        "SP": {"SNO", "PNO", "QTY"},
-        "P": {"PNO", "WEIGHT"},
-        "X": {"PNUM", "QOH"},
-    }
-)
+COLUMNS = {
+    "PARTS": ("PNUM", "QOH"),
+    "SUPPLY": ("PNUM", "QUAN", "SHIPDATE"),
+    "S": ("SNO", "SNAME", "CITY"),
+    "SP": ("SNO", "PNO", "QTY"),
+    "P": ("PNO", "WEIGHT"),
+    "X": ("PNUM", "QOH"),
+}
 
 
 def q(sql):
-    return to_sql(qualify(parse(sql), RESOLVER))
+    return to_sql(qualify(parse(sql), COLUMNS.get))
 
 
 class TestQualify:
@@ -86,8 +83,8 @@ class TestQualify:
         assert "S.SNO IN (SELECT SP.SNO FROM SP)" in out
 
     def test_alias_scope(self):
-        # Alias bindings resolve through the resolver (the pipeline
-        # builds a binding-aware one; here X is registered directly).
+        # Columns are looked up by binding (the pipeline maps each
+        # binding to its table's columns; here X is listed directly).
         out = q("SELECT X.PNUM FROM PARTS X WHERE QOH > 0")
         assert "X.QOH > 0" in out
 
@@ -107,3 +104,6 @@ class TestQualify:
         )
         assert "SELECT SP.QTY FROM SP WHERE SP.SNO = S.SNO" in out
         assert "ALL (SELECT SP.SNO FROM SP)" in out
+
+    def test_a_star_expands_to_its_bindings_columns(self):
+        assert q("SELECT * FROM PARTS X") == "SELECT X.PNUM, X.QOH FROM PARTS X"
