@@ -3,7 +3,8 @@
 Public API:
 
 * :func:`verify_nested` / :func:`verify_single_level` /
-  :func:`verify_transform` — the plan invariant verifier (PV0xx rules);
+  :func:`verify_transform` — the plan invariant verifier (PV0xx rules;
+  a statement's names are the binder's, :mod:`repro.sql.qualify`);
 * :func:`lint_transform` — the Kim-bug lint (KB001–KB003);
 * :class:`NullabilityInference` / :func:`infer_query_nullability` —
   3VL-aware type and nullability inference;

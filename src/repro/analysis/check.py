@@ -3,8 +3,9 @@
 For each query (SQL text on the command line, a ``.sql`` file, or the
 built-in ``--figure1`` paper workload) the command:
 
-1. parses and qualifies the query, running the nested-scope verifier
-   over the original AST (diagnostics carry source spans);
+1. parses and binds the query: the binder reports every name it
+   cannot resolve (PV001, PV002, PV004, PV011), with a caret under it
+   in the source text;
 2. runs NEST-G and verifies the resulting plan — schema chaining
    through the temp chain, join shape, rejoin coverage;
 3. runs the Kim-bug lint (KB001–KB003) over the transformed plan;
@@ -34,7 +35,7 @@ from repro.analysis.spans import SourceMap
 from repro.analysis.verifier import verify_nested, verify_transform
 from repro.config import CHOICES
 from repro.core.nest_g import nest_g
-from repro.core.pipeline import prepare_query
+from repro.core.predicates import rewrite_extended_predicates
 from repro.errors import ReproError
 from repro.sql.parser import parse
 from repro.workloads import paper_data
@@ -73,25 +74,12 @@ def check_query(
 ) -> tuple[Findings, list[str]]:
     """Statically analyze one query; returns (findings, report lines)."""
     lines: list[str] = []
-    findings = Findings()
     catalog = INSTANCES[instance]()
-    source_map = SourceMap(sql)
 
-    select = parse(sql)
-    # Verify the raw AST first: binding errors found here carry source
-    # spans, where the qualification pass would just raise.
-    findings.extend(verify_nested(select, catalog, source_map=source_map))
+    bound, findings = verify_nested(parse(sql), catalog, SourceMap(sql))
     if findings.errors:
         return findings, lines
-
-    prepared = prepare_query(select, catalog)
-    findings.extend(
-        verify_nested(
-            prepared, catalog, require_qualified=True, source_map=source_map
-        )
-    )
-    if findings.errors:
-        return findings, lines
+    prepared = rewrite_extended_predicates(bound)
 
     for name, inferred in infer_query_nullability(prepared, catalog):
         lines.append(f"  output {name}: {inferred.describe()}")

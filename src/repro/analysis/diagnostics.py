@@ -7,7 +7,8 @@ back to the original SQL text) a source :class:`Span` rendered as a
 caret snippet.  Rule ids are stable across releases so tests, CI logs
 and the difftest can match on them:
 
-* ``PV0xx`` — plan verifier invariants (always errors);
+* ``PV0xx`` — the binder's name checks (PV001, PV002, PV004, PV011;
+  :mod:`repro.sql.qualify`) and the plan verifier's invariants;
 * ``KB00x`` — Kim-bug lint rules, mapping the paper's section 5 bugs
   (errors on the deliberately buggy algorithms, absent on NEST-JA2).
 """
@@ -147,14 +148,14 @@ class Findings:
 
         Column-binding rules raise :class:`ColumnVerificationError` (a
         ``BindError``), everything else :class:`VerificationError` (a
-        ``PlanError``) — matching what the executors would eventually
-        have raised dynamically.
+        ``PlanError``).  The binder raises a statement's name findings
+        through here, the plan verifier a plan's.
         """
         errors = self.errors
         if not errors:
             return
-        # A statement's ORDER BY is checked in the statement and again
-        # in its plan's final block: say each finding once.
+        # The same mistake can be made in several places (a name
+        # spelled twice): say each finding once.
         message = f"{context}: " + "; ".join(
             dict.fromkeys(f"[{d.rule}] {d.message}" for d in errors)
         )

@@ -1,12 +1,12 @@
 """Static plan verifier: invariants checked without executing anything.
 
-Three entry points, matched to the three places plans exist:
+Three entry points, matched to the places plans exist:
 
-* :func:`verify_nested` — a (possibly nested) query AST, as the
-  nested-iteration executor receives it: every column reference must
-  resolve against its own block's FROM bindings or an enclosing
-  block's (correlation), innermost scope first, exactly mirroring
-  ``EvalContext.resolve``, and each block's ORDER BY must resolve;
+* :func:`verify_nested` — a statement as written: its names, checked by
+  the binder (:mod:`repro.sql.qualify`) with every finding collected
+  and an unknown table reported as PV004.  The binder checks each name
+  once, when the statement is bound, on the engine's path too, where a
+  finding raises instead;
 * :func:`verify_single_level` — one canonical/temp-table query, as the
   physical executor receives it: schema chaining (every reference is
   qualified and resolves against its input row schema),
@@ -131,35 +131,19 @@ def _block_bindings(
 
 def _resolve_ref(
     ref: ColumnRef,
-    scopes: list[dict[str, set[str]]],
+    local: dict[str, set[str]],
     findings: Findings,
-    *,
-    require_qualified: bool = False,
-    subject: str | None = None,
-    source_map=None,
+    subject: str,
 ) -> None:
-    """Check one reference against a scope chain (innermost first); with
-    ``require_qualified``, a name that resolves but carries no binding
-    is PV003."""
-    span = source_map.column_span(ref) if source_map is not None else None
-    for scope in scopes:  # innermost first
-        if ref.table is not None:
-            if ref.table in scope:
-                if ref.column in scope[ref.table]:
-                    return
-                # The binding is visible here but lacks the column:
-                # deeper scopes cannot rescue a qualified reference.
-                findings.add(
-                    Diagnostic(
-                        "PV001",
-                        f"cannot resolve column {ref.qualified()}",
-                        subject=subject,
-                        span=span,
-                    )
-                )
-                return
-            continue
-        owners = [b for b, cols in scope.items() if ref.column in cols]
+    """Check one reference of a single-level block against its FROM
+    bindings.  The block is bound — its executor attributes a reference
+    to a table by the binding it carries — so a name that resolves but
+    carries no binding is PV003."""
+    if ref.table is not None:
+        if ref.column in local.get(ref.table, ()):
+            return
+    else:
+        owners = [b for b, cols in local.items() if ref.column in cols]
         if len(owners) > 1:
             findings.add(
                 Diagnostic(
@@ -167,35 +151,24 @@ def _resolve_ref(
                     f"ambiguous column {ref.column!r} "
                     f"(candidates: {sorted(owners)})",
                     subject=subject,
-                    span=span,
                 )
             )
             return
         if owners:
-            if require_qualified:
-                findings.add(
-                    Diagnostic(
-                        "PV003",
-                        f"column {ref.column!r} is unqualified after the "
-                        "qualification pass",
-                        subject=subject,
-                        span=span,
-                    )
+            findings.add(
+                Diagnostic(
+                    "PV003",
+                    f"column {ref.column!r} is unqualified after the "
+                    "qualification pass",
+                    subject=subject,
                 )
+            )
             return
     findings.add(
         Diagnostic(
-            "PV001",
-            f"cannot resolve column {ref.qualified()}",
-            subject=subject,
-            span=span,
+            "PV001", f"cannot resolve column {ref.qualified()}", subject=subject
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# Nested-query verification (before the nested-iteration executor)
-# ---------------------------------------------------------------------------
 
 
 def _order_by_output_refs(select: Select, columns: _Columns) -> set[int]:
@@ -204,7 +177,7 @@ def _order_by_output_refs(select: Select, columns: _Columns) -> set[int]:
     Both executors resolve an unqualified ORDER BY name against the
     *output* names first (aliases included, ahead of a base column of
     the same name), so such a reference is not a table column to
-    resolve — ``qualify`` leaves it unqualified for the same reason.
+    resolve (``qualify`` leaves an ORDER BY alias unqualified).
     """
     out_names = set(output_names(select, columns.columns_of))
     return {
@@ -215,71 +188,22 @@ def _order_by_output_refs(select: Select, columns: _Columns) -> set[int]:
     }
 
 
+# ---------------------------------------------------------------------------
+# A statement's names (the binder's findings)
+# ---------------------------------------------------------------------------
+
+
 def verify_nested(
-    select: Select,
-    catalog: Catalog,
-    *,
-    require_qualified: bool = False,
-    source_map=None,
-) -> Findings:
-    """Scope/correlation well-formedness of a (possibly nested) AST.
+    select: Select, catalog: Catalog, source_map=None
+) -> tuple[Select, Findings]:
+    """``select`` bound (:func:`~repro.core.pipeline.bind_columns`) and
+    every finding the binder made, each with its span when
+    ``source_map`` is given; the bound tree is complete only when there
+    is no error finding."""
+    from repro.core.pipeline import bind_columns  # core imports analysis
 
-    Every column reference must bind in its own block or an enclosing
-    one, innermost first — the static mirror of ``EvalContext.resolve``.
-    With ``require_qualified`` (the pipeline's post-``qualify`` check),
-    unqualified references are reported as PV003.
-    """
     findings = Findings()
-    columns = _Columns(catalog)
-    _verify_block_scopes(
-        select,
-        columns,
-        [],
-        findings,
-        require_qualified=require_qualified,
-        source_map=source_map,
-    )
-    return findings
-
-
-def _verify_block_scopes(
-    select: Select,
-    columns: _Columns,
-    enclosing: list[dict[str, set[str]]],
-    findings: Findings,
-    *,
-    require_qualified: bool,
-    source_map=None,
-) -> None:
-    local = _block_bindings(select, columns, findings)
-    scopes = [local] + enclosing
-    subject = to_sql(select)
-
-    output_refs = _order_by_output_refs(select, columns)
-    if select.order_by:
-        _verify_order_by(select, columns, findings, subject)
-
-    for node in walk(select, into_subqueries=False):
-        if isinstance(node, ColumnRef):
-            if id(node) in output_refs:
-                continue
-            _resolve_ref(
-                node,
-                scopes,
-                findings,
-                require_qualified=require_qualified,
-                subject=subject,
-                source_map=source_map,
-            )
-        elif isinstance(node, Select) and node is not select:
-            _verify_block_scopes(
-                node,
-                columns,
-                scopes,
-                findings,
-                require_qualified=require_qualified,
-                source_map=source_map,
-            )
+    return bind_columns(select, catalog, findings, source_map), findings
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +234,11 @@ def verify_single_level(
             return findings  # everything below assumes single-level
 
     local = _block_bindings(select, columns, findings)
-    scopes = [local]
     subject = to_sql(select)
     output_refs = _order_by_output_refs(select, columns)
     for node in walk(select, into_subqueries=False):
         if isinstance(node, ColumnRef) and id(node) not in output_refs:
-            # A single-level block is bound: its executor attributes a
-            # reference to a table by the binding it carries.
-            _resolve_ref(
-                node, scopes, findings, subject=subject, require_qualified=True
-            )
+            _resolve_ref(node, local, findings, subject)
 
     _verify_join_shape(select, local, findings, join_method, subject)
     _verify_semi_scope(select, local, findings, subject)

@@ -94,9 +94,6 @@ class TableSchema:
                 return index
         raise CatalogError(f"table {self.name} has no column {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        return any(column.name == name for column in self.columns)
-
     def column_type(self, name: str) -> ColumnType:
         return self.columns[self.column_index(name)].ctype
 

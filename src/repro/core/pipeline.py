@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.diagnostics import Findings
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.nest_g import GeneralTransform, nest_g
@@ -66,15 +67,24 @@ class RunReport:
         return "\n".join(lines)
 
 
-def bind_columns(select: Select, catalog: Catalog) -> Select:
-    """``select`` with every column reference bound: qualified by the
-    binding it resolves to (:func:`~repro.sql.qualify.qualify`), every
-    ``*`` expanded.  What nested iteration runs; the extended predicates
-    are not rewritten (``x op ALL`` is not exact under NOT).
+def bind_columns(
+    select: Select,
+    catalog: Catalog,
+    findings: Findings | None = None,
+    source_map=None,
+) -> Select:
+    """``select`` with every column reference bound: checked and
+    qualified by the binding it resolves to
+    (:func:`~repro.sql.qualify.qualify`), every ``*`` expanded.  What
+    nested iteration runs; the extended predicates are not rewritten
+    (``x op ALL`` is not exact under NOT).
 
-    Raises for a ``SEMI`` mark, an unknown table, and one binding that
-    names different tables in different blocks, so ``ref.table`` names
-    one table wherever it appears.
+    Raises for a ``SEMI`` mark and one binding that names different
+    tables in different blocks, so ``ref.table`` names one table
+    wherever it appears.  An unknown table raises ``CatalogError``, and
+    the names that do not resolve raise one error — unless
+    ``findings`` collects them (``check``): then an unknown table is
+    PV004, and ``source_map`` gives each name's finding its span.
     """
     tables: dict[str, str] = {}
     for node in walk(select):
@@ -86,7 +96,9 @@ def bind_columns(select: Select, catalog: Catalog) -> Select:
                     "as semi-joined; write the IN predicate instead"
                 )
             if not catalog.has_table(node.name):
-                raise CatalogError(f"no such table: {node.name}")
+                if findings is None:
+                    raise CatalogError(f"no such table: {node.name}")
+                continue  # the binder reports it (PV004)
             previous = tables.setdefault(node.binding, node.name)
             if previous != node.name:
                 raise TransformError(
@@ -94,12 +106,12 @@ def bind_columns(select: Select, catalog: Catalog) -> Select:
                     "in different blocks; rename the aliases"
                 )
     columns = {binding: catalog.column_names(name) for binding, name in tables.items()}
-    return qualify(select, columns.get)
+    return qualify(select, columns.get, findings, source_map)
 
 
 def prepare_query(select: Select, catalog: Catalog) -> Select:
-    """Bind all column references (:func:`bind_columns`) and rewrite
-    extended predicates.
+    """Bind all column references (:func:`bind_columns`, which checks
+    every name) and rewrite extended predicates.
 
     Run once per plan: the planner, NEST-G and the verifier all reason
     about the tree this returns.
@@ -248,27 +260,19 @@ class Engine:
 
 
 def verify_plan(
-    rewritten: Select,
-    transform: GeneralTransform,
-    catalog: Catalog,
-    join_method: str,
+    transform: GeneralTransform, catalog: Catalog, join_method: str
 ) -> str:
     """Mandatory post-transform static checks: an error finding raises,
     carrying its diagnostics; else returns the outcome's trace line.
 
-    The scope check on the *qualified* input AST runs first (PV003
-    enforces that qualification really qualified everything), then
-    the plan verifier walks the temp chain and canonical query, and
-    the Kim-bug lint looks for the paper's section 5 shapes.  Once per
-    plan, which is why a replay runs its blocks with ``verify=False``.
+    The plan verifier walks the temp chain and canonical query, and the
+    Kim-bug lint looks for the paper's section 5 shapes.  The
+    statement's names were checked when it was bound
+    (:func:`bind_columns`).  Once per plan: a replay checks nothing.
     """
-    from repro.analysis import lint_transform, verify_nested, verify_transform
+    from repro.analysis import lint_transform, verify_transform
 
-    findings = verify_nested(rewritten, catalog, require_qualified=True)
-    plan_findings, temps = verify_transform(
-        transform, catalog, join_method=join_method
-    )
-    findings.extend(plan_findings)
+    findings, temps = verify_transform(transform, catalog, join_method=join_method)
     findings.extend(lint_transform(transform, catalog, temps))
     findings.raise_errors("static verification of transformed plan")
     if findings:

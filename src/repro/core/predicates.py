@@ -68,6 +68,7 @@ from repro.sql.ast import (
     Select,
     SelectItem,
     Star,
+    children,
     make_and,
     map_children,
 )
@@ -93,6 +94,16 @@ def rewrite_extended_predicates(select: Select) -> Select:
     """Rewrite every EXISTS / NOT EXISTS / ANY / ALL in a query tree by
     the exact counting rewrites (see module doc)."""
     return _rewrite_select(select, _exact)
+
+
+def has_extended_predicates(select: Select) -> bool:
+    """Whether :func:`rewrite_extended_predicates` changes ``select``:
+    an EXISTS / ANY / ALL where the rewrite looks for one."""
+    return any(
+        _has_extended(expr)
+        for expr in (select.where, select.having)
+        if expr is not None
+    )
 
 
 def paper_section8(select: Select) -> Select:
@@ -121,6 +132,14 @@ def _rewrite_expr(expr: Expr, rule: Rule) -> Expr:
     if isinstance(expr, Select):
         return _rewrite_select(expr, rule)
     return map_children(expr, lambda child: _rewrite_expr(child, rule))
+
+
+def _has_extended(expr: Expr) -> bool:
+    if isinstance(expr, (Exists, Quantified)):
+        return True
+    if isinstance(expr, Select):
+        return has_extended_predicates(expr)
+    return any(_has_extended(child) for child in children(expr))
 
 
 def _count(inner: Select, arg: Expr) -> ScalarSubquery:

@@ -12,11 +12,11 @@ transform legs are skipped (not failed) when the query is outside the
 algorithms' documented reach (``TransformError``, e.g. correlated
 NOT IN); the other legs must still agree.
 
-Static analysis rides along on every leg: every transformed plan is
-verified and linted (:mod:`repro.analysis`) before it executes,
-and the nested-iteration executor verifies scope well-formedness over
-the raw AST — so every generated query also regression-tests the
-static analyses against the oracle-checked runtime behavior.
+Static analysis rides along on every leg: every statement's names are
+checked by the binder, and every transformed plan is verified and
+linted (:mod:`repro.analysis`) before it executes — so every generated
+query also regression-tests the static analyses against the
+oracle-checked runtime behavior.
 
 Known dialect differences (the allowlist) are enforced structurally
 rather than filtered after the fact: the grammar generates none of

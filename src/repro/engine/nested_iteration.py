@@ -86,9 +86,8 @@ class NestedIterationExecutor(SubqueryHandler):
     its memo and plan caches are plain dicts.
     """
 
-    def __init__(self, catalog: Catalog, verify: bool = True) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.verify = verify
         self._index_plans: dict[int, object] = {}
         # Compiled-evaluation plans, keyed on the block's identity (the
         # statement being executed holds its blocks, keeping the ids
@@ -120,8 +119,6 @@ class NestedIterationExecutor(SubqueryHandler):
         an unqualified name is memoized only when that name resolves
         among the enclosing blocks' columns.
         """
-        if self.verify:
-            self._verify(select)
         for cache in (
             self._index_plans, self._where_plans, self._item_plans,
             self._group_plans, self._outer_refs, self._memo,
@@ -137,22 +134,6 @@ class NestedIterationExecutor(SubqueryHandler):
         return QueryResult(
             columns=output_names(select, self.catalog.column_names), rows=rows
         )
-
-    def _verify(self, select: Select) -> None:
-        """Static scope check before any page is touched.
-
-        Unresolvable or ambiguous references surface as
-        ``ColumnVerificationError`` (a ``BindError``) up front instead
-        of mid-iteration.  Unknown tables are left for the catalog to
-        report (``CatalogError``), and the check is skipped entirely in
-        that case so cascading column findings don't mask it.
-        """
-        from repro.analysis.verifier import verify_nested
-
-        findings = verify_nested(select, self.catalog)
-        if findings.by_rule("PV004"):
-            return
-        findings.raise_errors("static verification before nested iteration")
 
     # -- SubqueryHandler -------------------------------------------------
 

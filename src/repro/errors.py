@@ -87,9 +87,11 @@ class VerificationError(PlanError):
 
 
 class ColumnVerificationError(VerificationError, BindError):
-    """Static-verifier rejection for an unresolvable or ambiguous column.
+    """Unresolvable, ambiguous or unbound column names (PV001–PV003),
+    all of them in one error; its ``diagnostics`` carry the rule ids.
 
-    Also a :class:`BindError`: the verifier reports statically what the
-    executors would otherwise raise as a bind failure at runtime, so
-    code catching either class behaves the same.
+    Raised by the binder (:func:`repro.sql.qualify.qualify`) for a
+    statement's names, whatever the method that will run it, and by the
+    plan verifier for a generated block's.  Also a :class:`BindError`,
+    so code catching either class behaves the same.
     """

@@ -81,7 +81,6 @@ from repro.sql.ast import (
     conjuncts,
     make_and,
     map_children,
-    walk,
 )
 from repro.sql.output import order_positions, output_names
 from repro.sql.printer import to_sql
@@ -99,18 +98,20 @@ def _join_step(method: str, mode: str, on: str) -> str:
 
 
 class SingleLevelExecutor:
-    """Executes canonical queries over the storage engine."""
+    """Executes canonical queries over the storage engine.
+
+    It checks nothing: every block it runs was verified once, when its
+    plan was built (:func:`~repro.analysis.verifier.verify_single_level`).
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         config: ExecConfig = ExecConfig(),
-        verify: bool = True,
     ) -> None:
         self.catalog = catalog
         self.buffer = catalog.buffer
         self.config = config
-        self.verify = verify
         self.steps: list[str] = []
         #: ``sorted_runs(scan, keys, sort) -> (run, how)``: set by a
         #: replay with a sharing registry, which leases the sorted run of
@@ -182,9 +183,6 @@ class SingleLevelExecutor:
         return self._run(relation.store, self.buffer)
 
     def _execute_block(self, select: Select) -> Relation:
-        self._reject_subqueries(select)
-        if self.verify:
-            self._verify(select)
         joined = self._apply_residual(select, self._join_from_tables(select))
 
         if select.group_by or select.has_aggregate_select():
@@ -205,27 +203,6 @@ class SingleLevelExecutor:
         if select.order_by:
             result = self._order_output(select, result)
         return result
-
-    def _verify(self, select: Select) -> None:
-        """Static invariants before the first page is read.
-
-        The verifier mirrors this executor's own rules (resolution,
-        grouped output, ORDER BY, outer-join shape), so anything it
-        raises would have failed mid-plan anyway — but it fails *here*,
-        with every violation listed, before any I/O.  Unknown tables
-        are left to the catalog lookup below (``CatalogError``), and
-        the check steps aside entirely then so cascading column
-        findings don't shadow it.  PV005 (hash keys) is advisory — only
-        error findings raise.
-        """
-        from repro.analysis.verifier import verify_single_level
-
-        findings = verify_single_level(
-            select, self.catalog, join_method=self.config.join_method
-        )
-        if findings.by_rule("PV004"):
-            return
-        findings.raise_errors("static verification of canonical query")
 
     # -- FROM clause ---------------------------------------------------------
 
@@ -786,14 +763,6 @@ class SingleLevelExecutor:
             + f"{relation.name} on {describe_order((keys, False), names)}"
         )
         return run
-
-    def _reject_subqueries(self, select: Select) -> None:
-        for node in walk(select):
-            if isinstance(node, Select) and node is not select:
-                raise PlanError(
-                    "physical executor accepts single-level queries only; "
-                    "run the transformation pipeline first"
-                )
 
     def _log(self, message: str) -> None:
         self.steps.append(message)

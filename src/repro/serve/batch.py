@@ -418,7 +418,7 @@ def execute_batch_plan(
         # Results are join-method-invariant (the difftest legs cross
         # them), so this is a pure physical choice.
         executor = SingleLevelExecutor(
-            session, replace(plan.config, join_method="hash"), verify=False
+            session, replace(plan.config, join_method="hash")
         )
         rows, steps, _pages = plan.run_chain(
             session, executor, batch_plan.setup, batch_plan.final_query

@@ -15,9 +15,9 @@ A :class:`CachedPlan` records everything the pipeline produces up to —
 but not including — the data access of its chain: the ordered links
 (temp-table definitions and the value links NEST-A makes of type-A
 blocks), the final single-level query, the verifier's clean bill of
-health (so replay runs its blocks with ``verify=False``), and the
-parameter contracts.  Planning reads no data, so a plan depends on the
-schema alone and is valid at the schema version it was built under;
+health (so a replay checks nothing), and the parameter contracts.
+Planning reads no data, so a plan depends on the schema alone and is
+valid at the schema version it was built under;
 the values of its type-A blocks are computed per replay and bound into
 hidden parameter slots, as the statement's own values are.
 
@@ -33,11 +33,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.verifier import verify_nested
 from repro.catalog.catalog import Catalog
 from repro.config import ExecConfig
 from repro.core.nest_g import GeneralTransform, nest_g
 from repro.core.pipeline import RunReport, bind_columns, prepare_query, verify_plan
+from repro.core.predicates import has_extended_predicates
 from repro.core.transform import TempTableDef
 from repro.engine.aggregate import NotCombinable
 from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
@@ -204,10 +204,7 @@ class CachedPlan:
             bound_params(values),
         ):
             if self.kind == "nested_iteration":
-                # verify=False: the statement was verified at plan time.
-                result = NestedIterationExecutor(session, verify=False).execute(
-                    self.select
-                )
+                result = NestedIterationExecutor(session).execute(self.select)
                 return RunReport(
                     result=QueryResult(columns=self.columns, rows=result.rows),
                     io=session.buffer.stats() - before,
@@ -215,8 +212,7 @@ class CachedPlan:
                     trace=list(self.trace),
                 )
             assert self.final_query is not None
-            # verify=False: every block was verified at plan time.
-            executor = SingleLevelExecutor(session, self.config, verify=False)
+            executor = SingleLevelExecutor(session, self.config)
             registry = self.registry
             if isinstance(snapshot, TransactionSnapshot):
                 # A transaction's read-your-writes temps and values may
@@ -245,7 +241,7 @@ class CachedPlan:
         every link before it (:func:`install_link`), sharing nothing:
         its rows and the order they claim (:func:`link_contents`).  The
         caller binds the statement's values and sweeps ``session``."""
-        executor = SingleLevelExecutor(session, self.config, verify=False)
+        executor = SingleLevelExecutor(session, self.config)
         for link in self.setup:
             install_link(executor, link)
             if link.name == name:
@@ -353,7 +349,7 @@ class CachedPlan:
         # A delta is small and in no order: joining it needs no sort of
         # either input, and its rows are ordered by the merge anyway.
         delta_executor = SingleLevelExecutor(
-            session, replace(executor.config, join_method="hash"), verify=False
+            session, replace(executor.config, join_method="hash")
         )
         if registry is not None and not self.share_specs:
             self.share_specs = compute_share_specs(self.setup)
@@ -674,8 +670,9 @@ def build_plan(
     The plan runs under ``config`` with the join method decided here
     (``method="cost"``: the planner's), and that one value is what its
     temps are shared under in ``registry``.  Every plan is verified
-    once, here — a transform plan also linted — and an error finding
-    raises; a replay verifies nothing.
+    once, here — its statement's names when ``prepare_query`` binds it,
+    a transform plan's chain by ``verify_plan``, which also lints it —
+    and an error finding raises; a replay checks nothing.
     """
     if method not in METHODS:
         raise ReproError(f"unknown method {method!r}")
@@ -696,7 +693,6 @@ def build_plan(
                 method = "nested_iteration"
             elif chosen.join_method:
                 config = replace(config, join_method=chosen.join_method)
-        transform = None
         if method != "nested_iteration":
             try:
                 transform = nest_g(rewritten, catalog)
@@ -708,14 +704,20 @@ def build_plan(
             else:
                 choice += [
                     *transform.trace,
-                    verify_plan(rewritten, transform, catalog, config.join_method),
+                    verify_plan(transform, catalog, config.join_method),
                 ]
-        if transform is None:
-            verify_nested(select, catalog).raise_errors(
-                "static verification before nested iteration"
-            )
+                return plan_of(
+                    catalog, config, select, choice, transform, specs,
+                    fingerprint, registry,
+                )
+        # Nested iteration runs the statement bound, not rewritten (``x op
+        # ALL`` is not exact under NOT): the tree prepare_query bound,
+        # unless it rewrote an EXISTS / ANY / ALL.
+        bound = rewritten
+        if has_extended_predicates(select):
+            bound = bind_columns(select, catalog)
         return plan_of(
-            catalog, config, select, choice, transform, specs, fingerprint, registry
+            catalog, config, select, choice, bound, specs, fingerprint, registry
         )
 
 
@@ -724,31 +726,32 @@ def plan_of(
     config: ExecConfig,
     select: Select,
     trace: list[str],
-    transform: GeneralTransform | None = None,
+    runs: GeneralTransform | Select,
     param_specs: list[ParamSpec] | None = None,
     fingerprint: str = "",
     registry: SharedSubplanRegistry | None = None,
 ) -> CachedPlan:
     """The plan of statement ``select`` under ``config`` at the
-    catalog's current versions: nested iteration of the bound statement,
-    or — given NEST-G's ``transform`` — the replay of its chain.
+    catalog's current versions.  It ``runs`` NEST-G's transform, as the
+    replay of its chain, or the statement bound
+    (:func:`~repro.core.pipeline.bind_columns`), by nested iteration.
     Verifies nothing."""
-    if transform is None:
-        chain = dict(select=bind_columns(select, catalog))
+    if isinstance(runs, Select):
+        chain = dict(select=runs)
     else:
         chain = dict(
             select=select,
-            setup=transform.setup,
-            final_query=transform.query,
-            canonical_sql=to_sql(transform.query),
-            setup_sql=[d.describe() for d in transform.setup],
+            setup=runs.setup,
+            final_query=runs.query,
+            canonical_sql=to_sql(runs.query),
+            setup_sql=[d.describe() for d in runs.setup],
         )
     return CachedPlan(
         fingerprint=fingerprint,
         catalog_version=catalog.schema_version,
         # For the snapshot-pin hit count.
         data_version=catalog.data_version,
-        kind="nested_iteration" if transform is None else "transform",
+        kind="nested_iteration" if isinstance(runs, Select) else "transform",
         columns=output_names(select, catalog.column_names),
         param_specs=param_specs or [],
         config=config,

@@ -72,6 +72,62 @@ class TestSingleQueries:
             check_main([])
 
 
+#: ``check``'s report of four naming mistakes, byte for byte: the
+#: binder's findings, each with a caret under the name in the source.
+NESTED_MISS = (
+    "SELECT PNUM FROM PARTS WHERE QOH = "
+    "(SELECT COUNT(*) FROM SUPPLY WHERE X.PNUM = SUPPLY.PNUM)"
+)
+NAME_REPORTS = {
+    "SELECT NOPE, PARTS.ZIP FROM PARTS": (
+        "== query [kiessling] ==\n"
+        "1:8: error [PV001] cannot resolve column NOPE\n"
+        "    SELECT NOPE, PARTS.ZIP FROM PARTS\n"
+        "           ^^^^\n"
+        "    in: SELECT NOPE, PARTS.ZIP FROM PARTS\n"
+        "1:14: error [PV001] cannot resolve column PARTS.ZIP\n"
+        "    SELECT NOPE, PARTS.ZIP FROM PARTS\n"
+        "                 ^^^^^^^^^\n"
+        "    in: SELECT NOPE, PARTS.ZIP FROM PARTS\n"
+    ),
+    NESTED_MISS: (
+        "== query [kiessling] ==\n"
+        "1:71: error [PV001] cannot resolve column X.PNUM\n"
+        f"    {NESTED_MISS}\n"
+        + " " * 74 + "^^^^^^\n"
+        "    in: SELECT COUNT(*) FROM SUPPLY WHERE X.PNUM = SUPPLY.PNUM\n"
+    ),
+    "SELECT A FROM NOPE": (
+        "== query [kiessling] ==\n"
+        "error [PV004] unknown table 'NOPE' in FROM clause\n"
+        "    in: SELECT A FROM NOPE\n"
+        "1:8: error [PV001] cannot resolve column A\n"
+        "    SELECT A FROM NOPE\n"
+        "           ^\n"
+        "    in: SELECT A FROM NOPE\n"
+    ),
+    "SELECT PNUM FROM PARTS, SUPPLY": (
+        "== query [kiessling] ==\n"
+        "1:8: error [PV002] ambiguous column 'PNUM' "
+        "(candidates: ['PARTS', 'SUPPLY'])\n"
+        "    SELECT PNUM FROM PARTS, SUPPLY\n"
+        "           ^^^^\n"
+        "    in: SELECT PNUM FROM PARTS, SUPPLY\n"
+    ),
+}
+
+
+class TestNameReports:
+    @pytest.mark.parametrize(
+        "sql",
+        list(NAME_REPORTS),
+        ids=["two_misses", "nested_miss", "unknown_table", "ambiguous"],
+    )
+    def test_every_wrong_name_is_reported_with_a_caret(self, sql, capsys):
+        assert check_main([sql]) == 1
+        assert capsys.readouterr().out == NAME_REPORTS[sql]
+
+
 class TestDispatch:
     def test_module_main_routes_check(self, capsys):
         assert repro_main(["check", "SELECT PNUM FROM PARTS"]) == 0

@@ -1,7 +1,9 @@
-"""Unit tests for the plan invariant verifier (PV0xx rules)."""
+"""Unit tests for the plan invariant verifier (PV0xx rules) and the
+binder's name checks, which report the same rule ids."""
 
 import pytest
 
+from repro.analysis.diagnostics import Findings
 from repro.analysis.spans import SourceMap
 from repro.analysis.verifier import (
     collect_temp_infos,
@@ -10,7 +12,7 @@ from repro.analysis.verifier import (
     verify_transform,
 )
 from repro.core.nest_ja import kim_nest_g
-from repro.core.pipeline import Engine, prepare_query
+from repro.core.pipeline import Engine, bind_columns, prepare_query
 from repro.errors import (
     BindError,
     CatalogError,
@@ -18,6 +20,7 @@ from repro.errors import (
     PlanError,
     VerificationError,
 )
+from repro.sql.ast import column_refs
 from repro.sql.parser import parse
 from repro.workloads.paper_data import (
     KIESSLING_Q2,
@@ -30,34 +33,38 @@ from repro.workloads.paper_data import (
 from tests.core.helpers import transform_with
 
 
+def bind_findings(sql, catalog, spans=False) -> Findings:
+    """What the binder finds in ``sql``, collected rather than raised."""
+    source_map = SourceMap(sql) if spans else None
+    return verify_nested(parse(sql), catalog, source_map)[1]
+
+
 class TestVerifyNested:
+    """The scope rules of a nested statement, checked by the binder."""
+
     def test_clean_query_has_no_findings(self):
         catalog = load_kiessling_instance()
-        findings = verify_nested(parse(KIESSLING_Q2), catalog)
+        findings = bind_findings(KIESSLING_Q2, catalog)
         assert not findings
 
     def test_unknown_column_is_pv001(self):
         catalog = load_kiessling_instance()
-        findings = verify_nested(parse("SELECT NOPE FROM PARTS"), catalog)
+        findings = bind_findings("SELECT NOPE FROM PARTS", catalog)
         assert findings.rules() == {"PV001"}
 
     def test_qualified_miss_is_pv001(self):
         catalog = load_kiessling_instance()
-        findings = verify_nested(
-            parse("SELECT PARTS.NOPE FROM PARTS"), catalog
-        )
+        findings = bind_findings("SELECT PARTS.NOPE FROM PARTS", catalog)
         assert findings.rules() == {"PV001"}
 
     def test_ambiguous_column_is_pv002(self):
         catalog = load_kiessling_instance()
-        findings = verify_nested(
-            parse("SELECT PNUM FROM PARTS, SUPPLY"), catalog
-        )
+        findings = bind_findings("SELECT PNUM FROM PARTS, SUPPLY", catalog)
         assert findings.rules() == {"PV002"}
 
     def test_unknown_table_is_pv004(self):
         catalog = load_kiessling_instance()
-        findings = verify_nested(parse("SELECT A FROM NOPE"), catalog)
+        findings = bind_findings("SELECT A FROM NOPE", catalog)
         assert "PV004" in findings.rules()
 
     def test_correlated_reference_resolves_through_outer_scope(self):
@@ -66,7 +73,7 @@ class TestVerifyNested:
             "SELECT PNUM FROM PARTS WHERE 0 < "
             "(SELECT COUNT(*) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)"
         )
-        assert not verify_nested(parse(sql), catalog)
+        assert not bind_findings(sql, catalog)
 
     def test_uncorrelated_inner_cannot_be_referenced_from_outer(self):
         catalog = load_kiessling_instance()
@@ -75,39 +82,38 @@ class TestVerifyNested:
             "SELECT SUPPLY.QUAN FROM PARTS WHERE PNUM IN "
             "(SELECT PNUM FROM SUPPLY)"
         )
-        findings = verify_nested(parse(sql), catalog)
+        findings = bind_findings(sql, catalog)
         assert "PV001" in findings.rules()
 
     def test_order_by_output_alias_is_accepted(self):
-        # The nested-iteration executor resolves ORDER BY against
-        # output names; the verifier must not flag a valid alias.
+        # The executors resolve ORDER BY against output names; the
+        # binder must not flag a valid alias.
         catalog = load_kiessling_instance()
         sql = "SELECT PNUM AS P FROM PARTS ORDER BY P"
-        assert not verify_nested(parse(sql), catalog)
+        assert not bind_findings(sql, catalog)
 
     def test_require_qualified_reports_pv003(self):
+        # A single-level block is run as bound: a name it carries
+        # unqualified is PV003.
         catalog = load_kiessling_instance()
-        findings = verify_nested(
-            parse("SELECT PNUM FROM PARTS"),
-            catalog,
-            require_qualified=True,
-        )
+        findings = verify_single_level(parse("SELECT PNUM FROM PARTS"), catalog)
         assert findings.rules() == {"PV003"}
 
     def test_qualified_query_passes_require_qualified(self):
         catalog = load_kiessling_instance()
         prepared = prepare_query(parse(KIESSLING_Q2), catalog)
-        findings = verify_nested(prepared, catalog, require_qualified=True)
-        assert not findings
+        assert not verify_nested(prepared, catalog)[1]
+        assert all(
+            ref.table is not None
+            for ref in column_refs(prepared, into_subqueries=True)
+        )
 
 
 class TestSourceSpans:
     def test_pv001_carries_a_span_pointing_at_the_column(self):
         catalog = load_kiessling_instance()
         sql = "SELECT NOPE FROM PARTS"
-        findings = verify_nested(
-            parse(sql), catalog, source_map=SourceMap(sql)
-        )
+        findings = bind_findings(sql, catalog, spans=True)
         (diag,) = findings.by_rule("PV001")
         assert diag.span is not None
         assert sql[diag.span.start : diag.span.end] == "NOPE"
@@ -115,9 +121,7 @@ class TestSourceSpans:
     def test_format_renders_caret_snippet(self):
         catalog = load_kiessling_instance()
         sql = "SELECT NOPE FROM PARTS"
-        findings = verify_nested(
-            parse(sql), catalog, source_map=SourceMap(sql)
-        )
+        findings = bind_findings(sql, catalog, spans=True)
         rendered = findings.format(sql)
         assert "^" in rendered
         assert "PV001" in rendered
@@ -126,9 +130,8 @@ class TestSourceSpans:
 class TestRaiseErrors:
     def test_binding_errors_raise_bind_error_subclass(self):
         catalog = load_kiessling_instance()
-        findings = verify_nested(parse("SELECT NOPE FROM PARTS"), catalog)
         with pytest.raises(ColumnVerificationError) as excinfo:
-            findings.raise_errors()
+            bind_columns(parse("SELECT NOPE FROM PARTS"), catalog)
         assert isinstance(excinfo.value, BindError)
         assert excinfo.value.diagnostics
 
@@ -304,20 +307,19 @@ class TestExecutorIntegration:
         ids=["nested_iteration_plan", "value_link"],
     )
     def test_a_kept_plan_is_verified_when_built_only(self, method, sql, monkeypatch):
-        import repro.analysis
-        import repro.analysis.verifier
-        import repro.serve.plan
+        """A statement's names are checked where it is bound: once per
+        plan build, and never by a replay."""
+        import repro.core.pipeline
         from repro import Database
 
         calls: list[object] = []
-        real = repro.analysis.verifier.verify_nested
+        real = repro.core.pipeline.qualify
 
         def spy(*args, **kwargs):
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        for module in (repro.analysis, repro.analysis.verifier, repro.serve.plan):
-            monkeypatch.setattr(module, "verify_nested", spy)
+        monkeypatch.setattr(repro.core.pipeline, "qualify", spy)
         db = Database()
         db.create_table("PARTS", ["PNUM", "QOH"])
         db.create_table("SUPPLY", ["PNUM", "QUAN"])
@@ -353,4 +355,4 @@ class TestSupplierWorkload:
             "SELECT SNAME FROM S WHERE SNO IN "
             "(SELECT SNO FROM SP WHERE PNO = 'P2')"
         )
-        assert not verify_nested(parse(sql), catalog)
+        assert not bind_findings(sql, catalog)

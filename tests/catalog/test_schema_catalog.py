@@ -31,10 +31,6 @@ class TestSchema:
         with pytest.raises(CatalogError):
             PARTS.column_index("NOPE")
 
-    def test_has_column(self):
-        assert PARTS.has_column("PNUM")
-        assert not PARTS.has_column("X")
-
     def test_duplicate_column_rejected(self):
         with pytest.raises(CatalogError):
             TableSchema("T", (Column("A"), Column("A")))

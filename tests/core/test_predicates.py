@@ -10,7 +10,11 @@ from collections import Counter
 import pytest
 
 from repro.core.pipeline import Engine
-from repro.core.predicates import paper_section8, rewrite_extended_predicates
+from repro.core.predicates import (
+    has_extended_predicates,
+    paper_section8,
+    rewrite_extended_predicates,
+)
 from repro.errors import TransformError
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -131,6 +135,24 @@ class TestRewriteShapes:
         # unnested".
         with pytest.raises(TypeError, match="quantifier_mode"):
             Engine(fresh_catalog(), quantifier_mode="paper")
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT A FROM T",
+        "SELECT A FROM T WHERE A IN (SELECT B FROM U)",
+        "SELECT A FROM T WHERE EXISTS (SELECT B FROM U WHERE U.B = T.A)",
+        "SELECT A FROM T WHERE NOT EXISTS (SELECT B FROM U)",
+        "SELECT A FROM T WHERE A < ANY (SELECT B FROM U)",
+        "SELECT A FROM T WHERE A > ALL (SELECT B FROM U)",
+        "SELECT A FROM T WHERE A = (SELECT MAX(B) FROM U "
+        "WHERE EXISTS (SELECT C FROM V WHERE V.C = U.B))",
+        "SELECT A FROM T GROUP BY A HAVING EXISTS (SELECT B FROM U)",
+    ],
+)
+def test_has_extended_predicates_says_whether_the_rewrite_changes_a_tree(sql):
+    assert has_extended_predicates(parse(sql)) == (rewrite(sql) != to_sql(parse(sql)))
 
 
 class TestEndToEndEquivalence:

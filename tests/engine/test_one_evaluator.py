@@ -223,10 +223,10 @@ def test_raising_nodes_raise_only_when_a_row_is_evaluated(predicate, error):
     if "SELECT" in predicate:
         return  # nested iteration is the subquery handler
     select = parse(f"SELECT T.A FROM T WHERE {predicate}")
-    empty = NestedIterationExecutor(make_catalog([]), verify=False)
+    empty = NestedIterationExecutor(make_catalog([]))
     assert empty.execute(select).rows == []
     with pytest.raises(error):
-        NestedIterationExecutor(make_catalog([(1, 2)]), verify=False).execute(select)
+        NestedIterationExecutor(make_catalog([(1, 2)])).execute(select)
 
 
 # -- subquery closures through nested iteration ------------------------------------

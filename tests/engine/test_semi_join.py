@@ -20,7 +20,8 @@ from repro.engine.operators import hash_join, merge_join, nested_loop_join
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import external_sort
-from repro.errors import PlanError
+from repro.analysis.verifier import verify_single_level
+from repro.errors import BindError, PlanError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.ast import ColumnRef, Comparison, make_and
 from repro.sql.parser import parse
@@ -226,16 +227,18 @@ class TestExecutorPicksTheMode:
         assert any(step.startswith(text) for step in executor.steps), executor.steps
 
     def test_semi_table_columns_do_not_come_out(self):
-        executor = SingleLevelExecutor(self.catalog())
-        with pytest.raises(PlanError):  # PV012, before the first page is read
-            executor.execute(
-                parse("SELECT R.V FROM L, SEMI R WHERE L.K = R.K"), Relation.to_list
-            )
+        """PV012 when the plan is built; the executor, which checks
+        nothing, finds no R column in the semi-join's output."""
+        catalog = self.catalog()
+        block = parse("SELECT R.V FROM L, SEMI R WHERE L.K = R.K")
+        assert "PV012" in verify_single_level(block, catalog).rules()
+        with pytest.raises(BindError, match="R.V"):
+            SingleLevelExecutor(catalog).execute(block, Relation.to_list)
 
     def test_every_conjunct_on_a_semi_table_belongs_to_its_join(self):
         """``R.V = X.V`` reads the semi table and a table joined after
         it: no join could apply it."""
-        executor = SingleLevelExecutor(self.catalog(), verify=False)
+        executor = SingleLevelExecutor(self.catalog())
         block = parse(
             "SELECT L.K FROM L, SEMI R, L X WHERE L.K = R.K AND R.V = X.V"
         )

@@ -193,7 +193,7 @@ class TestErrorPathsFreeTheirScratch:
         self.assert_clean()
 
     def test_plan_error_after_the_joins_ran(self):
-        executor = SingleLevelExecutor(self.db.catalog, verify=False)
+        executor = SingleLevelExecutor(self.db.catalog)
         with pytest.raises(PlanError):
             executor.execute(
                 parse(

@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import ExecConfig
 from repro.engine.relation import Relation
-from repro.errors import PlanError
+from repro.analysis.verifier import verify_single_level
+from repro.errors import ExecutionError, PlanError
 from repro.core.pipeline import prepare_query
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
@@ -56,9 +57,13 @@ class TestScanAndFilter:
         assert list(catalog.column_names("T_NAMES")) == ["SUPPNUM", "CT"]
 
     def test_rejects_nested_queries(self):
+        """PV010 when the plan is built; the executor, which checks
+        nothing, has no subquery handler to run the block with."""
         catalog = load_kiessling_instance()
-        with pytest.raises(PlanError):
-            run(catalog, "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY)")
+        sql = "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY)"
+        assert "PV010" in verify_single_level(parse(sql), catalog).rules()
+        with pytest.raises(ExecutionError, match="no executor installed"):
+            run(catalog, sql)
 
 
 class TestJoins:

@@ -19,6 +19,7 @@ from collections import Counter
 import pytest
 
 import repro.analysis
+import repro.core.pipeline
 import repro.serve.plan
 from repro import Database
 from repro.difftest.leaks import leaked_pages
@@ -32,7 +33,7 @@ CUTOFFS = ("'1979-03-15'", "'1980-07-15'", "'1982-01-15'")
 #: The shapes whose type-A block is a value link: a hit leases its
 #: one-row entry instead of evaluating the block.
 FOLDED = {"a", "not_in"}
-VERIFIERS = ("verify_nested", "verify_transform", "lint_transform")
+VERIFIERS = ("verify_transform", "lint_transform")
 
 
 def make_db(join_method: str = "merge") -> Database:
@@ -70,8 +71,9 @@ def pages(db: Database, run) -> int:
 
 @pytest.fixture
 def calls(monkeypatch) -> Counter:
-    """Calls of ``build_plan`` and of the three verifier walks, counted
-    by wrapping the functions where the statement path looks them up."""
+    """Calls of ``build_plan``, the binder and the two verifier walks,
+    counted by wrapping the functions where the statement path looks
+    them up."""
     counts: Counter = Counter()
 
     def count(module, name: str) -> None:
@@ -84,6 +86,7 @@ def calls(monkeypatch) -> Counter:
         monkeypatch.setattr(module, name, counted)
 
     count(repro.serve.plan, "build_plan")
+    count(repro.core.pipeline, "qualify")
     for name in VERIFIERS:
         count(repro.analysis, name)
     return counts

@@ -20,6 +20,7 @@ COLUMNS = {
     "P": ("PNO", "WEIGHT", "CITY"),
     "S": ("SNO", "CITY"),
     "SP": ("SNO", "PNO", "QTY", "ORIGIN"),
+    "X": ("SNO", "PNO", "QTY", "ORIGIN"),  # SP X: the map is by binding
 }
 
 

@@ -1,8 +1,12 @@
 """Tests for the qualification pass (repro.sql.qualify)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.errors import BindError
+from repro.analysis.diagnostics import Findings
+from repro.analysis.spans import SourceMap
+from repro.errors import BindError, ColumnVerificationError, VerificationError
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
 from repro.sql.qualify import qualify
@@ -107,3 +111,100 @@ class TestQualify:
 
     def test_a_star_expands_to_its_bindings_columns(self):
         assert q("SELECT * FROM PARTS X") == "SELECT X.PNUM, X.QOH FROM PARTS X"
+
+
+class TestEveryNameIsChecked:
+    """The binder is the one name checker: a qualified reference is
+    checked as an unqualified one is, and every finding of a statement
+    comes out in one error."""
+
+    def test_a_qualified_miss_is_pv001(self):
+        with pytest.raises(ColumnVerificationError) as excinfo:
+            q("SELECT PARTS.NOPE FROM PARTS")
+        assert [d.rule for d in excinfo.value.diagnostics] == ["PV001"]
+
+    def test_a_binding_of_no_enclosing_block_is_pv001(self):
+        with pytest.raises(ColumnVerificationError, match=r"PV001.*SUPPLY\.QUAN"):
+            q("SELECT SUPPLY.QUAN FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY)")
+
+    def test_every_finding_is_in_the_one_error(self):
+        with pytest.raises(ColumnVerificationError) as excinfo:
+            q("SELECT NOPE, PARTS.ZIP, PNUM FROM PARTS, SUPPLY")
+        assert [d.rule for d in excinfo.value.diagnostics] == [
+            "PV001", "PV001", "PV002",
+        ]
+
+    def test_an_order_by_name_that_resolves_nowhere_is_pv001_alone(self):
+        with pytest.raises(ColumnVerificationError) as excinfo:
+            q("SELECT PNUM FROM PARTS ORDER BY NOPE")
+        assert [d.rule for d in excinfo.value.diagnostics] == ["PV001"]
+
+    def test_an_unsortable_order_by_is_pv011(self):
+        with pytest.raises(VerificationError, match="PV011") as excinfo:
+            q("SELECT PNUM AS P FROM PARTS ORDER BY QOH")
+        assert not isinstance(excinfo.value, BindError)
+
+    def test_findings_are_collected_with_spans_when_asked(self):
+        sql = "SELECT PNUM FROM PARTS WHERE X.QOH > 0"
+        findings = Findings()
+        bound = qualify(parse(sql), COLUMNS.get, findings, SourceMap(sql))
+        (diagnostic,) = findings
+        assert diagnostic.rule == "PV001"
+        assert sql[diagnostic.span.start : diagnostic.span.end] == "X.QOH"
+        # The name is left as written; the rest is bound.
+        assert to_sql(bound) == "SELECT PARTS.PNUM FROM PARTS WHERE X.QOH > 0"
+
+    def test_a_from_table_it_does_not_know_is_pv004(self):
+        findings = Findings()
+        qualify(parse("SELECT A FROM NOPE"), COLUMNS.get, findings)
+        assert [d.rule for d in findings] == ["PV004", "PV001"]
+
+
+#: A type-JA statement NEST-G transforms, and one it does not (a
+#: subquery under OR), which ``auto`` runs by nested iteration.
+TRANSFORMABLE = (
+    "SELECT PNUM FROM PARTS WHERE QOH = "
+    "(SELECT COUNT(*) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)"
+)
+FALLBACK = "SELECT PNUM FROM PARTS WHERE QOH > 5 OR PNUM IN (SELECT PNUM FROM SUPPLY)"
+
+
+@pytest.mark.parametrize(
+    "method,sql,runs",
+    [
+        ("transform", TRANSFORMABLE, "transform"),
+        ("auto", TRANSFORMABLE, "transform"),
+        ("cost", TRANSFORMABLE, None),
+        ("nested_iteration", TRANSFORMABLE, "nested_iteration"),
+        ("auto", FALLBACK, "nested_iteration"),
+    ],
+    ids=["transform", "auto", "cost", "nested_iteration", "fallback"],
+)
+def test_a_plan_build_binds_its_statement_once(method, sql, runs, monkeypatch):
+    """``prepare_query`` binds the statement; a nested-iteration plan
+    runs that tree rather than binding the statement again."""
+    import repro.core.pipeline
+    import repro.serve.plan
+    from repro import Database
+
+    calls: Counter = Counter()
+    for module, name in (
+        (repro.core.pipeline, "qualify"),
+        (repro.serve.plan, "prepare_query"),
+    ):
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    db = Database()
+    db.create_table("PARTS", ["PNUM", "QOH"])
+    db.create_table("SUPPLY", ["PNUM", "QUAN"])
+    db.insert("PARTS", [(3, 6), (10, 1), (8, 0)])
+    db.insert("SUPPLY", [(3, 4), (10, 1), (8, 5)])
+    report = db.run(sql, method=method)
+    assert report.result.rows
+    assert runs in (None, report.method)
+    assert calls == {"qualify": 1, "prepare_query": 1}
