@@ -68,7 +68,7 @@ def show_temp_tables(catalog, algorithm, sql: str) -> None:
     transform = transform_with(catalog, sql, algorithm)
     with bound_params(()):
         for definition in transform.setup:
-            install_link(SingleLevelExecutor(catalog), definition)
+            install_link(SingleLevelExecutor(catalog), definition, definition.query)
     for definition in transform.setup:
         print(definition.describe())
         print(dump_table(catalog, definition.name))

@@ -7,24 +7,27 @@ Three entry points, matched to the places plans exist:
   and an unknown table reported as PV004.  The binder checks each name
   once, when the statement is bound, on the engine's path too, where a
   finding raises instead;
-* :func:`verify_single_level` — one canonical/temp-table query, as the
-  physical executor receives it: schema chaining (every reference is
-  qualified and resolves against its input row schema),
-  grouped-output coverage, ORDER BY resolution, and join-shape
-  invariants (outer joins must preserve the accumulated left input,
-  hash joins key on equality only, a semi table's columns are read by
-  WHERE only);
+* :func:`verify_single_level` — one canonical/temp-table query: it is
+  planned by the executor's own planning
+  (:func:`~repro.optimizer.executor.plan_block`) over the input
+  schemas, and what planning raises is the block's finding — schema
+  chaining (every reference is qualified and resolves against its
+  input row schema), grouped-output coverage, ORDER BY resolution, and
+  join shape (outer joins must preserve the accumulated left input, a
+  semi table's columns are read by WHERE only).  Hash joins key on
+  equality only, a warning read off the planned joins;
 * :func:`verify_transform` — a whole NEST-G result: each temp-table
-  definition is verified in build order against the catalog plus the
+  definition is planned in build order against the catalog plus the
   temps defined so far, the canonical query must be nest-free, and
   grouped temps must be rejoined on *all* of their GROUP BY keys
   (section 6.1's rejoin shape — missing keys would match one outer
-  row to many groups).
+  row to many groups).  The blocks it plans are the ones the plan
+  keeps and its replays run.
 
 Rule ids are stable (``PV001`` ...); see ``diagnostics.py``.  The
-verifier is deliberately no stricter than the executors on valid
-plans: everything it rejects would fail (or worse, silently
-mis-execute) at runtime.
+verifier is no stricter than the executors by construction: a block's
+rules are the executor's own planning, so what it rejects is what the
+executor refuses to run.
 """
 
 from __future__ import annotations
@@ -39,19 +42,17 @@ from repro.analysis.nullability import (
     catalog_provider,
 )
 from repro.catalog.catalog import Catalog
-from repro.errors import PlanError
+from repro.errors import VerificationError
 from repro.sql.ast import (
     ColumnRef,
     Comparison,
     Expr,
     FuncCall,
     Select,
-    Star,
-    column_refs,
     conjuncts,
     walk,
 )
-from repro.sql.output import order_positions, output_names
+from repro.sql.output import output_names
 from repro.sql.printer import to_sql
 
 
@@ -85,110 +86,6 @@ class TempInfo:
 
 
 # ---------------------------------------------------------------------------
-# Column resolution
-# ---------------------------------------------------------------------------
-
-
-class _Columns:
-    """Per-block binding → column-name sets."""
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        temps: Mapping[str, TempInfo] | None = None,
-    ) -> None:
-        self.catalog = catalog
-        self.temps = temps or {}
-
-    def columns_of(self, table: str) -> list[str] | None:
-        """The column names of ``table`` (a temp's outputs), in order."""
-        if table in self.temps:
-            return list(self.temps[table].outputs)
-        if self.catalog.has_table(table):
-            return list(self.catalog.schema_of(table).column_names)
-        return None
-
-
-def _block_bindings(
-    select: Select, columns: _Columns, findings: Findings
-) -> dict[str, set[str]]:
-    """FROM bindings of one block; unknown tables are reported (PV004)."""
-    bindings: dict[str, set[str]] = {}
-    for ref in select.from_tables:
-        cols = columns.columns_of(ref.name)
-        if cols is None:
-            findings.add(
-                Diagnostic(
-                    "PV004",
-                    f"unknown table {ref.name!r} in FROM clause",
-                    subject=to_sql(select),
-                )
-            )
-            cols = []
-        bindings[ref.binding] = set(cols)
-    return bindings
-
-
-def _resolve_ref(
-    ref: ColumnRef,
-    local: dict[str, set[str]],
-    findings: Findings,
-    subject: str,
-) -> None:
-    """Check one reference of a single-level block against its FROM
-    bindings.  The block is bound — its executor attributes a reference
-    to a table by the binding it carries — so a name that resolves but
-    carries no binding is PV003."""
-    if ref.table is not None:
-        if ref.column in local.get(ref.table, ()):
-            return
-    else:
-        owners = [b for b, cols in local.items() if ref.column in cols]
-        if len(owners) > 1:
-            findings.add(
-                Diagnostic(
-                    "PV002",
-                    f"ambiguous column {ref.column!r} "
-                    f"(candidates: {sorted(owners)})",
-                    subject=subject,
-                )
-            )
-            return
-        if owners:
-            findings.add(
-                Diagnostic(
-                    "PV003",
-                    f"column {ref.column!r} is unqualified after the "
-                    "qualification pass",
-                    subject=subject,
-                )
-            )
-            return
-    findings.add(
-        Diagnostic(
-            "PV001", f"cannot resolve column {ref.qualified()}", subject=subject
-        )
-    )
-
-
-def _order_by_output_refs(select: Select, columns: _Columns) -> set[int]:
-    """Identities of the ORDER BY references that name output columns.
-
-    Both executors resolve an unqualified ORDER BY name against the
-    *output* names first (aliases included, ahead of a base column of
-    the same name), so such a reference is not a table column to
-    resolve (``qualify`` leaves an ORDER BY alias unqualified).
-    """
-    out_names = set(output_names(select, columns.columns_of))
-    return {
-        id(ref)
-        for item in select.order_by
-        for ref in column_refs(item.expr)
-        if ref.table is None and ref.column in out_names
-    }
-
-
-# ---------------------------------------------------------------------------
 # A statement's names (the binder's findings)
 # ---------------------------------------------------------------------------
 
@@ -216,211 +113,53 @@ def verify_single_level(
     catalog: Catalog,
     temps: Mapping[str, TempInfo] | None = None,
     join_method: str | None = None,
-    context: str = "query",
 ) -> Findings:
-    """Invariants of one canonical query against its input schemas."""
+    """Invariants of one canonical query against its input schemas:
+    what planning it raises."""
     findings = Findings()
-    columns = _Columns(catalog, temps)
-
-    for node in walk(select):
-        if isinstance(node, Select) and node is not select:
-            findings.add(
-                Diagnostic(
-                    "PV010",
-                    f"{context} still contains a nested query block",
-                    subject=to_sql(node),
-                )
-            )
-            return findings  # everything below assumes single-level
-
-    local = _block_bindings(select, columns, findings)
-    subject = to_sql(select)
-    output_refs = _order_by_output_refs(select, columns)
-    for node in walk(select, into_subqueries=False):
-        if isinstance(node, ColumnRef) and id(node) not in output_refs:
-            _resolve_ref(node, local, findings, subject)
-
-    _verify_join_shape(select, local, findings, join_method, subject)
-    _verify_semi_scope(select, local, findings, subject)
-    if select.group_by or select.has_aggregate_select():
-        _verify_grouped_output(select, findings, subject)
-    if select.order_by:
-        _verify_order_by(select, columns, findings, subject)
+    _plan(select, catalog, temps or {}, join_method, findings)
     return findings
 
 
-def _verify_join_shape(
+def _plan(
     select: Select,
-    local: dict[str, set[str]],
-    findings: Findings,
+    catalog: Catalog,
+    temps: Mapping[str, TempInfo],
     join_method: str | None,
-    subject: str,
-) -> None:
-    """Outer-join placement and hash-key invariants, statically.
-
-    Mirrors the executor's pairwise FROM-clause accumulation: the
-    relation preserved by an outer comparison must be the accumulated
-    left input (the transforms lay their FROM clauses out that way),
-    full outer joins are unsupported, and an outer marker on something
-    that cannot act as a join predicate would be silently demoted to a
-    plain filter — all reported as errors before execution starts.
-    """
-
-    def binding_of(ref: ColumnRef) -> str | None:
-        if ref.table is not None:
-            return ref.table
-        owners = [b for b, cols in local.items() if ref.column in cols]
-        return owners[0] if len(owners) == 1 else None
-
-    order = [ref.binding for ref in select.from_tables]
-    for conjunct in conjuncts(select.where):
-        outer_marks = [
-            node
-            for node in walk(conjunct, into_subqueries=False)
-            if isinstance(node, Comparison) and node.outer is not None
-        ]
-        for comparison in outer_marks:
-            if comparison.outer == "full":
-                findings.add(
-                    Diagnostic(
-                        "PV006",
-                        "full outer join is not supported by the executor",
-                        subject=to_sql(comparison),
-                    )
-                )
-                continue
-            if comparison is not conjunct or not (
-                isinstance(comparison.left, ColumnRef)
-                and isinstance(comparison.right, ColumnRef)
-            ):
-                findings.add(
-                    Diagnostic(
-                        "PV009",
-                        "outer-join marker on a predicate that cannot act "
-                        "as a join predicate (it would silently degrade to "
-                        "a plain filter)",
-                        subject=to_sql(comparison),
-                    )
-                )
-                continue
-            left_b = binding_of(comparison.left)
-            right_b = binding_of(comparison.right)
-            if left_b is None or right_b is None or left_b == right_b:
-                findings.add(
-                    Diagnostic(
-                        "PV009",
-                        "outer-join comparison does not join two relations",
-                        subject=to_sql(comparison),
-                    )
-                )
-                continue
-            preserved = left_b if comparison.outer == "left" else right_b
-            padded = right_b if comparison.outer == "left" else left_b
-            if left_b not in order or right_b not in order:
-                continue  # unresolved binding already reported
-            # The executor accumulates left-to-right, so the preserved
-            # relation must come before the padded one in FROM order.
-            if order.index(preserved) > order.index(padded):
-                findings.add(
-                    Diagnostic(
-                        "PV006",
-                        "outer join must preserve the accumulated left "
-                        f"input, but {preserved!r} is joined after "
-                        f"{padded!r}; reorder the FROM clause",
-                        subject=to_sql(comparison),
-                    )
-                )
-            if (
-                join_method == "hash"
-                and comparison.op != "="
-            ):
-                # The executor degrades gracefully (sorted theta merge
-                # with no hash keys), so this is advice, not an error.
-                findings.add(
-                    Diagnostic(
-                        "PV005",
-                        "hash joins key on equality only; this "
-                        "non-equality outer comparison falls back to a "
-                        "sorted theta merge join",
-                        severity="warning",
-                        subject=to_sql(comparison),
-                    )
-                )
-
-
-def _verify_semi_scope(
-    select: Select,
-    local: dict[str, set[str]],
     findings: Findings,
-    subject: str,
-) -> None:
-    """PV012: a semi table's columns are visible to WHERE only — a
-    semi-join puts out none of its right columns, so a SELECT, GROUP
-    BY, HAVING or ORDER BY reference would find nothing to read."""
-    semi = {ref.binding for ref in select.from_tables if ref.semi}
-    if not semi:
-        return
-    outside = [*select.items, *select.group_by, *select.order_by]
-    if select.having is not None:
-        outside.append(select.having)
-    for ref in (r for clause in outside for r in column_refs(clause)):
-        owners = (
-            {ref.table}
-            if ref.table is not None
-            else {b for b, cols in local.items() if ref.column in cols}
-        )
-        if owners and owners <= semi:
-            findings.add(
-                Diagnostic(
-                    "PV012",
-                    f"column {ref.qualified()} of a semi-joined table is "
-                    "read outside WHERE",
-                    subject=subject,
-                )
-            )
+):
+    """``select`` planned over the catalog and ``temps``
+    (:func:`~repro.optimizer.executor.plan_block`), or None when
+    planning raised — its finding is added to ``findings``."""
+    from repro.optimizer.executor import plan_block  # the executor imports analysis
 
+    def columns_of(table: str):
+        if table in temps:
+            return output_names(temps[table].query)
+        return catalog.column_names(table) if catalog.has_table(table) else None
 
-def _verify_grouped_output(
-    select: Select, findings: Findings, subject: str
-) -> None:
-    group_exprs = list(select.group_by)
-    for expr in group_exprs:
-        if not isinstance(expr, ColumnRef):
-            findings.add(
-                Diagnostic(
-                    "PV008",
-                    "GROUP BY supports column references only",
-                    subject=subject,
-                )
-            )
-            return
-    outputs = [item.expr for item in select.items]
-    if select.having is not None:
-        outputs.append(select.having)
-    for expr in outputs:
-        if isinstance(expr, Star):
-            findings.add(
-                Diagnostic(
-                    "PV008",
-                    "SELECT * is not supported in a grouped block",
-                    subject=subject,
-                )
-            )
-        for ref in column_refs(expr):
-            if any(_same_column(ref, g) for g in group_exprs):
-                continue
-            # Aggregate arguments are exempt: COUNT(X) reads X per
-            # group, not per output row.
-            if _inside_aggregate(expr, ref):
-                continue
-            findings.add(
-                Diagnostic(
-                    "PV008",
-                    f"non-aggregated column {ref.qualified()} must "
-                    "appear in GROUP BY",
-                    subject=subject,
-                )
-            )
+    try:
+        block = plan_block(select, columns_of)
+    except VerificationError as error:
+        findings.extend(list(error.diagnostics))
+        return None
+    if join_method == "hash":
+        # The executor degrades gracefully (sorted theta merge with no
+        # hash keys), so this is advice, not an error.
+        for join in block.joins:
+            for theta in join.theta:
+                if theta.outer:
+                    findings.add(
+                        Diagnostic(
+                            "PV005",
+                            "hash joins key on equality only; this "
+                            "non-equality outer comparison falls back to a "
+                            "sorted theta merge join",
+                            severity="warning",
+                            subject=theta.text,
+                        )
+                    )
+    return block
 
 
 def _same_column(a: ColumnRef, b: Expr) -> bool:
@@ -429,25 +168,6 @@ def _same_column(a: ColumnRef, b: Expr) -> bool:
     if a.column != b.column:
         return False
     return a.table is None or b.table is None or a.table == b.table
-
-
-def _inside_aggregate(root: Expr, ref: ColumnRef) -> bool:
-    for node in walk(root, into_subqueries=False):
-        if isinstance(node, FuncCall) and node.is_aggregate:
-            if any(child is ref for child in walk(node.arg)):
-                return True
-    return False
-
-
-def _verify_order_by(
-    select: Select, columns: _Columns, findings: Findings, subject: str
-) -> None:
-    """PV011: the ORDER BY must resolve by the executors' rule
-    (:func:`~repro.sql.output.order_positions`)."""
-    try:
-        order_positions(select, columns.columns_of)
-    except PlanError as error:
-        findings.add(Diagnostic("PV011", str(error), subject=subject))
 
 
 # ---------------------------------------------------------------------------
@@ -501,38 +221,30 @@ def verify_transform(
     transform,
     catalog: Catalog,
     join_method: str | None = None,
+    blocks: list | None = None,
 ) -> tuple[Findings, dict[str, TempInfo]]:
     """Verify a whole NEST-G result (setup temps plus canonical query).
 
     Returns the findings and the per-temp metadata (reused by the
-    Kim-bug lint so inference runs once).
+    Kim-bug lint so inference runs once).  ``blocks``, when given,
+    receives each block's plan in build order — the links', then the
+    canonical query's: what the plan keeps and its replays run.  It is
+    complete when there is no error finding.
     """
     findings = Findings()
     temps = collect_temp_infos(transform.setup, catalog)
 
     seen: dict[str, TempInfo] = {}
     for definition in transform.setup:
-        findings.extend(
-            verify_single_level(
-                definition.query,
-                catalog,
-                temps=seen,
-                join_method=join_method,
-                context=f"temp table {definition.name}",
-            )
-        )
+        block = _plan(definition.query, catalog, seen, join_method, findings)
+        if blocks is not None:
+            blocks.append(block)
         _verify_rejoin_coverage(definition.query, seen, findings)
         seen[definition.name] = temps[definition.name]
 
-    findings.extend(
-        verify_single_level(
-            transform.query,
-            catalog,
-            temps=seen,
-            join_method=join_method,
-            context="canonical query",
-        )
-    )
+    block = _plan(transform.query, catalog, seen, join_method, findings)
+    if blocks is not None:
+        blocks.append(block)
     _verify_rejoin_coverage(transform.query, seen, findings)
     return findings, temps
 

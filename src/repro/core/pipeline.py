@@ -261,20 +261,24 @@ class Engine:
 
 def verify_plan(
     transform: GeneralTransform, catalog: Catalog, join_method: str
-) -> str:
+) -> tuple[str, tuple]:
     """Mandatory post-transform static checks: an error finding raises,
-    carrying its diagnostics; else returns the outcome's trace line.
+    carrying its diagnostics; else returns the outcome's trace line and
+    the blocks the checks planned — each link's, then the canonical
+    query's (:func:`~repro.optimizer.executor.plan_block`), what the
+    plan's replays run.
 
-    The plan verifier walks the temp chain and canonical query, and the
+    The plan verifier plans the temp chain and canonical query, and the
     Kim-bug lint looks for the paper's section 5 shapes.  The
     statement's names were checked when it was bound
     (:func:`bind_columns`).  Once per plan: a replay checks nothing.
     """
     from repro.analysis import lint_transform, verify_transform
 
-    findings, temps = verify_transform(transform, catalog, join_method=join_method)
+    blocks: list = []
+    findings, temps = verify_transform(transform, catalog, join_method, blocks)
     findings.extend(lint_transform(transform, catalog, temps))
     findings.raise_errors("static verification of transformed plan")
     if findings:
-        return f"verifier: {len(findings)} finding(s), no errors"
-    return "verifier: plan ok"
+        return f"verifier: {len(findings)} finding(s), no errors", tuple(blocks)
+    return "verifier: plan ok", tuple(blocks)

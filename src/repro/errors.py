@@ -91,7 +91,8 @@ class ColumnVerificationError(VerificationError, BindError):
     all of them in one error; its ``diagnostics`` carry the rule ids.
 
     Raised by the binder (:func:`repro.sql.qualify.qualify`) for a
-    statement's names, whatever the method that will run it, and by the
-    plan verifier for a generated block's.  Also a :class:`BindError`,
+    statement's names, whatever the method that will run it, and by a
+    generated block's planning
+    (:func:`repro.optimizer.executor.plan_block`).  Also a :class:`BindError`,
     so code catching either class behaves the same.
     """

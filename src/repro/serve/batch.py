@@ -25,8 +25,9 @@ executes the whole batch set-at-a-time:
 * the final query gains a leading ``BSEQ`` output column; one pass of
   the result rows demultiplexes them back into per-vector results.
 
-The rewrite is purely structural — no data access — so it is derived
-once per plan and rides on it (``CachedPlan.batch_plan``).  Shapes
+The rewrite is purely structural — no data access — so it is derived,
+and its blocks planned, once per plan and rides on it
+(``CachedPlan.batch_plan``).  Shapes
 the rewrite cannot prove correct (grouped/aggregated final queries,
 ORDER BY, full outer joins, value links that read a parameter) raise
 :class:`BatchIneligible` and the statement falls back to the per-vector
@@ -43,8 +44,8 @@ from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.core.pipeline import RunReport
 from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
-from repro.errors import ReproError
-from repro.optimizer.executor import SingleLevelExecutor
+from repro.errors import PlanError, ReproError
+from repro.optimizer.executor import BlockPlan, SingleLevelExecutor, plan_chain
 from repro.serve.session import SessionCatalog
 from repro.serve.sharing import outer_comparisons
 from repro.sql.ast import (
@@ -78,8 +79,9 @@ class BatchPlan:
         binding_columns: ``("SEQ", "P0", ..)`` — vector layout.
         setup: the temp chain in build order; batched definitions
             carry the rewritten query.
-        final_query: the set-oriented final query; its first output
-            column is the batch sequence used to demultiplex.
+        blocks: the planned blocks of ``setup``, then of the
+            set-oriented final query, whose first output column is the
+            batch sequence used to demultiplex.
         schema_version: catalog schema version the rewrite was derived
             under (it embeds catalog-unique temp names).
     """
@@ -87,7 +89,7 @@ class BatchPlan:
     binding_name: str
     binding_columns: tuple[str, ...]
     setup: tuple[TempTableDef, ...]
-    final_query: Select
+    blocks: tuple[BlockPlan, ...]
     schema_version: int
 
 
@@ -369,11 +371,19 @@ def build_batch_plan(plan, catalog) -> BatchPlan:
     ]
     final_query = _rewrite_final(plan.final_query, batched, binding_name, count)
     columns = ("SEQ",) + tuple(f"P{i}" for i in range(plan.param_count))
+    try:
+        blocks = plan_chain(
+            setup,
+            final_query,
+            lambda name: columns if name == binding_name else catalog.column_names(name),
+        )
+    except PlanError as error:
+        raise BatchIneligible(f"a rewritten block does not plan: {error}") from error
     return BatchPlan(
         binding_name=binding_name,
         binding_columns=columns,
         setup=tuple(setup),
-        final_query=final_query,
+        blocks=blocks,
         schema_version=plan.catalog_version,
     )
 
@@ -421,7 +431,7 @@ def execute_batch_plan(
             session, replace(plan.config, join_method="hash")
         )
         rows, steps, _pages = plan.run_chain(
-            session, executor, batch_plan.setup, batch_plan.final_query
+            session, executor, batch_plan.setup, batch_plan.blocks
         )
     steps.insert(0, f"bind {len(vectors)} vector(s)")
     io = session.buffer.stats() - before

@@ -14,8 +14,10 @@ handed, unverified: the way the paper's wrong answers
 A :class:`CachedPlan` records everything the pipeline produces up to —
 but not including — the data access of its chain: the ordered links
 (temp-table definitions and the value links NEST-A makes of type-A
-blocks), the final single-level query, the verifier's clean bill of
-health (so a replay checks nothing), and the parameter contracts.
+blocks), the final single-level query, each of their blocks planned
+once (:func:`~repro.optimizer.executor.plan_block`: the verifier's
+planning, so a replay checks nothing and re-derives nothing), and the
+parameter contracts.
 Planning reads no data, so a plan depends on the schema alone and is
 valid at the schema version it was built under;
 the values of its type-A blocks are computed per replay and bound into
@@ -47,7 +49,7 @@ from repro.engine.relation import NO_ORDER, Order, Relation, describe_order
 from repro.engine.schema import RowSchema
 from repro.engine.sort import column_order
 from repro.errors import CardinalityError, ReproError, TransformError
-from repro.optimizer.executor import SingleLevelExecutor
+from repro.optimizer.executor import BlockPlan, SingleLevelExecutor, plan_chain
 from repro.optimizer.planner import Planner
 from repro.serve.binding import ParamSpec, check_binding, derive_param_specs
 from repro.serve.session import SessionCatalog
@@ -93,10 +95,12 @@ class CachedPlan:
     #: planner's pick under ``method="cost"``).  Also the part of every
     #: sharing key that says which settings shaped a temp's contents.
     config: ExecConfig
-    #: The chain in build order (NEST-G's definitions and value links)
-    #: and the canonical single-level query over it.
+    #: The chain in build order (NEST-G's definitions and value links),
+    #: and each link's block planned, then the canonical single-level
+    #: query's over it (:func:`~repro.optimizer.executor.plan_chain`):
+    #: what a replay runs.
     setup: Sequence[TempTableDef] = ()
-    final_query: Select | None = None
+    blocks: tuple[BlockPlan, ...] = ()
     #: The result's column names, by the statement as given
     #: (:func:`~repro.sql.output.output_names`), whatever the plan kind.
     columns: list[str] = field(default_factory=list)
@@ -124,6 +128,10 @@ class CachedPlan:
     #: (:mod:`repro.serve.batch`): None until asked for, False when the
     #: shape does not batch.  It lives and dies with this plan.
     batch_plan: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def final_query(self) -> Select | None:
+        return self.blocks[-1].select if self.blocks else None
 
     @property
     def param_count(self) -> int:
@@ -156,14 +164,13 @@ class CachedPlan:
             f"schema version: {self.catalog_version}",
             f"data version: {self.data_version}",
         ]
-        for definition, sql in zip(self.setup, self.setup_sql):
+        for definition, block, sql in zip(self.setup, self.blocks, self.setup_sql):
             lines.append(f"setup: {sql}")
             if definition.name in self.last_links:
                 lines.append(f"  last replay: {self.last_links[definition.name]}")
             order = self.delivered.get(definition.name)
             if order is not None:
-                names = output_names(definition.query)
-                lines.append("  rows ordered on " + describe_order(order, names))
+                lines.append("  rows ordered on " + describe_order(order, block.columns))
         if self.canonical_sql is not None:
             lines.append(f"canonical: {self.canonical_sql}")
         lines.extend(self.trace)
@@ -211,7 +218,6 @@ class CachedPlan:
                     method="nested_iteration",
                     trace=list(self.trace),
                 )
-            assert self.final_query is not None
             executor = SingleLevelExecutor(session, self.config)
             registry = self.registry
             if isinstance(snapshot, TransactionSnapshot):
@@ -219,7 +225,7 @@ class CachedPlan:
                 # hold uncommitted rows no other reader must ever see.
                 registry = None
             rows, steps, temp_pages = self.run_chain(
-                session, executor, self.setup, self.final_query, registry,
+                session, executor, self.setup, self.blocks, registry,
                 share_temps=not adhoc,
             )
             return RunReport(
@@ -242,8 +248,8 @@ class CachedPlan:
         its rows and the order they claim (:func:`link_contents`).  The
         caller binds the statement's values and sweeps ``session``."""
         executor = SingleLevelExecutor(session, self.config)
-        for link in self.setup:
-            install_link(executor, link)
+        for link, block in zip(self.setup, self.blocks):
+            install_link(executor, link, block)
             if link.name == name:
                 return link_contents(session, link)
         raise ReproError(f"{name} is not a link of its plan")
@@ -253,18 +259,20 @@ class CachedPlan:
         session: SessionCatalog,
         executor: SingleLevelExecutor,
         setup: Sequence[TempTableDef],
-        final_query: Select,
+        blocks: Sequence[BlockPlan],
         registry: SharedSubplanRegistry | None = None,
         share_temps: bool = True,
     ) -> tuple[list[tuple], list[str], dict[str, int]]:
-        """The chain driver: install ``setup`` in ``session``, run
-        ``final_query`` over it and collect its rows — the answer is
+        """The chain driver: install ``setup`` in ``session``, run the
+        final query over it and collect its rows — the answer is
         handed to the caller, never written — then sweep the session.
+        ``blocks`` are the planned blocks of the links, then of the
+        final query (:func:`~repro.optimizer.executor.plan_chain`).
 
         Temp contents and link values depend only on the committed base
         data (pinned by the active snapshot) and the parameter slots
         their definitions read.  The chain is resolved on demand:
-        starting from what ``final_query`` reads — temps in its FROM
+        starting from what the final query reads — temps in its FROM
         clause, value links through their slots — and walking ``setup``
         from last to first, exactly one of five things happens to a
         link:
@@ -342,6 +350,7 @@ class CachedPlan:
                 )
             return names
 
+        final_query = blocks[-1].select
         needs = [reads_of(definition.query) for definition in setup]
         final_reads = {ref.name for ref in final_query.from_tables}
         fate = {definition.name: "not read" for definition in setup}
@@ -524,12 +533,12 @@ class CachedPlan:
             parameter slots.  Ownership moves: the sweep unregisters
             the name only."""
             link = setup[index]
-            steps.append(install_link(executor, link))
+            steps.append(install_link(executor, link, blocks[index]))
             key, horizons = link_key(index)
             if horizons is None:
                 return
             if link.slot is not None:
-                columns = output_names(link.query)
+                columns = blocks[index].columns
                 row = Relation.materialize(
                     RowSchema.for_table(link.name, columns),
                     [(active_params()[link.slot],)], session.buffer,
@@ -605,7 +614,7 @@ class CachedPlan:
             if idle:
                 steps.append(", ".join(idle) + " not read")
             self.last_links = fate
-            rows = executor.execute(final_query, Relation.to_list)
+            rows = executor.execute(blocks[-1], Relation.to_list)
             steps.append("final: " + "; ".join(executor.steps))
             return rows, steps, temp_pages
         finally:
@@ -617,20 +626,24 @@ class CachedPlan:
                     registry.release_lease(entry)
 
 
-def install_link(executor: SingleLevelExecutor, link: TempTableDef) -> str:
+def install_link(
+    executor: SingleLevelExecutor, link: TempTableDef, block: BlockPlan | Select
+) -> str:
     """Install ``link`` of a chain privately, in ``executor``'s catalog
-    — the one place that tells a temp from a value link.  A temp is
-    materialized (:meth:`SingleLevelExecutor.materialize`).  A value
-    link is NEST-A, once per execution: its type-A block is a
-    single-level plan block, run by ``executor`` like any other, its
-    rows collected and none written; the value is bound into its slot
-    of the active ``bound_params`` block and kept in memory.  It is the
-    value list for an ``IN``; else at most one row (more raise
+    — the one place that tells a temp from a value link.  ``block`` is
+    the link's planned block, or its query to plan now over the catalog
+    as it stands.  A temp is materialized
+    (:meth:`SingleLevelExecutor.materialize`).  A value link is NEST-A,
+    once per execution: its type-A block is a single-level plan block,
+    run by ``executor`` like any other, its rows collected and none
+    written; the value is bound into its slot of the active
+    ``bound_params`` block and kept in memory.  It is the value list for
+    an ``IN``; else at most one row (more raise
     :class:`CardinalityError`), none being NULL.  Returns the step
     text."""
     if link.slot is None:
-        return executor.materialize(link.name, link.query)
-    rows = executor.execute(link.query, Relation.to_list)
+        return executor.materialize(link.name, block)
+    rows = executor.execute(block, Relation.to_list)
     if link.is_list:
         value: object = ValueList(row[0] for row in rows)
     elif len(rows) > 1:
@@ -702,13 +715,11 @@ def build_plan(
                 if method != "auto":
                     raise
             else:
-                choice += [
-                    *transform.trace,
-                    verify_plan(transform, catalog, config.join_method),
-                ]
+                verdict, blocks = verify_plan(transform, catalog, config.join_method)
+                choice += [*transform.trace, verdict]
                 return plan_of(
                     catalog, config, select, choice, transform, specs,
-                    fingerprint, registry,
+                    fingerprint, registry, blocks,
                 )
         # Nested iteration runs the statement bound, not rewritten (``x op
         # ALL`` is not exact under NOT): the tree prepare_query bound,
@@ -730,19 +741,20 @@ def plan_of(
     param_specs: list[ParamSpec] | None = None,
     fingerprint: str = "",
     registry: SharedSubplanRegistry | None = None,
+    blocks: tuple[BlockPlan, ...] | None = None,
 ) -> CachedPlan:
     """The plan of statement ``select`` under ``config`` at the
     catalog's current versions.  It ``runs`` NEST-G's transform, as the
-    replay of its chain, or the statement bound
-    (:func:`~repro.core.pipeline.bind_columns`), by nested iteration.
-    Verifies nothing."""
+    replay of its chain of ``blocks`` (planned here when not given), or
+    the statement bound (:func:`~repro.core.pipeline.bind_columns`), by
+    nested iteration.  Verifies nothing beyond what planning checks."""
     if isinstance(runs, Select):
         chain = dict(select=runs)
     else:
         chain = dict(
             select=select,
             setup=runs.setup,
-            final_query=runs.query,
+            blocks=blocks or plan_chain(runs.setup, runs.query, catalog.column_names),
             canonical_sql=to_sql(runs.query),
             setup_sql=[d.describe() for d in runs.setup],
         )
@@ -766,7 +778,8 @@ def run_transform(
 ) -> RunReport:
     """Run a NEST-G result as :meth:`~repro.core.pipeline.Engine.run`
     runs a plan — replayed once privately, page I/O counted — without
-    verifying it.  This is how a demonstrator's plan
+    verifying it beyond planning its blocks, which raises for one the
+    executor cannot run as written.  This is how a demonstrator's plan
     (:func:`~repro.core.nest_ja.kim_nest_g`, …) executes: no engine
     builds one.  The transform binds no values of its own."""
     with catalog.read_lock():

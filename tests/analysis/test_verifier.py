@@ -1,6 +1,8 @@
 """Unit tests for the plan invariant verifier (PV0xx rules) and the
 binder's name checks, which report the same rule ids."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.diagnostics import Findings
@@ -13,6 +15,7 @@ from repro.analysis.verifier import (
 )
 from repro.core.nest_ja import kim_nest_g
 from repro.core.pipeline import Engine, bind_columns, prepare_query
+from repro.optimizer.executor import plan_block
 from repro.errors import (
     BindError,
     CatalogError,
@@ -31,6 +34,21 @@ from repro.workloads.paper_data import (
 )
 
 from tests.core.helpers import transform_with
+
+
+def plan_findings(sql, catalog, join_method=None) -> Findings:
+    """What the verifier finds in single-level block ``sql``: the error
+    the executor's planning raises (:func:`plan_block`, which is checked
+    to agree), and PV005's advice."""
+    select = parse(sql) if isinstance(sql, str) else sql
+    findings = verify_single_level(select, catalog, join_method=join_method)
+    try:
+        plan_block(select, catalog.column_names)
+    except VerificationError as error:
+        assert list(error.diagnostics) == findings.errors
+    else:
+        assert not findings.errors
+    return findings
 
 
 def bind_findings(sql, catalog, spans=False) -> Findings:
@@ -145,13 +163,16 @@ class TestRaiseErrors:
 
 
 class TestVerifySingleLevel:
+    """A block's rules are the executor's planning: the verifier reports
+    what :func:`plan_block` raises, the first error of the block."""
+
     def test_nested_canonical_is_pv010(self):
         catalog = load_kiessling_instance()
         sql = (
             "SELECT PNUM FROM PARTS WHERE PNUM IN "
             "(SELECT PNUM FROM SUPPLY)"
         )
-        findings = verify_single_level(parse(sql), catalog)
+        findings = plan_findings(sql, catalog)
         assert "PV010" in findings.rules()
 
     def test_flat_query_is_clean(self):
@@ -160,12 +181,12 @@ class TestVerifySingleLevel:
             "SELECT PARTS.PNUM FROM PARTS, SUPPLY "
             "WHERE PARTS.PNUM = SUPPLY.PNUM"
         )
-        assert not verify_single_level(parse(sql), catalog)
+        assert not plan_findings(sql, catalog)
 
     def test_non_grouped_select_item_is_pv008(self):
         catalog = load_kiessling_instance()
-        sql = "SELECT QOH FROM PARTS GROUP BY PNUM"
-        findings = verify_single_level(parse(sql), catalog)
+        sql = "SELECT PARTS.QOH FROM PARTS GROUP BY PARTS.PNUM"
+        findings = plan_findings(sql, catalog)
         assert "PV008" in findings.rules()
 
     def test_expression_over_aggregates_is_a_grouped_item(self):
@@ -175,7 +196,7 @@ class TestVerifySingleLevel:
             "SELECT SUPPLY.PNUM + 1, COUNT(*) + 1 FROM SUPPLY "
             "GROUP BY SUPPLY.PNUM",
         ):
-            assert not verify_single_level(parse(sql), catalog), sql
+            assert not plan_findings(sql, catalog), sql
 
     def test_non_grouped_column_beside_an_aggregate_is_pv008(self):
         """One rule for the SELECT items and HAVING: a column outside
@@ -183,12 +204,13 @@ class TestVerifySingleLevel:
         holds an aggregate."""
         catalog = load_kiessling_instance()
         for sql in (
-            "SELECT QUAN + COUNT(*) FROM SUPPLY GROUP BY PNUM",
-            "SELECT PNUM FROM SUPPLY GROUP BY PNUM HAVING QUAN + COUNT(*) > 1",
+            "SELECT SUPPLY.QUAN + COUNT(*) FROM SUPPLY GROUP BY SUPPLY.PNUM",
+            "SELECT SUPPLY.PNUM FROM SUPPLY GROUP BY SUPPLY.PNUM "
+            "HAVING SUPPLY.QUAN + COUNT(*) > 1",
         ):
-            findings = verify_single_level(parse(sql), catalog)
+            findings = plan_findings(sql, catalog)
             assert [d.message for d in findings.by_rule("PV008")] == [
-                "non-aggregated column QUAN must appear in GROUP BY"
+                "non-aggregated column SUPPLY.QUAN must appear in GROUP BY"
             ], sql
 
     def test_having_aggregate_argument_is_exempt(self):
@@ -197,24 +219,35 @@ class TestVerifySingleLevel:
             "SELECT PARTS.PNUM FROM PARTS GROUP BY PARTS.PNUM "
             "HAVING COUNT(PARTS.QOH) > 1"
         )
-        assert not verify_single_level(parse(sql), catalog)
+        assert not plan_findings(sql, catalog)
 
     def test_semi_table_columns_are_visible_to_where_only(self):
         """PV012: a semi-join puts out none of its right columns."""
         catalog = load_kiessling_instance()
         semi = "FROM PARTS, SEMI SUPPLY WHERE PARTS.PNUM = SUPPLY.PNUM"
-        assert not verify_single_level(parse(f"SELECT PARTS.QOH {semi}"), catalog)
+        assert not plan_findings(f"SELECT PARTS.QOH {semi}", catalog)
         for sql in (
             f"SELECT SUPPLY.QUAN {semi}",
-            f"SELECT QUAN {semi}",  # unqualified, owned by the semi table
             f"SELECT COUNT(SUPPLY.QUAN) {semi}",
             f"SELECT COUNT(*) {semi} GROUP BY SUPPLY.QUAN",
             f"SELECT PARTS.QOH {semi} GROUP BY PARTS.QOH "
             "HAVING MAX(SUPPLY.QUAN) > 1",
             f"SELECT PARTS.QOH {semi} ORDER BY SUPPLY.QUAN",
         ):
-            findings = verify_single_level(parse(sql), catalog)
+            findings = plan_findings(sql, catalog)
             assert "PV012" in [d.rule for d in findings.errors], sql
+        # Unqualified, the name is not bound: planning meets that first.
+        assert plan_findings(f"SELECT QUAN {semi}", catalog).rules() == {"PV003"}
+
+    def test_a_binding_named_twice_is_pv002(self):
+        # Every column of the binding is ambiguous, whatever the block
+        # reads of it; the executor would fail on the first it resolves.
+        catalog = load_kiessling_instance()
+        for sql in (
+            "SELECT PARTS.PNUM FROM PARTS, PARTS WHERE PARTS.QOH > 0",
+            "SELECT PARTS.PNUM, COUNT(*) FROM PARTS, PARTS GROUP BY PARTS.PNUM",
+        ):
+            assert plan_findings(sql, catalog).rules() == {"PV002"}, sql
 
     def test_order_by_select_alias_is_clean(self):
         # qualify leaves ORDER BY <alias> unqualified; it names the
@@ -225,26 +258,27 @@ class TestVerifySingleLevel:
             "SELECT PARTS.PNUM AS X, PARTS.QOH FROM PARTS ORDER BY X",
             "SELECT PARTS.PNUM AS QOH FROM PARTS ORDER BY QOH DESC",
         ):
-            assert not verify_single_level(parse(sql), catalog)
+            assert not plan_findings(sql, catalog)
 
     def test_order_by_unknown_name_is_still_pv001(self):
+        # The name is checked before the ORDER BY is resolved (PV011).
         catalog = load_kiessling_instance()
         sql = "SELECT PARTS.PNUM AS X FROM PARTS ORDER BY Y"
-        findings = verify_single_level(parse(sql), catalog)
-        assert {"PV001", "PV011"} <= set(findings.rules())
+        assert plan_findings(sql, catalog).rules() == {"PV001"}
 
     def test_hash_join_non_equality_outer_is_a_warning(self):
         # The executor falls back to merge-theta when there is no equi
         # key, so this must not be an error.
         catalog = load_kiessling_instance()
-        sql = (
-            "SELECT PARTS.PNUM FROM PARTS, SUPPLY "
-            "WHERE PARTS.PNUM < SUPPLY.PNUM"
+        inner = parse(
+            "SELECT PARTS.PNUM FROM PARTS, SUPPLY WHERE PARTS.PNUM < SUPPLY.PNUM"
         )
-        findings = verify_single_level(
-            parse(sql), catalog, join_method="hash"
-        )
-        assert not findings.errors
+        assert not plan_findings(inner, catalog, join_method="hash")
+        # NEST-JA2's outer join with the original operator (section 6.1).
+        outer = replace(inner, where=replace(inner.where, outer="left"))
+        findings = plan_findings(outer, catalog, join_method="hash")
+        assert not findings.errors and findings.rules() == {"PV005"}
+        assert not plan_findings(outer, catalog, join_method="merge")
 
 
 class TestVerifyTransform:

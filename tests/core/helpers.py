@@ -91,7 +91,7 @@ def build_temps(catalog, transform, join_method="merge"):
     with bound_params(()):
         for link in transform.setup:
             executor = SingleLevelExecutor(catalog, ExecConfig(join_method))
-            install_link(executor, link)
+            install_link(executor, link, link.query)
         return {
             link.name: link_contents(catalog, link)[0] for link in transform.setup
         }

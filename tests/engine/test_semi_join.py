@@ -21,7 +21,7 @@ from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
 from repro.engine.sort import external_sort
 from repro.analysis.verifier import verify_single_level
-from repro.errors import BindError, PlanError
+from repro.errors import VerificationError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.ast import ColumnRef, Comparison, make_and
 from repro.sql.parser import parse
@@ -176,9 +176,9 @@ def test_theta_semi_merge_join(op, residual, left_rows, right_rows):
 
 
 class TestExecutorPicksTheMode:
-    """``SingleLevelExecutor._join_pair`` reads the mode off the FROM
-    clause (``SEMI R``), under every join method, for one client and
-    for four at once."""
+    """The executor's planning (``plan_block``) reads the mode off the
+    FROM clause (``SEMI R``), under every join method, for one client
+    and for four at once."""
 
     @staticmethod
     def catalog():
@@ -227,13 +227,14 @@ class TestExecutorPicksTheMode:
         assert any(step.startswith(text) for step in executor.steps), executor.steps
 
     def test_semi_table_columns_do_not_come_out(self):
-        """PV012 when the plan is built; the executor, which checks
-        nothing, finds no R column in the semi-join's output."""
+        """PV012 when the block is planned, on every route: the
+        verifier reports what the executor's planning raises."""
         catalog = self.catalog()
         block = parse("SELECT R.V FROM L, SEMI R WHERE L.K = R.K")
-        assert "PV012" in verify_single_level(block, catalog).rules()
-        with pytest.raises(BindError, match="R.V"):
+        assert verify_single_level(block, catalog).rules() == {"PV012"}
+        with pytest.raises(VerificationError, match="R.V") as excinfo:
             SingleLevelExecutor(catalog).execute(block, Relation.to_list)
+        assert [d.rule for d in excinfo.value.diagnostics] == ["PV012"]
 
     def test_every_conjunct_on_a_semi_table_belongs_to_its_join(self):
         """``R.V = X.V`` reads the semi table and a table joined after
@@ -242,7 +243,7 @@ class TestExecutorPicksTheMode:
         block = parse(
             "SELECT L.K FROM L, SEMI R, L X WHERE L.K = R.K AND R.V = X.V"
         )
-        with pytest.raises(PlanError, match="semi table R"):
+        with pytest.raises(VerificationError, match=r"\[PV012\] semi table R"):
             executor.execute(block, Relation.to_list)
-        with pytest.raises(PlanError, match="semi table L"):
+        with pytest.raises(VerificationError, match=r"\[PV012\] semi table L"):
             executor.execute(parse("SELECT R.K FROM SEMI L, R"), Relation.to_list)

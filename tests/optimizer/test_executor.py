@@ -7,7 +7,7 @@ import pytest
 from repro.config import ExecConfig
 from repro.engine.relation import Relation
 from repro.analysis.verifier import verify_single_level
-from repro.errors import ExecutionError, PlanError
+from repro.errors import PlanError, VerificationError
 from repro.core.pipeline import prepare_query
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.sql.parser import parse
@@ -57,13 +57,14 @@ class TestScanAndFilter:
         assert list(catalog.column_names("T_NAMES")) == ["SUPPNUM", "CT"]
 
     def test_rejects_nested_queries(self):
-        """PV010 when the plan is built; the executor, which checks
-        nothing, has no subquery handler to run the block with."""
+        """PV010 when the block is planned: the verifier reports what
+        the executor's planning raises."""
         catalog = load_kiessling_instance()
         sql = "SELECT PNUM FROM PARTS WHERE PNUM IN (SELECT PNUM FROM SUPPLY)"
-        assert "PV010" in verify_single_level(parse(sql), catalog).rules()
-        with pytest.raises(ExecutionError, match="no executor installed"):
+        assert verify_single_level(parse(sql), catalog).rules() == {"PV010"}
+        with pytest.raises(VerificationError, match="PV010") as excinfo:
             run(catalog, sql)
+        assert [d.rule for d in excinfo.value.diagnostics] == ["PV010"]
 
 
 class TestJoins:

@@ -166,9 +166,9 @@ def test_rebuilding_the_last_link_leases_what_it_reads(monkeypatch):
     blocks: list[str] = []
     real = SingleLevelExecutor.execute
 
-    def counting(self, select, consume):
-        blocks.append(select.from_tables[0].name)
-        return real(self, select, consume)
+    def counting(self, block, consume):
+        blocks.append(block.select.from_tables[0].name)
+        return real(self, block, consume)
 
     monkeypatch.setattr(SingleLevelExecutor, "execute", counting)
     published = registry.materializations

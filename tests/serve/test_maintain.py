@@ -22,6 +22,7 @@ from repro.config import ExecConfig
 from repro.core.transform import TempTableDef
 from repro.difftest.leaks import leaked_pages
 from repro.difftest.mixed import shared_temp_mismatches
+from repro.optimizer.executor import plan_chain
 from repro.serve.binding import ParamSpec
 from repro.serve.plan import CachedPlan
 from repro.serve.sharing import compute_share_specs
@@ -166,7 +167,7 @@ def chain_plan(
         param_specs=[ParamSpec(0)] if slots else [],
         config=ExecConfig(join_method=join_method),
         setup=setup,
-        final_query=final,
+        blocks=plan_chain(setup, final, db.catalog.column_names),
         columns=["PNUM", "QOH"],
         registry=db.plan_cache.sharing,
         share_specs=compute_share_specs(setup),

@@ -49,9 +49,9 @@ class TestSingleShot:
         blocks: list[str] = []
         real = SingleLevelExecutor.execute
 
-        def counting(self, select, consume):
-            blocks.append(select.from_tables[0].name)
-            return real(self, select, consume)
+        def counting(self, block, consume):
+            blocks.append(block.select.from_tables[0].name)
+            return real(self, block, consume)
 
         monkeypatch.setattr(SingleLevelExecutor, "execute", counting)
         report = db.run(JA_THEN_A, method="transform")
