@@ -43,9 +43,19 @@ Hash-based grouping (:func:`hash_group_aggregate`) and duplicate
 elimination (:func:`hash_distinct`) likewise avoid the sort their
 merge-based counterparts require.
 
-**Batch at a time.**  The operators consume their input through
-:meth:`Relation.iter_batches` — one batch per heap page, so page I/O is
-exactly a row scan's — and emit one output batch per input batch.
+**Batch at a time.**  An operator that reads one input at a time —
+:func:`restrict_project`, both sides of :func:`hash_join`,
+:func:`hash_group_aggregate` and :func:`hash_distinct` — consumes it
+through :meth:`Relation.iter_runs`: runs of whole heap pages, about 160
+rows, so its kernel, probe and append run once per run.  The other
+operators take :meth:`Relation.iter_batches`, one page per batch, and
+the merge join, the nested-loop and index joins and the sort's run
+formation must: they interleave their reads with another input's or
+with their own writes, and running them in runs moved page *reads* on
+the B = 8 page schedule (tried and rejected; :mod:`repro.engine.relation`
+has the numbers).  Either way a batch is its pages' reads, in file
+order, so page I/O is exactly a row scan's.  Each operator emits one
+output batch per input batch.
 :func:`restrict_project` and the hash join transpose each batch to
 columns and run expressions as the batch kernels of
 :mod:`repro.engine.vector_compile`.
@@ -53,7 +63,7 @@ columns and run expressions as the batch kernels of
 Restrict/project and the hash-join probe are each one pure
 ``batch -> output rows`` body (:func:`restrict_project_body`,
 :func:`hash_probe_body`), which the operators here drive over
-``iter_batches()``.
+``iter_runs()``.
 
 **Error surfacing** (the contract, DESIGN §4b).  Kernels evaluate a
 batch column at a time, so when several cells of one batch would each
@@ -259,7 +269,7 @@ def restrict_project(
         source.schema, predicate, projections
     )
     order = source.order
-    batches = source.iter_batches()
+    batches = source.iter_runs()
     if projections is not None:
         positions = _column_positions(source.schema, projections)
         order = project_order(order, positions)
@@ -672,7 +682,7 @@ def hash_probe_body(
     # Kernel column positions follow the combined schema, so a pushed
     # build-side residual sees right columns behind a left-width pad.
     build_pad = [()] * left_width
-    for batch in right.iter_batches():
+    for batch in right.iter_runs():
         if not batch:
             continue
         if build_residual is not None:
@@ -837,7 +847,7 @@ def hash_join(
     The build runs when the stream is first pulled, then the probe
     streams ``left`` through the table.
     """
-    left_batches = left.iter_batches()
+    left_batches = left.iter_runs()
 
     def batches() -> Iterator[list[tuple]]:
         probe = hash_probe_body(
@@ -905,7 +915,7 @@ def hash_group_aggregate(
     out_schema, group_cols, agg_specs, order = _aggregate_plan(
         source, group_columns, specs, out_names
     )
-    source_batches = source.iter_batches()
+    source_batches = source.iter_runs()
 
     def batches() -> Iterator[list[tuple]]:
         if not group_cols:
@@ -934,7 +944,7 @@ def hash_group_aggregate(
 def hash_distinct(source: Relation, name: str | None = None) -> Relation:
     """Duplicate elimination by hashing (first occurrence kept, input
     order preserved) — the hash counterpart of sort-unique."""
-    source_batches = source.iter_batches()
+    source_batches = source.iter_runs()
 
     def batches() -> Iterator[list[tuple]]:
         seen: set[tuple] = set()

@@ -220,11 +220,11 @@ def plan_block(select: Select, columns_of: ColumnLister) -> BlockPlan:
 
     The one place a block's rules are checked.  The first thing wrong
     raises with its rule id: ``ColumnVerificationError`` (a
-    ``BindError``) for names — PV001–PV003, all of the block's at once,
-    or a binding named twice — and ``VerificationError`` (a
-    ``PlanError``) for an unknown table (PV004), a nested block (PV010),
-    a semi table's scope (PV012), an outer join's shape (PV006, PV009),
-    a grouped output (PV008) or the ORDER BY (PV011).
+    ``BindError``) for names — PV001–PV003, all of the block's at once —
+    and ``VerificationError`` (a ``PlanError``) for an unknown table
+    (PV004), a nested block (PV010), a semi table's scope (PV012), an
+    outer join's shape (PV006, PV009), a grouped output (PV008) or the
+    ORDER BY (PV011).
     """
     tables = select.from_tables
     if not tables:
@@ -236,9 +236,6 @@ def plan_block(select: Select, columns_of: ColumnLister) -> BlockPlan:
             _refuse(
                 "PV004", f"unknown table {ref.name!r} in FROM clause", to_sql(select)
             )
-        if ref.binding in schemas:
-            # Every column of the binding would be ambiguous.
-            _refuse("PV002", f"binding {ref.binding!r} names two tables", to_sql(select))
         schemas[ref.binding] = RowSchema.for_table(ref.binding, table_columns)
     columns = tuple(output_names(select))
     _check_names(select, schemas, columns)

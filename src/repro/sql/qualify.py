@@ -13,7 +13,8 @@ transformation makes all later AST surgery safe.
 
 The binder is also the one name checker.  It reports, as stable rule
 ids (:mod:`repro.analysis.diagnostics`): PV001, a name that resolves
-nowhere; PV002, an ambiguous one; PV004, a FROM table it does not know
+nowhere; PV002, an ambiguous one, or a FROM clause that names one
+binding twice; PV004, a FROM table it does not know
 (whose columns then resolve nowhere); PV011, an ORDER BY the executors
 cannot sort on (:func:`~repro.sql.output.order_positions`).  It collects
 every finding, with a source span when it is handed the source text,
@@ -96,6 +97,13 @@ class _Binder:
                     select, "PV004", f"unknown table {ref.name!r} in FROM clause"
                 )
                 columns = ()
+            if ref.binding in local:
+                # Every column of the binding would be ambiguous.
+                self.report(
+                    select,
+                    "PV002",
+                    f"binding {ref.binding!r} is named twice in FROM clause",
+                )
             local[ref.binding] = columns
         scopes = (local, *enclosing)
 

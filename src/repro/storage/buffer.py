@@ -264,11 +264,11 @@ class BufferPool:
     # -- internals (caller holds the pool lock) ------------------------------
 
     def _admit(self, frame: Page) -> None:
+        """Make a page that is not resident resident, as the MRU."""
         while len(self._frames) >= self.capacity:
             self._evict_lru()
         self._frames[frame.page_id] = frame
         self._lru[frame.page_id] = None
-        self._lru.move_to_end(frame.page_id)
 
     def _evict_lru(self) -> None:
         if not self._lru:

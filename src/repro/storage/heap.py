@@ -8,6 +8,7 @@ scanned sequentially", section 7).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
@@ -263,24 +264,39 @@ class HeapFile:
             # Slice every page: a concurrent writer may be appending to
             # the tail, and yielding the live row list would hand its
             # uncommitted rows to this snapshot scan mid-iteration.
-            taken = list(self.buffer.get_page(page_id).rows[:remaining])
+            taken = self.buffer.get_page(page_id).rows[:remaining]
             remaining -= len(taken)
             yield from taken
 
-    def scan_pages(self) -> Iterator[list[tuple]]:
-        """Yield the file page by page (external sort, batch execution)."""
+    def scan_pages(self, run_rows: int = 0) -> Iterator[list[tuple]]:
+        """Yield the file in runs of whole pages, each a fresh list.
+
+        A run takes pages, one ``get_page`` at a time in file order,
+        until it holds at least ``run_rows`` rows (so ``0``, the
+        default, is one page per run: external sort, merge and
+        nested-loop inputs).  Each page's rows are copied out before
+        the next page is read and no frame is held or pinned across a
+        run, so the pool sees the same fault sequence at any run size.
+        """
         limit = self._scan_limit()
-        if limit is None:
-            for page_id in list(self.page_ids):
-                yield list(self.buffer.get_page(page_id).rows)
-            return
-        remaining = limit
+        remaining = sys.maxsize if limit is None else limit
+        run: list[tuple] = []
         for page_id in list(self.page_ids):
             if remaining <= 0:
                 break
-            rows = list(self.buffer.get_page(page_id).rows[:remaining])
+            # One slice is the copy, and it stops a snapshot scan at its
+            # horizon: a concurrent writer may be appending to the tail.
+            rows = self.buffer.get_page(page_id).rows[:remaining]
             remaining -= len(rows)
-            yield rows
+            if run:
+                run += rows
+            else:
+                run = rows
+            if len(run) >= run_rows:
+                yield run
+                run = []
+        if run:
+            yield run
 
     def scan_range(self, start: int, stop: int) -> Iterator[tuple]:
         """Yield rows ``[start, stop)`` in file order, reading only the
@@ -305,7 +321,7 @@ class HeapFile:
             if remaining <= 0:
                 break
             page = self.buffer.get_page(page_id)
-            taken = list(page.rows[:remaining])
+            taken = page.rows[:remaining]
             for slot, row in enumerate(taken):
                 yield (page_id, slot), row
             remaining -= len(taken)

@@ -34,7 +34,8 @@ class Page:
             raise StorageError(f"page capacity must be >= 1, got {capacity}")
         self.page_id = page_id
         self.capacity = capacity
-        self.rows: list[tuple] = list(rows) if rows is not None else []
+        #: The page's own list: a caller that passes ``rows`` hands it over.
+        self.rows: list[tuple] = rows if rows is not None else []
         if len(self.rows) > capacity:
             raise StorageError(
                 f"page {page_id} overfull: {len(self.rows)} > {capacity}"

@@ -50,6 +50,18 @@ class TestSingleQueries:
         assert "PV001" in out
         assert "^" in out  # caret snippet under the offending column
 
+    def test_repeated_binding_is_reported(self, capsys):
+        # It runs by nested iteration (the OR), which plans no block:
+        # the binder is what finds it.
+        sql = (
+            "SELECT PNUM FROM PARTS, PARTS WHERE QOH = 0 OR QOH = "
+            "(SELECT COUNT(*) FROM SUPPLY)"
+        )
+        assert check_main([sql]) == 1
+        out = capsys.readouterr().out
+        assert "error [PV002] binding 'PARTS' is named twice" in out
+        assert "no findings" not in out
+
     def test_clean_query_exits_zero(self, capsys):
         assert check_main(["SELECT PNUM FROM PARTS"]) == 0
         out = capsys.readouterr().out

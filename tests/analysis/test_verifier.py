@@ -80,6 +80,21 @@ class TestVerifyNested:
         findings = bind_findings("SELECT PNUM FROM PARTS, SUPPLY", catalog)
         assert findings.rules() == {"PV002"}
 
+    def test_a_binding_named_twice_is_pv002(self):
+        # Every column of the binding would be ambiguous, whatever the
+        # block reads of it: the binder reports the binding itself, once,
+        # in the block that names it, nested or not.
+        catalog = load_kiessling_instance()
+        for sql in (
+            "SELECT PARTS.PNUM FROM PARTS, PARTS WHERE PARTS.QOH > 0",
+            "SELECT PARTS.PNUM, COUNT(*) FROM PARTS, PARTS GROUP BY PARTS.PNUM",
+            "SELECT PNUM FROM PARTS, PARTS WHERE QOH = 0 OR QOH = "
+            "(SELECT COUNT(*) FROM SUPPLY)",
+            "SELECT PNUM FROM PARTS WHERE QOH IN (SELECT QUAN FROM SUPPLY, SUPPLY)",
+        ):
+            findings = bind_findings(sql, catalog)
+            assert [d.rule for d in findings.errors] == ["PV002"], sql
+
     def test_unknown_table_is_pv004(self):
         catalog = load_kiessling_instance()
         findings = bind_findings("SELECT A FROM NOPE", catalog)
@@ -238,16 +253,6 @@ class TestVerifySingleLevel:
             assert "PV012" in [d.rule for d in findings.errors], sql
         # Unqualified, the name is not bound: planning meets that first.
         assert plan_findings(f"SELECT QUAN {semi}", catalog).rules() == {"PV003"}
-
-    def test_a_binding_named_twice_is_pv002(self):
-        # Every column of the binding is ambiguous, whatever the block
-        # reads of it; the executor would fail on the first it resolves.
-        catalog = load_kiessling_instance()
-        for sql in (
-            "SELECT PARTS.PNUM FROM PARTS, PARTS WHERE PARTS.QOH > 0",
-            "SELECT PARTS.PNUM, COUNT(*) FROM PARTS, PARTS GROUP BY PARTS.PNUM",
-        ):
-            assert plan_findings(sql, catalog).rules() == {"PV002"}, sql
 
     def test_order_by_select_alias_is_clean(self):
         # qualify leaves ORDER BY <alias> unqualified; it names the

@@ -11,6 +11,10 @@ Regenerate (only when the physical operators themselves change)::
 
     PYTHONPATH=src python tests/core/test_page_schedule.py
 
+It prints the table and marks each cell that moved against
+``EXPECTED``: ``fell``, ``ROSE`` (reads or writes up), or ``CHANGED``
+(a temp, the method, the steps or the rows).
+
 PR 17 did change them (order is a property of every relation; composite
 NULL-regime merge keys) and regenerated 30 ``merge`` / ``nested`` cells;
 ``test_order_tracking_only_saved_pages`` holds the new table to the old:
@@ -159,6 +163,47 @@ def measure(shape: str, join_method: str, runs: int = 1) -> list[tuple]:
 
 # (reads, writes, temp pages, method, steps, set-up definitions, rows).
 EXPECTED: dict[tuple[str, str], tuple] = {
+    ('n', 'merge'): (140, 41, (1,), 'transform', 2, 1, 60),
+    ('n', 'nested'): (100, 1, (1,), 'transform', 2, 1, 60),
+    ('n', 'hash'): (100, 1, (1,), 'transform', 2, 1, 60),
+    ('j', 'merge'): (145, 47, (7,), 'transform', 2, 1, 52),
+    ('j', 'nested'): (100, 7, (7,), 'transform', 2, 1, 52),
+    ('j', 'hash'): (105, 7, (7,), 'transform', 2, 1, 52),
+    ('ja_count', 'merge'): (172, 60, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'nested'): (135, 13, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_count', 'hash'): (127, 13, (2, 7, 4), 'transform', 4, 3, 55),
+    ('ja_max', 'merge'): (169, 57, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'nested'): (134, 10, (2, 7, 1), 'transform', 4, 3, 1),
+    ('ja_max', 'hash'): (127, 10, (2, 7, 1), 'transform', 4, 3, 1),
+    ('a', 'merge'): (100, 0, (), 'transform', 2, 1, 200),
+    ('a', 'nested'): (100, 0, (), 'transform', 2, 1, 200),
+    ('a', 'hash'): (100, 0, (), 'transform', 2, 1, 200),
+    ('exists', 'merge'): (167, 54, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'nested'): (125, 11, (2, 4, 4), 'transform', 4, 3, 60),
+    ('exists', 'hash'): (124, 10, (2, 4, 4), 'transform', 4, 3, 60),
+    ('not_exists', 'merge'): (167, 54, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'nested'): (125, 12, (2, 4, 4), 'transform', 4, 3, 140),
+    ('not_exists', 'hash'): (124, 10, (2, 4, 4), 'transform', 4, 3, 140),
+    ('ja_neq', 'merge'): (170, 60, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'nested'): (135, 13, (2, 7, 4), 'transform', 4, 3, 0),
+    ('ja_neq', 'hash'): (131, 22, (2, 7, 4), 'transform', 4, 3, 0),
+    ('not_in', 'merge'): (100, 0, (), 'transform', 2, 1, 140),
+    ('not_in', 'nested'): (100, 0, (), 'transform', 2, 1, 140),
+    ('not_in', 'hash'): (100, 0, (), 'transform', 2, 1, 140),
+    ('two_preds', 'merge'): (253, 61, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'nested'): (216, 14, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('two_preds', 'hash'): (208, 14, (1, 2, 7, 4), 'transform', 5, 4, 5),
+    ('depth2', 'merge'): (548, 298, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'nested'): (266, 11, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('depth2', 'hash'): (266, 11, (1, 7, 2, 1), 'transform', 5, 4, 60),
+    ('or_fallback', 'merge'): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'nested'): (795, 0, (), 'nested_iteration', 0, 0, 55),
+    ('or_fallback', 'hash'): (795, 0, (), 'nested_iteration', 0, 0, 55),
+}
+
+#: The whole table as pinned while every reader took one heap page per
+#: batch, before a reader of one input took runs of whole pages.
+BEFORE_RUNS: dict[tuple[str, str], tuple] = {
     ('n', 'merge'): (140, 41, (1,), 'transform', 2, 1, 60),
     ('n', 'nested'): (100, 1, (1,), 'transform', 2, 1, 60),
     ('n', 'hash'): (100, 1, (1,), 'transform', 2, 1, 60),
@@ -453,10 +498,10 @@ def test_result_rows_only_saved_pages():
     ``ja_neq`` returns no row — or that run by nested iteration stayed
     put.  What the write of the answer no longer evicts, a nested-loop
     inner no longer re-reads (``j`` / ``nested``)."""
-    assert set(EXPECTED) == set(BEFORE_RESULT_ROWS)
+    assert set(BEFORE_RUNS) == set(BEFORE_RESULT_ROWS)
     unmoved = set()
     for key, before in BEFORE_RESULT_ROWS.items():
-        now = EXPECTED[key]
+        now = BEFORE_RUNS[key]
         assert now[0] <= before[0] and now[1] <= before[1], key
         assert now[2:] == before[2:], key
         if now[:2] == before[:2]:
@@ -465,14 +510,48 @@ def test_result_rows_only_saved_pages():
     assert len(unmoved) == 6
     totals = [
         tuple(sum(cell[i] for cell in table.values()) for i in (0, 1))
-        for table in (BEFORE_RESULT_ROWS, EXPECTED)
+        for table in (BEFORE_RESULT_ROWS, BEFORE_RUNS)
     ]
     assert totals == [(7715, 961), (7579, 922)]
-    assert EXPECTED["j", "nested"][0] < BEFORE_RESULT_ROWS["j", "nested"][0] / 2
+    assert BEFORE_RUNS["j", "nested"][0] < BEFORE_RESULT_ROWS["j", "nested"][0] / 2
+
+
+def test_runs_only_saved_pages():
+    """A run reads the pages a page at a time would, in the same order,
+    and holds none of them: no cell reads more and none writes anything
+    else.  Only the result write moves, later, onto pages the LRU then
+    keeps longer: 15 cells read exactly one page fewer, each of them a
+    block that restricts, hash-joins or groups before its result write.
+    Nested iteration (``or_fallback``) and the plans whose one block
+    writes nothing (``a``, ``not_in``) did not move."""
+    assert set(EXPECTED) == set(BEFORE_RUNS)
+    fell = set()
+    for key, before in BEFORE_RUNS.items():
+        now = EXPECTED[key]
+        assert now[1:] == before[1:], key
+        assert now[0] in (before[0], before[0] - 1), key
+        if now[0] < before[0]:
+            fell.add(key)
+    assert len(fell) == 15
+    assert not {shape for shape, _ in fell} & {"a", "not_in", "or_fallback"}
+    totals = [sum(cell[0] for cell in table.values()) for table in (BEFORE_RUNS, EXPECTED)]
+    assert totals == [7579, 7564]
+
+
+def _moved(before: tuple, now: tuple) -> str:
+    """How a regenerated cell moved against the pinned one."""
+    if now == before:
+        return ""
+    if now[2:] != before[2:]:
+        return f"  # CHANGED, was {before!r}"
+    if now[0] <= before[0] and now[1] <= before[1]:
+        return f"  # fell, was {before[:2]!r}"
+    return f"  # ROSE, was {before[:2]!r}"
 
 
 if __name__ == "__main__":
     for shape in SHAPES:
         for join_method in JOINS:
             key = (shape, join_method)
-            print(f"    {key!r}: {measure(*key)[0]!r},")
+            cell = measure(*key)[0]
+            print(f"    {key!r}: {cell!r},{_moved(EXPECTED[key], cell)}")

@@ -22,8 +22,10 @@ MISTAKES = {
     "SELECT PNUM FROM PARTS WHERE QOH = "
     "(SELECT COUNT(*) FROM SUPPLY WHERE X.PNUM = SUPPLY.PNUM)": "PV001",
     "SELECT PNUM FROM PARTS, SUPPLY": "PV002",
+    "SELECT PNUM FROM PARTS, PARTS WHERE QOH = 0 OR QOH = "
+    "(SELECT COUNT(*) FROM SUPPLY)": "PV002",
 }
-IDS = ["unqualified", "qualified", "nested", "ambiguous"]
+IDS = ["unqualified", "qualified", "nested", "ambiguous", "repeated_binding"]
 METHODS = ("transform", "auto", "nested_iteration", "cost")
 ENTRIES = {
     "run": lambda db, sql, method: db.run(sql, method=method),

@@ -20,7 +20,7 @@ from repro import Database
 from repro.analysis.check import FIGURE1_WORKLOAD, INSTANCES
 from repro.config import ExecConfig
 from repro.difftest.leaks import leaked_pages
-from repro.engine.relation import Relation
+from repro.engine.relation import _RUN_ROWS, Relation
 from repro.errors import ExecutionError, PlanError
 from repro.optimizer.executor import SingleLevelExecutor
 from repro.serve.normalize import parameterize
@@ -236,14 +236,16 @@ class TestMidStreamFailures:
     final block has written no result at all."""
 
     N = 400
+    ROWS_PER_PAGE = 8
     SQL = "SELECT A.K, A.X, B.K, B.Y FROM A, B WHERE A.K = B.K"
 
     def setup_method(self):
         self.db = Database(buffer_pages=4)
-        self.db.create_table("A", ["K", "X"], rows_per_page=8)
-        self.db.create_table("B", ["K", "Y"], rows_per_page=8)
+        self.db.create_table("A", ["K", "X"], rows_per_page=self.ROWS_PER_PAGE)
+        self.db.create_table("B", ["K", "Y"], rows_per_page=self.ROWS_PER_PAGE)
         self.db.insert("A", [(i, i + 1) for i in range(self.N)])
-        # B.Y is 0 for the last key only: A.X / B.Y raises on A's last page.
+        # B.Y is 0 for the last key only: A.X / B.Y raises on the batch
+        # of A that holds its last row.
         self.db.insert("B", [(i, int(i < self.N - 1)) for i in range(self.N)])
         self.db.cold_cache()
         self.base_pages = self.db.disk.num_pages
@@ -270,6 +272,17 @@ class TestMidStreamFailures:
         monkeypatch.setattr(executor_module, "external_sort", marked_sort)
         return freed
 
+    def joined_before_failure(self, join_method: str) -> int:
+        """Rows the join put out before its batch of A's last row raised.
+
+        A hash join probes with runs of whole pages holding at least
+        ``_RUN_ROWS`` rows; a merge or nested-loop join reads its outer
+        a page at a time.
+        """
+        page = self.ROWS_PER_PAGE
+        batch = -(-_RUN_ROWS // page) * page if join_method == "hash" else page
+        return (self.N - 1) // batch * batch
+
     def assert_clean(self) -> None:
         assert self.db.disk.num_pages == self.base_pages
         assert leaked_pages(self.db.catalog) == 0
@@ -292,8 +305,10 @@ class TestMidStreamFailures:
     def test_half_written_result_is_freed(self, monkeypatch, join_method):
         freed = self.freed_heaps(monkeypatch)
         self.fail(join_method, temp=True)
-        # 399 joined rows of four columns, 32 a page, were on disk.
-        assert ("result", -(-(self.N - 1) // 32)) in freed
+        # What was joined before the raise, four columns, 32 a page, was
+        # on disk: 392 rows on 13 pages, or 320 on 10 for the hash join.
+        joined = self.joined_before_failure(join_method)
+        assert ("result", -(-joined // 32)) in freed
         names = [name for name, _ in freed]
         if join_method == "merge":  # the sorted inputs, freed in the sweep
             assert names.count("<sort>") == names.count("sorted") == 2
@@ -312,12 +327,13 @@ class TestMidStreamFailures:
     def test_formed_sort_runs_are_freed(self, monkeypatch, join_method):
         freed = self.freed_heaps(monkeypatch)
         self.fail(join_method, " ORDER BY A.X")
-        # The ORDER BY sort's runs hold B x 32 = 128 rows: three were
-        # formed before the fourth run's input raised.
+        # The ORDER BY sort's runs hold B x 32 = 128 rows: those filled
+        # before the raise were formed (three of 392 rows, two of the
+        # hash join's 320).
         names = [name for name, _ in freed]
         last_sort = len(names) - names[::-1].index("<sort>")
         runs = [pages for name, pages in freed[last_sort:] if name == "sort-run"]
-        assert runs == [4, 4, 4]
+        assert runs == [4] * (self.joined_before_failure(join_method) // 128)
         assert "result" not in names
 
     def test_final_order_by_frees_its_sorted_heap_once_read(self, monkeypatch):
